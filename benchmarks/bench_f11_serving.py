@@ -32,7 +32,7 @@ from repro.benchio.harness import write_bench_json
 from repro.core.facts import Fact
 from repro.datasets.synthetic import hierarchy_facts, membership_facts
 from repro.db import Database
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.serve import DatabaseService
 
 
@@ -262,7 +262,7 @@ def run_mixed_baseline(db: Database, queries: List[str],
 def run_telemetry_passes(depth: int, fanout: int, instances: int,
                          readers: int, ops_per_reader: int, writes: int,
                          repeat: int = 3):
-    """The mixed workload with telemetry off and with metrics on, so
+    """The mixed workload with telemetry off and with telemetry on, so
     the committed JSON carries the instrumentation overhead next to
     the numbers, plus the metrics snapshot from an observed pass.
 
@@ -275,7 +275,7 @@ def run_telemetry_passes(depth: int, fanout: int, instances: int,
         db = build_database(depth, fanout, instances)
         queries = query_mix(db, 48)
         if telemetry:
-            with use_metrics(MetricsRegistry()) as registry:
+            with use_telemetry(Telemetry()) as registry:
                 service = DatabaseService(db, batch_window=0.002)
                 try:
                     row = run_mixed(service, queries, readers,
@@ -371,7 +371,7 @@ def run_matrix(quick: bool = False):
     service_mixed = rows[-2]
     baseline_mixed = rows[-1]
 
-    # Telemetry overhead: the same mixed workload with metrics off and
+    # Telemetry overhead: the same mixed workload with telemetry off and
     # on; the observed pass also yields the snapshot stamped into the
     # JSON document.
     telemetry_rows, overhead_pct, snapshot = run_telemetry_passes(

@@ -46,7 +46,7 @@ from repro.benchio.harness import rss_anon_mb, rss_mb
 from repro.core.facts import Fact
 from repro.datasets.synthetic import hierarchy_facts, membership_facts
 from repro.db import Database
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.serve import DatabaseService, ReplicaPool
 
 
@@ -327,7 +327,7 @@ def run_observed_pass(depth: int, fanout: int, instances: int,
                       writes: int) -> Dict[str, object]:
     """A short metrics-enabled pass through a real pool; the merged
     primary + worker snapshot is stamped into the JSON document."""
-    with use_metrics(MetricsRegistry()):
+    with use_telemetry(Telemetry()):
         db = build_database(depth, fanout, instances)
         queries = query_mix(db, 48)
         service = DatabaseService(db, batch_window=0.002)

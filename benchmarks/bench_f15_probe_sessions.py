@@ -354,11 +354,6 @@ def test_f15_probe_sessions_agree_with_reference():
 def test_f15_slow_probe_autopsy():
     """A slow probe's slowlog record carries the probe autopsy: wave
     and candidate counts plus the menu-cache outcome."""
-    from repro.browse import retraction as _retraction
-    from repro.query import exec as _qexec
-
-    keep_run = _qexec.KEEP_LAST_RUN
-    keep_probe = _retraction.KEEP_LAST_PROBE
     db = build_database(20, 3, n_chains=1, chain_depth=3)
     service = DatabaseService(db, slow_query_seconds=0.0)
     try:
@@ -372,8 +367,6 @@ def test_f15_slow_probe_autopsy():
         assert autopsy["cached"] is False
     finally:
         service.close()
-        _qexec.KEEP_LAST_RUN = keep_run
-        _retraction.KEEP_LAST_PROBE = keep_probe
 
 
 if __name__ == "__main__":

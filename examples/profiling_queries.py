@@ -5,7 +5,7 @@ Walks through the three ways to watch the system work:
 
 1. ``explain_analyze`` — the planner's estimates next to what actually
    ran, per conjunct;
-2. scoped tracing with ``use_tracer`` — spans, counters, and gauges
+2. scoped tracing with ``use_telemetry`` — spans, counters, and gauges
    around any block of code, summarized as a fixed-width report or
    exported as JSON lines;
 3. per-rule closure accounting — where the fixpoint loop's time went,
@@ -18,7 +18,8 @@ import io
 
 from repro import Database
 from repro.datasets import movies
-from repro.obs import Tracer, read_jsonl, summary, use_tracer, write_jsonl
+from repro.obs import (Telemetry, read_jsonl, summary, use_telemetry,
+                       write_jsonl)
 
 
 def main() -> None:
@@ -32,20 +33,20 @@ def main() -> None:
     print(db.explain_analyze(query).render())
 
     # --- 2. Scoped tracing ------------------------------------------
-    # A private tracer observes one block without touching global
+    # A private spine observes one block without touching global
     # state: every instrumented layer (store, engine, evaluator,
     # browsers) reports into it.
-    with use_tracer(Tracer()) as tracer:
+    with use_telemetry(Telemetry()) as telemetry:
         db2 = Database(movies.facts())
         db2.closure()
         db2.query("(x, ∈, FILM) and (x, DIRECTED-BY, TARKOVSKY)")
         db2.navigate("(SOLARIS-1972, *, *)")
     print()
-    print(summary(tracer, title="one traced session"))
+    print(summary(telemetry, title="one traced session"))
 
     # The same data exports as JSON lines for offline analysis.
     buffer = io.StringIO()
-    count = write_jsonl(tracer, buffer)
+    count = write_jsonl(telemetry, buffer)
     events = read_jsonl(io.StringIO(buffer.getvalue()))
     print(f"\nexported {count} events;"
           f" first: {events[0]['type']} {events[0].get('name', '')!r}")
@@ -54,10 +55,10 @@ def main() -> None:
     # Under tracing, the engine attributes the fixpoint loop's time to
     # individual rules (plus the reserved "(apply)" store-update
     # entry); the pieces sum to the engine.closure_seconds gauge.
-    with use_tracer(Tracer()) as tracer:
+    with use_telemetry(Telemetry()) as telemetry:
         db3 = Database(movies.facts())
         result = db3.standard_closure()
-    total = tracer.gauges["engine.closure_seconds"]
+    total = telemetry.gauges["engine.closure_seconds"].last
     print(f"\nclosure: {result.derived_count} facts derived in"
           f" {result.iterations} rounds, {total * 1000:.1f} ms")
     print("slowest rules:")

@@ -38,7 +38,7 @@ def measure(label: str, function: Callable[[], object], repeat: int = 3,
             observe: bool = True,
             counter_prefixes: Optional[Sequence[str]] = None) -> Measurement:
     """Time a function *and* explain it: best-of-``repeat`` untraced
-    wall clock plus obs counters from one extra traced run.
+    wall clock plus telemetry counters from one extra traced run.
 
     The timing runs are never traced, so the seconds are comparable to
     plain :func:`timed`; the counters (rule firings, facts scanned,
@@ -50,15 +50,14 @@ def measure(label: str, function: Callable[[], object], repeat: int = 3,
     seconds = timed(function, repeat=repeat)
     metrics: Dict[str, object] = {}
     if observe:
-        from ..obs import Tracer, use_tracer
+        from ..obs import Telemetry, use_telemetry
 
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             function()
-        for name, value in sorted(tracer.counters.items()):
-            if counter_prefixes is None or any(
-                    name.startswith(prefix) for prefix in counter_prefixes):
-                metrics[name] = value
-        for name, value in sorted(tracer.gauges.items()):
+        observed = dict(sorted(telemetry.counters.items()))
+        observed.update((name, gauge.last) for name, gauge
+                        in sorted(telemetry.gauges.items()))
+        for name, value in observed.items():
             if counter_prefixes is None or any(
                     name.startswith(prefix) for prefix in counter_prefixes):
                 metrics[name] = value
@@ -182,7 +181,7 @@ def write_bench_json(path: str, benchmark: str,
     e.g. engine × dataset × limit); ``summary`` holds the headline
     numbers a trajectory tracker reads without joining the matrix;
     ``config`` records how the run was parameterized; ``metrics`` is an
-    optional :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` taken
+    optional :meth:`~repro.obs.telemetry.Telemetry.snapshot` taken
     during an observed pass, stamped alongside the timings so committed
     numbers carry their own telemetry.  Host metadata (core count,
     Python version, platform, load, memory) is stamped automatically so

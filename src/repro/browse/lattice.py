@@ -52,8 +52,7 @@ from typing import (
 from ..core.entities import BOTTOM, ISA, TOP
 from ..core.facts import Template, Variable
 from ..core.store import FactStore
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 
 #: The template the lattice ingests from a closed store.
 ISA_PATTERN = Template(Variable("s"), ISA, Variable("t"))
@@ -122,9 +121,7 @@ def _tarjan(n: int, out: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
 
 def _count(name: str, value: int = 1) -> None:
     if _obs.ENABLED:
-        _obs.TRACER.count(name, value)
-    if _metrics.ENABLED:
-        _metrics.METRICS.count(name, value)
+        _obs.TELEMETRY.count(name, value)
 
 
 class _LatticeCore:

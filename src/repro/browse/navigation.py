@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.entities import MEMBER
 from ..core.facts import Fact, Template, Variable
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from ..query.parser import parse_template
 
@@ -105,12 +105,12 @@ def navigate(view: FactView, pattern: Union[str, Template],
         if hit is not None:
             return hit
     observing = _obs.ENABLED
-    navigate_span = (_obs.TRACER.span("browse.navigate",
+    navigate_span = (_obs.TELEMETRY.span("browse.navigate",
                                       pattern=str(pattern))
                      if observing else _obs.NULL_SPAN)
     with navigate_span as span:
         if observing:
-            _obs.TRACER.count("browse.navigations")
+            _obs.TELEMETRY.count("browse.navigations")
         facts = sorted(set(view.match(pattern)))
         span.set(facts=len(facts))
 

@@ -24,7 +24,6 @@ The mechanics implemented here, each mapped to its paragraph in §5:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
@@ -33,8 +32,7 @@ from ..core import deadline as _deadline
 from ..core.entities import BOTTOM, TOP
 from ..core.errors import QueryError
 from ..core.facts import Template, Variable
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..query.ast import And, Atom, Exists, Formula, Query, exists
 from ..query.canonical import canonical_form
 from ..query.evaluate import Evaluator
@@ -47,11 +45,6 @@ from .lattice import GeneralizationLattice
 #: means the query has drifted into meaninglessness.
 DEFAULT_MAX_WAVES = 25
 
-#: Keep a :func:`last_probe` record even with tracing and metrics off.
-#: Set by consumers that want slow-probe autopsies without observing
-#: everything (the service's slow-query log).
-KEEP_LAST_PROBE = False
-
 #: Approximate process-wide probe totals (exact single-threaded; plain
 #: int bumps, so concurrent probes may undercount — benchmarks read
 #: these for hit-rate windows, nothing depends on them being exact).
@@ -60,24 +53,6 @@ PROBE_COUNTERS = {
     "menu_hits": 0,
     "menu_misses": 0,
 }
-
-
-class _LastProbe(threading.local):
-    record: Optional[dict] = None
-
-
-_LAST_PROBE = _LastProbe()
-
-
-def last_probe() -> Optional[dict]:
-    """The thread's most recent probe autopsy record (query, waves,
-    candidates, successes, menu-cache outcome, seconds), recorded when
-    tracing/metrics are on or :data:`KEEP_LAST_PROBE` is set."""
-    return _LAST_PROBE.record
-
-
-def clear_last_probe() -> None:
-    _LAST_PROBE.record = None
 
 
 @dataclass(frozen=True)
@@ -352,14 +327,12 @@ def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
     started = time.perf_counter()
     PROBE_COUNTERS["probes"] += 1
     observing = _obs.ENABLED
-    metering = _metrics.ENABLED
-    if metering:
-        _metrics.METRICS.count("probe.requests")
-    probe_span = (_obs.TRACER.span("browse.probe", query=str(query))
+    probe_span = (_obs.TELEMETRY.span("browse.probe", query=str(query))
                   if observing else _obs.NULL_SPAN)
     with probe_span as span:
         if observing:
-            _obs.TRACER.count("browse.probes")
+            _obs.TELEMETRY.count("probe.requests")
+            _obs.TELEMETRY.count("browse.probes")
         cached = True
 
         def compute() -> ProbeResult:
@@ -369,8 +342,8 @@ def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
             cached = False
             if cache is not None:
                 PROBE_COUNTERS["menu_misses"] += 1
-                if metering:
-                    _metrics.METRICS.count("probe.menu_cache.misses")
+                if observing:
+                    _obs.TELEMETRY.count("probe.menu_cache.misses")
             return _probe_inner(evaluator, query, hierarchy, max_waves)
 
         if cache is not None:
@@ -380,34 +353,30 @@ def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
             result = cache.get_or_compute(menu_key, compute)
             if cached:
                 PROBE_COUNTERS["menu_hits"] += 1
-                if metering:
-                    _metrics.METRICS.count("probe.menu_cache.hits")
+                if observing:
+                    _obs.TELEMETRY.count("probe.menu_cache.hits")
         else:
             result = compute()
         span.set(succeeded=result.succeeded, waves=len(result.waves))
         # Counters are derived from the result (cached or fresh) so the
         # observed wave/retraction totals per probe stay identical
         # whether or not the menu cache intervened.
-        if observing and result.waves:
-            _obs.TRACER.count("browse.probe.waves", len(result.waves))
-            _obs.TRACER.count(
-                "browse.probe.retractions",
-                sum(len(wave.attempted) for wave in result.waves))
-            _obs.TRACER.count(
-                "browse.probe.successes",
-                sum(len(wave.successes) for wave in result.waves))
-        if metering and result.waves:
-            _metrics.METRICS.count("probe.waves", len(result.waves))
-            _metrics.METRICS.count(
-                "probe.retractions",
-                sum(len(wave.attempted) for wave in result.waves))
-        if observing or metering or KEEP_LAST_PROBE:
-            _LAST_PROBE.record = {
+        if observing:
+            attempted = sum(len(w.attempted) for w in result.waves)
+            successes = sum(len(w.successes) for w in result.waves)
+            if result.waves:
+                telemetry = _obs.TELEMETRY
+                telemetry.count("probe.waves", len(result.waves))
+                telemetry.count("probe.retractions", attempted)
+                telemetry.count("browse.probe.waves", len(result.waves))
+                telemetry.count("browse.probe.retractions", attempted)
+                telemetry.count("browse.probe.successes", successes)
+            _obs.LAST_REQUEST.probe = {
                 "query": str(query),
                 "succeeded": result.succeeded,
                 "waves": len(result.waves),
-                "attempted": sum(len(w.attempted) for w in result.waves),
-                "successes": sum(len(w.successes) for w in result.waves),
+                "attempted": attempted,
+                "successes": successes,
                 "cached": cached,
                 "seconds": time.perf_counter() - started,
             }

@@ -9,9 +9,8 @@ embed the version and invalidation is free: stale entries are never
 *hit* again, and the LRU discipline ages them out.
 
 Hit/miss totals are exposed as attributes (for tests that run with
-tracing off), as the ``cache.hits`` / ``cache.misses`` obs counters,
-and as the same-named cross-process metrics counters when
-:mod:`repro.obs.metrics` collection is enabled.
+telemetry off) and as the ``cache.hits`` / ``cache.misses`` counters
+of :mod:`repro.obs.telemetry` when it is enabled.
 
 Version keys survive storage changes, not just snapshots.  Interned
 columnar stores (:mod:`repro.core.interned`) preserve the version of
@@ -46,8 +45,7 @@ from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
 from . import deadline as _deadline
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 
 #: Sentinel distinguishing "missing" from a cached falsy value.
 _MISSING = object()
@@ -101,14 +99,10 @@ class LRUCache:
                 missed = False
         if missed:
             if _obs.ENABLED:
-                _obs.TRACER.count("cache.misses")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("cache.misses")
+                _obs.TELEMETRY.count("cache.misses")
             return default
         if _obs.ENABLED:
-            _obs.TRACER.count("cache.hits")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("cache.hits")
+            _obs.TELEMETRY.count("cache.hits")
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -124,9 +118,7 @@ class LRUCache:
                 evicted += 1
         if evicted:
             if _obs.ENABLED:
-                _obs.TRACER.count("cache.evictions", evicted)
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("cache.evictions", evicted)
+                _obs.TELEMETRY.count("cache.evictions", evicted)
 
     def get_or_compute(self, key: Hashable, compute) -> Any:
         """The cached value for ``key``, computing it on a miss with
@@ -135,7 +127,7 @@ class LRUCache:
         Exactly one caller (the *leader*) runs ``compute`` per key;
         concurrent callers for the same key wait for its result instead
         of recomputing — each such save is counted as ``coalesced``
-        (also the ``cache.coalesced`` obs/metrics counter).  Waiters
+        (also the ``cache.coalesced`` telemetry counter).  Waiters
         sleep in short slices so an active query deadline still fires.
         Errors are never cached: the leader's exception propagates to
         the leader alone, and its waiters fall back to computing for
@@ -156,15 +148,11 @@ class LRUCache:
                     leader = False
         if value is not _MISSING:
             if _obs.ENABLED:
-                _obs.TRACER.count("cache.hits")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("cache.hits")
+                _obs.TELEMETRY.count("cache.hits")
             return value
         if leader:
             if _obs.ENABLED:
-                _obs.TRACER.count("cache.misses")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("cache.misses")
+                _obs.TELEMETRY.count("cache.misses")
             try:
                 value = compute()
             except BaseException:
@@ -187,18 +175,14 @@ class LRUCache:
             with self._lock:
                 self.coalesced += 1
             if _obs.ENABLED:
-                _obs.TRACER.count("cache.coalesced")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("cache.coalesced")
+                _obs.TELEMETRY.count("cache.coalesced")
             return value
         # The leader failed; its error was not cached — compute for
         # ourselves (a second failure propagates here, uncoalesced).
         with self._lock:
             self.misses += 1
         if _obs.ENABLED:
-            _obs.TRACER.count("cache.misses")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("cache.misses")
+            _obs.TELEMETRY.count("cache.misses")
         value = compute()
         self.put(key, value)
         return value

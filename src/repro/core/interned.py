@@ -60,7 +60,7 @@ from typing import (
     Tuple,
 )
 
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from .errors import FrozenStoreError
 from .facts import Fact, Template, Variable
 from .store import FactStore
@@ -840,7 +840,7 @@ class InternedFactStore(FactStore):
             if not refs[fact[1]]:
                 del refs[fact[1]]
             if _obs.ENABLED:
-                _obs.TRACER.count("store.adds")
+                _obs.TELEMETRY.count("store.adds")
             self._version += 1
             return True
         if self._gen is not None and self._gen.contains_fact(fact):
@@ -866,7 +866,7 @@ class InternedFactStore(FactStore):
         self._removed_rel_refs[fact[1]] = \
             self._removed_rel_refs.get(fact[1], 0) + 1
         if _obs.ENABLED:
-            _obs.TRACER.count("store.removes")
+            _obs.TELEMETRY.count("store.removes")
         self._version += 1
         return True
 
@@ -1016,14 +1016,14 @@ class InternedFactStore(FactStore):
              if isinstance(pattern.relationship, str) else None)
         t = pattern.target if isinstance(pattern.target, str) else None
         if _obs.ENABLED:
-            _obs.TRACER.count("store.lookups")
+            _obs.TELEMETRY.count("store.lookups")
         return self._merged(s, r, t)
 
     def lookup(self, source: Optional[str] = None,
                relationship: Optional[str] = None,
                target: Optional[str] = None) -> Iterable[Fact]:
         if _obs.ENABLED:
-            _obs.TRACER.count("store.lookups")
+            _obs.TELEMETRY.count("store.lookups")
         return self._merged(source, relationship, target)
 
     def _merged(self, s: Optional[str], r: Optional[str],

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from .errors import FrozenStoreError
 from .facts import Binding, Fact, Template, Variable
 
@@ -92,7 +92,7 @@ class FactStore:
         if fact in self._facts:
             return False
         if _obs.ENABLED:
-            _obs.TRACER.count("store.adds")
+            _obs.TELEMETRY.count("store.adds")
         self._version += 1
         self._facts.add(fact)
         s, r, t = fact
@@ -118,7 +118,7 @@ class FactStore:
         if fact not in self._facts:
             return False
         if _obs.ENABLED:
-            _obs.TRACER.count("store.removes")
+            _obs.TELEMETRY.count("store.removes")
         self._version += 1
         self._facts.remove(fact)
         s, r, t = fact
@@ -246,7 +246,7 @@ class FactStore:
         t = pattern.target if isinstance(pattern.target, str) else None
 
         if _obs.ENABLED:
-            _obs.TRACER.count("store.lookups")
+            _obs.TELEMETRY.count("store.lookups")
 
         if s is not None and r is not None and t is not None:
             f = Fact(s, r, t)
@@ -276,7 +276,7 @@ class FactStore:
         slots instead of :class:`~repro.core.facts.Binding` dicts.
         """
         if _obs.ENABLED:
-            _obs.TRACER.count("store.lookups")
+            _obs.TELEMETRY.count("store.lookups")
         if source is not None:
             if relationship is not None:
                 if target is not None:
@@ -365,8 +365,8 @@ class FactStore:
         workload without exploding in cardinality.
         """
         shape = _obs.pattern_shape(substituted)
-        tracer = _obs.TRACER
-        tracer.count(f"store.solutions.calls.{shape}")
+        telemetry = _obs.TELEMETRY
+        telemetry.count(f"store.solutions.calls.{shape}")
         hits = 0
         try:
             for candidate in self._candidates(substituted):
@@ -378,7 +378,7 @@ class FactStore:
             # Counted in a finally so early-terminated scans (any(),
             # first-match) still report the hits they produced.
             if hits:
-                tracer.count(f"store.solutions.hits.{shape}", hits)
+                telemetry.count(f"store.solutions.hits.{shape}", hits)
 
     def count_estimate(self, pattern: Template,
                        binding: Optional[Binding] = None) -> int:

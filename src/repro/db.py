@@ -117,8 +117,8 @@ class Database:
             trace: record derivation provenance so :meth:`why` can
                 show why any closure fact holds (small time/memory
                 overhead on closure computation).
-            observe: turn on process-wide obs tracing
-                (:func:`repro.obs.enable_tracing`) so spans and
+            observe: turn on process-wide telemetry
+                (:func:`repro.obs.enable_telemetry`) so spans and
                 counters are collected for every operation; equivalent
                 to the shell's ``trace on``.  Distinct from ``trace``,
                 which records *provenance*, not execution behavior.
@@ -171,8 +171,8 @@ class Database:
         self._plan_cache = PlanCache()
         self._on_mutation = None  # set by storage.DurableSession.attach
         if observe:
-            from .obs import enable_tracing
-            enable_tracing()
+            from .obs import enable_telemetry
+            enable_telemetry()
         if with_axioms:
             self._base.add_all(AXIOM_FACTS)
         for initial in facts:
@@ -831,7 +831,7 @@ class Database:
                              engine=self.query_engine)
 
     def explain_analyze(self, query: Union[str, Query]):
-        """Run a query under a scoped tracer and report the plan next
+        """Run a query under a scoped spine and report the plan next
         to what actually executed: per-operator (compiled) or
         per-conjunct (reference) estimated cost vs rows produced,
         wall/CPU time, and evaluator counters."""
@@ -853,7 +853,7 @@ class Database:
 
         ``rule_firings`` totals come from the last closure computation
         (incremental extensions accumulate into them); ``rule_times``
-        is non-empty only when obs tracing was enabled during the
+        is non-empty only when telemetry was enabled during the
         computation.
         """
         closure = self.closure()

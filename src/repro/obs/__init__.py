@@ -1,36 +1,38 @@
-"""Observability: tracing spans, counters, gauges, and exporters.
+"""Observability: one telemetry spine plus its consumers.
 
-This package answers "where did the time go?" for every layer of the
-system — the fact store, the closure engine, the query evaluator, and
-the browsers all report into one process-local tracer when tracing is
-enabled, and pay a single attribute lookup per site when it is not.
+This package answers "where did the time go?" and "how is the service
+doing?" for every layer of the system — the fact store, the closure
+engines, the query engines, the browsers and the serving stack all
+report into one process-local :class:`Telemetry` object when telemetry
+is enabled, and pay a single attribute lookup per site when it is not.
 
 Typical use::
 
     from repro import obs
 
-    tracer = obs.enable_tracing()
+    telemetry = obs.enable_telemetry()
     db.query("(x, EARNS, y)")
-    print(obs.summary(tracer))
-    obs.disable_tracing()
+    print(obs.summary(telemetry))
+    obs.disable_telemetry()
 
 or, scoped to one operation::
 
-    with obs.use_tracer(obs.Tracer()) as tracer:
+    with obs.use_telemetry(obs.Telemetry()) as telemetry:
         db.closure()
-    print(tracer.counters["engine.rounds"])
+    print(telemetry.counters["engine.rounds"])
 
 Note this is distinct from ``Database(trace=True)``, which records
-*derivation provenance* (why a fact holds); obs tracing records
+*derivation provenance* (why a fact holds); telemetry records
 *execution behavior* (what ran, how often, how long).
 
-Alongside the process-local tracer this package carries the
-cross-process telemetry stack: :mod:`repro.obs.metrics` (mergeable
-counter/gauge/histogram snapshots with Prometheus exposition),
-:mod:`repro.obs.context` (trace contexts whose span records ride back
-on responses so the client ends up holding the stitched tree),
-:mod:`repro.obs.slowlog` (bounded slow-query ring buffer), and
-:mod:`repro.obs.monitor` (text dashboard rendered from snapshots).
+Around the spine (:mod:`repro.obs.telemetry`: counters, gauges,
+histograms, per-thread span stacks, mergeable snapshots, Prometheus
+exposition) sit its consumers: :mod:`repro.obs.context` (trace contexts
+whose span records ride back on responses so the client ends up
+holding the stitched tree), :mod:`repro.obs.slowlog` (bounded
+slow-query ring buffer), :mod:`repro.obs.export` (JSON lines / text
+summary) and :mod:`repro.obs.monitor` (text dashboard rendered from
+snapshots).
 """
 
 from .context import (
@@ -42,49 +44,36 @@ from .context import (
     trace_processes,
 )
 from .export import read_jsonl, summary, to_events, write_jsonl
-from .metrics import (
-    METRICS,
-    Counter,
-    GaugeAggregate,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    active_metrics,
-    disable_metrics,
-    enable_metrics,
-    merge_snapshots,
-    metrics_enabled,
-    parse_prometheus,
-    to_prometheus,
-    use_metrics,
-)
 from .monitor import dashboard_rows, render_dashboard
 from .slowlog import SlowQueryLog, build_record, plan_summary
-from .tracer import (
+from .telemetry import (
+    LAST_REQUEST,
     NULL_SPAN,
-    NULL_TRACER,
+    NULL_TELEMETRY,
     ConjunctStats,
-    NullTracer,
+    GaugeAggregate,
+    Histogram,
+    NullTelemetry,
     Span,
-    Tracer,
-    active_tracer,
-    disable_tracing,
-    enable_tracing,
+    Telemetry,
+    active_telemetry,
+    disable_telemetry,
+    enable_telemetry,
+    merge_snapshots,
+    parse_prometheus,
     pattern_shape,
-    tracing_enabled,
-    use_tracer,
+    telemetry_enabled,
+    to_prometheus,
+    use_telemetry,
 )
 
 __all__ = [
-    "ConjunctStats", "NULL_SPAN", "NULL_TRACER", "NullTracer", "Span",
-    "Tracer", "active_tracer", "disable_tracing", "enable_tracing",
-    "pattern_shape", "tracing_enabled", "use_tracer",
+    "ConjunctStats", "GaugeAggregate", "Histogram", "LAST_REQUEST",
+    "NULL_SPAN", "NULL_TELEMETRY", "NullTelemetry", "Span", "Telemetry",
+    "active_telemetry", "disable_telemetry", "enable_telemetry",
+    "merge_snapshots", "parse_prometheus", "pattern_shape",
+    "telemetry_enabled", "to_prometheus", "use_telemetry",
     "read_jsonl", "summary", "to_events", "write_jsonl",
-    "Counter", "GaugeAggregate", "Histogram", "METRICS",
-    "MetricsRegistry", "NullMetrics", "active_metrics",
-    "disable_metrics", "enable_metrics", "merge_snapshots",
-    "metrics_enabled", "parse_prometheus", "to_prometheus",
-    "use_metrics",
     "SpanRecord", "TraceContext", "new_span_id", "render_trace",
     "stitch", "trace_processes",
     "SlowQueryLog", "build_record", "plan_summary",

@@ -1,6 +1,6 @@
 """Distributed trace context: one request, one span tree, many processes.
 
-The in-process tracer nests spans on a stack, which stops working the
+The in-process spine nests spans on a stack, which stops working the
 moment a request crosses a socket or a pipe.  This module carries a
 *trace context* — a trace id plus the span id of the caller — across
 those boundaries, and lets each participant contribute flat

@@ -1,4 +1,4 @@
-"""Exporters for collected trace data.
+"""Exporters for collected telemetry.
 
 Two formats:
 
@@ -16,11 +16,11 @@ import json
 from typing import Any, Dict, List, Union
 
 from ..benchio.reporting import format_table
-from .tracer import Span, Tracer
+from .telemetry import Telemetry
 
 
-def to_events(tracer: Tracer) -> List[Dict[str, Any]]:
-    """Flatten a tracer into a list of event dicts.
+def to_events(telemetry: Telemetry) -> List[Dict[str, Any]]:
+    """Flatten a spine into a list of event dicts.
 
     Spans are numbered preorder; each carries the id of its parent so
     the tree is reconstructible.  Attribute values are kept as-is (they
@@ -29,7 +29,7 @@ def to_events(tracer: Tracer) -> List[Dict[str, Any]]:
     events: List[Dict[str, Any]] = []
     ids: Dict[int, int] = {}
     next_id = 0
-    for root in tracer.roots:
+    for root in telemetry.roots:
         for span in root.walk():
             ids[id(span)] = next_id
             events.append({
@@ -43,32 +43,28 @@ def to_events(tracer: Tracer) -> List[Dict[str, Any]]:
                 "attributes": dict(span.attributes),
             })
             next_id += 1
-    for name in sorted(tracer.counters):
+    for name in sorted(telemetry.counters):
         events.append({"type": "counter", "name": name,
-                       "value": tracer.counters[name]})
-    gauge_stats = getattr(tracer, "gauge_stats", {})
-    for name in sorted(tracer.gauges):
-        event = {"type": "gauge", "name": name,
-                 "value": tracer.gauges[name]}
-        stats = gauge_stats.get(name)
-        if stats is not None and stats.count:
-            event.update(min=stats.min, max=stats.max,
-                         mean=stats.mean, count=stats.count)
-        events.append(event)
-    for key in sorted(tracer.conjuncts):
-        stats = tracer.conjuncts[key]
+                       "value": telemetry.counters[name]})
+    for name in sorted(telemetry.gauges):
+        stats = telemetry.gauges[name]
+        events.append({"type": "gauge", "name": name, "value": stats.last,
+                       "min": stats.min, "max": stats.max,
+                       "mean": stats.mean, "count": stats.count})
+    for key in sorted(telemetry.conjuncts):
+        stats = telemetry.conjuncts[key]
         events.append({"type": "conjunct", "key": key,
                        "evals": stats.evals, "rows": stats.rows,
                        "estimate_total": stats.estimate_total})
     return events
 
 
-def write_jsonl(tracer: Tracer, destination: Union[str, Any]) -> int:
-    """Write the tracer's events as JSON lines; returns the event count.
+def write_jsonl(telemetry: Telemetry, destination: Union[str, Any]) -> int:
+    """Write the spine's events as JSON lines; returns the event count.
 
     ``destination`` is a path or an open text file.
     """
-    events = to_events(tracer)
+    events = to_events(telemetry)
     if hasattr(destination, "write"):
         for event in events:
             destination.write(json.dumps(event, ensure_ascii=False) + "\n")
@@ -89,11 +85,11 @@ def read_jsonl(source: Union[str, Any]) -> List[Dict[str, Any]]:
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def _aggregate_spans(tracer: Tracer) -> List[List[object]]:
+def _aggregate_spans(telemetry: Telemetry) -> List[List[object]]:
     """Rows (name, count, total wall s, total cpu s) aggregated by
     span name, sorted by total wall time descending."""
     totals: Dict[str, List[float]] = {}
-    for root in tracer.roots:
+    for root in telemetry.roots:
         for span in root.walk():
             entry = totals.setdefault(span.name, [0, 0.0, 0.0])
             entry[0] += 1
@@ -105,35 +101,26 @@ def _aggregate_spans(tracer: Tracer) -> List[List[object]]:
     return rows
 
 
-def summary(tracer: Tracer, title: str = "trace summary") -> str:
-    """A fixed-width text report of everything the tracer collected."""
+def summary(telemetry: Telemetry, title: str = "trace summary") -> str:
+    """A fixed-width text report of everything the spine collected."""
     sections: List[str] = [f"== {title} =="]
-    span_rows = _aggregate_spans(tracer)
+    span_rows = _aggregate_spans(telemetry)
     if span_rows:
         sections.append(format_table(
             ["span", "count", "wall_s", "cpu_s"], span_rows))
-    if tracer.counters:
-        counter_rows = [[name, tracer.counters[name]]
-                        for name in sorted(tracer.counters)]
+    if telemetry.counters:
+        counter_rows = [[name, telemetry.counters[name]]
+                        for name in sorted(telemetry.counters)]
         sections.append(format_table(["counter", "value"], counter_rows))
-    if tracer.gauges:
-        gauge_stats = getattr(tracer, "gauge_stats", {})
-        gauge_rows = []
-        for name in sorted(tracer.gauges):
-            stats = gauge_stats.get(name)
-            if stats is not None and stats.count:
-                gauge_rows.append([name, stats.last, stats.min,
-                                   stats.max, stats.count])
-            else:
-                gauge_rows.append([name, tracer.gauges[name],
-                                   tracer.gauges[name],
-                                   tracer.gauges[name], 1])
+    if telemetry.gauges:
+        gauge_rows = [[name, stats.last, stats.min, stats.max, stats.count]
+                      for name, stats in sorted(telemetry.gauges.items())]
         sections.append(format_table(
             ["gauge", "last", "min", "max", "count"], gauge_rows))
-    if tracer.conjuncts:
+    if telemetry.conjuncts:
         conjunct_rows = [
             [key, stats.evals, stats.estimate_mean, stats.rows]
-            for key, stats in sorted(tracer.conjuncts.items())
+            for key, stats in sorted(telemetry.conjuncts.items())
         ]
         sections.append(format_table(
             ["conjunct", "evals", "est_mean", "rows"], conjunct_rows))

@@ -81,7 +81,7 @@ def render_dashboard(sample: Dict[str, Any],
                      title: str = "repro monitor") -> str:
     """Render a text dashboard from a metrics snapshot.
 
-    ``sample``/``previous`` are :meth:`MetricsRegistry.snapshot` dicts
+    ``sample``/``previous`` are :meth:`Telemetry.snapshot` dicts
     (possibly merged across processes).  ``previous`` may be ``None``
     for the first frame, in which case rates cover the process lifetime.
     """

@@ -6,7 +6,8 @@ operator needs to diagnose it after the fact: the op and its payload
 text, measured wall time vs the threshold, which process served it
 (primary or a replica worker), the trace id if the request was traced,
 and — for compiled queries — the plan's est-vs-actual operator rows
-and replan count from :func:`repro.query.exec.last_run`.
+and replan count from the spine's per-thread
+:data:`~repro.obs.telemetry.LAST_REQUEST` record.
 
 The log is a bounded deque: old entries fall off, ``total`` keeps
 counting, and :meth:`snapshot` is what the ``slowlog`` protocol verb
@@ -32,7 +33,8 @@ def build_record(op: str, seconds: float, threshold: float,
                  probe: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Assemble one slow-query record.  ``plan`` is the dict shape
     produced by :func:`plan_summary`; ``probe`` is the autopsy dict
-    from :func:`repro.browse.retraction.last_probe` (waves, attempted
+    :func:`repro.browse.retraction.probe` leaves on
+    :data:`~repro.obs.telemetry.LAST_REQUEST` (waves, attempted
     candidates, menu-cache outcome) for slow probe requests."""
     record: Dict[str, Any] = {
         "ts": time.time(),

@@ -26,8 +26,7 @@ from typing import FrozenSet, Iterator, Optional, Set, Tuple, Union
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Binding, Variable
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
 from .parser import parse_query
@@ -89,10 +88,10 @@ class Evaluator:
 
     def _memoizes_verdicts(self, query) -> bool:
         """Truth-value memoization is a raw-text shortcut past every
-        counter, so it only engages when nothing is watching: no
-        tracer, no metrics (both count cache/plan traffic per call)."""
+        counter, so it only engages while telemetry (which counts
+        cache/plan traffic per call) is off."""
         return (self.plans is not None and type(query) is str
-                and not _obs.ENABLED and not _metrics.ENABLED)
+                and not _obs.ENABLED)
 
     # ------------------------------------------------------------------
     # Public API
@@ -111,7 +110,7 @@ class Evaluator:
                 # Stored frozen; hand out a fresh mutable set each time.
                 return set(hit)
         check_safety(query.formula)
-        evaluate_span = (_obs.TRACER.span("query.evaluate",
+        evaluate_span = (_obs.TELEMETRY.span("query.evaluate",
                                           query=str(query))
                          if _obs.ENABLED else _obs.NULL_SPAN)
         with evaluate_span as span:
@@ -247,7 +246,7 @@ class Evaluator:
                 rows += 1
                 yield from self._solve_and(rest, extended)
         finally:
-            _obs.TRACER.record_conjunct(str(first), cost, rows)
+            _obs.TELEMETRY.record_conjunct(str(first), cost, rows)
 
     def _solve_or(self, formula: Or, binding: Binding) -> Iterator[Binding]:
         # Solutions from different disjuncts may repeat; deduplicate on
@@ -275,7 +274,7 @@ class Evaluator:
     def _solve_exists(self, formula: Exists,
                       binding: Binding) -> Iterator[Binding]:
         if _obs.ENABLED:
-            _obs.TRACER.count("query.exists.evals")
+            _obs.TELEMETRY.count("query.exists.evals")
         variable = formula.variable
         inner = dict(binding)
         inner.pop(variable, None)  # an outer binding of x is shadowed
@@ -313,9 +312,9 @@ class Evaluator:
             # The ∀ filter scans the whole active domain per candidate
             # binding; the counter totals entities scanned, the gauge
             # keeps the domain size itself.
-            _obs.TRACER.count("query.forall.evals")
-            _obs.TRACER.count("query.forall.domain_scanned", len(domain))
-            _obs.TRACER.gauge("query.forall.domain_size", len(domain))
+            _obs.TELEMETRY.count("query.forall.evals")
+            _obs.TELEMETRY.count("query.forall.domain_scanned", len(domain))
+            _obs.TELEMETRY.gauge("query.forall.domain_size", len(domain))
         for entity in domain:
             candidate = dict(binding)
             candidate[variable] = entity

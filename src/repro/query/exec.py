@@ -36,7 +36,6 @@ Example::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -44,8 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Fact, Template, Variable
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
 from ..virtual.special import EndpointWitness, ReflexiveGeneralization
@@ -273,17 +271,6 @@ class _Context:
                 run.operators.append(stats)
 
 
-# Last completed plan run on this thread, kept only while telemetry is
-# on — how the serve path reaches est-vs-actual operator stats for the
-# slow-query log without threading a PlanRun through every return value.
-_LAST_RUN = threading.local()
-
-#: Set by consumers of :func:`last_run` that are neither the tracer nor
-#: the metrics registry (the service's slow-query log), so the hook
-#: stays populated with both of those disabled.
-KEEP_LAST_RUN = False
-
-
 class _DecodeMemo(dict):
     """id → name map that decodes through the codec on first touch, so
     repeated ids across output rows hit the C dict fast path and the
@@ -302,27 +289,15 @@ class _DecodeMemo(dict):
 
 
 def _flush_decodes(codec) -> None:
-    """Publish an execution's codec decode count to the telemetry
-    surfaces (``interned.decodes``) and reset it.  No-op on the string
+    """Publish an execution's codec decode count to telemetry
+    (``interned.decodes``) and reset it.  No-op on the string
     path (``codec is None``) or when nothing observes."""
     if codec is None or not codec.decodes:
         return
     n = codec.decodes
     codec.decodes = 0
     if _obs.ENABLED:
-        _obs.TRACER.count("interned.decodes", n)
-    if _metrics.ENABLED:
-        _metrics.METRICS.count("interned.decodes", n)
-
-
-def last_run() -> Optional[PlanRun]:
-    """The most recent :class:`PlanRun` completed on this thread while
-    tracing or metrics were enabled (``None`` otherwise)."""
-    return getattr(_LAST_RUN, "run", None)
-
-
-def clear_last_run() -> None:
-    _LAST_RUN.run = None
+        _obs.TELEMETRY.count("interned.decodes", n)
 
 
 def execute_plan(plan: CompiledPlan, view: FactView,
@@ -339,18 +314,14 @@ def execute_plan(plan: CompiledPlan, view: FactView,
     run = PlanRun(plan=plan)
     ctx = _Context(view, run, collect)
     if _obs.ENABLED:
-        _obs.TRACER.count("exec.plans")
+        _obs.TELEMETRY.count("exec.plans")
         if ctx.ids is not None:
-            _obs.TRACER.count("exec.id_domain")
-    if _metrics.ENABLED:
-        _metrics.METRICS.count("exec.plans")
-        if ctx.ids is not None:
-            _metrics.METRICS.count("exec.id_domain")
+            _obs.TELEMETRY.count("exec.id_domain")
     table = _execute(plan.root, unit_table(), ctx)
     if ctx.ids is not None:
         table.codec = ctx.ids.codec
-    if _obs.ENABLED or _metrics.ENABLED or KEEP_LAST_RUN:
-        _LAST_RUN.run = run
+    if _obs.ENABLED:
+        _obs.LAST_REQUEST.run = run
     return table, run
 
 
@@ -458,7 +429,7 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
         for key in keys
     ]
     if _obs.ENABLED:
-        _obs.TRACER.count("exec.atom.keys", len(keys))
+        _obs.TELEMETRY.count("exec.atom.keys", len(keys))
     facts_per_key = _probe_many(ctx, pattern, bound_set, templates)
 
     out_columns = table.columns + tuple(new_vars)
@@ -582,8 +553,8 @@ def _exec_atom_ids(node: AtomJoin, table: BindingTable,
         keys = [()]
         buckets = [table.rows]
     if _obs.ENABLED:
-        _obs.TRACER.count("exec.atom.keys", len(keys))
-        _obs.TRACER.count("store.lookups", len(keys))
+        _obs.TELEMETRY.count("exec.atom.keys", len(keys))
+        _obs.TELEMETRY.count("store.lookups", len(keys))
 
     gen = ids.gen
     ann = node.id_ann
@@ -816,7 +787,7 @@ def _probe_many(ctx: _Context, pattern: Template, bound_set: Set[Variable],
             letter for letter, component in zip("srt", pattern)
             if not isinstance(component, Variable) or component in bound_set)
         if _obs.ENABLED:
-            _obs.TRACER.count("store.lookups", len(templates))
+            _obs.TELEMETRY.count("store.lookups", len(templates))
         if spec and getattr(store, "interned", False):
             # Interned columnar store: one batched integer-domain call.
             # Constants are interned once per template, the CSR index
@@ -897,7 +868,7 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
         table = _execute(child, table, ctx)
         out_rows = len(table.rows)
         if _obs.ENABLED:
-            _obs.TRACER.record_conjunct(str(child.formula), est, out_rows)
+            _obs.TELEMETRY.record_conjunct(str(child.formula), est, out_rows)
         bound |= child.formula.free_variables()
         if not out_rows:
             # No bindings survive: the remaining conjuncts can neither
@@ -918,9 +889,7 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
                     part.formula, bound, view)[0])
                 ctx.run.replans += 1
                 if _obs.ENABLED:
-                    _obs.TRACER.count("exec.replans")
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("exec.replans")
+                    _obs.TELEMETRY.count("exec.replans")
     return table
 
 
@@ -979,7 +948,7 @@ def _exec_semijoin(node: SemiJoin, table: BindingTable,
             seen_keys.add(key)
             distinct.append(key)
     if _obs.ENABLED:
-        _obs.TRACER.count("exec.exists.keys", len(distinct))
+        _obs.TELEMETRY.count("exec.exists.keys", len(distinct))
 
     result = _execute(node.body, BindingTable(probe_vars, distinct), ctx)
 
@@ -1051,8 +1020,8 @@ def _exec_forall(node: ForAllProbe, table: BindingTable,
     else:
         domain = list(ctx.view.entities())
     if _obs.ENABLED:
-        _obs.TRACER.count("exec.forall.keys", len(alive))
-        _obs.TRACER.gauge("query.forall.domain_size", len(domain))
+        _obs.TELEMETRY.count("exec.forall.keys", len(alive))
+        _obs.TELEMETRY.gauge("query.forall.domain_size", len(domain))
     body_columns = probe_vars + (formula.variable,)
     for start in range(0, len(domain), FORALL_CHUNK):
         if not alive:
@@ -1121,18 +1090,16 @@ class CompiledEvaluator(Evaluator):
                                 self._plan_token())
 
     def _fast_result(self, entry, rows) -> None:
-        """Fast-path bookkeeping: the ``exec.fast_path`` counter and a
-        one-operator :class:`PlanRun` for the slow-query autopsy."""
-        if _obs.ENABLED:
-            _obs.TRACER.count("exec.fast_path")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("exec.fast_path")
+        """Fast-path bookkeeping (callers check telemetry is on): the
+        ``exec.fast_path`` counter and a one-operator :class:`PlanRun`
+        for the slow-query autopsy."""
+        _obs.TELEMETRY.count("exec.fast_path")
         run = PlanRun(plan=entry.plan)
         run.operators.append(OperatorStats(
             label=f"fast-probe {entry.plan.root.formula}",
             op="fast-probe", est=entry.plan.root.est, calls=1,
             in_rows=1, out_rows=rows))
-        _LAST_RUN.run = run
+        _obs.LAST_REQUEST.run = run
 
     def evaluate(self, query: Union[str, Query]) -> Set[Tuple[str, ...]]:
         """The value {Q}, via compiled plan execution."""
@@ -1149,20 +1116,17 @@ class CompiledEvaluator(Evaluator):
         def compute():
             if entry is not None and entry.fast is not None \
                     and _plancache.FAST_PATH:
-                if _obs.ENABLED:
-                    with _obs.TRACER.span(
-                            "query.evaluate", query=key_text,
-                            engine="compiled", fast_path=True) as span:
-                        results = entry.fast.evaluate(self.view)
-                        span.set(rows=len(results))
-                    self._fast_result(entry, len(results))
-                else:
+                if not _obs.ENABLED:
+                    return entry.fast.evaluate(self.view)
+                with _obs.TELEMETRY.span(
+                        "query.evaluate", query=key_text,
+                        engine="compiled", fast_path=True) as span:
                     results = entry.fast.evaluate(self.view)
-                    if _metrics.ENABLED or KEEP_LAST_RUN:
-                        self._fast_result(entry, len(results))
+                    span.set(rows=len(results))
+                self._fast_result(entry, len(results))
                 return results
             evaluate_span = (
-                _obs.TRACER.span("query.evaluate", query=str(query),
+                _obs.TELEMETRY.span("query.evaluate", query=str(query),
                                  engine="compiled")
                 if _obs.ENABLED else _obs.NULL_SPAN)
             with evaluate_span as span:
@@ -1192,12 +1156,10 @@ class CompiledEvaluator(Evaluator):
 
         Warm truth queries short-circuit through the plan cache's
         verdict memo keyed on the raw text, skipping entry lookup and
-        canonicalization entirely.  The memo engages only when nothing
-        observes per-call traffic (no tracer, no metrics, no last-run
-        autopsy) and never stores errors — those raise before the
-        store-verdict call."""
-        memoizing = (self._memoizes_verdicts(query)
-                     and not KEEP_LAST_RUN)
+        canonicalization entirely.  The memo engages only while
+        telemetry is off and never stores errors — those raise before
+        the store-verdict call."""
+        memoizing = self._memoizes_verdicts(query)
         if memoizing:
             raw_text = query
             token = self._verdict_token()
@@ -1227,7 +1189,7 @@ class CompiledEvaluator(Evaluator):
             if entry is not None and entry.fast is not None \
                     and _plancache.FAST_PATH:
                 result = entry.fast.any(self.view)
-                if _obs.ENABLED or _metrics.ENABLED or KEEP_LAST_RUN:
+                if _obs.ENABLED:
                     self._fast_result(entry, int(result))
                 return result
             return self._any(query, entry)
@@ -1264,8 +1226,7 @@ class CompiledEvaluator(Evaluator):
                                        self._plan_token())
         else:
             plan = compile_query(query, self.view)
-        collect = _obs.ENABLED or _metrics.ENABLED or KEEP_LAST_RUN
-        table, _run = execute_plan(plan, self.view, collect=collect)
+        table, _run = execute_plan(plan, self.view, collect=_obs.ENABLED)
         results = self._project(query, table)
         _flush_decodes(table.codec)
         return results
@@ -1279,8 +1240,7 @@ class CompiledEvaluator(Evaluator):
                                        self._plan_token())
         else:
             plan = compile_query(query, self.view)
-        collect = _obs.ENABLED or _metrics.ENABLED or KEEP_LAST_RUN
-        table, _run = execute_plan(plan, self.view, collect=collect)
+        table, _run = execute_plan(plan, self.view, collect=_obs.ENABLED)
         _flush_decodes(table.codec)
         return bool(table.rows)
 

@@ -8,7 +8,7 @@ variables.  Useful for understanding why a probe is slow and for
 testing the planner.
 
 :func:`explain_analyze` goes one step further: it *runs* the query
-under a scoped tracer and renders the plan and the actual execution
+under a scoped spine and renders the plan and the actual execution
 side by side — per-conjunct estimated cost against rows actually
 produced, plus wall/CPU time and the evaluator's counters.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Union
 
 from ..core.facts import Variable
-from ..obs.tracer import ConjunctStats, Tracer, use_tracer
+from ..obs.telemetry import ConjunctStats, Telemetry, use_telemetry
 from ..virtual.computed import FactView
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
 from .evaluate import Evaluator, check_safety, limited_variables
@@ -173,11 +173,11 @@ class AnalyzedExplanation:
 
 def explain_analyze(view: FactView, query: Union[str, Query],
                     engine: str = "reference") -> AnalyzedExplanation:
-    """Run ``query`` under a scoped tracer and report plan vs actual.
+    """Run ``query`` under a scoped spine and report plan vs actual.
 
     The static plan (greedy initial conjunct order with estimated
     costs) is computed first, then the query executes for real — same
-    evaluator, same view — inside a private tracer, and the per-conjunct
+    evaluator, same view — inside a private spine, and the per-conjunct
     actual row counts are joined back onto the plan steps.  Unsafe
     queries are explained but not executed.
 
@@ -197,15 +197,15 @@ def explain_analyze(view: FactView, query: Union[str, Query],
     if engine == "compiled":
         from .exec import CompiledEvaluator
 
-        tracer = Tracer()
-        with use_tracer(tracer):
-            with tracer.span("explain_analyze", query=str(query)) as root:
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            with telemetry.span("explain_analyze", query=str(query)) as root:
                 analyzed.value, run = CompiledEvaluator(
                     view).evaluate_with_stats(query)
         analyzed.executed = True
         analyzed.wall_seconds = root.wall
         analyzed.cpu_seconds = root.cpu
-        analyzed.counters = dict(tracer.counters)
+        analyzed.counters = dict(telemetry.counters)
         for index, stats in enumerate(run.operators, start=1):
             analyzed.steps.append(AnalyzedStep(
                 order=index, formula=stats.label,
@@ -213,16 +213,16 @@ def explain_analyze(view: FactView, query: Union[str, Query],
                 evals=stats.calls, actual_rows=stats.out_rows))
         return analyzed
 
-    tracer = Tracer()
-    with use_tracer(tracer):
-        with tracer.span("explain_analyze", query=str(query)) as root:
+    telemetry = Telemetry()
+    with use_telemetry(telemetry):
+        with telemetry.span("explain_analyze", query=str(query)) as root:
             analyzed.value = Evaluator(view).evaluate(query)
     analyzed.executed = True
     analyzed.wall_seconds = root.wall
     analyzed.cpu_seconds = root.cpu
-    analyzed.counters = dict(tracer.counters)
+    analyzed.counters = dict(telemetry.counters)
 
-    recorded = dict(tracer.conjuncts)
+    recorded = dict(telemetry.conjuncts)
     for step in plan.steps:
         key = str(step.formula)
         stats: Optional[ConjunctStats] = recorded.pop(key, None)

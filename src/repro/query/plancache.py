@@ -26,9 +26,9 @@ hot path:
   against store identity and version on every call; a store mutation or
   an interned-store compaction forces a rebind (``plancache.rebinds``).
 
-Hit/miss totals are exposed as attributes, as the ``plancache.hits`` /
-``plancache.misses`` obs counters, and as the same-named cross-process
-metrics counters — mirroring :mod:`repro.core.cache`.
+Hit/miss totals are exposed as attributes and as the
+``plancache.hits`` / ``plancache.misses`` telemetry counters —
+mirroring :mod:`repro.core.cache`.
 
 Example::
 
@@ -52,8 +52,7 @@ from typing import Iterable, List, Optional, Set, Tuple, Union
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Fact, Template, Variable
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from .ast import Query
 from .canonical import canonical_text
 from .compile import (AtomJoin, CompiledPlan, annotate_plan_ids,
@@ -207,9 +206,7 @@ class FastProbe:
                 or bound[1] != store.version:
             bound = self.bind(store)
             if _obs.ENABLED:
-                _obs.TRACER.count("plancache.rebinds")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("plancache.rebinds")
+                _obs.TELEMETRY.count("plancache.rebinds")
         return bound
 
     def _stored_facts(self, store) -> Iterable[Fact]:
@@ -438,9 +435,7 @@ class PlanCache:
             annotate_plan_ids(plan, view.store)
         self.recompiles += 1
         if _obs.ENABLED:
-            _obs.TRACER.count("plancache.recompiles")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("plancache.recompiles")
+            _obs.TELEMETRY.count("plancache.recompiles")
         entry.plan = plan
         entry.token = token
         return plan
@@ -482,10 +477,7 @@ class PlanCache:
     @staticmethod
     def _count(hit: bool) -> None:
         if _obs.ENABLED:
-            _obs.TRACER.count(
-                "plancache.hits" if hit else "plancache.misses")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count(
+            _obs.TELEMETRY.count(
                 "plancache.hits" if hit else "plancache.misses")
 
     def clear(self) -> None:

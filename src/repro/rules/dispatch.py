@@ -59,7 +59,7 @@ from ..core import deadline as _deadline
 from ..core.entities import is_special_relationship
 from ..core.facts import Binding, Fact, Template, Variable
 from ..core.store import FactStore, seed_store
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from .rule import (
     ANY_RELATIONSHIP,
     NONSPECIAL_RELATIONSHIP,
@@ -574,7 +574,7 @@ def run_rounds(store: FactStore, delta: FactStore, group: DispatchGroup,
             }
             if stratum is not None:
                 attributes["stratum"] = stratum
-            round_span = _obs.TRACER.span("closure.round", **attributes)
+            round_span = _obs.TELEMETRY.span("closure.round", **attributes)
         else:
             round_span = _obs.NULL_SPAN
         with round_span as rspan:
@@ -582,8 +582,8 @@ def run_rounds(store: FactStore, delta: FactStore, group: DispatchGroup,
             if observing:
                 skipped = total - len(active)
                 if skipped:
-                    _obs.TRACER.count("dispatch.skipped_rules", skipped)
-                _obs.TRACER.count("dispatch.fired_rules", len(active))
+                    _obs.TELEMETRY.count("dispatch.skipped_rules", skipped)
+                _obs.TELEMETRY.count("dispatch.fired_rules", len(active))
             fresh: Set[Fact] = set()
             for cr in active:
                 # Deadline checkpoint: once per (rule, round) — a
@@ -642,7 +642,7 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
     if compiled is None or compiled.rules != rules:
         compiled = compile_ruleset(rules)
     observing = _obs.ENABLED
-    closure_span = (_obs.TRACER.span("closure.dispatched",
+    closure_span = (_obs.TELEMETRY.span("closure.dispatched",
                                      rules=len(rules),
                                      strata=len(compiled.strata))
                     if observing else _obs.NULL_SPAN)
@@ -659,7 +659,7 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                          else max_iterations - iterations)
             if remaining is not None and remaining <= 0:
                 break
-            stratum_span = (_obs.TRACER.span("closure.stratum",
+            stratum_span = (_obs.TELEMETRY.span("closure.stratum",
                                              stratum=stratum_index,
                                              rules=len(group))
                             if observing else _obs.NULL_SPAN)
@@ -673,9 +673,9 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                 iterations += rounds
                 sspan.set(rounds=rounds, store_size=len(store))
         if observing:
-            _obs.TRACER.count("engine.rounds", iterations)
-            _obs.TRACER.gauge("engine.strata", len(compiled.strata))
-            _obs.TRACER.gauge("engine.closure_seconds",
+            _obs.TELEMETRY.count("engine.rounds", iterations)
+            _obs.TELEMETRY.gauge("engine.strata", len(compiled.strata))
+            _obs.TELEMETRY.gauge("engine.closure_seconds",
                               time.perf_counter() - loop_started)
             span.set(iterations=iterations,
                      derived=len(store) - base_count)

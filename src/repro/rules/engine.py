@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from ..core import deadline as _deadline
 from ..core.facts import Binding, Fact, Template, Variable
 from ..core.store import FactStore, seed_store
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from .rule import Condition, Rule, RuleContext
 
 #: Reserved :attr:`ClosureResult.rule_times` key for the round-end
@@ -65,7 +65,7 @@ class ClosureResult:
     iterations: int
     rule_firings: Dict[str, int] = field(default_factory=dict)
     #: rule name -> cumulative seconds spent joining that rule's body
-    #: (populated only while obs tracing is enabled; see
+    #: (populated only while telemetry is enabled; see
     #: :mod:`repro.obs`).  The reserved ``"(apply)"`` entry holds the
     #: round-end store-update time, so the entries together partition
     #: the fixpoint loop's total time (the ``engine.closure_seconds``
@@ -138,7 +138,7 @@ def naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
                   trace: bool = False) -> ClosureResult:
     """Fixpoint by full re-evaluation each round (baseline engine)."""
     observing = _obs.ENABLED
-    closure_span = (_obs.TRACER.span("closure.naive", rules=len(rules))
+    closure_span = (_obs.TELEMETRY.span("closure.naive", rules=len(rules))
                     if observing else _obs.NULL_SPAN)
     with closure_span as span:
         store = seed_store(base)
@@ -154,7 +154,7 @@ def naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
                 break
             changed = False
             iterations += 1
-            round_span = (_obs.TRACER.span("closure.round",
+            round_span = (_obs.TELEMETRY.span("closure.round",
                                            engine="naive", round=iterations)
                           if observing else _obs.NULL_SPAN)
             with round_span as rspan:
@@ -187,8 +187,8 @@ def naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
                                          + time.perf_counter() - apply_started)
                 rspan.set(fresh=len(fresh))
         if observing:
-            _obs.TRACER.count("engine.rounds", iterations)
-            _obs.TRACER.gauge("engine.closure_seconds",
+            _obs.TELEMETRY.count("engine.rounds", iterations)
+            _obs.TELEMETRY.gauge("engine.closure_seconds",
                               time.perf_counter() - loop_started)
             span.set(iterations=iterations,
                      derived=len(store) - base_count)
@@ -212,7 +212,8 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
     old facts were found in earlier rounds.
     """
     observing = _obs.ENABLED
-    closure_span = (_obs.TRACER.span("closure.semi_naive", rules=len(rules))
+    closure_span = (_obs.TELEMETRY.span("closure.semi_naive",
+                                        rules=len(rules))
                     if observing else _obs.NULL_SPAN)
     with closure_span as span:
         store = seed_store(base)
@@ -225,7 +226,7 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
                                         context, firings, max_iterations,
                                         provenance, rule_times)
         if observing:
-            _obs.TRACER.gauge("engine.closure_seconds",
+            _obs.TELEMETRY.gauge("engine.closure_seconds",
                               time.perf_counter() - loop_started)
             span.set(iterations=iterations,
                      derived=len(store) - base_count)
@@ -265,7 +266,7 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
 
     ``delta`` holds the facts not yet joined against the rest of the
     store (they must already be *in* the store).  Returns the number of
-    rounds executed.  With obs tracing enabled, cumulative per-rule join
+    rounds executed.  With telemetry enabled, cumulative per-rule join
     seconds accumulate into ``rule_times`` and each round emits a
     ``closure.round`` span carrying its delta-in/fresh-out sizes.
     """
@@ -276,7 +277,7 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
         if max_iterations is not None and iterations >= max_iterations:
             break
         iterations += 1
-        round_span = (_obs.TRACER.span("closure.round",
+        round_span = (_obs.TELEMETRY.span("closure.round",
                                        engine="semi-naive",
                                        round=iterations,
                                        delta_in=len(delta))
@@ -318,7 +319,7 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
                                      + time.perf_counter() - apply_started)
             rspan.set(fresh_out=len(delta))
     if observing:
-        _obs.TRACER.count("engine.rounds", iterations)
+        _obs.TELEMETRY.count("engine.rounds", iterations)
     return iterations
 
 
@@ -348,7 +349,7 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
             delta.add(fact)
     result.base_count += len(delta)
     if delta:
-        extend_span = (_obs.TRACER.span("closure.extend",
+        extend_span = (_obs.TELEMETRY.span("closure.extend",
                                         new_facts=len(delta))
                        if _obs.ENABLED else _obs.NULL_SPAN)
         with extend_span:

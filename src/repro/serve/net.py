@@ -61,14 +61,18 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import ReproError, ServiceError, error_class
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..obs.context import TraceContext, render_trace
 
 __all__ = ["ServiceServer", "ServiceClient", "RemoteShell",
            "PROTOCOL_VERSION"]
 
 PROTOCOL_VERSION = 3
+
+#: Longest request line the server reads.  A longer line is answered
+#: with a ``ServiceError`` and the connection is closed (the rest of
+#: the line cannot be skipped without reading it).
+MAX_LINE_BYTES = 1 << 20
 
 #: Read operations that a :class:`~repro.serve.pool.ReplicaPool` can
 #: serve instead of the primary.  Everything else (writes, control
@@ -141,9 +145,9 @@ def _dispatch(service, request: Dict[str, Any], pool=None,
         if pool is not None:
             snapshot = pool.metrics(refresh=bool(request.get("refresh")))
         else:
-            snapshot = _metrics.active_metrics().snapshot()
+            snapshot = _obs.active_telemetry().snapshot()
         if request.get("format") == "prometheus":
-            return _metrics.to_prometheus(snapshot)
+            return _obs.to_prometheus(snapshot)
         return snapshot
     if op == "slowlog":
         return service.slow_log.snapshot(request.get("limit"))
@@ -231,15 +235,24 @@ class ServiceServer:
         class _Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 state: Dict[str, Any] = {"min_version": 0}
-                for raw in self.rfile:
+                while True:
+                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    if not raw:
+                        return
+                    if len(raw) > MAX_LINE_BYTES:
+                        self.send(outer._failure(ServiceError(
+                            f"request line exceeds {MAX_LINE_BYTES}"
+                            f" bytes; closing connection")))
+                        return
                     line = raw.decode("utf-8", errors="replace").strip()
-                    if not line:
-                        continue
-                    response = outer._respond(line, state)
-                    self.wfile.write(
-                        (json.dumps(response, ensure_ascii=False) + "\n")
-                        .encode("utf-8"))
-                    self.wfile.flush()
+                    if line:
+                        self.send(outer._respond(line, state))
+
+            def send(self, response: Dict[str, Any]) -> None:
+                self.wfile.write(
+                    (json.dumps(response, ensure_ascii=False) + "\n")
+                    .encode("utf-8"))
+                self.wfile.flush()
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -264,28 +277,27 @@ class ServiceServer:
                     result = _dispatch(self.service, request, self.pool,
                                        state, ctx)
         except ReproError as error:
-            if _obs.ENABLED:
-                _obs.TRACER.count("serve.net.errors")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.net.errors")
-            response = {"ok": False, "error": type(error).__name__,
-                        "message": str(error)}
-            if ctx is not None:
-                response["trace"] = ctx.collect()
-            return response
+            return self._failure(error, ctx)
         except (KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as error:
-            if _obs.ENABLED:
-                _obs.TRACER.count("serve.net.errors")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.net.errors")
-            return {"ok": False, "error": "ServiceError",
-                    "message": f"bad request: {error!r}"}
+            return self._failure(
+                ServiceError(f"bad request: {error!r}"), ctx)
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.net.requests")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("serve.net.requests")
+            _obs.TELEMETRY.count("serve.net.requests")
         response = {"ok": True, "result": result}
+        if ctx is not None:
+            response["trace"] = ctx.collect()
+        return response
+
+    @staticmethod
+    def _failure(error: ReproError,
+                 ctx: Optional[TraceContext] = None) -> Dict[str, Any]:
+        """The typed error response (class name + message), carrying
+        the request's span records when it was traced."""
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("serve.net.errors")
+        response = {"ok": False, "error": type(error).__name__,
+                    "message": str(error)}
         if ctx is not None:
             response["trace"] = ctx.collect()
         return response

@@ -55,8 +55,7 @@ from ..core.errors import (
     ServiceClosed,
     error_class,
 )
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..obs.context import TraceContext
 from .replica import (
     BootstrapState,
@@ -213,7 +212,7 @@ class ReplicaPool:
         telemetry: worker observability config, shipped at spawn:
             ``{"metrics": bool, "slow_query_seconds": float|None}``.
             ``None`` derives it from the parent — metrics enabled iff
-            the parent's registry is enabled at spawn time, slow
+            the parent's telemetry is enabled at spawn time, slow
             threshold copied from the service.
         heartbeat_interval: seconds between ``metrics_request``
             heartbeats to workers (their snapshots feed
@@ -273,7 +272,7 @@ class ReplicaPool:
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
         if telemetry is None:
-            telemetry = {"metrics": _metrics.ENABLED,
+            telemetry = {"metrics": _obs.ENABLED,
                          "slow_query_seconds": service.slow_query_seconds}
         self._telemetry = telemetry
         if heartbeat_interval is None:
@@ -364,9 +363,7 @@ class ReplicaPool:
             name=f"repro-replica-recv-{index}-g{generation}", daemon=True)
         worker.receiver.start()
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.pool.spawns")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("serve.pool.spawns")
+            _obs.TELEMETRY.count("serve.pool.spawns")
         return worker
 
     def _build_generations(self) -> _SharedGenerations:
@@ -418,9 +415,7 @@ class ReplicaPool:
                 "rule_times": dict(result.rule_times),
             }
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.pool.generation_builds")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("serve.pool.generation_builds")
+            _obs.TELEMETRY.count("serve.pool.generation_builds")
         return _SharedGenerations(
             base_gen, base_handle, closure_gen, closure_handle,
             closure_stats, seq, base_store.version, closure_version)
@@ -536,8 +531,8 @@ class ReplicaPool:
                     if emitted is not None and kind == "applied":
                         lag = time.perf_counter() - emitted
                         self._lag_log.append(lag)
-                        if _metrics.ENABLED:
-                            _metrics.METRICS.observe(
+                        if _obs.ENABLED:
+                            _obs.TELEMETRY.observe(
                                 "serve.pool.lag_seconds", lag)
                     self._version_cv.notify_all()
             elif kind == "result":
@@ -570,9 +565,7 @@ class ReplicaPool:
             if was_alive and not closed:
                 self._deaths += 1
                 if _obs.ENABLED:
-                    _obs.TRACER.count("serve.pool.worker_deaths")
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("serve.pool.worker_deaths")
+                    _obs.TELEMETRY.count("serve.pool.worker_deaths")
         for pending in stranded:
             pending.fail_dead()
         try:
@@ -601,12 +594,10 @@ class ReplicaPool:
                 self._workers[index] = self._spawn(index)
                 self._respawns += 1
                 if _obs.ENABLED:
-                    _obs.TRACER.count("serve.pool.respawns")
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("serve.pool.respawns")
+                    _obs.TELEMETRY.count("serve.pool.respawns")
         except Exception:  # pragma: no cover - defensive
             if _obs.ENABLED:
-                _obs.TRACER.count("serve.pool.respawn_failures")
+                _obs.TELEMETRY.count("serve.pool.respawn_failures")
 
     # ------------------------------------------------------------------
     # Metrics heartbeat
@@ -659,16 +650,16 @@ class ReplicaPool:
     def metrics(self, refresh: bool = False, timeout: float = 2.0) -> dict:
         """The pool-wide metrics view: the primary process's registry
         merged with every worker's latest heartbeat snapshot
-        (:func:`repro.obs.metrics.merge_snapshots`) — counters add,
+        (:func:`repro.obs.telemetry.merge_snapshots`) — counters add,
         histogram buckets add, so ``serve.request_seconds.query`` here
         is the latency distribution across the whole pool."""
         if refresh:
             self.refresh_metrics(timeout)
-        snapshots = [_metrics.active_metrics().snapshot()]
+        snapshots = [_obs.active_telemetry().snapshot()]
         with self._lock:
             snapshots.extend(w.metrics_snapshot for w in self._workers
                              if w.metrics_snapshot)
-        return _metrics.merge_snapshots(snapshots)
+        return _obs.merge_snapshots(snapshots)
 
     # ------------------------------------------------------------------
     # Routing
@@ -748,9 +739,7 @@ class ReplicaPool:
             with self._lock:
                 worker.pending.pop(rid, None)
             if _obs.ENABLED:
-                _obs.TRACER.count("serve.pool.read_timeouts")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.pool.read_timeouts")
+                _obs.TELEMETRY.count("serve.pool.read_timeouts")
             raise DeadlineExceeded(
                 f"replica did not answer {op!r} within {timeout}s")
         if pending.died:
@@ -762,9 +751,7 @@ class ReplicaPool:
             name, text = pending.value
             raise error_class(name)(text)
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.pool.replica_reads")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("serve.pool.replica_reads")
+            _obs.TELEMETRY.count("serve.pool.replica_reads")
         return pending.value
 
     def _consume_extra(self, extra: Optional[dict],
@@ -788,9 +775,7 @@ class ReplicaPool:
         with self._lock:
             self._fallback_reads += 1
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.pool.fallback_reads")
-        if _metrics.ENABLED:
-            _metrics.METRICS.count("serve.pool.fallback_reads")
+            _obs.TELEMETRY.count("serve.pool.fallback_reads")
         service = self._service
         if op == "query":
             return service.query(payload, deadline=deadline, ctx=ctx)
@@ -943,8 +928,8 @@ class ReplicaPool:
             self._gen_log = []
             self._gen_stale = False
             self.compactions += 1
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.pool.compactions")
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.pool.compactions")
             state = self._generation_bootstrap()
             targets = [(w, w.gen_acks) for w in self._workers if w.alive]
             target_seq = state.version

@@ -62,15 +62,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..browse import retraction as _retraction
 from ..core import deadline as _deadline
 from ..core.errors import ReproError, ServiceError
 from ..core.facts import Fact
 from ..db import Database
-from ..obs import metrics as _metrics
+from ..obs import telemetry as _obs
 from ..obs.context import TraceContext
 from ..obs.slowlog import build_record, plan_summary
-from ..query import exec as _qexec
 from ..rules.registry import RuleRegistry
 from ..rules.rule import Rule
 
@@ -364,12 +362,13 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
     a read enqueued after a delta always sees that delta applied.
 
     ``telemetry`` configures this process's observability:
-    ``{"metrics": True}`` enables a fresh metrics registry (shipped
+    ``{"metrics": True}`` enables a fresh telemetry spine (shipped
     back on ``metrics_request`` heartbeats), and
-    ``{"slow_query_seconds": t}`` makes reads slower than ``t`` attach
-    a slow-query record (with compiled-plan stats) to their result.
-    ``None`` leaves whatever the process inherited — under ``fork``, a
-    metrics-enabled parent's child keeps collecting into its own copy.
+    ``{"slow_query_seconds": t}`` does the same and makes reads slower
+    than ``t`` attach a slow-query record (with compiled-plan stats)
+    to their result.  ``None`` leaves whatever the process inherited —
+    under ``fork``, a telemetry-enabled parent's child keeps collecting
+    into its own copy.
 
     SIGINT is ignored: a terminal Ctrl-C signals the whole process
     group, but shutdown is the parent's job (a ``("stop",)`` message
@@ -385,12 +384,9 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
         pass
     slow_threshold: Optional[float] = None
     if telemetry:
-        if telemetry.get("metrics"):
-            _metrics.enable_metrics(fresh=True)
         slow_threshold = telemetry.get("slow_query_seconds")
-        if slow_threshold is not None:
-            _qexec.KEEP_LAST_RUN = True
-            _retraction.KEEP_LAST_PROBE = True
+        if telemetry.get("metrics") or slow_threshold is not None:
+            _obs.enable_telemetry(fresh=True)
     db, version = _bootstrap(payload)
     db.view()   # warm the closure before declaring readiness
     conn.send(("ready", version))
@@ -406,9 +402,9 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
                 apply_started = time.perf_counter()
                 apply_delta_message(db, delta)
                 version = delta.version
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("replica.deltas")
-                    _metrics.METRICS.observe(
+                if _obs.ENABLED:
+                    _obs.TELEMETRY.count("replica.deltas")
+                    _obs.TELEMETRY.observe(
                         "replica.apply_seconds",
                         time.perf_counter() - apply_started)
             conn.send(("applied", version))
@@ -438,9 +434,7 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
             ctx = (TraceContext.from_wire(message[5])
                    if len(message) > 5 else None)
             if slow_threshold is not None:
-                _qexec.clear_last_run()
-            if slow_threshold is not None and op == "probe":
-                _retraction.clear_last_probe()
+                _obs.LAST_REQUEST.clear()
             started = time.perf_counter()
             try:
                 handler = READ_OPS.get(op)
@@ -459,35 +453,35 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
             except Exception as error:  # pragma: no cover - defensive
                 ok, value = False, ("ReplicaError", repr(error))
             elapsed = time.perf_counter() - started
-            if _metrics.ENABLED:
-                registry = _metrics.METRICS
+            slow = slow_threshold is not None and elapsed >= slow_threshold
+            if _obs.ENABLED:
+                registry = _obs.TELEMETRY
                 registry.count("serve.requests")
                 registry.count(f"serve.requests.{op}")
                 registry.count("replica.reads")
                 registry.observe(f"serve.request_seconds.{op}", elapsed)
+                if slow:
+                    registry.count("serve.slow_queries")
             extra: Optional[Dict[str, Any]] = None
             if ctx is not None:
                 extra = {"spans": ctx.collect()}
-            if slow_threshold is not None and elapsed >= slow_threshold:
+            if slow:
                 record = build_record(
                     op, elapsed, slow_threshold,
                     text=str(read_payload), source="replica",
                     trace_id=ctx.trace_id if ctx is not None else None,
                     deadline=seconds,
-                    plan=plan_summary(_qexec.last_run()),
-                    probe=(_retraction.last_probe()
-                           if op == "probe" else None))
+                    plan=plan_summary(_obs.LAST_REQUEST.run),
+                    probe=_obs.LAST_REQUEST.probe)
                 extra = extra or {}
                 extra["slow"] = record
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("serve.slow_queries")
             if extra is None:
                 conn.send(("result", rid, ok, value, version))
             else:
                 conn.send(("result", rid, ok, value, version, extra))
         elif kind == "metrics_request":
             conn.send(("metrics", version,
-                       _metrics.active_metrics().snapshot()))
+                       _obs.active_telemetry().snapshot()))
         elif kind == "ping":
             conn.send(("pong", version))
         elif kind == "crash":

@@ -70,14 +70,11 @@ from ..core.errors import (
     ServiceClosed,
     ServiceError,
 )
-from ..browse import retraction as _retraction
 from ..core.facts import Fact, fact as make_fact
 from ..db import Database
-from ..obs import metrics as _metrics
-from ..obs import tracer as _obs
+from ..obs import telemetry as _obs
 from ..obs.context import SpanRecord, TraceContext, new_span_id
 from ..obs.slowlog import SlowQueryLog, build_record, plan_summary
-from ..query import exec as _qexec
 from .replica import Delta
 
 __all__ = ["DatabaseService", "WriteTicket"]
@@ -205,6 +202,9 @@ class DatabaseService:
             :attr:`slow_log` with their op, payload text, trace id,
             and (for compiled queries) the plan's est-vs-actual
             operator stats.  ``None`` (default) disables the log.
+            With a threshold the service holds telemetry enabled from
+            construction to :meth:`close` (the autopsies are ordinary
+            telemetry), then leaves it as it found it.
         slow_log_size: ring-buffer capacity of :attr:`slow_log`.
         start: start the writer thread immediately (tests pass False
             to stage queue states deterministically).
@@ -235,13 +235,11 @@ class DatabaseService:
         self.default_deadline = default_deadline
         self.slow_query_seconds = slow_query_seconds
         self.slow_log = SlowQueryLog(slow_log_size)
-        if slow_query_seconds is not None:
-            # The executor keeps its last PlanRun on a thread-local
-            # only while someone can consume it; slow logging is such
-            # a consumer even with tracing/metrics off.  Probe
-            # autopsies work the same way.
-            _qexec.KEEP_LAST_RUN = True
-            _retraction.KEEP_LAST_PROBE = True
+        # The autopsies a slow record carries are ordinary telemetry.
+        self._holds_telemetry = (slow_query_seconds is not None
+                                 and not _obs.ENABLED)
+        if self._holds_telemetry:
+            _obs.enable_telemetry()
 
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
@@ -318,6 +316,8 @@ class DatabaseService:
                                          " operation was applied"))
         if self._session is not None:
             self._session.close()
+        if self._holds_telemetry:
+            _obs.disable_telemetry()
 
     @property
     def closed(self) -> bool:
@@ -358,10 +358,8 @@ class DatabaseService:
                                                 self.max_batch))]
                 backlog = bool(self._ops)
                 if _obs.ENABLED:
-                    _obs.TRACER.gauge("serve.queue_depth", len(self._ops))
-                if _metrics.ENABLED:
-                    _metrics.METRICS.gauge("serve.queue_depth",
-                                           len(self._ops))
+                    _obs.TELEMETRY.gauge("serve.queue_depth",
+                                         len(self._ops))
             try:
                 self._apply_batch(batch)
             except Exception as error:  # pragma: no cover - defensive
@@ -375,7 +373,7 @@ class DatabaseService:
                         ticket._reject(wrapped)
 
     def _apply_batch(self, batch: List[_Op]) -> None:
-        span = (_obs.TRACER.span("serve.batch", size=len(batch))
+        span = (_obs.TELEMETRY.span("serve.batch", size=len(batch))
                 if _obs.ENABLED else _obs.NULL_SPAN)
         settled: List[Tuple[WriteTicket, Any, Optional[BaseException]]] = []
         batch_started_wall = time.time()
@@ -458,12 +456,9 @@ class DatabaseService:
                 delta = Delta(version=self._applied_seq, adds=adds,
                               removes=removes, controls=tuple(controls))
                 if _obs.ENABLED:
-                    _obs.TRACER.gauge("serve.publish_pause_seconds",
-                                      pause)
-                if _metrics.ENABLED:
-                    _metrics.METRICS.gauge("serve.publish_pause_seconds",
-                                           pause)
-                    _metrics.METRICS.observe("serve.publish_pause", pause)
+                    _obs.TELEMETRY.gauge("serve.publish_pause_seconds",
+                                         pause)
+                    _obs.TELEMETRY.observe("serve.publish_pause", pause)
             if checkpoint_requested and self._session is not None:
                 # Readers keep hitting the published in-memory snapshot
                 # while the on-disk one is rewritten.
@@ -473,16 +468,12 @@ class DatabaseService:
             self._ops_applied += len(batch)
             self._largest_batch = max(self._largest_batch, len(batch))
             if _obs.ENABLED:
-                _obs.TRACER.count("serve.batches")
-                _obs.TRACER.count("serve.ops_applied", len(batch))
-                _obs.TRACER.gauge("serve.batch_size", len(batch))
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.batches")
-                _metrics.METRICS.count("serve.ops_applied", len(batch))
-                _metrics.METRICS.gauge("serve.batch_size", len(batch))
-                _metrics.METRICS.observe(
-                    "serve.batch_seconds",
-                    time.perf_counter() - batch_started)
+                telemetry = _obs.TELEMETRY
+                telemetry.count("serve.batches")
+                telemetry.count("serve.ops_applied", len(batch))
+                telemetry.gauge("serve.batch_size", len(batch))
+                telemetry.observe("serve.batch_seconds",
+                                  time.perf_counter() - batch_started)
         # Traced writes get a writer-thread span covering their batch:
         # one record per traced op, all sharing the batch's timing, so
         # the client's stitched tree shows where its write was applied.
@@ -505,7 +496,7 @@ class DatabaseService:
                     subscriber(delta)
                 except Exception:  # pragma: no cover - defensive
                     if _obs.ENABLED:
-                        _obs.TRACER.count("serve.delta_subscriber_errors")
+                        _obs.TELEMETRY.count("serve.delta_subscriber_errors")
         # Settle tickets only after the snapshot swap above, so a caller
         # that waited on its ticket reads its own write.
         version = self._applied_seq
@@ -529,8 +520,8 @@ class DatabaseService:
         snap.view()
         self._publishes += 1
         if _obs.ENABLED:
-            _obs.TRACER.count("serve.snapshot_publishes")
-            _obs.TRACER.gauge("serve.snapshot_version", snap.facts.version)
+            _obs.TELEMETRY.count("serve.snapshot_publishes")
+            _obs.TELEMETRY.gauge("serve.snapshot_version", snap.facts.version)
         return snap
 
     # ------------------------------------------------------------------
@@ -544,17 +535,13 @@ class DatabaseService:
                 raise ServiceClosed("service is closed")
             if len(self._ops) >= self.max_pending:
                 if _obs.ENABLED:
-                    _obs.TRACER.count("serve.overloaded")
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("serve.overloaded")
+                    _obs.TELEMETRY.count("serve.overloaded")
                 raise Overloaded(
                     f"admission queue is full ({self.max_pending} pending"
                     f" writes); retry with backoff")
             self._ops.append((kind, payload, ticket, ctx))
             if _obs.ENABLED:
-                _obs.TRACER.gauge("serve.queue_depth", len(self._ops))
-            if _metrics.ENABLED:
-                _metrics.METRICS.gauge("serve.queue_depth", len(self._ops))
+                _obs.TELEMETRY.gauge("serve.queue_depth", len(self._ops))
             self._has_work.notify()
         return ticket
 
@@ -657,9 +644,7 @@ class DatabaseService:
         threshold = self.slow_query_seconds
         if threshold is not None:
             # Don't attribute a previous request's plan to this one.
-            _qexec.clear_last_run()
-            if op == "probe":
-                _retraction.clear_last_probe()
+            _obs.LAST_REQUEST.clear()
         started = time.perf_counter()
         try:
             if ctx is not None:
@@ -671,31 +656,26 @@ class DatabaseService:
                     return fn(snap)
         except DeadlineExceeded:
             if _obs.ENABLED:
-                _obs.TRACER.count("serve.deadline_exceeded")
-            if _metrics.ENABLED:
-                _metrics.METRICS.count("serve.deadline_exceeded")
+                _obs.TELEMETRY.count("serve.deadline_exceeded")
             raise
         finally:
             elapsed = time.perf_counter() - started
+            slow = threshold is not None and elapsed >= threshold
             if _obs.ENABLED:
-                _obs.TRACER.count("serve.requests")
-                _obs.TRACER.count(f"serve.requests.{op}")
-                _obs.TRACER.gauge("serve.request_seconds", elapsed)
-            if _metrics.ENABLED:
-                registry = _metrics.METRICS
-                registry.count("serve.requests")
-                registry.count(f"serve.requests.{op}")
-                registry.observe(f"serve.request_seconds.{op}", elapsed)
-            if threshold is not None and elapsed >= threshold:
+                telemetry = _obs.TELEMETRY
+                telemetry.count("serve.requests")
+                telemetry.count(f"serve.requests.{op}")
+                telemetry.gauge("serve.request_seconds", elapsed)
+                telemetry.observe(f"serve.request_seconds.{op}", elapsed)
+                if slow:
+                    telemetry.count("serve.slow_queries")
+            if slow:
+                last = _obs.LAST_REQUEST
                 self.slow_log.add(build_record(
                     op, elapsed, threshold, text=text, source="primary",
                     trace_id=ctx.trace_id if ctx is not None else None,
                     deadline=seconds,
-                    plan=plan_summary(_qexec.last_run()),
-                    probe=(_retraction.last_probe()
-                           if op == "probe" else None)))
-                if _metrics.ENABLED:
-                    _metrics.METRICS.count("serve.slow_queries")
+                    plan=plan_summary(last.run), probe=last.probe))
 
     def query(self, query, deadline: Optional[float] = None,
               ctx: Optional[TraceContext] = None):

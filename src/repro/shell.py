@@ -374,7 +374,7 @@ class BrowserShell:
         return f"added {added} new facts"
 
     def _stats(self, arguments: List[str]) -> str:
-        from .obs import active_tracer, tracing_enabled
+        from .obs import active_telemetry, telemetry_enabled
 
         stats = self.db.stats()
         hidden = ("enabled_rules", "rule_firings", "rule_times")
@@ -391,41 +391,41 @@ class BrowserShell:
             lines.append("  rule_times:")
             lines.extend(f"    {name}: {seconds * 1000:.3f} ms"
                          for name, seconds in sorted(times.items()))
-        counters = active_tracer().counters
+        counters = active_telemetry().counters
         if counters:
-            state = "live" if tracing_enabled() else "frozen"
+            state = "live" if telemetry_enabled() else "frozen"
             lines.append(f"  trace counters ({state}):")
             lines.extend(f"    {name}: {value}"
                          for name, value in sorted(counters.items()))
         return "\n".join(lines)
 
     def _trace(self, arguments: List[str]) -> str:
-        from .obs import (active_tracer, disable_tracing, enable_tracing,
-                          tracing_enabled)
+        from .obs import (active_telemetry, disable_telemetry,
+                          enable_telemetry, telemetry_enabled)
 
         if not arguments:
-            state = "on" if tracing_enabled() else "off"
+            state = "on" if telemetry_enabled() else "off"
             return f"tracing is {state}"
         word = arguments[0].lower()
         if word == "on":
-            enable_tracing()
+            enable_telemetry()
             return "tracing on — counters appear in 'stats'"
         if word == "off":
-            disable_tracing()
-            tracer = active_tracer()
-            collected = len(tracer.counters) + len(tracer.roots)
+            disable_telemetry()
+            telemetry = active_telemetry()
+            collected = len(telemetry.counters) + len(telemetry.roots)
             return (f"tracing off ({collected} counters/spans collected;"
                     " still visible in 'stats' until re-enabled)")
         return "usage: trace [on|off]"
 
     def _profile(self, command: str) -> str:
-        from .obs import Tracer, summary, use_tracer
+        from .obs import Telemetry, summary, use_telemetry
 
         if not command:
             return "usage: profile COMMAND [ARGS...]"
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             output = self.execute(command)
-        report = summary(tracer, title=f"profile: {command}")
+        report = summary(telemetry, title=f"profile: {command}")
         return f"{output}\n\n{report}" if output else report
 
     def _help(self, arguments: List[str]) -> str:
@@ -507,9 +507,9 @@ def _serve_main(arguments: List[str]) -> int:
     options = parser.parse_args(arguments)
 
     if options.metrics:
-        from .obs import metrics as _metrics
+        from .obs import enable_telemetry
 
-        _metrics.enable_metrics(fresh=True)
+        enable_telemetry(fresh=True)
     if options.target is not None:
         db, session = _resolve(options.target)
     else:

@@ -13,7 +13,7 @@ from repro.core.entities import ISA, MEMBER, SYN
 from repro.core.facts import Fact, Template, Variable
 from repro.core.store import FactStore
 from repro.db import Database
-from repro.obs import Tracer, use_tracer
+from repro.obs import Telemetry, use_telemetry
 from repro.rules.builtin import STANDARD_RULES
 from repro.rules.dispatch import (
     CompiledRuleSet,
@@ -174,9 +174,9 @@ class TestDispatch:
     def test_skipped_rules_counter_and_equivalence(self):
         facts = [Fact(f"N{i}", ISA, f"N{i+1}") for i in range(6)]
         context = _context(facts)
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             fast = dispatched_closure(facts, STANDARD_RULES, context)
-        assert tracer.counters.get("dispatch.skipped_rules", 0) > 0
+        assert telemetry.counters.get("dispatch.skipped_rules", 0) > 0
         reference = semi_naive_closure(facts, STANDARD_RULES, context)
         assert set(fast.store) == set(reference.store)
         assert fast.rule_firings == reference.rule_firings
@@ -186,7 +186,7 @@ class TestDispatch:
                  Fact("B", "OWNS", "T")]
         context = _context(facts)
         untraced = dispatched_closure(facts, STANDARD_RULES, context)
-        with use_tracer(Tracer()):
+        with use_telemetry(Telemetry()):
             traced = dispatched_closure(facts, STANDARD_RULES, context)
         assert set(traced.store) == set(untraced.store)
         assert traced.rule_firings == untraced.rule_firings
@@ -289,13 +289,13 @@ class TestResultCache:
         second.add(("INTRUDER",))
         assert db.query("(JOHN, EARNS, y)") == first
 
-    def test_cache_hit_counter_visible_to_tracer(self):
+    def test_cache_hit_counter_visible_to_telemetry(self):
         db = Database()
         db.add("A", ISA, "B")
         db.query("(A, ≺, y)")
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             db.query("(A, ≺, y)")
-        assert tracer.counters.get("cache.hits", 0) > 0
+        assert telemetry.counters.get("cache.hits", 0) > 0
 
     def test_mutation_invalidates_by_version(self):
         db = Database()

@@ -1,4 +1,5 @@
-"""Documentation health: examples execute, links resolve (PR 3 satellite).
+"""Documentation health: examples execute, links resolve, the
+metric catalog matches the code.
 
 Thin pytest wrapper over ``tools/docs_check.py`` so the docs gate runs
 with the tier-1 suite as well as in its dedicated CI job.
@@ -23,6 +24,16 @@ class TestDocumentation(unittest.TestCase):
         self.assertEqual(
             failures, [],
             "documentation examples failed:\n" + "\n".join(failures))
+
+    def test_metric_catalog_matches_the_code(self):
+        self.assertEqual(docs_check.check_catalog(), [])
+        # The extraction sees plain literals, f-strings, conditionals
+        # and the lattice helper, so the equality above is not vacuous.
+        emitted = docs_check.emitted_names()
+        for name in ("cache.hits", "serve.requests.<op>",
+                     "plancache.misses", "lattice.builds",
+                     "writer.apply_batch"):
+            self.assertIn(name, emitted)
 
     def test_block_extraction_sees_the_readme(self):
         blocks = list(docs_check.iter_python_blocks(ROOT / "README.md"))

@@ -1,6 +1,6 @@
-"""Cross-process metrics: registries, snapshot algebra, Prometheus
-exposition, and the tracer's gauge aggregates (which share the same
-min/max/sum/count shape)."""
+"""The spine's registry half: counters, gauge aggregates, histograms,
+snapshot algebra and Prometheus exposition (spans, enablement and the
+layer instrumentation are in ``test_obs.py``)."""
 
 from __future__ import annotations
 
@@ -8,23 +8,16 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
+from repro.obs.telemetry import (
     DEFAULT_BUCKETS,
-    METRICS,
+    NULL_TELEMETRY,
     GaugeAggregate,
     Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    active_metrics,
-    disable_metrics,
-    enable_metrics,
+    Telemetry,
     merge_snapshots,
-    metrics_enabled,
     parse_prometheus,
     to_prometheus,
-    use_metrics,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -77,9 +70,9 @@ class TestHistogram:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-class TestMetricsRegistry:
+class TestRegistry:
     def test_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("requests")
         registry.count("requests", 2)
         registry.gauge("depth", 4.0)
@@ -88,23 +81,17 @@ class TestMetricsRegistry:
         assert snapshot["counters"]["requests"] == 3
         assert snapshot["gauges"]["depth"]["last"] == 4.0
         assert snapshot["histograms"]["latency"]["count"] == 1
-        assert registry.counter_value("requests") == 3
-        assert registry.counter_value("absent") == 0
+        assert registry.counters == {"requests": 3}
 
-    def test_time_context_manager(self):
-        registry = MetricsRegistry()
-        with registry.time("op"):
-            pass
-        assert registry.snapshot()["histograms"]["op"]["count"] == 1
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.count("x")
-        registry.reset()
-        assert registry.snapshot()["counters"] == {}
+    def test_gauges_fold_extremes(self):
+        registry = Telemetry()
+        for value in (5.0, 1.0, 3.0):
+            registry.gauge("lag", value)
+        assert registry.gauges["lag"].as_dict() == {
+            "last": 3.0, "min": 1.0, "max": 5.0, "sum": 9.0, "count": 3}
 
     def test_thread_safety(self):
-        registry = MetricsRegistry()
+        registry = Telemetry()
 
         def hammer():
             for _ in range(1000):
@@ -121,35 +108,12 @@ class TestMetricsRegistry:
         assert snapshot["histograms"]["h"]["count"] == 4000
 
 
-class TestEnablement:
-    def test_disabled_by_default_and_null_is_inert(self):
-        assert isinstance(METRICS, NullMetrics) or not metrics_enabled()
-        null = NullMetrics()
-        null.count("x")
-        null.gauge("y", 1.0)
-        null.observe("z", 0.1)
-        assert null.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
-
-    def test_enable_disable_cycle(self):
-        registry = enable_metrics(fresh=True)
-        try:
-            assert metrics_enabled()
-            registry.count("during")
-            assert active_metrics() is registry
-        finally:
-            disable_metrics()
-        assert not metrics_enabled()
-        # Data stays readable after disable.
-        assert active_metrics().counter_value("during") == 1
-
-    def test_use_metrics_restores_state(self):
-        before = active_metrics()
-        with use_metrics(MetricsRegistry()) as registry:
-            assert metrics_enabled()
-            registry.count("scoped")
-        assert active_metrics() is before
-        assert not metrics_enabled()
+def test_null_telemetry_snapshot_is_empty():
+    NULL_TELEMETRY.count("x")
+    NULL_TELEMETRY.gauge("y", 1.0)
+    NULL_TELEMETRY.observe("z", 0.1)
+    assert NULL_TELEMETRY.snapshot() == {"counters": {}, "gauges": {},
+                                         "histograms": {}}
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +121,7 @@ class TestEnablement:
 # ----------------------------------------------------------------------
 class TestMergeSnapshots:
     def _snapshot(self, requests: int, latency: float) -> dict:
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("requests", requests)
         registry.gauge("depth", latency * 100)
         registry.observe("latency", latency)
@@ -185,9 +149,9 @@ class TestMergeSnapshots:
         assert histogram["max"] == pytest.approx(0.002)
 
     def test_disjoint_series_union(self):
-        left = MetricsRegistry()
+        left = Telemetry()
         left.count("only.left")
-        right = MetricsRegistry()
+        right = Telemetry()
         right.count("only.right")
         merged = merge_snapshots([left.snapshot(), right.snapshot()])
         assert merged["counters"] == {"only.left": 1, "only.right": 1}
@@ -202,7 +166,7 @@ class TestMergeSnapshots:
 # ----------------------------------------------------------------------
 class TestPrometheus:
     def test_round_trip(self):
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("serve.requests", 7)
         registry.gauge("serve.queue_depth", 3.0)
         registry.observe("serve.request_seconds.query", 0.002)
@@ -216,7 +180,7 @@ class TestPrometheus:
         assert any('le="+Inf"' in name for name in series)
 
     def test_type_headers(self):
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("c")
         registry.observe("h", 0.1)
         text = to_prometheus(registry.snapshot())
@@ -224,37 +188,7 @@ class TestPrometheus:
         assert "# TYPE repro_h histogram" in text
 
     def test_name_sanitization(self):
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("serve.requests.try-hard")
         text = to_prometheus(registry.snapshot())
         assert "repro_serve_requests_try_hard_total" in text
-
-
-# ----------------------------------------------------------------------
-# Tracer gauge aggregates (satellite: last-value-only fix)
-# ----------------------------------------------------------------------
-class TestTracerGaugeAggregates:
-    def test_gauges_property_returns_last_values(self):
-        tracer = Tracer()
-        tracer.gauge("temp", 2.0)
-        tracer.gauge("temp", 2.5)
-        assert tracer.gauges == {"temp": 2.5}
-
-    def test_gauge_stats_fold_extremes(self):
-        tracer = Tracer()
-        for value in (5.0, 1.0, 3.0):
-            tracer.gauge("lag", value)
-        stats = tracer.gauge_stats["lag"].as_dict()
-        assert stats == {"last": 3.0, "min": 1.0, "max": 5.0,
-                         "sum": 9.0, "count": 3}
-
-    def test_null_tracer_has_empty_gauge_stats(self):
-        assert NULL_TRACER.gauges == {}
-        assert NULL_TRACER.gauge_stats == {}
-
-    def test_reset_clears_aggregates(self):
-        tracer = Tracer()
-        tracer.gauge("x", 1.0)
-        tracer.reset()
-        assert tracer.gauges == {}
-        assert tracer.gauge_stats == {}

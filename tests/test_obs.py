@@ -1,7 +1,7 @@
 """The observability layer: spans, counters, exporters, EXPLAIN ANALYZE.
 
-Covers the tracer substrate itself (nesting, timing monotonicity,
-reset, the disabled no-op path), the per-layer instrumentation
+Covers the spine itself (nesting, timing monotonicity,
+the disabled no-op path), the per-layer instrumentation
 (store, closure engine, evaluator, browsers), the exporters
 (JSON-lines round-trip, text summary), and the plan-vs-actual
 rendering of ``explain_analyze``.
@@ -21,20 +21,20 @@ from repro.db import Database
 from repro.datasets.synthetic import hierarchy_facts, membership_facts
 from repro.obs import (
     NULL_SPAN,
-    NULL_TRACER,
-    Tracer,
-    active_tracer,
-    disable_tracing,
-    enable_tracing,
+    NULL_TELEMETRY,
+    Telemetry,
+    active_telemetry,
+    disable_telemetry,
+    enable_telemetry,
     pattern_shape,
     read_jsonl,
     summary,
     to_events,
-    tracing_enabled,
-    use_tracer,
+    telemetry_enabled,
+    use_telemetry,
     write_jsonl,
 )
-from repro.obs import tracer as tracer_module
+from repro.obs import telemetry as telemetry_module
 from repro.query.parser import parse_template
 from repro.rules.builtin import STANDARD_RULES
 from repro.rules.engine import APPLY, semi_naive_closure
@@ -42,13 +42,13 @@ from repro.rules.rule import RelationshipClassifier, RuleContext
 
 
 @pytest.fixture(autouse=True)
-def _pristine_global_tracer():
-    """Every test starts and ends with tracing off and no global
-    tracer installed, whatever it did in between."""
-    saved = (tracer_module.TRACER, tracer_module.ENABLED)
-    tracer_module.TRACER, tracer_module.ENABLED = NULL_TRACER, False
+def _pristine_global_spine():
+    """Every test starts and ends with telemetry off and no global
+    spine installed, whatever it did in between."""
+    saved = (telemetry_module.TELEMETRY, telemetry_module.ENABLED)
+    telemetry_module.TELEMETRY, telemetry_module.ENABLED = NULL_TELEMETRY, False
     yield
-    tracer_module.TRACER, tracer_module.ENABLED = saved
+    telemetry_module.TELEMETRY, telemetry_module.ENABLED = saved
 
 
 def _context(facts):
@@ -60,14 +60,14 @@ def _context(facts):
 # ----------------------------------------------------------------------
 class TestSpans:
     def test_nesting_and_preorder_walk(self):
-        tracer = Tracer()
-        with tracer.span("outer", kind="test") as outer:
-            with tracer.span("middle") as middle:
-                with tracer.span("inner") as inner:
+        telemetry = Telemetry()
+        with telemetry.span("outer", kind="test") as outer:
+            with telemetry.span("middle") as middle:
+                with telemetry.span("inner") as inner:
                     pass
-            with tracer.span("sibling") as sibling:
+            with telemetry.span("sibling") as sibling:
                 pass
-        assert tracer.roots == [outer]
+        assert list(telemetry.roots) == [outer]
         assert middle.parent is outer
         assert inner.parent is middle
         assert sibling.parent is outer
@@ -78,9 +78,9 @@ class TestSpans:
         assert outer.attributes == {"kind": "test"}
 
     def test_timing_monotonicity(self):
-        tracer = Tracer()
-        with tracer.span("parent") as parent:
-            with tracer.span("child") as child:
+        telemetry = Telemetry()
+        with telemetry.span("parent") as parent:
+            with telemetry.span("child") as child:
                 time.sleep(0.005)
         assert child.finished and parent.finished
         assert child.wall > 0
@@ -89,92 +89,71 @@ class TestSpans:
         assert parent.cpu >= 0 and child.cpu >= 0
 
     def test_set_attaches_attributes(self):
-        tracer = Tracer()
-        with tracer.span("s", a=1) as span:
+        telemetry = Telemetry()
+        with telemetry.span("s", a=1) as span:
             span.set(b=2)
             span.set(a=3)
         assert span.attributes == {"a": 3, "b": 2}
 
     def test_spans_filter_by_name(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
+        telemetry = Telemetry()
+        with telemetry.span("a"):
+            with telemetry.span("b"):
                 pass
-        with tracer.span("b"):
+        with telemetry.span("b"):
             pass
-        assert len(tracer.spans()) == 3
-        assert len(tracer.spans("b")) == 2
-        assert tracer.spans("missing") == []
+        assert len(telemetry.spans()) == 3
+        assert len(telemetry.spans("b")) == 2
+        assert telemetry.spans("missing") == []
 
     def test_span_closes_on_exception(self):
-        tracer = Tracer()
+        telemetry = Telemetry()
         with pytest.raises(ValueError):
-            with tracer.span("failing") as span:
+            with telemetry.span("failing") as span:
                 raise ValueError("boom")
         assert span.finished
-        assert tracer._stack == []
+        assert telemetry._open.stack == []
 
 
 # ----------------------------------------------------------------------
-# Counters, gauges, reset
+# Counters, gauges, conjunct records
 # ----------------------------------------------------------------------
-class TestCountersAndReset:
+class TestCountersAndGauges:
     def test_count_and_gauge(self):
-        tracer = Tracer()
-        tracer.count("hits")
-        tracer.count("hits", 4)
-        tracer.gauge("temp", 1.5)
-        tracer.gauge("temp", 2.5)
-        assert tracer.counters == {"hits": 5}
-        assert tracer.gauges == {"temp": 2.5}
+        telemetry = Telemetry()
+        telemetry.count("hits")
+        telemetry.count("hits", 4)
+        telemetry.gauge("temp", 1.5)
+        telemetry.gauge("temp", 2.5)
+        assert telemetry.counters == {"hits": 5}
+        assert telemetry.gauges["temp"].last == 2.5
 
     def test_record_conjunct_aggregates(self):
-        tracer = Tracer()
-        tracer.record_conjunct("(?x, R, ?y)", 4.0, 3)
-        tracer.record_conjunct("(?x, R, ?y)", 2.0, 1)
-        stats = tracer.conjuncts["(?x, R, ?y)"]
+        telemetry = Telemetry()
+        telemetry.record_conjunct("(?x, R, ?y)", 4.0, 3)
+        telemetry.record_conjunct("(?x, R, ?y)", 2.0, 1)
+        stats = telemetry.conjuncts["(?x, R, ?y)"]
         assert (stats.evals, stats.rows) == (2, 4)
         assert stats.estimate_mean == 3.0
         assert stats.rows_mean == 2.0
-
-    def test_reset_drops_everything(self):
-        tracer = Tracer()
-        with tracer.span("s"):
-            tracer.count("c")
-            tracer.gauge("g", 1.0)
-            tracer.record_conjunct("k", 1.0, 1)
-        tracer.reset()
-        assert tracer.counters == {}
-        assert tracer.gauges == {}
-        assert tracer.roots == []
-        assert tracer.conjuncts == {}
-        # Counters restart from zero after a reset.
-        tracer.count("c")
-        assert tracer.counters == {"c": 1}
-
-    def test_reset_keeps_open_spans_closable(self):
-        tracer = Tracer()
-        with tracer.span("open"):
-            tracer.reset()  # must not break the in-flight span
-        assert tracer.roots == []
 
 
 # ----------------------------------------------------------------------
 # The disabled path
 # ----------------------------------------------------------------------
 class TestDisabledPath:
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.count("x")
-        NULL_TRACER.gauge("y", 1.0)
-        NULL_TRACER.record_conjunct("k", 1.0, 2)
-        assert NULL_TRACER.counters == {}
-        assert NULL_TRACER.gauges == {}
-        assert NULL_TRACER.spans() == []
+    def test_null_telemetry_is_inert(self):
+        NULL_TELEMETRY.count("x")
+        NULL_TELEMETRY.gauge("y", 1.0)
+        NULL_TELEMETRY.record_conjunct("k", 1.0, 2)
+        assert NULL_TELEMETRY.counters == {}
+        assert NULL_TELEMETRY.gauges == {}
+        assert NULL_TELEMETRY.spans() == []
 
     def test_null_span_identity(self):
         # Every span request yields the same no-op object, so the
         # disabled path allocates nothing.
-        cm = NULL_TRACER.span("anything", a=1)
+        cm = NULL_TELEMETRY.span("anything", a=1)
         assert cm is NULL_SPAN
         with cm as span:
             span.set(ignored=True)
@@ -182,33 +161,33 @@ class TestDisabledPath:
         assert span.attributes == {}
 
     def test_enable_disable_cycle(self):
-        assert not tracing_enabled()
-        tracer = enable_tracing()
-        assert tracing_enabled()
-        assert isinstance(tracer, Tracer)
-        tracer.count("kept")
-        disable_tracing()
-        assert not tracing_enabled()
+        assert not telemetry_enabled()
+        telemetry = enable_telemetry()
+        assert telemetry_enabled()
+        assert isinstance(telemetry, Telemetry)
+        telemetry.count("kept")
+        disable_telemetry()
+        assert not telemetry_enabled()
         # Data stays readable after disabling …
-        assert active_tracer().counters == {"kept": 1}
+        assert active_telemetry().counters == {"kept": 1}
         # … and survives a plain re-enable, but not a fresh one.
-        assert enable_tracing() is tracer
-        assert enable_tracing(fresh=True) is not tracer
+        assert enable_telemetry() is telemetry
+        assert enable_telemetry(fresh=True) is not telemetry
 
-    def test_use_tracer_restores_state(self):
-        scoped = Tracer()
-        with use_tracer(scoped) as tracer:
-            assert tracer is scoped
-            assert tracing_enabled()
-            assert active_tracer() is scoped
-        assert not tracing_enabled()
-        assert active_tracer() is NULL_TRACER
+    def test_use_telemetry_restores_state(self):
+        scoped = Telemetry()
+        with use_telemetry(scoped) as telemetry:
+            assert telemetry is scoped
+            assert telemetry_enabled()
+            assert active_telemetry() is scoped
+        assert not telemetry_enabled()
+        assert active_telemetry() is NULL_TELEMETRY
 
-    def test_disabled_tracing_collects_nothing(self):
+    def test_disabled_telemetry_collects_nothing(self):
         db = paper.load()
         db.query("(x, EARNS, y)")
-        assert active_tracer() is NULL_TRACER
-        assert active_tracer().counters == {}
+        assert active_telemetry() is NULL_TELEMETRY
+        assert active_telemetry().counters == {}
 
 
 # ----------------------------------------------------------------------
@@ -226,24 +205,24 @@ def test_pattern_shape():
 # ----------------------------------------------------------------------
 class TestStoreInstrumentation:
     def test_add_remove_lookup_counters(self):
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             store = FactStore()
             store.add(Fact("A", "R", "B"))
             store.add(Fact("A", "R", "B"))  # duplicate: not counted
             store.add(Fact("A", "R", "C"))
             store.discard(Fact("A", "R", "C"))
             list(store.match(parse_template("(A, R, x)")))
-        assert tracer.counters["store.adds"] == 2
-        assert tracer.counters["store.removes"] == 1
-        assert tracer.counters["store.lookups"] >= 1
+        assert telemetry.counters["store.adds"] == 2
+        assert telemetry.counters["store.removes"] == 1
+        assert telemetry.counters["store.lookups"] >= 1
 
     def test_solutions_hits_keyed_by_shape(self):
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             store = FactStore([Fact("A", "R", "B"), Fact("A", "R", "C")])
             found = list(store.solutions(parse_template("(A, R, x)"), {}))
         assert len(found) == 2
-        assert tracer.counters["store.solutions.calls.sr"] == 1
-        assert tracer.counters["store.solutions.hits.sr"] == 2
+        assert telemetry.counters["store.solutions.calls.sr"] == 1
+        assert telemetry.counters["store.solutions.hits.sr"] == 2
 
 
 class TestEngineInstrumentation:
@@ -255,16 +234,16 @@ class TestEngineInstrumentation:
 
     def test_round_spans_and_counters(self):
         facts = self._workload()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             result = semi_naive_closure(facts, STANDARD_RULES,
                                         _context(facts))
-        closure_spans = tracer.spans("closure.semi_naive")
+        closure_spans = telemetry.spans("closure.semi_naive")
         assert len(closure_spans) == 1
         assert closure_spans[0].attributes["derived"] == \
             result.derived_count
-        rounds = tracer.spans("closure.round")
+        rounds = telemetry.spans("closure.round")
         assert len(rounds) == result.iterations
-        assert tracer.counters["engine.rounds"] == result.iterations
+        assert telemetry.counters["engine.rounds"] == result.iterations
         # Each round records its delta sizes.
         for span in rounds:
             assert "delta_in" in span.attributes
@@ -285,15 +264,15 @@ class TestEngineInstrumentation:
                               rng.choice(entities)))
         context = _context(facts)
         semi_naive_closure(facts, STANDARD_RULES, context)  # warm caches
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             result = semi_naive_closure(facts, STANDARD_RULES, context)
-        total = tracer.gauges["engine.closure_seconds"]
+        total = telemetry.gauges["engine.closure_seconds"].last
         accounted = sum(result.rule_times.values())
         assert APPLY in result.rule_times
         assert total > 0
         assert abs(1.0 - accounted / total) <= 0.05
 
-    def test_rule_times_empty_without_tracing(self):
+    def test_rule_times_empty_without_telemetry(self):
         facts = self._workload()
         result = semi_naive_closure(facts, STANDARD_RULES, _context(facts))
         assert result.rule_times == {}
@@ -303,66 +282,66 @@ class TestQueryInstrumentation:
     def test_conjunct_records_match_execution(self):
         db = paper.load()
         db.closure()  # materialize outside the traced region
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             value = db.query("(x, ∈, EMPLOYEE) and (x, EARNS, y)")
-        stats = tracer.conjuncts["(?x, ∈, EMPLOYEE)"]
+        stats = telemetry.conjuncts["(?x, ∈, EMPLOYEE)"]
         assert stats.evals == 1
         assert stats.rows == 3  # JOHN, TOM, MARY
-        earns = tracer.conjuncts["(?x, EARNS, ?y)"]
+        earns = telemetry.conjuncts["(?x, EARNS, ?y)"]
         # The compiled engine evaluates each conjunct once over the
         # whole binding table (set-at-a-time), not once per binding.
         assert earns.evals == 1
         assert earns.rows == len(value)
-        spans = tracer.spans("query.evaluate")
+        spans = telemetry.spans("query.evaluate")
         assert len(spans) == 1
         assert spans[0].attributes["rows"] == len(value)
 
     def test_conjunct_records_reference_engine(self):
         db = paper.load(Database(query_engine="reference"))
         db.closure()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             value = db.query("(x, ∈, EMPLOYEE) and (x, EARNS, y)")
-        earns = tracer.conjuncts["(?x, EARNS, ?y)"]
+        earns = telemetry.conjuncts["(?x, EARNS, ?y)"]
         assert earns.evals == 3  # tuple-at-a-time: once per bound x
         assert earns.rows == len(value)
 
     def test_forall_domain_gauge(self):
         db = university.load()
         db.closure()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             db.query("(z, ∈, QUARTERBACK) and forall y: (z, ATTENDED, y)")
         # One anti-probe over both quarterback bindings (JAKE, BOB).
-        assert tracer.counters["exec.forall.keys"] == 2
-        assert tracer.gauges["query.forall.domain_size"] >= 2
+        assert telemetry.counters["exec.forall.keys"] == 2
+        assert telemetry.gauges["query.forall.domain_size"].last >= 2
 
     def test_forall_evals_reference_engine(self):
         db = university.load(Database(query_engine="reference"))
         db.closure()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             db.query("(z, ∈, QUARTERBACK) and forall y: (z, ATTENDED, y)")
         # Evaluated once per quarterback binding (JAKE, BOB).
-        assert tracer.counters["query.forall.evals"] == 2
-        assert tracer.gauges["query.forall.domain_size"] >= 2
+        assert telemetry.counters["query.forall.evals"] == 2
+        assert telemetry.gauges["query.forall.domain_size"].last >= 2
 
 
 class TestBrowseInstrumentation:
     def test_navigation_span_and_counter(self):
         db = paper.load()
         db.closure()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             result = db.navigate("(JOHN, *, *)")
-        assert tracer.counters["browse.navigations"] == 1
-        span = tracer.spans("browse.navigate")[0]
+        assert telemetry.counters["browse.navigations"] == 1
+        span = telemetry.spans("browse.navigate")[0]
         assert span.attributes["facts"] == len(result.facts)
 
     def test_probe_counters(self):
         db = university.load()
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             result = db.probe(university.STUDENTS_LOVE_FREE)
-        assert tracer.counters["browse.probes"] == 1
-        assert tracer.counters["browse.probe.waves"] == len(result.waves)
+        assert telemetry.counters["browse.probes"] == 1
+        assert telemetry.counters["browse.probe.waves"] == len(result.waves)
         attempted = sum(len(wave.attempted) for wave in result.waves)
-        assert tracer.counters["browse.probe.retractions"] == attempted
+        assert telemetry.counters["browse.probe.retractions"] == attempted
 
 
 # ----------------------------------------------------------------------
@@ -370,22 +349,22 @@ class TestBrowseInstrumentation:
 # ----------------------------------------------------------------------
 class TestExport:
     def _collected(self):
-        tracer = Tracer()
-        with tracer.span("outer", label="x"):
-            with tracer.span("inner"):
+        telemetry = Telemetry()
+        with telemetry.span("outer", label="x"):
+            with telemetry.span("inner"):
                 pass
-        tracer.count("events", 3)
-        tracer.gauge("level", 0.5)
-        tracer.record_conjunct("(?x, R, ?y)", 2.0, 4)
-        return tracer
+        telemetry.count("events", 3)
+        telemetry.gauge("level", 0.5)
+        telemetry.record_conjunct("(?x, R, ?y)", 2.0, 4)
+        return telemetry
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = self._collected()
+        telemetry = self._collected()
         path = tmp_path / "trace.jsonl"
-        written = write_jsonl(tracer, str(path))
+        written = write_jsonl(telemetry, str(path))
         events = read_jsonl(str(path))
         assert len(events) == written
-        assert events == to_events(tracer)
+        assert events == to_events(telemetry)
         # The span tree is reconstructible from the parent references.
         spans = [e for e in events if e["type"] == "span"]
         assert spans[0]["parent"] is None
@@ -394,11 +373,11 @@ class TestExport:
             "span", "span", "counter", "gauge", "conjunct"]
 
     def test_jsonl_file_handle(self):
-        tracer = self._collected()
+        telemetry = self._collected()
         buffer = io.StringIO()
-        write_jsonl(tracer, buffer)
+        write_jsonl(telemetry, buffer)
         events = read_jsonl(io.StringIO(buffer.getvalue()))
-        assert events == to_events(tracer)
+        assert events == to_events(telemetry)
 
     def test_summary_sections(self):
         text = summary(self._collected(), title="test run")
@@ -409,7 +388,7 @@ class TestExport:
         assert "(?x, R, ?y)" in text
 
     def test_summary_empty(self):
-        assert "(nothing collected)" in summary(Tracer())
+        assert "(nothing collected)" in summary(Telemetry())
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +450,8 @@ class TestExplainAnalyze:
         assert not analyzed.executed
         assert "not executed" in analyzed.render()
 
-    def test_leaves_global_tracing_untouched(self):
+    def test_leaves_global_telemetry_untouched(self):
         db = paper.load()
         db.explain_analyze("(x, EARNS, y)")
-        assert not tracing_enabled()
-        assert active_tracer() is NULL_TRACER
+        assert not telemetry_enabled()
+        assert active_telemetry() is NULL_TELEMETRY

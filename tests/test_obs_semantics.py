@@ -1,6 +1,6 @@
 """Observation must never change behavior.
 
-Regression guard for the instrumentation layer: enabling obs tracing
+Regression guard for the instrumentation layer: enabling telemetry
 changes no query result, no closure content, and no probe outcome —
 on both the movies and university datasets.  (The counters are free to
 differ; the *semantics* are not.)
@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import movies, university
-from repro.obs import NULL_TRACER, Tracer, use_tracer
-from repro.obs import tracer as tracer_module
+from repro.obs import NULL_TELEMETRY, Telemetry, use_telemetry
+from repro.obs import telemetry as telemetry_module
 
 _QUERIES = {
     "movies": [
@@ -35,11 +35,11 @@ _LOADERS = {"movies": movies.load, "university": university.load}
 
 
 @pytest.fixture(autouse=True)
-def _pristine_global_tracer():
-    saved = (tracer_module.TRACER, tracer_module.ENABLED)
-    tracer_module.TRACER, tracer_module.ENABLED = NULL_TRACER, False
+def _pristine_global_spine():
+    saved = (telemetry_module.TELEMETRY, telemetry_module.ENABLED)
+    telemetry_module.TELEMETRY, telemetry_module.ENABLED = NULL_TELEMETRY, False
     yield
-    tracer_module.TRACER, tracer_module.ENABLED = saved
+    telemetry_module.TELEMETRY, telemetry_module.ENABLED = saved
 
 
 def _observe(dataset):
@@ -67,24 +67,24 @@ def _observe(dataset):
 
 
 @pytest.mark.parametrize("dataset", sorted(_QUERIES))
-def test_tracing_changes_nothing(dataset):
+def test_telemetry_changes_nothing(dataset):
     baseline = _observe(dataset)
-    with use_tracer(Tracer()) as tracer:
+    with use_telemetry(Telemetry()) as telemetry:
         traced = _observe(dataset)
     assert traced == baseline
     # Sanity: the traced run actually collected something, so this test
     # would notice if instrumentation silently disappeared.
-    assert tracer.counters
+    assert telemetry.counters
 
 
 @pytest.mark.parametrize("dataset", sorted(_QUERIES))
 def test_enable_disable_round_trip_is_neutral(dataset):
-    """Results after tracing has been enabled and disabled again match
+    """Results after telemetry has been enabled and disabled again match
     the never-traced baseline."""
-    from repro.obs import disable_tracing, enable_tracing
+    from repro.obs import disable_telemetry, enable_telemetry
 
     baseline = _observe(dataset)
-    enable_tracing(fresh=True)
+    enable_telemetry(fresh=True)
     _observe(dataset)
-    disable_tracing()
+    disable_telemetry()
     assert _observe(dataset) == baseline

@@ -18,6 +18,7 @@ from repro.core.errors import QueryError
 from repro.core.facts import Fact, Variable
 from repro.datasets import books
 from repro.db import Database
+from repro.obs import Telemetry, use_telemetry
 from repro.query import CompiledEvaluator, Evaluator, parse_query
 from repro.query import plancache as _plancache
 from repro.query.canonical import canonical_text
@@ -42,22 +43,6 @@ def fast_path_off():
         yield
     finally:
         _plancache.FAST_PATH = True
-
-
-@pytest.fixture(autouse=True)
-def _no_last_run_collection():
-    """A DatabaseService with a slow-query log sets the process-wide
-    ``KEEP_LAST_RUN`` flag and (by design) never unsets it; pin it off
-    here so these tests see the same executor behavior standalone and
-    after the serving suites."""
-    from repro.query import exec as _qexec
-
-    original = _qexec.KEEP_LAST_RUN
-    _qexec.KEEP_LAST_RUN = False
-    try:
-        yield
-    finally:
-        _qexec.KEEP_LAST_RUN = original
 
 
 # ----------------------------------------------------------------------
@@ -156,16 +141,11 @@ class TestPlanCacheBasics:
         assert stats["recompiles"] == base["recompiles"]
 
     def test_obs_counters_emitted(self, employees):
-        from repro.obs.tracer import enable_tracing, disable_tracing
-
-        tracer = enable_tracing(fresh=True)
-        try:
+        with use_telemetry(Telemetry()) as telemetry:
             employees.ask("(EMP0, ∈, EMPLOYEE)")
             employees.ask("(EMP0, ∈, EMPLOYEE)")
-            assert tracer.counters.get("plancache.misses", 0) >= 1
-            assert tracer.counters.get("plancache.hits", 0) >= 1
-        finally:
-            disable_tracing()
+        assert telemetry.counters.get("plancache.misses", 0) >= 1
+        assert telemetry.counters.get("plancache.hits", 0) >= 1
 
     def test_unsafe_query_error_is_cached_and_identical(self, employees):
         text = "(x, ∈, EMPLOYEE) or (y, ∈, EMPLOYEE)"
@@ -306,18 +286,13 @@ class TestInvalidation:
         assert getattr(entry.fast._bound[0], "interned", False)
 
     def test_compaction_rebind_is_counted(self, employees):
-        from repro.obs.tracer import enable_tracing, disable_tracing
-
         employees.ask("(EMP1, ∈, EMPLOYEE)")
         employees.compact_store()
         employees._result_cache.clear()   # drive the probe, not the
         employees._plan_cache._verdicts.clear()  # versioned caches
-        tracer = enable_tracing(fresh=True)
-        try:
+        with use_telemetry(Telemetry()) as telemetry:
             employees.ask("(EMP1, ∈, EMPLOYEE)")
-            assert tracer.counters.get("plancache.rebinds", 0) >= 1
-        finally:
-            disable_tracing()
+        assert telemetry.counters.get("plancache.rebinds", 0) >= 1
 
     def test_interned_overlay_and_tombstones_through_fast_path(
             self, employees):
@@ -409,19 +384,15 @@ def test_fast_path_off_still_caches_plans(employees, fast_path_off):
 def test_fast_path_slowlog_autopsy(employees):
     """The service's slow-query log sees fast-path executions as a
     one-operator ``fast-probe`` plan."""
-    from repro.query import exec as _qexec
+    from repro.obs import LAST_REQUEST
     from repro.obs.slowlog import plan_summary
 
-    original = _qexec.KEEP_LAST_RUN
-    _qexec.KEEP_LAST_RUN = True
-    try:
-        _qexec.clear_last_run()
+    LAST_REQUEST.clear()
+    with use_telemetry(Telemetry()):
         employees.query("(EMP0, r, t)")
-        summary = plan_summary(_qexec.last_run())
-        assert summary is not None
-        assert summary["operators"][0]["op"] == "fast-probe"
-    finally:
-        _qexec.KEEP_LAST_RUN = original
+    summary = plan_summary(LAST_REQUEST.run)
+    assert summary is not None
+    assert summary["operators"][0]["op"] == "fast-probe"
 
 
 def test_virtual_relations_through_fast_path(employees):
@@ -461,11 +432,9 @@ class TestVerdictMemo:
         assert employees._plan_cache.verdict_hits == hits_before
 
     def test_memo_disabled_while_observing(self, employees):
-        from repro.obs.tracer import Tracer, use_tracer
-
         employees.ask("(EMP0, ∈, EMPLOYEE)")
         hits_before = employees._plan_cache.verdict_hits
-        with use_tracer(Tracer()):
+        with use_telemetry(Telemetry()):
             employees.ask("(EMP0, ∈, EMPLOYEE)")
         assert employees._plan_cache.verdict_hits == hits_before
 

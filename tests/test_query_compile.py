@@ -18,7 +18,7 @@ from repro.core.deadline import deadline_scope
 from repro.core.errors import DeadlineExceeded, QueryError
 from repro.core.facts import Variable
 from repro.db import Database
-from repro.obs import Tracer, use_tracer
+from repro.obs import Telemetry, use_telemetry
 from repro.query import (
     CompiledEvaluator,
     Evaluator,
@@ -317,10 +317,10 @@ class TestAdaptiveReplan:
         query = parse_query(
             "(x, A0, T) and (x, R, y) and (y, S, z) and (x, B, z)")
         evaluator = CompiledEvaluator(database.view())
-        with use_tracer(Tracer()) as tracer:
+        with use_telemetry(Telemetry()) as telemetry:
             value, run = evaluator.evaluate_with_stats(query)
         assert run.replans >= 1
-        assert tracer.counters["exec.replans"] == run.replans
+        assert telemetry.counters["exec.replans"] == run.replans
         assert "adaptive re-orders" in run.describe()
         expected = {(f"M{i}", f"N{i}", f"P{i}") for i in range(20)}
         assert value == expected

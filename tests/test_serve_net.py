@@ -19,6 +19,7 @@ from repro.core.errors import (
 from repro.db import Database
 from repro.serve import DatabaseService
 from repro.serve.net import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     RemoteShell,
     ServiceClient,
@@ -169,6 +170,28 @@ class TestErrorPropagation:
             handle.write(json.dumps({"op": "ping"}) + "\n")
             handle.flush()
             assert json.loads(handle.readline())["ok"] is True
+
+    def test_oversized_line_gets_typed_error_then_close(self, served):
+        _, (host, port) = served
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            try:
+                # Twice the cap, never a newline: the server must answer
+                # without buffering the whole line.
+                sock.sendall(b"x" * (2 * MAX_LINE_BYTES))
+            except OSError:
+                pass    # the server may already have hung up on us
+            handle = sock.makefile("rb")
+            response = json.loads(handle.readline())
+            assert response["ok"] is False
+            assert response["error"] == "ServiceError"
+            assert str(MAX_LINE_BYTES) in response["message"]
+            assert handle.readline() == b""     # connection closed
+        # The server lives on, and a line exactly at the cap is served.
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            request = json.dumps({"op": "ping"}).encode("utf-8")
+            padding = b" " * (MAX_LINE_BYTES - len(request) - 1)
+            sock.sendall(request + padding + b"\n")
+            assert json.loads(sock.makefile("rb").readline())["ok"] is True
 
     def test_missing_field_is_reported(self, served):
         _, (host, port) = served

@@ -244,11 +244,11 @@ class TestMain:
 
     def test_monitor_mode_renders_frames(self, capsys):
         from repro.db import Database
-        from repro.obs import metrics as obs_metrics
+        from repro import obs
         from repro.serve import DatabaseService
         from repro.serve.net import ServiceClient, ServiceServer
 
-        obs_metrics.enable_metrics(fresh=True)
+        obs.enable_telemetry(fresh=True)
         db = Database()
         db.add("A", "R", "B")
         service = DatabaseService(db)
@@ -263,7 +263,7 @@ class TestMain:
         finally:
             server.close()
             service.close()
-            obs_metrics.disable_metrics()
+            obs.disable_telemetry()
         output = capsys.readouterr().out
         assert "repro monitor" in output
         assert "frame 2" in output

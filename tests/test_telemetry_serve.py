@@ -5,11 +5,16 @@ neutrality: telemetry off must not change any answer."""
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
+
 import pytest
 
+from repro.core.cache import LRUCache
 from repro.db import Database
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs import telemetry as obs_telemetry
+from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.obs.monitor import dashboard_rows, render_dashboard
 from repro.obs.slowlog import SlowQueryLog, build_record
 from repro.serve import DatabaseService, ReplicaPool
@@ -59,6 +64,44 @@ class TestSlowQueryLog:
         assert all("est" in stats and "out_rows" in stats
                    for stats in operators)
 
+    def test_probe_autopsy_on_primary_and_replica(self):
+        service = DatabaseService(_build_database(),
+                                  slow_query_seconds=0.0)
+        pool = ReplicaPool(service, workers=1)
+        try:
+            service.probe("(P0, WORKS-IN, ORG)")
+            pool.probe("(P0, WORKS-IN, ORG)")
+            probes = {record["source"]: record["probe"]
+                      for record in service.slow_log.records()
+                      if record["op"] == "probe"}
+            # A non-probe request never inherits the previous autopsy.
+            service.query("(x, WORKS-IN, y)")
+            assert "probe" not in service.slow_log.records()[-1]
+        finally:
+            pool.close()
+            service.close()
+        assert set(probes) == {"primary", "replica"}
+        for autopsy in probes.values():
+            assert autopsy["waves"] >= 1
+            assert autopsy["attempted"] >= autopsy["successes"] >= 1
+
+    def test_service_holds_the_spine_only_while_open(self):
+        assert not obs_telemetry.ENABLED
+        service = DatabaseService(_build_database(),
+                                  slow_query_seconds=60.0)
+        assert obs_telemetry.ENABLED
+        service.close()
+        assert not obs_telemetry.ENABLED
+        # A spine that was already on stays on.
+        with use_telemetry(Telemetry()):
+            DatabaseService(_build_database(),
+                            slow_query_seconds=60.0).close()
+            assert obs_telemetry.ENABLED
+        # No threshold, no hold.
+        service = DatabaseService(_build_database())
+        assert not obs_telemetry.ENABLED
+        service.close()
+
     def test_threshold_filters(self):
         service = DatabaseService(_build_database(),
                                   slow_query_seconds=60.0)
@@ -88,7 +131,7 @@ class TestSlowQueryLog:
 @pytest.fixture()
 def metered_server():
     """Metrics-enabled TCP server over a 2-worker pool."""
-    registry = obs_metrics.enable_metrics(fresh=True)
+    registry = obs_telemetry.enable_telemetry(fresh=True)
     service = DatabaseService(_build_database(),
                               slow_query_seconds=0.0)
     pool = ReplicaPool(service, workers=2)
@@ -100,7 +143,7 @@ def metered_server():
         server.close()
         pool.close()
         service.close()
-        obs_metrics.disable_metrics()
+        obs_telemetry.disable_telemetry()
 
 
 class TestMetricsSurface:
@@ -129,7 +172,7 @@ class TestMetricsSurface:
         with ServiceClient(host, port) as client:
             client.query("(x, WORKS-IN, y)")
             text = client.metrics(format="prometheus", refresh=True)
-        series = obs_metrics.parse_prometheus(text)
+        series = obs_telemetry.parse_prometheus(text)
         assert series.get("repro_serve_requests_total", 0) >= 1
 
     def test_slowlog_verb(self, metered_server):
@@ -180,7 +223,7 @@ class TestRemoteShellTelemetry:
 # ----------------------------------------------------------------------
 class TestMonitorDashboard:
     def _snapshot(self, requests: int) -> dict:
-        registry = MetricsRegistry()
+        registry = Telemetry()
         registry.count("serve.requests.query", requests)
         registry.count("cache.hits", requests * 3)
         registry.count("cache.misses", requests)
@@ -238,14 +281,9 @@ class TestTelemetryNeutrality:
         }
 
     def _run_stack(self, telemetry: bool) -> dict:
-        assert not obs_metrics.metrics_enabled()
-        if telemetry:
-            context = use_metrics(MetricsRegistry())
-        else:
-            context = None
-        try:
-            if context is not None:
-                context.__enter__()
+        assert not obs_telemetry.ENABLED
+        with (use_telemetry(Telemetry()) if telemetry
+              else contextlib.nullcontext()):
             service = DatabaseService(_build_database())
             pool = ReplicaPool(service, workers=2)
             server = ServiceServer(service, port=0, pool=pool)
@@ -258,9 +296,6 @@ class TestTelemetryNeutrality:
                 server.close()
                 pool.close()
                 service.close()
-        finally:
-            if context is not None:
-                context.__exit__(None, None, None)
 
     def test_answers_identical_with_and_without_telemetry(self):
         assert self._run_stack(False) == self._run_stack(True)
@@ -282,8 +317,8 @@ class TestTelemetryNeutrality:
             service.close()
         # No trace context requested → no trace shipped back.
         assert "trace" not in response
-        # Nothing leaked into the (disabled) global registry.
-        assert not obs_metrics.metrics_enabled()
+        # Nothing leaked into the (disabled) global spine.
+        assert not obs_telemetry.ENABLED
 
     def test_pool_heartbeat_disabled_without_metrics(self):
         service = DatabaseService(_build_database())
@@ -293,3 +328,173 @@ class TestTelemetryNeutrality:
         finally:
             pool.close()
             service.close()
+
+
+# ----------------------------------------------------------------------
+# The spine under threads, and one report per event
+# ----------------------------------------------------------------------
+class TestSpineUnderThreads:
+    READERS, READS, WRITES = 4, 120, 30
+
+    def test_counters_exact_and_span_trees_stay_on_their_thread(self):
+        """Reader threads open ``query.evaluate``/``browse.probe`` spans
+        while the writer thread opens ``serve.batch``: no update may be
+        lost and no span may nest under another thread's span."""
+        failures = []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except Exception as error:   # surfaced by the assert below
+                    failures.append(error)
+            return threading.Thread(target=run)
+
+        def read():
+            for n in range(self.READS):
+                if n % 2:
+                    service.query(f"(x, WORKS-IN, D{n % 4 // 2})")
+                else:
+                    service.probe("(P0, WORKS-IN, ORG)")
+
+        def write():
+            for n in range(self.WRITES):
+                service.add(f"N{n}", "WORKS-IN", "D0")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_telemetry(Telemetry()) as telemetry:
+                service = DatabaseService(_build_database(), batch_window=0)
+                threads = [guarded(read) for _ in range(self.READERS)]
+                threads.append(guarded(write))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                service.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert not any(thread.is_alive() for thread in threads)
+
+        reads = self.READERS * self.READS
+        snapshot = telemetry.snapshot()
+        counters = snapshot["counters"]
+        assert counters["serve.requests"] == reads
+        assert counters["serve.requests.query"] == reads // 2
+        assert counters["serve.requests.probe"] == reads // 2
+        assert counters["probe.requests"] == reads // 2
+        assert counters["serve.ops_applied"] == self.WRITES
+        assert counters["cache.hits"] + counters["cache.misses"] \
+            + counters["cache.coalesced"] >= reads
+        histograms = snapshot["histograms"]
+        assert histograms["serve.request_seconds.query"]["count"] \
+            + histograms["serve.request_seconds.probe"]["count"] == reads
+        assert snapshot["gauges"]["serve.request_seconds"]["count"] == reads
+        assert snapshot["gauges"]["serve.batch_size"]["sum"] == self.WRITES
+
+        spans = telemetry.spans()
+        assert len(telemetry.spans("browse.probe")) == reads // 2
+        assert len(telemetry.spans("serve.batch")) \
+            == counters["serve.batches"]
+        # Nothing left open on any stack, and every tree is one thread's.
+        assert all(span.finished for span in spans)
+        assert all(child.thread == span.thread
+                   for span in spans for child in span.children)
+        assert all(span.parent is None
+                   for span in telemetry.spans("serve.batch"))
+        assert all(span.parent is None
+                   for span in telemetry.spans("browse.probe"))
+
+
+class TestOneEventOneReport:
+    """Each event moves exactly one series by exactly one."""
+
+    @staticmethod
+    def _moved(telemetry: Telemetry) -> dict:
+        snapshot = telemetry.snapshot()
+        assert not snapshot["gauges"] and not snapshot["histograms"]
+        return snapshot["counters"]
+
+    def test_one_request_through_respond(self):
+        service = DatabaseService(_build_database())
+        server = ServiceServer(service, port=0)
+        server.start()
+        try:
+            with use_telemetry(Telemetry()) as telemetry:
+                assert server._respond('{"op": "ping"}')["ok"]
+            assert self._moved(telemetry) == {"serve.net.requests": 1}
+            with use_telemetry(Telemetry()) as telemetry:
+                assert not server._respond('{"op": "query"}')["ok"]
+                assert not server._respond('{"op": "bogus"}')["ok"]
+            assert self._moved(telemetry) == {"serve.net.errors": 2}
+            with use_telemetry(Telemetry()) as telemetry:
+                assert server._respond(
+                    '{"op": "ask", "query": "(P0, WORKS-IN, D0)"}')["ok"]
+            counters = telemetry.counters
+            assert counters["serve.net.requests"] == 1
+            assert counters["serve.requests"] == 1
+            assert counters["serve.requests.ask"] == 1
+            assert telemetry.histograms[
+                "serve.request_seconds.ask"].count == 1
+        finally:
+            server.close()
+            service.close()
+
+    def test_cache_hit_miss_eviction(self):
+        cache = LRUCache(maxsize=1)
+        with use_telemetry(Telemetry()) as telemetry:
+            cache.get("absent")
+        assert self._moved(telemetry) == {"cache.misses": 1}
+        cache.put("a", 1)
+        with use_telemetry(Telemetry()) as telemetry:
+            assert cache.get("a") == 1
+        assert self._moved(telemetry) == {"cache.hits": 1}
+        with use_telemetry(Telemetry()) as telemetry:
+            assert cache.get_or_compute("a", lambda: 2) == 1
+        assert self._moved(telemetry) == {"cache.hits": 1}
+        with use_telemetry(Telemetry()) as telemetry:
+            cache.put("b", 2)
+        assert self._moved(telemetry) == {"cache.evictions": 1}
+        with use_telemetry(Telemetry()) as telemetry:
+            assert cache.get_or_compute("c", lambda: 3) == 3
+        assert self._moved(telemetry) == {"cache.misses": 1,
+                                          "cache.evictions": 1}
+
+    def test_cache_coalesce(self):
+        cache = LRUCache()
+        computing, release = threading.Event(), threading.Event()
+
+        def slow():
+            computing.set()
+            assert release.wait(timeout=30)
+            return "value"
+
+        with use_telemetry(Telemetry()) as telemetry:
+            leader = threading.Thread(
+                target=cache.get_or_compute, args=("k", slow))
+            leader.start()
+            assert computing.wait(timeout=30)
+            # Release the leader only once the follower is on the flight.
+            waiting = threading.Event()
+
+            class Announcing(threading.Event):
+                def wait(self, timeout=None):
+                    waiting.set()
+                    return super().wait(timeout)
+
+            cache._flights["k"].event = Announcing()
+            results = []
+            follower = threading.Thread(
+                target=lambda: results.append(
+                    cache.get_or_compute("k", slow)))
+            follower.start()
+            assert waiting.wait(timeout=30)
+            release.set()
+            leader.join(timeout=30)
+            follower.join(timeout=30)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert results == ["value"]
+        assert self._moved(telemetry) == {"cache.misses": 1,
+                                          "cache.coalesced": 1}

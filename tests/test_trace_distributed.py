@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.core.errors import ParseError, ServiceError
 from repro.db import Database
 from repro.obs.context import (
     SpanRecord,
@@ -150,6 +151,23 @@ class TestDistributedTrace:
         assert "writer" in roles
         writer = next(s for s in spans if s["role"] == "writer")
         assert writer["attributes"]["op"] == "add"
+
+    def test_failed_requests_still_ship_their_trace(self, pooled_server):
+        host, port = pooled_server
+        with ServiceClient(host, port, trace=True) as client:
+            # A malformed request (no "query" key) and a typed error
+            # both carry the server's dispatch span back.
+            with pytest.raises(ServiceError, match="bad request"):
+                client._call("query")
+            bad_request = client.last_trace
+            with pytest.raises(ParseError):
+                client.query("(x, BOGUS")
+            typed_error = client.last_trace
+        for spans in (bad_request, typed_error):
+            assert {"client", "server"} <= {s["role"] for s in spans}
+            assert len(stitch(spans)) == 1
+            dispatch = next(s for s in spans if s["name"] == "net.dispatch")
+            assert dispatch["error"]
 
     def test_untraced_requests_carry_no_trace(self, pooled_server):
         host, port = pooled_server

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checker: executable examples and dead links.
+"""Documentation checker: executable examples, dead links, metric catalog.
 
-Two checks, both designed to keep the docs honest as the code moves:
+Three checks, all designed to keep the docs honest as the code moves:
 
 1. **Fenced ``python`` blocks run.**  Every ```` ```python ```` block in
    ``README.md`` and ``docs/*.md`` is executed, in order, in a fresh
@@ -14,8 +14,14 @@ Two checks, both designed to keep the docs honest as the code moves:
    ``http(s)://`` / ``mailto:`` links and pure ``#anchors`` are not
    checked (CI has no network and anchors move with headings).
 
+3. **The metric catalog matches the code.**  Every series or span
+   name literal passed to the telemetry spine (or a trace context) in
+   ``src/`` must appear in the "Metric catalog" table of
+   ``docs/operations.md``, and the table must list no name the code
+   does not emit.
+
 Run:  python tools/docs_check.py            # check everything
-      python tools/docs_check.py --links    # links only (fast)
+      python tools/docs_check.py --links    # links + catalog only (fast)
 Exits non-zero on the first category of failure, printing each offender
 with file and line number.
 """
@@ -23,13 +29,14 @@ with file and line number.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import re
 import sys
 import tempfile
 import traceback
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +50,17 @@ SKIP_MARKER = "docs-check: skip"
 
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# The catalog: the table under this heading of this file.
+CATALOG_DOC = "docs/operations.md"
+CATALOG_HEADING = "### Metric catalog"
+
+# Calls whose first argument names a series or span, and what such a
+# name looks like (dotted lowercase; ``<op>`` stands for an f-string
+# field) — which is what tells ``registry.count("cache.hits")`` from
+# ``text.count("(")``.
+_EMITTERS = {"count", "gauge", "observe", "span", "_count"}
+_SERIES_RE = re.compile(r"^[a-z_]+(\.[a-z_<>]+)+$")
 
 
 def _markdown_files(entries: List[str]) -> Iterator[Path]:
@@ -118,16 +136,85 @@ def check_links() -> List[str]:
     return failures
 
 
+def _name_literals(node: ast.AST) -> Iterator[str]:
+    """The string(s) an argument expression can evaluate to: a plain
+    literal, an f-string (fields rendered ``<expr>``), or either arm
+    of a conditional."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    elif isinstance(node, ast.JoinedStr):
+        yield "".join(
+            part.value if isinstance(part, ast.Constant)
+            else f"<{ast.unparse(part.value)}>" for part in node.values)
+    elif isinstance(node, ast.IfExp):
+        yield from _name_literals(node.body)
+        yield from _name_literals(node.orelse)
+
+
+def emitted_names() -> Set[str]:
+    """Every series/span name literal the code under ``src/`` emits."""
+    names: Set[str] = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            function = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+            if function in _EMITTERS and node.args:
+                arguments = [node.args[0]]
+            elif function == "SpanRecord":
+                arguments = [keyword.value for keyword in node.keywords
+                             if keyword.arg == "name"]
+            else:
+                continue
+            names.update(name for argument in arguments
+                         for name in _name_literals(argument)
+                         if _SERIES_RE.match(name))
+    return names
+
+
+def catalog_names() -> Set[str]:
+    """The names in the first column of the metric-catalog table."""
+    names: Set[str] = set()
+    in_catalog = False
+    for line in (ROOT / CATALOG_DOC).read_text(
+            encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            in_catalog = line.strip() == CATALOG_HEADING
+        elif in_catalog and line.startswith("|"):
+            names.update(name for name in re.findall(
+                r"`([^`]+)`", line.split("|")[1])
+                if _SERIES_RE.match(name))
+    return names
+
+
+def check_catalog() -> List[str]:
+    """Names emitted but undocumented, and documented but not emitted."""
+    emitted, documented = emitted_names(), catalog_names()
+    return ([f"{CATALOG_DOC}: `{name}` is emitted in src/ but missing"
+             f" from the metric catalog"
+             for name in sorted(emitted - documented)]
+            + [f"{CATALOG_DOC}: the metric catalog lists `{name}`,"
+               f" which no code emits"
+               for name in sorted(documented - emitted)])
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true",
-                        help="check links only, skip executing examples")
+                        help="check links and the metric catalog only,"
+                             " skip executing examples")
     arguments = parser.parse_args(argv)
 
     link_failures = check_links()
     for failure in link_failures:
         print(failure)
     print(f"links: {'FAILED' if link_failures else 'ok'}")
+
+    catalog_failures = check_catalog()
+    for failure in catalog_failures:
+        print(failure)
+    print(f"metric catalog: {'FAILED' if catalog_failures else 'ok'}")
 
     example_failures: List[str] = []
     if not arguments.links:
@@ -136,7 +223,8 @@ def main(argv: List[str] = None) -> int:
             print("\n" + failure)
         print(f"examples: {'FAILED' if example_failures else 'ok'}")
 
-    return 1 if (link_failures or example_failures) else 0
+    return 1 if (link_failures or catalog_failures
+                 or example_failures) else 0
 
 
 if __name__ == "__main__":

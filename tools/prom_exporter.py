@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.metrics import to_prometheus  # noqa: E402
+from repro.obs.telemetry import to_prometheus  # noqa: E402
 from repro.serve.net import ServiceClient  # noqa: E402
 
 

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.db import Database  # noqa: E402
 from repro.obs import context as obs_context  # noqa: E402
-from repro.obs import metrics as obs_metrics  # noqa: E402
+from repro.obs import telemetry as obs_telemetry  # noqa: E402
 from repro.serve import DatabaseService, ReplicaPool  # noqa: E402
 from repro.serve.net import ServiceClient, ServiceServer  # noqa: E402
 
@@ -48,7 +48,7 @@ def fail(message: str) -> int:
 
 
 def main() -> int:
-    obs_metrics.enable_metrics(fresh=True)
+    obs_telemetry.enable_telemetry(fresh=True)
     service = DatabaseService(build_database(),
                               slow_query_seconds=0.0)  # log every read
     pool = ReplicaPool(service, workers=2, bootstrap="generation")
@@ -86,7 +86,7 @@ def main() -> int:
                             " expected >= 4")
 
             exposition = client.metrics(format="prometheus")
-            series = obs_metrics.parse_prometheus(exposition)
+            series = obs_telemetry.parse_prometheus(exposition)
             if not any(name.startswith("repro_serve_requests_total")
                        for name in series):
                 return fail("prometheus exposition missing"
@@ -106,7 +106,7 @@ def main() -> int:
         server.close()
         pool.close()
         service.close()
-        obs_metrics.disable_metrics()
+        obs_telemetry.disable_telemetry()
 
 
 if __name__ == "__main__":
