@@ -12,8 +12,8 @@ answer-for-answer agreement while timing the difference.
 Methodology: queries are passed as *text*, the production entry point.
 Parse + plan costs are paid once into the warm plan cache (every cell
 is preceded by a correctness check, which warms it), so the timed path
-is exactly what a browsing loop pays per repeated query — for
-single-atom shapes that is the pre-bound point-read fast path.
+is what a repeated query pays below the result cache: a plan-cache
+hit plus one plan execution.
 
 Run as a script to emit ``BENCH_queries.json`` (the engine × workload
 × shape matrix, with the compiled engine's per-operator plan stats —

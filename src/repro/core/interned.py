@@ -325,11 +325,6 @@ def unlink_generation(name: str) -> bool:
     return True
 
 
-def _pack(a: int, b: int, width: int) -> int:
-    """Pack a two-id key into one integer (``width`` = id universe)."""
-    return a * width + b
-
-
 class ColumnarGeneration:
     """One frozen, fully indexed columnar snapshot of a fact set.
 
@@ -1175,42 +1170,6 @@ class InternedFactStore(FactStore):
                     hit = True
                     break
                 results.append([()] if hit else [])
-        return results
-
-    def match_many_ids(self, patterns: Sequence[Tuple[Optional[int],
-                                                      Optional[int],
-                                                      Optional[int]]]
-                       ) -> List[List[Tuple[int, int, int]]]:
-        """Batched id-domain template match: each pattern is an
-        ``(s, r, t)`` triple of ids-or-``None`` (``None`` = unbound);
-        returns the matching generation triples per pattern, tombstone
-        filtered.  Unlike :meth:`lookup_many_ids` the bound-position
-        spec may differ per pattern."""
-        gen = self._gen
-        base = len(gen.interner)
-        removed = self.removed_positions() if self._removed else None
-        scol, rcol, tcol = gen.scol, gen.rcol, gen.tcol
-        results: List[List[Tuple[int, int, int]]] = []
-        for pattern in patterns:
-            spec = ""
-            ids: List[int] = []
-            miss = False
-            for letter, value in zip("srt", pattern):
-                if value is None:
-                    continue
-                if value >= base:
-                    miss = True
-                    break
-                spec += letter
-                ids.append(value)
-            if miss:
-                results.append([])
-                continue
-            offsets: Iterable[int] = gen.positions(spec, tuple(ids))
-            if removed:
-                offsets = (p for p in offsets if p not in removed)
-            results.append(
-                [(scol[p], rcol[p], tcol[p]) for p in offsets])
         return results
 
     def entity_id_domain(self, encode) -> List[int]:

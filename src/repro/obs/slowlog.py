@@ -64,9 +64,9 @@ def plan_summary(run: Any) -> Optional[Dict[str, Any]]:
     return {
         "replans": getattr(run, "replans", 0),
         # Whether the run executed in the integer domain; False means
-        # the string path (plain store, custom virtual registry, or
-        # the fast-probe route) — the first thing to check when an
-        # interned-store query shows up slow.
+        # the string path (plain store, custom virtual registry, big
+        # overlay) — the first thing to check when an interned-store
+        # query shows up slow.
         "id_domain": bool(getattr(run, "id_domain", False)),
         "operators": [stats.as_dict() for stats in run.operators],
     }

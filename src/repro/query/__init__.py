@@ -33,7 +33,7 @@ from .ast import (
 from .canonical import canonical_form, canonical_text
 from .compile import CompiledPlan, compile_query
 from .evaluate import Evaluator, check_safety, limited_variables
-from .plancache import FastProbe, PlanCache, PlanEntry, classify
+from .plancache import PlanCache, PlanEntry, classify
 from .exec import (
     BindingTable,
     CompiledEvaluator,
@@ -50,7 +50,7 @@ __all__ = [
     "And", "Atom", "Exists", "ForAll", "Formula", "Or", "Query", "atom",
     "exists", "forall", "canonical_form", "canonical_text",
     "CompiledPlan", "compile_query",
-    "FastProbe", "PlanCache", "PlanEntry", "classify",
+    "PlanCache", "PlanEntry", "classify",
     "Evaluator", "check_safety", "limited_variables", "BindingTable",
     "CompiledEvaluator", "OperatorStats", "PlanRun", "execute_plan",
     "Explanation", "PlanStep", "explain", "ALIASES",

@@ -28,9 +28,7 @@ generator.
 
 Compilation itself runs at most once per query text per schema epoch:
 :class:`~repro.query.plancache.PlanCache` memoizes parse + safety +
-lowering, and single-atom plans additionally get a pre-bound
-:class:`~repro.query.plancache.FastProbe` that answers repeats
-straight from the store's indexes without executing the plan.
+lowering.
 
 Example::
 

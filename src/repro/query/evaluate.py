@@ -76,23 +76,6 @@ class Evaluator:
             return parsed, str(parsed)
         return query, None
 
-    def _verdict_token(self):
-        """The answer-version token verdict memos are stored under:
-        the database's cache token when one is attached, else the
-        view's (store, version) pair — the store itself participates
-        so two stores can never collide on a bare version number."""
-        if self.cache_token is not None:
-            return self.cache_token
-        store = self.view.store
-        return (store, store.version)
-
-    def _memoizes_verdicts(self, query) -> bool:
-        """Truth-value memoization is a raw-text shortcut past every
-        counter, so it only engages while telemetry (which counts
-        cache/plan traffic per call) is off."""
-        return (self.plans is not None and type(query) is str
-                and not _obs.ENABLED)
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -128,34 +111,7 @@ class Evaluator:
 
     def ask(self, query: Union[str, Query]) -> bool:
         """Truth value of a proposition (§2.7)."""
-        if self._memoizes_verdicts(query):
-            token = self._verdict_token()
-            verdict = self.plans.cached_verdict(
-                "ask", query, self.plan_epoch, token)
-            if verdict is not None:
-                return verdict
-            result = self._ask_uncached(query)
-            self.plans.store_verdict(
-                "ask", query, self.plan_epoch, token, result)
-            return result
-        return self._ask_uncached(query)
-
-    def _ask_uncached(self, query: Union[str, Query]) -> bool:
-        query, key_text = self._resolve(query)
-        if not query.is_proposition:
-            raise QueryError(
-                f"not a proposition — free variables:"
-                f" {[v.name for v in query.variables]}")
-        if self.cache is not None:
-            key = ("ask", key_text or str(query), self.cache_token)
-            hit = self.cache.get(key, _NO_RESULT)
-            if hit is not _NO_RESULT:
-                return hit
-        check_safety(query.formula)
-        result = any(True for _ in self.solutions(query.formula, {}))
-        if self.cache is not None:
-            self.cache.put(key, result)
-        return result
+        return self._truth("ask", query, proposition=True)
 
     def succeeds(self, query: Union[str, Query]) -> bool:
         """True if the query has a non-empty value.
@@ -166,22 +122,17 @@ class Evaluator:
         queries wave after wave, so skipping the cache here made §5
         retraction search re-solve them every time.
         """
-        if self._memoizes_verdicts(query):
-            token = self._verdict_token()
-            verdict = self.plans.cached_verdict(
-                "succeeds", query, self.plan_epoch, token)
-            if verdict is not None:
-                return verdict
-            result = self._succeeds_uncached(query)
-            self.plans.store_verdict(
-                "succeeds", query, self.plan_epoch, token, result)
-            return result
-        return self._succeeds_uncached(query)
+        return self._truth("succeeds", query, proposition=False)
 
-    def _succeeds_uncached(self, query: Union[str, Query]) -> bool:
+    def _truth(self, kind: str, query: Union[str, Query],
+               proposition: bool) -> bool:
+        """Shared ``ask``/``succeeds`` path — only the proposition
+        requirement and the result-cache kind differ."""
         query, key_text = self._resolve(query)
+        if proposition:
+            require_proposition(query)
         if self.cache is not None:
-            key = ("succeeds", key_text or str(query), self.cache_token)
+            key = (kind, key_text or str(query), self.cache_token)
             hit = self.cache.get(key, _NO_RESULT)
             if hit is not _NO_RESULT:
                 return hit
@@ -352,6 +303,18 @@ def limited_variables(formula: Formula) -> FrozenSet[Variable]:
     if isinstance(formula, ForAll):
         return frozenset()
     raise QueryError(f"unknown formula type: {type(formula).__name__}")
+
+
+def require_proposition(query: Query) -> None:
+    """``ask`` takes closed formulas only (§2.7).
+
+    Raises:
+        QueryError: if the query has free variables.
+    """
+    if not query.is_proposition:
+        raise QueryError(
+            f"not a proposition — free variables:"
+            f" {[v.name for v in query.variables]}")
 
 
 def check_safety(formula: Formula) -> None:

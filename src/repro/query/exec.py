@@ -61,8 +61,7 @@ from .compile import (
     bind_atom_ids,
     compile_query,
 )
-from .evaluate import Evaluator, check_safety
-from . import plancache as _plancache
+from .evaluate import Evaluator, check_safety, require_proposition
 from .planner import conjunct_rank, estimate_cost
 
 #: Process-wide switch for integer-domain execution over interned
@@ -358,28 +357,31 @@ def _execute(node: PlanNode, table: BindingTable,
 # ----------------------------------------------------------------------
 def _exec_atom(node: AtomJoin, table: BindingTable,
                ctx: _Context) -> BindingTable:
-    if ctx.ids is not None:
-        return _exec_atom_ids(node, table, ctx)
+    """The one join skeleton: split the pattern's variables into bound
+    and new, probe once per distinct key, and extend each key's rows by
+    its extensions.  The value domain only decides which leaf answers
+    "extensions per key" — :func:`_id_extensions` over interned ids or
+    :func:`_string_extensions` over names."""
     pattern = node.formula.pattern
-    pattern_vars = pattern.variables()
     pattern_var_set = pattern.variable_set()
     bound_vars = tuple(v for v in table.columns if v in pattern_var_set)
-    bound_set = set(bound_vars)
-    new_vars: List[Variable] = []
-    for v in pattern_vars:
-        if v not in bound_set and v not in new_vars:
-            new_vars.append(v)
+    # Extraction positions (first occurrence of each new variable) and
+    # the equality checks a repeated new variable imposes on a fact.
+    first_occurrence: Dict[Variable, int] = {}
+    checks: List[Tuple[int, int]] = []
+    for p, component in enumerate(pattern):
+        if isinstance(component, Variable) \
+                and component not in bound_vars:
+            if component in first_occurrence:
+                checks.append((first_occurrence[component], p))
+            else:
+                first_occurrence[component] = p
+    out_columns = table.columns + tuple(first_occurrence)
     if not table.rows or node.empty_hint:
         # empty_hint: compile time proved (exact counts, no virtual
         # handler) that this template matches nothing for any key.
-        return BindingTable(table.columns + tuple(new_vars), [])
-
-    # Extraction positions: first occurrence of each new variable.
-    # Facts from the probe are guaranteed to match the template
-    # (repeated variables included), so first-occurrence is enough.
-    new_positions = [
-        next(i for i, c in enumerate(pattern) if c == v) for v in new_vars
-    ]
+        return BindingTable(out_columns, [])
+    new_positions = list(first_occurrence.values())
     key_positions = [table.index[v] for v in bound_vars]
     single_key = len(key_positions) == 1
     pure_filter = not new_positions
@@ -423,43 +425,37 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
     else:
         keys = [()]
         buckets = [table.rows]
-
-    templates = [
-        pattern.substitute(dict(zip(bound_vars, key))) if key else pattern
-        for key in keys
-    ]
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.atom.keys", len(keys))
-    facts_per_key = _probe_many(ctx, pattern, bound_set, templates)
 
-    out_columns = table.columns + tuple(new_vars)
+    leaf = _id_extensions if ctx.ids is not None else _string_extensions
+    extensions_per_key = leaf(ctx, node, bound_vars, keys, new_positions,
+                              checks)
+
     if pure_filter:
         # Every bound variable is checked by the probe, so rows survive
         # iff their key matched — one C-level membership pass over the
         # input instead of regrouping buckets.
         if single_key:
             ok = {keys[n][0] for n in range(len(keys))
-                  if facts_per_key[n]}
+                  if extensions_per_key[n]}
             out_rows = [row for row in table.rows if row[kp] in ok]
         elif key_positions:
             ok = {keys[n] for n in range(len(keys))
-                  if facts_per_key[n]}
+                  if extensions_per_key[n]}
             out_rows = [row for row in table.rows if keyget(row) in ok]
         else:
-            out_rows = list(table.rows) if facts_per_key[0] else []
+            out_rows = list(table.rows) if extensions_per_key[0] else []
         if _deadline.ACTIVE:
             _deadline.check()
         return BindingTable(out_columns, out_rows)
 
-    out_rows: List[Tuple[str, ...]] = []
-    for n, facts in enumerate(facts_per_key):
+    out_rows = []
+    for n, extensions in enumerate(extensions_per_key):
         if _deadline.ACTIVE and n % CHECK_KEYS == 0:
             _deadline.check()
-        if not facts:
+        if not extensions:
             continue
-        extensions = [
-            tuple(f[p] for p in new_positions) for f in facts
-        ]
         bucket = buckets[n]
         if len(extensions) == 1:
             extension = extensions[0]
@@ -470,10 +466,35 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
     return BindingTable(out_columns, out_rows)
 
 
-def _exec_atom_ids(node: AtomJoin, table: BindingTable,
-                   ctx: _Context) -> BindingTable:
-    """AtomJoin in the integer domain: join keys, generation probes,
-    and extensions are interned ids end-to-end.
+def _string_extensions(ctx: _Context, node: AtomJoin,
+                       bound_vars: Tuple[Variable, ...], keys: List[tuple],
+                       new_positions: List[int],
+                       checks: List[Tuple[int, int]]) -> List[list]:
+    """The string leaf: one substituted template per key through
+    :func:`_probe_many`, then the new variables' positions of each
+    matching fact.  Facts from the probe are guaranteed to match the
+    template (repeated variables included), so ``checks`` only tells
+    the probe whether an index candidate set is already exact."""
+    pattern = node.formula.pattern
+    templates = [
+        pattern.substitute(dict(zip(bound_vars, key))) if key else pattern
+        for key in keys
+    ]
+    facts_per_key = _probe_many(ctx, pattern, bound_vars, templates,
+                                exact=not checks)
+    if not new_positions:
+        # A pure filter only asks whether each key matched.
+        return facts_per_key
+    return [[tuple(f[p] for p in new_positions) for f in facts]
+            for facts in facts_per_key]
+
+
+def _id_extensions(ctx: _Context, node: AtomJoin,
+                   bound_vars: Tuple[Variable, ...], keys: List[tuple],
+                   new_positions: List[int],
+                   checks: List[Tuple[int, int]]) -> List[list]:
+    """The id leaf: join keys, generation probes, and extensions are
+    interned ids end-to-end.
 
     The generation is probed through the store's batched id surface
     (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`) —
@@ -487,73 +508,7 @@ def _exec_atom_ids(node: AtomJoin, table: BindingTable,
     """
     ids = ctx.ids
     pattern = node.formula.pattern
-    pattern_vars = pattern.variables()
-    pattern_var_set = pattern.variable_set()
-    bound_vars = tuple(v for v in table.columns if v in pattern_var_set)
-    bound_set = set(bound_vars)
-    new_vars: List[Variable] = []
-    for v in pattern_vars:
-        if v not in bound_set and v not in new_vars:
-            new_vars.append(v)
-    if not table.rows or node.empty_hint:
-        return BindingTable(table.columns + tuple(new_vars), [])
-
-    # Extraction positions (first occurrence of each new variable) and
-    # repeated-unbound equality checks, enforced natively in id space.
-    first_occurrence: Dict[Variable, int] = {}
-    checks: List[Tuple[int, int]] = []
-    for p, component in enumerate(pattern):
-        if isinstance(component, Variable) and component not in bound_set:
-            if component in first_occurrence:
-                checks.append((first_occurrence[component], p))
-            else:
-                first_occurrence[component] = p
-    new_positions = [first_occurrence[v] for v in new_vars]
-    key_positions = [table.index[v] for v in bound_vars]
-    single_key = len(key_positions) == 1
-    pure_filter = not new_positions
-
-    # One probe per distinct key, not per row.  A pure filter (no new
-    # variables) needs only the distinct keys — collected at C level —
-    # while an extending join hash-groups the rows into buckets
-    # aligned with ``keys``.  A single-variable key keys the dict on
-    # the bare component (no tuple per row); wider keys use itemgetter.
-    buckets: List[List[tuple]] = []
-    if single_key:
-        kp = key_positions[0]
-        if pure_filter:
-            keys = [(k,) for k in set(map(itemgetter(kp), table.rows))]
-        else:
-            groups: Dict = {}
-            for row in table.rows:
-                k = row[kp]
-                bucket = groups.get(k)
-                if bucket is None:
-                    groups[k] = [row]
-                else:
-                    bucket.append(row)
-            keys = [(k,) for k in groups]
-            buckets = list(groups.values())
-    elif key_positions:
-        keyget = itemgetter(*key_positions)
-        if pure_filter:
-            keys = list(set(map(keyget, table.rows)))
-        else:
-            groups = {}
-            for row in table.rows:
-                k = keyget(row)
-                bucket = groups.get(k)
-                if bucket is None:
-                    groups[k] = [row]
-                else:
-                    bucket.append(row)
-            keys = list(groups)
-            buckets = list(groups.values())
-    else:
-        keys = [()]
-        buckets = [table.rows]
     if _obs.ENABLED:
-        _obs.TELEMETRY.count("exec.atom.keys", len(keys))
         _obs.TELEMETRY.count("store.lookups", len(keys))
 
     gen = ids.gen
@@ -576,7 +531,7 @@ def _exec_atom_ids(node: AtomJoin, table: BindingTable,
             spec += letter
             slots.append((ground[p][1], None))
             spec_positions.append(p)
-        elif component in bound_set:
+        elif component in bound_vars:
             spec += letter
             slots.append((None, bound_vars.index(component)))
             spec_positions.append(p)
@@ -596,13 +551,13 @@ def _exec_atom_ids(node: AtomJoin, table: BindingTable,
     rel_key = src_key = tgt_key = None
     if not always_virtual:
         component = pattern[1]
-        if isinstance(component, Variable) and component in bound_set:
+        if isinstance(component, Variable) and component in bound_vars:
             rel_key = bound_vars.index(component)
         component = pattern[0]
-        if isinstance(component, Variable) and component in bound_set:
+        if isinstance(component, Variable) and component in bound_vars:
             src_key = bound_vars.index(component)
         component = pattern[2]
-        if isinstance(component, Variable) and component in bound_set:
+        if isinstance(component, Variable) and component in bound_vars:
             tgt_key = bound_vars.index(component)
     check_virtual = always_virtual or rel_key is not None \
         or src_key is not None or tgt_key is not None
@@ -686,40 +641,7 @@ def _exec_atom_ids(node: AtomJoin, table: BindingTable,
                 extensions_per_key[n] = _merge_id_boundary(
                     ctx, pattern, bound_vars, key, extensions,
                     new_positions, checks)
-
-    out_columns = table.columns + tuple(new_vars)
-    if pure_filter:
-        # Every bound variable is checked by the probe, so rows survive
-        # iff their key matched — one C-level membership pass over the
-        # input instead of regrouping buckets.
-        if single_key:
-            ok = {keys[n][0] for n in range(len(keys))
-                  if extensions_per_key[n]}
-            out_rows = [row for row in table.rows if row[kp] in ok]
-        elif key_positions:
-            ok = {keys[n] for n in range(len(keys))
-                  if extensions_per_key[n]}
-            out_rows = [row for row in table.rows if keyget(row) in ok]
-        else:
-            out_rows = list(table.rows) if extensions_per_key[0] else []
-        if _deadline.ACTIVE:
-            _deadline.check()
-        return BindingTable(out_columns, out_rows)
-
-    out_rows: List[Tuple[int, ...]] = []
-    for n, extensions in enumerate(extensions_per_key):
-        if _deadline.ACTIVE and n % CHECK_KEYS == 0:
-            _deadline.check()
-        if not extensions:
-            continue
-        bucket = buckets[n]
-        if len(extensions) == 1:
-            extension = extensions[0]
-            out_rows += [row + extension for row in bucket]
-        else:
-            out_rows += [row + extension for row in bucket
-                         for extension in extensions]
-    return BindingTable(out_columns, out_rows)
+    return extensions_per_key
 
 
 def _merge_id_boundary(ctx: _Context, pattern: Template,
@@ -760,11 +682,13 @@ def _merge_id_boundary(ctx: _Context, pattern: Template,
     return merged
 
 
-def _probe_many(ctx: _Context, pattern: Template, bound_set: Set[Variable],
-                templates: List[Template]) -> List[List[Fact]]:
+def _probe_many(ctx: _Context, pattern: Template,
+                bound_vars: Tuple[Variable, ...],
+                templates: List[Template], exact: bool) -> List[List[Fact]]:
     """Matches for each substituted template: stored facts from the
     best positional index (handle resolved once per operator), merged
-    with virtual contributions.
+    with virtual contributions.  ``exact`` says no unbound variable
+    repeats, so an index's candidates need no re-match.
 
     Virtual facts are re-checked against the template before merging —
     mirroring the reference engine, whose ``view.solutions`` re-matches
@@ -773,11 +697,6 @@ def _probe_many(ctx: _Context, pattern: Template, bound_set: Set[Variable],
     """
     store = ctx.store
     index_for = getattr(store, "index_for", None)
-    repeated_unbound = [
-        c for c in pattern
-        if isinstance(c, Variable) and c not in bound_set
-    ]
-    exact = len(repeated_unbound) == len(set(repeated_unbound))
 
     if index_for is not None and exact:
         # Fast path: every substituted template's candidate set is
@@ -785,7 +704,8 @@ def _probe_many(ctx: _Context, pattern: Template, bound_set: Set[Variable],
         # the same for every key — resolve the index handle once.
         spec = "".join(
             letter for letter, component in zip("srt", pattern)
-            if not isinstance(component, Variable) or component in bound_set)
+            if not isinstance(component, Variable)
+            or component in bound_vars)
         if _obs.ENABLED:
             _obs.TELEMETRY.count("store.lookups", len(templates))
         if spec and getattr(store, "interned", False):
@@ -1069,10 +989,8 @@ class CompiledEvaluator(Evaluator):
 
     With ``plans`` (a :class:`~repro.query.plancache.PlanCache`) set,
     parse + safety + compile are cached per canonical form and
-    configuration epoch, and single-atom plans route to the pre-bound
-    :class:`~repro.query.plancache.FastProbe` instead of binding-table
-    execution (same answers, same errors — held by the fast-path
-    equivalence suite).
+    configuration epoch; every plan shape runs through
+    :func:`execute_plan`.
     """
 
     def _plan_token(self):
@@ -1084,53 +1002,38 @@ class CompiledEvaluator(Evaluator):
             return self.cache_token
         return self.view.store.version
 
-    def _entry(self, query: Union[str, Query]):
-        """The plan-cache entry for ``query`` (requires ``plans``)."""
-        return self.plans.entry(query, self.view, self.plan_epoch,
-                                self._plan_token())
-
-    def _fast_result(self, entry, rows) -> None:
-        """Fast-path bookkeeping (callers check telemetry is on): the
-        ``exec.fast_path`` counter and a one-operator :class:`PlanRun`
-        for the slow-query autopsy."""
-        _obs.TELEMETRY.count("exec.fast_path")
-        run = PlanRun(plan=entry.plan)
-        run.operators.append(OperatorStats(
-            label=f"fast-probe {entry.plan.root.formula}",
-            op="fast-probe", est=entry.plan.root.est, calls=1,
-            in_rows=1, out_rows=rows))
-        _obs.LAST_REQUEST.run = run
+    def _prepare(self, query: Union[str, Query], proposition: bool = False):
+        """``(plan-cache entry or None, parsed query, result-cache key
+        text)``, raising the query's static errors in the reference
+        engine's order: not-a-proposition before safety."""
+        entry = None
+        if self.plans is not None:
+            entry = self.plans.entry(query, self.view, self.plan_epoch,
+                                     self._plan_token())
+            query, key_text = entry.query, entry.key
+        else:
+            query, key_text = self._resolve(query)
+        if proposition:
+            require_proposition(query)
+        if entry is None:
+            check_safety(query.formula)
+        elif entry.error is not None:
+            raise QueryError(entry.error)
+        return entry, query, key_text
 
     def evaluate(self, query: Union[str, Query]) -> Set[Tuple[str, ...]]:
         """The value {Q}, via compiled plan execution."""
-        if self.plans is not None:
-            entry = self._entry(query)
-            if entry.error is not None:
-                raise QueryError(entry.error)
-            query = entry.query
-            key_text = entry.key
-        else:
-            entry = None
-            query, key_text = self._resolve(query)
-            check_safety(query.formula)
+        entry, query, key_text = self._prepare(query)
+
         def compute():
-            if entry is not None and entry.fast is not None \
-                    and _plancache.FAST_PATH:
-                if not _obs.ENABLED:
-                    return entry.fast.evaluate(self.view)
-                with _obs.TELEMETRY.span(
-                        "query.evaluate", query=key_text,
-                        engine="compiled", fast_path=True) as span:
-                    results = entry.fast.evaluate(self.view)
-                    span.set(rows=len(results))
-                self._fast_result(entry, len(results))
-                return results
             evaluate_span = (
                 _obs.TELEMETRY.span("query.evaluate", query=str(query),
                                  engine="compiled")
                 if _obs.ENABLED else _obs.NULL_SPAN)
             with evaluate_span as span:
-                results = self._run(query, entry)
+                table = self._table(query, entry)
+                results = self._project(query, table)
+                _flush_decodes(table.codec)
                 span.set(rows=len(results))
             return results
 
@@ -1140,76 +1043,30 @@ class CompiledEvaluator(Evaluator):
                 key, lambda: frozenset(compute())))
         return compute()
 
-    def ask(self, query: Union[str, Query]) -> bool:
-        """Truth value of a proposition, via the compiled plan."""
-        return self._truth("ask", query, proposition=True)
-
-    def succeeds(self, query: Union[str, Query]) -> bool:
-        """True if the query has a non-empty value (probe predicate)."""
-        return self._truth("succeeds", query, proposition=False)
-
     def _truth(self, kind: str, query: Union[str, Query],
                proposition: bool) -> bool:
         """Shared ``ask``/``succeeds`` path: same plan cache, same
-        result cache, same fast-path routing — only the proposition
-        requirement differs.
+        result cache — only the proposition requirement differs.  A
+        non-empty final table is a non-empty answer set (projection
+        preserves emptiness), so truth queries on the id path never
+        decode a single id."""
+        entry, query, key_text = self._prepare(query, proposition)
 
-        Warm truth queries short-circuit through the plan cache's
-        verdict memo keyed on the raw text, skipping entry lookup and
-        canonicalization entirely.  The memo engages only while
-        telemetry is off and never stores errors — those raise before
-        the store-verdict call."""
-        memoizing = self._memoizes_verdicts(query)
-        if memoizing:
-            raw_text = query
-            token = self._verdict_token()
-            verdict = self.plans.cached_verdict(
-                kind, raw_text, self.plan_epoch, token)
-            if verdict is not None:
-                return verdict
-        if self.plans is not None:
-            entry = self._entry(query)
-            query = entry.query
-            key_text = entry.key
-            if proposition and not query.is_proposition:
-                raise QueryError(
-                    f"not a proposition — free variables:"
-                    f" {[v.name for v in query.variables]}")
-            if entry.error is not None:
-                raise QueryError(entry.error)
-        else:
-            entry = None
-            query, key_text = self._resolve(query)
-            if proposition and not query.is_proposition:
-                raise QueryError(
-                    f"not a proposition — free variables:"
-                    f" {[v.name for v in query.variables]}")
-            check_safety(query.formula)
         def compute():
-            if entry is not None and entry.fast is not None \
-                    and _plancache.FAST_PATH:
-                result = entry.fast.any(self.view)
-                if _obs.ENABLED:
-                    self._fast_result(entry, int(result))
-                return result
-            return self._any(query, entry)
+            table = self._table(query, entry)
+            _flush_decodes(table.codec)
+            return bool(table.rows)
 
         if self.cache is not None:
             key = (kind, key_text or str(query), self.cache_token)
-            result = self.cache.get_or_compute(key, compute)
-        else:
-            result = compute()
-        if memoizing:
-            self.plans.store_verdict(
-                kind, raw_text, self.plan_epoch, token, result)
-        return result
+            return self.cache.get_or_compute(key, compute)
+        return compute()
 
     def evaluate_with_stats(self, query: Union[str, Query]
                             ) -> Tuple[Set[Tuple[str, ...]], PlanRun]:
         """Uncached evaluation that also returns the per-operator run
-        statistics — the compiled engine's EXPLAIN ANALYZE source.
-        Always executes the full compiled plan (never the fast path)
-        with stats collection on."""
+        statistics — the compiled engine's EXPLAIN ANALYZE source
+        (always compiles afresh, with stats collection on)."""
         query, _key = self._resolve(query)
         check_safety(query.formula)
         plan = compile_query(query, self.view)
@@ -1219,30 +1076,16 @@ class CompiledEvaluator(Evaluator):
         return results, run
 
     # ------------------------------------------------------------------
-    def _run(self, query: Query,
-             entry=None) -> Set[Tuple[str, ...]]:
+    def _table(self, query: Query, entry=None) -> BindingTable:
+        """Execute the entry's (revalidated) plan, or a fresh compile
+        when no plan cache is attached."""
         if entry is not None:
             plan = self.plans.plan_for(entry, self.view,
                                        self._plan_token())
         else:
             plan = compile_query(query, self.view)
         table, _run = execute_plan(plan, self.view, collect=_obs.ENABLED)
-        results = self._project(query, table)
-        _flush_decodes(table.codec)
-        return results
-
-    def _any(self, query: Query, entry=None) -> bool:
-        """Truth of a query without projecting: a non-empty final table
-        is a non-empty answer set (projection preserves emptiness), so
-        ``ask``/``succeeds`` on the id path never decode a single id."""
-        if entry is not None:
-            plan = self.plans.plan_for(entry, self.view,
-                                       self._plan_token())
-        else:
-            plan = compile_query(query, self.view)
-        table, _run = execute_plan(plan, self.view, collect=_obs.ENABLED)
-        _flush_decodes(table.codec)
-        return bool(table.rows)
+        return table
 
     @staticmethod
     def _project(query: Query,

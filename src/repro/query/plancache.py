@@ -1,10 +1,9 @@
-"""Shape-classified plan cache and the point-read fast path.
+"""Shape-classified plan cache.
 
 The paper's browsing loop (navigate, probe, retract) is dominated by
-µs-scale single-atom queries, where the set-at-a-time executor's fixed
-costs — parse, safety check, plan lowering, binding-table setup —
-outweigh the actual probe.  This module removes all of them from the
-hot path:
+µs-scale queries, where the fixed costs in front of the executor —
+parse, safety check, plan lowering — outweigh the actual probe.  This
+module removes them from the hot path:
 
 * **Parse memo** — query text is normalized by
   :func:`~repro.query.canonical.canonical_text` and parsed at most once
@@ -16,15 +15,11 @@ hot path:
   records the store *version* it was lowered against: when the version
   moves, the plan is recompiled (fresh planner estimates, fresh
   provably-empty hints) and the ``plancache.recompiles`` counter ticks.
-* **Shape classifier + fast path** — single-atom plans (the classifier
-  shapes ``point``/``star``/``scan``) are routed to a
-  :class:`FastProbe`: a pre-bound probe that calls the interned store's
-  bisect indexes (or the hash store's positional index) directly, with
-  no binding-table setup and no per-row allocation beyond the output
-  tuples.  The binding — generation, interned constant ids, index
-  handle — is resolved once at cache-insert time and revalidated
-  against store identity and version on every call; a store mutation or
-  an interned-store compaction forces a rebind (``plancache.rebinds``).
+* **Shape classifier** — :func:`classify` labels each plan
+  (``point``/``star``/``scan``/``join``/``complex``) for observability.
+  Every shape runs through the same executor
+  (:func:`~repro.query.exec.execute_plan`); answers and verdicts are
+  memoized in one place, the database's versioned result cache.
 
 Hit/miss totals are exposed as attributes and as the
 ``plancache.hits`` / ``plancache.misses`` telemetry counters —
@@ -47,11 +42,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from ..core import deadline as _deadline
 from ..core.errors import QueryError
-from ..core.facts import Fact, Template, Variable
+from ..core.facts import Variable
 from ..obs import telemetry as _obs
 from .ast import Query
 from .canonical import canonical_text
@@ -60,14 +54,8 @@ from .compile import (AtomJoin, CompiledPlan, annotate_plan_ids,
 from .evaluate import check_safety
 from .parser import parse_query
 
-#: Process-wide switch for the single-atom fast path.  The equivalence
-#: suite flips this off to assert the routed and unrouted paths return
-#: identical answers and errors; plans stay cached either way.
-FAST_PATH = True
-
-
 def classify(plan: CompiledPlan) -> str:
-    """The plan's shape label, used for routing and observability.
+    """The plan's shape label, kept on the cache entry for observability.
 
     ``point``
         one atom, every position ground (a membership probe);
@@ -80,9 +68,6 @@ def classify(plan: CompiledPlan) -> str:
         a conjunction of atoms only;
     ``complex``
         anything with quantifiers or disjunction.
-
-    Single-atom shapes (``point``/``star``/``scan``) are eligible for
-    the :class:`FastProbe` routing; the rest run the compiled plan.
     """
     root = plan.root
     if isinstance(root, AtomJoin):
@@ -97,181 +82,10 @@ def classify(plan: CompiledPlan) -> str:
     return "complex"
 
 
-class FastProbe:
-    """A pre-bound single-atom probe: the zero-allocation fast path.
-
-    Built once at plan-cache insert time from the plan's only
-    :class:`~repro.query.compile.AtomJoin`.  The immutable parts —
-    ground components, position spec, output extraction positions,
-    repeated-variable equality checks, contributing virtual relations —
-    are resolved here; the store-dependent parts (the interned
-    generation and constant ids, or the hash store's candidate set) are
-    bound lazily and revalidated against ``(store identity, store
-    version)`` on every call, so mutations and compactions can never
-    serve a stale index.
-    """
-
-    __slots__ = ("pattern", "shape", "s", "r", "t", "spec",
-                 "out_positions", "checks", "handlers", "_bound", "_lock")
-
-    def __init__(self, pattern: Template, shape: str,
-                 out_positions: List[int],
-                 checks: List[Tuple[int, int]], handlers: list):
-        self.pattern = pattern
-        self.shape = shape
-        components = tuple(pattern)
-        self.s = components[0] \
-            if not isinstance(components[0], Variable) else None
-        self.r = components[1] \
-            if not isinstance(components[1], Variable) else None
-        self.t = components[2] \
-            if not isinstance(components[2], Variable) else None
-        self.spec = "".join(
-            letter for letter, value in (("s", self.s), ("r", self.r),
-                                         ("t", self.t))
-            if value is not None)
-        self.out_positions = out_positions
-        self.checks = checks
-        self.handlers = handlers
-        self._bound = None
-        self._lock = threading.Lock()
-
-    @classmethod
-    def build(cls, plan: CompiledPlan, view) -> Optional["FastProbe"]:
-        """A probe for a single-atom plan, or ``None`` for any other
-        shape.  Requires a safety-checked query (the caller's plan
-        cache only builds probes for entries without a cached error)."""
-        root = plan.root
-        if not isinstance(root, AtomJoin):
-            return None
-        pattern = root.formula.pattern
-        components = tuple(pattern)
-        first_occurrence = {}
-        checks: List[Tuple[int, int]] = []
-        for index, component in enumerate(components):
-            if isinstance(component, Variable):
-                if component in first_occurrence:
-                    checks.append((first_occurrence[component], index))
-                else:
-                    first_occurrence[component] = index
-        out_positions = [first_occurrence[v] for v in plan.query.variables]
-        handlers = [relation for relation in view.virtual
-                    if relation.handles(pattern)]
-        return cls(pattern, classify(plan), out_positions, checks,
-                   handlers)
-
-    # ------------------------------------------------------------------
-    # Binding (resolved at insert / first use, revalidated per call)
-    # ------------------------------------------------------------------
-    def bind(self, store) -> tuple:
-        """Resolve the probe's candidate set for ``store``.
-
-        For an interned store the generation's bisect index is walked
-        *now* — constants interned, positions resolved, facts decoded,
-        tombstones filtered, overlay merged — so later calls only
-        iterate the memoized list.  Hash stores hand out their live
-        indexed candidate set directly.  Both are safe to memoize
-        because every mutation moves ``store.version``, and
-        :meth:`_binding` revalidates ``(store identity, version)`` on
-        each call — a mutation or an interned-store compaction forces
-        a rebind (``plancache.rebinds``).
-        """
-        if getattr(store, "interned", False):
-            facts: List[Fact] = []
-            generation = store.generation
-            if generation is not None:
-                resolved = store._spec_ids(self.s, self.r, self.t)
-                if resolved is not None:
-                    fact_at = generation.fact_at
-                    removed = store._removed
-                    positions = generation.positions(*resolved)
-                    if removed:
-                        facts = [fact for fact in map(fact_at, positions)
-                                 if fact not in removed]
-                    else:
-                        facts = [fact_at(p) for p in positions]
-            if len(store._overlay):
-                facts += store._overlay.lookup(self.s, self.r, self.t)
-            bound = (store, store.version, facts)
-        else:
-            bound = (store, store.version,
-                     store.lookup(self.s, self.r, self.t))
-        with self._lock:
-            self._bound = bound
-        return bound
-
-    def _binding(self, store) -> tuple:
-        bound = self._bound
-        if bound is None or bound[0] is not store \
-                or bound[1] != store.version:
-            bound = self.bind(store)
-            if _obs.ENABLED:
-                _obs.TELEMETRY.count("plancache.rebinds")
-        return bound
-
-    def _stored_facts(self, store) -> Iterable[Fact]:
-        """Stored candidates for the pattern's ground positions, via
-        the pre-bound handle (exact up to repeated-variable checks)."""
-        return self._binding(store)[2]
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate(self, view) -> Set[Tuple[str, ...]]:
-        """The projected answer set — identical to executing the
-        compiled plan and projecting onto the query variables."""
-        if _deadline.ACTIVE:
-            _deadline.check()
-        out_positions = self.out_positions
-        checks = self.checks
-        results: Set[Tuple[str, ...]] = set()
-        add = results.add
-        if checks:
-            for fact in self._stored_facts(view.store):
-                if all(fact[i] == fact[j] for i, j in checks):
-                    add(tuple(fact[p] for p in out_positions))
-        else:
-            for fact in self._stored_facts(view.store):
-                add(tuple(fact[p] for p in out_positions))
-        if self.handlers:
-            self._merge_virtual(view, add)
-        return results
-
-    def any(self, view) -> bool:
-        """True when the answer set is non-empty (``ask`` /
-        ``succeeds``), stopping at the first witness."""
-        if _deadline.ACTIVE:
-            _deadline.check()
-        checks = self.checks
-        for fact in self._stored_facts(view.store):
-            if not checks or all(fact[i] == fact[j] for i, j in checks):
-                return True
-        if self.handlers:
-            witness: List[bool] = []
-            self._merge_virtual(view, lambda _value: witness.append(True),
-                                stop_early=True)
-            return bool(witness)
-        return False
-
-    def _merge_virtual(self, view, add, stop_early: bool = False) -> None:
-        """Fold in virtual contributions, re-checked against the
-        pattern exactly as the compiled executor's batch probe does."""
-        pattern = self.pattern
-        out_positions = self.out_positions
-        store = view.store
-        for relation in self.handlers:
-            for fact in relation.facts(pattern, store):
-                if pattern.match(fact) is not None:
-                    add(tuple(fact[p] for p in out_positions))
-                    if stop_early:
-                        return
-
-
 class PlanEntry:
     """One cached query: the parsed form, the compiled plan (or the
-    cached static :class:`~repro.core.errors.QueryError` message), the
-    shape label, and — for single-atom shapes — the pre-bound
-    :class:`FastProbe`.
+    cached static :class:`~repro.core.errors.QueryError` message) and
+    the shape label.
 
     ``token`` is the answer-version token the plan was lowered under
     (the database's ``(base version, epoch, limit)`` cache token): any
@@ -279,23 +93,19 @@ class PlanEntry:
     trust planner estimates and provably-empty hints while it matches.
     """
 
-    __slots__ = ("key", "query", "error", "plan", "token", "shape",
-                 "fast")
+    __slots__ = ("key", "query", "error", "plan", "token", "shape")
 
     def __init__(self, key: str, query: Query, error: Optional[str],
-                 plan: Optional[CompiledPlan], token,
-                 shape: str, fast: Optional[FastProbe]):
+                 plan: Optional[CompiledPlan], token, shape: str):
         self.key = key
         self.query = query
         self.error = error
         self.plan = plan
         self.token = token
         self.shape = shape
-        self.fast = fast
 
     def __repr__(self) -> str:
         return (f"PlanEntry({self.key!r}, shape={self.shape},"
-                f" fast={self.fast is not None},"
                 f" error={self.error is not None})")
 
 
@@ -319,11 +129,8 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.recompiles = 0
-        self.verdict_hits = 0
-        self.verdict_misses = 0
         self._parses: "OrderedDict[str, Query]" = OrderedDict()
         self._entries: "OrderedDict[tuple, PlanEntry]" = OrderedDict()
-        self._verdicts: dict = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -369,7 +176,7 @@ class PlanCache:
     def entry(self, query: Union[str, Query], view, epoch,
               token) -> PlanEntry:
         """The cached entry for ``query`` under configuration ``epoch``,
-        building parse + safety + plan + fast probe on a miss.
+        building parse + safety + plan on a miss.
 
         ``token`` is the caller's answer-version token (see
         :class:`PlanEntry`); it does *not* participate in the cache key
@@ -397,7 +204,6 @@ class PlanCache:
         error: Optional[str] = None
         plan: Optional[CompiledPlan] = None
         shape = "error"
-        fast: Optional[FastProbe] = None
         try:
             check_safety(parsed.formula)
         except QueryError as exc:
@@ -405,12 +211,9 @@ class PlanCache:
         if error is None:
             plan = compile_query(parsed, view)
             shape = classify(plan)
-            fast = FastProbe.build(plan, view)
-            if fast is not None:
-                fast.bind(view.store)
             if getattr(view.store, "interned", False):
                 annotate_plan_ids(plan, view.store)
-        entry = PlanEntry(key, parsed, error, plan, token, shape, fast)
+        entry = PlanEntry(key, parsed, error, plan, token, shape)
         with self._lock:
             self._entries[cache_key] = entry
             while len(self._entries) > self.maxsize:
@@ -441,39 +244,6 @@ class PlanCache:
         return plan
 
     # ------------------------------------------------------------------
-    # Verdict memo (ask / succeeds)
-    # ------------------------------------------------------------------
-    def cached_verdict(self, kind: str, text: str, epoch, token):
-        """The memoized boolean for ``ask``/``succeeds`` on ``text``,
-        or ``None`` on a miss.
-
-        Verdicts skip even the plan-entry lookup and canonicalization —
-        the dominant fixed costs of a warm truth query — keyed on the
-        raw query text.  Reads are lock-free (a GIL-atomic dict get);
-        staleness is impossible because the stored value carries the
-        epoch and answer-version token it was computed under, and both
-        must match exactly.  Disabled while :data:`FAST_PATH` is off so
-        the equivalence suite always exercises the real paths.
-        """
-        if not FAST_PATH:
-            return None
-        stored = self._verdicts.get((kind, text))
-        if stored is not None and stored[0] == epoch \
-                and stored[1] == token:
-            self.verdict_hits += 1
-            return stored[2]
-        self.verdict_misses += 1
-        return None
-
-    def store_verdict(self, kind: str, text: str, epoch, token,
-                      verdict: bool) -> None:
-        """Memoize a computed truth value under its epoch + token."""
-        verdicts = self._verdicts
-        if len(verdicts) >= 4 * self.maxsize:
-            verdicts.clear()  # crude, rare: tokens churn entries anyway
-        verdicts[(kind, text)] = (epoch, token, verdict)
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _count(hit: bool) -> None:
         if _obs.ENABLED:
@@ -481,12 +251,10 @@ class PlanCache:
                 "plancache.hits" if hit else "plancache.misses")
 
     def clear(self) -> None:
-        """Drop every parse, plan, and verdict entry (statistics are
-        kept)."""
+        """Drop every parse and plan entry (statistics are kept)."""
         with self._lock:
             self._parses.clear()
             self._entries.clear()
-            self._verdicts.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -498,11 +266,8 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "recompiles": self.recompiles,
-                "verdict_hits": self.verdict_hits,
-                "verdict_misses": self.verdict_misses,
                 "entries": len(self._entries),
                 "parses": len(self._parses),
-                "verdicts": len(self._verdicts),
                 "maxsize": self.maxsize,
             }
 

@@ -81,6 +81,41 @@ _POOL_READS = frozenset(
     {"query", "ask", "match", "navigate", "try", "probe", "db_stats"})
 
 
+#: Request fields that must be JSON strings when present.
+_STRING_FIELDS = ("query", "pattern", "entity", "rule", "name", "text")
+
+
+def _check_fields(request: Dict[str, Any]) -> None:
+    """Reject wrongly typed request fields before anything consumes
+    them: past this point a ``null`` pattern or a numeric query would
+    surface as an ``AttributeError`` deep in the parser (killing the
+    handler thread), a string ``fact`` would be unpacked character by
+    character, and a bad ``n`` would only fail inside the writer."""
+    def bad(name: str, expected: str) -> ServiceError:
+        return ServiceError(f"bad request: {name!r} must be {expected}")
+
+    for name in _STRING_FIELDS:
+        if name in request and not isinstance(request[name], str):
+            raise bad(name, "a string")
+    if "fact" in request:
+        fact = request["fact"]
+        if not isinstance(fact, list) or len(fact) != 3 \
+                or not all(isinstance(part, str) for part in fact):
+            raise bad("fact", "a list of three strings")
+    # bool is an int subclass, but ``true`` is neither a limit nor a
+    # number of seconds.
+    n = request.get("n")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise bad("n", "an integer or null")
+    deadline = request.get("deadline")
+    if deadline is not None and (not isinstance(deadline, (int, float))
+                                 or isinstance(deadline, bool)):
+        raise bad("deadline", "a number or null")
+    trace = request.get("trace")
+    if trace is not None and not isinstance(trace, dict):
+        raise bad("trace", "an object")
+
+
 def _rows(result) -> list:
     """A set of tuples as a deterministic JSON value."""
     return sorted(list(row) for row in result)
@@ -268,6 +303,7 @@ class ServiceServer:
             request = json.loads(line)
             if not isinstance(request, dict):
                 raise ServiceError("request must be a JSON object")
+            _check_fields(request)
             ctx = TraceContext.from_wire(request.get("trace"))
             if ctx is None:
                 result = _dispatch(self.service, request, self.pool, state)

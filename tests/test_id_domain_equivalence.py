@@ -158,6 +158,20 @@ def _random_formula(rng, entities, relationships,
     return forall(QUANTIFIED, body)
 
 
+def _single_atoms(rng, entities, relationships):
+    """Single-atom plans that drive both leaves of the join skeleton
+    on their awkward shapes: a repeated new variable (equality checked
+    natively on ids, by re-match on strings) and the trigger relation
+    ``≺`` open, source-bound and target-bound (virtual reflexive and
+    endpoint facts merged per key)."""
+    return [
+        atom(X, rng.choice(relationships), X),
+        atom(X, "≺", Y),
+        atom(rng.choice(entities), "≺", Y),
+        atom(X, "≺", rng.choice(entities)),
+    ]
+
+
 def _outcome(evaluator, query):
     try:
         return ("value", evaluator.evaluate(query))
@@ -176,8 +190,9 @@ def test_engines_and_domains_agree(variant, seed, id_domain):
     reference = Evaluator(view)
     twin_reference = Evaluator(twin)
     rng = random.Random(f"{variant}-{seed}")
-    for _ in range(QUERIES_PER_CASE):
-        formula = _random_formula(rng, entities, relationships)
+    formulas = [_random_formula(rng, entities, relationships)
+                for _ in range(QUERIES_PER_CASE)]
+    for formula in formulas + _single_atoms(rng, entities, relationships):
         query = Query.of(formula)
         expected = _outcome(reference, query)
         # The representation itself must be unobservable too.

@@ -1,11 +1,11 @@
-"""Plan cache + point-read fast path (ISSUE 8).
+"""Plan cache (ISSUE 8) and the single-atom shapes it serves.
 
-Covers the tentpole surfaces: canonical-text keying, the shape
-classifier, parse/compile caching shared across ``query``/``ask``/
-``succeeds``, the invalidation matrix (store version bump → recompile,
-rule/view redefinition → new epoch entries, interned-store compaction →
-fast-probe rebind), and a seeded randomized equivalence run with the
-fast path forced on and off.
+Covers canonical-text keying, the shape classifier, parse/compile
+caching shared across ``query``/``ask``/``succeeds``, the invalidation
+matrix (store version bump → recompile, rule/view redefinition → new
+epoch entries, interned-store compaction → cached plan re-annotated),
+a seeded randomized compiled-vs-reference run over single-atom
+queries, and verdict caching in the versioned result cache.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from repro.datasets import books
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
 from repro.query import CompiledEvaluator, Evaluator, parse_query
-from repro.query import plancache as _plancache
+from repro.query import exec as qexec
 from repro.query.canonical import canonical_text
 from repro.query.compile import compile_query
-from repro.query.plancache import FastProbe, PlanCache, classify
+from repro.query.plancache import PlanCache, classify
 
 
 @pytest.fixture
@@ -34,15 +34,6 @@ def employees():
         database.add(f"EMP{index}", "WORKS-FOR", f"DEPT{index % 3}")
         database.add(f"EMP{index}", "EARNS", f"${20000 + 1000 * index}")
     return database
-
-
-@pytest.fixture
-def fast_path_off():
-    _plancache.FAST_PATH = False
-    try:
-        yield
-    finally:
-        _plancache.FAST_PATH = True
 
 
 # ----------------------------------------------------------------------
@@ -88,17 +79,6 @@ class TestClassify:
         for text, expected in cases.items():
             assert classify(self._plan(employees, text)) == expected, text
 
-    def test_single_atom_shapes_build_a_fast_probe(self, employees):
-        view = employees.view()
-        for text in ("(EMP0, ∈, EMPLOYEE)", "(x, ∈, EMPLOYEE)",
-                     "(x, r, t)", "(x, CITES, x)"):
-            plan = compile_query(parse_query(text), view)
-            assert FastProbe.build(plan, view) is not None, text
-        for text in ("(x, ∈, EMPLOYEE) and (x, EARNS, s)",
-                     "exists y: (x, EARNS, y)"):
-            plan = compile_query(parse_query(text), view)
-            assert FastProbe.build(plan, view) is None, text
-
 
 # ----------------------------------------------------------------------
 # Cache behavior
@@ -129,15 +109,15 @@ class TestPlanCacheBasics:
     def test_repeated_ask_does_zero_parse_and_compile_work(self,
                                                            employees):
         """Regression for the ISSUE satellite: N repeated ``ask`` calls
-        cost one parse + compile; repeats short-circuit through the
-        verdict memo without even an entry lookup."""
+        cost one parse + compile; repeats are plan-cache hits answered
+        from the result cache."""
         text = "(EMP3, WORKS-FOR, DEPT0)"
         base = employees.stats()["plan_cache"]
         for _ in range(10):
             assert employees.ask(text) is True
         stats = employees.stats()["plan_cache"]
         assert stats["misses"] - base["misses"] == 1
-        assert stats["verdict_hits"] - base["verdict_hits"] == 9
+        assert stats["hits"] - base["hits"] == 9
         assert stats["recompiles"] == base["recompiles"]
 
     def test_obs_counters_emitted(self, employees):
@@ -268,31 +248,24 @@ class TestInvalidation:
         database.exclude("lift")
         assert database.query(text) == set()
 
-    def test_compaction_rebinds_the_fast_probe(self, employees):
+    def test_cached_plan_survives_compaction(self, employees):
+        """A plan lowered over the hash store keeps serving after
+        ``compact_store()``: the same entry, re-annotated with the new
+        generation's ids on its next execution."""
         text = "(EMP0, ∈, EMPLOYEE)"
         assert employees.ask(text)
         cache = employees._plan_cache
         entry = next(iter(cache._entries.values()))
-        assert entry.fast is not None
-        bound_store = entry.fast._bound[0]
+        assert entry.plan.root.id_ann is None
         employees.compact_store()
         # Compaction preserves store versions, so the result cache
-        # and verdict memo would serve the repeat; clear both to drive
-        # the probe itself.
+        # would serve the repeat; clear it to drive the executor.
         employees._result_cache.clear()
-        cache._verdicts.clear()
-        assert employees.ask(text)      # same answer through the rebind
-        assert entry.fast._bound[0] is not bound_store
-        assert getattr(entry.fast._bound[0], "interned", False)
-
-    def test_compaction_rebind_is_counted(self, employees):
-        employees.ask("(EMP1, ∈, EMPLOYEE)")
-        employees.compact_store()
-        employees._result_cache.clear()   # drive the probe, not the
-        employees._plan_cache._verdicts.clear()  # versioned caches
-        with use_telemetry(Telemetry()) as telemetry:
-            employees.ask("(EMP1, ∈, EMPLOYEE)")
-        assert telemetry.counters.get("plancache.rebinds", 0) >= 1
+        before = cache.stats()
+        assert employees.ask(text)
+        assert cache.stats()["misses"] == before["misses"]
+        generation = employees.view().store.generation
+        assert entry.plan.root.id_ann.generation is generation
 
     def test_interned_overlay_and_tombstones_through_fast_path(
             self, employees):
@@ -307,11 +280,12 @@ class TestInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Fast path ↔ compiled plan ↔ reference equivalence
+# Single-atom plans: compiled ↔ reference equivalence
 # ----------------------------------------------------------------------
 def _single_atom_queries(rng, entities, relationships, count=14):
-    """Texts biased toward fast-path shapes: ground, half-ground, and
-    repeated-variable single atoms (plus the odd unsafe spelling)."""
+    """Texts biased toward the ``point``/``star``/``scan`` shapes:
+    ground, half-ground, and repeated-variable single atoms (plus the
+    odd unsafe spelling)."""
     queries = []
     variables = ("x", "y")
     for _ in range(count):
@@ -337,10 +311,14 @@ def _outcome(callable_, *args):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_fast_path_equivalence(seed):
-    """12-seed randomized run: answers and QueryError messages are
-    identical with the fast path on, off, and against the reference
-    engine — over hash and interned stores."""
+def test_fast_path_equivalence(seed, monkeypatch):
+    """12-seed randomized run over single-atom queries (the shapes a
+    dedicated fast path used to absorb; they now run the one executor):
+    answers, verdicts and QueryError messages of the compiled engine
+    equal the reference engine's over the hash store, the interned
+    store, and an interned store with overlay facts and tombstones —
+    in the id and the string domain, cold and again through the warm
+    plan cache."""
     rng = random.Random(f"fastpath-{seed}")
     database = books.load()
     view = database.view()
@@ -349,41 +327,43 @@ def test_fast_path_equivalence(seed):
     relationships = sorted({fact.relationship for fact in view.store})
     queries = _single_atom_queries(rng, entities, relationships)
 
-    interned = books.load().compact_store()
-    views = [view, interned.view()]
-    reference = Evaluator(view)
-    assert _plancache.FAST_PATH
-    try:
-        for text in queries:
-            expected = _outcome(reference.evaluate, text)
-            for probe_view in views:
-                fast = CompiledEvaluator(probe_view, plans=PlanCache())
-                _plancache.FAST_PATH = True
-                with_fast = _outcome(fast.evaluate, text)
-                slow = CompiledEvaluator(probe_view, plans=PlanCache())
-                _plancache.FAST_PATH = False
-                without_fast = _outcome(slow.evaluate, text)
-                assert with_fast == expected, (seed, text)
-                assert without_fast == expected, (seed, text)
-                if expected[0] == "value":
-                    _plancache.FAST_PATH = True
-                    assert fast.succeeds(text) \
-                        == reference.succeeds(text), (seed, text)
-    finally:
-        _plancache.FAST_PATH = True
+    def churn(db):
+        """The same seeded adds + removes, applied to each churned
+        database (base facts sorted: set order is not stable)."""
+        churn_rng = random.Random(f"fastpath-churn-{seed}")
+        base = sorted(db.facts, key=tuple)
+        for fact in churn_rng.sample(base, 3):
+            db.remove_fact(fact)
+        for _ in range(3):
+            db.add(churn_rng.choice(entities),
+                   churn_rng.choice(relationships),
+                   churn_rng.choice(entities))
+        return db
 
-
-def test_fast_path_off_still_caches_plans(employees, fast_path_off):
-    employees.query("(x, ∈, EMPLOYEE)")
-    before = employees.stats()["plan_cache"]
-    employees.query("(x, ∈, EMPLOYEE)")
-    after = employees.stats()["plan_cache"]
-    assert after["hits"] == before["hits"] + 1
+    reference_db = churn(books.load())
+    overlay_db = churn(books.load().compact_store())
+    assert len(overlay_db.view().store._overlay)
+    cases = [
+        (Evaluator(view), view),
+        (Evaluator(view), books.load().compact_store().view()),
+        (Evaluator(reference_db.view()), overlay_db.view()),
+    ]
+    for id_domain in (True, False):
+        monkeypatch.setattr(qexec, "ID_DOMAIN", id_domain)
+        for reference, probe_view in cases:
+            compiled = CompiledEvaluator(probe_view, plans=PlanCache())
+            for text in queries + queries:      # second lap: warm plans
+                expected = _outcome(reference.evaluate, text)
+                assert _outcome(compiled.evaluate, text) == expected, \
+                    (seed, id_domain, text)
+                assert _outcome(compiled.succeeds, text) \
+                    == _outcome(reference.succeeds, text), \
+                    (seed, id_domain, text)
 
 
 def test_fast_path_slowlog_autopsy(employees):
-    """The service's slow-query log sees fast-path executions as a
-    one-operator ``fast-probe`` plan."""
+    """The service's slow-query log sees a single-atom read as a
+    one-operator ``atom-join`` plan — the same executor as any join."""
     from repro.obs import LAST_REQUEST
     from repro.obs.slowlog import plan_summary
 
@@ -392,12 +372,13 @@ def test_fast_path_slowlog_autopsy(employees):
         employees.query("(EMP0, r, t)")
     summary = plan_summary(LAST_REQUEST.run)
     assert summary is not None
-    assert summary["operators"][0]["op"] == "fast-probe"
+    assert [row["op"] for row in summary["operators"]] == ["atom-join"]
+    assert summary["operators"][0]["out_rows"] == 3
 
 
 def test_virtual_relations_through_fast_path(employees):
     """Single-atom queries over virtual relationships (≠, comparators)
-    merge computed facts exactly like the batch probe."""
+    see the computed facts, as the reference engine does."""
     assert employees.ask("(EMP0, ≠, EMP1)")
     assert not employees.ask("(EMP0, ≠, EMP0)")
     reference = Evaluator(employees.view())
@@ -406,56 +387,53 @@ def test_virtual_relations_through_fast_path(employees):
 
 
 # ----------------------------------------------------------------------
-# Verdict memo (ask / succeeds short-circuit)
+# Verdicts live in one cache: the versioned result LRU
 # ----------------------------------------------------------------------
 class TestVerdictMemo:
     def test_repeated_truth_queries_hit_the_memo(self, employees):
         assert employees.ask("(EMP0, ∈, EMPLOYEE)") is True
-        hits_before = employees._plan_cache.verdict_hits
+        hits_before = employees.stats()["result_cache"]["hits"]
         assert employees.ask("(EMP0, ∈, EMPLOYEE)") is True
-        assert employees._plan_cache.verdict_hits > hits_before
+        assert employees.stats()["result_cache"]["hits"] == hits_before + 1
         assert employees.succeeds("(x, ∈, EMPLOYEE)") is True
-        hits_before = employees._plan_cache.verdict_hits
+        hits_before = employees.stats()["result_cache"]["hits"]
         assert employees.succeeds("(x, ∈, EMPLOYEE)") is True
-        assert employees._plan_cache.verdict_hits > hits_before
+        assert employees.stats()["result_cache"]["hits"] == hits_before + 1
 
     def test_mutation_moves_the_token(self, employees):
         assert employees.ask("(GHOST, ∈, EMPLOYEE)") is False
         employees.add("GHOST", "∈", "EMPLOYEE")
         assert employees.ask("(GHOST, ∈, EMPLOYEE)") is True
 
-    def test_memo_disabled_with_fast_path_off(self, employees,
-                                              fast_path_off):
-        employees.ask("(EMP0, ∈, EMPLOYEE)")
-        hits_before = employees._plan_cache.verdict_hits
-        employees.ask("(EMP0, ∈, EMPLOYEE)")
-        assert employees._plan_cache.verdict_hits == hits_before
-
-    def test_memo_disabled_while_observing(self, employees):
-        employees.ask("(EMP0, ∈, EMPLOYEE)")
-        hits_before = employees._plan_cache.verdict_hits
-        with use_telemetry(Telemetry()):
-            employees.ask("(EMP0, ∈, EMPLOYEE)")
-        assert employees._plan_cache.verdict_hits == hits_before
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_one_execution_one_hit_with_telemetry_on_and_off(
+            self, employees, observed):
+        """``ask`` twice = one execution + one result-cache hit,
+        whether or not telemetry is watching."""
+        text = "(EMP0, ∈, EMPLOYEE)"
+        before = employees.stats()["result_cache"]
+        if observed:
+            with use_telemetry(Telemetry()) as telemetry:
+                assert employees.ask(text) and employees.ask(text)
+            assert telemetry.counters["exec.plans"] == 1
+            assert telemetry.counters["cache.hits"] == 1
+            assert telemetry.counters["cache.misses"] == 1
+        else:
+            assert employees.ask(text) and employees.ask(text)
+        after = employees.stats()["result_cache"]
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 1
 
     def test_errors_are_never_memoized(self, employees):
         for _ in range(2):
             with pytest.raises(QueryError):
                 employees.ask("(x, ∈, EMPLOYEE)")  # not a proposition
 
-    def test_stats_expose_verdict_counters(self, employees):
-        employees.ask("(EMP0, ∈, EMPLOYEE)")
-        employees.ask("(EMP0, ∈, EMPLOYEE)")
-        stats = employees.stats()["plan_cache"]
-        assert stats["verdict_hits"] >= 1
-        assert stats["verdict_misses"] >= 1
-        assert stats["verdicts"] >= 1
-
     def test_reference_engine_memoizes_too(self):
         db = Database(query_engine="reference")
         for index in range(4):
             db.add(f"EMP{index}", "∈", "EMPLOYEE")
         assert db.succeeds("(x, ∈, EMPLOYEE)") is True
-        hits_before = db._plan_cache.verdict_hits
+        hits_before = db.stats()["result_cache"]["hits"]
         assert db.succeeds("(x, ∈, EMPLOYEE)") is True
-        assert db._plan_cache.verdict_hits > hits_before
+        assert db.stats()["result_cache"]["hits"] == hits_before + 1

@@ -193,6 +193,48 @@ class TestErrorPropagation:
             sock.sendall(request + padding + b"\n")
             assert json.loads(sock.makefile("rb").readline())["ok"] is True
 
+    @pytest.mark.parametrize("request_,field", [
+        ({"op": "navigate", "pattern": None}, "pattern"),
+        ({"op": "match", "pattern": 7}, "pattern"),
+        ({"op": "query", "query": 5}, "query"),
+        ({"op": "probe", "query": None}, "query"),
+        ({"op": "try", "entity": ["JOHN"]}, "entity"),
+        ({"op": "include", "rule": 3}, "rule"),
+        ({"op": "rule", "name": 1, "text": "(a, R, b) => (b, R, a)"},
+         "name"),
+        ({"op": "add", "fact": "abc"}, "fact"),
+        ({"op": "add", "fact": ["A", "B"]}, "fact"),
+        ({"op": "remove", "fact": ["A", "B", 3]}, "fact"),
+        ({"op": "limit", "n": "x"}, "n"),
+        ({"op": "limit", "n": True}, "n"),
+        ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "deadline": "1"},
+         "deadline"),
+        ({"op": "ping", "trace": "zzz"}, "trace"),
+        ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "trace": [1]},
+         "trace"),
+    ], ids=lambda value: value if isinstance(value, str) else value["op"])
+    def test_wrongly_typed_field_gets_typed_reply(self, served, request_,
+                                                  field):
+        """Every wrongly typed field is answered with a ``bad request``
+        ServiceError naming it — never a dead handler thread (EOF), an
+        accepted garbage write, or a ``writer failed`` — and the same
+        connection still answers a ping."""
+        service, (host, port) = served
+        facts_before = service.query("(x, y, z)")
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            handle = sock.makefile("rw", encoding="utf-8")
+            handle.write(json.dumps(request_) + "\n")
+            handle.flush()
+            response = json.loads(handle.readline())
+            assert response["ok"] is False
+            assert response["error"] == "ServiceError"
+            assert response["message"].startswith("bad request: ")
+            assert repr(field) in response["message"]
+            handle.write(json.dumps({"op": "ping"}) + "\n")
+            handle.flush()
+            assert json.loads(handle.readline())["ok"] is True
+        assert service.query("(x, y, z)") == facts_before
+
     def test_missing_field_is_reported(self, served):
         _, (host, port) = served
         with ServiceClient(host, port) as client:

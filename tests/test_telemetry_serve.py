@@ -159,11 +159,8 @@ class TestMetricsSurface:
         # Replica-side series prove worker snapshots were merged in.
         assert counters.get("replica.reads", 0) >= 3
         # The versioned result cache dedupes repeats, so plan
-        # executions trail requests — but at least one ran (a
-        # single-atom query may route to the point-read fast path
-        # instead of full plan execution).
-        assert (counters.get("exec.plans", 0)
-                + counters.get("exec.fast_path", 0)) >= 1
+        # executions trail requests — but at least one ran.
+        assert counters.get("exec.plans", 0) >= 1
         latency = snapshot["histograms"]["serve.request_seconds.query"]
         assert latency["count"] >= 3
 
@@ -387,7 +384,7 @@ class TestSpineUnderThreads:
         assert counters["probe.requests"] == reads // 2
         assert counters["serve.ops_applied"] == self.WRITES
         assert counters["cache.hits"] + counters["cache.misses"] \
-            + counters["cache.coalesced"] >= reads
+            + counters.get("cache.coalesced", 0) >= reads
         histograms = snapshot["histograms"]
         assert histograms["serve.request_seconds.query"]["count"] \
             + histograms["serve.request_seconds.probe"]["count"] == reads
