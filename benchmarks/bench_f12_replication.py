@@ -49,6 +49,32 @@ from repro.db import Database
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.serve import DatabaseService, ReplicaPool
 
+#: Stamped into the document's ``config``: which cells mean something
+#: else than in documents written before primary-first pool routing.
+NOTES = [
+    "pool-read cells: the primary now serves whichever read finds it"
+    " idle and the other client threads spill to the workers, so"
+    " ops_per_second is primary + workers together (it was workers"
+    " only) and fallback_reads counts only reads that wanted a worker"
+    " and found none eligible.",
+    "bootstrap-* cells: the read burst is one sequential client, which"
+    " is now primary-served; ops_per_second there no longer times a"
+    " replica round trip (bootstrap_seconds and the worker_rss columns"
+    " are unchanged in meaning).",
+    "failover: the probing reads are one sequential client and are now"
+    " primary-served, so fallback_reads stays 0 unless a read spills"
+    " during the outage.",
+    "observed pass: its sequential reads are primary-served; the"
+    " stamped metrics show serve.pool.primary_reads where they showed"
+    " serve.pool.replica_reads.",
+    "Every service is built with the shipped defaults: the"
+    " replication-lag and observed passes write through add_async and"
+    " get the default 2 ms batch_window, as before.",
+    "bootstrap-* rows at 1 000 000 facts (PR 7's 1-core, 135 GB host)"
+    " are kept in docs/measurements/pr18/BENCH_replication.pr17-1M.json;"
+    " a 16 GB host has to pass --bootstrap-facts 120000.",
+]
+
 
 # ----------------------------------------------------------------------
 # Read scaling
@@ -57,7 +83,8 @@ def run_pool_readers(pool: ReplicaPool, queries: List[str],
                      client_threads: int,
                      ops_per_thread: int) -> Dict[str, object]:
     """``client_threads`` parent threads issuing reads through the
-    pool; evaluation happens in the replica processes."""
+    pool; whichever finds the primary idle is evaluated there, the
+    rest in the replica processes."""
     latencies: List[List[float]] = [[] for _ in range(client_threads)]
     errors: List[BaseException] = []
     barrier = threading.Barrier(client_threads + 1)
@@ -199,7 +226,8 @@ def run_failover(service: DatabaseService,
                 and stats["respawns"] > before["respawns"]
                 and stats["max_lag"] == 0):
             break
-        # Reads keep working throughout (primary fallback).
+        # Reads keep working throughout (the primary serves a lone
+        # reader first anyway).
         pool.ask("(FAILOVER, ∈, C2)")
         time.sleep(0.01)
     recovery = time.perf_counter() - started
@@ -330,7 +358,7 @@ def run_observed_pass(depth: int, fanout: int, instances: int,
     with use_telemetry(Telemetry()):
         db = build_database(depth, fanout, instances)
         queries = query_mix(db, 48)
-        service = DatabaseService(db, batch_window=0.002)
+        service = DatabaseService(db)
         pool = ReplicaPool(service, workers=workers)
         try:
             tickets = [service.add_async((f"OBS{i}", "∈", "C3"))
@@ -398,7 +426,7 @@ def run_matrix(quick: bool = False,
 
     # Lag distribution + failover on one shared pool.
     db = build_database(depth, fanout, instances)
-    service = DatabaseService(db, batch_window=0.002)
+    service = DatabaseService(db)
     pool = ReplicaPool(service, workers=max(worker_counts))
     try:
         rows.append(run_lag(service, pool, lag_writes))
@@ -504,7 +532,9 @@ def main(argv=None) -> int:
     write_bench_json(
         options.output, "F12-replication", rows, summary=summary,
         config={"quick": options.quick,
-                "start_method": options.start_method},
+                "start_method": options.start_method,
+                "bootstrap_facts": options.bootstrap_facts,
+                "notes": NOTES},
         metrics=snapshot)
     print(f"wrote {options.output}: {len(rows)} cells;"
           f" scaling {summary['scaling_vs_one_worker']}x"

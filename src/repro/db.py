@@ -157,6 +157,8 @@ class Database:
         self._hierarchy_bound: Optional[GeneralizationLattice] = None
         self._hierarchy_shared = False
         self._hierarchy_isa = -1
+        # Insertions since the last hierarchy() may have derived ≺ facts.
+        self._hierarchy_stale = False
         self._hierarchy_rebuilds = 0
         self._hierarchy_patches = 0
         # Versioned result cache for repeated queries and navigation
@@ -219,7 +221,9 @@ class Database:
                 self._full_result = None
             self._lazy_engine = None
             self._view = None
-            self._maintain_hierarchy(deletion=False)
+            # New ≺ facts are patched into the lattice by the next
+            # hierarchy(), once for however many insertions came first.
+            self._hierarchy_stale = True
         else:
             self._invalidate()
         if self.auto_check:
@@ -252,42 +256,10 @@ class Database:
             return False
         return True
 
-    def _maintain_hierarchy(self, deletion: bool) -> None:
-        """Keep the cached generalization lattice consistent across an
-        incremental closure update.
-
-        The check is O(1): insertions only ever *grow* the standard
-        closure's ``≺`` fact set and Delete/Rederive only ever shrinks
-        it, so comparing the indexed ``≺`` count against the count the
-        lattice was built at detects any change exactly.  Unchanged
-        count → the mutation touched no generalization/synonym fact and
-        the lattice stays as is (the common case this exists for).
-        New ``≺`` facts are diffed against the lattice's ingested-pair
-        set and patched in; deletions drop the lattice for a lazy
-        rebuild.
-        """
-        lattice = self._hierarchy
-        if lattice is None:
-            return
-        store = self._standard_result.store
-        count = store.count_estimate(ISA_PATTERN)
-        if count == self._hierarchy_isa:
-            return
-        if deletion:
-            self._hierarchy = None
-            self._hierarchy_bound = None
-            self._hierarchy_isa = -1
-            return
-        if self._hierarchy_shared:
-            # Published snapshots hold this structure: patch a copy.
-            lattice = lattice.structural_copy()
-            self._hierarchy = lattice
-            self._hierarchy_bound = None
-            self._hierarchy_shared = False
-        lattice.add_isa_pairs(
-            (f.source, f.target) for f in store.match(ISA_PATTERN))
-        self._hierarchy_isa = count
-        self._hierarchy_patches += 1
+    def _isa_count(self) -> int:
+        """How many ``≺`` facts the standard closure holds (an index
+        length, O(1))."""
+        return self._standard_result.store.count_estimate(ISA_PATTERN)
 
     def add_facts(self, new_facts: Iterable[Fact]) -> int:
         """Add many facts; returns the number actually new."""
@@ -303,14 +275,21 @@ class Database:
         if not self._base.discard(old_fact):
             return False
         if self._can_extend_incrementally(old_fact):
+            isa_before = self._isa_count()
             delete_with_rederivation(
                 self._standard_result, self._base, old_fact,
-                list(self.rules), self.rule_context())
+                list(self.rules), self.rule_context(),
+                pivoted=self.rules.pivoted())
             if self._full_result is not self._standard_result:
                 self._full_result = None
             self._lazy_engine = None
             self._view = None
-            self._maintain_hierarchy(deletion=True)
+            if self._isa_count() != isa_before:
+                # The lattice cannot un-ingest a pair: drop it, and the
+                # next hierarchy() rebuilds.
+                self._hierarchy = None
+                self._hierarchy_bound = None
+                self._hierarchy_isa = -1
         else:
             self._invalidate()
         if self._on_mutation is not None:
@@ -360,10 +339,18 @@ class Database:
         This is the publication primitive of
         :class:`repro.serve.DatabaseService`: the single writer mutates
         the master database, then publishes ``master.snapshot()`` for
-        readers to use lock-free.  Lazy caches on a snapshot (view,
-        hierarchy, full closure) are benignly racy — concurrent readers
-        may compute one twice, but every computed value is identical;
-        the service warms them before publishing.
+        readers to use lock-free.  The generalization lattice is not
+        copied: if this database holds one (``hierarchy()`` was called
+        since the last ``≺`` deletion), the clone shares its structure
+        and this database switches to copy-on-patch; if it holds none,
+        the clone builds its own on its first probe.  The service
+        therefore warms ``view()`` *and* ``hierarchy()`` on the master
+        before every snapshot, and binds both on the clone, so a
+        published snapshot never rebuilds
+        (``stats()["hierarchy"]["rebuilds"] == 0``).  Whatever lazy
+        cache a snapshot still has to fill is benignly racy —
+        concurrent readers may compute it twice, but every computed
+        value is identical.
         """
         from .views import ViewCatalog
 
@@ -395,6 +382,7 @@ class Database:
         clone._hierarchy = self._hierarchy
         clone._hierarchy_bound = None
         clone._hierarchy_isa = self._hierarchy_isa
+        clone._hierarchy_stale = self._hierarchy_stale
         clone._hierarchy_shared = self._hierarchy is not None
         clone._hierarchy_rebuilds = 0
         clone._hierarchy_patches = 0
@@ -650,10 +638,12 @@ class Database:
     def hierarchy(self) -> GeneralizationLattice:
         """The generalization lattice of the closure.
 
-        Built lazily and then *maintained*: insertions deriving new
-        ``≺`` facts patch the structure in place, mutations that touch
-        no generalization/synonym fact leave it untouched, and the
-        structure survives ``compact_store()`` and snapshot
+        Built lazily and then *maintained*: new ``≺`` facts derived by
+        insertions since the last call are patched into the structure
+        here, in one pass however many insertions there were; mutations
+        that touch no generalization/synonym fact leave it untouched; a
+        deletion that removes a ``≺`` fact drops it for a rebuild here;
+        and the structure survives ``compact_store()`` and snapshot
         publication (snapshots share it copy-on-patch).  Returns a view
         bound to the current closure store, so ``knows`` and
         ``closest_known`` always see the live active domain.
@@ -663,9 +653,27 @@ class Database:
             self._hierarchy = GeneralizationLattice.from_store(store)
             self._hierarchy_bound = None
             self._hierarchy_shared = False
-            self._hierarchy_isa = self.standard_closure().store \
-                .count_estimate(ISA_PATTERN)
+            self._hierarchy_isa = self._isa_count()
             self._hierarchy_rebuilds += 1
+        elif self._hierarchy_stale \
+                and self._isa_count() != self._hierarchy_isa:
+            # Insertions only ever grow the closure's ≺ set (a deletion
+            # that shrinks it drops the lattice), so a count other than
+            # the one ingested means new pairs: patch them in, once for
+            # however many insertions there were since the last call.
+            lattice = self._hierarchy
+            if self._hierarchy_shared:
+                # Published snapshots hold this structure: patch a copy.
+                lattice = lattice.structural_copy()
+                self._hierarchy = lattice
+                self._hierarchy_bound = None
+                self._hierarchy_shared = False
+            lattice.add_isa_pairs(
+                (f.source, f.target) for f in
+                self._standard_result.store.match(ISA_PATTERN))
+            self._hierarchy_isa = self._isa_count()
+            self._hierarchy_patches += 1
+        self._hierarchy_stale = False
         bound = self._hierarchy_bound
         if bound is None or bound.store is not store \
                 or not bound.shares_core(self._hierarchy):

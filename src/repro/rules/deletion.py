@@ -26,7 +26,8 @@ proportional to the deleted fact's "cone of influence".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple)
 
 from ..core.facts import Fact, Template
 from ..core.store import FactStore
@@ -35,7 +36,6 @@ from .engine import (
     Justification,
     _checkable,
     _fire,
-    _pivoted_rules,
     _premises,
     _semi_naive_rounds,
 )
@@ -53,7 +53,9 @@ class DeletionStats:
 
 def delete_with_rederivation(result: ClosureResult, base: FactStore,
                              deleted: Fact, rules: Sequence[Rule],
-                             context: RuleContext) -> DeletionStats:
+                             context: RuleContext,
+                             pivoted: Sequence[Tuple[Rule, Rule]]
+                             ) -> DeletionStats:
     """Maintain a closure under deletion of one base fact.
 
     Args:
@@ -62,6 +64,9 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         deleted: the base fact that was removed.
         rules: the enabled rules.
         context: guard context.
+        pivoted: the rules' pivot reorderings
+            (:func:`~repro.rules.engine._pivoted_rules`;
+            :meth:`RuleRegistry.pivoted` caches them).
 
     The closure's provenance map (if any) is pruned of endangered
     facts; rederived facts get fresh justifications.
@@ -78,7 +83,6 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
     # endangered too.
     endangered: Set[Fact] = {deleted}
     delta: List[Fact] = [deleted]
-    pivoted = _pivoted_rules(rules)
     while delta:
         delta_store = FactStore(delta)
         fresh: List[Fact] = []
@@ -124,7 +128,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
     if rederived:
         before = len(store)
         result.iterations += _semi_naive_rounds(
-            store, FactStore(rederived), rules, context,
+            store, FactStore(rederived), pivoted, context,
             result.rule_firings, provenance=result.provenance)
         stats.propagated = len(store) - before
 
@@ -154,20 +158,30 @@ def _rederive_once(fact: Fact, store: FactStore, rules: Sequence[Rule],
 
 def _join_body(rule: Rule, binding, store: FactStore,
                context: RuleContext):
-    """Join a rule body against one store under an initial binding."""
-    def extend(index: int, current, remaining):
-        if index == len(rule.body):
+    """Join a rule body against one store under an initial binding.
+
+    The next atom is the one ``store.count_estimate`` calls smallest
+    under the bindings so far (body order breaks ties), so a bound
+    head narrows every later probe instead of waiting behind an
+    unselective first atom; guards are checked as soon as their
+    variables are bound.
+    """
+    def extend(atoms, current, remaining):
+        if not atoms:
             if all(c.holds(current, context) for c in remaining):
                 yield current
             return
-        atom = rule.body[index]
-        for extended in store.solutions(atom, current):
+        pick = 0 if len(atoms) == 1 else min(
+            range(len(atoms)),
+            key=lambda i: store.count_estimate(atoms[i], current))
+        later = atoms[:pick] + atoms[pick + 1:]
+        for extended in store.solutions(atoms[pick], current):
             bound = set(extended)
             ready = _checkable(remaining, bound)
             if all(remaining[i].holds(extended, context) for i in ready):
                 ready_set = set(ready)
                 rest = [c for i, c in enumerate(remaining)
                         if i not in ready_set]
-                yield from extend(index + 1, extended, rest)
+                yield from extend(later, extended, rest)
 
-    yield from extend(0, binding, list(rule.conditions))
+    yield from extend(list(rule.body), binding, list(rule.conditions))

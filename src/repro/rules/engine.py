@@ -221,8 +221,9 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
         firings: Dict[str, int] = {rule.name: 0 for rule in rules}
         rule_times: Dict[str, float] = {}
         provenance: Optional[Dict[Fact, Justification]] = {} if trace else None
+        pivoted = _pivoted_rules(rules)
         loop_started = time.perf_counter()
-        iterations = _semi_naive_rounds(store, store.copy(), rules,
+        iterations = _semi_naive_rounds(store, store.copy(), pivoted,
                                         context, firings, max_iterations,
                                         provenance, rule_times)
         if observing:
@@ -255,7 +256,8 @@ def _pivoted_rules(rules: Sequence[Rule]) -> List[Tuple[Rule, Rule]]:
 
 
 def _semi_naive_rounds(store: FactStore, delta: FactStore,
-                       rules: Sequence[Rule], context: RuleContext,
+                       pivoted: Sequence[Tuple[Rule, Rule]],
+                       context: RuleContext,
                        firings: Dict[str, int],
                        max_iterations: Optional[int] = None,
                        provenance: Optional[Dict[Fact, Justification]]
@@ -265,12 +267,12 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
     """Run delta rounds until quiescence, mutating ``store`` in place.
 
     ``delta`` holds the facts not yet joined against the rest of the
-    store (they must already be *in* the store).  Returns the number of
+    store (they must already be *in* the store); ``pivoted`` is
+    :func:`_pivoted_rules` of the rules to fire.  Returns the number of
     rounds executed.  With telemetry enabled, cumulative per-rule join
     seconds accumulate into ``rule_times`` and each round emits a
     ``closure.round`` span carrying its delta-in/fresh-out sizes.
     """
-    pivoted = _pivoted_rules(rules)
     iterations = 0
     observing = _obs.ENABLED and rule_times is not None
     while delta:
@@ -361,7 +363,7 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
                     rule_times=result.rule_times)
             else:
                 result.iterations += _semi_naive_rounds(
-                    result.store, delta, rules, context,
+                    result.store, delta, _pivoted_rules(rules), context,
                     result.rule_firings, provenance=result.provenance,
                     rule_times=result.rule_times)
         result.derived_count = len(result.store) - result.base_count

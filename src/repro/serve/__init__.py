@@ -28,10 +28,12 @@ service can sit behind a socket (``python -m repro.shell serve music``
 database replica kept current by the delta batches the writer thread
 publishes (coalesced net fact mutations plus rule/limit controls, in
 order, over pipes), applied through the database's incremental
-maintenance rather than full recomputation.  Reads route round-robin
-with inflight accounting; read-your-writes is preserved by routing
-ticket-bearing reads only to replicas that have applied the ticket's
-version (primary fallback otherwise); crashed workers respawn and
+maintenance rather than full recomputation.  Reads route primary
+first — the published snapshot answers while no other pool read is in
+flight there — and spill round-robin, with inflight accounting, to the
+workers; read-your-writes is preserved by routing ticket-bearing
+spilled reads only to replicas that have applied the ticket's version
+(primary fallback otherwise); crashed workers respawn and
 re-bootstrap automatically.  ``python -m repro.shell serve music
 --workers 4`` puts a pool behind the TCP server.
 

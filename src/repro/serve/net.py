@@ -128,7 +128,8 @@ def _facts(facts) -> list:
 def _dispatch_pool(pool, op: str, request: Dict[str, Any],
                    deadline, min_version: int,
                    ctx: Optional[TraceContext] = None) -> Any:
-    """Serve one of :data:`_POOL_READS` from a replica.
+    """Serve one of :data:`_POOL_READS` through the pool (the primary
+    when it is idle, a replica otherwise).
 
     ``min_version`` is the connection's read-your-writes floor: the
     replication sequence its last acknowledged write landed in, so a
@@ -252,8 +253,8 @@ class ServiceServer:
     (read it back from :attr:`address`).
 
     With ``pool=`` (a :class:`~repro.serve.pool.ReplicaPool`), read
-    operations are dispatched to replica worker *processes* instead of
-    the primary, lifting aggregate read throughput past the GIL.
+    operations go through the pool: the primary answers while it is
+    idle and concurrent reads spill to replica worker *processes*.
     Writes still go through the service; each connection tracks the
     replication sequence of its last acknowledged write and reads with
     that floor, so read-your-writes holds per connection even though

@@ -12,14 +12,24 @@ Replicas apply deltas through the database's incremental maintenance —
 insertion extension and Delete/Rederive — so the replica hot path
 never recomputes a closure from scratch.
 
-Reads are routed round-robin with per-worker inflight accounting
-(rotate for fairness, prefer the least-loaded eligible worker).
-Read-your-writes is preserved by version routing: a read carrying a
-settled :class:`~repro.serve.service.WriteTicket` is only dispatched
-to workers whose applied replication sequence has reached the
-ticket's; when no replica is fresh enough (or none is alive) the read
-falls back to the primary's published snapshot, which by construction
-is always current.  A crashed worker is detected by its pipe closing,
+Reads are routed primary first: the primary's published snapshot is
+always current and lock-free, so a read that finds no other pool read
+in flight there is served from it in the calling thread — no pipe
+round trip, no process switch — and the pool costs nothing at
+concurrency 1.  A read that finds the primary busy spills to the
+workers, round-robin with per-worker inflight accounting (rotate for
+fairness, prefer the least-loaded eligible worker).  That a spilled
+read is served sooner than one that queues behind the primary's GIL is
+the pool's premise and is *not* measured by the repo's benchmark, whose
+workloads all have one client; F12 on a 2-core host has the pool behind
+the thread-only service at 8 clients (docs/performance.md, ROADMAP
+item 6).  Read-your-writes is preserved on both
+routes: the primary is current by construction, and a spilled read
+carrying a settled :class:`~repro.serve.service.WriteTicket` is only
+dispatched to workers whose applied replication sequence has reached
+the ticket's; when no replica is fresh enough (or none is alive) the
+read falls back to the primary as well.  A crashed worker is detected
+by its pipe closing,
 its inflight requests are retried on the primary, and a replacement is
 respawned and bootstrapped from the current published snapshot (or
 from the durable directory's journal/checkpoint when one was given).
@@ -176,6 +186,12 @@ class _Worker:
 class ReplicaPool:
     """N process-local read replicas behind one primary service.
 
+    A read is served by the primary's published snapshot when no other
+    pool read is in flight there, and by the least-loaded caught-up
+    replica otherwise (see the module docstring); ``stats()`` splits
+    ``reads`` into ``primary_reads``, ``fallback_reads`` (a replica was
+    wanted and none was eligible) and the rest, which workers answered.
+
     Args:
         service: the primary.  The pool subscribes to its delta stream;
             writes still go through the service's own API.
@@ -289,8 +305,13 @@ class ReplicaPool:
         self._rid = itertools.count(1)
         self._generation = itertools.count(1)
 
+        # The primary serves one pool read at a time; a read that finds
+        # this held spills to the workers.
+        self._primary_slot = threading.Lock()
+
         # Statistics (under self._lock unless writer-thread-only).
         self._reads = 0
+        self._primary_reads = 0
         self._fallback_reads = 0
         self._respawns = 0
         self._deaths = 0
@@ -705,17 +726,40 @@ class ReplicaPool:
             raise ServiceClosed("replica pool is closed")
         min_version = self._min_version(ticket, deadline, min_version)
         if ctx is None:
-            return self._dispatch_read(op, payload, deadline,
-                                       min_version, None, None)
+            return self._route_read(op, payload, deadline,
+                                    min_version, None, None)
         with ctx.span("pool.read", role="pool", op=op) as span:
+            return self._route_read(op, payload, deadline,
+                                    min_version, ctx, span)
+
+    def _route_read(self, op: str, payload, deadline: Optional[float],
+                    min_version: int, ctx: Optional[TraceContext],
+                    span) -> Any:
+        """Primary first, workers when it is busy."""
+        # "stats" describes a replica (the primary's are
+        # service.database_stats()), so it always goes to one.
+        if op == "stats" \
+                or not self._primary_slot.acquire(blocking=False):
+            with self._lock:
+                self._reads += 1
             return self._dispatch_read(op, payload, deadline,
                                        min_version, ctx, span)
+        # Released however the read ends — answer, typed error or
+        # exceeded deadline — or every later read would spill.
+        try:
+            with self._lock:
+                self._reads += 1
+                self._primary_reads += 1
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.pool.primary_reads")
+            return self._on_primary(op, payload, deadline, ctx)
+        finally:
+            self._primary_slot.release()
 
     def _dispatch_read(self, op: str, payload, deadline: Optional[float],
                        min_version: int, ctx: Optional[TraceContext],
                        span) -> Any:
         with self._lock:
-            self._reads += 1
             worker = self._pick(min_version)
             if worker is not None:
                 rid = next(self._rid)
@@ -770,12 +814,20 @@ class ReplicaPool:
 
     def _fallback(self, op: str, payload, deadline: Optional[float],
                   ctx: Optional[TraceContext] = None) -> Any:
-        """Serve a read from the primary's published snapshot — always
-        current, so correct for any ``min_version``."""
+        """A replica was wanted and none could answer (none caught up
+        to ``min_version``, none alive, or it died mid-request): the
+        primary always can."""
         with self._lock:
             self._fallback_reads += 1
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.pool.fallback_reads")
+        return self._on_primary(op, payload, deadline, ctx)
+
+    def _on_primary(self, op: str, payload, deadline: Optional[float],
+                    ctx: Optional[TraceContext] = None) -> Any:
+        """Serve a read from the primary's published snapshot — always
+        current, so correct for any ``min_version`` — in the shape a
+        worker would have answered."""
         service = self._service
         if op == "query":
             return service.query(payload, deadline=deadline, ctx=ctx)
@@ -804,7 +856,7 @@ class ReplicaPool:
               ticket: Optional[WriteTicket] = None,
               min_version: int = 0,
               ctx: Optional[TraceContext] = None):
-        """Evaluate a query on a replica (set of tuples)."""
+        """Evaluate a query (set of tuples)."""
         return self._read("query", query, deadline, ticket, min_version,
                           ctx)
 
@@ -812,7 +864,7 @@ class ReplicaPool:
             ticket: Optional[WriteTicket] = None,
             min_version: int = 0,
             ctx: Optional[TraceContext] = None) -> bool:
-        """Closed-query truth test on a replica."""
+        """Closed-query truth test."""
         return self._read("ask", query, deadline, ticket, min_version,
                           ctx)
 
@@ -820,7 +872,7 @@ class ReplicaPool:
               ticket: Optional[WriteTicket] = None,
               min_version: int = 0,
               ctx: Optional[TraceContext] = None):
-        """Template match on a replica (list of facts)."""
+        """Template match (list of facts)."""
         return self._read("match", pattern, deadline, ticket, min_version,
                           ctx)
 
@@ -828,7 +880,7 @@ class ReplicaPool:
                  ticket: Optional[WriteTicket] = None,
                  min_version: int = 0,
                  ctx: Optional[TraceContext] = None) -> str:
-        """One browsing step on a replica, as rendered text."""
+        """One browsing step, as rendered text."""
         return self._read("navigate", pattern, deadline, ticket,
                           min_version, ctx)
 
@@ -836,7 +888,7 @@ class ReplicaPool:
              ticket: Optional[WriteTicket] = None,
              min_version: int = 0,
              ctx: Optional[TraceContext] = None):
-        """The paper's ``try`` operator on a replica."""
+        """The paper's ``try`` operator."""
         return self._read("try", entity, deadline, ticket, min_version,
                           ctx)
 
@@ -844,15 +896,15 @@ class ReplicaPool:
               ticket: Optional[WriteTicket] = None,
               min_version: int = 0,
               ctx: Optional[TraceContext] = None) -> dict:
-        """Broadened query on a replica:
-        ``{"succeeded", "value", "waves"}``."""
+        """Broadened query: ``{"succeeded", "value", "waves"}``."""
         return self._read("probe", query, deadline, ticket, min_version,
                           ctx)
 
     def database_stats(self, deadline: Optional[float] = None,
                        min_version: int = 0,
                        ctx: Optional[TraceContext] = None) -> dict:
-        """A replica's :meth:`~repro.db.Database.stats`."""
+        """A replica's :meth:`~repro.db.Database.stats` — always asked
+        of a worker, never routed to the primary first."""
         return self._read("stats", None, deadline, None, min_version, ctx)
 
     # ------------------------------------------------------------------
@@ -1005,6 +1057,7 @@ class ReplicaPool:
                             if live_applied else None),
                 "inflight": inflight,
                 "reads": self._reads,
+                "primary_reads": self._primary_reads,
                 "fallback_reads": self._fallback_reads,
                 "deltas_shipped": self._deltas_shipped,
                 "worker_deaths": self._deaths,

@@ -20,14 +20,17 @@ only the writer thread ever touches, plus one *published* snapshot
 * **Writers** enqueue typed operations onto a bounded admission queue
   (:class:`~repro.core.errors.Overloaded` once ``max_pending`` is
   reached) and receive a :class:`WriteTicket`.  A single writer thread
-  drains the queue, coalescing everything queued within one
-  ``batch_window`` into a batch: it applies the ops to the master,
-  journals the effective mutations in one append
+  drains the queue, taking everything queued when it wakes as a batch
+  (writes that arrive while it applies one batch form the next; it
+  waits one ``batch_window`` first only when a queued write came from
+  an ``*_async`` call, whose submitter can send more meanwhile): it
+  applies the ops to the master, journals the effective mutations in
+  one append
   (:meth:`repro.storage.session.DurableSession.record_batch`),
-  recomputes the closure once, and atomically publishes the next
-  snapshot.  Tickets resolve only *after* publication, so a caller
-  that waited for its write is guaranteed to see it in subsequent
-  reads (read-your-writes).
+  maintains the closure and the generalization lattice once, and
+  atomically publishes the next snapshot.  Tickets resolve only
+  *after* publication, so a caller that waited for its write is
+  guaranteed to see it in subsequent reads (read-your-writes).
 
 The shared result cache makes publication cheap for readers: snapshots
 share the master's thread-safe LRU cache, and cache keys include the
@@ -185,9 +188,17 @@ class DatabaseService:
             journals batches itself.
         max_pending: admission-queue bound; submissions beyond it
             raise :class:`~repro.core.errors.Overloaded`.
-        batch_window: seconds the writer waits after waking so
-            concurrent submissions coalesce into one batch (0 batches
-            only what is already queued).
+        batch_window: seconds the writer lets a pipelining submitter
+            pile on.  The writer drains whatever is queued the moment
+            it wakes, and writes that arrive while that batch applies
+            and publishes form the next one; it sleeps one window
+            first only when the queue holds a write nobody is blocked
+            on — one submitted through ``add_async`` / ``remove_async``
+            / ``add_facts_async``, whose caller can submit the next
+            before this one is acknowledged.  A blocking call
+            (``add``, ``remove``, …, every write over TCP) cannot, so
+            it is never held back: its acknowledgement costs the
+            write, not the write plus a timer tick.
         max_batch: cap on operations per writer batch (``None`` =
             unbounded).  An unbounded writer drains everything queued,
             so a large backlog becomes one giant batch whose closure
@@ -247,8 +258,13 @@ class DatabaseService:
         self._closed = False
         self._writer: Optional[threading.Thread] = None
 
+        # Set (under the lock) by a submission nobody waits on, cleared
+        # when the writer takes a batch.
+        self._pipelined = False
+
         # Writer-thread statistics (written only by the writer).
         self._batches = 0
+        self._batch_waits = 0
         self._ops_applied = 0
         self._largest_batch = 0
         self._publishes = 0
@@ -340,15 +356,21 @@ class DatabaseService:
                     self._has_work.wait()
                 if not self._ops and self._closed:
                     return
-            # Let concurrent submitters pile on for one window, then
-            # take what is queued as a single batch — at most
+                pile_on = self._pipelined and not backlog
+            # Take what is queued as a single batch — at most
             # ``max_batch`` operations, so one burst cannot become an
-            # arbitrarily long publish pause.  When the previous drain
-            # left a backlog there is nothing to wait for: coalescing
-            # already happened while the last batch was applying.
-            if self.batch_window > 0 and not backlog:
+            # arbitrarily long publish pause.  Whatever arrives while
+            # this batch applies and publishes is the next batch, so
+            # blocked submitters coalesce without a timer.  A
+            # pipelining submitter is different: it can only run while
+            # this thread does not, so its next writes get one window
+            # to arrive — except after a drain that left a backlog,
+            # where they already have.
+            if self.batch_window > 0 and pile_on:
+                self._batch_waits += 1
                 time.sleep(self.batch_window)
             with self._lock:
+                self._pipelined = False
                 if self.max_batch is None:
                     batch: List[_Op] = list(self._ops)
                     self._ops.clear()
@@ -514,10 +536,19 @@ class DatabaseService:
         starts).  Warming the *master* first means the closure is
         computed once and the snapshot copies the cached result; the
         snapshot's own ``view()`` then just wraps the copied stores.
+        The same goes for the generalization lattice: the master owns
+        it (its ``hierarchy()`` here patches in the batch's new ``≺``
+        facts in one pass, or rebuilds after a ``≺`` deletion dropped
+        it), the snapshot shares the structure
+        copy-on-patch, and its ``hierarchy()`` only binds that
+        structure to the copied store — no reader's probe ever builds
+        one.
         """
         self._db.view()
+        self._db.hierarchy()
         snap = self._db.snapshot()
         snap.view()
+        snap.hierarchy()
         self._publishes += 1
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.snapshot_publishes")
@@ -528,7 +559,10 @@ class DatabaseService:
     # Write API
     # ------------------------------------------------------------------
     def _submit(self, kind: str, payload,
-                ctx: Optional[TraceContext] = None) -> WriteTicket:
+                ctx: Optional[TraceContext] = None,
+                awaited: bool = False) -> WriteTicket:
+        """Queue one operation.  ``awaited`` says the caller blocks on
+        the ticket before it can submit anything else."""
         ticket = WriteTicket()
         with self._lock:
             if self._closed:
@@ -540,12 +574,17 @@ class DatabaseService:
                     f"admission queue is full ({self.max_pending} pending"
                     f" writes); retry with backoff")
             self._ops.append((kind, payload, ticket, ctx))
+            if not awaited:
+                self._pipelined = True
             if _obs.ENABLED:
                 _obs.TELEMETRY.gauge("serve.queue_depth", len(self._ops))
             self._has_work.notify()
         return ticket
 
-    def _await(self, ticket: WriteTicket, deadline: Optional[float]):
+    def _call(self, kind: str, payload, deadline: Optional[float],
+              ctx: Optional[TraceContext] = None):
+        """Queue one operation and wait for its outcome."""
+        ticket = self._submit(kind, payload, ctx, awaited=True)
         timeout = deadline if deadline is not None else self.default_deadline
         return ticket.result(timeout)
 
@@ -563,16 +602,16 @@ class DatabaseService:
             deadline: Optional[float] = None,
             ctx: Optional[TraceContext] = None) -> bool:
         """Insert a fact and wait until it is published."""
-        ticket = self.add_async(make_fact(source, relationship, target), ctx)
-        return self._await(ticket, deadline)
+        return self._call("add", make_fact(source, relationship, target),
+                          deadline, ctx)
 
     def remove(self, source: str, relationship: str, target: str,
                deadline: Optional[float] = None,
                ctx: Optional[TraceContext] = None) -> bool:
         """Remove a fact and wait until the removal is published."""
-        ticket = self.remove_async(
-            make_fact(source, relationship, target), ctx)
-        return self._await(ticket, deadline)
+        return self._call("remove",
+                          make_fact(source, relationship, target),
+                          deadline, ctx)
 
     def add_facts_async(self, new_facts: Iterable) -> WriteTicket:
         """Queue a *group* of insertions as one operation.
@@ -592,32 +631,32 @@ class DatabaseService:
                   deadline: Optional[float] = None) -> int:
         """Insert a group of facts atomically (one batch) and wait;
         returns the number actually added."""
-        return self._await(self.add_facts_async(new_facts), deadline)
+        return self._call(
+            "add_many", tuple(_as_fact(f) for f in new_facts), deadline)
 
     def limit(self, n: Optional[int],
               deadline: Optional[float] = None,
               ctx: Optional[TraceContext] = None) -> Optional[int]:
         """Set the composition limit (the paper's ``limit(n)``)."""
-        return self._await(self._submit("limit", n, ctx), deadline)
+        return self._call("limit", n, deadline, ctx)
 
     def include(self, rule, deadline: Optional[float] = None,
                 ctx: Optional[TraceContext] = None) -> bool:
         """Enable a rule on the master database."""
-        return self._await(self._submit("include", rule, ctx), deadline)
+        return self._call("include", rule, deadline, ctx)
 
     def exclude(self, rule, deadline: Optional[float] = None,
                 ctx: Optional[TraceContext] = None) -> bool:
         """Disable a rule on the master database."""
-        return self._await(self._submit("exclude", rule, ctx), deadline)
+        return self._call("exclude", rule, deadline, ctx)
 
     def define_rule(self, name: str, text: str, *,
                     is_constraint: bool = False,
                     deadline: Optional[float] = None,
                     ctx: Optional[TraceContext] = None):
         """Define (and enable) a rule; returns the parsed Rule."""
-        ticket = self._submit("define_rule", (name, text, is_constraint),
-                              ctx)
-        return self._await(ticket, deadline)
+        return self._call("define_rule", (name, text, is_constraint),
+                          deadline, ctx)
 
     def checkpoint(self, deadline: Optional[float] = None) -> bool:
         """Fold the journal into a fresh on-disk snapshot.
@@ -628,7 +667,7 @@ class DatabaseService:
         if self._session is None:
             raise ServiceError("no durable session attached;"
                                " construct with session=")
-        return self._await(self._submit("checkpoint", None), deadline)
+        return self._call("checkpoint", None, deadline)
 
     # ------------------------------------------------------------------
     # Read API (lock-free, snapshot-isolated)
@@ -776,6 +815,7 @@ class DatabaseService:
             "batch_window": self.batch_window,
             "max_batch": self.max_batch,
             "batches": self._batches,
+            "batch_waits": self._batch_waits,
             "ops_applied": self._ops_applied,
             "largest_batch": self._largest_batch,
             "snapshot_publishes": self._publishes,

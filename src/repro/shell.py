@@ -486,8 +486,6 @@ def _serve_main(arguments: List[str]) -> int:
                              " (default: empty in-memory database)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7474)
-    parser.add_argument("--batch-window", type=float, default=0.002,
-                        help="writer coalescing window in seconds")
     parser.add_argument("--max-pending", type=int, default=1024,
                         help="admission queue bound")
     parser.add_argument("--deadline", type=float, default=None,
@@ -516,7 +514,6 @@ def _serve_main(arguments: List[str]) -> int:
         db, session = Database(), None
     service = DatabaseService(db, session=session,
                               max_pending=options.max_pending,
-                              batch_window=options.batch_window,
                               default_deadline=options.deadline,
                               max_batch=options.max_batch or None,
                               slow_query_seconds=options.slow_query)

@@ -1,6 +1,6 @@
 """Tests for the interned generalization lattice.
 
-Three layers:
+Four layers:
 
 * unit tests of lattice-specific behavior (incremental patching,
   merge rebuilds, store-bound views, structural copies);
@@ -11,7 +11,10 @@ Three layers:
   networkx is not installed);
 * regression tests for the database's lattice lifecycle: non-``≺``
   mutations must not rebuild, ``compact_store`` must not drop the
-  structure, and snapshots must not see later patches.
+  structure, and snapshots must not see later patches;
+* the same lifecycle through :class:`~repro.serve.DatabaseService`:
+  the master owns the structure, every published snapshot shares it
+  and none ever rebuilds.
 """
 
 from __future__ import annotations
@@ -204,6 +207,39 @@ class TestDatabaseLifecycle:
         assert hierarchy["rebuilds"] == 1
         assert hierarchy["patches"] >= 1
 
+    def test_many_isa_insertions_are_one_patch(self):
+        """The lattice is patched by the next ``hierarchy()``, in one
+        pass over the ``≺`` facts however many insertions came first —
+        not once per insertion."""
+        db = Database()
+        db.add("A", ISA, "B")
+        db.hierarchy()
+        for i in range(64):
+            db.add(f"LEAF{i}", ISA, "A")
+        assert db.stats()["hierarchy"]["patches"] == 0
+        h = db.hierarchy()
+        assert h.minimal_generalizations("LEAF63") == {"A"}
+        assert h.generalizes("B", "LEAF0")
+        hierarchy = db.stats()["hierarchy"]
+        assert (hierarchy["rebuilds"], hierarchy["patches"]) == (1, 1)
+        db.hierarchy()
+        assert db.stats()["hierarchy"]["patches"] == 1
+
+    def test_insertion_then_deletion_with_equal_isa_count(self):
+        """An unpatched insertion followed by a deletion that brings
+        the ``≺`` count back to what the lattice ingested must not
+        read as "nothing changed"."""
+        db = Database()
+        db.add("A", ISA, "B")
+        db.add("C", ISA, "D")
+        db.hierarchy()
+        db.add("E", ISA, "F")
+        db.remove_fact(Fact("C", ISA, "D"))
+        h = db.hierarchy()
+        assert h.generalizes("F", "E")
+        assert not h.generalizes("D", "C")
+        assert h.minimal_generalizations("A") == {"B"}
+
     def test_synonym_fact_maintains_hierarchy(self):
         db = Database()
         db.add("JOHN", ISA, "PERSON")
@@ -249,3 +285,103 @@ class TestDatabaseLifecycle:
         outcome = db.probe("(x, ∈, FRESHMAN)")
         assert not outcome.succeeded
         assert outcome.waves  # retracted upward through the lattice
+
+
+# ----------------------------------------------------------------------
+# The service's master owns the lattice; published snapshots share it
+# ----------------------------------------------------------------------
+def _hierarchy_of(service):
+    """The published snapshot's lattice counters, read *before* any
+    probe could have built anything."""
+    return service.read_view().stats()["hierarchy"]
+
+
+def _menu_matches_reference(service, query):
+    pytest.importorskip("networkx")
+    from .test_probe_equivalence import outcome_signature, reference_outcome
+
+    snapshot = service.read_view()
+    assert outcome_signature(service.probe(query)) \
+        == outcome_signature(reference_outcome(snapshot, query))
+
+
+class TestServiceOwnsTheLattice:
+    @pytest.fixture()
+    def service(self):
+        from repro.serve import DatabaseService
+
+        db = Database()
+        db.add("STUDENT", ISA, "PERSON")
+        db.add("FRESHMAN", ISA, "STUDENT")
+        db.add("JOHN", "∈", "PERSON")
+        service = DatabaseService(db)
+        try:
+            yield service
+        finally:
+            service.close()
+
+    def test_first_snapshot_is_published_with_its_lattice(self, service):
+        hierarchy = _hierarchy_of(service)
+        assert hierarchy["cached"] is True
+        assert hierarchy["rebuilds"] == 0
+
+    def test_non_isa_writes_publish_without_rebuilding(self, service):
+        shared = service.read_view()._hierarchy
+        assert service.add("MARY", "∈", "STUDENT")
+        hierarchy = _hierarchy_of(service)
+        assert hierarchy["cached"] is True
+        assert hierarchy["rebuilds"] == 0
+        assert service.remove("MARY", "∈", "STUDENT")
+        hierarchy = _hierarchy_of(service)
+        assert hierarchy["cached"] is True
+        assert hierarchy["rebuilds"] == 0
+        # Not a copy either: the very structure the master built once.
+        assert service.read_view()._hierarchy.shares_core(shared)
+        # …and the master never rebuilt or patched for them.
+        master = service._db.stats()["hierarchy"]
+        assert (master["rebuilds"], master["patches"]) == (1, 0)
+
+    def test_isa_add_and_remove_reach_the_next_probe(self, service):
+        query = "(x, ∈, SOPHOMORE)"
+        assert service.add("SOPHOMORE", ISA, "STUDENT")
+        assert _hierarchy_of(service)["rebuilds"] == 0
+        outcome = service.probe(query)
+        assert not outcome.succeeded and outcome.waves
+        _menu_matches_reference(service, query)
+        assert _hierarchy_of(service)["rebuilds"] == 0
+        # The add patched the master's structure in place (a copy of
+        # it: the previous snapshot still holds the old one).
+        assert service._db.stats()["hierarchy"]["patches"] == 1
+
+        assert service.remove("SOPHOMORE", ISA, "STUDENT")
+        # The deletion's rebuild ran on the writer, before the publish.
+        hierarchy = _hierarchy_of(service)
+        assert hierarchy["cached"] is True
+        assert hierarchy["rebuilds"] == 0
+        assert service._db.stats()["hierarchy"]["rebuilds"] == 2
+        _menu_matches_reference(service, query)
+        _menu_matches_reference(service, "(x, ∈, FRESHMAN)")
+        assert _hierarchy_of(service)["rebuilds"] == 0
+
+    def test_a_batch_of_isa_adds_patches_once(self, service):
+        """Lattice work on the writer is per publish, not per fact: a
+        taxonomy load through ``add_facts`` copies the shared structure
+        once and scans the ``≺`` facts once."""
+        added = service.add_facts(
+            [(f"CLASS{i}", ISA, "STUDENT") for i in range(64)])
+        assert added == 64
+        master = service._db.stats()["hierarchy"]
+        assert (master["rebuilds"], master["patches"]) == (1, 1)
+        assert _hierarchy_of(service)["rebuilds"] == 0
+        _menu_matches_reference(service, "(x, ∈, CLASS63)")
+
+    def test_earlier_snapshot_keeps_the_unpatched_structure(self, service):
+        before = service.read_view()
+        assert service.add("PERSON", ISA, "MAMMAL")
+        after = service.read_view()
+        assert after.hierarchy().generalizes("MAMMAL", "FRESHMAN")
+        assert not before.hierarchy().generalizes("MAMMAL", "FRESHMAN")
+        assert before.hierarchy().minimal_generalizations("PERSON") \
+            == {TOP}
+        assert not after.hierarchy().shares_core(before.hierarchy())
+        assert before.stats()["hierarchy"]["rebuilds"] == 0

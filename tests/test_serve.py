@@ -294,6 +294,42 @@ class TestCoalescing:
         assert service.stats()["snapshot_publishes"] == before + 1
         service.close()
 
+    def test_blocking_write_is_never_held_back(self):
+        """A blocked submitter cannot send more, so the writer takes
+        its write at once, however long the window."""
+        service = DatabaseService(Database(), batch_window=5.0)
+        try:
+            started = time.perf_counter()
+            assert service.add("A", "R", "B", deadline=30.0)
+            assert service.add_facts([("C", "R", "D")], deadline=30.0) == 1
+            assert service.remove("A", "R", "B", deadline=30.0)
+            assert time.perf_counter() - started < 2.5
+            stats = service.stats()
+            assert stats["batch_waits"] == 0
+            assert stats["batches"] == 3
+        finally:
+            service.close()
+
+    def test_pipelined_writes_get_one_window(self):
+        """An ``*_async`` submitter can send its next write before
+        this one is acknowledged, so the writer waits one window for
+        it: the burst is one batch and one publish."""
+        service = DatabaseService(Database(), batch_window=0.25)
+        try:
+            before = service.stats()["snapshot_publishes"]
+            tickets = []
+            for i in range(5):
+                tickets.append(service.add_async((f"E{i}", "R", "F")))
+                time.sleep(0.005)
+            for ticket in tickets:
+                assert ticket.result(30.0) is True
+            stats = service.stats()
+            assert stats["batch_waits"] == 1
+            assert stats["batches"] == 1
+            assert stats["snapshot_publishes"] == before + 1
+        finally:
+            service.close()
+
     def test_max_batch_caps_a_drain(self):
         """A deep backlog drains in ``max_batch``-sized stages, so no
         single publish pause covers the whole queue."""

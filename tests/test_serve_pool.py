@@ -1,15 +1,24 @@
-"""ReplicaPool tests: replica reads, read-your-writes routing,
-primary fallback, crash/respawn failover, and directory bootstrap."""
+"""ReplicaPool tests: primary-first routing, replica reads,
+read-your-writes on both routes, primary fallback, crash/respawn
+failover, and directory bootstrap.
+
+A lone sequential read is served by the primary; tests about the worker
+route issue their reads inside ``primary_busy(pool)``.
+"""
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
-from repro.core.errors import ParseError, ServiceClosed
+from repro.core.errors import DeadlineExceeded, ParseError, ServiceClosed
 from repro.db import Database
 from repro.serve import DatabaseService, ReplicaPool
+
+from .conftest import primary_busy, replica_served
 
 
 def _database() -> Database:
@@ -33,33 +42,151 @@ def pooled():
 class TestReplicaReads:
     def test_query_served_by_replica(self, pooled):
         _, pool = pooled
-        assert ("JOHN",) in pool.query("(x, ∈, EMPLOYEE)")
+        with primary_busy(pool):
+            assert ("JOHN",) in pool.query("(x, ∈, EMPLOYEE)")
+        assert replica_served(pool) == 1
         assert pool.stats()["fallback_reads"] == 0
 
     def test_all_read_operations(self, pooled):
+        """Both routes answer every verb in the same shape."""
         _, pool = pooled
-        assert pool.ask("(JOHN, EARNS, SALARY)") is True
-        assert any(f[0] == "JOHN" for f in pool.match("(JOHN, *, *)"))
-        assert "EMPLOYEE" in pool.navigate("(JOHN, *, *)")
-        assert any(tuple(f) == ("JOHN", "∈", "EMPLOYEE")
-                   for f in pool.try_("JOHN"))
-        outcome = pool.probe("(JOHN, EARNS, y)")
-        assert outcome["succeeded"] is True
-        assert ("SALARY",) in outcome["value"]
-        assert pool.database_stats()["base_facts"] > 0
+        for route in (nullcontext(), primary_busy(pool)):
+            with route:
+                assert pool.ask("(JOHN, EARNS, SALARY)") is True
+                assert any(f[0] == "JOHN"
+                           for f in pool.match("(JOHN, *, *)"))
+                assert "EMPLOYEE" in pool.navigate("(JOHN, *, *)")
+                assert any(tuple(f) == ("JOHN", "∈", "EMPLOYEE")
+                           for f in pool.try_("JOHN"))
+                outcome = pool.probe("(JOHN, EARNS, y)")
+                assert outcome["succeeded"] is True
+                assert ("SALARY",) in outcome["value"]
+                # A replica's own statistics, whichever route reads
+                # take.
+                assert pool.database_stats()["base_facts"] > 0
+        stats = pool.stats()
+        assert stats["reads"] == 12
+        assert stats["primary_reads"] == 5
+        assert stats["fallback_reads"] == 0
+        assert replica_served(pool) == 7
 
     def test_reads_spread_across_workers(self, pooled):
         _, pool = pooled
-        for _ in range(6):
-            pool.ask("(JOHN, ∈, EMPLOYEE)")
-        stats = pool.stats()
-        assert stats["reads"] >= 6
-        assert stats["fallback_reads"] == 0
+        with primary_busy(pool):
+            for _ in range(6):
+                pool.ask("(JOHN, ∈, EMPLOYEE)")
+        assert replica_served(pool) == 6
+        assert pool.stats()["fallback_reads"] == 0
 
     def test_typed_errors_cross_the_pipe(self, pooled):
         _, pool = pooled
+        with primary_busy(pool):
+            with pytest.raises(ParseError):
+                pool.query("(x, BOGUS")
+        assert replica_served(pool) == 1
+
+
+class TestPrimaryFirstRouting:
+    def test_lone_read_is_primary_served(self, pooled):
+        _, pool = pooled
+        before = pool.stats()
+        assert ("JOHN",) in pool.query("(x, ∈, EMPLOYEE)")
+        after = pool.stats()
+        assert after["reads"] == before["reads"] + 1
+        assert after["primary_reads"] == before["primary_reads"] + 1
+        assert after["fallback_reads"] == before["fallback_reads"]
+        assert replica_served(pool) == 0
+
+    def test_of_two_overlapping_reads_one_reaches_a_worker(
+            self, pooled, monkeypatch):
+        """The first read is parked inside the primary (its service
+        call blocks on an event); the second, issued meanwhile, must
+        not queue behind it."""
+        service, pool = pooled
+        entered, release = threading.Event(), threading.Event()
+        real_ask = service.ask
+
+        def parked_ask(*args, **kwargs):
+            entered.set()
+            assert release.wait(30.0)
+            return real_ask(*args, **kwargs)
+
+        monkeypatch.setattr(service, "ask", parked_ask)
+        answers = []
+        first = threading.Thread(
+            target=lambda: answers.append(
+                pool.ask("(JOHN, ∈, EMPLOYEE)")))
+        first.start()
+        try:
+            assert entered.wait(30.0)
+            assert pool.ask("(JOHN, EARNS, SALARY)") is True
+            stats = pool.stats()
+            assert stats["primary_reads"] == 1
+            assert stats["fallback_reads"] == 0
+            assert replica_served(pool) == 1
+        finally:
+            release.set()
+            first.join(30.0)
+        assert not first.is_alive()
+        assert answers == [True]
+        # The slot came back: the next lone read is the primary's.
+        pool.ask("(JOHN, ∈, EMPLOYEE)")
+        assert pool.stats()["primary_reads"] == 2
+
+    def test_slot_released_when_the_primary_read_raises(self, pooled):
+        _, pool = pooled
         with pytest.raises(ParseError):
             pool.query("(x, BOGUS")
+        assert not pool._primary_slot.locked()
+        pool.ask("(JOHN, ∈, EMPLOYEE)")
+        stats = pool.stats()
+        assert stats["primary_reads"] == 2
+        assert replica_served(pool) == 0
+
+    def test_slot_released_when_the_primary_read_times_out(self, pooled):
+        _, pool = pooled
+        with pytest.raises(DeadlineExceeded):
+            pool.query("(x, r, y) and (y, r2, z) and (z, r3, w)",
+                       deadline=0.0)
+        assert not pool._primary_slot.locked()
+        pool.ask("(JOHN, ∈, EMPLOYEE)")
+        assert pool.stats()["primary_reads"] == 2
+
+    def test_concurrent_readers_account_for_every_read(self, pooled):
+        """Stress: more reader threads than cores, short switch
+        interval; every read is answered and lands in exactly one of
+        the three counters."""
+        import sys
+
+        _, pool = pooled
+        failures = []
+
+        def reader():
+            try:
+                for _ in range(25):
+                    if pool.ask("(JOHN, EARNS, SALARY)") is not True:
+                        failures.append("wrong answer")
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = pool.stats()
+        assert stats["reads"] == 150
+        assert stats["primary_reads"] >= 1
+        assert stats["fallback_reads"] == 0
+        assert replica_served(pool) == 150 - stats["primary_reads"]
+        assert not pool._primary_slot.locked()
 
 
 class TestReadYourWrites:
@@ -68,25 +195,36 @@ class TestReadYourWrites:
         ticket = service.add_async(("MARY", "∈", "EMPLOYEE"))
         ticket.result(timeout=30.0)
         assert ticket.version is not None
-        # Must observe the write, replica or fallback.
+        # Must observe the write on either route.
         assert pool.ask("(MARY, EARNS, SALARY)", ticket=ticket)
+        assert pool.stats()["primary_reads"] == 1
+        with primary_busy(pool):
+            assert pool.ask("(MARY, EARNS, SALARY)", ticket=ticket)
+        assert pool.stats()["primary_reads"] == 1
 
     def test_unsettled_ticket_waits_for_the_write(self, pooled):
         service, pool = pooled
         ticket = service.add_async(("PETE", "∈", "EMPLOYEE"))
         # No explicit result() call: the pool settles it.
         assert pool.ask("(PETE, ∈, EMPLOYEE)", ticket=ticket)
+        late = service.add_async(("PAUL", "∈", "EMPLOYEE"))
+        with primary_busy(pool):
+            assert pool.ask("(PAUL, ∈, EMPLOYEE)", ticket=late)
 
     def test_stale_min_version_falls_back_to_primary(self, pooled):
         service, pool = pooled
         ticket = service.add_async(("ZOE", "∈", "EMPLOYEE"))
         ticket.result(timeout=30.0)
-        # A floor far beyond any replica forces the primary path,
-        # which is always current.
-        before = pool.stats()["fallback_reads"]
-        assert pool.ask("(ZOE, ∈, EMPLOYEE)",
-                        min_version=ticket.version + 1000)
-        assert pool.stats()["fallback_reads"] == before + 1
+        # A replica is wanted (the primary is busy) but the floor is
+        # far beyond any of them: the primary answers anyway, and that
+        # is a fallback, not a primary-first read.
+        before = pool.stats()
+        with primary_busy(pool):
+            assert pool.ask("(ZOE, ∈, EMPLOYEE)",
+                            min_version=ticket.version + 1000)
+        after = pool.stats()
+        assert after["fallback_reads"] == before["fallback_reads"] + 1
+        assert after["primary_reads"] == before["primary_reads"]
 
     def test_replicas_converge_to_primary_version(self, pooled):
         service, pool = pooled
@@ -110,8 +248,11 @@ class TestFailover:
         pool.crash_worker(0)
         deadline_at = time.monotonic() + 60.0
         while time.monotonic() < deadline_at:
-            # Reads never fail during the outage window.
+            # Reads never fail during the outage window, on either
+            # route.
             assert pool.ask("(EVE, ∈, EMPLOYEE)", ticket=ticket)
+            with primary_busy(pool):
+                assert pool.ask("(EVE, ∈, EMPLOYEE)", ticket=ticket)
             stats = pool.stats()
             if (stats["alive"] == stats["workers"]
                     and stats["respawns"] >= 1
@@ -124,7 +265,11 @@ class TestFailover:
         assert stats["alive"] == stats["workers"]
         # The respawned worker bootstrapped past the crash point and
         # serves current data.
-        assert pool.ask("(EVE, ∈, EMPLOYEE)", ticket=ticket)
+        before = pool.stats()["fallback_reads"]
+        with primary_busy(pool):
+            for _ in range(2):      # rotation: once per worker
+                assert pool.ask("(EVE, ∈, EMPLOYEE)", ticket=ticket)
+        assert pool.stats()["fallback_reads"] == before
 
     def test_no_respawn_when_disabled(self):
         service = DatabaseService(_database())
@@ -137,8 +282,10 @@ class TestFailover:
                     break
                 time.sleep(0.02)
             assert pool.stats()["alive"] == 0
-            # Every read falls back to the primary; answers still flow.
-            assert pool.ask("(JOHN, ∈, EMPLOYEE)")
+            # A read that wants a replica falls back to the primary;
+            # answers still flow.
+            with primary_busy(pool):
+                assert pool.ask("(JOHN, ∈, EMPLOYEE)")
             assert pool.stats()["fallback_reads"] >= 1
         finally:
             pool.close()
@@ -165,7 +312,8 @@ class TestLifecycle:
         stats = pool.stats()
         for key in ("workers", "alive", "primary_version",
                     "applied_versions", "max_lag", "reads",
-                    "fallback_reads", "deltas_shipped", "respawns"):
+                    "primary_reads", "fallback_reads", "deltas_shipped",
+                    "respawns"):
             assert key in stats
         assert stats["workers"] == 2
 
@@ -200,16 +348,19 @@ class TestDirectoryBootstrap:
         pool = ReplicaPool(service, workers=1,
                            bootstrap_directory=str(directory))
         try:
-            assert pool.ask("(DISK, ∈, EMPLOYEE)")
+            with primary_busy(pool):
+                assert pool.ask("(DISK, ∈, EMPLOYEE)")
             # Deltas still flow after a disk bootstrap.
             ticket = service.add_async(("LATER", "∈", "EMPLOYEE"))
             ticket.result(timeout=30.0)
             pool.wait_for_version(ticket.version, all_workers=True,
                                   timeout=30.0)
             before = pool.stats()["fallback_reads"]
-            assert pool.ask("(LATER, ∈, EMPLOYEE)", ticket=ticket)
+            with primary_busy(pool):
+                assert pool.ask("(LATER, ∈, EMPLOYEE)", ticket=ticket)
             # The replica itself served it — no primary fallback.
             assert pool.stats()["fallback_reads"] == before
+            assert replica_served(pool) == 2
         finally:
             pool.close()
             service.close()
@@ -246,7 +397,8 @@ class TestGenerationBootstrap:
             with ReplicaPool(service, workers=2,
                              bootstrap="generation") as gen_pool, \
                  ReplicaPool(service, workers=2,
-                             bootstrap="state") as copy_pool:
+                             bootstrap="state") as copy_pool, \
+                 primary_busy(gen_pool), primary_busy(copy_pool):
                 for shape in shapes:
                     assert gen_pool.query(shape) == copy_pool.query(shape)
                 assert (sorted(map(tuple, gen_pool.match("(JOHN, *, *)")))
@@ -255,6 +407,7 @@ class TestGenerationBootstrap:
                 assert (gen_pool.navigate("(JOHN, *, *)")
                         == copy_pool.navigate("(JOHN, *, *)"))
                 assert gen_pool.stats()["fallback_reads"] == 0
+                assert replica_served(gen_pool) == len(shapes) + 2
         finally:
             service.close()
 
@@ -265,7 +418,8 @@ class TestGenerationBootstrap:
         pool.wait_for_version(ticket.version, all_workers=True,
                               timeout=30.0)
         before = pool.stats()["fallback_reads"]
-        assert pool.ask("(GEN, EARNS, SALARY)", ticket=ticket)
+        with primary_busy(pool):
+            assert pool.ask("(GEN, EARNS, SALARY)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
     def test_respawn_replays_delta_suffix(self, pooled):
@@ -287,7 +441,9 @@ class TestGenerationBootstrap:
         pool.wait_for_version(ticket.version, all_workers=True,
                               timeout=30.0)
         before = pool.stats()["fallback_reads"]
-        assert pool.ask("(SUFFIX, EARNS, SALARY)", ticket=ticket)
+        with primary_busy(pool):
+            for _ in range(2):      # rotation: once per worker
+                assert pool.ask("(SUFFIX, EARNS, SALARY)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
     def test_log_overflow_marks_stale_and_rebuilds(self, monkeypatch):
@@ -313,7 +469,8 @@ class TestGenerationBootstrap:
                     break
                 time.sleep(0.05)
             assert pool.stats()["generation_stale"] is False
-            assert pool.ask("(BULK3, ∈, EMPLOYEE)", ticket=ticket)
+            with primary_busy(pool):
+                assert pool.ask("(BULK3, ∈, EMPLOYEE)", ticket=ticket)
         finally:
             pool.close()
             service.close()
@@ -334,7 +491,9 @@ class TestGenerationBootstrap:
         assert stats["retired_segments"] == 0
         assert stats["alive"] == stats["workers"]
         before = stats["fallback_reads"]
-        assert pool.ask("(COMPACT, EARNS, SALARY)", ticket=ticket)
+        with primary_busy(pool):
+            for _ in range(2):      # rotation: once per worker
+                assert pool.ask("(COMPACT, EARNS, SALARY)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
     def test_auto_compaction_folds_log_without_failed_reads(self):
@@ -369,8 +528,10 @@ class TestGenerationBootstrap:
             pool.wait_for_version(ticket.version, all_workers=True,
                                   timeout=30.0)
             before = pool.stats()["fallback_reads"]
-            for i in range(5):
-                assert pool.ask(f"(AUTO{i}, ∈, EMPLOYEE)", ticket=ticket)
+            with primary_busy(pool):
+                for i in range(5):
+                    assert pool.ask(f"(AUTO{i}, ∈, EMPLOYEE)",
+                                    ticket=ticket)
             assert pool.stats()["fallback_reads"] == before
         finally:
             pool.close()
@@ -393,7 +554,8 @@ class TestGenerationBootstrap:
         service = DatabaseService(_database())
         pool = ReplicaPool(service, workers=2)
         try:
-            assert pool.ask("(JOHN, ∈, EMPLOYEE)")
+            with primary_busy(pool):
+                assert pool.ask("(JOHN, ∈, EMPLOYEE)")
             during = _gen_segments()
             assert len(during) > len(segments_before)
         finally:
@@ -410,8 +572,10 @@ class TestGenerationBootstrap:
                            ready_timeout=120.0)
         try:
             assert pool.bootstrap == "generation"
-            assert pool.ask("(JOHN, ∈, EMPLOYEE)")
+            with primary_busy(pool):
+                assert pool.ask("(JOHN, ∈, EMPLOYEE)")
             assert pool.stats()["fallback_reads"] == 0
+            assert replica_served(pool) == 1
         finally:
             pool.close()
             service.close()

@@ -20,6 +20,8 @@ from repro.obs.slowlog import SlowQueryLog, build_record
 from repro.serve import DatabaseService, ReplicaPool
 from repro.serve.net import RemoteShell, ServiceClient, ServiceServer
 
+from .conftest import primary_busy
+
 
 def _build_database() -> Database:
     db = Database()
@@ -70,7 +72,8 @@ class TestSlowQueryLog:
         pool = ReplicaPool(service, workers=1)
         try:
             service.probe("(P0, WORKS-IN, ORG)")
-            pool.probe("(P0, WORKS-IN, ORG)")
+            with primary_busy(pool):
+                pool.probe("(P0, WORKS-IN, ORG)")
             probes = {record["source"]: record["probe"]
                       for record in service.slow_log.records()
                       if record["op"] == "probe"}
@@ -116,7 +119,8 @@ class TestSlowQueryLog:
                                   slow_query_seconds=0.0)
         pool = ReplicaPool(service, workers=1)
         try:
-            pool.query("(x, WORKS-IN, y)")
+            with primary_busy(pool):
+                pool.query("(x, WORKS-IN, y)")
             sources = {record["source"]
                        for record in service.slow_log.records()}
         finally:
@@ -150,10 +154,13 @@ class TestMetricsSurface:
     def test_metrics_verb_merges_worker_snapshots(self, metered_server):
         (host, port), pool, _registry = metered_server
         with ServiceClient(host, port) as client:
-            for _ in range(3):
-                client.query("(x, WORKS-IN, y)")
+            with primary_busy(pool):
+                for _ in range(3):
+                    client.query("(x, WORKS-IN, y)")
+            client.query("(x, WORKS-IN, y)")
             snapshot = client.metrics(refresh=True)
         counters = snapshot["counters"]
+        assert counters.get("serve.pool.primary_reads", 0) == 1
         assert counters["serve.requests"] >= 3
         assert counters["serve.requests.query"] >= 3
         # Replica-side series prove worker snapshots were merged in.

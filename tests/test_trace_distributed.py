@@ -20,6 +20,8 @@ from repro.obs.context import (
 from repro.serve import DatabaseService, ReplicaPool
 from repro.serve.net import ServiceClient, ServiceServer
 
+from .conftest import primary_busy
+
 
 # ----------------------------------------------------------------------
 # Context unit behavior
@@ -105,25 +107,31 @@ def _build_database() -> Database:
 
 
 @pytest.fixture()
-def pooled_server():
+def pooled():
     """TCP server backed by a 2-worker replica pool."""
     service = DatabaseService(_build_database())
     pool = ReplicaPool(service, workers=2)
     server = ServiceServer(service, port=0, pool=pool)
     server.start()
     try:
-        yield server.address
+        yield server
     finally:
         server.close()
         pool.close()
         service.close()
 
 
+@pytest.fixture()
+def pooled_server(pooled):
+    return pooled.address
+
+
 class TestDistributedTrace:
     def test_probe_through_pool_stitches_multi_process_tree(
-            self, pooled_server):
+            self, pooled, pooled_server):
         host, port = pooled_server
-        with ServiceClient(host, port, trace=True) as client:
+        with ServiceClient(host, port, trace=True) as client, \
+                primary_busy(pooled.pool):
             outcome = client.probe("(x, PART-OF, ORG)")
             assert outcome["succeeded"]
             spans = client.last_trace
@@ -184,9 +192,22 @@ class TestDistributedTrace:
             assert traced.last_trace
             assert plain.last_trace == []
 
-    def test_render_last_trace(self, pooled_server):
+    def test_primary_served_read_stays_in_one_process(self, pooled_server):
+        """A lone read through the pool is the primary's: the tree is
+        client → server → pool → service, all in this process."""
         host, port = pooled_server
         with ServiceClient(host, port, trace=True) as client:
+            client.query("(x, WORKS-IN, y)")
+            spans = client.last_trace
+        assert len(stitch(spans)) == 1
+        assert trace_processes(spans) == [os.getpid()]
+        assert {"client", "server", "pool", "service"} \
+            <= {span["role"] for span in spans}
+
+    def test_render_last_trace(self, pooled, pooled_server):
+        host, port = pooled_server
+        with ServiceClient(host, port, trace=True) as client, \
+                primary_busy(pooled.pool):
             client.query("(x, WORKS-IN, y)")
             text = client.render_last_trace()
         assert "client.request" in text

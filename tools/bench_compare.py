@@ -13,10 +13,14 @@ per matched cell.
     python tools/bench_compare.py old.json new.json --fail-above 10
 
 ``--fail-above PCT`` exits non-zero when any matched cell's throughput
-regressed by more than PCT percent — the CI guardrail against a
-telemetry change quietly taxing the serving path.  ``--fail-p99-above
-PCT`` is the same guard on tail latency (``p99_us``, lower is better)
-— the probe-session benchmark's menu-latency guardrail.
+slowed down by more than PCT percent — the CI guardrail against a
+telemetry change quietly taxing the serving path.  The slowdown is
+``before/after − 1``: unbounded, like a latency increase, so 100 means
+half the throughput and 200 a third of it.  (The printed per-cell
+deltas stay plain relative changes, where a throughput loss can never
+read below −100 %.)  ``--fail-p99-above PCT`` is the same guard on tail
+latency (``p99_us``, lower is better) — the probe-session benchmark's
+menu-latency guardrail.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def percent_change(before: float, after: float) -> Optional[float]:
     return 100.0 * (after - before) / before
 
 
+def slowdown_percent(before: float, after: float) -> float:
+    """How much longer the same work takes at throughput ``after``
+    than it did at ``before``, in percent (4× slower → 300)."""
+    if after <= 0:
+        return float("inf")
+    return 100.0 * (before / after - 1.0)
+
+
 def compare(baseline_path: str, candidate_path: str,
             fail_above: Optional[float] = None,
             fail_p99_above: Optional[float] = None,
@@ -100,10 +112,11 @@ def compare(baseline_path: str, candidate_path: str,
             if abs(change) >= 2.0 and regressed:
                 marker = " (worse)"
             deltas.append(f"{field} {change:+.1f}%{marker}")
-            if (field == "ops_per_second" and regressed
-                    and -change > worst_regression):
-                worst_regression = -change
-                worst_cell = label
+            if field == "ops_per_second" and regressed:
+                slowdown = slowdown_percent(before[field], row[field])
+                if slowdown > worst_regression:
+                    worst_regression = slowdown
+                    worst_cell = label
             if (field == "p99_us" and regressed
                     and change > worst_p99):
                 worst_p99 = change
@@ -114,7 +127,7 @@ def compare(baseline_path: str, candidate_path: str,
     if unmatched:
         out.write(f"  {unmatched} baseline cell(s) missing from"
                   " candidate\n")
-    out.write(f"matched {matched} cell(s); worst throughput regression"
+    out.write(f"matched {matched} cell(s); worst throughput slowdown"
               f" {worst_regression:.1f}%"
               + (f" ({worst_cell})" if worst_cell else "") + "\n")
     if worst_p99_cell is not None:
@@ -140,8 +153,9 @@ def main(argv=None) -> int:
     parser.add_argument("candidate", help="candidate BENCH_*.json")
     parser.add_argument("--fail-above", type=float, default=None,
                         metavar="PCT",
-                        help="exit 1 if any cell's ops/s regressed by"
-                             " more than PCT percent")
+                        help="exit 1 if any cell's ops/s slowed down by"
+                             " more than PCT percent (before/after - 1:"
+                             " 200 = three times slower)")
     parser.add_argument("--fail-p99-above", type=float, default=None,
                         metavar="PCT",
                         help="exit 1 if any cell's p99_us latency"

@@ -6,8 +6,10 @@ service, 2-process replica pool, TCP server — with metrics collection
 and slow-query logging on, then drives it through a traced client and
 asserts the whole telemetry surface actually works:
 
-* a traced read comes back with a stitched span tree covering at least
-  two processes (client/server side plus the replica worker);
+* a lone client's reads are primary-served, and a traced read issued
+  while the primary is busy comes back with a stitched span tree
+  covering at least two processes (client/server side plus the replica
+  worker);
 * the ``metrics`` verb returns a merged snapshot whose request
   counters cover the traffic just sent;
 * the Prometheus exposition parses and carries the request series;
@@ -63,7 +65,14 @@ def main() -> int:
         with ServiceClient(host, port, trace=True) as client:
             for _ in range(3):
                 client.query("(x, WORKS-IN, y)")
-            outcome = client.probe("(x, PART-OF, ORG)")
+            if pool.stats()["primary_reads"] != 3:
+                return fail("a lone client's reads were not served by"
+                            " the primary")
+            # A lone read never leaves the primary's process; hold its
+            # read slot (as a concurrent reader would) so the traced
+            # probe takes the worker route.
+            with pool._primary_slot:  # noqa: SLF001 - smoke is white-box
+                outcome = client.probe("(x, PART-OF, ORG)")
             if not outcome["succeeded"]:
                 return fail("probe did not succeed")
 
