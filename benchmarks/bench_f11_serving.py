@@ -44,6 +44,17 @@ NOTES = [
     " drained the moment the writer wakes.",
     "No cell changed meaning with primary-first pool routing: F11 never"
     " reads through a ReplicaPool.",
+    "Since PR 19 every DatabaseService re-founds the Database it is"
+    " given on interned storage, so every service cell times an"
+    " interned-backed service although build_database() returns a"
+    " plain one (baseline-direct and mixed-baseline still time the"
+    " plain Database).  Cells that moved on the 2-core host, parent"
+    " against change, 4 alternating full runs: mixed, and with it"
+    " mixed-telemetry-off / -on, 15-19 k -> 25-32 k ops/s (a publish"
+    " shares the generation and copies the overlay); the read-only"
+    " cells are result-cache hits and did not separate from host"
+    " noise.  No fold fires: 100 writes stay under the 128-fact"
+    " overlay budget.",
 ]
 
 

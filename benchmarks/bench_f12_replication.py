@@ -73,6 +73,18 @@ NOTES = [
     "bootstrap-* rows at 1 000 000 facts (PR 7's 1-core, 135 GB host)"
     " are kept in docs/measurements/pr18/BENCH_replication.pr17-1M.json;"
     " a 16 GB host has to pass --bootstrap-facts 120000.",
+    "Since PR 19 every DatabaseService re-founds the Database it is"
+    " given on interned storage.  Cells that moved at 120 000 facts"
+    " (full run, parent against change, this 2-core host):"
+    " bootstrap-generation bootstrap_seconds 2.33 -> 0.49 (1 worker)"
+    " and 3.14 -> 1.82 (2 workers) - a pool started on a service whose"
+    " overlay is empty shares the service's generations instead of"
+    " building a pair from the snapshot; parent_rss_mb 772 -> 310-328"
+    " in the bootstrap-generation cells and 737 -> 283-299 in"
+    " bootstrap-state (the primary keeps columns, not hash indexes);"
+    " worker_rss_anon_mb 522.7 -> 506.1 for bootstrap-state."
+    "  thread-baseline, pool-read, replication-lag and failover did"
+    " not separate from run-to-run noise (1 600 reads in 30 ms).",
 ]
 
 

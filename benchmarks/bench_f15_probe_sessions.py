@@ -49,6 +49,24 @@ from repro.serve import DatabaseService
 from repro.serve.pool import ReplicaPool
 
 
+#: Stamped into the document's ``config``.
+NOTES = [
+    "Since PR 19 every DatabaseService re-founds the Database it is"
+    " given on interned storage and folds its overlay.  build_database()"
+    " compacts *before* the closure exists, so the closure store used"
+    " to be the base generation plus an overlay of every derived fact"
+    " - past the executor's overlay budget, i.e. served by the string"
+    " executor; the service now folds it at construction and every"
+    " cell runs in the integer domain.",
+    "This document was regenerated on the 2-core shared host (its"
+    " predecessor came from a 1-core container), so compare cells with"
+    " the file's own host block in mind.  Parent against change on"
+    " this host, two alternating full runs: cold-menus 188 / 291 ->"
+    " 272 / 315 sessions/s and pool 1 398 / 1 749 -> 1 956 / 1 897;"
+    " the hot cells (menu-cache hits) did not separate from noise.",
+]
+
+
 # ----------------------------------------------------------------------
 # Workload
 # ----------------------------------------------------------------------
@@ -317,7 +335,8 @@ def main(argv=None) -> int:
     print(f"F15 probe sessions ({'quick' if options.quick else 'full'})")
     rows, summary = run_matrix(quick=options.quick)
     write_bench_json(options.output, "F15-probe-sessions", rows,
-                     summary=summary, config={"quick": options.quick})
+                     summary=summary,
+                     config={"quick": options.quick, "notes": NOTES})
     print(f"wrote {options.output}: {len(rows)} cells;"
           f" hot {summary['hot_sessions_per_second']} sessions/s"
           f" (menu p99 {summary['hot_menu_p99_us']}us),"

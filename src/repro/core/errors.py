@@ -60,7 +60,8 @@ class IntegrityError(ReproError):
 
 
 class StorageError(ReproError):
-    """The persistence layer encountered a malformed journal/snapshot."""
+    """The persistence layer encountered a malformed journal/snapshot,
+    or could not write one (a failed checkpoint names the path)."""
 
 
 class UnknownRuleError(RuleError):

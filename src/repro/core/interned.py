@@ -18,10 +18,10 @@ This module stores the same information relationally:
   arrays for the single-position patterns and sorted packed-key arrays
   (probed by binary search) for the two-position patterns;
 * an :class:`InternedFactStore` — a drop-in :class:`FactStore`
-  replacement layering a small mutable *overlay* (adds) and a tombstone
-  set (removes) over one frozen generation, with
+  replacement layering a small mutable *overlay* (adds) and an indexed
+  tombstone store (removes) over one frozen generation, with
   :meth:`~InternedFactStore.compact` folding everything into a fresh
-  generation.
+  generation once the two outgrow :data:`OVERLAY_BUDGET`.
 
 Because a generation is nothing but flat arrays and one string blob,
 it can be placed in :mod:`multiprocessing.shared_memory` and *attached*
@@ -66,9 +66,21 @@ from .facts import Fact, Template, Variable
 from .store import FactStore
 
 __all__ = [
-    "IdCodec", "Interner", "ColumnarGeneration", "GenerationHandle",
-    "InternedFactStore", "attach_shared_memory", "unlink_generation",
+    "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
+    "GenerationHandle", "InternedFactStore", "attach_shared_memory",
+    "unlink_generation",
 ]
+
+#: The one overlay budget: how many facts — additions *plus* tombstones
+#: (:attr:`InternedFactStore.overlay_size`) — a store may hold outside
+#: its generation.  The serving writer folds a store that exceeds it
+#: into a fresh generation before it publishes
+#: (:class:`repro.serve.DatabaseService`), and the query executor runs
+#: in the integer domain only up to it (:mod:`repro.query.exec`), so a
+#: published store never drops to the string executor.  Readers pay
+#: for the overlay (every probe merges it), every fold is O(heap): a
+#: smaller budget buys read latency with more frequent folds.
+OVERLAY_BUDGET = 128
 
 #: Position letters to tuple indexes, shared with the query executor.
 _POSITION = {"s": 0, "r": 1, "t": 2}
@@ -641,31 +653,28 @@ class ColumnarGeneration:
             return () if position < 0 else (position,)
         raise KeyError(f"no index for position spec {spec!r}")
 
-    def count(self, spec: str, ids: Tuple[int, ...]) -> int:
-        """Exact match count for one ground pattern: pure index-length
-        lookups, never a scan."""
-        if spec == "":
-            return self.n
-        if spec == "s":
-            return self.start_s[ids[0] + 1] - self.start_s[ids[0]]
-        if spec == "r":
-            return self.start_r[ids[0] + 1] - self.start_r[ids[0]]
-        if spec == "t":
-            return self.start_t[ids[0] + 1] - self.start_t[ids[0]]
-        if spec == "sr":
-            r = self._pair_range(self.sr_keys, self.sr_starts,
-                                 ids[0], ids[1])
-        elif spec == "rt":
-            r = self._pair_range(self.rt_keys, self.rt_starts,
-                                 ids[0], ids[1])
-        elif spec == "st":
-            r = self._pair_range(self.st_keys, self.st_starts,
-                                 ids[1], ids[0])
-        elif spec == "srt":
-            return 1 if self._find(ids[0], ids[1], ids[2]) >= 0 else 0
-        else:
-            raise KeyError(f"no index for position spec {spec!r}")
-        return len(r)
+    def count(self, s: Optional[int], r: Optional[int],
+              t: Optional[int]) -> int:
+        """Exact match count for one ground pattern (``None`` = open
+        position): pure index-length lookups, never a scan."""
+        if s is None:
+            if r is None:
+                if t is None:
+                    return self.n
+                return self.start_t[t + 1] - self.start_t[t]
+            if t is None:
+                return self.start_r[r + 1] - self.start_r[r]
+            return len(self._pair_range(self.rt_keys, self.rt_starts,
+                                        r, t))
+        if r is None:
+            if t is None:
+                return self.start_s[s + 1] - self.start_s[s]
+            return len(self._pair_range(self.st_keys, self.st_starts,
+                                        t, s))
+        if t is None:
+            return len(self._pair_range(self.sr_keys, self.sr_starts,
+                                        s, r))
+        return 1 if self._find(s, r, t) >= 0 else 0
 
     def _pair_range(self, keys, starts, a: int, b: int) -> range:
         packed = a * len(self.interner) + b
@@ -691,18 +700,22 @@ class ColumnarGeneration:
                 return mid
         return -1
 
-    def contains_fact(self, fact: Fact) -> bool:
+    def position_of(self, fact: Fact) -> int:
+        """Column offset of ``fact``, or -1 when it is not here."""
         id_of = self.interner.id_of
         s = id_of(fact[0])
         if s is None:
-            return False
+            return -1
         r = id_of(fact[1])
         if r is None:
-            return False
+            return -1
         t = id_of(fact[2])
         if t is None:
-            return False
-        return self._find(s, r, t) >= 0
+            return -1
+        return self._find(s, r, t)
+
+    def contains_fact(self, fact: Fact) -> bool:
+        return self.position_of(fact) >= 0
 
     def entity_occurrences(self, i: int) -> int:
         """How many position slots entity ``i`` fills across all facts
@@ -733,21 +746,91 @@ class ColumnarGeneration:
         return total
 
 
+class _OverlayStore(FactStore):
+    """The hash store of one small layer (overlay or tombstones),
+    copied on every publish: :meth:`copy` duplicates the index dicts
+    but *shares* their per-key fact sets, and a store copies a shared
+    set the first time it mutates that key.  A copy is then a handful
+    of C-level dict copies however many facts the layer holds, and a
+    mutation costs what it costs on a :class:`FactStore` except for the
+    first touch of a key after a copy.
+    """
+
+    def __init__(self, facts: Iterable[Fact] = ()):
+        #: ``id`` of every per-key set this store created itself (and
+        #: may therefore mutate in place).  Sets enter the indexes only
+        #: through :meth:`_own` or :meth:`copy` — which disowns all of
+        #: them on both sides — and never leave, so an owned id always
+        #: names a live set of this store.
+        self._owned: Set[int] = set()
+        super().__init__(facts)
+
+    def _own(self, fact: Fact) -> None:
+        """Make every per-key set ``fact`` belongs in one this store
+        may mutate: a fresh set for a new key, a private copy of a set
+        a :meth:`copy` still shares."""
+        s, r, t = fact
+        owned = self._owned
+        for index, key in ((self._by_s, s), (self._by_r, r),
+                           (self._by_t, t), (self._by_sr, (s, r)),
+                           (self._by_st, (s, t)), (self._by_rt, (r, t))):
+            bucket = index.get(key)
+            if bucket is None or id(bucket) not in owned:
+                bucket = index[key] = set(bucket or ())
+                owned.add(id(bucket))
+
+    def _index(self, fact: Fact) -> None:
+        self._own(fact)
+        super()._index(fact)
+
+    def _unindex(self, fact: Fact) -> None:
+        self._own(fact)
+        super()._unindex(fact)
+
+    def copy(self) -> "_OverlayStore":
+        new = _OverlayStore.__new__(_OverlayStore)
+        new._facts = set(self._facts)
+        new._by_s = self._by_s.copy()
+        new._by_r = self._by_r.copy()
+        new._by_t = self._by_t.copy()
+        new._by_sr = self._by_sr.copy()
+        new._by_st = self._by_st.copy()
+        new._by_rt = self._by_rt.copy()
+        new._entity_refs = self._entity_refs.copy()
+        new._relationship_refs = self._relationship_refs.copy()
+        new._version = self._version
+        new._frozen = False
+        new._owned = set()
+        self._owned = set()
+        return new
+
+
 class InternedFactStore(FactStore):
     """A :class:`FactStore` re-founded on one interned columnar
     generation plus a small mutable overlay.
 
     Reads merge three layers: the frozen generation (integer CSR
-    probes), minus the tombstone set (facts discarded since the
-    generation was built), plus the overlay (facts added since).  The
-    overlay is an ordinary hash :class:`FactStore`, so mutation cost
-    matches the classic store; the win is that the bulk of the heap is
-    flat arrays — cheap to copy (the generation is shared, only the
-    overlay duplicates), cheap to place in shared memory, and probed
-    without tuple hashing.
+    probes), minus the tombstones (facts discarded since the
+    generation was built), plus the overlay (facts added since).
+    Overlay and tombstones are each a hash store
+    (:class:`_OverlayStore`) maintained by :meth:`add` /
+    :meth:`discard`, so mutation cost matches the classic store and
+    counting either layer is an index length; the win is that the bulk
+    of the heap is flat arrays — cheap to copy (the generation is
+    shared, the two small layers share their fact sets copy-on-write),
+    cheap to place in shared memory, and probed without tuple hashing.
 
-    Invariant: the overlay and the (non-tombstoned) generation are
-    disjoint, so merged iteration never deduplicates.
+    Nothing here folds by itself: :attr:`overlay_size` is the pressure
+    gauge and :data:`OVERLAY_BUDGET` the bound.  The serving writer
+    (:class:`repro.serve.DatabaseService`) folds its master's stores
+    with :meth:`repro.db.Database.compact_store` whenever one exceeds
+    the budget; a library caller who mutates a compacted
+    :class:`~repro.db.Database` by hand folds by calling it again.
+
+    Invariants: the overlay and the (non-tombstoned) generation are
+    disjoint, so merged iteration never deduplicates; every tombstone
+    is a generation fact, and ``_removed_at`` holds exactly the
+    tombstones' column offsets.
     """
 
     #: Class marker the query executor keys its integer-probe fast
@@ -760,11 +843,9 @@ class InternedFactStore(FactStore):
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._gen: Optional[ColumnarGeneration] = None
-        self._overlay = FactStore()
-        self._removed: Set[Fact] = set()
-        self._removed_entity_refs: Dict[str, int] = {}
-        self._removed_rel_refs: Dict[str, int] = {}
-        self._removed_positions: Optional[Tuple[int, frozenset]] = None
+        self._overlay = _OverlayStore()
+        self._removed = _OverlayStore()
+        self._removed_at: Set[int] = set()
         self._version = 0
         self._frozen = False
         for fact in facts:
@@ -809,8 +890,14 @@ class InternedFactStore(FactStore):
 
     @property
     def overlay_size(self) -> int:
-        """Facts outside the generation (compaction pressure gauge)."""
+        """Facts outside the generation, additions plus tombstones:
+        what :data:`OVERLAY_BUDGET` bounds."""
         return len(self._overlay) + len(self._removed)
+
+    @property
+    def tombstones(self) -> int:
+        """Generation facts discarded since the generation was built."""
+        return len(self._removed)
 
     def close(self) -> None:
         """Release an attached generation's shared mapping."""
@@ -823,17 +910,9 @@ class InternedFactStore(FactStore):
     def add(self, fact: Fact) -> bool:
         if self._frozen:
             raise FrozenStoreError("cannot add to a frozen store")
-        if self._removed and fact in self._removed:
-            self._removed.discard(fact)
-            for entity in fact:
-                refs = self._removed_entity_refs
-                refs[entity] -= 1
-                if not refs[entity]:
-                    del refs[entity]
-            refs = self._removed_rel_refs
-            refs[fact[1]] -= 1
-            if not refs[fact[1]]:
-                del refs[fact[1]]
+        if fact in self._removed:
+            self._removed._unindex(fact)  # noqa: SLF001
+            self._removed_at.discard(self._gen.position_of(fact))
             if _obs.ENABLED:
                 _obs.TELEMETRY.count("store.adds")
             self._version += 1
@@ -851,15 +930,13 @@ class InternedFactStore(FactStore):
         if self._overlay.discard(fact):
             self._version += 1
             return True
-        if self._gen is None or fact in self._removed \
-                or not self._gen.contains_fact(fact):
+        if self._gen is None or fact in self._removed:
             return False
-        self._removed.add(fact)
-        for entity in fact:
-            self._removed_entity_refs[entity] = \
-                self._removed_entity_refs.get(entity, 0) + 1
-        self._removed_rel_refs[fact[1]] = \
-            self._removed_rel_refs.get(fact[1], 0) + 1
+        position = self._gen.position_of(fact)
+        if position < 0:
+            return False
+        self._removed._index(fact)  # noqa: SLF001
+        self._removed_at.add(position)
         if _obs.ENABLED:
             _obs.TELEMETRY.count("store.removes")
         self._version += 1
@@ -880,7 +957,7 @@ class InternedFactStore(FactStore):
             return True
         if self._gen is None:
             return False
-        if self._removed and fact in self._removed:
+        if fact in self._removed:
             return False
         return self._gen.contains_fact(fact)
 
@@ -890,12 +967,12 @@ class InternedFactStore(FactStore):
 
     def __iter__(self) -> Iterator[Fact]:
         if self._gen is not None:
-            removed = self._removed
-            if removed:
+            removed_at = self._removed_at
+            if removed_at:
+                fact_at = self._gen.fact_at
                 for position in range(self._gen.n):
-                    fact = self._gen.fact_at(position)
-                    if fact not in removed:
-                        yield fact
+                    if position not in removed_at:
+                        yield fact_at(position)
             else:
                 yield from self._gen
         yield from self._overlay
@@ -910,10 +987,8 @@ class InternedFactStore(FactStore):
         new = InternedFactStore.__new__(InternedFactStore)
         new._gen = self._gen
         new._overlay = self._overlay.copy()
-        new._removed = set(self._removed)
-        new._removed_entity_refs = dict(self._removed_entity_refs)
-        new._removed_rel_refs = dict(self._removed_rel_refs)
-        new._removed_positions = self._removed_positions
+        new._removed = self._removed.copy()
+        new._removed_at = set(self._removed_at)
         new._version = self._version
         new._frozen = False
         return new
@@ -922,7 +997,7 @@ class InternedFactStore(FactStore):
         result = self._overlay.entities()
         gen = self._gen
         if gen is not None:
-            removed = self._removed_entity_refs
+            removed = self._removed._entity_refs  # noqa: SLF001
             for i, name in enumerate(gen.interner.names):
                 if gen.entity_occurrences(i) > removed.get(name, 0):
                     result.add(name)
@@ -932,7 +1007,7 @@ class InternedFactStore(FactStore):
         result = self._overlay.relationships()
         gen = self._gen
         if gen is not None:
-            removed = self._removed_rel_refs
+            removed = self._removed._relationship_refs  # noqa: SLF001
             start_r = gen.start_r
             names = gen.interner.names
             for i in range(len(names)):
@@ -951,7 +1026,7 @@ class InternedFactStore(FactStore):
         if i is None:
             return False
         return gen.entity_occurrences(i) \
-            > self._removed_entity_refs.get(entity, 0)
+            > self._removed._entity_refs.get(entity, 0)  # noqa: SLF001
 
     def has_relationship(self, relationship: str) -> bool:
         if self._overlay.has_relationship(relationship):
@@ -963,7 +1038,8 @@ class InternedFactStore(FactStore):
         if i is None:
             return False
         return gen.relationship_occurrences(i) \
-            > self._removed_rel_refs.get(relationship, 0)
+            > self._removed._relationship_refs.get(  # noqa: SLF001
+                relationship, 0)
 
     # ------------------------------------------------------------------
     # Template matching (integer probes)
@@ -995,12 +1071,11 @@ class InternedFactStore(FactStore):
             return
         spec, ids = resolved
         fact_at = gen.fact_at
-        removed = self._removed
-        if removed:
+        removed_at = self._removed_at
+        if removed_at:
             for position in gen.positions(spec, ids):
-                fact = fact_at(position)
-                if fact not in removed:
-                    yield fact
+                if position not in removed_at:
+                    yield fact_at(position)
         else:
             for position in gen.positions(spec, ids):
                 yield fact_at(position)
@@ -1057,7 +1132,7 @@ class InternedFactStore(FactStore):
                 for template in templates]
         id_of = gen.interner.id_of
         fact_at = gen.fact_at
-        removed = self._removed
+        removed_at = self._removed_at
         for template in templates:
             ids: List[int] = []
             miss = False
@@ -1069,11 +1144,11 @@ class InternedFactStore(FactStore):
                 ids.append(i)
             if miss:
                 matches: List[Fact] = []
-            elif removed:
+            elif removed_at:
                 matches = [
-                    fact for fact in map(
-                        fact_at, gen.positions(spec, tuple(ids)))
-                    if fact not in removed]
+                    fact_at(position)
+                    for position in gen.positions(spec, tuple(ids))
+                    if position not in removed_at]
             else:
                 matches = [fact_at(position)
                            for position in gen.positions(
@@ -1092,23 +1167,6 @@ class InternedFactStore(FactStore):
     def id_codec(self) -> IdCodec:
         """A fresh per-execution codec over this store's generation."""
         return IdCodec(self._gen.interner)
-
-    def removed_positions(self) -> frozenset:
-        """Generation offsets of the tombstoned facts, cached per store
-        version.  Every tombstone is generation-contained by invariant
-        (:meth:`discard` only tombstones facts the generation holds),
-        so the resolution never misses."""
-        cached = self._removed_positions
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        gen = self._gen
-        id_of = gen.interner.id_of
-        find = gen._find  # noqa: SLF001
-        positions = frozenset(
-            find(id_of(f[0]), id_of(f[1]), id_of(f[2]))
-            for f in self._removed)
-        self._removed_positions = (self._version, positions)
-        return positions
 
     def lookup_many_ids(self, spec: str,
                         keys: Sequence[Tuple[Optional[int], ...]],
@@ -1132,7 +1190,7 @@ class InternedFactStore(FactStore):
         """
         gen = self._gen
         base = len(gen.interner)
-        removed = self.removed_positions() if self._removed else None
+        removed = self._removed_at
         cols = (gen.scol, gen.rcol, gen.tcol)
         out_cols = None if positions is None else [
             cols[p] for p in positions]
@@ -1182,11 +1240,10 @@ class InternedFactStore(FactStore):
         out: List[int] = []
         live: List[int] = []
         if gen is not None:
-            removed: Dict[int, int] = {}
-            if self._removed_entity_refs:
-                id_of = gen.interner.id_of
-                for name, count in self._removed_entity_refs.items():
-                    removed[id_of(name)] = count
+            id_of = gen.interner.id_of
+            removed: Dict[int, int] = {
+                id_of(name): count for name, count
+                in self._removed._entity_refs.items()}  # noqa: SLF001
             occurrences = gen.entity_occurrences
             if removed:
                 live = [i for i in range(len(gen.interner))
@@ -1216,34 +1273,43 @@ class InternedFactStore(FactStore):
                        binding=None) -> int:
         """Exact match count for patterns without repeated variables.
 
-        Index-length lookups on the generation (O(1) per probe),
-        adjusted by the (small) tombstone and overlay layers.  Patterns
-        with repeated variables keep the classic upper-bound semantics.
+        Index-length lookups on all three layers: the generation's
+        CSR offsets, minus the tombstone store's hash index, plus the
+        overlay's.  Patterns with repeated variables keep the classic
+        upper-bound semantics.
         """
         if binding:
             pattern = pattern.substitute(binding)
-        variables = pattern.variables()
-        if len(variables) != len(set(variables)):
+        s, r, t = pattern
+        s_open = isinstance(s, Variable)
+        r_open = isinstance(r, Variable)
+        t_open = isinstance(t, Variable)
+        if (s_open and ((r_open and s == r) or (t_open and s == t))) \
+                or (r_open and t_open and r == t):
             # Upper bound, as in the hash store.
-            candidates = self._candidates(pattern)
-            return sum(1 for _ in candidates)
-        s = pattern.source if isinstance(pattern.source, str) else None
-        r = (pattern.relationship
-             if isinstance(pattern.relationship, str) else None)
-        t = pattern.target if isinstance(pattern.target, str) else None
+            return sum(1 for _ in self._candidates(pattern))
+        if s_open:
+            s = None
+        if r_open:
+            r = None
+        if t_open:
+            t = None
         total = 0
-        if self._gen is not None:
-            resolved = self._spec_ids(s, r, t)
-            if resolved is not None:
-                total += self._gen.count(*resolved)
-                if self._removed:
-                    total -= sum(
-                        1 for fact in self._removed
-                        if (s is None or fact[0] == s)
-                        and (r is None or fact[1] == r)
-                        and (t is None or fact[2] == t))
-        if len(self._overlay):
-            total += self._overlay.count_estimate(pattern)
+        gen = self._gen
+        if gen is not None:
+            # A constant the generation never interned matches nothing
+            # in it (and so no tombstone either).
+            id_of = gen.interner.id_of
+            si = None if s is None else id_of(s)
+            ri = None if r is None else id_of(r)
+            ti = None if t is None else id_of(t)
+            if (si is None) == (s is None) and (ri is None) == (r is None) \
+                    and (ti is None) == (t is None):
+                total = gen.count(si, ri, ti)
+                if self._removed_at:
+                    total -= len(self._removed.lookup(s, r, t))
+        if self._overlay._facts:  # noqa: SLF001 - C-level truth test
+            total += len(self._overlay.lookup(s, r, t))
         return total
 
 

@@ -94,6 +94,14 @@ class FactStore:
         if _obs.ENABLED:
             _obs.TELEMETRY.count("store.adds")
         self._version += 1
+        self._index(fact)
+        return True
+
+    def _index(self, fact: Fact) -> None:
+        """Enter an absent fact into the set, the six indexes and the
+        reference counts — the bookkeeping of :meth:`add` without its
+        checks, telemetry and version bump (the interned store keeps
+        its tombstones in a store maintained through this pair)."""
         self._facts.add(fact)
         s, r, t = fact
         self._by_s[s].add(fact)
@@ -105,7 +113,6 @@ class FactStore:
         for entity in fact:
             self._entity_refs[entity] += 1
         self._relationship_refs[r] += 1
-        return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns the number actually new."""
@@ -120,6 +127,11 @@ class FactStore:
         if _obs.ENABLED:
             _obs.TELEMETRY.count("store.removes")
         self._version += 1
+        self._unindex(fact)
+        return True
+
+    def _unindex(self, fact: Fact) -> None:
+        """Inverse of :meth:`_index`, for a fact that is present."""
         self._facts.remove(fact)
         s, r, t = fact
         self._by_s[s].discard(fact)
@@ -135,7 +147,6 @@ class FactStore:
         self._relationship_refs[r] -= 1
         if not self._relationship_refs[r]:
             del self._relationship_refs[r]
-        return True
 
     def clear(self) -> None:
         """Remove every fact.  The version keeps moving forward."""

@@ -432,8 +432,15 @@ class Database:
         index dicts, and :meth:`ColumnarGeneration.share
         <repro.core.interned.ColumnarGeneration.share>` can place the
         generation in shared memory for the replica pool.  Mutations
-        accumulate in the overlay; call again when
-        ``facts.overlay_size`` grows large.  Returns ``self``.
+        accumulate in the overlay (additions and tombstones); calling
+        again *folds* them into a fresh generation.  A
+        :class:`~repro.serve.DatabaseService` does both for its master:
+        it re-founds at construction and folds on its writer whenever
+        :attr:`overlay_size` exceeds
+        :data:`~repro.core.interned.OVERLAY_BUDGET`.  Only a library
+        caller mutating a compacted database by hand decides when to
+        call again — the same measure applies (past the budget, queries
+        leave the integer domain).  Returns ``self``.
         """
         from .core.interned import InternedFactStore
 
@@ -470,6 +477,17 @@ class Database:
             self._lazy_engine = None
             self._hierarchy_bound = None
         return self
+
+    @property
+    def overlay_size(self) -> int:
+        """The largest overlay — additions plus tombstones outside the
+        generation — among the base heap and the cached closure stores
+        (0 while they are hash stores): what a fold would clear."""
+        stores = [self._base]
+        stores += [result.store for result
+                   in (self._standard_result, self._full_result)
+                   if result is not None]
+        return max(getattr(store, "overlay_size", 0) for store in stores)
 
     # ------------------------------------------------------------------
     # Relationship classification (§2.2)

@@ -120,6 +120,12 @@ def render_dashboard(sample: Dict[str, Any],
         lines.append(f"publish pause: last {_ms(pause)}"
                      f" worst {_ms(worst)}")
 
+    folds = sample.get("counters", {}).get("serve.folds", 0)
+    if folds:
+        fold_hist = _histogram(sample, "serve.fold_seconds")
+        worst = fold_hist.get("max") if fold_hist else None
+        lines.append(f"overlay folds: {folds:,} worst {_ms(worst)}")
+
     depth = _gauge_last(sample, "serve.queue_depth")
     if depth is not None:
         lines.append(f"write queue depth: {depth:.0f}")

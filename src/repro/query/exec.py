@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Fact, Template, Variable
+from ..core.interned import OVERLAY_BUDGET
 from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
@@ -69,13 +70,6 @@ from .planner import conjunct_rank, estimate_cost
 #: id-native and string paths produce bit-identical answers, verdicts,
 #: errors, and explain-analyze row counts.
 ID_DOMAIN = True
-
-#: Largest post-compaction overlay the id path accepts.  Overlay facts
-#: are re-encoded into scratch-id triples once per execution, so a
-#: store compacted *before* its closure was computed (thousands of
-#: derived facts in the overlay) would pay that encode on every query;
-#: past this bound the string path's indexed overlay lookups win.
-_ID_OVERLAY_CAP = 128
 
 #: The virtual relations whose ``handles`` triggers the executor can
 #: test in id space.  A registry containing anything else routes the
@@ -189,38 +183,26 @@ class _IdExec:
     """Per-execution integer-domain state over one interned store: the
     scratch codec, the base-id universe bound, the encoded trigger ids
     that decide per join key whether a standard virtual relation could
-    contribute, and the overlay handle for the string-boundary merge.
+    contribute, and the overlay (``None`` when empty) for the
+    string-boundary merge.
     """
 
     __slots__ = ("store", "gen", "codec", "base", "overlay",
-                 "rel_trigger_ids", "bottom_id", "top_id",
-                 "_overlay_triples")
+                 "rel_trigger_ids", "bottom_id", "top_id")
 
     def __init__(self, store):
         self.store = store
         self.gen = store.generation
+        overlay = store._overlay  # noqa: SLF001
+        self.overlay = overlay if len(overlay) else None
         codec = store.id_codec()
         self.codec = codec
         self.base = codec.base
-        self.overlay = store._overlay  # noqa: SLF001
-        self._overlay_triples = None
         encode = codec.encode
         self.rel_trigger_ids = frozenset(
             encode(name) for name in _TRIGGER_RELS)
         self.bottom_id = encode(BOTTOM)
         self.top_id = encode(TOP)
-
-    def overlay_triples(self) -> list:
-        """The overlay encoded as id triples, once per execution (the
-        store cannot mutate mid-execution — snapshots are immutable and
-        a mutable store is single-threaded by contract)."""
-        triples = self._overlay_triples
-        if triples is None:
-            encode = self.codec.encode
-            triples = self._overlay_triples = [
-                (encode(f[0]), encode(f[1]), encode(f[2]))
-                for f in self.overlay]
-        return triples
 
 
 def _standard_registry(virtual) -> bool:
@@ -255,7 +237,7 @@ class _Context:
         self.ids: Optional[_IdExec] = None
         if ID_DOMAIN and getattr(self.store, "interned", False) \
                 and self.store.generation is not None \
-                and len(self.store._overlay) <= _ID_OVERLAY_CAP \
+                and self.store.overlay_size <= OVERLAY_BUDGET \
                 and _standard_registry(self.virtual):
             self.ids = _IdExec(self.store)
             run.id_domain = True
@@ -520,21 +502,17 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
 
     # Probe slots in srt spec order: a ground constant's interned id
     # (possibly None — never in the generation) or the key index of a
-    # bound variable.  ``spec_positions`` maps each probe-key slot back
-    # to its pattern position for the overlay's id-triple matching.
+    # bound variable.
     spec = ""
     slots: List[Tuple[Optional[int], Optional[int]]] = []
-    spec_positions: List[int] = []
     for p, letter in ((0, "s"), (1, "r"), (2, "t")):
         component = pattern[p]
         if not isinstance(component, Variable):
             spec += letter
             slots.append((ground[p][1], None))
-            spec_positions.append(p)
         elif component in bound_vars:
             spec += letter
             slots.append((None, bound_vars.index(component)))
-            spec_positions.append(p)
     probe_keys = [
         tuple(g if k is None else key[k] for g, k in slots)
         for key in keys
@@ -563,83 +541,46 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
         or src_key is not None or tgt_key is not None
     rel_triggers = ids.rel_trigger_ids
     bottom_id, top_id = ids.bottom_id, ids.top_id
-    # The overlay (typically a handful of post-compaction facts) is
-    # encoded into id triples once per execution and prefiltered here
-    # against the pattern's *ground* positions (codec ids, so scratch
-    # constants compare correctly) and repeated-variable checks — the
-    # same for every key — leaving only the bound-variable slots to
-    # test per key.  The common case (no overlay survivor for this
-    # pattern) pays nothing inside the loop.  Overlay and generation
-    # are disjoint by store invariant, so no dedup.
-    overlay_matches = None
-    if len(ids.overlay):
-        encode = ids.codec.encode
-        key_slots = [(slot, spec_positions[slot])
-                     for slot, (g, k) in enumerate(slots)
-                     if k is not None]
-        candidates = []
-        for triple in ids.overlay_triples():
-            matched = True
-            for slot, (g, k) in enumerate(slots):
-                if k is None:
-                    p = spec_positions[slot]
-                    if g is None:
-                        g = encode(ground[p][0])
-                    if triple[p] != g:
-                        matched = False
-                        break
-            if matched and checks:
-                for i, j in checks:
-                    if triple[i] != triple[j]:
-                        matched = False
-                        break
-            if matched:
-                candidates.append(triple)
+    # The overlay: its own hash index answers the pattern's *ground*
+    # positions (every key shares them); the few facts that survive
+    # are encoded through the codec (scratch ids for names the
+    # generation never saw) and appended to the key they agree with on
+    # the bound variables.  An atom whose constants no overlay fact
+    # mentions pays one lookup and nothing per key.  Overlay and
+    # generation are disjoint by store invariant, so no dedup.
+    if ids.overlay is not None:
+        candidates = ids.overlay.lookup(
+            *(None if g is None else g[0] for g in ground))
         if candidates:
-            index = None
-            if key_slots and len(candidates) * len(keys) > 4096:
-                # Enough survivors that a linear scan per key would
-                # dominate: bucket them by their bound-slot projection
-                # so each key probes a dict instead.
-                index = {}
-                for triple in candidates:
-                    kproj = tuple(triple[p] for _slot, p in key_slots)
-                    index.setdefault(kproj, []).append(triple)
-            overlay_matches = (candidates, key_slots, index)
+            encode = ids.codec.encode
+            # Per bound variable its first position in the pattern
+            # gives the key component; a repeat must agree with it,
+            # like the repeated unbound variables of ``checks``.
+            firsts = [pattern.index(v) for v in bound_vars]
+            equal = list(checks) + [
+                (first, p) for first in firsts
+                for p in range(first + 1, 3) if pattern[p] == pattern[first]]
+            where = {key: n for n, key in enumerate(keys)}
+            for f in candidates:
+                if equal and not all(f[i] == f[j] for i, j in equal):
+                    continue
+                n = where.get(tuple([encode(f[p]) for p in firsts]))
+                if n is not None:
+                    extensions_per_key[n].append(
+                        tuple([encode(f[p]) for p in new_positions]))
 
-    # Fold the overlay survivors and any triggered virtual relation
-    # into each key's extensions before building rows.
-    if overlay_matches is not None or check_virtual:
+    # Merge any triggered virtual relation into each key's extensions
+    # before building rows.
+    if check_virtual:
         for n, key in enumerate(keys):
             if _deadline.ACTIVE and n % CHECK_KEYS == 0:
                 _deadline.check()
-            extensions = extensions_per_key[n]
-            if overlay_matches is not None:
-                candidates, key_slots, index = overlay_matches
-                probe_key = probe_keys[n]
-                if index is not None:
-                    kproj = tuple(probe_key[slot]
-                                  for slot, _p in key_slots)
-                    for triple in index.get(kproj, ()):
-                        extensions.append(
-                            tuple(triple[p] for p in new_positions))
-                else:
-                    for triple in candidates:
-                        matched = True
-                        for slot, p in key_slots:
-                            if triple[p] != probe_key[slot]:
-                                matched = False
-                                break
-                        if matched:
-                            extensions.append(
-                                tuple(triple[p] for p in new_positions))
-            if check_virtual and (
-                    always_virtual
-                    or (rel_key is not None and key[rel_key] in rel_triggers)
-                    or (src_key is not None and key[src_key] == bottom_id)
-                    or (tgt_key is not None and key[tgt_key] == top_id)):
+            if always_virtual \
+                    or (rel_key is not None and key[rel_key] in rel_triggers) \
+                    or (src_key is not None and key[src_key] == bottom_id) \
+                    or (tgt_key is not None and key[tgt_key] == top_id):
                 extensions_per_key[n] = _merge_id_boundary(
-                    ctx, pattern, bound_vars, key, extensions,
+                    ctx, pattern, bound_vars, key, extensions_per_key[n],
                     new_positions, checks)
     return extensions_per_key
 

@@ -6,7 +6,16 @@ Concurrency model
 The service owns a private *master* :class:`~repro.db.Database` that
 only the writer thread ever touches, plus one *published* snapshot
 (a frozen, read-only clone produced by
-:meth:`repro.db.Database.snapshot`).  The division of labour:
+:meth:`repro.db.Database.snapshot`).  Whatever store the caller's
+database arrived on, the service re-founds it at construction on
+interned storage (:meth:`repro.db.Database.compact_store`): base heap
+and closure each become one immutable columnar generation plus a small
+overlay of additions and tombstones, so a publish *shares* the
+generation and copies only the overlay.  The writer owns the fold: a
+batch that leaves a store's overlay above
+:data:`~repro.core.interned.OVERLAY_BUDGET` folds it into a fresh
+generation before publishing (once per batch; ``stats()["store"]``).
+The division of labour:
 
 * **Readers** grab a local reference to the published snapshot — a
   single attribute read, atomic under the GIL — and evaluate against
@@ -72,8 +81,10 @@ from ..core.errors import (
     ReproError,
     ServiceClosed,
     ServiceError,
+    StorageError,
 )
 from ..core.facts import Fact, fact as make_fact
+from ..core.interned import OVERLAY_BUDGET
 from ..db import Database
 from ..obs import telemetry as _obs
 from ..obs.context import SpanRecord, TraceContext, new_span_id
@@ -179,8 +190,11 @@ class DatabaseService:
 
     Args:
         db: the master database (a fresh empty one by default).  The
-            service takes ownership: touching it directly from other
-            threads afterwards voids the concurrency guarantees.
+            service takes ownership: it computes the closure on the
+            store the database arrived with, re-founds base and
+            closure on interned storage, and from then on touching the
+            database directly from other threads voids the concurrency
+            guarantees.
         session: optional :class:`~repro.storage.session.DurableSession`;
             when given, every writer batch is journaled in one append
             and ``checkpoint()`` folds the journal into the snapshot
@@ -269,9 +283,13 @@ class DatabaseService:
         self._largest_batch = 0
         self._publishes = 0
         self._checkpoints = 0
+        self._checkpoint_failures = 0
         self._publish_pause_last = 0.0
         self._publish_pause_max = 0.0
         self._publish_pause_total = 0.0
+        self._folds = 0
+        self._fold_pause_last = 0.0
+        self._fold_pause_max = 0.0
 
         # Replication: the sequence number of the latest published
         # batch, and the delta subscribers it is shipped to (the
@@ -284,6 +302,13 @@ class DatabaseService:
 
         # Initial publication happens on the constructing thread; the
         # writer has not started yet, so the master is ours to touch.
+        # The closure is computed on the store the caller loaded (the
+        # dispatched engine is faster on the hash store), then heap and
+        # closure are re-founded on one generation each: from here on a
+        # publish shares them.  A database that arrives compacted pays
+        # nothing.
+        self._db.view()
+        self._db.compact_store()
         snap = self._build_snapshot()
         # One attribute holding the (snapshot, sequence) pair: readers
         # and the pool capture both atomically with a single ref grab.
@@ -404,7 +429,7 @@ class DatabaseService:
             journal_entries: List[Tuple[str, Fact]] = []
             controls: List[tuple] = []
             mutated = False
-            checkpoint_requested = False
+            checkpoints: List[int] = []     # indexes into ``settled``
             for kind, payload, ticket, _ctx in batch:
                 try:
                     outcome: Any
@@ -452,7 +477,7 @@ class DatabaseService:
                             ("define_rule", name, text, is_constraint))
                         mutated = True
                     elif kind == "checkpoint":
-                        checkpoint_requested = True
+                        checkpoints.append(len(settled))
                         outcome = True
                     else:  # pragma: no cover - guarded at submission
                         raise ServiceError(f"unknown operation {kind!r}")
@@ -465,8 +490,9 @@ class DatabaseService:
             delta = None
             if mutated:
                 publish_started = time.perf_counter()
+                folded = self._fold_if_due()
                 snap = self._build_snapshot()
-                pause = time.perf_counter() - publish_started
+                pause = time.perf_counter() - publish_started - folded
                 self._publish_pause_last = pause
                 self._publish_pause_max = max(self._publish_pause_max,
                                               pause)
@@ -481,11 +507,25 @@ class DatabaseService:
                     _obs.TELEMETRY.gauge("serve.publish_pause_seconds",
                                          pause)
                     _obs.TELEMETRY.observe("serve.publish_pause", pause)
-            if checkpoint_requested and self._session is not None:
+            if checkpoints and self._session is not None:
                 # Readers keep hitting the published in-memory snapshot
                 # while the on-disk one is rewritten.
                 self._checkpoints += 1
-                self._session.checkpoint(database=self._db)
+                try:
+                    self._session.checkpoint(database=self._db)
+                except (OSError, StorageError) as error:
+                    # The batch's writes are journaled and published:
+                    # only the checkpoint failed, and the journal it
+                    # would have truncated still holds them.
+                    self._checkpoint_failures += 1
+                    if _obs.ENABLED:
+                        _obs.TELEMETRY.count("serve.checkpoint_failures")
+                    failure = StorageError(
+                        f"checkpoint of {self._session.snapshot_path}"
+                        f" failed: {error}")
+                    failure.__cause__ = error
+                    for index in checkpoints:
+                        settled[index] = (settled[index][0], None, failure)
             self._batches += 1
             self._ops_applied += len(batch)
             self._largest_batch = max(self._largest_batch, len(batch))
@@ -529,6 +569,32 @@ class DatabaseService:
             else:
                 ticket._resolve(value)
 
+    def _fold_if_due(self) -> float:
+        """Fold the master's stores into fresh generations when a
+        batch left one of them over the overlay budget; returns the
+        seconds the fold took (0.0 when none was due).
+
+        Once per batch, however many facts it held.  Store versions
+        survive (result- and plan-cache entries stay valid), so does
+        the lattice, and readers keep the previously published snapshot
+        — which shares the *old* generation — until the next one is
+        swapped in.
+        """
+        db = self._db
+        db.view()       # the closure as the batch left it
+        if db.overlay_size <= OVERLAY_BUDGET:
+            return 0.0
+        started = time.perf_counter()
+        db.compact_store()
+        seconds = time.perf_counter() - started
+        self._folds += 1
+        self._fold_pause_last = seconds
+        self._fold_pause_max = max(self._fold_pause_max, seconds)
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("serve.folds")
+            _obs.TELEMETRY.observe("serve.fold_seconds", seconds)
+        return seconds
+
     def _build_snapshot(self) -> Database:
         """Clone the master and pre-warm it so readers never compute.
 
@@ -553,7 +619,24 @@ class DatabaseService:
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.snapshot_publishes")
             _obs.TELEMETRY.gauge("serve.snapshot_version", snap.facts.version)
+            shape = self._store_shape(snap)
+            _obs.TELEMETRY.gauge(
+                "serve.overlay_facts",
+                shape["overlay_facts"] + shape["tombstones"])
         return snap
+
+    @staticmethod
+    def _store_shape(snap: Database) -> dict:
+        """What a publish shared and what it copied, summed over the
+        snapshot's base heap and closure store."""
+        stores = (snap.facts, snap.closure().store)
+        tombstones = sum(store.tombstones for store in stores)
+        return {
+            "generation_facts": sum(len(s.generation) for s in stores),
+            "overlay_facts": sum(s.overlay_size for s in stores)
+            - tombstones,
+            "tombstones": tombstones,
+        }
 
     # ------------------------------------------------------------------
     # Write API
@@ -805,10 +888,25 @@ class DatabaseService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Service-level counters plus the published snapshot's shape."""
+        """Service-level counters plus the published snapshot's shape.
+
+        The ``store`` block describes what a publish shares and what it
+        copies, summed over the snapshot's base heap and closure store:
+        facts in the shared generations, overlay additions and
+        tombstones outside them (each store is folded once its own
+        additions + tombstones pass ``overlay_budget``), and the
+        writer's fold count and pauses.
+        """
         snap = self._published
         with self._lock:
             pending = len(self._ops)
+        store = self._store_shape(snap)
+        store.update({
+            "overlay_budget": OVERLAY_BUDGET,
+            "folds": self._folds,
+            "fold_pause_last_s": round(self._fold_pause_last, 6),
+            "fold_pause_max_s": round(self._fold_pause_max, 6),
+        })
         return {
             "pending_writes": pending,
             "max_pending": self.max_pending,
@@ -820,6 +918,9 @@ class DatabaseService:
             "largest_batch": self._largest_batch,
             "snapshot_publishes": self._publishes,
             "checkpoints": self._checkpoints,
+            "checkpoint_failures": self._checkpoint_failures,
+            "folds": self._folds,
+            "store": store,
             "publish_pause_last_s": round(self._publish_pause_last, 6),
             "publish_pause_max_s": round(self._publish_pause_max, 6),
             "publish_pause_total_s": round(self._publish_pause_total, 6),
@@ -844,4 +945,5 @@ class DatabaseService:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (f"DatabaseService({state}, facts={len(self._published.facts)},"
-                f" publishes={self._publishes}, batches={self._batches})")
+                f" publishes={self._publishes}, batches={self._batches},"
+                f" folds={self._folds})")

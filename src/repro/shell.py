@@ -480,7 +480,11 @@ def _serve_main(arguments: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.shell serve",
-        description="Serve a dataset or durable directory over TCP.")
+        description="Serve a dataset or durable directory over TCP."
+                    " The service holds heap and closure on interned"
+                    " storage: a publish shares them, and the writer"
+                    " folds the overlay of recent writes by itself"
+                    " (the 'stats' verb shows the store block).")
     parser.add_argument("target", nargs="?", default=None,
                         help="dataset name or durable directory"
                              " (default: empty in-memory database)")
@@ -492,7 +496,8 @@ def _serve_main(arguments: List[str]) -> int:
                         help="default per-request deadline in seconds")
     parser.add_argument("--max-batch", type=int, default=256,
                         help="max queued writes applied per batch"
-                             " (bounds the publish pause; 0 = unbounded)")
+                             " (bounds how long one batch holds its"
+                             " tickets; 0 = unbounded)")
     parser.add_argument("--workers", type=int, default=0,
                         help="replica worker processes for reads"
                              " (0 = serve reads from the primary)")

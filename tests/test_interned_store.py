@@ -297,6 +297,43 @@ class TestInternedFactStore:
         assert store.version > v
         assert store.add(Fact("A", "B", "C"))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_copies_share_layers_copy_on_write(self, seed):
+        """Overlay and tombstones are copied by sharing their per-key
+        fact sets: every copy keeps exactly the content it was taken
+        at, whichever side mutates afterwards, and counts stay exact
+        against a plain store."""
+        rng = random.Random(seed)
+        pool = random_facts(seed, 120, entities=12, relationships=4)
+        store = InternedFactStore.from_facts(pool[:60])
+        mirror = FactStore(pool[:60])
+        taken = []                      # (copy, its own mirror)
+        for step in range(300):
+            fact = rng.choice(pool)
+            if rng.random() < 0.5:
+                assert store.add(fact) == mirror.add(fact)
+            else:
+                assert store.discard(fact) == mirror.discard(fact)
+            if step % 25 == 0:
+                taken.append((store.copy(), mirror.copy()))
+            if taken and step % 7 == 0:
+                # Copies are mutable stores of their own.
+                copy, copy_mirror = rng.choice(taken)
+                other = rng.choice(pool)
+                assert copy.add(other) == copy_mirror.add(other)
+                other = rng.choice(pool)
+                assert copy.discard(other) == copy_mirror.discard(other)
+        taken.append((store, mirror))
+        assert store.overlay_size and store.tombstones
+        for copy, copy_mirror in taken:
+            assert sorted(copy) == sorted(copy_mirror)
+            assert copy.entities() == copy_mirror.entities()
+            for pattern in all_ground_patterns(pool):
+                assert sorted(copy.match(pattern)) \
+                    == sorted(copy_mirror.match(pattern))
+                assert copy.count_estimate(pattern) \
+                    == copy_mirror.count_estimate(pattern)
+
     def test_hash_store_from_interned(self):
         facts = random_facts(16, 30)
         store = InternedFactStore.from_facts(facts)

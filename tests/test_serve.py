@@ -16,6 +16,7 @@ from repro.core.errors import (
     Overloaded,
     ServiceClosed,
     ServiceError,
+    StorageError,
 )
 from repro.core.facts import Fact
 from repro.db import Database
@@ -508,6 +509,43 @@ class TestDurability:
         assert service.ask("(A, R, B)")
         assert ticket.result(30.0) is True
         service.close()
+
+    def test_failed_checkpoint_fails_only_the_checkpoint(self, tmp_path):
+        """A checkpoint that cannot write its snapshot rejects its own
+        ticket — the batch's writes are journaled and published, and
+        their callers are told so."""
+        directory = tmp_path / "db"
+
+        class FullDisk(DurableSession):
+            def checkpoint(self, database=None):
+                raise OSError(28, "No space left on device")
+
+        session = FullDisk(directory)
+        service = DatabaseService(session.recover(), session=session,
+                                  start=False)
+        add = service.add_async(("A", "R", "B"))
+        checkpoint = service._submit("checkpoint", None)
+        service.start()
+        assert add.result(30.0) is True                 # not "writer failed"
+        with pytest.raises(StorageError) as raised:
+            checkpoint.result(30.0)
+        assert str(directory / "snapshot.json") in str(raised.value)
+        assert isinstance(raised.value.__cause__, OSError)
+        assert service.ask("(A, R, B)")
+        stats = service.stats()
+        assert stats["batches"] == 1                    # one batch held both
+        assert stats["checkpoint_failures"] == 1
+        # The writer keeps serving, and a later checkpoint may succeed.
+        assert service.add("C", "R", "D")
+        session.checkpoint = lambda database=None: \
+            DurableSession.checkpoint(session, database=database)
+        assert service.checkpoint(deadline=30.0) is True
+        assert service.stats()["checkpoint_failures"] == 1
+        service.add("E", "R", "F")
+        service.close()
+        recovered = DurableSession(directory).recover()
+        for name in ("A", "C", "E"):
+            assert Fact(name, "R", chr(ord(name) + 1)) in recovered
 
     def test_duplicate_adds_not_journaled(self, tmp_path):
         session = DurableSession(tmp_path / "db")

@@ -234,6 +234,8 @@ class TestMonitorDashboard:
         registry.gauge("serve.queue_depth", 2.0)
         registry.gauge("serve.publish_pause_seconds", 0.004)
         registry.observe("serve.publish_pause", 0.004)
+        registry.count("serve.folds", 2)
+        registry.observe("serve.fold_seconds", 0.026)
         registry.observe("serve.pool.lag_seconds", 0.001)
         for _ in range(requests):
             registry.observe("serve.request_seconds.query", 0.002)
@@ -256,6 +258,7 @@ class TestMonitorDashboard:
         assert "cache: 75.0% hit rate" in text
         assert "replica lag" in text
         assert "publish pause" in text
+        assert "overlay folds: 2 worst" in text
         assert "write queue depth: 2" in text
 
     def test_first_frame_without_previous(self):

@@ -13,7 +13,9 @@ asserts the whole telemetry surface actually works:
 * the ``metrics`` verb returns a merged snapshot whose request
   counters cover the traffic just sent;
 * the Prometheus exposition parses and carries the request series;
-* the slow-query log captured the deliberately slow query.
+* the slow-query log captured the deliberately slow query;
+* enough writes to outgrow the overlay budget make the writer fold
+  (``serve.folds`` appears in the merged snapshot).
 
 Run:  PYTHONPATH=src python tools/telemetry_smoke.py
 Exits non-zero with a diagnostic on the first broken property.
@@ -26,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.interned import OVERLAY_BUDGET  # noqa: E402
 from repro.db import Database  # noqa: E402
 from repro.obs import context as obs_context  # noqa: E402
 from repro.obs import telemetry as obs_telemetry  # noqa: E402
@@ -38,9 +41,9 @@ def build_database() -> Database:
     for index in range(6):
         db.add(f"P{index}", "WORKS-IN", f"D{index % 2}")
         db.add(f"D{index % 2}", "PART-OF", "ORG")
-    # Serve from the interned columnar store so the smoke covers the
-    # shared-memory generation bootstrap path end to end.
-    db.compact_store()
+    # A plain database: the service re-founds it on interned storage,
+    # so the smoke covers the shared-memory generation bootstrap path
+    # end to end without the caller compacting anything.
     return db
 
 
@@ -106,10 +109,21 @@ def main() -> int:
                 return fail("slow-query log is empty despite a 0s"
                             " threshold")
 
+            # Enough writes to outgrow the overlay: the writer folds.
+            for index in range(OVERLAY_BUDGET + 1):
+                client.add(f"N{index}", "WORKS-IN", "D0")
+            folds = client.metrics(refresh=True).get(
+                "counters", {}).get("serve.folds", 0)
+            if folds < 1:
+                return fail(f"{OVERLAY_BUDGET + 1} writes and no"
+                            " serve.folds in the merged snapshot")
+            if not client.ask(f"(N{OVERLAY_BUDGET}, WORKS-IN, D0)"):
+                return fail("a write is missing after the fold")
+
         print(f"telemetry smoke OK: {len(spans)} spans across"
               f" {len(processes)} processes, {requests} requests in the"
               f" merged snapshot, {len(series)} prometheus series,"
-              f" {slowlog['total']} slow-log records")
+              f" {slowlog['total']} slow-log records, {folds} fold(s)")
         return 0
     finally:
         server.close()
