@@ -20,12 +20,15 @@ thread-based service that F11 characterized:
   back to the primary).
 * **bootstrap at scale** — on a bulk heap (1M+ facts full, smaller
   with ``--quick``), pool construction wall clock and per-worker
-  memory for the two bootstrap modes: ``generation`` (workers attach
-  a shared-memory columnar generation) against ``state`` (the PR-4
-  baseline: every worker unpickles and re-indexes the full heap and
-  recomputes the closure).  Memory is attributed per worker from
-  ``/proc``: ``RssAnon`` is each worker's *private* pages — a copied
-  heap lands there once per worker, an attached generation does not.
+  memory: the pool copies the service's generations into shared
+  memory and every worker attaches them.  Memory is attributed per
+  worker from ``/proc``: ``RssAnon`` is each worker's *private* pages —
+  an attached generation does not land there.
+* **generation lifecycle** — writes past several overlay budgets with
+  a pool attached: the writer's folds, the pool's re-shares
+  (``compactions``, one per fold), what is left in the worker's
+  overlay, and the latency of reads forced onto the worker before the
+  writes and after them.
 
 Run as a script to emit ``BENCH_replication.json``::
 
@@ -73,18 +76,19 @@ NOTES = [
     "bootstrap-* rows at 1 000 000 facts (PR 7's 1-core, 135 GB host)"
     " are kept in docs/measurements/pr18/BENCH_replication.pr17-1M.json;"
     " a 16 GB host has to pass --bootstrap-facts 120000.",
-    "Since PR 19 every DatabaseService re-founds the Database it is"
-    " given on interned storage.  Cells that moved at 120 000 facts"
-    " (full run, parent against change, this 2-core host):"
-    " bootstrap-generation bootstrap_seconds 2.33 -> 0.49 (1 worker)"
-    " and 3.14 -> 1.82 (2 workers) - a pool started on a service whose"
-    " overlay is empty shares the service's generations instead of"
-    " building a pair from the snapshot; parent_rss_mb 772 -> 310-328"
-    " in the bootstrap-generation cells and 737 -> 283-299 in"
-    " bootstrap-state (the primary keeps columns, not hash indexes);"
-    " worker_rss_anon_mb 522.7 -> 506.1 for bootstrap-state."
-    "  thread-baseline, pool-read, replication-lag and failover did"
-    " not separate from run-to-run noise (1 600 reads in 30 ms).",
+    "Attaching the service's shared generations is the only way a"
+    " replica is built.  The copy bootstraps (a pickled heap per"
+    " worker, or a replay of the durable directory) were deleted for"
+    " what this file last recorded of them at 120 000 facts, 2 workers,"
+    " on this 2-core host: bootstrap 8.8 s against 2.1 s attached"
+    " (4.2x) and 506 MB of private pages per worker against 31 MB"
+    " (16x).",
+    "lifecycle cell: spilled_* are reads issued while the primary's"
+    " read slot is held, so a worker answers them; before = straight"
+    " after the pool is built, after = once the writes have been"
+    " applied (or attached) everywhere.  worker_overlay_facts sums the"
+    " worker's base and closure overlays, each of which the writer's"
+    " fold keeps within the one budget (128).",
 ]
 
 
@@ -257,7 +261,57 @@ def run_failover(service: DatabaseService,
 
 
 # ----------------------------------------------------------------------
-# Bootstrap at scale: attach vs copy
+# Generation lifecycle: fold -> share -> re-attach under writes
+# ----------------------------------------------------------------------
+def run_lifecycle(service: DatabaseService, pool: ReplicaPool,
+                  queries: List[str], writes: int,
+                  reads: int) -> Dict[str, object]:
+    """Drive ``writes`` single-fact batches (several overlay budgets)
+    through a pooled service and time worker-served reads on both
+    sides of them."""
+
+    def spilled_p50_us() -> float:
+        samples = []
+        # With the primary's slot held every read takes the worker
+        # route, as a second concurrent reader's would.
+        with pool._primary_slot:  # noqa: SLF001
+            for index in range(reads):
+                started = time.perf_counter()
+                pool.query(queries[index % len(queries)])
+                samples.append(time.perf_counter() - started)
+        return round(percentile(samples, 0.50) * 1e6, 1)
+
+    before_us = spilled_p50_us()
+    folds_before = service.stats()["folds"]
+    ticket = None
+    for index in range(writes):
+        ticket = service.add_async((f"LIFE{index}", "∈", "C1"))
+        ticket.result(120.0)
+    pool.wait_for_version(ticket.version, all_workers=True, timeout=120.0)
+    after_us = spilled_p50_us()
+    stats = pool.stats()
+    store = pool.database_stats()["store"]
+    return {
+        "mode": "lifecycle",
+        "workers": pool.workers,
+        "writes": writes,
+        "folds": service.stats()["folds"] - folds_before,
+        "compactions": stats["compactions"],
+        "share_failures": stats["share_failures"],
+        "generation_log": stats["generation_log"],
+        "retired_segments": stats["retired_segments"],
+        "worker_overlay_facts": store["overlay_facts"]
+        + store["tombstones"],
+        "worker_generation_facts": store["generation_facts"],
+        "spilled_reads": reads,
+        "spilled_p50_before_us": before_us,
+        "spilled_p50_after_us": after_us,
+        "fallback_reads": stats["fallback_reads"],
+    }
+
+
+# ----------------------------------------------------------------------
+# Bootstrap at scale: attach
 # ----------------------------------------------------------------------
 def build_bulk_database(n_facts: int) -> Database:
     """A heap dominated by flat attribute facts over a small rule-firing
@@ -275,17 +329,16 @@ def build_bulk_database(n_facts: int) -> Database:
     return db
 
 
-def run_bootstrap(db: Database, queries: List[str], bootstrap: str,
+def run_bootstrap(db: Database, queries: List[str],
                   workers: int, start_method: Optional[str],
                   read_ops: int) -> Dict[str, object]:
-    """Build one pool in ``bootstrap`` mode and measure construction
-    wall clock, per-worker memory, and a short read burst."""
+    """Build one pool and measure construction wall clock, per-worker
+    memory, and a short read burst."""
     service = DatabaseService(db)
     try:
         parent_before = rss_mb()
         started = time.perf_counter()
         pool = ReplicaPool(service, workers=workers,
-                           bootstrap=bootstrap,
                            start_method=start_method,
                            ready_timeout=1800.0, read_timeout=300.0)
         bootstrap_wall = time.perf_counter() - started
@@ -299,8 +352,7 @@ def run_bootstrap(db: Database, queries: List[str], bootstrap: str,
             read_wall = time.perf_counter() - read_started
             stats = pool.stats()
             row: Dict[str, object] = {
-                "mode": f"bootstrap-{bootstrap}",
-                "bootstrap": bootstrap,
+                "mode": "bootstrap-generation",
                 "facts": len(db),
                 "workers": workers,
                 "bootstrap_seconds": round(bootstrap_wall, 3),
@@ -316,7 +368,7 @@ def run_bootstrap(db: Database, queries: List[str], bootstrap: str,
                 row["worker_rss_mb"] = round(
                     sum(worker_rss) / workers, 2)
             if all(v is not None for v in worker_anon):
-                # Private pages per worker: the copy-vs-attach column.
+                # Private pages per worker: what attaching allocated.
                 row["worker_rss_anon_mb"] = round(
                     sum(worker_anon) / workers, 2)
             return row
@@ -329,8 +381,8 @@ def run_bootstrap(db: Database, queries: List[str], bootstrap: str,
 def run_bootstrap_matrix(n_facts: int, worker_counts: List[int],
                          start_method: Optional[str],
                          read_ops: int) -> List[Dict[str, object]]:
-    """The attach-vs-copy sweep: one shared bulk primary, then a fresh
-    pool per (bootstrap mode × worker count) cell.
+    """The attach sweep: one shared bulk primary, then a fresh pool
+    per worker count.
 
     Defaults to the ``spawn`` start method: forked workers inherit the
     parent's whole heap as copy-on-write anonymous pages, which would
@@ -347,15 +399,13 @@ def run_bootstrap_matrix(n_facts: int, worker_counts: List[int],
     print(f"  bulk heap: {len(db)} facts, closure warmed in"
           f" {time.perf_counter() - build_started:.1f}s")
     rows = []
-    for bootstrap in ("generation", "state"):
-        for workers in worker_counts:
-            row = run_bootstrap(db, queries, bootstrap, workers,
-                                start_method, read_ops)
-            rows.append(row)
-            print("  {mode} workers={workers}:"
-                  " bootstrap={bootstrap_seconds}s"
-                  " worker_anon={anon}MB {ops_per_second} ops/s".format(
-                      anon=row.get("worker_rss_anon_mb", "?"), **row))
+    for workers in worker_counts:
+        row = run_bootstrap(db, queries, workers, start_method, read_ops)
+        rows.append(row)
+        print("  {mode} workers={workers}:"
+              " bootstrap={bootstrap_seconds}s"
+              " worker_anon={anon}MB {ops_per_second} ops/s".format(
+                  anon=row.get("worker_rss_anon_mb", "?"), **row))
     return rows
 
 
@@ -397,6 +447,7 @@ def run_matrix(quick: bool = False,
         worker_counts = [1, 2]
         client_threads, ops_per_thread = 4, 40
         lag_writes = 20
+        lifecycle_writes, lifecycle_reads = 300, 60
         scale_facts = bootstrap_facts or 60_000
         scale_workers, scale_reads = [2], 60
     else:
@@ -404,6 +455,7 @@ def run_matrix(quick: bool = False,
         worker_counts = [1, 2, 4]
         client_threads, ops_per_thread = 8, 200
         lag_writes = 100
+        lifecycle_writes, lifecycle_reads = 600, 200
         scale_facts = bootstrap_facts or 1_000_000
         scale_workers, scale_reads = [1, 2], 200
 
@@ -453,7 +505,23 @@ def run_matrix(quick: bool = False,
         pool.close()
         service.close()
 
-    # Attach-vs-copy bootstrap at scale.
+    # Fold -> share -> re-attach under writes, one worker.
+    db = build_database(depth, fanout, instances)
+    queries = query_mix(db, 48)
+    service = DatabaseService(db)
+    pool = ReplicaPool(service, workers=1)
+    try:
+        rows.append(run_lifecycle(service, pool, queries,
+                                  lifecycle_writes, lifecycle_reads))
+        print("  {mode}: {writes} writes -> {folds} folds,"
+              " {compactions} re-shares, worker overlay"
+              " {worker_overlay_facts}, spilled p50 {spilled_p50_before_us}"
+              " -> {spilled_p50_after_us}us".format(**rows[-1]))
+    finally:
+        pool.close()
+        service.close()
+
+    # Attach bootstrap at scale.
     rows.extend(run_bootstrap_matrix(scale_facts, scale_workers,
                                      start_method, scale_reads))
 
@@ -477,34 +545,30 @@ def run_matrix(quick: bool = False,
         "failover_recovered": failover_row["recovered"],
     }
 
-    # Bootstrap headline: attach vs copy at the largest worker count.
-    boot_rows = [r for r in rows if str(r["mode"]).startswith("bootstrap-")]
+    lifecycle_row = next(r for r in rows if r["mode"] == "lifecycle")
+    summary.update({
+        "lifecycle_folds": lifecycle_row["folds"],
+        "lifecycle_compactions": lifecycle_row["compactions"],
+        "lifecycle_worker_overlay_facts":
+            lifecycle_row["worker_overlay_facts"],
+        "lifecycle_spilled_p50_before_us":
+            lifecycle_row["spilled_p50_before_us"],
+        "lifecycle_spilled_p50_after_us":
+            lifecycle_row["spilled_p50_after_us"],
+    })
+
+    # Bootstrap headline: attach at the largest worker count.
+    boot_rows = [r for r in rows if r["mode"] == "bootstrap-generation"]
     if boot_rows:
-        top = max(r["workers"] for r in boot_rows)
-        gen = next(r for r in boot_rows
-                   if r["bootstrap"] == "generation"
-                   and r["workers"] == top)
-        copy = next(r for r in boot_rows
-                    if r["bootstrap"] == "state" and r["workers"] == top)
+        gen = max(boot_rows, key=lambda r: r["workers"])
         summary.update({
             "bootstrap_facts": gen["facts"],
-            "bootstrap_workers": top,
+            "bootstrap_workers": gen["workers"],
             "bootstrap_generation_seconds": gen["bootstrap_seconds"],
-            "bootstrap_state_seconds": copy["bootstrap_seconds"],
-            "bootstrap_speedup": round(
-                copy["bootstrap_seconds"]
-                / max(gen["bootstrap_seconds"], 1e-9), 2),
         })
-        if ("worker_rss_anon_mb" in gen
-                and "worker_rss_anon_mb" in copy):
-            summary.update({
-                "worker_rss_anon_generation_mb":
-                    gen["worker_rss_anon_mb"],
-                "worker_rss_anon_state_mb": copy["worker_rss_anon_mb"],
-                "worker_rss_anon_ratio": round(
-                    copy["worker_rss_anon_mb"]
-                    / max(gen["worker_rss_anon_mb"], 1e-9), 2),
-            })
+        if "worker_rss_anon_mb" in gen:
+            summary["worker_rss_anon_generation_mb"] = \
+                gen["worker_rss_anon_mb"]
 
     # Observed pass: short, metrics-enabled, merged across processes.
     snapshot = run_observed_pass(
@@ -531,7 +595,7 @@ def main(argv=None) -> int:
                              " bootstrap-at-scale cells (CI exercises"
                              " spawn; default: platform default)")
     parser.add_argument("--bootstrap-facts", type=int, default=None,
-                        help="bulk heap size for the attach-vs-copy"
+                        help="bulk heap size for the bootstrap"
                              " cells (default: 1M full, 60k quick)")
     parser.add_argument("--output", default="BENCH_replication.json",
                         help="where to write the JSON document")
@@ -552,9 +616,9 @@ def main(argv=None) -> int:
           f" scaling {summary['scaling_vs_one_worker']}x"
           f" at {summary['best_workers']} workers,"
           f" failover {summary['failover_recovery_seconds']}s,"
-          f" bootstrap speedup {summary.get('bootstrap_speedup')}x,"
-          f" worker-anon ratio"
-          f" {summary.get('worker_rss_anon_ratio')}x")
+          f" {summary['lifecycle_compactions']} re-shares over"
+          f" {summary['lifecycle_folds']} folds,"
+          f" attach {summary.get('bootstrap_generation_seconds')}s")
     return 0
 
 

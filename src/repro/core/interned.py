@@ -61,7 +61,7 @@ from typing import (
 )
 
 from ..obs import telemetry as _obs
-from .errors import FrozenStoreError
+from .errors import FrozenStoreError, ReplicaError
 from .facts import Fact, Template, Variable
 from .store import FactStore
 
@@ -81,6 +81,11 @@ __all__ = [
 #: for the overlay (every probe merges it), every fold is O(heap): a
 #: smaller budget buys read latency with more frequent folds.
 OVERLAY_BUDGET = 128
+
+#: Where POSIX shared memory lives on Linux; :meth:`ColumnarGeneration.share`
+#: checks its free space before copying a generation in (platforms
+#: without the directory skip the check).
+SEGMENT_DIRECTORY = "/dev/shm"
 
 #: Position letters to tuple indexes, shared with the query executor.
 _POSITION = {"s": 0, "r": 1, "t": 2}
@@ -370,7 +375,7 @@ class ColumnarGeneration:
         "perm_r", "perm_t",
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
         "st_keys", "st_starts",
-        "_fact_memo", "_segment", "_views", "shared_name",
+        "_fact_memo", "_segment", "_views",
     )
 
     def __init__(self):
@@ -379,7 +384,6 @@ class ColumnarGeneration:
         self._fact_memo: Optional[List[Optional[Fact]]] = None
         self._segment = None
         self._views: List = []
-        self.shared_name: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -483,9 +487,14 @@ class ColumnarGeneration:
         """Copy this generation into one shared-memory segment.
 
         Returns the :class:`GenerationHandle` other processes attach
-        with.  The caller owns the segment: it stays mapped in this
-        process until :func:`unlink_generation` (pool shutdown or
-        generation compaction) removes it.
+        with.  The caller owns the segment, by name: nothing of it
+        stays mapped here, and it lives until
+        :func:`unlink_generation` (the pool's re-share at the next
+        fold, or its shutdown) removes it.  Raises
+        :class:`~repro.core.errors.ReplicaError` before creating
+        anything when the segment directory has less room than the
+        generation needs — on tmpfs the allocation would succeed and
+        the copy would kill this process with ``SIGBUS``.
         """
         from multiprocessing import shared_memory
 
@@ -518,18 +527,26 @@ class ColumnarGeneration:
             total += len(raw)
         total = max(total, 1)
 
+        if os.path.isdir(SEGMENT_DIRECTORY):
+            room = os.statvfs(SEGMENT_DIRECTORY)
+            available = room.f_bavail * room.f_frsize
+            if total > available:
+                raise ReplicaError(
+                    f"sharing a generation of {self.n} facts needs"
+                    f" {total} bytes of shared memory and"
+                    f" {SEGMENT_DIRECTORY} has {available} free: serve"
+                    f" without replica workers (--workers 0) or mount"
+                    f" a larger {SEGMENT_DIRECTORY}")
         if name is None:
             name = f"repro-gen-{os.getpid()}-{secrets.token_hex(4)}"
         segment = shared_memory.SharedMemory(
             name=name, create=True, size=total)
-        buf = segment.buf
-        for (offset, raw) in placed:
-            buf[offset:offset + len(raw)] = raw
-        # The creating process keeps the mapping open (cheap — it is
-        # the same physical pages) so the handle can be re-shipped to
-        # respawned workers without rebuilding.
-        self._segment = segment
-        self.shared_name = segment.name
+        try:
+            buf = segment.buf
+            for (offset, raw) in placed:
+                buf[offset:offset + len(raw)] = raw
+        finally:
+            segment.close()
         return GenerationHandle(
             name=segment.name, n=self.n, n_names=len(self.interner),
             version=self.version, layout=tuple(layout), size=total)
@@ -546,7 +563,6 @@ class ColumnarGeneration:
         gen = cls()
         segment = attach_shared_memory(handle.name)
         gen._segment = segment
-        gen.shared_name = handle.name
         gen.n = handle.n
         gen.version = handle.version
         buf = segment.buf
@@ -562,38 +578,35 @@ class ColumnarGeneration:
             views[field] = view
             gen._views.append(view)
             offset += nbytes
-        name_offsets = views["name_offsets"]
-        blob = views["names_blob"]
-        order = views.get("name_sort")
-        if order is not None:
-            gen.interner = SharedInterner(blob, name_offsets, order,
-                                          handle.n_names)
-        else:  # handle from a sharer without the sorted permutation
-            gen.interner = Interner([
-                str(bytes(blob[name_offsets[i]:name_offsets[i + 1]]),
-                    "utf-8")
-                for i in range(handle.n_names)
-            ])
+        gen.interner = SharedInterner(
+            views["names_blob"], views["name_offsets"],
+            views["name_sort"], handle.n_names)
         for field in cls._FIELDS:
             setattr(gen, field, views[field])
         return gen
 
     def close(self) -> None:
-        """Release an attached/shared segment mapping (not unlink)."""
+        """Release an attached generation's segment mapping (not
+        unlink); a built generation has none and is left as it is."""
         if self._segment is None:
             return
         for view in self._views:
             view.release()
         self._views = []
-        # Built-then-shared generations still reference process-local
-        # arrays for their fields; attached generations lose theirs
-        # with the views, so drop the memo too.
+        # The fields were those views: the memo goes with them.
         self._fact_memo = None
         try:
             self._segment.close()
         except (OSError, BufferError):  # pragma: no cover - defensive
             pass
         self._segment = None
+
+    def __del__(self):
+        # A replica that recomputes its closure (a shipped control)
+        # drops the attached store without closing it; left to the
+        # collector, the segment would go before the views into it
+        # and say so on stderr.
+        self.close()
 
     # ------------------------------------------------------------------
     # Probing

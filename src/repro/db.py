@@ -489,6 +489,23 @@ class Database:
                    if result is not None]
         return max(getattr(store, "overlay_size", 0) for store in stores)
 
+    def store_shape(self) -> dict:
+        """What sits inside the generations and what outside, summed
+        over the base heap and the closure store (all zero while they
+        are hash stores): a publish shares the first and copies the
+        rest, and a read merges the rest into every probe."""
+        stores = (self._base, self.closure().store)
+        tombstones = sum(getattr(s, "tombstones", 0) for s in stores)
+        return {
+            "generation_facts": sum(
+                len(generation) for generation in
+                (getattr(s, "generation", None) for s in stores)
+                if generation is not None),
+            "overlay_facts": sum(getattr(s, "overlay_size", 0)
+                                 for s in stores) - tombstones,
+            "tombstones": tombstones,
+        }
+
     # ------------------------------------------------------------------
     # Relationship classification (§2.2)
     # ------------------------------------------------------------------
@@ -898,6 +915,7 @@ class Database:
             "result_cache": self._result_cache.stats(),
             "plan_cache": self._plan_cache.stats(),
             "hierarchy": self._hierarchy_stats(),
+            "store": self.store_shape(),
         }
 
     def _hierarchy_stats(self) -> dict:

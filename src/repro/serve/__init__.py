@@ -24,17 +24,18 @@ service can sit behind a socket (``python -m repro.shell serve music``
 / ``python -m repro.shell connect localhost:7474``).
 
 :mod:`repro.serve.pool` scales reads past the GIL:
-:class:`ReplicaPool` forks N worker *processes*, each holding a full
-database replica kept current by the delta batches the writer thread
-publishes (coalesced net fact mutations plus rule/limit controls, in
-order, over pipes), applied through the database's incremental
-maintenance rather than full recomputation.  Reads route primary
-first — the published snapshot answers while no other pool read is in
-flight there — and spill round-robin, with inflight accounting, to the
-workers; read-your-writes is preserved by routing ticket-bearing
+:class:`ReplicaPool` forks N worker *processes*, each a database
+replica attached to the shared-memory generations of the writer's last
+fold and kept current by the delta batches the writer thread publishes
+(coalesced net fact mutations plus rule/limit controls, in order, over
+pipes), applied through the database's incremental maintenance rather
+than full recomputation; the next fold's generations replace both.
+Reads route primary first — the published snapshot answers while no
+other pool read is in flight there — and spill round-robin, with
+inflight accounting, to the workers; read-your-writes is preserved by routing ticket-bearing
 spilled reads only to replicas that have applied the ticket's version
-(primary fallback otherwise); crashed workers respawn and
-re-bootstrap automatically.  ``python -m repro.shell serve music
+(primary fallback otherwise); crashed workers respawn and re-attach
+automatically.  ``python -m repro.shell serve music
 --workers 4`` puts a pool behind the TCP server.
 
 Example::

@@ -5,12 +5,32 @@ one core of aggregate read throughput — CPython's GIL serializes the
 pure-Python evaluators however many reader threads connect.  The pool
 breaks that ceiling with the classic replicated-state-machine split:
 the service keeps its single writer thread on the *primary*, and N
-worker *processes* each hold a full :class:`~repro.db.Database`
-replica, kept current by the ordered delta log the writer emits after
-every published batch (:meth:`DatabaseService.subscribe_deltas`).
-Replicas apply deltas through the database's incremental maintenance —
-insertion extension and Delete/Rederive — so the replica hot path
-never recomputes a closure from scratch.
+worker *processes* each hold a :class:`~repro.db.Database` replica,
+kept current by the ordered delta log the writer emits after every
+published batch (:meth:`DatabaseService.subscribe_deltas`).
+
+One generation lifecycle, driven by the writer's fold::
+
+    fold ──► share ──► attach ──► unlink
+    writer   pool      workers    pool, on the last worker's ack
+
+The pool never builds a generation.  At construction it copies the
+published snapshot's base and closure generations into shared memory
+(:meth:`GenerationBootstrap.share
+<repro.serve.replica.GenerationBootstrap.share>`) and every worker
+*attaches* them; a batch whose :class:`~repro.serve.replica.Delta`
+says the writer folded makes the pool share the generations the fold
+produced and send workers those *instead of* the delta, and the
+retired segments are unlinked when the last live worker has
+acknowledged the re-attach.  Between folds, deltas go through each
+replica's incremental maintenance (insertion extension and
+Delete/Rederive) into its overlay, and are buffered for workers yet to
+spawn — so a worker's overlay, the buffer and a respawn's replay are
+all bounded by the budget that makes the writer fold
+(:data:`~repro.core.interned.OVERLAY_BUDGET`), and the paper's §6
+operators (``limit`` / ``include`` / ``exclude``), whose batches the
+writer always ends in a fold, reach workers as a closure to attach,
+not one to recompute.
 
 Reads are routed primary first: the primary's published snapshot is
 always current and lock-free, so a read that finds no other pool read
@@ -29,10 +49,10 @@ carrying a settled :class:`~repro.serve.service.WriteTicket` is only
 dispatched to workers whose applied replication sequence has reached
 the ticket's; when no replica is fresh enough (or none is alive) the
 read falls back to the primary as well.  A crashed worker is detected
-by its pipe closing,
-its inflight requests are retried on the primary, and a replacement is
-respawned and bootstrapped from the current published snapshot (or
-from the durable directory's journal/checkpoint when one was given).
+by its pipe closing, its inflight requests are retried on the primary,
+and a replacement is spawned that attaches the current generations and
+replays the buffered deltas — a durable service's workers included:
+nothing but the primary ever reads the directory.
 
 Example::
 
@@ -52,12 +72,13 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import multiprocessing
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.errors import (
     DeadlineExceeded,
@@ -67,60 +88,10 @@ from ..core.errors import (
 )
 from ..obs import telemetry as _obs
 from ..obs.context import TraceContext
-from .replica import (
-    BootstrapState,
-    Delta,
-    GenerationBootstrap,
-    capture_bootstrap,
-    replica_main,
-)
+from .replica import Delta, GenerationBootstrap, replica_main
 from .service import DatabaseService, WriteTicket
 
 __all__ = ["ReplicaPool"]
-
-#: Maximum deltas buffered for generation-bootstrap replay.  Past this,
-#: a respawning worker would spend longer replaying than attaching —
-#: the pool marks the generation stale and rebuilds it at next spawn.
-GENERATION_LOG_CAP = 512
-
-
-class _SharedGenerations:
-    """One published pair of shared columnar generations (base heap +
-    standard closure) and everything needed to ship or retire them.
-
-    Owned by the pool (the creating process): workers only ever attach.
-    ``seq`` is the replication sequence the generations reflect.
-    """
-
-    __slots__ = ("base_gen", "base_handle", "closure_gen",
-                 "closure_handle", "closure_stats", "seq",
-                 "store_version", "closure_version")
-
-    def __init__(self, base_gen, base_handle, closure_gen,
-                 closure_handle, closure_stats, seq,
-                 store_version, closure_version):
-        self.base_gen = base_gen
-        self.base_handle = base_handle
-        self.closure_gen = closure_gen
-        self.closure_handle = closure_handle
-        self.closure_stats = closure_stats
-        self.seq = seq
-        self.store_version = store_version
-        self.closure_version = closure_version
-
-    def segment_names(self) -> List[str]:
-        names = [self.base_handle.name]
-        if self.closure_handle is not None:
-            names.append(self.closure_handle.name)
-        return names
-
-    def release(self) -> None:
-        """Unmap the pool's own views of the segments.  Built-then-shared
-        generations keep their process-local arrays, so a generation
-        borrowed from a live snapshot store stays usable after this."""
-        self.base_gen.close()
-        if self.closure_gen is not None:
-            self.closure_gen.close()
 
 
 class _Pending:
@@ -153,10 +124,10 @@ class _Worker:
     __slots__ = ("index", "generation", "process", "conn", "send_lock",
                  "pending", "applied", "ready", "alive", "start_seq",
                  "receiver", "metrics_snapshot", "metrics_seq",
-                 "gen_acks")
+                 "attached_seq")
 
     def __init__(self, index: int, generation: int, process, conn,
-                 start_seq: int):
+                 start_seq: int, attached_seq: int):
         self.index = index
         self.generation = generation
         self.process = process
@@ -170,7 +141,9 @@ class _Worker:
         self.receiver: Optional[threading.Thread] = None
         self.metrics_snapshot: Optional[dict] = None
         self.metrics_seq = 0       # heartbeat snapshots received
-        self.gen_acks = 0          # generation re-attach acks received
+        # Sequence of the shared generations this worker maps (or is
+        # about to: every later pair is already in its pipe, in order).
+        self.attached_seq = attached_seq
 
     def send(self, message) -> bool:
         """Serialized pipe send; False (not an exception) on a dead
@@ -192,6 +165,12 @@ class ReplicaPool:
     ``reads`` into ``primary_reads``, ``fallback_reads`` (a replica was
     wanted and none was eligible) and the rest, which workers answered.
 
+    The constructor returns once every worker has attached the shared
+    generations and is ready.  It raises
+    :class:`~repro.core.errors.ReplicaError`, before any worker is
+    spawned, when shared memory cannot hold the generations — such a
+    host serves without workers or mounts a larger ``/dev/shm``.
+
     Args:
         service: the primary.  The pool subscribes to its delta stream;
             writes still go through the service's own API.
@@ -199,87 +178,40 @@ class ReplicaPool:
         start_method: ``multiprocessing`` start method; default picks
             ``fork`` where available (fast spawn/respawn) and falls
             back to ``spawn``.
-        bootstrap: how workers receive the primary's state.
-            ``"generation"`` (the default) builds one shared-memory
-            columnar generation pair — base heap plus computed standard
-            closure (:mod:`repro.core.interned`) — and ships each
-            worker a *handle* (segment name + layout) to attach, plus
-            the delta suffix published since the generation was built;
-            bootstrap cost and per-worker memory are then independent
-            of heap size.  ``"state"`` ships a pickled
-            :class:`BootstrapState` (the PR-4 behavior; every worker
-            copies and re-indexes the full heap and recomputes the
-            closure).  ``"directory"`` replays the durable directory —
-            selected automatically when ``bootstrap_directory`` is
-            given.
-        bootstrap_directory: when the service is durable, workers can
-            bootstrap by replaying the directory's snapshot + journal
-            themselves instead of receiving the fact heap over the
-            pipe (rule configuration still ships — it is not
-            journaled).  Delta application is idempotent, so the disk
-            being slightly ahead of the captured sequence is harmless.
         respawn: automatically replace crashed workers.
         read_timeout: default seconds to wait for a worker's answer
             when the read itself carries no deadline.
-        wait_ready: block the constructor until every worker has built
-            its replica and warmed its closure.
+        ready_timeout: seconds the constructor waits for the workers.
         lag_samples: how many per-delta replication latency samples to
             retain for :meth:`lag_stats`.
-        telemetry: worker observability config, shipped at spawn:
-            ``{"metrics": bool, "slow_query_seconds": float|None}``.
-            ``None`` derives it from the parent — metrics enabled iff
-            the parent's telemetry is enabled at spawn time, slow
-            threshold copied from the service.
         heartbeat_interval: seconds between ``metrics_request``
             heartbeats to workers (their snapshots feed
             :meth:`metrics`).  ``None`` (default) starts a heartbeat
-            only when worker metrics are on, every 2 s; pass ``0`` to
-            disable the background heartbeat entirely
+            only when worker metrics are on — the parent's telemetry
+            was enabled when the pool was built — every 2 s; pass ``0``
+            to disable the background heartbeat entirely
             (:meth:`refresh_metrics` still works on demand).
     """
 
     def __init__(self, service: DatabaseService, workers: int = 2, *,
                  start_method: Optional[str] = None,
-                 bootstrap: Optional[str] = None,
-                 bootstrap_directory: Optional[str] = None,
                  respawn: bool = True,
                  read_timeout: Optional[float] = 30.0,
-                 wait_ready: bool = True,
                  ready_timeout: float = 60.0,
                  lag_samples: int = 4096,
-                 telemetry: Optional[dict] = None,
-                 heartbeat_interval: Optional[float] = None,
-                 compact_after: Optional[int] = None):
+                 heartbeat_interval: Optional[float] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if compact_after is not None and compact_after < 1:
-            raise ValueError("compact_after must be >= 1")
         self._service = service
-        self._bootstrap_directory = bootstrap_directory
-        if bootstrap is None:
-            bootstrap = ("directory" if bootstrap_directory is not None
-                         else "generation")
-        if bootstrap not in ("generation", "state", "directory"):
-            raise ValueError(f"unknown bootstrap mode: {bootstrap!r}")
-        if bootstrap == "directory" and bootstrap_directory is None:
-            raise ValueError(
-                "bootstrap='directory' requires bootstrap_directory")
-        self.bootstrap = bootstrap
-        # Shared-generation state (all under self._lock): the current
-        # generation pair, the delta suffix published since it was
-        # built (replayed by attaching workers), and segment names
-        # retired by compaction but not yet safe to unlink.
-        self._gen: Optional[_SharedGenerations] = None
+        # Generation lifecycle (all under self._lock): the shared pair
+        # workers attach, the deltas published since it was shared
+        # (replayed by workers that attach later), and pairs a fold
+        # replaced that some live worker has yet to let go of.
+        self._gen: Optional[GenerationBootstrap] = None
         self._gen_log: List[Delta] = []
-        self._gen_stale = False
-        self._retired_segments: List[str] = []
-        # Auto-compaction: once the delta-replay buffer holds this many
-        # entries, a background thread folds them into a fresh shared
-        # generation (``compact_generation``).  ``None`` disables.
-        self.compact_after = compact_after
+        self._retired: List[GenerationBootstrap] = []
         self.compactions = 0
-        self._compacting = False
-        self._compact_thread: Optional[threading.Thread] = None
+        self._share_failures = 0
         self._respawn = respawn
         self.read_timeout = read_timeout
         if start_method is None:
@@ -287,12 +219,11 @@ class ReplicaPool:
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
-        if telemetry is None:
-            telemetry = {"metrics": _obs.ENABLED,
-                         "slow_query_seconds": service.slow_query_seconds}
-        self._telemetry = telemetry
+        # Worker observability follows the parent's.
+        self._telemetry = {"metrics": _obs.ENABLED,
+                           "slow_query_seconds": service.slow_query_seconds}
         if heartbeat_interval is None:
-            heartbeat_interval = 2.0 if telemetry.get("metrics") else 0.0
+            heartbeat_interval = 2.0 if _obs.ENABLED else 0.0
         self.heartbeat_interval = heartbeat_interval
         self._heartbeat_stop = threading.Event()
         self._heartbeat: Optional[threading.Thread] = None
@@ -322,10 +253,22 @@ class ReplicaPool:
         service.subscribe_deltas(self._on_delta)
         try:
             with self._lock:
+                shared = self._share_published()
+            if not shared:
+                # The snapshot has an overlay and only the writer
+                # folds: ask it to; the subscriber shares the result.
+                service.fold()
+                with self._lock:
+                    # Still nothing means the subscriber was refused:
+                    # sharing again here raises the reason.
+                    if self._gen is None and not self._share_published():
+                        raise ReplicaError(
+                            "the service was written to while the pool"
+                            " was being built; build it again")
+            with self._lock:
                 for index in range(workers):
                     self._workers.append(self._spawn(index))
-            if wait_ready:
-                self.wait_ready(timeout=ready_timeout)
+            self.wait_ready(timeout=ready_timeout)
         except BaseException:
             self.close()
             raise
@@ -336,49 +279,59 @@ class ReplicaPool:
             self._heartbeat.start()
 
     # ------------------------------------------------------------------
-    # Spawning and the delta stream
+    # The generation lifecycle and the delta stream
     # ------------------------------------------------------------------
+    def _share_published(self) -> bool:
+        """Share the published snapshot's generations as the pair that
+        workers attach (caller holds the pool lock); the pair it
+        replaces is retired, to be unlinked once no live worker maps
+        it.  False, with nothing changed, for a snapshot that has an
+        overlay; a refused share raises and changes nothing either."""
+        fresh = GenerationBootstrap.share(*self._service.published_state())
+        if fresh is None:
+            return False
+        if self._gen is not None:
+            self._retired.append(self._gen)
+        self._gen, self._gen_log = fresh, []
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("serve.pool.generation_builds")
+        return True
+
+    def _unlink_unmapped(self) -> None:
+        """Unlink the retired pairs that no live worker maps or will
+        (caller holds the pool lock).  A worker walks the pairs in
+        sequence order, so it is done with everything older than the
+        one it has acknowledged; a dead worker holds nothing."""
+        oldest = min((w.attached_seq for w in self._workers if w.alive),
+                     default=None)
+        kept = []
+        for pair in self._retired:
+            if oldest is not None and pair.version >= oldest:
+                kept.append(pair)
+            else:
+                pair.unlink()
+        self._retired = kept
+
     def _spawn(self, index: int) -> _Worker:
         """Start one worker (caller holds the pool lock).
 
-        Capturing the bootstrap state and registering the worker for
+        Capturing the delta suffix and registering the worker for
         delta forwarding happen under the same lock the delta
         subscriber takes, so no delta can fall between the captured
-        sequence and the first forwarded record; the worker-side
-        ``version > bootstrapped`` guard drops any overlap.
+        sequence and the first forwarded record.
         """
-        if self.bootstrap == "generation":
-            state = self._generation_bootstrap()
-            seq = (state.deltas[-1].version if state.deltas
-                   else state.version)
-            payload = ("generation", state)
-            return self._start_worker(index, payload, seq)
-        snap, seq = self._service.published_state()
-        config = capture_bootstrap(snap, version=seq)
-        if self._bootstrap_directory is not None:
-            # Facts replay from disk; configuration (not journaled)
-            # ships explicitly.  Strip the heap from the shipped state.
-            payload = ("directory", str(self._bootstrap_directory),
-                       BootstrapState(facts=[], rules=config.rules,
-                                      enabled=config.enabled,
-                                      composition_limit=(
-                                          config.composition_limit),
-                                      engine=config.engine,
-                                      version=seq))
-        else:
-            payload = ("state", config)
-        return self._start_worker(index, payload, seq)
-
-    def _start_worker(self, index: int, payload, seq: int) -> _Worker:
+        state = dataclasses.replace(self._gen, deltas=tuple(self._gen_log))
+        seq = state.deltas[-1].version if state.deltas else state.version
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         generation = next(self._generation)
         process = self._ctx.Process(
             target=replica_main,
-            args=(child_conn, payload, self._telemetry),
+            args=(child_conn, state, self._telemetry),
             name=f"repro-replica-{index}-g{generation}", daemon=True)
         process.start()
         child_conn.close()
-        worker = _Worker(index, generation, process, parent_conn, seq)
+        worker = _Worker(index, generation, process, parent_conn, seq,
+                         state.version)
         worker.receiver = threading.Thread(
             target=self._receive_loop, args=(worker,),
             name=f"repro-replica-recv-{index}-g{generation}", daemon=True)
@@ -387,122 +340,26 @@ class ReplicaPool:
             _obs.TELEMETRY.count("serve.pool.spawns")
         return worker
 
-    def _build_generations(self) -> _SharedGenerations:
-        """Build and share a fresh generation pair from the current
-        published snapshot (caller holds the pool lock).
-
-        When the primary's heap is already interned with an empty
-        overlay (``Database.compact_store()``), its existing generation
-        is shared directly — no rebuild; otherwise the snapshot's facts
-        are interned and indexed here, once, for every worker that will
-        ever attach.  The closure generation ships whenever the
-        snapshot has a computed standard closure (the service warms it
-        before publishing), letting workers skip closure recomputation.
-        """
-        from ..core.interned import ColumnarGeneration, InternedFactStore
-
-        snap, seq = self._service.published_state()
-        base_store = snap.facts
-        base_gen = None
-        if isinstance(base_store, InternedFactStore) \
-                and not base_store.overlay_size \
-                and base_store.generation is not None \
-                and base_store.generation.shared_name is None:
-            base_gen = base_store.generation
-        if base_gen is None:
-            base_gen = ColumnarGeneration.build(
-                base_store, version=base_store.version)
-        base_handle = base_gen.share()
-        closure_gen = closure_handle = closure_stats = None
-        closure_version = None
-        result = snap._standard_result  # noqa: SLF001 - frozen snapshot
-        if result is not None:
-            closure_store = result.store
-            if isinstance(closure_store, InternedFactStore) \
-                    and not closure_store.overlay_size \
-                    and closure_store.generation is not None \
-                    and closure_store.generation.shared_name is None:
-                closure_gen = closure_store.generation
-            else:
-                closure_gen = ColumnarGeneration.build(
-                    closure_store, version=closure_store.version)
-            closure_handle = closure_gen.share()
-            closure_version = closure_store.version
-            closure_stats = {
-                "base_count": result.base_count,
-                "derived_count": result.derived_count,
-                "iterations": result.iterations,
-                "rule_firings": dict(result.rule_firings),
-                "rule_times": dict(result.rule_times),
-            }
-        if _obs.ENABLED:
-            _obs.TELEMETRY.count("serve.pool.generation_builds")
-        return _SharedGenerations(
-            base_gen, base_handle, closure_gen, closure_handle,
-            closure_stats, seq, base_store.version, closure_version)
-
-    def _generation_bootstrap(self) -> GenerationBootstrap:
-        """The bootstrap payload for one attaching worker (caller holds
-        the pool lock): current generation handles plus the delta
-        suffix published since the generation was built."""
-        if self._gen is None or self._gen_stale:
-            if self._gen is not None:
-                # Too many buffered deltas: retire the old pair.  Live
-                # workers may still be attached, so the segments are
-                # only unlinked once every worker has re-attached
-                # (compact_generation) or at close().
-                self._retired_segments.extend(self._gen.segment_names())
-                self._gen.release()
-            self._gen = self._build_generations()
-            self._gen_log = []
-            self._gen_stale = False
-        gen = self._gen
-        # Configuration only — never the fact list (that is the point).
-        snap, _seq = self._service.published_state()
-        return GenerationBootstrap(
-            base_handle=gen.base_handle,
-            closure_handle=gen.closure_handle,
-            closure_stats=gen.closure_stats,
-            rules=snap.rules.all_rules(),
-            enabled=snap.rules.snapshot_state(),
-            composition_limit=snap.composition_limit,
-            engine=snap.engine,
-            version=gen.seq,
-            deltas=tuple(self._gen_log),
-            store_version=gen.store_version,
-            closure_version=gen.closure_version,
-        )
-
     def _on_delta(self, delta: Delta) -> None:
-        """Writer-thread subscriber: forward to every live worker."""
+        """Writer-thread subscriber: forward to every live worker —
+        the batch's delta, or, when the writer folded after it, the
+        generations the fold produced."""
         with self._lock:
-            if self._closed:
-                return
+            if self._closed or (self._gen is not None
+                                and delta.version <= self._gen.version):
+                return      # the shared pair already holds this batch
             self._deltas_shipped += 1
-            if self._gen is not None and not self._gen_stale \
-                    and delta.version > self._gen.seq:
+            message = ("delta", delta)
+            if delta.folded and self._share_folded():
+                # The published snapshot is this batch's (subscribers
+                # run before the writer takes the next one).
+                message = ("generation", self._gen)
+            elif self._gen is not None:
                 # Buffer for future attachers.  The service updates its
                 # published state before invoking subscribers, so every
-                # delta above the generation's sequence lands here
+                # delta above the shared pair's sequence lands here
                 # before any spawn could need it.
                 self._gen_log.append(delta)
-                if len(self._gen_log) > GENERATION_LOG_CAP:
-                    # Replay would cost more than a rebuild: rebuild at
-                    # the next spawn (or compact_generation) instead.
-                    self._gen_log = []
-                    self._gen_stale = True
-                elif (self.compact_after is not None
-                        and not self._compacting
-                        and self.bootstrap == "generation"
-                        and len(self._gen_log) >= self.compact_after):
-                    # Fold the buffer in the background — the writer
-                    # thread must keep shipping deltas, never block on
-                    # re-attach acks.
-                    self._compacting = True
-                    self._compact_thread = threading.Thread(
-                        target=self._autocompact,
-                        name="repro-pool-compact", daemon=True)
-                    self._compact_thread.start()
             self._delta_emit_times[delta.version] = time.perf_counter()
             if len(self._delta_emit_times) > 2 * self._lag_log.maxlen:
                 oldest = min(self._delta_emit_times)
@@ -510,18 +367,26 @@ class ReplicaPool:
             workers = [w for w in self._workers if w.alive]
         for worker in workers:
             if delta.version > worker.start_seq:
-                worker.send(("delta", delta))
+                worker.send(message)
 
-    def _autocompact(self) -> None:
-        """Background delta-log fold (``compact_after`` trigger).  A
-        close() racing the fold surfaces as ``ServiceClosed`` — the
-        buffered deltas die with the pool, nothing to save."""
+    def _share_folded(self) -> bool:
+        """Share what the writer just folded (writer thread, pool lock
+        held).  A refused share — shared memory is full — is counted
+        and survived: workers stay on the pair they have and take the
+        batch as a delta, the primary answers as always, and the next
+        fold tries again."""
         try:
-            self.compact_generation()
-        except (ServiceClosed, ValueError):
-            pass
-        finally:
-            self._compacting = False
+            shared = self._share_published()
+        except (ReplicaError, OSError):
+            shared = False
+            self._share_failures += 1
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.pool.share_failures")
+        if shared:
+            self.compactions += 1
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.pool.compactions")
+        return shared
 
     def _receive_loop(self, worker: _Worker) -> None:
         """Per-worker receiver: acks, read results, death detection."""
@@ -537,28 +402,26 @@ class ReplicaPool:
                     worker.applied = message[1]
                     worker.ready = True
                     self._version_cv.notify_all()
-            elif kind == "reattached":
-                with self._version_cv:
-                    if message[1] > worker.applied:
-                        worker.applied = message[1]
-                    worker.gen_acks += 1
-                    self._version_cv.notify_all()
-            elif kind in ("applied", "pong"):
+            elif kind in ("applied", "reattached", "pong"):
                 version = message[1]
                 with self._version_cv:
                     if version > worker.applied:
                         worker.applied = version
                     emitted = self._delta_emit_times.get(version)
-                    if emitted is not None and kind == "applied":
+                    if emitted is not None and kind != "pong":
                         lag = time.perf_counter() - emitted
                         self._lag_log.append(lag)
                         if _obs.ENABLED:
                             _obs.TELEMETRY.observe(
                                 "serve.pool.lag_seconds", lag)
+                    if kind == "reattached":
+                        # The worker let go of the pair it had: the
+                        # last live one to say so frees the segments.
+                        worker.attached_seq = version
+                        self._unlink_unmapped()
                     self._version_cv.notify_all()
             elif kind == "result":
-                rid, ok, value, version = message[1:5]
-                extra = message[5] if len(message) > 5 else None
+                rid, ok, value, version, extra = message[1:]
                 with self._version_cv:
                     if version > worker.applied:
                         worker.applied = version
@@ -583,6 +446,9 @@ class ReplicaPool:
             stranded = list(worker.pending.values())
             worker.pending.clear()
             closed = self._closed
+            if not closed:
+                # A dead worker has acknowledged everything.
+                self._unlink_unmapped()
             if was_alive and not closed:
                 self._deaths += 1
                 if _obs.ENABLED:
@@ -596,9 +462,9 @@ class ReplicaPool:
         if closed or not self._respawn or not was_alive:
             return
         # Respawn on a fresh thread so this receiver can exit; the
-        # replacement bootstraps from the *current* published snapshot
-        # (or the durable directory), not from where the dead worker
-        # had gotten to.
+        # replacement attaches the *current* shared generations and
+        # replays the deltas buffered since, not from where the dead
+        # worker had gotten to.
         threading.Thread(target=self._respawn_slot,
                          args=(worker.index, worker.generation),
                          name=f"repro-replica-respawn-{worker.index}",
@@ -767,13 +633,9 @@ class ReplicaPool:
                 worker.pending[rid] = pending
         if span is not None and worker is not None:
             span.attributes["worker"] = worker.index
-        if ctx is None:
-            message = ("read", rid, op, payload, deadline) \
-                if worker is not None else None
-        else:
-            message = ("read", rid, op, payload, deadline, ctx.wire()) \
-                if worker is not None else None
-        if worker is None or not worker.send(message):
+        if worker is None or not worker.send(
+                ("read", rid, op, payload, deadline,
+                 ctx.wire() if ctx is not None else None)):
             if worker is not None:
                 with self._lock:
                     worker.pending.pop(rid, None)
@@ -911,7 +773,7 @@ class ReplicaPool:
     # Introspection and control
     # ------------------------------------------------------------------
     def wait_ready(self, timeout: Optional[float] = 60.0) -> None:
-        """Block until every live worker finished bootstrapping."""
+        """Block until every live worker has attached and is ready."""
         limit = (None if timeout is None
                  else time.monotonic() + timeout)
         with self._version_cv:
@@ -950,77 +812,6 @@ class ReplicaPool:
                         f" in time (applied: {applied})")
                 self._version_cv.wait(remaining
                                       if remaining is not None else 1.0)
-
-    def compact_generation(self, timeout: float = 60.0) -> int:
-        """Rebuild the shared generation pair from the current
-        published snapshot and re-attach every live worker to it.
-
-        This is the writer-driven compaction of the generation
-        lifecycle: worker overlays (facts accumulated through delta
-        replay since bootstrap) fold back into a fresh frozen
-        generation, the delta-replay buffer resets, and future
-        respawns attach the new pair.  The old segments are unlinked
-        once every live worker acks the re-attach (or dies trying);
-        on timeout they are parked and unlinked at :meth:`close`.
-
-        Only meaningful under ``bootstrap="generation"``.  Returns the
-        new generation's replication sequence.
-        """
-        if self.bootstrap != "generation":
-            raise ValueError(
-                "compact_generation requires bootstrap='generation'")
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("replica pool is closed")
-            old = self._gen
-            if old is not None:
-                self._retired_segments.extend(old.segment_names())
-                old.release()
-            self._gen = self._build_generations()
-            self._gen_log = []
-            self._gen_stale = False
-            self.compactions += 1
-            if _obs.ENABLED:
-                _obs.TELEMETRY.count("serve.pool.compactions")
-            state = self._generation_bootstrap()
-            targets = [(w, w.gen_acks) for w in self._workers if w.alive]
-            target_seq = state.version
-            # Send the re-attach while still holding the lock: a delta
-            # shipped concurrently is either in the state's backlog
-            # (appended before the snapshot) or its pipe write is
-            # ordered after ours (the writer thread appends under this
-            # lock before sending) — never consumed at the old
-            # generation and then silently dropped by the re-attach.
-            for worker, _ in targets:
-                worker.send(("generation", state))
-        limit = time.monotonic() + timeout
-        acked = True
-        with self._version_cv:
-            while True:
-                if all(worker.gen_acks > acks or not worker.alive
-                       for worker, acks in targets):
-                    break
-                remaining = limit - time.monotonic()
-                if remaining <= 0:
-                    acked = False
-                    break
-                self._version_cv.wait(remaining)
-        if acked:
-            self._unlink_retired()
-        return target_seq
-
-    def _unlink_retired(self) -> None:
-        """Unlink every retired generation segment (idempotent; missing
-        segments are fine — another path may have won the race)."""
-        from ..core.interned import unlink_generation
-
-        with self._lock:
-            names, self._retired_segments = self._retired_segments, []
-        for name in names:
-            try:
-                unlink_generation(name)
-            except OSError:  # pragma: no cover - defensive
-                pass
 
     def crash_worker(self, index: int) -> None:
         """Hard-kill one worker (failover tests and benchmarks): the
@@ -1066,14 +857,13 @@ class ReplicaPool:
                 "worker_metrics_received": sum(
                     w.metrics_seq for w in self._workers),
                 "closed": self._closed,
-                "bootstrap": self.bootstrap,
-                "generation_seq": (self._gen.seq
+                "generation_seq": (self._gen.version
                                    if self._gen is not None else None),
                 "generation_log": len(self._gen_log),
-                "generation_stale": self._gen_stale,
-                "retired_segments": len(self._retired_segments),
-                "compact_after": self.compact_after,
+                "retired_segments": sum(len(pair.segment_names())
+                                        for pair in self._retired),
                 "compactions": self.compactions,
+                "share_failures": self._share_failures,
             }
 
     def lag_stats(self) -> dict:
@@ -1108,11 +898,6 @@ class ReplicaPool:
             workers = list(self._workers)
         self._heartbeat_stop.set()
         self._service.unsubscribe_deltas(self._on_delta)
-        compacting = self._compact_thread
-        if compacting is not None and compacting.is_alive():
-            # Let an in-flight background fold finish (or hit the
-            # closed check) before tearing down its workers.
-            compacting.join(timeout)
         for worker in workers:
             worker.send(("stop",))
         deadline_at = time.monotonic() + timeout
@@ -1130,16 +915,16 @@ class ReplicaPool:
             worker.pending.clear()
             for pending in stranded:
                 pending.fail_dead()
-        # Workers are gone: the shared generation segments (current pair
-        # plus anything parked by compaction or rebuild) have no readers
-        # left and must be unlinked here, or they outlive the pool in
-        # /dev/shm.
+        # Workers are gone: the shared generation segments (the current
+        # pair plus any a fold retired) have no readers left and must
+        # be unlinked here, or they outlive the pool in /dev/shm.
         with self._lock:
+            pairs, self._retired = self._retired, []
             if self._gen is not None:
-                self._retired_segments.extend(self._gen.segment_names())
-                self._gen.release()
+                pairs.append(self._gen)
                 self._gen = None
-        self._unlink_retired()
+        for pair in pairs:
+            pair.unlink()
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Alias for :meth:`close` (service-style naming)."""

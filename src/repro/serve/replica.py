@@ -4,30 +4,34 @@ CPython's GIL caps the thread-based service at roughly one core of
 aggregate read throughput, however many reader threads connect.  This
 module is the worker half of the standard log-shipping answer: the
 primary keeps its single writer thread, and each *worker process*
-holds a full :class:`~repro.db.Database` replica that it keeps current
-by applying ordered :class:`Delta` records — coalesced net fact
-mutations plus rule/limit control operations — shipped over a pipe.
-Deltas ride the database's existing incremental maintenance
+holds a :class:`~repro.db.Database` replica *attached* to the
+generations the writer last folded (:class:`GenerationBootstrap` —
+shared-memory handles, never a copied heap), which it keeps current by
+applying ordered :class:`Delta` records — coalesced net fact mutations
+plus rule/limit control operations — shipped over a pipe.  Deltas ride
+the database's existing incremental maintenance
 (:meth:`repro.db.Database.apply_delta`: insertion extension and
-Delete/Rederive), so the replica hot path never recomputes the closure
-from scratch.
+Delete/Rederive) into the replica's overlay; when the writer folds,
+the worker is sent the new generations in place of that batch's delta
+and re-attaches, so its overlay never outgrows the one budget
+(:data:`~repro.core.interned.OVERLAY_BUDGET`).
 
-The parent half — spawning, routing, read-your-writes, respawn — lives
-in :mod:`repro.serve.pool`.  This module is deliberately
-parent-agnostic: :func:`replica_main` speaks only the pipe protocol,
-which keeps it importable under the ``spawn`` start method and easy to
-drive from tests without any pool at all.
+The parent half — sharing, spawning, routing, read-your-writes,
+respawn — lives in :mod:`repro.serve.pool`.  This module is
+deliberately parent-agnostic: :func:`replica_main` speaks only the
+pipe protocol, which keeps it importable under the ``spawn`` start
+method and easy to drive from tests without any pool at all.
 
 Pipe protocol (parent → worker)::
 
     ("delta", Delta)                     apply, then ack
-    ("generation", GenerationBootstrap)  re-attach to a newly compacted
-                                         shared generation, then ack
-                                         ("applied", version)
-    ("read", rid, op, payload, seconds)  evaluate under a deadline
+    ("generation", GenerationBootstrap)  the writer folded: re-attach
+                                         to the generations it made,
+                                         then ack ("reattached", …)
     ("read", rid, op, payload, seconds, trace)
-                                         same, traced: ``trace`` is a
-                                         TraceContext wire dict
+                                         evaluate under a deadline;
+                                         ``trace`` is a TraceContext
+                                         wire dict, or None
     ("metrics_request",)                 ship a metrics snapshot
     ("ping",)                            liveness probe
     ("crash",)                           hard-exit (failover tests)
@@ -39,27 +43,23 @@ and worker → parent::
     ("applied", version)                 delta ack
     ("reattached", version)              generation re-attach ack (the
                                          old segments are now unmapped)
-    ("result", rid, ok, value, version)  read outcome (value is the
-                                         result, or (error_name, text))
     ("result", rid, ok, value, version, extra)
-                                         same, with telemetry: ``extra``
-                                         is ``{"spans": [...]}`` and/or
+                                         read outcome (value is the
+                                         result, or (error_name, text));
+                                         ``extra`` is None, or telemetry:
+                                         ``{"spans": [...]}`` and/or
                                          ``{"slow": record}``
     ("metrics", version, snapshot)       registry snapshot (heartbeat)
     ("pong", version)
 
-Both sides accept the shorter historical forms, so a parent and worker
-from adjacent versions interoperate.  ``version`` is always the
-replication sequence number — the primary's count of published
-batches — never a store-internal counter, so a replica bootstrapped
-from disk and one bootstrapped from a shipped state agree on where
-they stand.
+``version`` is always the replication sequence number — the primary's
+count of published batches — never a store-internal counter.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import deadline as _deadline
@@ -73,9 +73,7 @@ from ..rules.registry import RuleRegistry
 from ..rules.rule import Rule
 
 __all__ = [
-    "Delta", "BootstrapState", "GenerationBootstrap",
-    "capture_bootstrap", "build_replica",
-    "build_replica_from_generation", "bootstrap_from_directory",
+    "Delta", "GenerationBootstrap", "build_replica_from_generation",
     "apply_delta_message", "replica_main",
 ]
 
@@ -90,193 +88,167 @@ class Delta:
     equivalent to replaying the batch.  ``controls`` carries the
     non-fact operations in application order: ``("limit", n)``,
     ``("include", name_or_rule)``, ``("exclude", name)``, and
-    ``("define_rule", name, text, is_constraint)``.
+    ``("define_rule", name, text, is_constraint)``.  ``folded`` says
+    the writer folded after this batch: the snapshot published at
+    ``version`` has empty overlays, and a replica is better served by
+    attaching its generations than by applying the record.
     """
 
     version: int
     adds: Tuple[Fact, ...] = ()
     removes: Tuple[Fact, ...] = ()
     controls: Tuple[tuple, ...] = ()
+    folded: bool = False
 
     def __len__(self) -> int:
         return len(self.adds) + len(self.removes) + len(self.controls)
 
 
 @dataclass
-class BootstrapState:
-    """Everything a worker needs to reconstruct the primary's database.
-
-    Captured from a published (frozen) snapshot, so it is internally
-    consistent; rules ship as their parsed :class:`Rule` dataclasses
-    (plain picklable data).  ``version`` is the replication sequence
-    the state corresponds to — deltas at or below it are skipped.
-    """
-
-    facts: List[Fact] = field(default_factory=list)
-    rules: List[Rule] = field(default_factory=list)
-    enabled: Dict[str, bool] = field(default_factory=dict)
-    composition_limit: Optional[int] = 1
-    engine: str = "dispatched"
-    version: int = 0
-
-
-@dataclass
 class GenerationBootstrap:
     """Bootstrap by *attaching*, not copying: shared-memory handles.
 
-    Instead of a pickled fact list, the worker receives the names and
-    layouts of the shared-memory segments holding the primary's base
-    heap — and, when available, its computed standard closure — as
-    frozen columnar generations (:mod:`repro.core.interned`).  The
-    worker maps the segments read-only-by-convention and layers its own
-    small mutable overlay on top, so per-worker incremental memory is
-    the overlay plus decode memo, not a full database copy; with the
-    closure shipped too, the worker skips recomputing it entirely.
+    The worker receives the names and layouts of the shared-memory
+    segments holding a published snapshot's base heap and standard
+    closure as frozen columnar generations
+    (:mod:`repro.core.interned`), plus the configuration that closure
+    was computed under.  It maps the segments read-only-by-convention
+    and layers its own small mutable overlay on top, so per-worker
+    incremental memory is the overlay plus decode memo, not a database
+    copy, and it never recomputes the closure it attached.
 
-    ``version`` is the replication sequence the generations correspond
-    to; ``deltas`` is the suffix published after the generations were
-    built, replayed by the worker before it declares readiness (the
-    parent captures it under the same lock that orders delta fan-out,
-    so the sequence seam is exact).  ``store_version`` /
-    ``closure_version`` restore the exact store mutation counters, so
-    version-keyed result caches stay continuous across attach.
+    ``version`` is the replication sequence of the snapshot;
+    ``deltas`` is the suffix published since, replayed by the worker
+    before it declares readiness (the parent captures it under the
+    same lock that orders delta fan-out, so the sequence seam is
+    exact).  ``store_version`` / ``closure_version`` restore the exact
+    store mutation counters, so version-keyed result caches stay
+    continuous across attach.
     """
 
     base_handle: Any                      # core.interned.GenerationHandle
-    closure_handle: Optional[Any] = None
-    closure_stats: Optional[dict] = None  # ClosureResult scalars
-    rules: List[Rule] = field(default_factory=list)
-    enabled: Dict[str, bool] = field(default_factory=dict)
-    composition_limit: Optional[int] = 1
-    engine: str = "dispatched"
-    version: int = 0
+    closure_handle: Any
+    closure_stats: dict                   # ClosureResult scalars
+    rules: List[Rule]
+    enabled: Dict[str, bool]
+    composition_limit: Optional[int]
+    engine: str
+    version: int
+    store_version: int
+    closure_version: int
     deltas: Tuple[Delta, ...] = ()
-    store_version: Optional[int] = None
-    closure_version: Optional[int] = None
 
+    @classmethod
+    def share(cls, snap: Database,
+              version: int) -> Optional["GenerationBootstrap"]:
+        """Place a published snapshot's generations in shared memory.
 
-def capture_bootstrap(db: Database, version: int) -> BootstrapState:
-    """Snapshot a database's replicable state at replication ``version``.
+        ``snap`` is the service's snapshot at replication ``version``.
+        Only a snapshot with nothing outside its generations — the one
+        the service was constructed with, or one the writer just
+        folded — can be shared, as two copies into fresh segments,
+        never a build; for any other this returns ``None`` (folding is
+        the writer's: :meth:`DatabaseService.fold
+        <repro.serve.DatabaseService.fold>`).  The caller owns both
+        segments (:meth:`unlink`).  Raises
+        :class:`~repro.core.errors.ReplicaError`, leaving no segment
+        behind, when shared memory has no room
+        (:meth:`ColumnarGeneration.share
+        <repro.core.interned.ColumnarGeneration.share>`).
+        """
+        from ..core.interned import unlink_generation
 
-    ``db`` should be an immutable published snapshot (or otherwise not
-    concurrently mutated while this runs).
-    """
-    return BootstrapState(
-        facts=list(db.facts),
-        rules=db.rules.all_rules(),
-        enabled=db.rules.snapshot_state(),
-        composition_limit=db.composition_limit,
-        engine=db.engine,
-        version=version,
-    )
+        base = snap.facts
+        result = snap.standard_closure()    # warmed before publication
+        if base.overlay_size or result.store.overlay_size:
+            return None
+        base_handle = base.generation.share()
+        try:
+            closure_handle = result.store.generation.share()
+        except BaseException:
+            unlink_generation(base_handle.name)
+            raise
+        return cls(
+            base_handle=base_handle,
+            closure_handle=closure_handle,
+            closure_stats={
+                "base_count": result.base_count,
+                "derived_count": result.derived_count,
+                "iterations": result.iterations,
+                "rule_firings": dict(result.rule_firings),
+                "rule_times": dict(result.rule_times),
+            },
+            rules=snap.rules.all_rules(),
+            enabled=snap.rules.snapshot_state(),
+            composition_limit=snap.composition_limit,
+            engine=snap.engine,
+            version=version,
+            store_version=base.version,
+            closure_version=result.store.version,
+        )
 
+    def segment_names(self) -> List[str]:
+        return [self.base_handle.name, self.closure_handle.name]
 
-def build_replica(state: BootstrapState) -> Database:
-    """A fresh mutable database equal to the captured state.
+    def unlink(self) -> None:
+        """Remove both segments (idempotent).  Processes still attached
+        keep their mappings until they release them."""
+        from ..core.interned import unlink_generation
 
-    Axioms are not re-seeded — the captured fact list already contains
-    whatever the primary stored.  The replica keeps incremental
-    maintenance on (that is the whole point: deltas extend the cached
-    closure in place) and never auto-checks: integrity was the
-    primary's job at write admission.
-    """
-    db = Database(state.facts, with_axioms=False, engine=state.engine)
-    db.rules = RuleRegistry(state.rules)
-    db.rules.restore_state(state.enabled)
-    db._composition_limit = state.composition_limit  # noqa: SLF001
-    return db
+        for name in self.segment_names():
+            unlink_generation(name)
 
 
 def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     """A replica database attached to shared columnar generations.
 
-    The base heap (and the standard closure, when its handle shipped)
-    is an :class:`~repro.core.interned.InternedFactStore` over the
-    parent-owned shared segment: zero fact copying at bootstrap, and
-    the worker's incremental memory is its overlay plus whatever facts
-    its reads decode.  Deltas in ``state.deltas`` are **not** applied
-    here — the caller replays them so it can track the resulting
-    version (see :func:`replica_main`).
+    Base heap and standard closure are each an
+    :class:`~repro.core.interned.InternedFactStore` over the
+    parent-owned shared segment: zero fact copying, and the replica's
+    incremental memory is its overlay plus whatever facts its reads
+    decode.  It keeps incremental maintenance on (deltas extend the
+    attached closure in place) and never auto-checks: integrity was
+    the primary's job at write admission.  Deltas in ``state.deltas``
+    are **not** applied here — the caller replays them so it can track
+    the resulting version (see :func:`replica_main`).
     """
     from ..core.interned import InternedFactStore
     from ..rules.engine import ClosureResult
 
     db = Database(with_axioms=False, engine=state.engine)
     base = InternedFactStore.attach(state.base_handle)
-    if state.store_version is not None:
-        base._version = state.store_version  # noqa: SLF001
+    base._version = state.store_version  # noqa: SLF001
     db._base = base  # noqa: SLF001
     db.rules = RuleRegistry(state.rules)
     db.rules.restore_state(state.enabled)
     db._composition_limit = state.composition_limit  # noqa: SLF001
-    if state.closure_handle is not None:
-        closure_store = InternedFactStore.attach(state.closure_handle)
-        if state.closure_version is not None:
-            closure_store._version = state.closure_version  # noqa: SLF001
-        stats = state.closure_stats or {}
-        db._standard_result = ClosureResult(  # noqa: SLF001
-            store=closure_store,
-            base_count=stats.get("base_count", len(base)),
-            derived_count=stats.get(
-                "derived_count", len(closure_store) - len(base)),
-            iterations=stats.get("iterations", 0),
-            rule_firings=dict(stats.get("rule_firings", {})),
-            rule_times=dict(stats.get("rule_times", {})),
-            provenance=None,
-        )
+    closure_store = InternedFactStore.attach(state.closure_handle)
+    closure_store._version = state.closure_version  # noqa: SLF001
+    stats = state.closure_stats
+    db._standard_result = ClosureResult(  # noqa: SLF001
+        store=closure_store,
+        base_count=stats["base_count"],
+        derived_count=stats["derived_count"],
+        iterations=stats["iterations"],
+        rule_firings=dict(stats["rule_firings"]),
+        rule_times=dict(stats["rule_times"]),
+        provenance=None,
+    )
     return db
 
 
 def release_attached_stores(db: Database) -> None:
     """Release a replica's shared-memory mappings (base + closure).
 
-    Called when a worker swaps to a newly compacted generation; process
-    exit would release them anyway, but an explicit close keeps the old
-    segment's pages reclaimable as soon as the writer unlinks it.
+    Called when a worker swaps to the generations of the writer's next
+    fold; process exit would release them anyway, but an explicit close
+    keeps the old segment's pages reclaimable as soon as the pool
+    unlinks it.  (Every closure engine seeds its store from the base
+    heap's type, so all three are interned stores.)
     """
-    for store in (db.facts,
-                  getattr(db._standard_result, "store", None)  # noqa: SLF001
-                  if db._standard_result is not None else None,  # noqa: SLF001
-                  getattr(db._full_result, "store", None)  # noqa: SLF001
-                  if db._full_result is not None else None):  # noqa: SLF001
-        close = getattr(store, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-
-def bootstrap_from_directory(directory: str,
-                             config: BootstrapState) -> Database:
-    """Build a replica by replaying a durable directory's state.
-
-    The fact heap comes from the on-disk snapshot + journal
-    (:meth:`repro.storage.session.DurableSession.recover_state` — the
-    journal is ordered, so the replayed heap is the primary's heap as
-    of the last journaled batch), while rules, enable states, the
-    composition limit, and the engine come from ``config``: rule
-    definitions and toggles are not journaled, so the parent captures
-    them at spawn time.  Because the disk may already be *ahead* of
-    ``config.version``, the parent replays the delta suffix from that
-    version; :meth:`~repro.db.Database.apply_delta` is idempotent, so
-    the overlap is harmless.
-    """
-    from ..storage.session import DurableSession
-
-    session = DurableSession(directory)
-    try:
-        disk = session.recover_state()
-    finally:
-        session.close()
-    return build_replica(BootstrapState(
-        facts=disk.facts,
-        rules=config.rules,
-        enabled=config.enabled,
-        composition_limit=config.composition_limit,
-        engine=config.engine,
-        version=config.version,
-    ))
+    results = (db._standard_result, db._full_result)  # noqa: SLF001
+    for store in [db.facts] + [r.store for r in results if r is not None]:
+        store.close()
 
 
 def apply_delta_message(db: Database, delta: Delta) -> None:
@@ -323,43 +295,29 @@ READ_OPS = {
 }
 
 
-def _bootstrap(payload) -> Tuple[Database, int]:
-    """Build the replica database for one bootstrap payload.
-
-    Returns ``(db, version)`` where ``version`` is the replication
-    sequence the database now reflects — for generation payloads that
-    includes the shipped delta suffix, replayed here.
-    """
-    kind = payload[0]
-    if kind == "state":
-        return build_replica(payload[1]), payload[1].version
-    if kind == "directory":
-        return (bootstrap_from_directory(payload[1], payload[2]),
-                payload[2].version)
-    if kind == "generation":
-        state: GenerationBootstrap = payload[1]
-        db = build_replica_from_generation(state)
-        version = state.version
-        for delta in state.deltas:
-            if delta.version > version:
-                apply_delta_message(db, delta)
-                version = delta.version
-        return db, version
-    raise ServiceError(f"unknown bootstrap payload {kind!r}")
+def _attach(state: GenerationBootstrap) -> Tuple[Database, int]:
+    """Build the replica database for one bootstrap: attach, replay
+    the shipped delta suffix, warm the view.  Returns ``(db, version)``
+    where ``version`` is the replication sequence the database now
+    reflects."""
+    db = build_replica_from_generation(state)
+    version = state.version
+    for delta in state.deltas:
+        apply_delta_message(db, delta)
+        version = delta.version
+    db.view()
+    return db, version
 
 
-def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
+def replica_main(conn, state: GenerationBootstrap,
+                 telemetry: Optional[dict] = None) -> None:
     """The worker process entry point.
 
-    ``conn`` is this end of a duplex pipe; ``payload`` is
-    ``("state", BootstrapState)``,
-    ``("generation", GenerationBootstrap)`` (attach to shared-memory
-    columnar generations and replay the shipped delta suffix), or
-    ``("directory", path, BootstrapState)`` (the directory variant
-    reads facts from disk and takes configuration from the state).
-    Builds the replica, warms its closure, then serves the pipe until
-    ``("stop",)`` or EOF.  Requests are handled strictly in order, so
-    a read enqueued after a delta always sees that delta applied.
+    ``conn`` is this end of a duplex pipe; ``state`` names the shared
+    generations to attach and carries the delta suffix to replay.
+    Builds the replica, then serves the pipe until ``("stop",)`` or
+    EOF.  Requests are handled strictly in order, so a read enqueued
+    after a delta always sees that delta applied.
 
     ``telemetry`` configures this process's observability:
     ``{"metrics": True}`` enables a fresh telemetry spine (shipped
@@ -387,8 +345,7 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
         slow_threshold = telemetry.get("slow_query_seconds")
         if telemetry.get("metrics") or slow_threshold is not None:
             _obs.enable_telemetry(fresh=True)
-    db, version = _bootstrap(payload)
-    db.view()   # warm the closure before declaring readiness
+    db, version = _attach(state)
     conn.send(("ready", version))
     while True:
         try:
@@ -409,30 +366,22 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
                         time.perf_counter() - apply_started)
             conn.send(("applied", version))
         elif kind == "generation":
-            # The writer compacted a new shared generation: re-attach.
-            # The new generations already contain every delta at or
-            # below their version, so jumping forward is safe; any
-            # already-queued delta at or below it is dropped by the
-            # ``version >`` guard above.  An older-than-current
-            # generation (cannot happen under one writer, but guard
-            # anyway) is ignored.
-            state = message[1]
-            target = state.version
-            for delta in state.deltas:
-                target = max(target, delta.version)
-            if target >= version:
-                old = db
-                db, version = _bootstrap(("generation", state))
-                db.view()
-                release_attached_stores(old)
+            # The writer folded: its new generations hold every batch
+            # up to their version, this one's included (the message
+            # came in place of that batch's delta), and the overlay
+            # built up since the last attach is dropped with the old
+            # database.
+            old = db
+            db, version = _attach(message[1])
+            release_attached_stores(old)
             # Distinct ack type: the parent must know the worker is
             # done with the *old* segments (a plain delta ack could
             # predate the re-attach), so it can unlink them safely.
             conn.send(("reattached", version))
         elif kind == "read":
-            rid, op, read_payload, seconds = message[1:5]
-            ctx = (TraceContext.from_wire(message[5])
-                   if len(message) > 5 else None)
+            rid, op, read_payload, seconds, trace = message[1:]
+            ctx = (TraceContext.from_wire(trace)
+                   if trace is not None else None)
             if slow_threshold is not None:
                 _obs.LAST_REQUEST.clear()
             started = time.perf_counter()
@@ -475,10 +424,7 @@ def replica_main(conn, payload, telemetry: Optional[dict] = None) -> None:
                     probe=_obs.LAST_REQUEST.probe)
                 extra = extra or {}
                 extra["slow"] = record
-            if extra is None:
-                conn.send(("result", rid, ok, value, version))
-            else:
-                conn.send(("result", rid, ok, value, version, extra))
+            conn.send(("result", rid, ok, value, version, extra))
         elif kind == "metrics_request":
             conn.send(("metrics", version,
                        _obs.active_telemetry().snapshot()))

@@ -13,8 +13,11 @@ and closure each become one immutable columnar generation plus a small
 overlay of additions and tombstones, so a publish *shares* the
 generation and copies only the overlay.  The writer owns the fold: a
 batch that leaves a store's overlay above
-:data:`~repro.core.interned.OVERLAY_BUDGET` folds it into a fresh
-generation before publishing (once per batch; ``stats()["store"]``).
+:data:`~repro.core.interned.OVERLAY_BUDGET` — or that held a rule or
+limit control, which recomputes the closure — folds it into a fresh
+generation before publishing (once per batch; ``stats()["store"]``),
+and says so on the batch's :class:`~repro.serve.replica.Delta`, which
+is what the replica pool shares with its workers.
 The division of labour:
 
 * **Readers** grab a local reference to the published snapshot — a
@@ -230,7 +233,6 @@ class DatabaseService:
             With a threshold the service holds telemetry enabled from
             construction to :meth:`close` (the autopsies are ordinary
             telemetry), then leaves it as it found it.
-        slow_log_size: ring-buffer capacity of :attr:`slow_log`.
         start: start the writer thread immediately (tests pass False
             to stage queue states deterministically).
     """
@@ -242,7 +244,6 @@ class DatabaseService:
                  max_batch: Optional[int] = 256,
                  default_deadline: Optional[float] = None,
                  slow_query_seconds: Optional[float] = None,
-                 slow_log_size: int = 128,
                  start: bool = True):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -259,7 +260,7 @@ class DatabaseService:
         self.max_batch = max_batch
         self.default_deadline = default_deadline
         self.slow_query_seconds = slow_query_seconds
-        self.slow_log = SlowQueryLog(slow_log_size)
+        self.slow_log = SlowQueryLog()
         # The autopsies a slow record carries are ordinary telemetry.
         self._holds_telemetry = (slow_query_seconds is not None
                                  and not _obs.ENABLED)
@@ -430,6 +431,7 @@ class DatabaseService:
             controls: List[tuple] = []
             mutated = False
             checkpoints: List[int] = []     # indexes into ``settled``
+            fold_asked = False
             for kind, payload, ticket, _ctx in batch:
                 try:
                     outcome: Any
@@ -479,6 +481,9 @@ class DatabaseService:
                     elif kind == "checkpoint":
                         checkpoints.append(len(settled))
                         outcome = True
+                    elif kind == "fold":
+                        fold_asked = mutated = True
+                        outcome = True
                     else:  # pragma: no cover - guarded at submission
                         raise ServiceError(f"unknown operation {kind!r}")
                 except (ReproError, ValueError) as error:
@@ -490,7 +495,10 @@ class DatabaseService:
             delta = None
             if mutated:
                 publish_started = time.perf_counter()
-                folded = self._fold_if_due()
+                # A control recomputed the closure: re-found it now, so
+                # replicas attach the result instead of recomputing it.
+                folded = self._fold_if_due(
+                    0 if fold_asked or controls else OVERLAY_BUDGET)
                 snap = self._build_snapshot()
                 pause = time.perf_counter() - publish_started - folded
                 self._publish_pause_last = pause
@@ -502,7 +510,8 @@ class DatabaseService:
                 self._published = snap
                 adds, removes = _coalesce(journal_entries)
                 delta = Delta(version=self._applied_seq, adds=adds,
-                              removes=removes, controls=tuple(controls))
+                              removes=removes, controls=tuple(controls),
+                              folded=folded > 0.0)
                 if _obs.ENABLED:
                     _obs.TELEMETRY.gauge("serve.publish_pause_seconds",
                                          pause)
@@ -569,10 +578,11 @@ class DatabaseService:
             else:
                 ticket._resolve(value)
 
-    def _fold_if_due(self) -> float:
+    def _fold_if_due(self, budget: int) -> float:
         """Fold the master's stores into fresh generations when a
-        batch left one of them over the overlay budget; returns the
-        seconds the fold took (0.0 when none was due).
+        batch left one of them over ``budget`` (the overlay budget, or
+        0 for a batch that held a :meth:`fold` or a control); returns
+        the seconds the fold took (0.0 when none was due).
 
         Once per batch, however many facts it held.  Store versions
         survive (result- and plan-cache entries stay valid), so does
@@ -582,7 +592,7 @@ class DatabaseService:
         """
         db = self._db
         db.view()       # the closure as the batch left it
-        if db.overlay_size <= OVERLAY_BUDGET:
+        if db.overlay_size <= budget:
             return 0.0
         started = time.perf_counter()
         db.compact_store()
@@ -619,24 +629,11 @@ class DatabaseService:
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.snapshot_publishes")
             _obs.TELEMETRY.gauge("serve.snapshot_version", snap.facts.version)
-            shape = self._store_shape(snap)
+            shape = snap.store_shape()
             _obs.TELEMETRY.gauge(
                 "serve.overlay_facts",
                 shape["overlay_facts"] + shape["tombstones"])
         return snap
-
-    @staticmethod
-    def _store_shape(snap: Database) -> dict:
-        """What a publish shared and what it copied, summed over the
-        snapshot's base heap and closure store."""
-        stores = (snap.facts, snap.closure().store)
-        tombstones = sum(store.tombstones for store in stores)
-        return {
-            "generation_facts": sum(len(s.generation) for s in stores),
-            "overlay_facts": sum(s.overlay_size for s in stores)
-            - tombstones,
-            "tombstones": tombstones,
-        }
 
     # ------------------------------------------------------------------
     # Write API
@@ -751,6 +748,17 @@ class DatabaseService:
             raise ServiceError("no durable session attached;"
                                " construct with session=")
         return self._call("checkpoint", None, deadline)
+
+    def fold(self, deadline: Optional[float] = None) -> bool:
+        """Fold whatever overlay the stores hold now, without waiting
+        for the budget, and publish the result.
+
+        Runs on the writer thread like every fold.  The replica pool
+        asks for one when it is constructed over a snapshot that has
+        an overlay: what it shares with its workers is always a
+        generation the writer made.
+        """
+        return self._call("fold", None, deadline)
 
     # ------------------------------------------------------------------
     # Read API (lock-free, snapshot-isolated)
@@ -900,7 +908,7 @@ class DatabaseService:
         snap = self._published
         with self._lock:
             pending = len(self._ops)
-        store = self._store_shape(snap)
+        store = snap.store_shape()
         store.update({
             "overlay_budget": OVERLAY_BUDGET,
             "folds": self._folds,

@@ -526,10 +526,7 @@ def _serve_main(arguments: List[str]) -> int:
     if options.workers > 0:
         from .serve.pool import ReplicaPool
 
-        directory = (options.target
-                     if session is not None else None)
-        pool = ReplicaPool(service, workers=options.workers,
-                           bootstrap_directory=directory)
+        pool = ReplicaPool(service, workers=options.workers)
     server = ServiceServer(service, host=options.host, port=options.port,
                            pool=pool)
     host, port = server.address

@@ -55,38 +55,6 @@ class DurableSession:
                 database.remove_fact(entry.fact)
         return database
 
-    def recover_state(self, strict_journal: bool = False) -> SnapshotState:
-        """Replay snapshot + journal into plain state, no Database built.
-
-        The replica bootstrap path
-        (:func:`repro.serve.replica.bootstrap_from_directory`) uses
-        this so a worker process can read the durable directory itself
-        instead of receiving the whole fact heap over its pipe; the
-        worker then constructs its own :class:`~repro.db.Database`
-        from the returned facts.  Replay preserves journal order, so
-        the returned fact list is exactly the primary's stored heap as
-        of the last journaled batch.
-        """
-        from ..db import AXIOM_FACTS
-        from ..rules.composition import COMPOSITION_OFF
-
-        if self.snapshot_path.exists():
-            state = read_snapshot(self.snapshot_path)
-            facts = dict.fromkeys(state.facts)
-            rule_states = dict(state.rule_states)
-            limit = state.composition_limit
-        else:
-            facts = dict.fromkeys(AXIOM_FACTS)
-            rule_states = {}
-            limit = COMPOSITION_OFF
-        for entry in self.journal.entries(strict=strict_journal):
-            if entry.op == OP_ADD:
-                facts[entry.fact] = None
-            else:
-                facts.pop(entry.fact, None)
-        return SnapshotState(facts=list(facts), rule_states=rule_states,
-                             composition_limit=limit)
-
     # ------------------------------------------------------------------
     # Live attachment
     # ------------------------------------------------------------------

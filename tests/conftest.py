@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import pytest
@@ -27,6 +28,40 @@ def replica_served(pool) -> int:
     stats = pool.stats()
     return (stats["reads"] - stats["primary_reads"]
             - stats["fallback_reads"])
+
+
+def _generation_segments() -> set:
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("repro-gen-")}
+    except FileNotFoundError:       # no POSIX shared-memory directory
+        return set()
+
+
+def _creator_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass
+    return False
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_generation_segments():
+    """Every fold of a pooled service creates and retires shared-memory
+    segments: fail the session if one that appeared during it is left
+    behind by this process (``repro-gen-<pid>-*``) or by a process that
+    no longer exists to unlink it — a child this session started.
+    Segments of live foreign processes are theirs."""
+    before = _generation_segments()
+    yield
+    leaked = sorted(
+        name for name in _generation_segments() - before
+        if int(name.split("-")[2]) == os.getpid()
+        or _creator_gone(int(name.split("-")[2])))
+    assert not leaked, f"shared-memory segments left in /dev/shm: {leaked}"
 
 
 @pytest.fixture

@@ -8,12 +8,14 @@ same seeded-random database style as the engine-equivalence harness)
 through a :class:`~repro.serve.DatabaseService`, captures the emitted
 :class:`~repro.serve.replica.Delta` records in-process (no worker
 process needed — the protocol is plain data), replays them onto a
-replica bootstrapped from the initial snapshot, and asserts identity.
+replica attached to the initial snapshot's shared generations — the
+constructor a pool worker uses — and asserts identity.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,14 +23,31 @@ from repro.core.facts import Fact
 from repro.db import Database
 from repro.serve import DatabaseService
 from repro.serve.replica import (
+    GenerationBootstrap,
     apply_delta_message,
-    build_replica,
-    capture_bootstrap,
+    build_replica_from_generation,
+    release_attached_stores,
 )
 
 from .test_engine_equivalence import _random_database
 
 SEEDS = range(12)
+
+
+@contextmanager
+def attached_replica(service: DatabaseService):
+    """``(replica, version)``: an in-process replica attached to the
+    service's published snapshot, as a worker is."""
+    shared = GenerationBootstrap.share(*service.published_state())
+    assert shared is not None, "publish a folded snapshot first"
+    try:
+        replica = build_replica_from_generation(shared)
+        try:
+            yield replica, shared.version
+        finally:
+            release_attached_stores(replica)
+    finally:
+        shared.unlink()
 
 
 def _assert_identical(replica: Database, reference: Database,
@@ -81,26 +100,24 @@ def test_delta_replay_is_bit_identical(seed):
     service = DatabaseService(Database(facts))
     deltas = []
     try:
-        snap, version = service.published_state()
-        replica = build_replica(capture_bootstrap(snap, version))
-        service.subscribe_deltas(deltas.append)
-        _drive(service, random.Random(1000 + seed), 30)
-        reference, final_version = service.published_state()
+        with attached_replica(service) as (replica, version):
+            service.subscribe_deltas(deltas.append)
+            _drive(service, random.Random(1000 + seed), 30)
+            reference, final_version = service.published_state()
+            for delta in deltas:
+                if delta.version > version:
+                    apply_delta_message(replica, delta)
+                    version = delta.version
+            assert version == final_version
+            _assert_identical(replica, reference, seed)
     finally:
         service.close()
-    for delta in deltas:
-        if delta.version > version:
-            apply_delta_message(replica, delta)
-            version = delta.version
-    assert version == final_version
-    _assert_identical(replica, reference, seed)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_overlap_replay_is_idempotent(seed):
-    """The disk-bootstrap overlap case: a replica whose bootstrap
-    state is already *ahead* of the delta suffix it then receives
-    (journal replay outran the captured sequence) must be unchanged by
+    """The overlap case: a replica whose bootstrap state is already
+    *ahead* of the delta suffix it then receives must be unchanged by
     re-applying those deltas — re-adding a present fact and
     re-removing an absent one are no-ops."""
     facts = _random_database(seed)
@@ -109,38 +126,38 @@ def test_overlap_replay_is_idempotent(seed):
     try:
         service.subscribe_deltas(deltas.append)
         _drive(service, random.Random(2000 + seed), 15)
+        service.fold()      # only a folded snapshot can be attached
         reference, final_version = service.published_state()
-        # Bootstrap from the FINAL state, as a disk replay would after
-        # the journal already contains every batch...
-        replica = build_replica(
-            capture_bootstrap(reference, final_version))
+        # Bootstrap from the FINAL state...
+        with attached_replica(service) as (replica, version):
+            assert version == final_version
+            # ...then re-apply the fact content of a contiguous delta
+            # suffix that state already reflects.  (Controls are not
+            # re-applied: the bootstrap carries the configuration.)
+            for delta in deltas[-5:]:
+                replica.apply_delta(delta.adds, delta.removes)
+            _assert_identical(replica, reference, seed)
     finally:
         service.close()
-    # ...then re-apply the fact content of a contiguous delta suffix
-    # that state already reflects.  (Controls are not re-applied: the
-    # pool ships configuration explicitly, not through the journal.)
-    for delta in deltas[-5:]:
-        replica.apply_delta(delta.adds, delta.removes)
-    _assert_identical(replica, reference, seed)
 
 
 def test_define_rule_ships_as_control():
     service = DatabaseService(Database())
     deltas = []
     try:
-        snap, version = service.published_state()
-        replica = build_replica(capture_bootstrap(snap, version))
-        service.subscribe_deltas(deltas.append)
-        service.define_rule(
-            "sym", "(a, MARRIED-TO, b) => (b, MARRIED-TO, a)")
-        service.add("ANN", "MARRIED-TO", "BOB")
-        reference, _ = service.published_state()
+        with attached_replica(service) as (replica, _):
+            service.subscribe_deltas(deltas.append)
+            service.define_rule(
+                "sym", "(a, MARRIED-TO, b) => (b, MARRIED-TO, a)")
+            service.add("ANN", "MARRIED-TO", "BOB")
+            reference, _ = service.published_state()
+            for delta in deltas:
+                apply_delta_message(replica, delta)
+            assert replica.ask("(BOB, MARRIED-TO, ANN)")
+            assert set(replica.closure().store) \
+                == set(reference.closure().store)
     finally:
         service.close()
-    for delta in deltas:
-        apply_delta_message(replica, delta)
-    assert replica.ask("(BOB, MARRIED-TO, ANN)")
-    assert set(replica.closure().store) == set(reference.closure().store)
 
 
 def test_coalesced_add_remove_cancels():
@@ -149,22 +166,21 @@ def test_coalesced_add_remove_cancels():
     service = DatabaseService(Database(), batch_window=0.05)
     deltas = []
     try:
-        snap, version = service.published_state()
-        replica = build_replica(capture_bootstrap(snap, version))
-        service.subscribe_deltas(deltas.append)
-        fact = Fact("FLASH", "∈", "TRANSIENT")
-        keep = Fact("KEEP", "∈", "DURABLE")
-        t1 = service.add_async(fact)
-        t2 = service.remove_async(fact)
-        t3 = service.add_async(keep)
-        for ticket in (t1, t2, t3):
-            ticket.result(timeout=30.0)
-        reference, _ = service.published_state()
+        with attached_replica(service) as (replica, _):
+            service.subscribe_deltas(deltas.append)
+            fact = Fact("FLASH", "∈", "TRANSIENT")
+            keep = Fact("KEEP", "∈", "DURABLE")
+            t1 = service.add_async(fact)
+            t2 = service.remove_async(fact)
+            t3 = service.add_async(keep)
+            for ticket in (t1, t2, t3):
+                ticket.result(timeout=30.0)
+            reference, _ = service.published_state()
+            shipped = [f for d in deltas for f in d.adds + d.removes]
+            assert keep in shipped
+            for delta in deltas:
+                apply_delta_message(replica, delta)
+            assert set(replica.facts) == set(reference.facts)
+            assert not replica.ask("(FLASH, ∈, TRANSIENT)")
     finally:
         service.close()
-    shipped = [f for d in deltas for f in d.adds + d.removes]
-    assert keep in shipped
-    for delta in deltas:
-        apply_delta_message(replica, delta)
-    assert set(replica.facts) == set(reference.facts)
-    assert not replica.ask("(FLASH, ∈, TRANSIENT)")

@@ -1,6 +1,7 @@
 """ReplicaPool tests: primary-first routing, replica reads,
 read-your-writes on both routes, primary fallback, crash/respawn
-failover, and directory bootstrap.
+failover, and the one generation lifecycle (the writer's fold is
+shared, workers re-attach, retired segments are unlinked).
 
 A lone sequential read is served by the primary; tests about the worker
 route issue their reads inside ``primary_busy(pool)``.
@@ -8,14 +9,22 @@ route issue their reads inside ``primary_busy(pool)``.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import nullcontext
 
 import pytest
 
-from repro.core.errors import DeadlineExceeded, ParseError, ServiceClosed
+from repro.core.errors import (
+    DeadlineExceeded,
+    ParseError,
+    ReplicaError,
+    ServiceClosed,
+)
+from repro.core.interned import OVERLAY_BUDGET
 from repro.db import Database
+from repro.obs import Telemetry, use_telemetry
 from repro.serve import DatabaseService, ReplicaPool
 
 from .conftest import primary_busy, replica_served
@@ -337,20 +346,20 @@ class TestLifecycle:
             service.close()
 
 
-class TestDirectoryBootstrap:
-    def test_worker_bootstraps_from_durable_directory(self, tmp_path):
+class TestDurableService:
+    def test_pool_over_durable_service_attaches_and_sees_journaled_writes(
+            self, tmp_path):
         from repro.storage.session import open_database
 
         directory = tmp_path / "state"
         db, session = open_database(directory)
         db.add("DISK", "∈", "EMPLOYEE")   # journaled via the session
         service = DatabaseService(db, session=session)
-        pool = ReplicaPool(service, workers=1,
-                           bootstrap_directory=str(directory))
+        pool = ReplicaPool(service, workers=1)
         try:
             with primary_busy(pool):
                 assert pool.ask("(DISK, ∈, EMPLOYEE)")
-            # Deltas still flow after a disk bootstrap.
+            # Deltas flow to a worker that never read the directory.
             ticket = service.add_async(("LATER", "∈", "EMPLOYEE"))
             ticket.result(timeout=30.0)
             pool.wait_for_version(ticket.version, all_workers=True,
@@ -375,39 +384,55 @@ def _gen_segments():
                   if p.startswith("repro-gen-"))
 
 
+def _settle(pool, ticket):
+    """Every live worker has applied ``ticket`` and every re-attach has
+    been acknowledged (the ack is what unlinks a retired pair)."""
+    ticket.result(timeout=60.0)
+    pool.wait_for_version(ticket.version, all_workers=True, timeout=60.0)
+
+
+def _respawned(pool):
+    deadline_at = time.monotonic() + 60.0
+    while time.monotonic() < deadline_at:
+        stats = pool.stats()
+        if stats["alive"] == stats["workers"] and stats["respawns"]:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"no respawn: {pool.stats()}")
+
+
 class TestGenerationBootstrap:
-    """Shared-memory generation attach: the default bootstrap mode."""
+    """Workers attach the shared-memory generations the pool shares at
+    construction and at every writer fold."""
 
     def test_default_mode_and_stats(self, pooled):
-        _, pool = pooled
-        assert pool.bootstrap == "generation"
+        service, pool = pooled
         stats = pool.stats()
-        assert stats["bootstrap"] == "generation"
-        assert stats["generation_seq"] is not None
-        assert stats["generation_stale"] is False
+        assert stats["generation_seq"] == service.applied_seq
+        assert stats["generation_log"] == 0
+        assert stats["compactions"] == 0
+        assert stats["share_failures"] == 0
+        assert "bootstrap" not in stats and "compact_after" not in stats
 
-    def test_attach_matches_copied_state(self):
-        """Satellite: attach-vs-copy consistency across a 2-worker
-        pool — generation-attached replicas answer exactly like
-        replicas that copied the pickled heap."""
+    def test_attached_replicas_answer_like_the_primary(self):
+        """Attach consistency across a 2-worker pool: generation-attached
+        replicas answer exactly like the snapshot they were shared
+        from."""
         service = DatabaseService(_database())
         shapes = ["(x, ∈, EMPLOYEE)", "(JOHN, r, y)", "(x, r, SALARY)",
                   "(x, ≺, y)"]
         try:
-            with ReplicaPool(service, workers=2,
-                             bootstrap="generation") as gen_pool, \
-                 ReplicaPool(service, workers=2,
-                             bootstrap="state") as copy_pool, \
-                 primary_busy(gen_pool), primary_busy(copy_pool):
+            with ReplicaPool(service, workers=2) as pool, \
+                    primary_busy(pool):
                 for shape in shapes:
-                    assert gen_pool.query(shape) == copy_pool.query(shape)
-                assert (sorted(map(tuple, gen_pool.match("(JOHN, *, *)")))
+                    assert pool.query(shape) == service.query(shape)
+                assert (sorted(map(tuple, pool.match("(JOHN, *, *)")))
                         == sorted(map(tuple,
-                                      copy_pool.match("(JOHN, *, *)"))))
-                assert (gen_pool.navigate("(JOHN, *, *)")
-                        == copy_pool.navigate("(JOHN, *, *)"))
-                assert gen_pool.stats()["fallback_reads"] == 0
-                assert replica_served(gen_pool) == len(shapes) + 2
+                                      service.match("(JOHN, *, *)"))))
+                assert (pool.navigate("(JOHN, *, *)")
+                        == service.navigate("(JOHN, *, *)").render())
+                assert pool.stats()["fallback_reads"] == 0
+                assert replica_served(pool) == len(shapes) + 2
         finally:
             service.close()
 
@@ -432,12 +457,7 @@ class TestGenerationBootstrap:
                               timeout=30.0)
         assert pool.stats()["generation_log"] >= 1
         pool.crash_worker(0)
-        deadline_at = time.monotonic() + 60.0
-        while time.monotonic() < deadline_at:
-            stats = pool.stats()
-            if stats["alive"] == stats["workers"] and stats["respawns"]:
-                break
-            time.sleep(0.05)
+        _respawned(pool)
         pool.wait_for_version(ticket.version, all_workers=True,
                               timeout=30.0)
         before = pool.stats()["fallback_reads"]
@@ -446,47 +466,20 @@ class TestGenerationBootstrap:
                 assert pool.ask("(SUFFIX, EARNS, SALARY)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
-    def test_log_overflow_marks_stale_and_rebuilds(self, monkeypatch):
-        import repro.serve.pool as pool_mod
-        monkeypatch.setattr(pool_mod, "GENERATION_LOG_CAP", 2)
-        service = DatabaseService(_database())
-        pool = ReplicaPool(service, workers=1)
-        try:
-            ticket = None
-            for i in range(4):
-                # Settle each write so the batch window cannot coalesce
-                # them into a single delta.
-                ticket = service.add_async((f"BULK{i}", "∈", "EMPLOYEE"))
-                ticket.result(timeout=30.0)
-            assert pool.stats()["generation_stale"] is True
-            # A respawn rebuilds the generation pair from the current
-            # snapshot; the stale flag clears and reads stay exact.
-            pool.crash_worker(0)
-            deadline_at = time.monotonic() + 60.0
-            while time.monotonic() < deadline_at:
-                stats = pool.stats()
-                if stats["alive"] == stats["workers"] and stats["respawns"]:
-                    break
-                time.sleep(0.05)
-            assert pool.stats()["generation_stale"] is False
-            with primary_busy(pool):
-                assert pool.ask("(BULK3, ∈, EMPLOYEE)", ticket=ticket)
-        finally:
-            pool.close()
-            service.close()
-
     def test_compact_generation_reattaches_live_workers(self, pooled):
+        """A fold re-attaches every live worker to what it produced."""
         service, pool = pooled
         ticket = service.add_async(("COMPACT", "∈", "EMPLOYEE"))
-        ticket.result(timeout=30.0)
-        pool.wait_for_version(ticket.version, all_workers=True,
-                              timeout=30.0)
+        _settle(pool, ticket)
         old_seq = pool.stats()["generation_seq"]
-        new_seq = pool.compact_generation(timeout=60.0)
-        assert new_seq >= old_seq
+        assert pool.stats()["generation_log"] == 1
+        service.fold()
+        pool.wait_for_version(service.applied_seq, all_workers=True,
+                              timeout=60.0)
         stats = pool.stats()
-        assert stats["generation_seq"] == new_seq
+        assert stats["generation_seq"] == service.applied_seq > old_seq
         assert stats["generation_log"] == 0
+        assert stats["compactions"] == service.stats()["folds"] == 1
         # Old segments were unlinked once every worker re-attached.
         assert stats["retired_segments"] == 0
         assert stats["alive"] == stats["workers"]
@@ -497,53 +490,177 @@ class TestGenerationBootstrap:
         assert pool.stats()["fallback_reads"] == before
 
     def test_auto_compaction_folds_log_without_failed_reads(self):
-        service = DatabaseService(_database())
-        pool = ReplicaPool(service, workers=2, read_timeout=60.0,
-                           compact_after=3)
-        try:
-            ticket = None
-            for i in range(5):
-                # Settle each write so the batch window cannot coalesce
-                # them into a single delta.
-                ticket = service.add_async((f"AUTO{i}", "∈", "EMPLOYEE"))
-                ticket.result(timeout=30.0)
-            deadline_at = time.monotonic() + 60.0
-            while time.monotonic() < deadline_at:
+        """The regression behind the one lifecycle: writes past several
+        budgets leave a worker attached to the writer's last fold with
+        an overlay inside the budget, so a read it serves still runs in
+        the id domain (at the parent commit the pool never compacted by
+        itself and the worker carried every write in its overlay)."""
+        writes = 3 * OVERLAY_BUDGET + 1
+        with use_telemetry(Telemetry()):        # workers collect metrics
+            service = DatabaseService(_database())
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
+                               heartbeat_interval=0)
+            try:
+                ticket = None
+                for i in range(writes):
+                    # One batch each, so every write is its own delta.
+                    ticket = service.add_async((f"AUTO{i}", "∈", "EMPLOYEE"))
+                    ticket.result(timeout=30.0)
+                _settle(pool, ticket)
+                folds = service.stats()["folds"]
+                assert folds >= 3
                 stats = pool.stats()
-                if stats["compactions"] >= 1 \
-                        and stats["generation_log"] < 3:
-                    break
-                time.sleep(0.05)
-            stats = pool.stats()
-            assert stats["compact_after"] == 3
-            assert stats["compactions"] >= 1
-            # The fold reset the replay buffer below the threshold and
-            # left every worker attached to the new generation.
-            assert stats["generation_log"] < 3
-            assert stats["generation_stale"] is False
-            assert stats["alive"] == stats["workers"]
-            # Deltas shipped while the fold was in flight finish
-            # replaying (the re-attach must not strand them), then
-            # reads across the fold stay exact and replica-served.
-            pool.wait_for_version(ticket.version, all_workers=True,
-                                  timeout=30.0)
-            before = pool.stats()["fallback_reads"]
-            with primary_busy(pool):
-                for i in range(5):
-                    assert pool.ask(f"(AUTO{i}, ∈, EMPLOYEE)",
-                                    ticket=ticket)
-            assert pool.stats()["fallback_reads"] == before
+                assert stats["compactions"] == folds
+                assert stats["generation_log"] <= OVERLAY_BUDGET
+                assert stats["retired_segments"] == 0
+                assert stats["share_failures"] == 0
+                assert stats["alive"] == stats["workers"] == 1
+                segments = _gen_segments()
+                if segments is not None:    # one pair, however many folds
+                    assert len([name for name in segments
+                                if f"-{os.getpid()}-" in name]) == 2
+
+                assert pool.refresh_metrics(timeout=30.0)
+                id_domain = _worker_counter(pool, "exec.id_domain")
+                served = replica_served(pool)
+                with primary_busy(pool):
+                    for i in (0, writes // 2, writes - 1):
+                        assert pool.query(
+                            f"(AUTO{i}, ∈, x) and (x, EARNS, y)",
+                            ticket=ticket) == {("EMPLOYEE", "SALARY")}
+                assert replica_served(pool) == served + 3
+                assert pool.stats()["fallback_reads"] == 0
+                assert pool.refresh_metrics(timeout=30.0)
+                assert _worker_counter(pool, "exec.id_domain") \
+                    >= id_domain + 3
+                # Base heap and closure each stay inside the budget.
+                store = pool.database_stats()["store"]
+                assert store["overlay_facts"] + store["tombstones"] \
+                    <= 2 * OVERLAY_BUDGET
+                assert store["generation_facts"] > 2 * writes
+            finally:
+                pool.close()
+                service.close()
+
+    def test_control_ops_reach_workers_by_reattach(self):
+        """``exclude`` / ``include`` / ``limit`` end in a fold once the
+        recomputed closure outgrows the budget, and the worker attaches
+        that closure instead of recomputing it."""
+        db = _database()
+        for i in range(2 * OVERLAY_BUDGET):
+            db.add(f"W{i}", "∈", "EMPLOYEE")
+        service = DatabaseService(db)
+        pool = ReplicaPool(service, workers=1, read_timeout=60.0)
+        try:
+            firings = sum(pool.database_stats()["rule_firings"].values())
+            assert firings > 2 * OVERLAY_BUDGET
+            assert pool.ask("(W7, EARNS, SALARY)")
+            for step, control in enumerate((
+                    lambda: service.exclude("mem-source"),
+                    lambda: service.include("mem-source"),
+                    lambda: service.limit(2)), start=1):
+                control()
+                assert service.stats()["folds"] == step
+                pool.wait_for_version(service.applied_seq,
+                                      all_workers=True, timeout=60.0)
+                stats = pool.stats()
+                assert stats["compactions"] == step
+                assert stats["generation_log"] == 0
+                assert stats["retired_segments"] == 0
+                replica = pool.database_stats()
+                primary = service.database_stats()
+                # The worker shows the primary's counts: it attached the
+                # closure those firings produced, it did not add its own.
+                assert replica["rule_firings"] == primary["rule_firings"]
+                assert replica["enabled_rules"] == primary["enabled_rules"]
+                assert replica["composition_limit"] \
+                    == primary["composition_limit"]
+                assert replica["closure_facts"] == primary["closure_facts"]
+                with primary_busy(pool):
+                    assert pool.ask("(W7, EARNS, SALARY)") is (step != 1)
+            assert sum(pool.database_stats()["rule_firings"].values()) \
+                <= firings
         finally:
             pool.close()
             service.close()
 
-    def test_compact_requires_generation_mode(self):
+    def test_respawn_between_folds_attaches_the_current_generation(self):
+        with use_telemetry(Telemetry()) as telemetry:
+            service = DatabaseService(_database())
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
+                               heartbeat_interval=0)
+            try:
+                ticket = None
+                for i in range(OVERLAY_BUDGET + 10):
+                    ticket = service.add_async((f"R{i}", "∈", "EMPLOYEE"))
+                    ticket.result(timeout=30.0)
+                _settle(pool, ticket)
+                folds = service.stats()["folds"]
+                assert folds >= 1
+                before = pool.stats()
+                assert 0 < before["generation_log"] <= OVERLAY_BUDGET
+                shared = telemetry.counters["serve.pool.generation_builds"]
+                assert shared == 1 + folds
+                pool.crash_worker(0)
+                _respawned(pool)
+                pool.wait_for_version(ticket.version, all_workers=True,
+                                      timeout=60.0)
+                after = pool.stats()
+                # Attached what the last fold shared, replayed the rest.
+                assert after["generation_seq"] == before["generation_seq"]
+                assert after["generation_log"] == before["generation_log"]
+                assert telemetry.counters[
+                    "serve.pool.generation_builds"] == shared
+                assert service.stats()["folds"] == folds
+                with primary_busy(pool):
+                    assert pool.ask(f"(R{OVERLAY_BUDGET + 9}, EARNS, SALARY)",
+                                    ticket=ticket)
+                assert pool.stats()["fallback_reads"] == 0
+                store = pool.database_stats()["store"]
+                assert store["overlay_facts"] + store["tombstones"] \
+                    <= 2 * OVERLAY_BUDGET
+            finally:
+                pool.close()
+                service.close()
+
+    def test_read_your_writes_across_a_fold(self, pooled):
+        """A read carrying the ticket of the batch that folded is never
+        answered by a worker still on the old generation."""
+        service, pool = pooled
+        burst = [(f"F{i}", "∈", "EMPLOYEE")
+                 for i in range(OVERLAY_BUDGET + 1)]
+        ticket = service.add_facts_async(burst)
+        ticket.result(timeout=60.0)
+        assert service.stats()["folds"] == 1
+        with primary_busy(pool):
+            # Served by a re-attached worker, or by the primary while
+            # none has re-attached yet: correct either way.
+            for _ in range(4):
+                assert pool.ask(f"(F{OVERLAY_BUDGET}, EARNS, SALARY)",
+                                ticket=ticket)
+        _settle(pool, ticket)
+        assert min(pool.stats()["applied_versions"]) >= ticket.version
+        before = pool.stats()["fallback_reads"]
+        with primary_busy(pool):
+            for _ in range(2):
+                assert pool.ask("(F0, EARNS, SALARY)", ticket=ticket)
+        assert pool.stats()["fallback_reads"] == before
+
+    def test_pool_over_a_snapshot_with_an_overlay_asks_for_a_fold(self):
         service = DatabaseService(_database())
         try:
-            with ReplicaPool(service, workers=1,
-                             bootstrap="state") as pool:
-                with pytest.raises(ValueError):
-                    pool.compact_generation()
+            service.add("EARLY", "∈", "EMPLOYEE")
+            assert service.stats()["store"]["overlay_facts"] > 0
+            assert service.stats()["folds"] == 0
+            with ReplicaPool(service, workers=1) as pool:
+                assert service.stats()["folds"] == 1
+                stats = pool.stats()
+                assert stats["generation_seq"] == service.applied_seq
+                assert stats["generation_log"] == 0
+                with primary_busy(pool):
+                    assert pool.ask("(EARLY, EARNS, SALARY)")
+                assert replica_served(pool) == 1
+                assert pool.database_stats()["store"]["overlay_facts"] == 0
         finally:
             service.close()
 
@@ -571,7 +688,6 @@ class TestGenerationBootstrap:
         pool = ReplicaPool(service, workers=1, start_method="spawn",
                            ready_timeout=120.0)
         try:
-            assert pool.bootstrap == "generation"
             with primary_busy(pool):
                 assert pool.ask("(JOHN, ∈, EMPLOYEE)")
             assert pool.stats()["fallback_reads"] == 0
@@ -580,12 +696,95 @@ class TestGenerationBootstrap:
             pool.close()
             service.close()
 
-    def test_invalid_bootstrap_mode(self):
-        service = DatabaseService(_database())
+
+def _worker_counter(pool, name: str) -> int:
+    return sum((worker["metrics"] or {}).get("counters", {}).get(name, 0)
+               for worker in pool.worker_metrics())
+
+
+class _NoRoom:
+    """``os.statvfs`` of a shared-memory directory with 4 KiB left."""
+    f_bavail = 1
+    f_frsize = 4096
+
+
+class TestSharedMemoryCapacity:
+    """Nothing is copied into ``/dev/shm`` that does not fit there (on
+    tmpfs the copy, not the allocation, is what fails — with SIGBUS)."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_dev_shm(self):
+        if _gen_segments() is None:
+            pytest.skip("no /dev/shm on this platform")
+
+    @staticmethod
+    def _big_database() -> Database:
+        db = _database()
+        for i in range(400):       # base generation alone passes 4 KiB
+            db.add(f"BIG{i}", "∈", "EMPLOYEE")
+        return db
+
+    def test_pool_construction_fails_before_any_worker(self, monkeypatch):
+        service = DatabaseService(self._big_database())
+        segments = _gen_segments()
         try:
-            with pytest.raises(ValueError):
-                ReplicaPool(service, workers=1, bootstrap="bogus")
-            with pytest.raises(ValueError):
-                ReplicaPool(service, workers=1, bootstrap="directory")
+            monkeypatch.setattr("repro.core.interned.os.statvfs",
+                                lambda path: _NoRoom)
+            started = []
+            monkeypatch.setattr(ReplicaPool, "_spawn",
+                                lambda self, index: started.append(index))
+            with pytest.raises(ReplicaError) as refused:
+                ReplicaPool(service, workers=2)
+            text = str(refused.value)
+            assert "4096" in text and "--workers 0" in text \
+                and "/dev/shm" in text
+            needed = int(text.split(" needs ")[1].split()[0])
+            assert needed > 4096
+            assert started == []
+            assert _gen_segments() == segments
+            # The primary is untouched.
+            assert service.ask("(BIG7, EARNS, SALARY)")
         finally:
             service.close()
+
+    def test_refused_share_at_a_fold_is_counted_and_survived(
+            self, monkeypatch):
+        with use_telemetry(Telemetry()) as telemetry:
+            service = DatabaseService(self._big_database())
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
+                               heartbeat_interval=0)
+            try:
+                generation = pool.stats()["generation_seq"]
+                monkeypatch.setattr("repro.core.interned.os.statvfs",
+                                    lambda path: _NoRoom)
+                burst = [(f"S{i}", "∈", "EMPLOYEE")
+                         for i in range(OVERLAY_BUDGET + 1)]
+                ticket = service.add_facts_async(burst)
+                _settle(pool, ticket)
+                assert service.stats()["folds"] == 1
+                stats = pool.stats()
+                assert stats["share_failures"] == 1
+                assert stats["compactions"] == 0
+                assert telemetry.counters["serve.pool.share_failures"] == 1
+                # Workers stay on the pair they had and took the batch
+                # as a delta; both routes keep answering.
+                assert stats["generation_seq"] == generation
+                assert stats["generation_log"] == 1
+                assert stats["alive"] == 1
+                assert pool.ask("(S5, EARNS, SALARY)", ticket=ticket)
+                with primary_busy(pool):
+                    assert pool.ask("(S5, EARNS, SALARY)", ticket=ticket)
+                assert pool.stats()["fallback_reads"] == 0
+                # Room again: the next fold is shared.
+                monkeypatch.undo()
+                service.add("AFTER", "∈", "EMPLOYEE")
+                service.fold()
+                pool.wait_for_version(service.applied_seq,
+                                      all_workers=True, timeout=60.0)
+                stats = pool.stats()
+                assert stats["compactions"] == 1
+                assert stats["generation_log"] == 0
+                assert stats["retired_segments"] == 0
+            finally:
+                pool.close()
+                service.close()

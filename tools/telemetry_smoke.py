@@ -42,8 +42,9 @@ def build_database() -> Database:
         db.add(f"P{index}", "WORKS-IN", f"D{index % 2}")
         db.add(f"D{index % 2}", "PART-OF", "ORG")
     # A plain database: the service re-founds it on interned storage,
-    # so the smoke covers the shared-memory generation bootstrap path
-    # end to end without the caller compacting anything.
+    # so the smoke covers the shared-memory generation lifecycle (share,
+    # attach, fold, re-attach) end to end without the caller compacting
+    # anything.
     return db
 
 
@@ -56,13 +57,11 @@ def main() -> int:
     obs_telemetry.enable_telemetry(fresh=True)
     service = DatabaseService(build_database(),
                               slow_query_seconds=0.0)  # log every read
-    pool = ReplicaPool(service, workers=2, bootstrap="generation")
+    pool = ReplicaPool(service, workers=2)
     server = ServiceServer(service, port=0, pool=pool)
     server.start()
     host, port = server.address
     try:
-        if pool.stats()["bootstrap"] != "generation":
-            return fail("pool is not using generation bootstrap")
         if pool.stats()["generation_seq"] is None:
             return fail("pool has no published shared-memory generation")
         with ServiceClient(host, port, trace=True) as client:
@@ -112,11 +111,17 @@ def main() -> int:
             # Enough writes to outgrow the overlay: the writer folds.
             for index in range(OVERLAY_BUDGET + 1):
                 client.add(f"N{index}", "WORKS-IN", "D0")
-            folds = client.metrics(refresh=True).get(
-                "counters", {}).get("serve.folds", 0)
+            counters = client.metrics(refresh=True).get("counters", {})
+            folds = counters.get("serve.folds", 0)
             if folds < 1:
                 return fail(f"{OVERLAY_BUDGET + 1} writes and no"
                             " serve.folds in the merged snapshot")
+            # Every fold is the pool's compaction: the workers were
+            # sent the folded generations to attach.
+            if counters.get("serve.pool.compactions", 0) != folds:
+                return fail(f"{folds} fold(s) and"
+                            f" {counters.get('serve.pool.compactions', 0)}"
+                            " serve.pool.compactions")
             if not client.ask(f"(N{OVERLAY_BUDGET}, WORKS-IN, D0)"):
                 return fail("a write is missing after the fold")
 
