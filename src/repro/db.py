@@ -839,6 +839,9 @@ class Database:
         be satisfied by a cache hit.
         """
         if engine is None:
+            if isinstance(query, str):
+                # One parse per spelling, shared with query / ask.
+                query = self._plan_cache.parse(query)
             return probe(self.evaluator(), query, self.hierarchy(),
                          max_waves=max_waves,
                          cache=self._result_cache,

@@ -107,6 +107,17 @@ def render_dashboard(sample: Dict[str, Any],
         lines.append(f"cache: {ratio:.1%} hit rate"
                      f" ({hits:,} hits / {misses:,} misses)")
 
+    # Repeats the net layer answered from its memo never reach the
+    # service, so the per-class rows above do not count them.
+    repeats = _counter_delta(sample, previous, "serve.net.answer_hits")
+    computed = _counter_delta(sample, previous, "serve.net.answer_misses")
+    if repeats or computed:
+        kept = _gauge_last(sample, "serve.net.answer_bytes") or 0
+        lines.append(f"answer memo: {repeats / interval:,.0f} req/s repeated,"
+                     f" {repeats / (repeats + computed):.1%} of plain reads"
+                     f" ({repeats:,} hits / {computed:,} misses),"
+                     f" {kept:,.0f} bytes kept")
+
     lag = _histogram(sample, "serve.pool.lag_seconds")
     if lag and lag.get("count"):
         lines.append(f"replica lag: p50 {_ms(lag.get('p50'))}"

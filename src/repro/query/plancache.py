@@ -159,6 +159,13 @@ class PlanCache:
                     self._parses.popitem(last=False)
         return key, query
 
+    def parse(self, text: str) -> Query:
+        """The parsed query for ``text`` through the same memo, without
+        moving ``hits`` / ``misses``: for a caller that is not making a
+        plan lookup (``Database.probe``, which only needs the
+        conjunctive core)."""
+        return self._parse_uncounted(canonical_text(text))
+
     def _parse_uncounted(self, key: str) -> Query:
         with self._lock:
             query = self._parses.get(key)

@@ -35,6 +35,23 @@ backward compatible (old clients simply omit the new fields):
   ``{"refresh": true}`` to heartbeat the workers first);
 * ``{"op": "slowlog"}`` returns the service's slow-query records.
 
+Framing is bytes on both ends: each side reads the socket into its own
+buffer and splits on ``\n`` (a request may arrive in pieces, several
+in one segment, or unterminated before the peer shuts down its sending
+side), lines longer than :data:`MAX_LINE_BYTES` get a typed reply and
+a close, and both ends set ``TCP_NODELAY``.
+
+A repeated read costs one lookup.  The server keeps, for the snapshot
+the service currently publishes, the encoded response line of every
+plain ``query`` / ``ask`` / ``match`` / ``navigate`` / ``try`` /
+``probe`` it computed, under the raw request line; a repeat of the line
+is answered with those bytes before it is decoded (:class:`_Answers`).
+A publish — any write, ``limit``, ``include`` / ``exclude``, ``rule`` —
+replaces the published snapshot and the memo goes with it, so a hit is
+always an answer of the snapshot a fresh evaluation would have read.
+The raw line is the handle: no protocol revision, and two spellings of
+one query are two entries.
+
 Example (in-process round trip)::
 
     from repro import Database
@@ -60,7 +77,8 @@ import socketserver
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.errors import ReproError, ServiceError, error_class
+from ..core.errors import (DeadlineExceeded, ReproError, ServiceError,
+                           error_class)
 from ..obs import telemetry as _obs
 from ..obs.context import TraceContext, render_trace
 
@@ -74,12 +92,37 @@ PROTOCOL_VERSION = 3
 #: the line cannot be skipped without reading it).
 MAX_LINE_BYTES = 1 << 20
 
-#: Read operations that a :class:`~repro.serve.pool.ReplicaPool` can
-#: serve instead of the primary.  Everything else (writes, control
-#: operations, service stats, checkpoint) stays on the service.
-_POOL_READS = frozenset(
-    {"query", "ask", "match", "navigate", "try", "probe", "db_stats"})
+#: Bytes of request lines plus encoded responses the answer memo keeps
+#: for the published snapshot (see :class:`_Answers`).
+ANSWER_BYTES = 2 << 20
 
+
+def _rows(result) -> list:
+    """A set of tuples as a deterministic JSON value."""
+    return sorted(list(row) for row in result)
+
+
+def _facts(facts) -> list:
+    return [list(f) for f in facts]
+
+
+def _menu(outcome: dict) -> dict:
+    return dict(outcome, value=_rows(outcome["value"]))
+
+
+#: The read verbs — asked of the service or the pool by this name, both
+#: answering in the plain-data shape of
+#: :data:`~repro.serve.replica.READ_OPS` — with the request field that
+#: holds the text and the wire encoder of the answer.  These are also
+#: exactly the requests whose encoded answers the memo may keep.
+_READS = {
+    "query": ("query", _rows),
+    "ask": ("query", bool),
+    "match": ("pattern", _facts),
+    "navigate": ("pattern", str),
+    "try": ("entity", _facts),
+    "probe": ("query", _menu),
+}
 
 #: Request fields that must be JSON strings when present.
 _STRING_FIELDS = ("query", "pattern", "entity", "rule", "name", "text")
@@ -116,132 +159,66 @@ def _check_fields(request: Dict[str, Any]) -> None:
         raise bad("trace", "an object")
 
 
-def _rows(result) -> list:
-    """A set of tuples as a deterministic JSON value."""
-    return sorted(list(row) for row in result)
+def _encode(message: Dict[str, Any]) -> bytes:
+    """One protocol line."""
+    return (json.dumps(message, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _facts(facts) -> list:
-    return [list(f) for f in facts]
+class _Answers:
+    """The encoded response lines one published snapshot has given,
+    by stripped raw request line.
 
-
-def _dispatch_pool(pool, op: str, request: Dict[str, Any],
-                   deadline, min_version: int,
-                   ctx: Optional[TraceContext] = None) -> Any:
-    """Serve one of :data:`_POOL_READS` through the pool (the primary
-    when it is idle, a replica otherwise).
-
-    ``min_version`` is the connection's read-your-writes floor: the
-    replication sequence its last acknowledged write landed in, so a
-    client that wrote over this socket never reads a replica that has
-    not caught up (the pool falls back to the primary if none has).
+    The server finds the memo by the identity of
+    ``service.published_state()`` and starts an empty one when that has
+    moved, which is the whole of invalidation.  It notices on the next
+    request, not at the publish: until one arrives the server still
+    holds the retired pair and its answers (at most the budget).
+    Size is bounded by
+    :data:`ANSWER_BYTES` with two generations: entries are filed in
+    ``young``; when it would pass half the budget it becomes ``old``
+    and the previous ``old`` is dropped; a hit in ``old`` moves the
+    entry back to ``young``.  A scan of distinct requests therefore
+    evicts only what nobody asked for while it passed.
     """
-    if op == "query":
-        return _rows(pool.query(request["query"], deadline=deadline,
-                                min_version=min_version, ctx=ctx))
-    if op == "ask":
-        return pool.ask(request["query"], deadline=deadline,
-                        min_version=min_version, ctx=ctx)
-    if op == "match":
-        return _facts(pool.match(request["pattern"], deadline=deadline,
-                                 min_version=min_version, ctx=ctx))
-    if op == "navigate":
-        return pool.navigate(request["pattern"], deadline=deadline,
-                             min_version=min_version, ctx=ctx)
-    if op == "try":
-        return _facts(pool.try_(request["entity"], deadline=deadline,
-                                min_version=min_version, ctx=ctx))
-    if op == "probe":
-        outcome = pool.probe(request["query"], deadline=deadline,
-                             min_version=min_version, ctx=ctx)
-        return {"succeeded": outcome["succeeded"],
-                "value": _rows(outcome["value"]),
-                "waves": outcome["waves"]}
-    if op == "db_stats":
-        return pool.database_stats(deadline=deadline,
-                                   min_version=min_version, ctx=ctx)
-    raise ServiceError(f"unknown pool operation {op!r}")
 
+    __slots__ = ("published", "young", "old", "young_bytes", "old_bytes",
+                 "_lock")
 
-def _dispatch(service, request: Dict[str, Any], pool=None,
-              state: Optional[Dict[str, Any]] = None,
-              ctx: Optional[TraceContext] = None) -> Any:
-    op = request.get("op")
-    deadline = request.get("deadline")
-    if pool is not None and op in _POOL_READS:
-        floor = state.get("min_version", 0) if state else 0
-        return _dispatch_pool(pool, op, request, deadline, floor, ctx)
-    if op == "ping":
-        info = service.ping()
-        info["protocol"] = PROTOCOL_VERSION
-        if pool is not None:
-            info["workers"] = pool.workers
-        return info
-    if op == "metrics":
-        if pool is not None:
-            snapshot = pool.metrics(refresh=bool(request.get("refresh")))
-        else:
-            snapshot = _obs.active_telemetry().snapshot()
-        if request.get("format") == "prometheus":
-            return _obs.to_prometheus(snapshot)
-        return snapshot
-    if op == "slowlog":
-        return service.slow_log.snapshot(request.get("limit"))
-    if op == "query":
-        return _rows(service.query(request["query"], deadline=deadline,
-                                   ctx=ctx))
-    if op == "ask":
-        return service.ask(request["query"], deadline=deadline, ctx=ctx)
-    if op == "match":
-        return _facts(service.match(request["pattern"], deadline=deadline,
-                                    ctx=ctx))
-    if op == "navigate":
-        return service.navigate(request["pattern"],
-                                deadline=deadline, ctx=ctx).render()
-    if op == "try":
-        return _facts(service.try_(request["entity"], deadline=deadline,
-                                   ctx=ctx))
-    if op == "probe":
-        outcome = service.probe(request["query"], deadline=deadline,
-                                ctx=ctx)
-        return {"succeeded": outcome.succeeded,
-                "value": _rows(outcome.value),
-                "waves": len(outcome.waves)}
-    if op == "add":
-        result = service.add(*request["fact"], deadline=deadline, ctx=ctx)
-    elif op == "remove":
-        result = service.remove(*request["fact"], deadline=deadline,
-                                ctx=ctx)
-    elif op == "limit":
-        result = service.limit(request["n"], deadline=deadline, ctx=ctx)
-    elif op == "include":
-        service.include(request["rule"], deadline=deadline, ctx=ctx)
-        result = True
-    elif op == "exclude":
-        service.exclude(request["rule"], deadline=deadline, ctx=ctx)
-        result = True
-    elif op == "rule":
-        rule = service.define_rule(
-            request["name"], request["text"],
-            is_constraint=bool(request.get("is_constraint", False)),
-            deadline=deadline, ctx=ctx)
-        result = str(rule)
-    elif op == "checkpoint":
-        return service.checkpoint(deadline=deadline)
-    elif op == "stats":
-        stats = service.stats()
-        if pool is not None:
-            stats["pool"] = pool.stats()
-        return stats
-    elif op == "db_stats":
-        return service.database_stats(deadline=deadline)
-    else:
-        raise ServiceError(f"unknown operation {op!r}")
-    # A write (or control op) returned: this batch has published, so
-    # raise the connection's read-your-writes floor to it.
-    if state is not None:
-        state["min_version"] = service.applied_seq
-    return result
+    def __init__(self, published):
+        self.published = published
+        self.young: Dict[bytes, bytes] = {}
+        self.old: Dict[bytes, bytes] = {}
+        self.young_bytes = self.old_bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, line: bytes) -> Optional[bytes]:
+        encoded = self.young.get(line)
+        if encoded is None and self.old:
+            with self._lock:
+                encoded = self.old.pop(line, None)
+                if encoded is not None:
+                    self.old_bytes -= len(line) + len(encoded)
+                    self._file(line, encoded)
+        return encoded
+
+    def file(self, line: bytes, encoded: bytes) -> None:
+        # One answer may not flush a sixteenth of the others.
+        if len(line) + len(encoded) <= ANSWER_BYTES // 16:
+            with self._lock:
+                if line not in self.young:
+                    self._file(line, encoded)
+
+    def _file(self, line: bytes, encoded: bytes) -> None:
+        size = len(line) + len(encoded)
+        if self.young_bytes + size > ANSWER_BYTES // 2:
+            self.old, self.old_bytes = self.young, self.young_bytes
+            self.young, self.young_bytes = {}, 0
+        self.young[line] = encoded
+        self.young_bytes += size
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self.young) + len(self.old),
+                "bytes": self.young_bytes + self.old_bytes}
 
 
 class ServiceServer:
@@ -259,36 +236,48 @@ class ServiceServer:
     replication sequence of its last acknowledged write and reads with
     that floor, so read-your-writes holds per connection even though
     replicas lag the primary.
+
+    Repeats of a plain read are answered from the published snapshot's
+    answer memo (module docstring; :meth:`answer_stats`).  Requests
+    carrying ``trace`` or ``deadline``, error responses, and answers a
+    replica worker computed (it may lag) are never kept.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 7474,
                  pool=None):
         self.service = service
         self.pool = pool
+        self._answers = _Answers(service.published_state())
+        # Stats only: handler threads bump these without a lock.
+        self._answer_hits = 0
+        self._answer_misses = 0
 
         outer = self
 
-        class _Handler(socketserver.StreamRequestHandler):
+        class _Handler(socketserver.BaseRequestHandler):
             def handle(self):
+                sock = self.request
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 state: Dict[str, Any] = {"min_version": 0}
+                buffer = b""
                 while True:
-                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-                    if not raw:
-                        return
-                    if len(raw) > MAX_LINE_BYTES:
-                        self.send(outer._failure(ServiceError(
+                    end = buffer.find(b"\n") + 1    # 0: no whole line yet
+                    if not end and len(buffer) <= MAX_LINE_BYTES:
+                        chunk = sock.recv(1 << 16)
+                        if chunk:
+                            buffer += chunk
+                            continue
+                        if not buffer.strip():
+                            return
+                        end = len(buffer)   # EOF after an unterminated line
+                    if (end or len(buffer)) > MAX_LINE_BYTES:
+                        sock.sendall(_encode(outer._failure(ServiceError(
                             f"request line exceeds {MAX_LINE_BYTES}"
-                            f" bytes; closing connection")))
+                            f" bytes; closing connection"))))
                         return
-                    line = raw.decode("utf-8", errors="replace").strip()
+                    line, buffer = buffer[:end].strip(), buffer[end:]
                     if line:
-                        self.send(outer._respond(line, state))
-
-            def send(self, response: Dict[str, Any]) -> None:
-                self.wfile.write(
-                    (json.dumps(response, ensure_ascii=False) + "\n")
-                    .encode("utf-8"))
-                self.wfile.flush()
+                        sock.sendall(outer._answer(line, state))
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -297,8 +286,43 @@ class ServiceServer:
         self._server = _Server((host, port), _Handler)
         self._thread: Optional[threading.Thread] = None
 
-    def _respond(self, line: str,
-                 state: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def _answer(self, line: bytes, state: Dict[str, Any]) -> bytes:
+        """The response line for one stripped request line: the bytes
+        the published snapshot already answered it with, or a computed
+        response — kept, when it is a plain read's and the snapshot it
+        was computed on is still the published one."""
+        published = self.service.published_state()
+        answers = self._answers
+        if answers.published is not published:
+            # A batch published: what the last snapshot answered goes
+            # with it.  (Two racing threads may each start a memo; one
+            # wins, the other's few entries are recomputed.)
+            answers = self._answers = _Answers(published)
+        # A closed service answers nothing, repeats included: the miss
+        # path raises its ServiceClosed.
+        encoded = None if self.service.closed else answers.get(line)
+        if encoded is not None:
+            self._answer_hits += 1
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.net.requests")
+                _obs.TELEMETRY.count("serve.net.answer_hits")
+            return encoded
+        response, keep = self._respond(
+            line.decode("utf-8", errors="replace"), state)
+        encoded = _encode(response)
+        # An answer computed across a publish is newer than its memo,
+        # which nobody consults again: drop it rather than reason.
+        if keep and self.service.published_state() is published:
+            answers.file(line, encoded)
+            if _obs.ENABLED:
+                _obs.TELEMETRY.gauge("serve.net.answer_bytes",
+                                     answers.stats()["bytes"])
+        return encoded
+
+    def _respond(self, line: str, state: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], bool]:
+        """The response to one request line, and whether the answer
+        memo may keep it (see :meth:`_serve`)."""
         ctx: Optional[TraceContext] = None
         try:
             request = json.loads(line)
@@ -307,24 +331,122 @@ class ServiceServer:
             _check_fields(request)
             ctx = TraceContext.from_wire(request.get("trace"))
             if ctx is None:
-                result = _dispatch(self.service, request, self.pool, state)
+                result, keep = self._serve(request, state, None)
             else:
                 with ctx.span("net.dispatch", role="server",
                               op=request.get("op", "")):
-                    result = _dispatch(self.service, request, self.pool,
-                                       state, ctx)
+                    result, keep = self._serve(request, state, ctx)
         except ReproError as error:
-            return self._failure(error, ctx)
+            return self._failure(error, ctx), False
         except (KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as error:
             return self._failure(
-                ServiceError(f"bad request: {error!r}"), ctx)
+                ServiceError(f"bad request: {error!r}"), ctx), False
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.net.requests")
         response = {"ok": True, "result": result}
         if ctx is not None:
             response["trace"] = ctx.collect()
-        return response
+        return response, keep
+
+    def _serve(self, request: Dict[str, Any], state: Dict[str, Any],
+               ctx: Optional[TraceContext]) -> Tuple[Any, bool]:
+        """One checked request's result in wire form, and whether it is
+        the primary's answer to a plain read: one of :data:`_READS`
+        with neither ``trace`` nor ``deadline`` (those must reach the
+        service), not computed by a replica worker (it may lag the
+        published snapshot)."""
+        op = request.get("op")
+        read = _READS.get(op)
+        if read is None:
+            return self._dispatch(op, request, state, ctx), False
+        field, encode = read
+        deadline = request.get("deadline")
+        if self.pool is None:
+            value, by_primary = self.service.read(
+                op, request[field], deadline, ctx), True
+        else:
+            # The connection's read-your-writes floor: the replication
+            # sequence its last acknowledged write landed in, so a
+            # client that wrote over this socket never reads a replica
+            # that has not caught up (the pool falls back to the
+            # primary if none has).
+            value, by_primary = self.pool.read(
+                op, request[field], deadline,
+                min_version=state["min_version"], ctx=ctx)
+        plain = ctx is None and deadline is None
+        if plain:
+            self._answer_misses += 1
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("serve.net.answer_misses")
+        return encode(value), plain and by_primary
+
+    def _dispatch(self, op, request: Dict[str, Any], state: Dict[str, Any],
+                  ctx: Optional[TraceContext]) -> Any:
+        """Everything but the reads of :data:`_READS`."""
+        service, pool = self.service, self.pool
+        deadline = request.get("deadline")
+        if op == "ping":
+            info = service.ping()
+            info["protocol"] = PROTOCOL_VERSION
+            if pool is not None:
+                info["workers"] = pool.workers
+            return info
+        if op == "metrics":
+            if pool is not None:
+                snapshot = pool.metrics(refresh=bool(request.get("refresh")))
+            else:
+                snapshot = _obs.active_telemetry().snapshot()
+            if request.get("format") == "prometheus":
+                return _obs.to_prometheus(snapshot)
+            return snapshot
+        if op == "slowlog":
+            return service.slow_log.snapshot(request.get("limit"))
+        if op == "checkpoint":
+            return service.checkpoint(deadline=deadline)
+        if op == "stats":
+            stats = service.stats()
+            if pool is not None:
+                stats["pool"] = pool.stats()
+            stats["answers"] = self.answer_stats()
+            return stats
+        if op == "db_stats":
+            if pool is None:
+                return service.database_stats(deadline=deadline)
+            return pool.database_stats(
+                deadline=deadline, min_version=state["min_version"], ctx=ctx)
+        if op == "add":
+            result = service.add(*request["fact"], deadline=deadline, ctx=ctx)
+        elif op == "remove":
+            result = service.remove(*request["fact"], deadline=deadline,
+                                    ctx=ctx)
+        elif op == "limit":
+            result = service.limit(request["n"], deadline=deadline, ctx=ctx)
+        elif op == "include":
+            service.include(request["rule"], deadline=deadline, ctx=ctx)
+            result = True
+        elif op == "exclude":
+            service.exclude(request["rule"], deadline=deadline, ctx=ctx)
+            result = True
+        elif op == "rule":
+            rule = service.define_rule(
+                request["name"], request["text"],
+                is_constraint=bool(request.get("is_constraint", False)),
+                deadline=deadline, ctx=ctx)
+            result = str(rule)
+        else:
+            raise ServiceError(f"unknown operation {op!r}")
+        # A write (or control op) returned: this batch has published, so
+        # raise the connection's read-your-writes floor to it.
+        state["min_version"] = service.applied_seq
+        return result
+
+    def answer_stats(self) -> Dict[str, int]:
+        """The answer memo: lifetime hits and misses (plain reads it
+        held / did not hold), and what it keeps for the published
+        snapshot against its byte budget."""
+        return {"hits": self._answer_hits, "misses": self._answer_misses,
+                **self._answers.stats(), "budget": ANSWER_BYTES}
 
     @staticmethod
     def _failure(error: ReproError,
@@ -388,9 +510,9 @@ class ServiceClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7474,
                  timeout: Optional[float] = 30.0, trace: bool = False):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("r", encoding="utf-8")
-        self._writer = self._sock.makefile("w", encoding="utf-8")
+        self._sock: Optional[socket.socket] = socket.create_connection(
+            (host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.trace = trace
         #: Span records of the most recent traced call (wire dicts).
         self.last_trace: list = []
@@ -401,12 +523,30 @@ class ServiceClient:
         return self._call_raw(request)
 
     def _roundtrip(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._writer.write(json.dumps(request, ensure_ascii=False) + "\n")
-        self._writer.flush()
-        line = self._reader.readline()
-        if not line:
-            raise ServiceError("server closed the connection")
-        return json.loads(line)
+        sock = self._sock
+        if sock is None:
+            raise ServiceError("connection closed: open a new client")
+        # The protocol has no request ids, so a response abandoned
+        # half-way or unread would be taken for the next request's:
+        # whatever interrupts this exchange closes the connection.
+        try:
+            sock.sendall(_encode(request))
+            chunks = []
+            while not chunks or not chunks[-1].endswith(b"\n"):
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    raise ServiceError("server closed the connection")
+                chunks.append(chunk)
+        except socket.timeout:
+            seconds = sock.gettimeout()
+            self.close()
+            raise DeadlineExceeded(
+                f"no response within the client's timeout of {seconds}s;"
+                f" connection closed") from None
+        except BaseException:
+            self.close()
+            raise
+        return json.loads(b"".join(chunks))
 
     def _call_raw(self, request: Dict[str, Any]) -> Any:
         if not self.trace:
@@ -507,11 +647,9 @@ class ServiceClient:
         return render_trace(self.last_trace)
 
     def close(self) -> None:
-        try:
-            self._reader.close()
-            self._writer.close()
-        finally:
-            self._sock.close()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

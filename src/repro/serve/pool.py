@@ -78,7 +78,7 @@ import multiprocessing
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import (
     DeadlineExceeded,
@@ -584,10 +584,16 @@ class ReplicaPool:
                           else self.read_timeout)
         return max(floor, ticket.version or 0)
 
-    def _read(self, op: str, payload, deadline: Optional[float],
-              ticket: Optional[WriteTicket],
-              min_version: int = 0,
-              ctx: Optional[TraceContext] = None) -> Any:
+    def read(self, op: str, payload, deadline: Optional[float] = None,
+             ticket: Optional[WriteTicket] = None,
+             min_version: int = 0,
+             ctx: Optional[TraceContext] = None) -> Tuple[Any, bool]:
+        """Serve one read operation (a key of
+        :data:`~repro.serve.replica.READ_OPS`); returns ``(answer,
+        by_primary)``.  ``by_primary`` says the primary computed the
+        answer on its published snapshot — what a caller that keeps
+        answers per snapshot (``serve/net.py``) must know, since a
+        worker's may be from an older one."""
         if self._closed:
             raise ServiceClosed("replica pool is closed")
         min_version = self._min_version(ticket, deadline, min_version)
@@ -600,7 +606,7 @@ class ReplicaPool:
 
     def _route_read(self, op: str, payload, deadline: Optional[float],
                     min_version: int, ctx: Optional[TraceContext],
-                    span) -> Any:
+                    span) -> Tuple[Any, bool]:
         """Primary first, workers when it is busy."""
         # "stats" describes a replica (the primary's are
         # service.database_stats()), so it always goes to one.
@@ -618,13 +624,13 @@ class ReplicaPool:
                 self._primary_reads += 1
             if _obs.ENABLED:
                 _obs.TELEMETRY.count("serve.pool.primary_reads")
-            return self._on_primary(op, payload, deadline, ctx)
+            return self._service.read(op, payload, deadline, ctx), True
         finally:
             self._primary_slot.release()
 
     def _dispatch_read(self, op: str, payload, deadline: Optional[float],
                        min_version: int, ctx: Optional[TraceContext],
-                       span) -> Any:
+                       span) -> Tuple[Any, bool]:
         with self._lock:
             worker = self._pick(min_version)
             if worker is not None:
@@ -658,7 +664,7 @@ class ReplicaPool:
             raise error_class(name)(text)
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.pool.replica_reads")
-        return pending.value
+        return pending.value, False
 
     def _consume_extra(self, extra: Optional[dict],
                        ctx: Optional[TraceContext]) -> None:
@@ -675,7 +681,7 @@ class ReplicaPool:
             self._service.slow_log.add(slow)
 
     def _fallback(self, op: str, payload, deadline: Optional[float],
-                  ctx: Optional[TraceContext] = None) -> Any:
+                  ctx: Optional[TraceContext] = None) -> Tuple[Any, bool]:
         """A replica was wanted and none could answer (none caught up
         to ``min_version``, none alive, or it died mid-request): the
         primary always can."""
@@ -683,33 +689,7 @@ class ReplicaPool:
             self._fallback_reads += 1
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.pool.fallback_reads")
-        return self._on_primary(op, payload, deadline, ctx)
-
-    def _on_primary(self, op: str, payload, deadline: Optional[float],
-                    ctx: Optional[TraceContext] = None) -> Any:
-        """Serve a read from the primary's published snapshot — always
-        current, so correct for any ``min_version`` — in the shape a
-        worker would have answered."""
-        service = self._service
-        if op == "query":
-            return service.query(payload, deadline=deadline, ctx=ctx)
-        if op == "ask":
-            return service.ask(payload, deadline=deadline, ctx=ctx)
-        if op == "match":
-            return service.match(payload, deadline=deadline, ctx=ctx)
-        if op == "navigate":
-            return service.navigate(payload, deadline=deadline,
-                                    ctx=ctx).render()
-        if op == "try":
-            return service.try_(payload, deadline=deadline, ctx=ctx)
-        if op == "probe":
-            outcome = service.probe(payload, deadline=deadline, ctx=ctx)
-            return {"succeeded": outcome.succeeded,
-                    "value": outcome.value,
-                    "waves": len(outcome.waves)}
-        if op == "stats":
-            return service.database_stats(deadline=deadline)
-        raise ReplicaError(f"unknown read operation {op!r}")
+        return self._service.read(op, payload, deadline, ctx), True
 
     # ------------------------------------------------------------------
     # Read API (mirrors the service; ticket= adds read-your-writes)
@@ -719,55 +699,55 @@ class ReplicaPool:
               min_version: int = 0,
               ctx: Optional[TraceContext] = None):
         """Evaluate a query (set of tuples)."""
-        return self._read("query", query, deadline, ticket, min_version,
-                          ctx)
+        return self.read("query", query, deadline, ticket, min_version,
+                         ctx)[0]
 
     def ask(self, query: str, deadline: Optional[float] = None,
             ticket: Optional[WriteTicket] = None,
             min_version: int = 0,
             ctx: Optional[TraceContext] = None) -> bool:
         """Closed-query truth test."""
-        return self._read("ask", query, deadline, ticket, min_version,
-                          ctx)
+        return self.read("ask", query, deadline, ticket, min_version,
+                         ctx)[0]
 
     def match(self, pattern: str, deadline: Optional[float] = None,
               ticket: Optional[WriteTicket] = None,
               min_version: int = 0,
               ctx: Optional[TraceContext] = None):
         """Template match (list of facts)."""
-        return self._read("match", pattern, deadline, ticket, min_version,
-                          ctx)
+        return self.read("match", pattern, deadline, ticket, min_version,
+                         ctx)[0]
 
     def navigate(self, pattern: str, deadline: Optional[float] = None,
                  ticket: Optional[WriteTicket] = None,
                  min_version: int = 0,
                  ctx: Optional[TraceContext] = None) -> str:
         """One browsing step, as rendered text."""
-        return self._read("navigate", pattern, deadline, ticket,
-                          min_version, ctx)
+        return self.read("navigate", pattern, deadline, ticket,
+                         min_version, ctx)[0]
 
     def try_(self, entity: str, deadline: Optional[float] = None,
              ticket: Optional[WriteTicket] = None,
              min_version: int = 0,
              ctx: Optional[TraceContext] = None):
         """The paper's ``try`` operator."""
-        return self._read("try", entity, deadline, ticket, min_version,
-                          ctx)
+        return self.read("try", entity, deadline, ticket, min_version,
+                         ctx)[0]
 
     def probe(self, query: str, deadline: Optional[float] = None,
               ticket: Optional[WriteTicket] = None,
               min_version: int = 0,
               ctx: Optional[TraceContext] = None) -> dict:
         """Broadened query: ``{"succeeded", "value", "waves"}``."""
-        return self._read("probe", query, deadline, ticket, min_version,
-                          ctx)
+        return self.read("probe", query, deadline, ticket, min_version,
+                         ctx)[0]
 
     def database_stats(self, deadline: Optional[float] = None,
                        min_version: int = 0,
                        ctx: Optional[TraceContext] = None) -> dict:
         """A replica's :meth:`~repro.db.Database.stats` — always asked
         of a worker, never routed to the primary first."""
-        return self._read("stats", None, deadline, None, min_version, ctx)
+        return self.read("stats", None, deadline, None, min_version, ctx)[0]
 
     # ------------------------------------------------------------------
     # Introspection and control

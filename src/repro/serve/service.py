@@ -92,7 +92,7 @@ from ..db import Database
 from ..obs import telemetry as _obs
 from ..obs.context import SpanRecord, TraceContext, new_span_id
 from ..obs.slowlog import SlowQueryLog, build_record, plan_summary
-from .replica import Delta
+from .replica import READ_OPS, Delta
 
 __all__ = ["DatabaseService", "WriteTicket"]
 
@@ -311,10 +311,11 @@ class DatabaseService:
         self._db.view()
         self._db.compact_store()
         snap = self._build_snapshot()
-        # One attribute holding the (snapshot, sequence) pair: readers
-        # and the pool capture both atomically with a single ref grab.
+        # One attribute holding the (snapshot, sequence) pair, and the
+        # only place the published snapshot lives: readers, the pool
+        # and the TCP layer's answer memo all capture it with a single
+        # ref grab, so none can see a snapshot the others do not.
         self._published_state: Tuple[Database, int] = (snap, 0)
-        self._published = snap
         if start:
             self.start()
 
@@ -507,7 +508,6 @@ class DatabaseService:
                 self._publish_pause_total += pause
                 self._applied_seq += 1
                 self._published_state = (snap, self._applied_seq)
-                self._published = snap
                 adds, removes = _coalesce(journal_entries)
                 delta = Delta(version=self._applied_seq, adds=adds,
                               removes=removes, controls=tuple(controls),
@@ -769,7 +769,8 @@ class DatabaseService:
               text: str = "") -> Any:
         if self._closed:
             raise ServiceClosed("service is closed")
-        snap = self._published        # atomic ref grab: our isolation
+        # Atomic ref grab: our isolation.
+        snap = self._published_state[0]
         seconds = deadline if deadline is not None else self.default_deadline
         threshold = self.slow_query_seconds
         if threshold is not None:
@@ -849,6 +850,19 @@ class DatabaseService:
         return self._read("why", lambda db: db.why(fact), deadline,
                           ctx, str(fact))
 
+    def read(self, op: str, payload=None, deadline: Optional[float] = None,
+             ctx: Optional[TraceContext] = None) -> Any:
+        """One read by verb — a key of
+        :data:`~repro.serve.replica.READ_OPS` — in the plain-data shape
+        a replica worker answers in (``navigate`` rendered, ``probe``
+        as ``{"succeeded", "value", "waves"}``): what the pool and the
+        TCP layer pass on, so the verbs are spelled out once."""
+        handler = READ_OPS.get(op)
+        if handler is None:
+            raise ServiceError(f"unknown read operation {op!r}")
+        return self._read(op, lambda db: handler(db, payload), deadline,
+                          ctx, "" if payload is None else str(payload))
+
     def read_view(self) -> Database:
         """The currently published snapshot (frozen, safe to share).
 
@@ -857,7 +871,7 @@ class DatabaseService:
         """
         if self._closed:
             raise ServiceClosed("service is closed")
-        return self._published
+        return self._published_state[0]
 
     # ------------------------------------------------------------------
     # Replication (repro.serve.pool)
@@ -869,7 +883,13 @@ class DatabaseService:
         The pool bootstraps workers from this: capturing the pair with
         a single reference grab guarantees the captured version really
         describes the captured snapshot, however many batches publish
-        concurrently.
+        concurrently.  Every publish makes a new pair and nothing else
+        does, and every read takes its snapshot from this pair, so the
+        pair's identity (``is``) names the published snapshot: a read
+        that saw the same object before and after it ran was computed
+        on that object's snapshot, and ``serve/net.py`` keeps what it
+        derived from one snapshot — its encoded answers — only while
+        this returns the same object.
         """
         return self._published_state
 
@@ -905,7 +925,7 @@ class DatabaseService:
         additions + tombstones pass ``overlay_budget``), and the
         writer's fold count and pauses.
         """
-        snap = self._published
+        snap = self._published_state[0]
         with self._lock:
             pending = len(self._ops)
         store = snap.store_shape()
@@ -943,15 +963,16 @@ class DatabaseService:
 
     def database_stats(self, deadline: Optional[float] = None) -> dict:
         """The snapshot's own :meth:`~repro.db.Database.stats`."""
-        return self._read("stats", lambda db: db.stats(), deadline)
+        return self.read("stats", deadline=deadline)
 
     def ping(self) -> dict:
         """Cheap liveness probe: snapshot version and fact count."""
-        snap = self._published
+        snap = self._published_state[0]
         return {"version": snap.facts.version, "facts": len(snap.facts)}
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return (f"DatabaseService({state}, facts={len(self._published.facts)},"
+        facts = len(self._published_state[0].facts)
+        return (f"DatabaseService({state}, facts={facts},"
                 f" publishes={self._publishes}, batches={self._batches},"
                 f" folds={self._folds})")

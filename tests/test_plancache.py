@@ -120,6 +120,39 @@ class TestPlanCacheBasics:
         assert stats["hits"] - base["hits"] == 9
         assert stats["recompiles"] == base["recompiles"]
 
+    def test_probe_text_is_parsed_once_and_uncounted(self, employees,
+                                                    monkeypatch):
+        """``probe(text)`` goes through the parse memo — one parse per
+        spelling, across version bumps — and the lookup itself moves
+        neither ``hits`` nor ``misses``: text and the parsed query
+        leave the same counters behind."""
+        from repro.query import plancache
+
+        parses = []
+        real_parse = plancache.parse_query
+
+        def counting(text):
+            parses.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(plancache, "parse_query", counting)
+        text = "(EMP0, WORKS-FOR, DEPT1)"
+        menu = employees.probe(text)
+        assert not menu.succeeded and menu.waves
+        employees.add("EMP99", "∈", "EMPLOYEE")    # every cache misses
+        assert employees.probe(" " + text).waves
+        assert parses == [text]
+
+        def counters_after(query):
+            database = Database()
+            database.add("EMP0", "WORKS-FOR", "DEPT0")
+            database.add("DEPT1", "∈", "DEPARTMENT")
+            database.probe(query)
+            stats = database.stats()["plan_cache"]
+            return stats["hits"], stats["misses"]
+
+        assert counters_after(text) == counters_after(real_parse(text))
+
     def test_obs_counters_emitted(self, employees):
         with use_telemetry(Telemetry()) as telemetry:
             employees.ask("(EMP0, ∈, EMPLOYEE)")

@@ -437,7 +437,7 @@ class TestConcurrentStress:
             service.close()
         assert not errors, errors[:3]
         assert not inconsistencies, inconsistencies[:3]
-        final = service._published
+        final = service.published_state()[0]
         assert len(final.query("(x, ∈, PARENT)")) == self.ITEMS
 
     def test_concurrent_writers_all_land(self):

@@ -27,6 +27,31 @@ from repro.serve.net import (
 )
 
 
+#: Requests with one wrongly typed field each, and the field the typed
+#: ``bad request`` reply must name (also driven, memo in front, by
+#: ``test_serve_answers.py``).
+WRONGLY_TYPED = [
+    ({"op": "navigate", "pattern": None}, "pattern"),
+    ({"op": "match", "pattern": 7}, "pattern"),
+    ({"op": "query", "query": 5}, "query"),
+    ({"op": "probe", "query": None}, "query"),
+    ({"op": "try", "entity": ["JOHN"]}, "entity"),
+    ({"op": "include", "rule": 3}, "rule"),
+    ({"op": "rule", "name": 1, "text": "(a, R, b) => (b, R, a)"},
+     "name"),
+    ({"op": "add", "fact": "abc"}, "fact"),
+    ({"op": "add", "fact": ["A", "B"]}, "fact"),
+    ({"op": "remove", "fact": ["A", "B", 3]}, "fact"),
+    ({"op": "limit", "n": "x"}, "n"),
+    ({"op": "limit", "n": True}, "n"),
+    ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "deadline": "1"},
+     "deadline"),
+    ({"op": "ping", "trace": "zzz"}, "trace"),
+    ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "trace": [1]},
+     "trace"),
+]
+
+
 @pytest.fixture()
 def served():
     """A live service + server on an ephemeral port."""
@@ -193,26 +218,7 @@ class TestErrorPropagation:
             sock.sendall(request + padding + b"\n")
             assert json.loads(sock.makefile("rb").readline())["ok"] is True
 
-    @pytest.mark.parametrize("request_,field", [
-        ({"op": "navigate", "pattern": None}, "pattern"),
-        ({"op": "match", "pattern": 7}, "pattern"),
-        ({"op": "query", "query": 5}, "query"),
-        ({"op": "probe", "query": None}, "query"),
-        ({"op": "try", "entity": ["JOHN"]}, "entity"),
-        ({"op": "include", "rule": 3}, "rule"),
-        ({"op": "rule", "name": 1, "text": "(a, R, b) => (b, R, a)"},
-         "name"),
-        ({"op": "add", "fact": "abc"}, "fact"),
-        ({"op": "add", "fact": ["A", "B"]}, "fact"),
-        ({"op": "remove", "fact": ["A", "B", 3]}, "fact"),
-        ({"op": "limit", "n": "x"}, "n"),
-        ({"op": "limit", "n": True}, "n"),
-        ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "deadline": "1"},
-         "deadline"),
-        ({"op": "ping", "trace": "zzz"}, "trace"),
-        ({"op": "ask", "query": "(JOHN, ∈, EMPLOYEE)", "trace": [1]},
-         "trace"),
-    ], ids=lambda value: value if isinstance(value, str) else value["op"])
+    @pytest.mark.parametrize("request_,field", WRONGLY_TYPED, ids=lambda value: value if isinstance(value, str) else value["op"])
     def test_wrongly_typed_field_gets_typed_reply(self, served, request_,
                                                   field):
         """Every wrongly typed field is answered with a ``bad request``

@@ -113,14 +113,14 @@ class TestPrimaryFirstRouting:
         not queue behind it."""
         service, pool = pooled
         entered, release = threading.Event(), threading.Event()
-        real_ask = service.ask
+        real_read = service.read
 
-        def parked_ask(*args, **kwargs):
+        def parked_read(*args, **kwargs):
             entered.set()
             assert release.wait(30.0)
-            return real_ask(*args, **kwargs)
+            return real_read(*args, **kwargs)
 
-        monkeypatch.setattr(service, "ask", parked_ask)
+        monkeypatch.setattr(service, "read", parked_read)
         answers = []
         first = threading.Thread(
             target=lambda: answers.append(

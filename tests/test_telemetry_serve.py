@@ -231,6 +231,9 @@ class TestMonitorDashboard:
         registry.count("serve.requests.query", requests)
         registry.count("cache.hits", requests * 3)
         registry.count("cache.misses", requests)
+        registry.count("serve.net.answer_hits", requests * 4)
+        registry.count("serve.net.answer_misses", requests)
+        registry.gauge("serve.net.answer_bytes", 2048)
         registry.gauge("serve.queue_depth", 2.0)
         registry.gauge("serve.publish_pause_seconds", 0.004)
         registry.observe("serve.publish_pause", 0.004)
@@ -256,6 +259,8 @@ class TestMonitorDashboard:
         assert "test dash" in text
         assert "query" in text
         assert "cache: 75.0% hit rate" in text
+        assert ("answer memo: 40 req/s repeated, 80.0% of plain reads"
+                " (40 hits / 10 misses), 2,048 bytes kept") in text
         assert "replica lag" in text
         assert "publish pause" in text
         assert "overlay folds: 2 worst" in text
@@ -428,17 +433,19 @@ class TestOneEventOneReport:
         service = DatabaseService(_build_database())
         server = ServiceServer(service, port=0)
         server.start()
+        state = {"min_version": 0}      # what a connection carries
         try:
             with use_telemetry(Telemetry()) as telemetry:
-                assert server._respond('{"op": "ping"}')["ok"]
+                assert server._respond('{"op": "ping"}', state)[0]["ok"]
             assert self._moved(telemetry) == {"serve.net.requests": 1}
             with use_telemetry(Telemetry()) as telemetry:
-                assert not server._respond('{"op": "query"}')["ok"]
-                assert not server._respond('{"op": "bogus"}')["ok"]
+                assert not server._respond('{"op": "query"}', state)[0]["ok"]
+                assert not server._respond('{"op": "bogus"}', state)[0]["ok"]
             assert self._moved(telemetry) == {"serve.net.errors": 2}
             with use_telemetry(Telemetry()) as telemetry:
                 assert server._respond(
-                    '{"op": "ask", "query": "(P0, WORKS-IN, D0)"}')["ok"]
+                    '{"op": "ask", "query": "(P0, WORKS-IN, D0)"}',
+                    state)[0]["ok"]
             counters = telemetry.counters
             assert counters["serve.net.requests"] == 1
             assert counters["serve.requests"] == 1

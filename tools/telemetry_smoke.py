@@ -108,6 +108,18 @@ def main() -> int:
                 return fail("slow-query log is empty despite a 0s"
                             " threshold")
 
+            # A traced request always reaches the service; a plain
+            # one repeated is answered from the net layer's memo.
+            with ServiceClient(host, port) as plain:
+                first = plain.query("(x, WORKS-IN, y)")
+                if plain.query("(x, WORKS-IN, y)") != first:
+                    return fail("a repeated read changed its answer")
+            counters = client.metrics().get("counters", {})
+            answer_hits = counters.get("serve.net.answer_hits", 0)
+            if answer_hits < 1:
+                return fail("a repeated plain read and no"
+                            " serve.net.answer_hits")
+
             # Enough writes to outgrow the overlay: the writer folds.
             for index in range(OVERLAY_BUDGET + 1):
                 client.add(f"N{index}", "WORKS-IN", "D0")
@@ -128,7 +140,8 @@ def main() -> int:
         print(f"telemetry smoke OK: {len(spans)} spans across"
               f" {len(processes)} processes, {requests} requests in the"
               f" merged snapshot, {len(series)} prometheus series,"
-              f" {slowlog['total']} slow-log records, {folds} fold(s)")
+              f" {slowlog['total']} slow-log records, {folds} fold(s),"
+              f" {answer_hits} answer-memo hit(s)")
         return 0
     finally:
         server.close()
