@@ -51,10 +51,18 @@ NOTES = [
     " plain Database).  Cells that moved on the 2-core host, parent"
     " against change, 4 alternating full runs: mixed, and with it"
     " mixed-telemetry-off / -on, 15-19 k -> 25-32 k ops/s (a publish"
-    " shares the generation and copies the overlay); the read-only"
-    " cells are result-cache hits and did not separate from host"
-    " noise.  No fold fires: 100 writes stay under the 128-fact"
-    " overlay budget.",
+    " shares the generation and copies the overlay).  No fold fires:"
+    " 100 writes stay under the 128-fact overlay budget.",
+    "PR 23 deleted the versioned result LRU.  Every cell repeats a"
+    " 48-query mix in process, so until then every read after the"
+    " first 48 was an LRU hit (p50 6-9 us) and the cells timed a dict"
+    " lookup; now each read runs its cached plan.  Cells that changed"
+    " meaning: read-only x 1/2/4/8 threads, baseline-direct, and the"
+    " read side of mixed, mixed-baseline and mixed-telemetry-off / -on"
+    " (ops_per_second and every percentile); telemetry_overhead_pct is"
+    " now the overhead on an executed read, spans and counters"
+    " included, not on a cache hit.  The coalescing ratio and publish"
+    " counts did not change meaning.",
 ]
 
 

@@ -89,6 +89,16 @@ NOTES = [
     " applied (or attached) everywhere.  worker_overlay_facts sums the"
     " worker's base and closure overlays, each of which the writer's"
     " fold keeps within the one budget (128).",
+    "PR 23 deleted the versioned result LRU.  The read cells repeat a"
+    " 48-query mix in process, so until then every read after a"
+    " process's first 48 was an LRU hit and the cells timed a lookup"
+    " plus, for a spilled read, the pipe; now each read runs its cached"
+    " plan, on the primary or in the worker.  Cells that changed"
+    " meaning: thread-baseline, pool-read x 1/2/4 workers,"
+    " bootstrap-generation ops_per_second, lifecycle spilled_p50_*"
+    " (ops_per_second and every percentile).  replication-lag,"
+    " failover recovery, folds / compactions, bootstrap_seconds and"
+    " the worker_rss columns did not change meaning.",
 ]
 
 

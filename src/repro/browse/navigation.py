@@ -83,27 +83,15 @@ class NavigationResult:
         return render_navigation(self)
 
 
-def navigate(view: FactView, pattern: Union[str, Template],
-             cache=None, cache_token=None) -> NavigationResult:
+def navigate(view: FactView,
+             pattern: Union[str, Template]) -> NavigationResult:
     """Evaluate a navigation (star-template) query against a view.
 
     The template may be given as text (``"(JOHN, *, *)"``) or as a
     :class:`~repro.core.facts.Template`.
-
-    With ``cache`` (an :class:`~repro.core.cache.LRUCache`) and
-    ``cache_token`` set, the finished :class:`NavigationResult` is
-    memoized under ``("nav", canonical pattern, token)`` — revisiting a
-    neighborhood on an unchanged database (the paper's principal
-    retrieval pattern, §5) is a dict hit.  Cached results are shared
-    objects; callers must treat them as read-only.
     """
     if isinstance(pattern, str):
         pattern = parse_template(pattern)
-    if cache is not None:
-        key = ("nav", repr(pattern), cache_token)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     observing = _obs.ENABLED
     navigate_span = (_obs.TELEMETRY.span("browse.navigate",
                                       pattern=str(pattern))
@@ -154,11 +142,8 @@ def navigate(view: FactView, pattern: Union[str, Template],
         grouped_by = "relationship"
         for fact in facts:
             groups.setdefault(fact.relationship, [])
-    result = NavigationResult(pattern=pattern, facts=facts,
-                              groups=groups, grouped_by=grouped_by)
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    return NavigationResult(pattern=pattern, facts=facts,
+                            groups=groups, grouped_by=grouped_by)
 
 
 class NavigationSession:
@@ -171,46 +156,35 @@ class NavigationSession:
         session.between("LEOPOLD", "MOZART")
     """
 
-    def __init__(self, view: FactView, cache=None, cache_token=None):
-        # A session outlives configuration changes, so ``cache_token``
-        # may be a zero-argument callable re-evaluated per navigation
-        # (the Database passes its bound ``_cache_token`` method).
+    def __init__(self, view: FactView):
         self.view = view
-        self.cache = cache
-        self.cache_token = cache_token
         self.history: List[NavigationResult] = []
 
     @property
     def current(self) -> Optional[NavigationResult]:
         return self.history[-1] if self.history else None
 
-    def _record(self, result: NavigationResult) -> NavigationResult:
+    def _navigate(self, pattern: Union[str, Template]) -> NavigationResult:
+        result = navigate(self.view, pattern)
         self.history.append(result)
         return result
 
-    def _navigate(self, pattern: Union[str, Template]) -> NavigationResult:
-        token = (self.cache_token() if callable(self.cache_token)
-                 else self.cache_token)
-        return navigate(self.view, pattern, cache=self.cache,
-                        cache_token=token)
-
     def visit(self, entity: str) -> NavigationResult:
         """The outgoing neighborhood ``(entity, *, *)``."""
-        return self._record(self._navigate(star_template(source=entity)))
+        return self._navigate(star_template(source=entity))
 
     def incoming(self, entity: str) -> NavigationResult:
         """The incoming neighborhood ``(*, *, entity)``."""
-        return self._record(self._navigate(star_template(target=entity)))
+        return self._navigate(star_template(target=entity))
 
     def between(self, source: str, target: str) -> NavigationResult:
         """All associations ``(source, *, target)`` — with composition
         enabled this includes the composed paths (§4.1)."""
-        return self._record(
-            self._navigate(star_template(source=source, target=target)))
+        return self._navigate(star_template(source=source, target=target))
 
     def query(self, pattern: Union[str, Template]) -> NavigationResult:
         """An arbitrary navigation template."""
-        return self._record(self._navigate(pattern))
+        return self._navigate(pattern)
 
     def back(self) -> Optional[NavigationResult]:
         """Forget the latest step and return the one before it."""

@@ -45,11 +45,14 @@ from .lattice import GeneralizationLattice
 #: means the query has drifted into meaninglessness.
 DEFAULT_MAX_WAVES = 25
 
-#: Approximate process-wide probe totals (exact single-threaded; plain
-#: int bumps, so concurrent probes may undercount — benchmarks read
-#: these for hit-rate windows, nothing depends on them being exact).
+#: Approximate process-wide probe total (exact single-threaded; a
+#: plain int bump, so concurrent probes may undercount — nothing
+#: depends on it being exact).
 PROBE_COUNTERS = {
     "probes": 0,
+    # There is no menu cache.  ``benchmarks/macro`` (which a PR may not
+    # edit) still subtracts these two; literal zeros until ROADMAP
+    # item 1 re-bases the benchmark contract.
     "menu_hits": 0,
     "menu_misses": 0,
 }
@@ -309,77 +312,36 @@ class ProbeResult:
 
 def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
           hierarchy: GeneralizationLattice,
-          max_waves: int = DEFAULT_MAX_WAVES, *,
-          cache=None, cache_token=None) -> ProbeResult:
+          max_waves: int = DEFAULT_MAX_WAVES) -> ProbeResult:
     """Evaluate a query; on failure, run the automatic retraction
     process until some retrieval is successful or the lattice is
-    exhausted (§5.2).
-
-    When ``cache`` is given, completed retraction menus are memoized in
-    it under ``("probe", canonical form, max_waves, cache_token)`` —
-    the same versioned-token scheme query results use, so menus are
-    dropped naturally when the store version moves.  Cached results are
-    shared objects: treat them as read-only.
-    """
+    exhausted (§5.2)."""
     if not isinstance(query, ConjunctiveQuery):
         query = ConjunctiveQuery.from_query(query)
 
-    started = time.perf_counter()
     PROBE_COUNTERS["probes"] += 1
-    observing = _obs.ENABLED
-    probe_span = (_obs.TELEMETRY.span("browse.probe", query=str(query))
-                  if observing else _obs.NULL_SPAN)
-    with probe_span as span:
-        if observing:
-            _obs.TELEMETRY.count("probe.requests")
-            _obs.TELEMETRY.count("browse.probes")
-        cached = True
-
-        def compute() -> ProbeResult:
-            # Runs only when this caller is the single-flight leader;
-            # coalesced followers stay on the "cached" accounting path.
-            nonlocal cached
-            cached = False
-            if cache is not None:
-                PROBE_COUNTERS["menu_misses"] += 1
-                if observing:
-                    _obs.TELEMETRY.count("probe.menu_cache.misses")
-            return _probe_inner(evaluator, query, hierarchy, max_waves)
-
-        if cache is not None:
-            menu_key = ("probe",
-                        canonical_form(query.templates, query.free),
-                        max_waves, cache_token)
-            result = cache.get_or_compute(menu_key, compute)
-            if cached:
-                PROBE_COUNTERS["menu_hits"] += 1
-                if observing:
-                    _obs.TELEMETRY.count("probe.menu_cache.hits")
-        else:
-            result = compute()
+    if not _obs.ENABLED:
+        return _probe_inner(evaluator, query, hierarchy, max_waves)
+    started = time.perf_counter()
+    telemetry = _obs.TELEMETRY
+    with telemetry.span("browse.probe", query=str(query)) as span:
+        telemetry.count("browse.probes")
+        result = _probe_inner(evaluator, query, hierarchy, max_waves)
         span.set(succeeded=result.succeeded, waves=len(result.waves))
-        # Counters are derived from the result (cached or fresh) so the
-        # observed wave/retraction totals per probe stay identical
-        # whether or not the menu cache intervened.
-        if observing:
-            attempted = sum(len(w.attempted) for w in result.waves)
-            successes = sum(len(w.successes) for w in result.waves)
-            if result.waves:
-                telemetry = _obs.TELEMETRY
-                telemetry.count("probe.waves", len(result.waves))
-                telemetry.count("probe.retractions", attempted)
-                telemetry.count("browse.probe.waves", len(result.waves))
-                telemetry.count("browse.probe.retractions", attempted)
-                telemetry.count("browse.probe.successes", successes)
-            _obs.LAST_REQUEST.probe = {
-                "query": str(query),
-                "succeeded": result.succeeded,
-                "waves": len(result.waves),
-                "attempted": attempted,
-                "successes": successes,
-                "cached": cached,
-                "seconds": time.perf_counter() - started,
-            }
+        attempted = sum(len(w.attempted) for w in result.waves)
+        successes = sum(len(w.successes) for w in result.waves)
+        if result.waves:
+            telemetry.count("browse.probe.waves", len(result.waves))
+            telemetry.count("browse.probe.retractions", attempted)
+            telemetry.count("browse.probe.successes", successes)
+        _obs.LAST_REQUEST.probe = {
+            "query": str(query),
+            "succeeded": result.succeeded,
+            "waves": len(result.waves),
+            "attempted": attempted,
+            "successes": successes,
+            "seconds": time.perf_counter() - started,
+        }
     return result
 
 
@@ -472,8 +434,8 @@ def reference_probe(evaluator: Evaluator,
                     hierarchy,
                     max_waves: int = DEFAULT_MAX_WAVES) -> ProbeResult:
     """The original candidate-at-a-time wave process, kept verbatim as
-    the oracle for the probe-equivalence suite.  No menu cache, no
-    selectivity ordering, no deadline checkpoints."""
+    the oracle for the probe-equivalence suite.  No selectivity
+    ordering, no deadline checkpoints."""
     if not isinstance(query, ConjunctiveQuery):
         query = ConjunctiveQuery.from_query(query)
     return _reference_probe_inner(evaluator, query, hierarchy, max_waves)

@@ -6,8 +6,7 @@ patterns with variables, and the fully indexed :class:`FactStore`
 (:mod:`repro.core.store`).  The package also holds the cross-cutting
 utilities the upper layers share: the special-entity vocabulary
 (:mod:`repro.core.entities`), the typed error hierarchy
-(:mod:`repro.core.errors`), the version-keyed LRU result cache
-(:mod:`repro.core.cache`), and cooperative per-request deadlines
+(:mod:`repro.core.errors`) and cooperative per-request deadlines
 (:mod:`repro.core.deadline`).
 
 Example::

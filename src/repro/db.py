@@ -29,7 +29,6 @@ from .core.entities import (
     CONTRA, EQ, GE, GT, INV, LE, LT, NE,
     CLASS_RELATIONSHIP, INDIVIDUAL_RELATIONSHIP, MEMBER,
 )
-from .core.cache import LRUCache
 from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
 from .core.store import FactStore
@@ -161,15 +160,10 @@ class Database:
         self._hierarchy_stale = False
         self._hierarchy_rebuilds = 0
         self._hierarchy_patches = 0
-        # Versioned result cache for repeated queries and navigation
-        # neighborhoods (the paper's principal retrieval mode, §5).
-        # Keys embed _cache_token(), so entries go stale for free when
-        # the base version moves or the configuration epoch bumps.
-        self._result_cache = LRUCache()
-        self._cache_epoch = 0
         # Parse + compiled-plan cache, keyed on canonical query text
         # and the configuration epoch; shared with snapshots so plans
         # stay warm across publications (repro.query.plancache).
+        self._config_epoch = 0
         self._plan_cache = PlanCache()
         self._on_mutation = None  # set by storage.DurableSession.attach
         if observe:
@@ -330,11 +324,11 @@ class Database:
         :class:`~repro.core.errors.FrozenStoreError`), the cached
         closure layers are copied so later incremental maintenance of
         *this* database cannot tear them, and the rule registry state
-        is duplicated.  The version-keyed result cache is **shared**:
-        cache keys embed the store version and configuration epoch, so
-        entries computed against one snapshot are valid for any other
-        snapshot at the same version — publishing a snapshot keeps the
-        cache warm for free.
+        is duplicated.  The plan cache is **shared**: entries are keyed
+        on canonical text and configuration epoch and revalidated
+        against the caller's data token, so publishing a snapshot keeps
+        plans warm for free.  No answer is carried over: a snapshot
+        computes every read it is asked.
 
         This is the publication primitive of
         :class:`repro.serve.DatabaseService`: the single writer mutates
@@ -388,9 +382,8 @@ class Database:
         clone._hierarchy_patches = 0
         if self._hierarchy is not None:
             self._hierarchy_shared = True
-        clone._result_cache = self._result_cache   # shared (thread-safe)
         clone._plan_cache = self._plan_cache       # shared (thread-safe)
-        clone._cache_epoch = self._cache_epoch
+        clone._config_epoch = self._config_epoch
         clone._on_mutation = None
         return clone
 
@@ -422,8 +415,8 @@ class Database:
         :class:`~repro.core.interned.InternedFactStore`: one frozen
         columnar generation of interned-id arrays with CSR indexes,
         plus an empty mutable overlay.  Store versions are preserved,
-        so every entry in the versioned result cache stays valid — the
-        representation changes, the database state does not.
+        so the data token does not move and cached plans stay valid —
+        the representation changes, the database state does not.
 
         Compaction pays one O(n log n) rebuild to make everything
         after it cheaper: template matching becomes integer probes,
@@ -577,14 +570,15 @@ class Database:
         self._hierarchy_isa = -1
         # Rule/limit/classification changes alter results without
         # necessarily moving the base version; the epoch covers them.
-        self._cache_epoch += 1
+        self._config_epoch += 1
 
-    def _cache_token(self) -> Tuple[int, int, Optional[int]]:
-        """What query/navigation cache keys embed: any answer-changing
-        event moves at least one component.  Base mutations move the
-        store version (including the incremental-extension path, which
-        bypasses :meth:`_invalidate`); everything else bumps the epoch."""
-        return (self._base.version, self._cache_epoch,
+    def _data_token(self) -> Tuple[int, int, Optional[int]]:
+        """What cached plans are revalidated against: any
+        answer-changing event moves at least one component.  Base
+        mutations move the store version (including the
+        incremental-extension path, which bypasses
+        :meth:`_invalidate`); everything else bumps the epoch."""
+        return (self._base.version, self._config_epoch,
                 self._composition_limit)
 
     def rule_context(self) -> RuleContext:
@@ -780,11 +774,10 @@ class Database:
     def evaluator(self) -> Evaluator:
         cls = (CompiledEvaluator if self.query_engine == "compiled"
                else Evaluator)
-        return cls(self.view(), cache=self._result_cache,
-                   cache_token=self._cache_token(),
-                   plans=self._plan_cache,
-                   plan_epoch=(self._cache_epoch,
-                               self._composition_limit))
+        return cls(self.view(), plans=self._plan_cache,
+                   plan_epoch=(self._config_epoch,
+                               self._composition_limit),
+                   data_token=self._data_token())
 
     def query(self, query: Union[str, Query]) -> Set[tuple]:
         """The value {Q} of a query: the set of satisfying tuples.
@@ -816,13 +809,11 @@ class Database:
     # ------------------------------------------------------------------
     def navigate(self, pattern: Union[str, Template]) -> NavigationResult:
         """One navigation (star-template) query."""
-        return navigate(self.view(), pattern, cache=self._result_cache,
-                        cache_token=self._cache_token())
+        return navigate(self.view(), pattern)
 
     def session(self) -> NavigationSession:
         """Start an interactive navigation session."""
-        return NavigationSession(self.view(), cache=self._result_cache,
-                                 cache_token=self._cache_token)
+        return NavigationSession(self.view())
 
     def probe(self, query: Union[str, Query],
               max_waves: int = DEFAULT_MAX_WAVES,
@@ -830,22 +821,17 @@ class Database:
         """Evaluate with automatic retraction on failure (§5.2).
 
         By default the retraction search runs through the configured
-        ``query_engine`` with the shared plan cache and versioned
-        result cache (completed menus are cached there too, keyed like
-        query results).  ``engine`` (``"compiled"`` / ``"reference"``)
-        is the equivalence suite's escape hatch: it probes through a
-        bare evaluator of that engine — no plan cache, no result
-        cache, no menu cache — so cross-engine comparisons can never
-        be satisfied by a cache hit.
+        ``query_engine`` with the shared plan cache.  ``engine``
+        (``"compiled"`` / ``"reference"``) is the equivalence suite's
+        escape hatch: it probes through a bare evaluator of that
+        engine, with no plan cache either.
         """
         if engine is None:
             if isinstance(query, str):
                 # One parse per spelling, shared with query / ask.
                 query = self._plan_cache.parse(query)
             return probe(self.evaluator(), query, self.hierarchy(),
-                         max_waves=max_waves,
-                         cache=self._result_cache,
-                         cache_token=self._cache_token())
+                         max_waves=max_waves)
         if engine not in ("compiled", "reference"):
             raise ValueError(f"unknown query engine: {engine!r}")
         cls = CompiledEvaluator if engine == "compiled" else Evaluator
@@ -915,7 +901,10 @@ class Database:
             "iterations": closure.iterations,
             "rule_firings": dict(closure.rule_firings),
             "rule_times": dict(closure.rule_times),
-            "result_cache": self._result_cache.stats(),
+            # There is no result cache.  ``benchmarks/macro/ladder.py``
+            # (which a PR may not edit) still indexes these three keys;
+            # literal zeros until ROADMAP item 1 re-bases the contract.
+            "result_cache": {"hits": 0, "misses": 0, "evictions": 0},
             "plan_cache": self._plan_cache.stats(),
             "hierarchy": self._hierarchy_stats(),
             "store": self.store_shape(),

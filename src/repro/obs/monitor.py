@@ -100,13 +100,6 @@ def render_dashboard(sample: Dict[str, Any],
                          f" {_ms(row['p50']):>10} {_ms(row['p99']):>10}"
                          f" {row['total']:>10,}")
 
-    hits = _counter_delta(sample, previous, "cache.hits")
-    misses = _counter_delta(sample, previous, "cache.misses")
-    if hits or misses:
-        ratio = hits / (hits + misses)
-        lines.append(f"cache: {ratio:.1%} hit rate"
-                     f" ({hits:,} hits / {misses:,} misses)")
-
     # Repeats the net layer answered from its memo never reach the
     # service, so the per-class rows above do not count them.
     repeats = _counter_delta(sample, previous, "serve.net.answer_hits")

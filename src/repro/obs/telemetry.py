@@ -440,8 +440,7 @@ TELEMETRY = NULL_TELEMETRY
 
 class _LastRequest(threading.local):
     """The calling thread's most recent :class:`~repro.query.exec.PlanRun`
-    and probe autopsy (query, waves, candidates, menu-cache outcome,
-    seconds), recorded only while telemetry is enabled — how the serve
+    and probe autopsy (query, waves, candidates, seconds), recorded only while telemetry is enabled — how the serve
     path reaches est-vs-actual operator stats for the slow-query log
     without threading them through every return value."""
 

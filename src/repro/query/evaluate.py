@@ -32,49 +32,38 @@ from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
 from .parser import parse_query
 from .planner import choose_conjunct
 
-#: Sentinel distinguishing a cache miss from a cached falsy value.
-_NO_RESULT = object()
-
 
 class Evaluator:
     """Evaluates formulas and queries against a fact view.
 
-    With ``cache`` (an :class:`~repro.core.cache.LRUCache`) and
-    ``cache_token`` set, query values and truth values are memoized
-    under ``(kind, canonical query text, token)``.  The token must
-    change whenever the view's answers could (the
-    :class:`~repro.db.Database` embeds its store version and
-    configuration epoch), so stale entries are never hit and no
-    explicit invalidation is needed.
+    Every call computes its answer: nothing here remembers a value
+    (whole answers are remembered in one place, the net layer's
+    per-snapshot memo, :mod:`repro.serve.net`).
 
     Queries may be passed as text or as parsed :class:`Query` objects.
     With ``plans`` (a :class:`~repro.query.plancache.PlanCache`) set,
     text is parsed at most once per canonical spelling; without one it
-    is parsed per call, as before.
+    is parsed per call.  ``data_token`` is what tells the plan cache
+    that the data moved (the :class:`~repro.db.Database` passes its
+    store version, configuration epoch and limit): a cached plan is
+    re-lowered when it differs from the one the plan was built under.
     """
 
-    def __init__(self, view: FactView, cache=None, cache_token=None,
-                 plans=None, plan_epoch=None):
+    def __init__(self, view: FactView, plans=None, plan_epoch=None,
+                 data_token=None):
         self.view = view
-        self.cache = cache
-        self.cache_token = cache_token
         self.plans = plans
         self.plan_epoch = plan_epoch
+        self.data_token = data_token
 
-    def _resolve(self, query: Union[str, Query]
-                 ) -> Tuple[Query, Optional[str]]:
-        """``(parsed query, result-cache key text)`` for either input
-        form.  Text resolves through the plan cache's parse memo when
-        one is attached and keys on its canonical form; parsed queries
-        return ``None`` and key on ``str(query)``, computed lazily only
-        when a result cache is attached (exactly as before)."""
+    def _resolve(self, query: Union[str, Query]) -> Query:
+        """The parsed query for either input form; text goes through
+        the plan cache's parse memo when one is attached."""
         if isinstance(query, str):
             if self.plans is not None:
-                key, parsed = self.plans.parsed(query)
-                return parsed, key
-            parsed = parse_query(query)
-            return parsed, str(parsed)
-        return query, None
+                return self.plans.parsed(query)[1]
+            return parse_query(query)
+        return query
 
     # ------------------------------------------------------------------
     # Public API
@@ -85,13 +74,7 @@ class Evaluator:
         For a proposition (closed formula) the value is ``{()}`` if it
         is true and ``set()`` otherwise; use :meth:`ask` for a bool.
         """
-        query, key_text = self._resolve(query)
-        if self.cache is not None:
-            key = ("query", key_text or str(query), self.cache_token)
-            hit = self.cache.get(key, _NO_RESULT)
-            if hit is not _NO_RESULT:
-                # Stored frozen; hand out a fresh mutable set each time.
-                return set(hit)
+        query = self._resolve(query)
         check_safety(query.formula)
         evaluate_span = (_obs.TELEMETRY.span("query.evaluate",
                                           query=str(query))
@@ -105,42 +88,28 @@ class Evaluator:
                     _deadline.check()
                 results.add(tuple(binding[v] for v in query.variables))
             span.set(rows=len(results))
-        if self.cache is not None:
-            self.cache.put(key, frozenset(results))
         return results
 
     def ask(self, query: Union[str, Query]) -> bool:
         """Truth value of a proposition (§2.7)."""
-        return self._truth("ask", query, proposition=True)
+        return self._truth(query, proposition=True)
 
     def succeeds(self, query: Union[str, Query]) -> bool:
         """True if the query has a non-empty value.
 
         Probing (§5) is built on this predicate: a query *fails* when
-        it succeeds for no tuple.  Cached like :meth:`evaluate` and
-        :meth:`ask` — probe-heavy browsing re-tests the same failure
-        queries wave after wave, so skipping the cache here made §5
-        retraction search re-solve them every time.
+        it succeeds for no tuple.
         """
-        return self._truth("succeeds", query, proposition=False)
+        return self._truth(query, proposition=False)
 
-    def _truth(self, kind: str, query: Union[str, Query],
-               proposition: bool) -> bool:
+    def _truth(self, query: Union[str, Query], proposition: bool) -> bool:
         """Shared ``ask``/``succeeds`` path — only the proposition
-        requirement and the result-cache kind differ."""
-        query, key_text = self._resolve(query)
+        requirement differs."""
+        query = self._resolve(query)
         if proposition:
             require_proposition(query)
-        if self.cache is not None:
-            key = (kind, key_text or str(query), self.cache_token)
-            hit = self.cache.get(key, _NO_RESULT)
-            if hit is not _NO_RESULT:
-                return hit
         check_safety(query.formula)
-        result = any(True for _ in self.solutions(query.formula, {}))
-        if self.cache is not None:
-            self.cache.put(key, result)
-        return result
+        return any(True for _ in self.solutions(query.formula, {}))
 
     # ------------------------------------------------------------------
     # Formula solving

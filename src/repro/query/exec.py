@@ -923,10 +923,8 @@ class CompiledEvaluator(Evaluator):
     ``evaluate`` / ``ask`` / ``succeeds`` compile the query once and
     run the plan over binding tables; everything else —
     :meth:`~repro.query.evaluate.Evaluator.solutions` for callers that
-    stream bindings, safety checking, cache keying — is inherited from
-    the reference engine, whose results this class reproduces exactly.
-    Cache keys are shared between the engines (same answer sets, same
-    version-epoch token), so a snapshot's warm cache serves both.
+    stream bindings, safety checking — is inherited from the reference
+    engine, whose results this class reproduces exactly.
 
     With ``plans`` (a :class:`~repro.query.plancache.PlanCache`) set,
     parse + safety + compile are cached per canonical form and
@@ -935,80 +933,63 @@ class CompiledEvaluator(Evaluator):
     """
 
     def _plan_token(self):
-        """The answer-version token plans validate against: the result
-        cache's token when one is attached (any base mutation moves
-        it), else the view store's own version (standalone evaluators
-        over a fixed store, e.g. benchmark harnesses)."""
-        if self.cache_token is not None:
-            return self.cache_token
+        """What plans validate against: the caller's ``data_token``
+        when one was given (any base mutation moves it), else the view
+        store's own version (standalone evaluators over a fixed store,
+        e.g. benchmark harnesses)."""
+        if self.data_token is not None:
+            return self.data_token
         return self.view.store.version
 
     def _prepare(self, query: Union[str, Query], proposition: bool = False):
-        """``(plan-cache entry or None, parsed query, result-cache key
-        text)``, raising the query's static errors in the reference
-        engine's order: not-a-proposition before safety."""
+        """``(plan-cache entry or None, parsed query)``, raising the
+        query's static errors in the reference engine's order:
+        not-a-proposition before safety."""
         entry = None
         if self.plans is not None:
             entry = self.plans.entry(query, self.view, self.plan_epoch,
                                      self._plan_token())
-            query, key_text = entry.query, entry.key
+            query = entry.query
         else:
-            query, key_text = self._resolve(query)
+            query = self._resolve(query)
         if proposition:
             require_proposition(query)
         if entry is None:
             check_safety(query.formula)
         elif entry.error is not None:
             raise QueryError(entry.error)
-        return entry, query, key_text
+        return entry, query
 
     def evaluate(self, query: Union[str, Query]) -> Set[Tuple[str, ...]]:
         """The value {Q}, via compiled plan execution."""
-        entry, query, key_text = self._prepare(query)
-
-        def compute():
-            evaluate_span = (
-                _obs.TELEMETRY.span("query.evaluate", query=str(query),
-                                 engine="compiled")
-                if _obs.ENABLED else _obs.NULL_SPAN)
-            with evaluate_span as span:
-                table = self._table(query, entry)
-                results = self._project(query, table)
-                _flush_decodes(table.codec)
-                span.set(rows=len(results))
-            return results
-
-        if self.cache is not None:
-            key = ("query", key_text or str(query), self.cache_token)
-            return set(self.cache.get_or_compute(
-                key, lambda: frozenset(compute())))
-        return compute()
-
-    def _truth(self, kind: str, query: Union[str, Query],
-               proposition: bool) -> bool:
-        """Shared ``ask``/``succeeds`` path: same plan cache, same
-        result cache — only the proposition requirement differs.  A
-        non-empty final table is a non-empty answer set (projection
-        preserves emptiness), so truth queries on the id path never
-        decode a single id."""
-        entry, query, key_text = self._prepare(query, proposition)
-
-        def compute():
+        entry, query = self._prepare(query)
+        evaluate_span = (
+            _obs.TELEMETRY.span("query.evaluate", query=str(query),
+                                engine="compiled")
+            if _obs.ENABLED else _obs.NULL_SPAN)
+        with evaluate_span as span:
             table = self._table(query, entry)
+            results = self._project(query, table)
             _flush_decodes(table.codec)
-            return bool(table.rows)
+            span.set(rows=len(results))
+        return results
 
-        if self.cache is not None:
-            key = (kind, key_text or str(query), self.cache_token)
-            return self.cache.get_or_compute(key, compute)
-        return compute()
+    def _truth(self, query: Union[str, Query], proposition: bool) -> bool:
+        """Shared ``ask``/``succeeds`` path — only the proposition
+        requirement differs.  A non-empty final table is a non-empty
+        answer set (projection preserves emptiness), so truth queries
+        on the id path never decode a single id."""
+        entry, query = self._prepare(query, proposition)
+        table = self._table(query, entry)
+        _flush_decodes(table.codec)
+        return bool(table.rows)
 
     def evaluate_with_stats(self, query: Union[str, Query]
                             ) -> Tuple[Set[Tuple[str, ...]], PlanRun]:
         """Uncached evaluation that also returns the per-operator run
         statistics — the compiled engine's EXPLAIN ANALYZE source
         (always compiles afresh, with stats collection on)."""
-        query, _key = self._resolve(query)
+        query = self._resolve(query)
         check_safety(query.formula)
         plan = compile_query(query, self.view)
         table, run = execute_plan(plan, self.view)

@@ -18,12 +18,12 @@ module removes them from the hot path:
 * **Shape classifier** — :func:`classify` labels each plan
   (``point``/``star``/``scan``/``join``/``complex``) for observability.
   Every shape runs through the same executor
-  (:func:`~repro.query.exec.execute_plan`); answers and verdicts are
-  memoized in one place, the database's versioned result cache.
+  (:func:`~repro.query.exec.execute_plan`).  Plans are remembered
+  here; answers are not (a whole answer is remembered in one place,
+  the net layer's per-snapshot memo, :mod:`repro.serve.net`).
 
 Hit/miss totals are exposed as attributes and as the
-``plancache.hits`` / ``plancache.misses`` telemetry counters —
-mirroring :mod:`repro.core.cache`.
+``plancache.hits`` / ``plancache.misses`` telemetry counters.
 
 Example::
 
@@ -87,17 +87,16 @@ class PlanEntry:
     cached static :class:`~repro.core.errors.QueryError` message) and
     the shape label.
 
-    ``token`` is the answer-version token the plan was lowered under
-    (the database's ``(base version, epoch, limit)`` cache token): any
-    base mutation moves it, which is what lets :meth:`PlanCache.plan_for`
-    trust planner estimates and provably-empty hints while it matches.
+    ``token`` is the data token the plan was lowered under (the
+    database's ``(base version, epoch, limit)``): any base mutation
+    moves it, which is what lets :meth:`PlanCache.plan_for` trust
+    planner estimates and provably-empty hints while it matches.
     """
 
-    __slots__ = ("key", "query", "error", "plan", "token", "shape")
+    __slots__ = ("query", "error", "plan", "token", "shape")
 
-    def __init__(self, key: str, query: Query, error: Optional[str],
+    def __init__(self, query: Query, error: Optional[str],
                  plan: Optional[CompiledPlan], token, shape: str):
-        self.key = key
         self.query = query
         self.error = error
         self.plan = plan
@@ -105,7 +104,7 @@ class PlanEntry:
         self.shape = shape
 
     def __repr__(self) -> str:
-        return (f"PlanEntry({self.key!r}, shape={self.shape},"
+        return (f"PlanEntry({str(self.query)!r}, shape={self.shape},"
                 f" error={self.error is not None})")
 
 
@@ -113,9 +112,9 @@ class PlanCache:
     """Canonical-form keyed LRU cache of parsed + compiled queries.
 
     One instance per :class:`~repro.db.Database`, **shared** with every
-    snapshot it publishes (like the versioned result cache), so the
-    serving layer's readers reuse plans across snapshot publications
-    and a replica process keeps its plans warm across requests.
+    snapshot it publishes, so the serving layer's readers reuse plans
+    across snapshot publications and a replica process keeps its plans
+    warm across requests.
     Thread-safe: one lock guards each ordered map; entry revalidation
     publishes complete plans before bumping the entry version, so a
     concurrent reader either sees a matching (plan, version) pair or
@@ -185,7 +184,7 @@ class PlanCache:
         """The cached entry for ``query`` under configuration ``epoch``,
         building parse + safety + plan on a miss.
 
-        ``token`` is the caller's answer-version token (see
+        ``token`` is the caller's data token (see
         :class:`PlanEntry`); it does *not* participate in the cache key
         — a moved token revalidates the existing entry's plan in
         :meth:`plan_for` instead of inserting a duplicate."""
@@ -220,7 +219,7 @@ class PlanCache:
             shape = classify(plan)
             if getattr(view.store, "interned", False):
                 annotate_plan_ids(plan, view.store)
-        entry = PlanEntry(key, parsed, error, plan, token, shape)
+        entry = PlanEntry(parsed, error, plan, token, shape)
         with self._lock:
             self._entries[cache_key] = entry
             while len(self._entries) > self.maxsize:
@@ -228,7 +227,7 @@ class PlanCache:
         return entry
 
     def plan_for(self, entry: PlanEntry, view, token) -> CompiledPlan:
-        """The entry's plan, revalidated against the caller's answer
+        """The entry's plan, revalidated against the caller's data
         token.
 
         A moved token means the planner's estimates — and any

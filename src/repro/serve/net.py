@@ -41,11 +41,16 @@ in one segment, or unterminated before the peer shuts down its sending
 side), lines longer than :data:`MAX_LINE_BYTES` get a typed reply and
 a close, and both ends set ``TCP_NODELAY``.
 
-A repeated read costs one lookup.  The server keeps, for the snapshot
-the service currently publishes, the encoded response line of every
-plain ``query`` / ``ask`` / ``match`` / ``navigate`` / ``try`` /
-``probe`` it computed, under the raw request line; a repeat of the line
-is answered with those bytes before it is decoded (:class:`_Answers`).
+A repeated read costs one lookup, and this is the one place a whole
+answer is remembered (nothing below the wire keeps one).  The server
+keeps, for the snapshot the service currently publishes, the encoded
+response line of every untraced ``query`` / ``ask`` / ``match`` /
+``navigate`` / ``try`` / ``probe`` it computed, under the raw request
+line; a repeat of the line is answered with those bytes before it is
+decoded (:class:`_Answers`).  The line contains the request's
+``deadline``, if any: an ``ok`` response is a complete answer produced
+inside it, so the same line again is a hit; a ``DeadlineExceeded`` is
+an error and is never kept.
 A publish — any write, ``limit``, ``include`` / ``exclude``, ``rule`` —
 replaces the published snapshot and the memo goes with it, so a hit is
 always an answer of the snapshot a fresh evaluation would have read.
@@ -237,10 +242,12 @@ class ServiceServer:
     that floor, so read-your-writes holds per connection even though
     replicas lag the primary.
 
-    Repeats of a plain read are answered from the published snapshot's
-    answer memo (module docstring; :meth:`answer_stats`).  Requests
-    carrying ``trace`` or ``deadline``, error responses, and answers a
-    replica worker computed (it may lag) are never kept.
+    Repeats of a read are answered from the published snapshot's
+    answer memo (module docstring; :meth:`answer_stats`), with or
+    without a ``deadline`` (it is part of the line the memo keys on).
+    Requests carrying ``trace`` (their spans must be real), error
+    responses — a timed-out attempt among them — and answers a replica
+    worker computed (it may lag) are never kept.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 7474,
@@ -289,8 +296,8 @@ class ServiceServer:
     def _answer(self, line: bytes, state: Dict[str, Any]) -> bytes:
         """The response line for one stripped request line: the bytes
         the published snapshot already answered it with, or a computed
-        response — kept, when it is a plain read's and the snapshot it
-        was computed on is still the published one."""
+        response — kept, when it is an untraced read's and the snapshot
+        it was computed on is still the published one."""
         published = self.service.published_state()
         answers = self._answers
         if answers.published is not published:
@@ -353,9 +360,11 @@ class ServiceServer:
                ctx: Optional[TraceContext]) -> Tuple[Any, bool]:
         """One checked request's result in wire form, and whether it is
         the primary's answer to a plain read: one of :data:`_READS`
-        with neither ``trace`` nor ``deadline`` (those must reach the
-        service), not computed by a replica worker (it may lag the
-        published snapshot)."""
+        without ``trace`` (its spans must reach the service), not
+        computed by a replica worker (it may lag the published
+        snapshot).  A ``deadline`` does not make a read less plain: it
+        is in the line the memo keys on, and a result returned here
+        was by definition produced inside it."""
         op = request.get("op")
         read = _READS.get(op)
         if read is None:
@@ -374,7 +383,7 @@ class ServiceServer:
             value, by_primary = self.pool.read(
                 op, request[field], deadline,
                 min_version=state["min_version"], ctx=ctx)
-        plain = ctx is None and deadline is None
+        plain = ctx is None
         if plain:
             self._answer_misses += 1
             if _obs.ENABLED:

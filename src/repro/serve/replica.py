@@ -122,8 +122,8 @@ class GenerationBootstrap:
     before it declares readiness (the parent captures it under the
     same lock that orders delta fan-out, so the sequence seam is
     exact).  ``store_version`` / ``closure_version`` restore the exact
-    store mutation counters, so version-keyed result caches stay
-    continuous across attach.
+    store mutation counters, so the data token cached plans are
+    validated against stays continuous across attach.
     """
 
     base_handle: Any                      # core.interned.GenerationHandle

@@ -44,11 +44,10 @@ The division of labour:
   *after* publication, so a caller that waited for its write is
   guaranteed to see it in subsequent reads (read-your-writes).
 
-The shared result cache makes publication cheap for readers: snapshots
-share the master's thread-safe LRU cache, and cache keys include the
-store version, so entries computed against snapshot N stay valid and
-warm for every later reader of snapshot N while snapshot N+1 starts
-populating its own keys.
+Snapshots share the master's plan cache, so a publication keeps plans
+warm; no answer is carried from one snapshot to the next (the one
+place a whole answer is remembered is the net layer's per-snapshot
+memo, :mod:`repro.serve.net`, which a publish empties).
 
 Checkpointing degrades gracefully: the writer folds the journal into a
 fresh snapshot file while readers keep serving the last published
@@ -585,7 +584,7 @@ class DatabaseService:
         the seconds the fold took (0.0 when none was due).
 
         Once per batch, however many facts it held.  Store versions
-        survive (result- and plan-cache entries stay valid), so does
+        survive (plan-cache entries stay valid), so does
         the lattice, and readers keep the previously published snapshot
         — which shares the *old* generation — until the next one is
         swapped in.

@@ -377,7 +377,8 @@ class BrowserShell:
         from .obs import active_telemetry, telemetry_enabled
 
         stats = self.db.stats()
-        hidden = ("enabled_rules", "rule_firings", "rule_times")
+        hidden = ("enabled_rules", "rule_firings", "rule_times",
+                  "result_cache")     # constant zeros, see Database.stats
         lines = [f"  {key}: {value}" for key, value in stats.items()
                  if key not in hidden]
         firings = stats.get("rule_firings") or {}

@@ -30,7 +30,7 @@ class TestDocumentation(unittest.TestCase):
         # The extraction sees plain literals, f-strings, conditionals
         # and the lattice helper, so the equality above is not vacuous.
         emitted = docs_check.emitted_names()
-        for name in ("cache.hits", "serve.requests.<op>",
+        for name in ("browse.probes", "serve.requests.<op>",
                      "plancache.misses", "lattice.builds",
                      "writer.apply_batch"):
             self.assertIn(name, emitted)

@@ -291,9 +291,6 @@ class TestInvalidation:
         entry = next(iter(cache._entries.values()))
         assert entry.plan.root.id_ann is None
         employees.compact_store()
-        # Compaction preserves store versions, so the result cache
-        # would serve the repeat; clear it to drive the executor.
-        employees._result_cache.clear()
         before = cache.stats()
         assert employees.ask(text)
         assert cache.stats()["misses"] == before["misses"]
@@ -420,53 +417,16 @@ def test_virtual_relations_through_fast_path(employees):
 
 
 # ----------------------------------------------------------------------
-# Verdicts live in one cache: the versioned result LRU
+# Verdicts are computed, not remembered (the class is named for the
+# memo these once guarded against)
 # ----------------------------------------------------------------------
 class TestVerdictMemo:
-    def test_repeated_truth_queries_hit_the_memo(self, employees):
-        assert employees.ask("(EMP0, ∈, EMPLOYEE)") is True
-        hits_before = employees.stats()["result_cache"]["hits"]
-        assert employees.ask("(EMP0, ∈, EMPLOYEE)") is True
-        assert employees.stats()["result_cache"]["hits"] == hits_before + 1
-        assert employees.succeeds("(x, ∈, EMPLOYEE)") is True
-        hits_before = employees.stats()["result_cache"]["hits"]
-        assert employees.succeeds("(x, ∈, EMPLOYEE)") is True
-        assert employees.stats()["result_cache"]["hits"] == hits_before + 1
-
     def test_mutation_moves_the_token(self, employees):
         assert employees.ask("(GHOST, ∈, EMPLOYEE)") is False
         employees.add("GHOST", "∈", "EMPLOYEE")
         assert employees.ask("(GHOST, ∈, EMPLOYEE)") is True
 
-    @pytest.mark.parametrize("observed", [False, True])
-    def test_one_execution_one_hit_with_telemetry_on_and_off(
-            self, employees, observed):
-        """``ask`` twice = one execution + one result-cache hit,
-        whether or not telemetry is watching."""
-        text = "(EMP0, ∈, EMPLOYEE)"
-        before = employees.stats()["result_cache"]
-        if observed:
-            with use_telemetry(Telemetry()) as telemetry:
-                assert employees.ask(text) and employees.ask(text)
-            assert telemetry.counters["exec.plans"] == 1
-            assert telemetry.counters["cache.hits"] == 1
-            assert telemetry.counters["cache.misses"] == 1
-        else:
-            assert employees.ask(text) and employees.ask(text)
-        after = employees.stats()["result_cache"]
-        assert after["hits"] - before["hits"] == 1
-        assert after["misses"] - before["misses"] == 1
-
     def test_errors_are_never_memoized(self, employees):
         for _ in range(2):
             with pytest.raises(QueryError):
                 employees.ask("(x, ∈, EMPLOYEE)")  # not a proposition
-
-    def test_reference_engine_memoizes_too(self):
-        db = Database(query_engine="reference")
-        for index in range(4):
-            db.add(f"EMP{index}", "∈", "EMPLOYEE")
-        assert db.succeeds("(x, ∈, EMPLOYEE)") is True
-        hits_before = db.stats()["result_cache"]["hits"]
-        assert db.succeeds("(x, ∈, EMPLOYEE)") is True
-        assert db.stats()["result_cache"]["hits"] == hits_before + 1

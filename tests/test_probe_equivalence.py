@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("networkx")
 
 from repro.browse.probe import GeneralizationHierarchy
-from repro.browse.retraction import PROBE_COUNTERS, reference_probe
+from repro.browse.retraction import reference_probe
 from repro.core.entities import ISA, MEMBER, SYN
 from repro.db import Database
 from repro.query.evaluate import Evaluator
@@ -146,16 +146,6 @@ class TestProbeOutcomeEquivalence:
 
 
 class TestMenuCache:
-    def test_repeated_probe_hits_menu_cache(self):
-        db = Database()
-        db.add("FRESHMAN", ISA, "STUDENT")
-        db.add("JOHN", MEMBER, "STUDENT")
-        first = db.probe("(x, ∈, FRESHMAN)")
-        hits_before = PROBE_COUNTERS["menu_hits"]
-        second = db.probe("(x, ∈, FRESHMAN)")
-        assert PROBE_COUNTERS["menu_hits"] > hits_before
-        assert outcome_signature(second) == outcome_signature(first)
-
     def test_mutation_invalidates_menu(self):
         db = Database()
         db.add("FRESHMAN", ISA, "STUDENT")
@@ -163,14 +153,3 @@ class TestMenuCache:
         db.add("JOHN", MEMBER, "STUDENT")
         outcome = db.probe("(x, ∈, FRESHMAN)")
         assert [s.value for s in outcome.successes] == [{("JOHN",)}]
-
-    def test_escape_hatch_bypasses_menu_cache(self):
-        db = Database()
-        db.add("FRESHMAN", ISA, "STUDENT")
-        db.add("JOHN", MEMBER, "STUDENT")
-        db.probe("(x, ∈, FRESHMAN)")
-        misses_before = PROBE_COUNTERS["menu_misses"]
-        hits_before = PROBE_COUNTERS["menu_hits"]
-        db.probe("(x, ∈, FRESHMAN)", engine="compiled")
-        assert PROBE_COUNTERS["menu_hits"] == hits_before
-        assert PROBE_COUNTERS["menu_misses"] == misses_before

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import LRUCache
 from repro.core.deadline import deadline_scope
 from repro.core.errors import DeadlineExceeded, QueryError
 from repro.core.facts import Variable
@@ -221,35 +220,7 @@ class TestPlannerDeferral:
 
 
 class TestSucceedsCache:
-    """Satellite: ``succeeds`` memoizes under its own cache kind, on
-    both engines."""
-
-    @pytest.mark.parametrize("engine_class",
-                             [Evaluator, CompiledEvaluator])
-    def test_succeeds_is_cached(self, db, engine_class):
-        cache = LRUCache(maxsize=32)
-        evaluator = engine_class(db.view(), cache=cache,
-                                 cache_token=("tok",))
-        query = parse_query("(x, WORKS-FOR, SALES)")
-        assert evaluator.succeeds(query) is True
-        key = ("succeeds", str(query), ("tok",))
-        assert cache.get(key, None) is True
-        # The second call must be served from the cache: poison the
-        # view so any re-evaluation would blow up.
-        evaluator.view = None
-        assert evaluator.succeeds(query) is True
-
-    def test_succeeds_kind_is_distinct_from_query_and_ask(self, db):
-        cache = LRUCache(maxsize=32)
-        evaluator = CompiledEvaluator(db.view(), cache=cache,
-                                      cache_token=("tok",))
-        query = parse_query("(JOHN, OF-CLASS, EMPLOYEE)")
-        evaluator.evaluate(query)
-        evaluator.ask(query)
-        evaluator.succeeds(query)
-        kinds = {key[0] for key in cache._data}
-        assert kinds == {"query", "ask", "succeeds"}
-
+    # Named for the result cache it used to pin (deleted in PR 23).
     def test_database_succeeds(self, db):
         assert db.succeeds("(x, WORKS-FOR, SALES)") is True
         assert db.succeeds("(x, WORKS-FOR, NOWHERE)") is False

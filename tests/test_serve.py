@@ -65,14 +65,6 @@ class TestSnapshot:
         assert set(snap.query("(x, EARNS, SALARY)")) == before
         assert ("MARY",) in db.query("(x, EARNS, SALARY)")
 
-    def test_snapshot_shares_result_cache_entries(self):
-        db = Database()
-        db.add("A", "R", "B")
-        db.query("(A, R, y)")          # warm the shared cache
-        snap = db.snapshot()
-        assert snap._result_cache is db._result_cache
-        assert snap.query("(A, R, y)") == {("B",)}
-
     def test_snapshot_rules_track_master_state(self):
         db = Database()
         first_rule = db.rules.all_rules()[0]

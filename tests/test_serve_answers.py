@@ -5,7 +5,9 @@ snapshot already gave for the same request line; everything here checks
 that this never changes *what* is answered — through writes, controls,
 a lagging replica worker, traced and deadlined requests, errors, a
 byte budget under a scan, odd framing and racing threads — on a plain
-service and behind a ``ReplicaPool(workers=1)``.
+service and behind a ``ReplicaPool(workers=1)``.  It is also the only
+place a whole answer is remembered: the last class pins that a repeat
+below the wire is computed again.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core.errors import (
     ServiceError,
 )
 from repro.db import Database
+from repro.obs import Telemetry, use_telemetry
 from repro.serve import DatabaseService, ReplicaPool
 from repro.serve import net
 from repro.serve.net import MAX_LINE_BYTES, ServiceClient, ServiceServer
@@ -315,22 +318,54 @@ class TestBypass:
         answers = stack.answers()
         assert answers["hits"] == 0 and answers["entries"] == 1
 
-    def test_deadlined_requests_reach_the_service(self, stack):
-        with stack.client() as client:
-            rows = client.query("(x, ∈, EMPLOYEE)")
-            for _ in range(2):
-                assert client.query("(x, ∈, EMPLOYEE)", deadline=30.0) \
-                    == rows
+    def test_a_deadline_is_part_of_the_line_not_a_bypass(self, stack):
+        plain = {"op": "query", "query": "(x, ∈, EMPLOYEE)"}
+        deadlined = dict(plain, deadline=30.0)
+        with stack.raw() as raw:
+            first = raw.ask(deadlined)
+            assert json.loads(first)["ok"] is True
+            assert raw.ask(deadlined) == first
             answers = stack.answers()
-            assert answers["hits"] == 0 and answers["entries"] == 1
-            # (On a text no layer below has cached: an expired deadline
-            # raises at the first checkpoint, and a cached result has
-            # none.)
+            assert answers["hits"] == 1 and answers["entries"] == 1
+            # Another deadline, or none, is another line.
+            assert raw.ask(dict(plain, deadline=31.0)) == first
+            assert raw.ask(plain) == first
+            answers = stack.answers()
+            assert answers["hits"] == 1 and answers["entries"] == 3
+
+    def test_a_timed_out_attempt_is_computed_again(self, stack, monkeypatch):
+        with stack.client() as client:
+            # An expired deadline raises at the first checkpoint, as
+            # often as it is sent: an error is never kept.
             for _ in range(2):
                 with pytest.raises(DeadlineExceeded):
                     client.query("(x, EARNS, y) and (z, ∈, x)", deadline=0)
-            answers = stack.answers()
-            assert answers["hits"] == 0 and answers["entries"] == 1
+            assert stack.answers()["entries"] == 0
+        # The same line, timing out once and then answered in time.
+        reader = stack.pool if stack.pool is not None else stack.service
+        attempts = []
+        read = reader.read
+
+        def late_once(op, *args, **kwargs):
+            attempts.append(op)
+            if len(attempts) == 1:
+                raise DeadlineExceeded("deadline exceeded (injected)")
+            return read(op, *args, **kwargs)
+
+        monkeypatch.setattr(reader, "read", late_once)
+        request = {"op": "query", "query": "(x, ∈, EMPLOYEE)",
+                   "deadline": 30.0}
+        with stack.raw() as raw:
+            failed = json.loads(raw.ask(request))
+            assert failed["ok"] is False
+            assert failed["error"] == "DeadlineExceeded"
+            assert stack.answers()["entries"] == 0
+            answered = raw.ask(request)
+            assert json.loads(answered)["result"] == [["JOHN"], ["MARY"]]
+            assert raw.ask(request) == answered
+        assert attempts == ["query", "query"]
+        answers = stack.answers()
+        assert answers["hits"] == 1 and answers["entries"] == 1
 
     def test_error_responses_are_never_kept(self, stack):
         with stack.client() as client:
@@ -750,3 +785,93 @@ class TestRacingPublishes:
                 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= threads_before
+
+
+# ----------------------------------------------------------------------
+# (h) the memo is the one owner of repeats
+# ----------------------------------------------------------------------
+class TestTheMemoOwnsRepeats:
+    """Nothing below the wire remembers an answer: a repeat over TCP is
+    one execution and one memo hit, a repeat in process is a second
+    execution with the same answer."""
+
+    QUERY = "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, y)"
+    NAVIGATE = "(JOHN, *, *)"
+    FAILING_PROBE = "(MARY, WORKS-FOR, SHIPPING)"
+
+    @staticmethod
+    def executions(counters) -> dict:
+        return {name: counters.get(name, 0) for name in (
+            "exec.plans", "browse.navigations", "browse.probes",
+            "browse.probe.retractions", "serve.net.answer_hits")}
+
+    def test_over_tcp_a_repeat_is_one_execution_and_one_hit(self, stack):
+        oracle = build()
+        retractions = sum(
+            len(wave.attempted)
+            for wave in oracle.probe(self.FAILING_PROBE).waves)
+        assert retractions > 0
+        steps = [
+            ("query", self.QUERY, {"exec.plans": 1}),
+            ("navigate", self.NAVIGATE, {"browse.navigations": 1}),
+            ("probe", self.FAILING_PROBE,
+             {"browse.probes": 1, "browse.probe.retractions": retractions,
+              "exec.plans": 1 + retractions}),
+        ]
+        with stack.client() as client:
+            for verb, text, computed in steps:
+                with use_telemetry(Telemetry()) as telemetry:
+                    first = getattr(client, verb)(text)
+                    assert getattr(client, verb)(text) == first
+                assert first == wire_form(oracle, verb, text)
+                assert self.executions(telemetry.counters) == {
+                    **self.executions({}), **computed,
+                    "serve.net.answer_hits": 1}
+        assert stack.answers()["hits"] == len(steps)
+
+    def test_in_process_a_repeat_is_computed_again(self, stack):
+        oracle = build()
+        for verb, text in (("query", self.QUERY),
+                           ("navigate", self.NAVIGATE),
+                           ("probe", self.FAILING_PROBE)):
+            answers, executions = [], []
+            for _ in range(2):
+                with use_telemetry(Telemetry()) as telemetry:
+                    answers.append(wire_form(stack.service, verb, text))
+                executions.append(self.executions(telemetry.counters))
+            assert answers[0] == answers[1] == wire_form(oracle, verb, text)
+            assert any(executions[0].values())
+            assert executions[1] == executions[0]
+        assert stack.answers()["entries"] == 0
+
+    def test_eight_first_askers_at_once_file_one_entry(self, stack):
+        text = "(MARY, EARNS, ACME)"            # sent nowhere before
+        wanted = wire_form(build(), "probe", text)
+        assert wanted["succeeded"] is False and wanted["waves"] > 0
+        barrier = threading.Barrier(8)
+        got, failures = [], []
+
+        def ask() -> None:
+            try:
+                with stack.client() as client:
+                    barrier.wait(30.0)
+                    got.append(client.probe(text))
+            except BaseException as error:  # noqa: BLE001
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert not failures, failures[:3]
+        assert got == [wanted] * 8
+        answers = stack.answers()
+        # Each may have computed it (there is no single flight); one
+        # line is one entry however many filed it.  Behind the pool a
+        # worker may have answered some, and those are never kept.
+        assert answers["entries"] == 1
+        assert answers["hits"] + answers["misses"] <= 8
+        with stack.client() as client:
+            assert client.probe(text) == wanted
+        assert stack.answers()["hits"] == answers["hits"] + 1

@@ -11,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.core.cache import LRUCache
 from repro.db import Database
 from repro.obs import telemetry as obs_telemetry
 from repro.obs.telemetry import Telemetry, use_telemetry
@@ -165,9 +164,9 @@ class TestMetricsSurface:
         assert counters["serve.requests.query"] >= 3
         # Replica-side series prove worker snapshots were merged in.
         assert counters.get("replica.reads", 0) >= 3
-        # The versioned result cache dedupes repeats, so plan
-        # executions trail requests — but at least one ran.
-        assert counters.get("exec.plans", 0) >= 1
+        # Nothing below the wire remembers an answer and the net memo
+        # never keeps a worker's: all four reads ran their plan.
+        assert counters.get("exec.plans", 0) == 4
         latency = snapshot["histograms"]["serve.request_seconds.query"]
         assert latency["count"] >= 3
 
@@ -229,8 +228,6 @@ class TestMonitorDashboard:
     def _snapshot(self, requests: int) -> dict:
         registry = Telemetry()
         registry.count("serve.requests.query", requests)
-        registry.count("cache.hits", requests * 3)
-        registry.count("cache.misses", requests)
         registry.count("serve.net.answer_hits", requests * 4)
         registry.count("serve.net.answer_misses", requests)
         registry.gauge("serve.net.answer_bytes", 2048)
@@ -258,7 +255,6 @@ class TestMonitorDashboard:
                                 interval=1.0, title="test dash")
         assert "test dash" in text
         assert "query" in text
-        assert "cache: 75.0% hit rate" in text
         assert ("answer memo: 40 req/s repeated, 80.0% of plain reads"
                 " (40 hits / 10 misses), 2,048 bytes kept") in text
         assert "replica lag" in text
@@ -396,10 +392,13 @@ class TestSpineUnderThreads:
         assert counters["serve.requests"] == reads
         assert counters["serve.requests.query"] == reads // 2
         assert counters["serve.requests.probe"] == reads // 2
-        assert counters["probe.requests"] == reads // 2
+        assert counters["browse.probes"] == reads // 2
         assert counters["serve.ops_applied"] == self.WRITES
-        assert counters["cache.hits"] + counters["cache.misses"] \
-            + counters.get("cache.coalesced", 0) >= reads
+        # Nothing remembers an answer in process: every query ran its
+        # plan, every probe its own and one per retraction candidate.
+        assert counters["browse.probe.retractions"] >= reads // 2
+        assert counters["exec.plans"] \
+            == reads + counters["browse.probe.retractions"]
         histograms = snapshot["histograms"]
         assert histograms["serve.request_seconds.query"]["count"] \
             + histograms["serve.request_seconds.probe"]["count"] == reads
@@ -455,60 +454,3 @@ class TestOneEventOneReport:
         finally:
             server.close()
             service.close()
-
-    def test_cache_hit_miss_eviction(self):
-        cache = LRUCache(maxsize=1)
-        with use_telemetry(Telemetry()) as telemetry:
-            cache.get("absent")
-        assert self._moved(telemetry) == {"cache.misses": 1}
-        cache.put("a", 1)
-        with use_telemetry(Telemetry()) as telemetry:
-            assert cache.get("a") == 1
-        assert self._moved(telemetry) == {"cache.hits": 1}
-        with use_telemetry(Telemetry()) as telemetry:
-            assert cache.get_or_compute("a", lambda: 2) == 1
-        assert self._moved(telemetry) == {"cache.hits": 1}
-        with use_telemetry(Telemetry()) as telemetry:
-            cache.put("b", 2)
-        assert self._moved(telemetry) == {"cache.evictions": 1}
-        with use_telemetry(Telemetry()) as telemetry:
-            assert cache.get_or_compute("c", lambda: 3) == 3
-        assert self._moved(telemetry) == {"cache.misses": 1,
-                                          "cache.evictions": 1}
-
-    def test_cache_coalesce(self):
-        cache = LRUCache()
-        computing, release = threading.Event(), threading.Event()
-
-        def slow():
-            computing.set()
-            assert release.wait(timeout=30)
-            return "value"
-
-        with use_telemetry(Telemetry()) as telemetry:
-            leader = threading.Thread(
-                target=cache.get_or_compute, args=("k", slow))
-            leader.start()
-            assert computing.wait(timeout=30)
-            # Release the leader only once the follower is on the flight.
-            waiting = threading.Event()
-
-            class Announcing(threading.Event):
-                def wait(self, timeout=None):
-                    waiting.set()
-                    return super().wait(timeout)
-
-            cache._flights["k"].event = Announcing()
-            results = []
-            follower = threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_compute("k", slow)))
-            follower.start()
-            assert waiting.wait(timeout=30)
-            release.set()
-            leader.join(timeout=30)
-            follower.join(timeout=30)
-        assert not leader.is_alive() and not follower.is_alive()
-        assert results == ["value"]
-        assert self._moved(telemetry) == {"cache.misses": 1,
-                                          "cache.coalesced": 1}

@@ -18,9 +18,7 @@ telemetry change quietly taxing the serving path.  The slowdown is
 ``before/after − 1``: unbounded, like a latency increase, so 100 means
 half the throughput and 200 a third of it.  (The printed per-cell
 deltas stay plain relative changes, where a throughput loss can never
-read below −100 %.)  ``--fail-p99-above PCT`` is the same guard on tail
-latency (``p99_us``, lower is better) — the probe-session benchmark's
-menu-latency guardrail.
+read below −100 %.)
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ KEY_FIELDS = ("mode", "threads", "workers", "client_threads", "writes",
 #: Measured fields worth diffing, with their improvement direction.
 METRIC_FIELDS = (
     ("ops_per_second", "higher"),
-    ("sessions_per_second", "higher"),
     ("p50_us", "lower"),
     ("p95_us", "lower"),
     ("p99_us", "lower"),
@@ -78,7 +75,6 @@ def slowdown_percent(before: float, after: float) -> float:
 
 def compare(baseline_path: str, candidate_path: str,
             fail_above: Optional[float] = None,
-            fail_p99_above: Optional[float] = None,
             out=sys.stdout) -> int:
     baseline_name, baseline_rows = load_rows(baseline_path)
     candidate_name, candidate_rows = load_rows(candidate_path)
@@ -91,8 +87,6 @@ def compare(baseline_path: str, candidate_path: str,
     matched = 0
     worst_regression = 0.0
     worst_cell = None
-    worst_p99 = 0.0
-    worst_p99_cell = None
     for row in candidate_rows:
         key = row_key(row)
         before = baseline_index.get(key)
@@ -117,10 +111,6 @@ def compare(baseline_path: str, candidate_path: str,
                 if slowdown > worst_regression:
                     worst_regression = slowdown
                     worst_cell = label
-            if (field == "p99_us" and regressed
-                    and change > worst_p99):
-                worst_p99 = change
-                worst_p99_cell = label
         out.write(f"  {label}: {', '.join(deltas) or 'no shared metrics'}\n")
 
     unmatched = len(baseline_index) - matched
@@ -130,19 +120,11 @@ def compare(baseline_path: str, candidate_path: str,
     out.write(f"matched {matched} cell(s); worst throughput slowdown"
               f" {worst_regression:.1f}%"
               + (f" ({worst_cell})" if worst_cell else "") + "\n")
-    if worst_p99_cell is not None:
-        out.write(f"worst p99 regression {worst_p99:.1f}%"
-                  f" ({worst_p99_cell})\n")
-    failed = False
     if fail_above is not None and worst_regression > fail_above:
         out.write(f"FAIL: {worst_regression:.1f}% >"
                   f" --fail-above {fail_above}%\n")
-        failed = True
-    if fail_p99_above is not None and worst_p99 > fail_p99_above:
-        out.write(f"FAIL: p99 {worst_p99:.1f}% >"
-                  f" --fail-p99-above {fail_p99_above}%\n")
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -156,14 +138,9 @@ def main(argv=None) -> int:
                         help="exit 1 if any cell's ops/s slowed down by"
                              " more than PCT percent (before/after - 1:"
                              " 200 = three times slower)")
-    parser.add_argument("--fail-p99-above", type=float, default=None,
-                        metavar="PCT",
-                        help="exit 1 if any cell's p99_us latency"
-                             " regressed by more than PCT percent")
     options = parser.parse_args(argv)
     return compare(options.baseline, options.candidate,
-                   fail_above=options.fail_above,
-                   fail_p99_above=options.fail_p99_above)
+                   fail_above=options.fail_above)
 
 
 if __name__ == "__main__":
