@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
-"""Inspecting the inference machinery: why, explain, lazy evaluation.
+"""Inspecting the inference machinery: why, explain, rule ablation.
 
 A loosely structured database answers with *inferred* facts; this tour
 shows the introspection tools around that: derivation provenance
-(``db.why``), query plans (``db.explain``), rule ablation, and the
-lazy (query-driven) engine versus the materialized closure.
+(``db.why``), query plans (``db.explain``) and rule ablation.
 
 Run:  python examples/inspecting_inference.py
 """
 
-import time
-
 from repro import Database
 from repro.datasets import paper
-from repro.datasets.synthetic import hierarchy_facts, membership_facts
 
 
 def provenance_tour() -> None:
@@ -67,51 +63,10 @@ def ablation_tour() -> None:
     db.include("gen-source")
 
 
-def lazy_tour() -> None:
-    print()
-    print("=" * 64)
-    print("Materialize the closure, or derive on demand?")
-    print("=" * 64)
-    tree, leaves = hierarchy_facts(6, 2)
-    base = list(tree) + membership_facts(leaves, 2)
-    base_extra = [("C0", "HAS-POLICY", "GENERAL"),
-                  ("JOHN", "LIKES", "FELIX")]
-
-    def fresh() -> Database:
-        db = Database()
-        db.add_facts(base)
-        for fact in base_extra:
-            db.add(*fact)
-        return db
-
-    def race(question: str) -> None:
-        lazy_db, materialized_db = fresh(), fresh()
-        start = time.perf_counter()
-        lazy_answer = lazy_db.query_lazy(question)
-        lazy_ms = (time.perf_counter() - start) * 1000
-        start = time.perf_counter()
-        materialized_answer = materialized_db.query(question)
-        materialized_ms = (time.perf_counter() - start) * 1000
-        assert lazy_answer == materialized_answer
-        print(f"\n  question: {question}  ->  {sorted(lazy_answer)}")
-        print(f"    lazy (tabled):        {lazy_ms:8.1f} ms"
-              f"  ({lazy_db.lazy_engine().stats.goals} goals tabled)")
-        print(f"    materialized closure: {materialized_ms:8.1f} ms"
-              f"  ({materialized_db.closure().total} facts derived)")
-
-    # A selective question barely touches the heap: laziness wins.
-    race("(JOHN, LIKES, y)")
-    # A question needing deep derivation chains: materializing once
-    # with the semi-naive engine is the better deal.
-    race("(I0, HAS-POLICY, y)")
-    print("\n  (benchmark F9 sweeps this trade-off.)")
-
-
 def main() -> None:
     provenance_tour()
     explain_tour()
     ablation_tour()
-    lazy_tour()
 
 
 if __name__ == "__main__":

@@ -42,19 +42,13 @@ from .operators.ops import (
 from .query.ast import Query
 from .query.evaluate import Evaluator
 from .query.exec import CompiledEvaluator
-from .query.parser import parse_query, parse_template
+from .query.parser import parse_template
 from .query.plancache import PlanCache
 from .rules.composition import COMPOSITION_OFF, compose_closure
 from .rules.dispatch import dispatched_closure
-from .rules.engine import (
-    ClosureResult,
-    extend_closure,
-    naive_closure,
-    semi_naive_closure,
-)
+from .rules.engine import ClosureResult, extend_closure
 from .rules.integrity import Diagnosis, Violation, diagnose, find_contradictions
 from .rules.deletion import DeletionStats, delete_with_rederivation
-from .rules.lazy import LazyEngine
 from .rules.provenance import (
     DerivationTree,
     ProvenanceError,
@@ -88,11 +82,8 @@ class Database:
     def __init__(self, facts: Iterable[Fact] = (), *,
                  with_axioms: bool = True,
                  auto_check: bool = False,
-                 engine: str = "dispatched",
                  query_engine: str = "compiled",
-                 incremental: bool = True,
                  trace: bool = False,
-                 observe: bool = False,
                  virtual: Optional[VirtualRegistry] = None):
         """
         Args:
@@ -100,31 +91,15 @@ class Database:
             with_axioms: seed :data:`AXIOM_FACTS`.
             auto_check: verify the closure stays contradiction-free on
                 every mutation (rolls the mutation back on violation).
-            engine: ``"dispatched"`` (default; compiled joins with
-                relationship-indexed dispatch and stratified rounds),
-                ``"semi-naive"`` (the interpreted delta engine), or
-                ``"naive"`` (the F2 baseline).  All three produce
-                identical closures.
             query_engine: ``"compiled"`` (default; the set-at-a-time
                 plan executor of :mod:`repro.query.exec`) or
                 ``"reference"`` (the tuple-at-a-time backtracking
                 evaluator).  Both produce identical query values.
-            incremental: maintain the cached closure in place when
-                facts are *inserted* (deletions always recompute);
-                disable to force full recomputation on every mutation
-                (benchmark F8 compares the two).
             trace: record derivation provenance so :meth:`why` can
                 show why any closure fact holds (small time/memory
                 overhead on closure computation).
-            observe: turn on process-wide telemetry
-                (:func:`repro.obs.enable_telemetry`) so spans and
-                counters are collected for every operation; equivalent
-                to the shell's ``trace on``.  Distinct from ``trace``,
-                which records *provenance*, not execution behavior.
             virtual: override the virtual-relation registry (tests).
         """
-        if engine not in ("dispatched", "semi-naive", "naive"):
-            raise ValueError(f"unknown engine: {engine!r}")
         if query_engine not in ("compiled", "reference"):
             raise ValueError(f"unknown query engine: {query_engine!r}")
         from .views import ViewCatalog
@@ -133,10 +108,8 @@ class Database:
         self.rules = RuleRegistry()
         self.operators = OperatorRegistry()
         self.views = ViewCatalog(self)
-        self.engine = engine
         self.query_engine = query_engine
         self.auto_check = auto_check
-        self.incremental = incremental
         self.trace = trace
         self._composition_limit: Optional[int] = COMPOSITION_OFF
         self._virtual = virtual if virtual is not None \
@@ -146,7 +119,6 @@ class Database:
         # full closure (standard + composition facts).
         self._standard_result: Optional[ClosureResult] = None
         self._full_result: Optional[ClosureResult] = None
-        self._lazy_engine: Optional[LazyEngine] = None
         self._view: Optional[FactView] = None
         # The generalization lattice (browse.lattice) is maintained,
         # not rebuilt: insertions that derive new ≺ facts patch it in
@@ -166,9 +138,6 @@ class Database:
         self._config_epoch = 0
         self._plan_cache = PlanCache()
         self._on_mutation = None  # set by storage.DurableSession.attach
-        if observe:
-            from .obs import enable_telemetry
-            enable_telemetry()
         if with_axioms:
             self._base.add_all(AXIOM_FACTS)
         for initial in facts:
@@ -204,16 +173,13 @@ class Database:
         if not self._base.add(new_fact):
             return False
         if self._can_extend_incrementally(new_fact):
-            compiled = (self.rules.compiled()
-                        if self.engine == "dispatched" else None)
             extend_closure(self._standard_result, (new_fact,),
                            list(self.rules), self.rule_context(),
-                           compiled=compiled)
+                           compiled=self.rules.compiled())
             # Composition (if on) and the derived caches rebuild lazily
             # from the extended standard closure.
             if self._full_result is not self._standard_result:
                 self._full_result = None
-            self._lazy_engine = None
             self._view = None
             # New ≺ facts are patched into the lattice by the next
             # hierarchy(), once for however many insertions came first.
@@ -240,15 +206,9 @@ class Database:
         retroactively blocks inferences already drawn, so those
         declarations force recomputation.
         """
-        if not self.incremental \
-                or self.engine not in ("dispatched", "semi-naive"):
-            return False
-        if self._standard_result is None:
-            return False
-        if (new_fact.relationship == MEMBER and new_fact.target in (
-                CLASS_RELATIONSHIP, INDIVIDUAL_RELATIONSHIP)):
-            return False
-        return True
+        return self._standard_result is not None and not (
+            new_fact.relationship == MEMBER and new_fact.target in (
+                CLASS_RELATIONSHIP, INDIVIDUAL_RELATIONSHIP))
 
     def _isa_count(self) -> int:
         """How many ``≺`` facts the standard closure holds (an index
@@ -262,9 +222,8 @@ class Database:
     def remove_fact(self, old_fact: Fact) -> bool:
         """Remove a stored fact; returns True if it was present.
 
-        With incremental maintenance on, the cached closure is updated
-        by Delete/Rederive (:mod:`repro.rules.deletion`) instead of
-        being recomputed.
+        A cached closure is updated by Delete/Rederive
+        (:mod:`repro.rules.deletion`) instead of being recomputed.
         """
         if not self._base.discard(old_fact):
             return False
@@ -273,10 +232,9 @@ class Database:
             delete_with_rederivation(
                 self._standard_result, self._base, old_fact,
                 list(self.rules), self.rule_context(),
-                pivoted=self.rules.pivoted())
+                compiled=self.rules.compiled())
             if self._full_result is not self._standard_result:
                 self._full_result = None
-            self._lazy_engine = None
             self._view = None
             if self._isa_count() != isa_before:
                 # The lattice cannot un-ingest a pair: drop it, and the
@@ -300,9 +258,9 @@ class Database:
         ``removes``, and a replica applies them here.  Removals go
         first (a batch can free an entity name an add then reuses),
         then insertions; both run through the normal mutation paths,
-        so with ``incremental`` on and a warm closure the cached
-        closure is maintained in place — Delete/Rederive for removals,
-        incremental extension for insertions — with no full recompute.
+        so a warm closure is maintained in place — Delete/Rederive for
+        removals, incremental extension for insertions — with no full
+        recompute.
 
         Application is idempotent: re-adding a present fact and
         re-removing an absent one are no-ops, so a bootstrap that
@@ -356,10 +314,8 @@ class Database:
         clone.operators = self.operators
         clone.views = ViewCatalog(clone)
         clone.views._definitions = dict(self.views._definitions)
-        clone.engine = self.engine
         clone.query_engine = self.query_engine
         clone.auto_check = False       # snapshots never mutate
-        clone.incremental = False      # nor maintain anything in place
         clone.trace = self.trace
         clone._composition_limit = self._composition_limit
         clone._virtual = self._virtual
@@ -368,7 +324,6 @@ class Database:
             clone._full_result = clone._standard_result
         else:
             clone._full_result = self._copy_result(self._full_result)
-        clone._lazy_engine = None
         clone._view = None
         # The lattice structure is shared with the clone; the master
         # switches to copy-on-patch so a published snapshot can never
@@ -467,7 +422,6 @@ class Database:
             # survives: compaction changes the representation, not the
             # facts, so only its store binding must refresh.
             self._view = None
-            self._lazy_engine = None
             self._hierarchy_bound = None
         return self
 
@@ -563,7 +517,6 @@ class Database:
     def _invalidate(self) -> None:
         self._standard_result = None
         self._full_result = None
-        self._lazy_engine = None
         self._view = None
         self._hierarchy = None
         self._hierarchy_bound = None
@@ -593,17 +546,9 @@ class Database:
         """The closure under the enabled rules, *without* composition
         facts — the layer incremental maintenance extends in place."""
         if self._standard_result is None:
-            if self.engine == "dispatched":
-                self._standard_result = dispatched_closure(
-                    self._base, list(self.rules), self.rule_context(),
-                    trace=self.trace, compiled=self.rules.compiled())
-            else:
-                engine = (semi_naive_closure
-                          if self.engine == "semi-naive"
-                          else naive_closure)
-                self._standard_result = engine(
-                    self._base, list(self.rules), self.rule_context(),
-                    trace=self.trace)
+            self._standard_result = dispatched_closure(
+                self._base, list(self.rules), self.rule_context(),
+                trace=self.trace, compiled=self.rules.compiled())
             self._full_result = None
         return self._standard_result
 
@@ -641,28 +586,6 @@ class Database:
         if self._view is None:
             self._view = FactView(self.closure().store, self._virtual)
         return self._view
-
-    def lazy_engine(self) -> LazyEngine:
-        """The query-driven (tabled) inference engine over the enabled
-        rules — derives on demand instead of materializing the closure.
-        Composition facts are not available lazily (see
-        :mod:`repro.rules.lazy`); cached until the next mutation."""
-        if self._lazy_engine is None:
-            self._lazy_engine = LazyEngine(
-                self._base, list(self.rules), self.rule_context())
-        return self._lazy_engine
-
-    def lazy_view(self) -> FactView:
-        """Lazy engine + virtual relations, behind the view interface."""
-        return FactView(self.lazy_engine(), self._virtual)
-
-    def query_lazy(self, query: Union[str, Query]) -> Set[tuple]:
-        """Evaluate a query with on-demand inference (no closure
-        materialization).  Equivalent to :meth:`query` for everything
-        except composed relationships."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        return Evaluator(self.lazy_view()).evaluate(query)
 
     def hierarchy(self) -> GeneralizationLattice:
         """The generalization lattice of the closure.

@@ -26,7 +26,7 @@ Four kinds of signal are collected:
   counts — which is what lets replica worker processes ship their
   registries to the primary (:func:`merge_snapshots`);
 * **spans** — named, nested wall/CPU timings with free-form attributes
-  (``closure.semi_naive`` > ``closure.round`` > …), plus per-conjunct
+  (``closure.dispatched`` > ``closure.round`` > …), plus per-conjunct
   (estimated cost, actual rows) records, the raw material of
   ``EXPLAIN ANALYZE``.
 

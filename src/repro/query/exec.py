@@ -637,9 +637,9 @@ def _probe_many(ctx: _Context, pattern: Template,
     fact degrades identically under both engines.
     """
     store = ctx.store
-    index_for = getattr(store, "index_for", None)
+    index_for = store.index_for
 
-    if index_for is not None and exact:
+    if exact:
         # Fast path: every substituted template's candidate set is
         # exactly its stored answer set, and the ground positions are
         # the same for every key — resolve the index handle once.
@@ -677,16 +677,8 @@ def _probe_many(ctx: _Context, pattern: Template,
             ]
     else:
         # General path: the store's own batched match handles repeated
-        # variables; stores without one (the lazy engine) fall back to
-        # per-template matching with a re-check.
-        store_many = getattr(store, "match_many", None)
-        if store_many is not None:
-            stored = store_many(templates)
-        else:
-            stored = [
-                [f for f in store.match(t) if t.match(f) is not None]
-                for t in templates
-            ]
+        # variables.
+        stored = store.match_many(templates)
 
     virtual_batches = ctx.virtual.match_many(templates, store)
     results: List[List[Fact]] = []

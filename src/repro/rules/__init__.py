@@ -2,10 +2,10 @@
 
 The §2.5–§3 inference machinery: conjunctive rules ``<L, R>``, the
 standard rule set (generalization, membership, synonymy, inversion),
-three equivalent forward-chaining closure engines (naive, semi-naive,
-and the compiled *dispatched* fast path), incremental maintenance
-under insertion and deletion, composition bounded by ``limit(n)``,
-integrity constraints, provenance, and a tabled lazy evaluator.
+the compiled *dispatched* closure engine with its two interpreted
+references (naive, semi-naive), incremental maintenance under
+insertion and deletion through the same compiled rule set, composition
+bounded by ``limit(n)``, integrity constraints, and provenance.
 
 Example::
 
@@ -39,7 +39,6 @@ from .engine import (
     naive_closure,
     semi_naive_closure,
 )
-from .lazy import LazyEngine, canonical_goal
 from .provenance import (
     DerivationTree,
     ProvenanceError,
@@ -68,7 +67,6 @@ __all__ = [
     "compose_pair", "ClosureResult", "Justification", "extend_closure",
     "naive_closure", "semi_naive_closure", "CompiledRuleSet",
     "compile_ruleset", "dispatched_closure", "stratify",
-    "LazyEngine", "canonical_goal",
     "DerivationTree", "ProvenanceError", "explain_fact",
     "Violation", "contradictory_pairs", "find_contradictions",
     "is_consistent", "RuleRegistry", "Condition", "Distinct",

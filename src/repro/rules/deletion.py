@@ -15,30 +15,31 @@ classic phases:
    facts other than the deleted one stay);
 3. **Rederive** — endangered facts that still have a one-step
    derivation from surviving facts are put back, and insertion
-   propagation (:func:`..engine.extend_closure`'s machinery) restores
-   everything downstream of them.
+   propagation (:func:`..dispatch.run_rounds`, the rounds
+   :func:`..engine.extend_closure` runs) restores everything downstream
+   of them.
 
-The result equals recomputing the closure from scratch on the surviving
-base facts (property-tested in ``tests/test_deletion.py``), at a cost
-proportional to the deleted fact's "cone of influence".
+Both forward phases join through the rule set's compiled pivoted
+bodies (:class:`~repro.rules.dispatch.CompiledRuleSet`), the ones the
+closure itself was computed with; phase 3's one-step check is the only
+goal-directed join (:func:`_join_body`, seeded by unifying a rule head
+with the endangered fact).  The result equals recomputing the closure
+from scratch on the surviving base facts (property-tested in
+``tests/test_deletion.py``), at a cost proportional to the deleted
+fact's "cone of influence".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict, Iterable, List, Optional, Sequence, Set, Tuple)
+from typing import List, Optional, Sequence, Set
 
-from ..core.facts import Fact, Template
+from ..core.facts import Binding, Fact
 from ..core.store import FactStore
-from .engine import (
-    ClosureResult,
-    Justification,
-    _checkable,
-    _fire,
-    _premises,
-    _semi_naive_rounds,
-)
+from ..obs import telemetry as _obs
+from .dispatch import (
+    CompiledRuleSet, _materialize, compile_ruleset, run_rounds)
+from .engine import ClosureResult, Justification, _checkable, _premises
 from .rule import Rule, RuleContext
 
 
@@ -54,7 +55,7 @@ class DeletionStats:
 def delete_with_rederivation(result: ClosureResult, base: FactStore,
                              deleted: Fact, rules: Sequence[Rule],
                              context: RuleContext,
-                             pivoted: Sequence[Tuple[Rule, Rule]]
+                             compiled: Optional[CompiledRuleSet] = None
                              ) -> DeletionStats:
     """Maintain a closure under deletion of one base fact.
 
@@ -64,99 +65,111 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         deleted: the base fact that was removed.
         rules: the enabled rules.
         context: guard context.
-        pivoted: the rules' pivot reorderings
-            (:func:`~repro.rules.engine._pivoted_rules`;
-            :meth:`RuleRegistry.pivoted` caches them).
+        compiled: the :class:`~repro.rules.dispatch.CompiledRuleSet` of
+            ``rules`` (:meth:`RuleRegistry.compiled` caches one);
+            compiled here when not given.
 
     The closure's provenance map (if any) is pruned of endangered
-    facts; rederived facts get fresh justifications.
+    facts; rederived facts get fresh justifications.  With telemetry
+    on, each removal that reaches the closure is one ``closure.delete``
+    span carrying the returned counts.
     """
     stats = DeletionStats()
     store = result.store
     if deleted not in store:
         return stats
+    if compiled is None:
+        compiled = compile_ruleset(rules)
+    observing = _obs.ENABLED
+    delete_span = (_obs.TELEMETRY.span("closure.delete")
+                   if observing else _obs.NULL_SPAN)
+    with delete_span as span:
+        # Phase 1: overdelete — fixpoint over "derivations through
+        # endangered facts".  Join each compiled body with its pivot
+        # atom over the endangered delta and the rest over the (still
+        # intact) closure; every head instance present in the closure
+        # becomes endangered too.
+        endangered: Set[Fact] = {deleted}
+        delta: List[Fact] = [deleted]
+        while delta:
+            delta_store = FactStore(delta)
+            fresh: List[Fact] = []
+            for cr in compiled.all_rules.select(
+                    delta_store.relationships()):
+                for slots in cr.solutions(delta_store, store, context):
+                    for spec in cr.heads:
+                        fact = _materialize(spec, slots)
+                        if fact in store and fact not in endangered:
+                            endangered.add(fact)
+                            fresh.append(fact)
+            delta = fresh
 
-    # Phase 1: overdelete — fixpoint over "derivations through
-    # endangered facts".  Join each rule with one body atom pivoted
-    # over the endangered delta and the rest over the (still intact)
-    # closure; every head instance present in the closure becomes
-    # endangered too.
-    endangered: Set[Fact] = {deleted}
-    delta: List[Fact] = [deleted]
-    while delta:
-        delta_store = FactStore(delta)
-        fresh: List[Fact] = []
-        for rule, reordered in pivoted:
-            arity = len(reordered.body)
-            sources = [delta_store] + [store] * (arity - 1)
-            for fact, _binding in _fire(reordered, sources, context):
-                if fact in store and fact not in endangered:
-                    endangered.add(fact)
-                    fresh.append(fact)
-        delta = fresh
+        # Base facts other than the deleted one are never endangered:
+        # they are self-supporting.
+        endangered = {
+            fact for fact in endangered
+            if fact == deleted or fact not in base
+        }
+        stats.overdeleted = len(endangered)
 
-    # Base facts other than the deleted one are never endangered: they
-    # are self-supporting.
-    endangered = {
-        fact for fact in endangered if fact == deleted or fact not in base
-    }
-    stats.overdeleted = len(endangered)
-
-    # Phase 2: remove.
-    for fact in endangered:
-        store.discard(fact)
-        if result.provenance is not None:
-            result.provenance.pop(fact, None)
-
-    # Phase 3: rederive — endangered facts with a one-step derivation
-    # from the surviving closure come back; extend_closure-style
-    # propagation then restores their consequences.  Goal-directed:
-    # only derivations *of endangered facts* are attempted, so the
-    # cost tracks the deleted fact's cone of influence, not the heap.
-    rederived: List[Fact] = []
-    for fact in sorted(endangered):
-        if fact in store:
-            continue
-        justification = _rederive_once(fact, store, rules, context)
-        if justification is not None:
-            store.add(fact)
-            rederived.append(fact)
+        # Phase 2: remove.
+        for fact in endangered:
+            store.discard(fact)
             if result.provenance is not None:
-                result.provenance[fact] = justification
-    stats.rederived = len(rederived)
+                result.provenance.pop(fact, None)
 
-    if rederived:
-        before = len(store)
-        result.iterations += _semi_naive_rounds(
-            store, FactStore(rederived), pivoted, context,
-            result.rule_firings, provenance=result.provenance)
-        stats.propagated = len(store) - before
+        # Phase 3: rederive — endangered facts with a one-step
+        # derivation from the surviving closure come back;
+        # extend_closure's rounds then restore their consequences.
+        # Goal-directed: only derivations *of endangered facts* are
+        # attempted, so the cost tracks the deleted fact's cone of
+        # influence, not the heap.
+        rederived = FactStore()
+        for fact in sorted(endangered):
+            if fact in store:
+                continue
+            justification = _rederive_once(fact, store, rules, context)
+            if justification is not None:
+                store.add(fact)
+                rederived.add(fact)
+                if result.provenance is not None:
+                    result.provenance[fact] = justification
+        stats.rederived = len(rederived)
 
-    result.base_count -= 1
-    result.derived_count = len(store) - result.base_count
+        if rederived:
+            before = len(store)
+            result.iterations += run_rounds(
+                store, rederived, compiled.all_rules, context,
+                result.rule_firings, provenance=result.provenance,
+                rule_times=result.rule_times)
+            stats.propagated = len(store) - before
+
+        result.base_count -= 1
+        result.derived_count = len(store) - result.base_count
+        if observing:
+            span.set(overdeleted=stats.overdeleted,
+                     rederived=stats.rederived,
+                     propagated=stats.propagated)
     return stats
 
 
 def _rederive_once(fact: Fact, store: FactStore, rules: Sequence[Rule],
                    context: RuleContext) -> Optional[Justification]:
-    """One-step derivation of ``fact`` from ``store``, if any."""
-    from .lazy import _unify_head
-
-    goal = Template(*fact)
+    """One-step derivation of ``fact`` from ``store``, if any: a rule
+    whose head matches the fact and whose body, seeded with that
+    match's bindings, has a solution."""
     for rule in rules:
         for head in rule.head:
-            seed = _unify_head(head, goal)
+            seed = head.match(fact)
             if seed is None:
                 continue
-            for binding in _join_body(rule, dict(seed), store, context):
-                derived = head.substitute(binding).to_fact()
-                if derived == fact:
-                    return Justification(rule.name,
-                                         _premises(rule, binding))
+            binding = next(_join_body(rule, seed, store, context), None)
+            if binding is not None:
+                return Justification(rule.name, _premises(rule, binding))
     return None
 
 
-def _join_body(rule: Rule, binding, store: FactStore,
+def _join_body(rule: Rule, binding: Binding, store: FactStore,
                context: RuleContext):
     """Join a rule body against one store under an initial binding.
 

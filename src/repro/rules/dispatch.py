@@ -1,11 +1,17 @@
-"""The closure fast path: compiled joins, relationship-indexed rule
+"""The rule engine: compiled joins, relationship-indexed rule
 dispatch, and stratified fixpoint evaluation.
 
+This is the one rule engine :class:`~repro.db.Database` and ``serve/``
+run: the full closure (:func:`dispatched_closure`), insertion
+maintenance (:func:`.engine.extend_closure`) and both forward phases
+of Delete/Rederive (:mod:`.deletion`) all join through one
+:class:`CompiledRuleSet`.
+
 The paper leaves "suitable storage strategies [and] performance" open
-(§6.2).  The semi-naive engine (:mod:`.engine`) is correct but does far
-more work per round than the rule set requires: every pivoted rule body
-is re-joined through every delta, via generic template matching that
-allocates a binding dict per candidate.  The standard rules (§3) have
+(§6.2).  The interpreted semi-naive reference (:mod:`.engine`) is
+correct but does far more work per round than the rule set requires:
+every pivoted rule body is re-joined through every delta, via generic
+template matching that allocates a binding dict per candidate.  The standard rules (§3) have
 *ground* relationship positions in almost every body atom, which makes
 three classic deductive-database techniques apply directly:
 
@@ -276,8 +282,6 @@ def _compile_condition(condition: Condition,
         return _condition.holds(binding, context)
 
     needed = frozenset(slot_of[v] for v in variables if v in slot_of)
-    schedule_last = bool(missing) or not isinstance(
-        condition, (Distinct, IndividualRelationship, NotSpecial))
     # Unknown-but-fully-bindable conditions still schedule at their
     # earliest ready level; only unbindable ones must wait for the end.
     return fallback, needed, bool(missing)
@@ -298,7 +302,7 @@ class _Level:
 class CompiledRule:
     """One pivoted rule body compiled to a slot program.
 
-    ``order`` reproduces the interpreted engine's evaluation order
+    ``order`` reproduces the interpreted reference's evaluation order
     (rule-major, pivot-minor), so firing attribution and provenance
     stay identical for single-stratum rule sets.
     """

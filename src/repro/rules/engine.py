@@ -4,26 +4,33 @@
 be obtained by repeated application of the rules in R to the facts in P
 is called the closure of P under R."
 
-Two engines are provided:
+The engine :class:`~repro.db.Database` and ``serve/`` run is the
+compiled one in :mod:`.dispatch`.  The two interpreted engines here are
+the *references* it is checked against — the equivalence suites and
+benchmark F2 call them directly, and nothing on a served path does:
 
 * :func:`naive_closure` — re-derives everything each round until a
   fixpoint; the textbook baseline (benchmark F2).
-* :func:`semi_naive_closure` — the production engine: each round only
-  joins rule bodies through the *delta* (facts new in the previous
-  round), so quiescent parts of the database are never revisited.
+* :func:`semi_naive_closure` — each round only joins rule bodies
+  through the *delta* (facts new in the previous round), so quiescent
+  parts of the database are never revisited.
 
 Both return a :class:`ClosureResult` carrying the closed store and
-evaluation statistics.
+evaluation statistics — the result type every engine shares, together
+with :class:`Justification` and :func:`extend_closure` (insertion
+maintenance, which runs the compiled rounds).
 
 Example::
 
     from repro import Database
+    from repro.rules import STANDARD_RULES, semi_naive_closure
 
-    for engine in ("dispatched", "semi-naive", "naive"):
-        db = Database(engine=engine)
-        db.add("JOHN", "∈", "EMPLOYEE")
-        db.add("EMPLOYEE", "EARNS", "SALARY")
-        assert db.ask("(JOHN, EARNS, SALARY)")  # same derived closure
+    db = Database()
+    db.add("JOHN", "∈", "EMPLOYEE")
+    db.add("EMPLOYEE", "EARNS", "SALARY")
+    reference = semi_naive_closure(db.facts, STANDARD_RULES,
+                                   db.rule_context())
+    assert set(db.closure().store) == set(reference.store)
 """
 
 from __future__ import annotations
@@ -202,7 +209,8 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
                        context: RuleContext,
                        max_iterations: Optional[int] = None,
                        trace: bool = False) -> ClosureResult:
-    """Fixpoint by delta-driven evaluation (production engine).
+    """Fixpoint by delta-driven evaluation (the interpreted reference
+    of :func:`.dispatch.dispatched_closure`).
 
     Each round, every rule body is evaluated once per atom position,
     with that *pivot* atom restricted to the facts derived in the
@@ -279,18 +287,15 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
         if max_iterations is not None and iterations >= max_iterations:
             break
         iterations += 1
-        round_span = (_obs.TELEMETRY.span("closure.round",
-                                       engine="semi-naive",
-                                       round=iterations,
-                                       delta_in=len(delta))
+        round_span = (_obs.TELEMETRY.span("closure.round", **{
+                          "engine": "semi-naive", "round": iterations,
+                          "delta_in": len(delta)})
                       if observing else _obs.NULL_SPAN)
         with round_span as rspan:
             fresh: Set[Fact] = set()
             for rule, reordered in pivoted:
                 # Deadline checkpoint (see repro.core.deadline): a
-                # cancelled full closure is simply not cached; only
-                # incremental extension mutates shared state, and the
-                # serving layer never runs that under a deadline.
+                # cancelled full closure is simply not cached.
                 if _deadline.ACTIVE:
                     _deadline.check()
                 arity = len(reordered.body)
@@ -335,36 +340,34 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     result's store is extended **in place** (so live views over it stay
     valid); statistics are updated to cover the extension.
 
-    When ``compiled`` (a :class:`~repro.rules.dispatch.CompiledRuleSet`
-    for the same rules) is given, the rounds run through the dispatched
-    fast path — all strata behind one dispatch index, which is sound
-    for any delta and ideal here, where deltas are tiny and most rules
-    stay quiescent.
+    The rounds run through the dispatched fast path — all strata behind
+    one dispatch index, which is sound for any delta and ideal here,
+    where deltas are tiny and most rules stay quiescent.  ``compiled``
+    is the :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
+    (:meth:`RuleRegistry.compiled` caches one); compiled here when not
+    given.
 
     Only insertions can be maintained this way — a deletion may
-    invalidate derivations and requires recomputation (the caller
-    discards the cache in that case).
+    invalidate derivations and goes through Delete/Rederive
+    (:func:`~repro.rules.deletion.delete_with_rederivation`).
     """
+    from .dispatch import compile_ruleset, run_rounds
+
     delta = FactStore()
     for fact in new_facts:
         if result.store.add(fact):
             delta.add(fact)
     result.base_count += len(delta)
     if delta:
+        if compiled is None:
+            compiled = compile_ruleset(rules)
         extend_span = (_obs.TELEMETRY.span("closure.extend",
                                         new_facts=len(delta))
                        if _obs.ENABLED else _obs.NULL_SPAN)
         with extend_span:
-            if compiled is not None:
-                from .dispatch import run_rounds
-                result.iterations += run_rounds(
-                    result.store, delta, compiled.all_rules, context,
-                    result.rule_firings, provenance=result.provenance,
-                    rule_times=result.rule_times)
-            else:
-                result.iterations += _semi_naive_rounds(
-                    result.store, delta, _pivoted_rules(rules), context,
-                    result.rule_firings, provenance=result.provenance,
-                    rule_times=result.rule_times)
+            result.iterations += run_rounds(
+                result.store, delta, compiled.all_rules, context,
+                result.rule_firings, provenance=result.provenance,
+                rule_times=result.rule_times)
         result.derived_count = len(result.store) - result.base_count
     return result

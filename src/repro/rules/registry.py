@@ -41,7 +41,6 @@ class RuleRegistry:
         self._rules: Dict[str, Rule] = {}
         self._enabled: Dict[str, bool] = {}
         self._compiled = None  # cached CompiledRuleSet for enabled rules
-        self._pivoted = None   # cached pivot reorderings of the same
         for rule in (STANDARD_RULES if rules is None else rules):
             self.register(rule, enabled=enabled)
 
@@ -50,12 +49,7 @@ class RuleRegistry:
         """Add (or replace) a rule; newly registered rules default on."""
         self._rules[rule.name] = rule
         self._enabled[rule.name] = enabled
-        self._changed()
-
-    def _changed(self) -> None:
-        """Drop what was derived from the enabled rule set."""
         self._compiled = None
-        self._pivoted = None
 
     def _name_of(self, ref: RuleRef) -> str:
         name = ref.name if isinstance(ref, Rule) else ref
@@ -75,19 +69,19 @@ class RuleRegistry:
             self.register(ref, enabled=True)
             return
         self._enabled[self._name_of(ref)] = True
-        self._changed()
+        self._compiled = None
 
     def exclude(self, ref: RuleRef) -> None:
         """Disable a rule (the paper's ``exclude(rule)``)."""
         self._enabled[self._name_of(ref)] = False
-        self._changed()
+        self._compiled = None
 
     def remove(self, ref: RuleRef) -> None:
         """Forget a rule entirely."""
         name = self._name_of(ref)
         del self._rules[name]
         del self._enabled[name]
-        self._changed()
+        self._compiled = None
 
     # ------------------------------------------------------------------
     def is_enabled(self, ref: RuleRef) -> bool:
@@ -124,7 +118,7 @@ class RuleRegistry:
         for name, enabled in state.items():
             if name in self._rules:
                 self._enabled[name] = enabled
-        self._changed()
+        self._compiled = None
 
     def compiled(self):
         """The :class:`~repro.rules.dispatch.CompiledRuleSet` for the
@@ -139,16 +133,3 @@ class RuleRegistry:
             from .dispatch import compile_ruleset
             self._compiled = compile_ruleset(list(self))
         return self._compiled
-
-    def pivoted(self):
-        """The enabled rules' pivot reorderings
-        (:func:`~repro.rules.engine._pivoted_rules`), cached like
-        :meth:`compiled`: Delete/Rederive joins through them on every
-        removal, and building the reordered :class:`Rule` objects for
-        the standard rules takes a quarter of a millisecond — 11–12 %
-        of a removal on a 21 k-fact heap (paired, 269 and 290 of 300
-        removals faster with the cache)."""
-        if self._pivoted is None:
-            from .engine import _pivoted_rules
-            self._pivoted = _pivoted_rules(list(self))
-        return self._pivoted

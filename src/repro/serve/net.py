@@ -77,6 +77,7 @@ Example (in-process round trip)::
 from __future__ import annotations
 
 import json
+import shlex
 import socket
 import socketserver
 import threading
@@ -698,7 +699,7 @@ class RemoteShell:
             raise EOFError
         if command == "help":
             return ("commands: (template) | query Q | ask Q | try ENTITY |"
-                    " probe Q | add S R T | remove S R T | limit N |"
+                    " probe Q | add S R T | remove S R T | limit N|off |"
                     " rule NAME TEXT | include NAME | exclude NAME |"
                     " stats | metrics | slowlog [N] | trace on|off|last |"
                     " checkpoint | ping | quit")
@@ -725,21 +726,30 @@ class RemoteShell:
             lines += ["(" + ", ".join(row) + ")"
                       for row in outcome["value"]]
             return "\n".join(lines)
-        if command == "add":
-            source, relationship, target = rest.split()
-            added = client.add(source, relationship, target)
-            return "added" if added else "already present"
-        if command == "remove":
-            source, relationship, target = rest.split()
-            removed = client.remove(source, relationship, target)
-            return "removed" if removed else "not present"
+        if command in ("add", "remove"):
+            try:
+                words = shlex.split(rest)
+            except ValueError as error:
+                return f"error: {error}"
+            if len(words) != 3:
+                return f"usage: {command} SOURCE RELATIONSHIP TARGET"
+            if command == "add":
+                return "added" if client.add(*words) else "already present"
+            return "removed" if client.remove(*words) else "not present"
         if command == "limit":
-            value = None if rest.strip().lower() == "none" else int(rest)
-            client.limit(value)
-            return f"composition limit = {value}"
+            word = rest.lower()
+            if word in ("off", "none", "unlimited"):
+                client.limit(None)
+                return "composition unlimited"
+            if not word.isdigit() or int(word) < 1:
+                return "usage: limit N  (1 disables; 'off' = unlimited)"
+            client.limit(int(word))
+            return f"composition limit set to {word}"
         if command == "rule":
-            name, text = rest.split(None, 1)
-            return "defined " + client.define_rule(name, text)
+            words = rest.split(None, 1)
+            if len(words) != 2:
+                return "usage: rule NAME BODY => HEAD [where GUARDS]"
+            return "defined " + client.define_rule(*words)
         if command == "include":
             client.include(rest.strip())
             return f"included {rest.strip()}"
@@ -767,8 +777,9 @@ class RemoteShell:
                     f" p99={histogram['p99'] * 1000:.3f}ms")
             return "\n".join(lines) or "(no metrics collected)"
         if command == "slowlog":
-            limit = int(rest) if rest.strip() else 10
-            log = client.slowlog(limit=limit)
+            if rest and not rest.isdigit():
+                return "usage: slowlog [N]"
+            log = client.slowlog(limit=int(rest or 10))
             if not log["records"]:
                 return f"slow queries: {log['total']} total, none retained"
             lines = [f"slow queries: {log['total']} total"]

@@ -132,7 +132,6 @@ class GenerationBootstrap:
     rules: List[Rule]
     enabled: Dict[str, bool]
     composition_limit: Optional[int]
-    engine: str
     version: int
     store_version: int
     closure_version: int
@@ -181,7 +180,6 @@ class GenerationBootstrap:
             rules=snap.rules.all_rules(),
             enabled=snap.rules.snapshot_state(),
             composition_limit=snap.composition_limit,
-            engine=snap.engine,
             version=version,
             store_version=base.version,
             closure_version=result.store.version,
@@ -206,16 +204,16 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     :class:`~repro.core.interned.InternedFactStore` over the
     parent-owned shared segment: zero fact copying, and the replica's
     incremental memory is its overlay plus whatever facts its reads
-    decode.  It keeps incremental maintenance on (deltas extend the
-    attached closure in place) and never auto-checks: integrity was
-    the primary's job at write admission.  Deltas in ``state.deltas``
-    are **not** applied here — the caller replays them so it can track
-    the resulting version (see :func:`replica_main`).
+    decode.  Deltas extend the attached closure in place, and it
+    never auto-checks: integrity was the primary's job at write
+    admission.  Deltas in ``state.deltas`` are **not** applied here —
+    the caller replays them so it can track the resulting version (see
+    :func:`replica_main`).
     """
     from ..core.interned import InternedFactStore
     from ..rules.engine import ClosureResult
 
-    db = Database(with_axioms=False, engine=state.engine)
+    db = Database(with_axioms=False)
     base = InternedFactStore.attach(state.base_handle)
     base._version = state.store_version  # noqa: SLF001
     db._base = base  # noqa: SLF001
@@ -243,8 +241,8 @@ def release_attached_stores(db: Database) -> None:
     Called when a worker swaps to the generations of the writer's next
     fold; process exit would release them anyway, but an explicit close
     keeps the old segment's pages reclaimable as soon as the pool
-    unlinks it.  (Every closure engine seeds its store from the base
-    heap's type, so all three are interned stores.)
+    unlinks it.  (The closure seeds its store from the base heap's
+    type, so all three are interned stores.)
     """
     results = (db._standard_result, db._full_result)  # noqa: SLF001
     for store in [db.facts] + [r.store for r in results if r is not None]:

@@ -151,31 +151,6 @@ class FactView:
             if virtual_fact not in seen:
                 yield virtual_fact
 
-    def match_many(self, patterns: Sequence[Template]) -> List[List[Fact]]:
-        """Batched :meth:`match`: one result list per input pattern.
-
-        Falls back to per-pattern :meth:`FactStore.match` when the
-        underlying store lacks a ``match_many`` (e.g. the lazy rules
-        engine), so the set-at-a-time executor can run over any store.
-        """
-        store_many = getattr(self.store, "match_many", None)
-        if store_many is not None:
-            stored = store_many(patterns)
-        else:
-            stored = [list(self.store.match(p)) for p in patterns]
-        virtual = self.virtual.match_many(patterns, self.store)
-        merged: List[List[Fact]] = []
-        for stored_batch, virtual_batch in zip(stored, virtual):
-            if not virtual_batch:
-                merged.append(stored_batch)
-                continue
-            seen = set(stored_batch)
-            combined = list(stored_batch)
-            combined.extend(
-                f for f in virtual_batch if f not in seen)
-            merged.append(combined)
-        return merged
-
     def solutions(self, pattern: Template,
                   binding: Optional[Binding] = None) -> Iterator[Binding]:
         """All extended bindings under which ``pattern`` matches."""

@@ -23,10 +23,6 @@ class TestConstruction:
         db = Database([Fact("A", "R", "B")])
         assert Fact("A", "R", "B") in db.facts
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Database(engine="quantum")
-
     def test_repr(self):
         text = repr(Database())
         assert "facts" in text and "rules" in text
@@ -58,21 +54,13 @@ class TestClosureLifecycle:
         assert paper_db.closure() is first
 
     def test_insertion_maintained_incrementally(self, paper_db):
-        """With the default incremental mode, insertion extends the
-        cached closure in place instead of discarding it."""
+        """Insertion extends the cached closure in place instead of
+        discarding it."""
         first = paper_db.closure()
         paper_db.add("NEW", "R", "B")
         after = paper_db.closure()
         assert after is first
         assert Fact("NEW", "R", "B") in after.store
-
-    def test_insertion_recomputes_when_incremental_off(self):
-        from repro.datasets import paper as paper_dataset
-
-        db = paper_dataset.load(Database(incremental=False))
-        first = db.closure()
-        db.add("NEW", "R", "B")
-        assert db.closure() is not first
 
     def test_removal_maintained_by_delete_rederive(self, paper_db):
         paper_db.add("NEW", "R", "B")
@@ -81,15 +69,6 @@ class TestClosureLifecycle:
         after = paper_db.closure()
         assert after is first  # maintained in place
         assert Fact("NEW", "R", "B") not in after.store
-
-    def test_removal_recomputes_when_incremental_off(self):
-        from repro.datasets import paper as paper_dataset
-
-        db = paper_dataset.load(Database(incremental=False))
-        db.add("NEW", "R", "B")
-        first = db.closure()
-        db.remove_fact(Fact("NEW", "R", "B"))
-        assert db.closure() is not first
 
     def test_classification_declaration_invalidates(self, paper_db):
         """(r, ∈, R_c) is non-monotone for the closure: it must force

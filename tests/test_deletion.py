@@ -1,7 +1,7 @@
 """Delete/Rederive (DRed) tests: equivalence with recomputation under
-arbitrary deletion sequences on every store kind, alternative-derivation
-survival, provenance pruning, and the rederive join's cost on a wide
-class."""
+arbitrary deletion sequences on every store kind and under ablated rule
+sets, alternative-derivation survival, provenance pruning and
+grounding, and the rederive join's cost on a wide class."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from repro.core.store import FactStore
 from repro.db import Database
 from repro.rules.builtin import STANDARD_RULES
 from repro.rules.deletion import delete_with_rederivation
-from repro.rules.engine import _pivoted_rules, semi_naive_closure
+from repro.rules.engine import semi_naive_closure
+from repro.rules.provenance import explain_fact
 from repro.rules.rule import RelationshipClassifier, RuleContext
-
-
-STANDARD_PIVOTED = _pivoted_rules(STANDARD_RULES)
 
 
 def _closure_of(facts):
@@ -38,8 +36,7 @@ class TestDeleteWithRederivation:
         base.discard(deleted)
         context = RuleContext(classifier=RelationshipClassifier(base))
         stats = delete_with_rederivation(result, base, deleted,
-                                         STANDARD_RULES, context,
-                                         STANDARD_PIVOTED)
+                                         STANDARD_RULES, context)
         assert Fact("JOHN", "EARNS", "SALARY") not in result.store
         assert stats.overdeleted >= 2
 
@@ -54,8 +51,7 @@ class TestDeleteWithRederivation:
         base.discard(deleted)
         context = RuleContext(classifier=RelationshipClassifier(base))
         stats = delete_with_rederivation(result, base, deleted,
-                                         STANDARD_RULES, context,
-                                         STANDARD_PIVOTED)
+                                         STANDARD_RULES, context)
         assert Fact("B", "R", "X") in result.store
         assert Fact("A", "R", "X") in result.store  # via syn-source
         assert stats.rederived >= 1
@@ -66,8 +62,7 @@ class TestDeleteWithRederivation:
         base = FactStore(facts)
         context = RuleContext(classifier=RelationshipClassifier(base))
         stats = delete_with_rederivation(
-            result, base, Fact("Z", "Z", "Z"), STANDARD_RULES, context,
-            STANDARD_PIVOTED)
+            result, base, Fact("Z", "Z", "Z"), STANDARD_RULES, context)
         assert stats.overdeleted == 0
         assert Fact("A", "R", "B") in result.store
 
@@ -79,8 +74,7 @@ class TestDeleteWithRederivation:
         base.discard(deleted)
         context = RuleContext(classifier=RelationshipClassifier(base))
         delete_with_rederivation(result, base, deleted,
-                                 STANDARD_RULES, context,
-                                 STANDARD_PIVOTED)
+                                 STANDARD_RULES, context)
         assert Fact("B", ISA, "C") in result.store
         assert Fact("A", ISA, "C") not in result.store
 
@@ -190,21 +184,25 @@ def test_rederive_cost_does_not_grow_with_the_class(monkeypatch, interned):
 
 # ----------------------------------------------------------------------
 # Property: DRed equals recomputation for arbitrary add/remove
-# sequences with reads interleaved, whatever the stores are made of.
+# sequences with reads interleaved, whatever the stores are made of
+# and whichever standard rules are switched off.
 # ----------------------------------------------------------------------
 _entities = st.sampled_from(["A", "B", "C", "D"])
 _relationships = st.sampled_from(["R", "S", ISA, MEMBER, SYN, INV])
 _facts = st.builds(Fact, _entities, _relationships, _entities)
+_rule_names = st.sampled_from([rule.name for rule in STANDARD_RULES])
 
 #: Unify the head ``(z, R, y)`` with a goal and the *second* atom is
 #: the bound, selective one; the first still has a free source.
 _WIDE_FIRST = "(x, R, y) and (z, S, x) => (z, R, y)"
 
 
-def _database(wide_first: bool) -> Database:
+def _database(wide_first: bool, excluded=()) -> Database:
     db = Database(with_axioms=False, trace=True)
     if wide_first:
         db.define_rule("wide-first", _WIDE_FIRST)
+    for name in sorted(excluded):
+        db.exclude(name)
     return db
 
 
@@ -227,20 +225,8 @@ def _materialize(db: Database, facts, kind: str) -> None:
     db.closure()
 
 
-def _check_dred_equals_recomputation(kind, wide_first, initial, removals):
-    incremental = _database(wide_first)
-    _materialize(incremental, initial, kind)
-    survivors = list(dict.fromkeys(initial))
-    for index in removals:
-        if not survivors:
-            break
-        target = survivors[index % len(survivors)]
-        survivors.remove(target)
-        incremental.remove_fact(target)
-        incremental.closure()
-    fresh = _database(wide_first)
-    fresh.add_facts(survivors)
-    maintained, recomputed = incremental.closure(), fresh.closure()
+def _assert_equals_recomputation(maintained_db, fresh_db, survivors):
+    maintained, recomputed = maintained_db.closure(), fresh_db.closure()
     assert set(maintained.store) == set(recomputed.store)
     # Provenance: exactly the derived facts carry a justification,
     # before and after — pruned for what fell, fresh for what came back.
@@ -250,50 +236,84 @@ def _check_dred_equals_recomputation(kind, wide_first, initial, removals):
     justified = set(maintained.provenance) - set(survivors)
     assert justified == set(recomputed.provenance)
     assert justified == set(maintained.store) - set(survivors)
+    # … and every one of those chains grounds out in what is stored now
+    # (``explain_fact`` raises on a missing or cyclic justification).
+    for derived in justified:
+        explain_fact(derived, maintained_db.facts, maintained.provenance)
+
+
+def _check_dred_equals_recomputation(kind, wide_first, excluded, initial,
+                                     removals):
+    incremental = _database(wide_first, excluded)
+    _materialize(incremental, initial, kind)
+    survivors = list(dict.fromkeys(initial))
+    for index in removals:
+        if not survivors:
+            break
+        target = survivors[index % len(survivors)]
+        survivors.remove(target)
+        incremental.remove_fact(target)
+        incremental.closure()
+    fresh = _database(wide_first, excluded)
+    fresh.add_facts(survivors)
+    _assert_equals_recomputation(incremental, fresh, survivors)
 
 
 _dred_cases = given(initial=st.lists(_facts, min_size=1, max_size=10),
                     removals=st.lists(st.integers(0, 9), max_size=5),
-                    wide_first=st.booleans())
+                    wide_first=st.booleans(),
+                    excluded=st.sets(_rule_names, max_size=4))
 
 
 @settings(max_examples=40, deadline=None)
 @_dred_cases
-def test_dred_equals_recomputation(initial, removals, wide_first):
-    _check_dred_equals_recomputation("plain", wide_first, initial,
-                                     removals)
+def test_dred_equals_recomputation(initial, removals, wide_first, excluded):
+    _check_dred_equals_recomputation("plain", wide_first, excluded,
+                                     initial, removals)
 
 
 @pytest.mark.parametrize("kind", ["interned", "interned+overlay"])
 @settings(max_examples=40, deadline=None)
 @_dred_cases
 def test_dred_equals_recomputation_on_interned_stores(
-        kind, initial, removals, wide_first):
-    _check_dred_equals_recomputation(kind, wide_first, initial, removals)
+        kind, initial, removals, wide_first, excluded):
+    _check_dred_equals_recomputation(kind, wide_first, excluded, initial,
+                                     removals)
 
 
 @settings(max_examples=25, deadline=None)
 @given(initial=st.lists(_facts, min_size=2, max_size=10),
-       flips=st.lists(st.tuples(st.booleans(), st.integers(0, 9)),
-                      max_size=8))
-def test_mixed_add_remove_equals_recomputation(initial, flips):
-    """Random interleavings of insertion (extend) and deletion (DRed)
-    against the same final state recomputed fresh."""
-    incremental = Database(with_axioms=False)
+       flips=st.lists(st.tuples(st.sampled_from(["add", "remove", "toggle"]),
+                                st.integers(0, 9)),
+                      max_size=8),
+       excluded=st.sets(_rule_names, max_size=4))
+def test_mixed_add_remove_equals_recomputation(initial, flips, excluded):
+    """Random interleavings of insertion (extend), deletion (DRed) and
+    rule toggles (``include`` / ``exclude``) against the same final
+    state recomputed fresh."""
+    incremental = _database(False, excluded)
     incremental.add_facts(initial)
     present = list(dict.fromkeys(initial))
+    excluded = set(excluded)
     extra_pool = [Fact("E", "R", e) for e in ("A", "B", "C", "D")]
-    for add, index in flips:
+    for kind, index in flips:
         incremental.closure()
-        if add:
+        if kind == "add":
             fact = extra_pool[index % len(extra_pool)]
             if fact not in present:
                 present.append(fact)
             incremental.add_fact(fact)
+        elif kind == "toggle":
+            name = STANDARD_RULES[index % len(STANDARD_RULES)].name
+            if name in excluded:
+                incremental.include(name)
+            else:
+                incremental.exclude(name)
+            excluded ^= {name}
         elif present:
             fact = present[index % len(present)]
             present.remove(fact)
             incremental.remove_fact(fact)
-    fresh = Database(with_axioms=False)
+    fresh = _database(False, excluded)
     fresh.add_facts(present)
-    assert set(incremental.closure().store) == set(fresh.closure().store)
+    _assert_equals_recomputation(incremental, fresh, present)

@@ -1,10 +1,13 @@
 """Documentation health: examples execute, links resolve, the
-metric catalog matches the code.
+metric catalog matches the code, and the served path names one rule
+engine.
 
 Thin pytest wrapper over ``tools/docs_check.py`` so the docs gate runs
 with the tier-1 suite as well as in its dedicated CI job.
 """
 
+import importlib
+import re
 import sys
 import unittest
 from pathlib import Path
@@ -41,6 +44,25 @@ class TestDocumentation(unittest.TestCase):
         for lineno, source in blocks:
             self.assertGreater(lineno, 0)
             self.assertTrue(source.strip())
+
+    def test_the_served_path_names_no_interpreted_engine(self):
+        """``Database`` and ``serve/`` run the compiled rule set only:
+        the interpreted references stay importable for the equivalence
+        suites, but nothing on the served path spells their names, and
+        the lazy engine is gone."""
+        package = ROOT / "src" / "repro"
+        served = [package / "db.py", package / "rules" / "deletion.py",
+                  package / "rules" / "registry.py",
+                  *sorted((package / "serve").glob("*.py"))]
+        interpreted = re.compile(
+            r"\b(naive_closure|semi_naive_closure|_semi_naive_rounds"
+            r"|_fire|_pivoted_rules)\b")
+        for path in served:
+            self.assertEqual(
+                interpreted.findall(path.read_text(encoding="utf-8")), [],
+                path.name)
+        with self.assertRaises(ModuleNotFoundError):
+            importlib.import_module("repro.rules.lazy")
 
 
 if __name__ == "__main__":

@@ -127,14 +127,6 @@ class TestBrowsing:
             pytest.fail("expected the FEATURE-FILM retraction")
 
 
-class TestLazyOnFilms:
-    def test_lazy_equals_materialized(self, film_db):
-        for text in ("(TARKOVSKY, DIRECTED, y)",
-                     "(x, HELMED-BY, KUBRICK)",
-                     "(x, in, SF)"):
-            assert film_db.query_lazy(text) == film_db.query(text), text
-
-
 class TestProvenanceOnFilms:
     def test_why_synonym_bridge(self):
         db = movies.load(Database(trace=True))

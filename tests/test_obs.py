@@ -277,6 +277,49 @@ class TestEngineInstrumentation:
         result = semi_naive_closure(facts, STANDARD_RULES, _context(facts))
         assert result.rule_times == {}
 
+    def test_one_delete_span_per_removal_carries_its_stats(
+            self, monkeypatch):
+        """One ``remove`` over a service is exactly one
+        ``closure.delete`` span, and its three counts are the
+        ``DeletionStats`` Delete/Rederive returned."""
+        import dataclasses
+
+        import repro.db as db_module
+        from repro.serve import DatabaseService
+
+        returned = []
+        real = db_module.delete_with_rederivation
+
+        def recording(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(db_module, "delete_with_rederivation",
+                            recording)
+        service = DatabaseService(paper.load())
+        try:
+            service.add("SUE", "∈", "EMPLOYEE")
+            with use_telemetry(Telemetry()) as telemetry:
+                assert service.remove("SUE", "∈", "EMPLOYEE")
+        finally:
+            service.close()
+        (span,) = telemetry.spans("closure.delete")
+        (stats,) = returned
+        assert stats.overdeleted > 1      # SUE's inherited facts fell too
+        assert span.attributes == dataclasses.asdict(stats)
+
+    def test_removal_makes_no_telemetry_call_when_off(self, monkeypatch):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"telemetry call while off: {name}")
+
+        db = paper.load()
+        db.add("SUE", "∈", "EMPLOYEE")
+        db.closure()
+        monkeypatch.setattr(telemetry_module, "TELEMETRY", Untouchable())
+        assert db.remove_fact(Fact("SUE", "∈", "EMPLOYEE"))
+        assert not db.ask("(SUE, EARNS, SALARY)")
+
 
 class TestQueryInstrumentation:
     def test_conjunct_records_match_execution(self):

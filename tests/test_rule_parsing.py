@@ -112,12 +112,6 @@ class TestDefineRule:
         db.exclude("sym")
         assert not db.ask("(B, KNOWS, A)")
 
-    def test_defined_rules_work_lazily_too(self):
-        db = Database()
-        db.define_rule("sym", "(a, KNOWS, b) => (b, KNOWS, a)")
-        db.add("A", "KNOWS", "B")
-        assert db.query_lazy("(B, KNOWS, x)") == {("A",)}
-
     def test_defined_rules_traced(self):
         db = Database(trace=True)
         db.define_rule("sym", "(a, KNOWS, b) => (b, KNOWS, a)")

@@ -362,3 +362,33 @@ class TestRemoteShell:
     def test_unknown_command(self, served):
         output = self.run_shell(served, "shazam\nquit\n")
         assert "unknown command" in output
+
+    def test_arguments_parse_like_the_local_shell(self, served):
+        """``execute`` answers every spelling with text: quoted
+        entities are one argument, ``limit off`` is the documented
+        spelling, and wrong arity gets the local shell's usage line
+        (all of these raised out of ``execute``)."""
+        service, (host, port) = served
+        with ServiceClient(host, port) as client:
+            shell = RemoteShell(client)
+            assert shell.execute('add "JOHN SMITH" ∈ EMPLOYEE') == "added"
+            assert shell.execute("ask ('JOHN SMITH', EARNS, SALARY)") \
+                == "yes"
+            assert shell.execute('remove "JOHN SMITH" ∈ EMPLOYEE') \
+                == "removed"
+            assert shell.execute("add A B") \
+                == "usage: add SOURCE RELATIONSHIP TARGET"
+            assert shell.execute("remove A B") \
+                == "usage: remove SOURCE RELATIONSHIP TARGET"
+            assert shell.execute('add "A B C').startswith("error: ")
+            for word in ("off", "none", "UNLIMITED"):
+                assert shell.execute(f"limit {word}") \
+                    == "composition unlimited"
+                assert service.read_view().composition_limit is None
+            assert shell.execute("limit 2") \
+                == "composition limit set to 2"
+            assert service.read_view().composition_limit == 2
+            for bad in ("limit", "limit 0", "limit two", "limit 1 2"):
+                assert shell.execute(bad).startswith("usage: limit N")
+            assert shell.execute("rule lonely").startswith("usage: rule")
+            assert shell.execute("slowlog many") == "usage: slowlog [N]"
