@@ -1274,14 +1274,6 @@ class InternedFactStore(FactStore):
                     out.append(i)
         return out
 
-    def index_for(self, spec: str) -> "_CSRIndexView":
-        """A read handle over one access pattern, API-compatible with
-        the hash store's index dicts (``.get(key, default)``) but
-        backed by integer CSR probes."""
-        if spec not in ("s", "r", "t", "sr", "st", "rt"):
-            raise KeyError(f"no index for position spec {spec!r}")
-        return _CSRIndexView(self, spec)
-
     def count_estimate(self, pattern: Template,
                        binding=None) -> int:
         """Exact match count for patterns without repeated variables.
@@ -1324,34 +1316,3 @@ class InternedFactStore(FactStore):
         if self._overlay._facts:  # noqa: SLF001 - C-level truth test
             total += len(self._overlay.lookup(s, r, t))
         return total
-
-
-class _CSRIndexView:
-    """Mapping-style view over one interned access pattern.
-
-    Supports exactly the protocol the compiled executor uses on the
-    hash store's index dicts: ``handle.get(key, default)`` where key is
-    an entity (single-position specs) or an entity pair.
-    """
-
-    __slots__ = ("_store", "_spec", "_positions")
-
-    def __init__(self, store: InternedFactStore, spec: str):
-        self._store = store
-        self._spec = spec
-        self._positions = tuple(_POSITION[letter] for letter in spec)
-
-    def get(self, key, default=None):
-        if len(self._spec) == 1:
-            components: Tuple[Optional[str], ...] = (key,)
-        else:
-            components = tuple(key)
-        args: List[Optional[str]] = [None, None, None]
-        for p, value in zip(self._positions, components):
-            args[p] = value
-        store = self._store
-        matches = list(store._merged(*args))  # noqa: SLF001
-        return matches if matches else default
-
-    def __contains__(self, key) -> bool:
-        return bool(self.get(key))

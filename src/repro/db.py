@@ -42,8 +42,7 @@ from .operators.ops import (
 from .query.ast import Query
 from .query.evaluate import Evaluator
 from .query.exec import CompiledEvaluator
-from .query.parser import parse_template
-from .query.plancache import PlanCache
+from .query.parser import parse_query_memo, parse_template
 from .rules.composition import COMPOSITION_OFF, compose_closure
 from .rules.dispatch import dispatched_closure
 from .rules.engine import ClosureResult, extend_closure
@@ -132,11 +131,6 @@ class Database:
         self._hierarchy_stale = False
         self._hierarchy_rebuilds = 0
         self._hierarchy_patches = 0
-        # Parse + compiled-plan cache, keyed on canonical query text
-        # and the configuration epoch; shared with snapshots so plans
-        # stay warm across publications (repro.query.plancache).
-        self._config_epoch = 0
-        self._plan_cache = PlanCache()
         self._on_mutation = None  # set by storage.DurableSession.attach
         if with_axioms:
             self._base.add_all(AXIOM_FACTS)
@@ -282,11 +276,9 @@ class Database:
         :class:`~repro.core.errors.FrozenStoreError`), the cached
         closure layers are copied so later incremental maintenance of
         *this* database cannot tear them, and the rule registry state
-        is duplicated.  The plan cache is **shared**: entries are keyed
-        on canonical text and configuration epoch and revalidated
-        against the caller's data token, so publishing a snapshot keeps
-        plans warm for free.  No answer is carried over: a snapshot
-        computes every read it is asked.
+        is duplicated.  No plan and no answer is carried over: a
+        snapshot lowers and computes every read it is asked, against
+        its own view.
 
         This is the publication primitive of
         :class:`repro.serve.DatabaseService`: the single writer mutates
@@ -337,8 +329,6 @@ class Database:
         clone._hierarchy_patches = 0
         if self._hierarchy is not None:
             self._hierarchy_shared = True
-        clone._plan_cache = self._plan_cache       # shared (thread-safe)
-        clone._config_epoch = self._config_epoch
         clone._on_mutation = None
         return clone
 
@@ -369,8 +359,7 @@ class Database:
         store) is rebuilt as an
         :class:`~repro.core.interned.InternedFactStore`: one frozen
         columnar generation of interned-id arrays with CSR indexes,
-        plus an empty mutable overlay.  Store versions are preserved,
-        so the data token does not move and cached plans stay valid —
+        plus an empty mutable overlay.  Store versions are preserved:
         the representation changes, the database state does not.
 
         Compaction pays one O(n log n) rebuild to make everything
@@ -521,18 +510,6 @@ class Database:
         self._hierarchy = None
         self._hierarchy_bound = None
         self._hierarchy_isa = -1
-        # Rule/limit/classification changes alter results without
-        # necessarily moving the base version; the epoch covers them.
-        self._config_epoch += 1
-
-    def _data_token(self) -> Tuple[int, int, Optional[int]]:
-        """What cached plans are revalidated against: any
-        answer-changing event moves at least one component.  Base
-        mutations move the store version (including the
-        incremental-extension path, which bypasses
-        :meth:`_invalidate`); everything else bumps the epoch."""
-        return (self._base.version, self._config_epoch,
-                self._composition_limit)
 
     def rule_context(self) -> RuleContext:
         return RuleContext(classifier=RelationshipClassifier(self._base))
@@ -697,18 +674,14 @@ class Database:
     def evaluator(self) -> Evaluator:
         cls = (CompiledEvaluator if self.query_engine == "compiled"
                else Evaluator)
-        return cls(self.view(), plans=self._plan_cache,
-                   plan_epoch=(self._config_epoch,
-                               self._composition_limit),
-                   data_token=self._data_token())
+        return cls(self.view())
 
     def query(self, query: Union[str, Query]) -> Set[tuple]:
         """The value {Q} of a query: the set of satisfying tuples.
 
-        Text goes straight to the evaluator: the plan cache parses and
-        compiles it at most once per canonical spelling (per
-        configuration epoch) — :meth:`ask` and :meth:`succeeds` share
-        the same entries.
+        Text goes straight to the evaluator, which parses it through
+        the parse memo (:func:`~repro.query.parser.parse_query_memo`)
+        and lowers a plan for this call alone.
         """
         return self.evaluator().evaluate(query)
 
@@ -744,21 +717,21 @@ class Database:
         """Evaluate with automatic retraction on failure (§5.2).
 
         By default the retraction search runs through the configured
-        ``query_engine`` with the shared plan cache.  ``engine``
-        (``"compiled"`` / ``"reference"``) is the equivalence suite's
-        escape hatch: it probes through a bare evaluator of that
-        engine, with no plan cache either.
+        ``query_engine``.  ``engine`` (``"compiled"`` /
+        ``"reference"``) is the equivalence suite's escape hatch: it
+        probes through an evaluator of that engine instead.
         """
+        if isinstance(query, str):
+            # One parse per spelling, shared with query / ask.
+            query = parse_query_memo(query)
         if engine is None:
-            if isinstance(query, str):
-                # One parse per spelling, shared with query / ask.
-                query = self._plan_cache.parse(query)
-            return probe(self.evaluator(), query, self.hierarchy(),
-                         max_waves=max_waves)
-        if engine not in ("compiled", "reference"):
+            evaluator = self.evaluator()
+        elif engine in ("compiled", "reference"):
+            cls = CompiledEvaluator if engine == "compiled" else Evaluator
+            evaluator = cls(self.view())
+        else:
             raise ValueError(f"unknown query engine: {engine!r}")
-        cls = CompiledEvaluator if engine == "compiled" else Evaluator
-        return probe(cls(self.view()), query, self.hierarchy(),
+        return probe(evaluator, query, self.hierarchy(),
                      max_waves=max_waves)
 
     # ------------------------------------------------------------------
@@ -824,11 +797,12 @@ class Database:
             "iterations": closure.iterations,
             "rule_firings": dict(closure.rule_firings),
             "rule_times": dict(closure.rule_times),
-            # There is no result cache.  ``benchmarks/macro/ladder.py``
-            # (which a PR may not edit) still indexes these three keys;
-            # literal zeros until ROADMAP item 1 re-bases the contract.
+            # There is no result cache and no plan cache.
+            # ``benchmarks/macro/ladder.py`` (which a PR may not edit)
+            # still indexes these keys; literal zeros until ROADMAP
+            # item 1 re-bases the contract.
             "result_cache": {"hits": 0, "misses": 0, "evictions": 0},
-            "plan_cache": self._plan_cache.stats(),
+            "plan_cache": {"hits": 0, "misses": 0, "recompiles": 0},
             "hierarchy": self._hierarchy_stats(),
             "store": self.store_shape(),
         }

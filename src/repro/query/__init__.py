@@ -30,10 +30,9 @@ from .ast import (
     exists,
     forall,
 )
-from .canonical import canonical_form, canonical_text
+from .canonical import canonical_form
 from .compile import CompiledPlan, compile_query
 from .evaluate import Evaluator, check_safety, limited_variables
-from .plancache import PlanCache, PlanEntry, classify
 from .exec import (
     BindingTable,
     CompiledEvaluator,
@@ -48,9 +47,8 @@ from .reference import brute_force_evaluate
 
 __all__ = [
     "And", "Atom", "Exists", "ForAll", "Formula", "Or", "Query", "atom",
-    "exists", "forall", "canonical_form", "canonical_text",
+    "exists", "forall", "canonical_form",
     "CompiledPlan", "compile_query",
-    "PlanCache", "PlanEntry", "classify",
     "Evaluator", "check_safety", "limited_variables", "BindingTable",
     "CompiledEvaluator", "OperatorStats", "PlanRun", "execute_plan",
     "Explanation", "PlanStep", "explain", "ALIASES",

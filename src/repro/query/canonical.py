@@ -1,4 +1,4 @@
-"""Canonical forms for conjunctive queries and query text.
+"""Canonical forms for conjunctive queries.
 
 Probing (§5.2) explores a lattice of generalized queries wave by wave;
 two different generalization paths frequently produce the *same* query
@@ -6,25 +6,6 @@ two different generalization paths frequently produce the *same* query
 duplicates, queries are keyed by a canonical form: templates sorted,
 variables renamed by order of appearance in the sorted form, with free
 (output) variables kept distinct from existential ones.
-
-The second surface, :func:`canonical_text`, serves the plan cache
-(:mod:`repro.query.plancache`): two spellings of the same query text
-that differ only in insignificant whitespace normalize to one cache
-key, so neither pays for a second parse or compile.  Normalization is
-deliberately cheaper than parsing — it must run on every request —
-and deliberately conservative: alias spellings (``in`` vs ``∈``) are
-*not* folded (they occupy separate, individually correct entries), and
-text containing a quote character is left untouched because whitespace
-inside a quoted entity is significant.
-
-Example::
-
-    from repro.query.canonical import canonical_text
-
-    assert canonical_text("(x, ∈,  BOOK)") == "(x, ∈, BOOK)"
-    assert canonical_text("  (x, ∈, BOOK)\\n") == "(x, ∈, BOOK)"
-    # Quoted entities may contain significant whitespace: no collapse.
-    assert canonical_text('(x, ∈, "A  B")') == '(x, ∈, "A  B")'
 """
 
 from __future__ import annotations
@@ -34,20 +15,6 @@ from typing import Dict, Sequence, Tuple
 from ..core.facts import Component, Template, Variable
 
 CanonicalForm = Tuple[Tuple[Tuple[str, str], ...], ...]
-
-
-def canonical_text(text: str) -> str:
-    """The plan-cache key for raw query text.
-
-    Collapses runs of whitespace to single spaces and strips the ends —
-    the only transformations guaranteed not to change what
-    :func:`~repro.query.parser.parse_query` produces.  Text containing
-    a quote character (where inner whitespace can be entity content) is
-    only stripped.
-    """
-    if '"' in text or "'" in text:
-        return text.strip()
-    return " ".join(text.split())
 
 
 def _component_key(component: Component) -> Tuple[str, str]:

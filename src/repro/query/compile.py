@@ -26,9 +26,8 @@ Quantifier deferral (satellite of the same planner) applies identically:
 a part whose free variables are not yet generated sorts after every
 generator.
 
-Compilation itself runs at most once per query text per schema epoch:
-:class:`~repro.query.plancache.PlanCache` memoizes parse + safety +
-lowering.
+A plan is lowered per evaluation and kept nowhere: its estimates and
+provably-empty hints are those of the view it is about to run on.
 
 Example::
 
@@ -110,10 +109,10 @@ class AtomJoin(PlanNode):
     #: executor emits the empty table without probing.
     empty_hint: bool = False
     #: Per-generation interned ground constants
-    #: (:class:`AtomIdAnnotation`), installed by
-    #: :func:`annotate_plan_ids` at plan-bind time and validated by
-    #: generation identity in the executor, which rebuilds lazily on a
-    #: mismatch — a cache, never a correctness requirement.
+    #: (:class:`AtomIdAnnotation`), bound by the executor the first
+    #: time this node runs in the integer domain (a ``∀`` body runs
+    #: once per domain chunk) and validated there by generation
+    #: identity — a cache, never a correctness requirement.
     id_ann: object = field(default=None, repr=False, compare=False)
     op = "atom-join"
 
@@ -258,26 +257,6 @@ def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
     ann.src_trigger = source == BOTTOM
     ann.tgt_trigger = target == TOP
     return ann
-
-
-def annotate_plan_ids(plan: CompiledPlan, store) -> None:
-    """Intern every AtomJoin's ground constants once per plan bind.
-
-    Called from the plan cache when it (re)binds a plan to an interned
-    store, so repeated executions skip the per-constant ``id_of``
-    resolutions.  Keyed on generation *identity* — a compaction keeps
-    the store version but re-interns every id, and the executor's
-    identity check catches exactly that.
-    """
-    generation = getattr(store, "generation", None)
-    if generation is None:
-        return
-    for node, _depth in plan.walk():
-        if isinstance(node, AtomJoin):
-            ann = node.id_ann
-            if ann is None or ann.generation is not generation:
-                node.id_ann = bind_atom_ids(node.formula.pattern,
-                                            generation)
 
 
 def compile_query(query: TUnion[str, Query],

@@ -29,7 +29,7 @@ from ..core.facts import Binding, Variable
 from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
-from .parser import parse_query
+from .parser import parse_query_memo
 from .planner import choose_conjunct
 
 
@@ -40,29 +40,18 @@ class Evaluator:
     (whole answers are remembered in one place, the net layer's
     per-snapshot memo, :mod:`repro.serve.net`).
 
-    Queries may be passed as text or as parsed :class:`Query` objects.
-    With ``plans`` (a :class:`~repro.query.plancache.PlanCache`) set,
-    text is parsed at most once per canonical spelling; without one it
-    is parsed per call.  ``data_token`` is what tells the plan cache
-    that the data moved (the :class:`~repro.db.Database` passes its
-    store version, configuration epoch and limit): a cached plan is
-    re-lowered when it differs from the one the plan was built under.
+    Queries may be passed as text or as parsed :class:`Query` objects;
+    text goes through :func:`~repro.query.parser.parse_query_memo`,
+    the one thing the query path keeps between calls.
     """
 
-    def __init__(self, view: FactView, plans=None, plan_epoch=None,
-                 data_token=None):
+    def __init__(self, view: FactView):
         self.view = view
-        self.plans = plans
-        self.plan_epoch = plan_epoch
-        self.data_token = data_token
 
     def _resolve(self, query: Union[str, Query]) -> Query:
-        """The parsed query for either input form; text goes through
-        the plan cache's parse memo when one is attached."""
+        """The parsed query for either input form."""
         if isinstance(query, str):
-            if self.plans is not None:
-                return self.plans.parsed(query)[1]
-            return parse_query(query)
+            return parse_query_memo(query)
         return query
 
     # ------------------------------------------------------------------

@@ -637,7 +637,6 @@ def _probe_many(ctx: _Context, pattern: Template,
     fact degrades identically under both engines.
     """
     store = ctx.store
-    index_for = store.index_for
 
     if exact:
         # Fast path: every substituted template's candidate set is
@@ -666,11 +665,11 @@ def _probe_many(ctx: _Context, pattern: Template,
         elif not spec:
             stored = [list(store.match(t)) for t in templates]
         elif len(spec) == 1:
-            handle = index_for(spec)
+            handle = store.index_for(spec)
             p = _POSITION[spec]
             stored = [list(handle.get(t[p], ())) for t in templates]
         else:
-            handle = index_for(spec)
+            handle = store.index_for(spec)
             p0, p1 = _POSITION[spec[0]], _POSITION[spec[1]]
             stored = [
                 list(handle.get((t[p0], t[p1]), ())) for t in templates
@@ -918,49 +917,30 @@ class CompiledEvaluator(Evaluator):
     stream bindings, safety checking — is inherited from the reference
     engine, whose results this class reproduces exactly.
 
-    With ``plans`` (a :class:`~repro.query.plancache.PlanCache`) set,
-    parse + safety + compile are cached per canonical form and
-    configuration epoch; every plan shape runs through
-    :func:`execute_plan`.
+    A plan lives for one evaluation: it is lowered against the view it
+    runs on, so its join order and provably-empty hints are always
+    that view's.
     """
 
-    def _plan_token(self):
-        """What plans validate against: the caller's ``data_token``
-        when one was given (any base mutation moves it), else the view
-        store's own version (standalone evaluators over a fixed store,
-        e.g. benchmark harnesses)."""
-        if self.data_token is not None:
-            return self.data_token
-        return self.view.store.version
-
-    def _prepare(self, query: Union[str, Query], proposition: bool = False):
-        """``(plan-cache entry or None, parsed query)``, raising the
-        query's static errors in the reference engine's order:
-        not-a-proposition before safety."""
-        entry = None
-        if self.plans is not None:
-            entry = self.plans.entry(query, self.view, self.plan_epoch,
-                                     self._plan_token())
-            query = entry.query
-        else:
-            query = self._resolve(query)
+    def _prepare(self, query: Union[str, Query],
+                 proposition: bool = False) -> Query:
+        """The parsed query, raising its static errors in the reference
+        engine's order: not-a-proposition before safety."""
+        query = self._resolve(query)
         if proposition:
             require_proposition(query)
-        if entry is None:
-            check_safety(query.formula)
-        elif entry.error is not None:
-            raise QueryError(entry.error)
-        return entry, query
+        check_safety(query.formula)
+        return query
 
     def evaluate(self, query: Union[str, Query]) -> Set[Tuple[str, ...]]:
         """The value {Q}, via compiled plan execution."""
-        entry, query = self._prepare(query)
+        query = self._prepare(query)
         evaluate_span = (
             _obs.TELEMETRY.span("query.evaluate", query=str(query),
                                 engine="compiled")
             if _obs.ENABLED else _obs.NULL_SPAN)
         with evaluate_span as span:
-            table = self._table(query, entry)
+            table = self._table(query)
             results = self._project(query, table)
             _flush_decodes(table.codec)
             span.set(rows=len(results))
@@ -971,18 +951,16 @@ class CompiledEvaluator(Evaluator):
         requirement differs.  A non-empty final table is a non-empty
         answer set (projection preserves emptiness), so truth queries
         on the id path never decode a single id."""
-        entry, query = self._prepare(query, proposition)
-        table = self._table(query, entry)
+        table = self._table(self._prepare(query, proposition))
         _flush_decodes(table.codec)
         return bool(table.rows)
 
     def evaluate_with_stats(self, query: Union[str, Query]
                             ) -> Tuple[Set[Tuple[str, ...]], PlanRun]:
-        """Uncached evaluation that also returns the per-operator run
+        """Evaluation that also returns the per-operator run
         statistics — the compiled engine's EXPLAIN ANALYZE source
-        (always compiles afresh, with stats collection on)."""
-        query = self._resolve(query)
-        check_safety(query.formula)
+        (stats collection always on)."""
+        query = self._prepare(query)
         plan = compile_query(query, self.view)
         table, run = execute_plan(plan, self.view)
         results = self._project(query, table)
@@ -990,15 +968,10 @@ class CompiledEvaluator(Evaluator):
         return results, run
 
     # ------------------------------------------------------------------
-    def _table(self, query: Query, entry=None) -> BindingTable:
-        """Execute the entry's (revalidated) plan, or a fresh compile
-        when no plan cache is attached."""
-        if entry is not None:
-            plan = self.plans.plan_for(entry, self.view,
-                                       self._plan_token())
-        else:
-            plan = compile_query(query, self.view)
-        table, _run = execute_plan(plan, self.view, collect=_obs.ENABLED)
+    def _table(self, query: Query) -> BindingTable:
+        """Lower the (checked) query against this view and run it."""
+        table, _run = execute_plan(compile_query(query, self.view),
+                                   self.view, collect=_obs.ENABLED)
         return table
 
     @staticmethod

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..core.entities import (
@@ -296,6 +297,29 @@ def parse_query(text: str) -> Query:
         (v for v in free if v.name.startswith("_star")),
         key=lambda v: v.name)
     return Query.of(formula, tuple(named) + tuple(stars))
+
+
+#: Longest text :func:`parse_query_memo` keeps.  Anything longer is
+#: parsed and returned, so a client sending distinct megabyte lines
+#: pins nothing (the memo holds at most 1024 × this many characters of
+#: text).
+PARSE_MEMO_MAX_TEXT = 1024
+
+_parse_remembered = lru_cache(maxsize=1024)(parse_query)
+
+
+def parse_query_memo(text: str) -> Query:
+    """:func:`parse_query` through a bounded memo keyed on the text as
+    sent — two spellings are two entries.
+
+    A parse depends on nothing but its text and a :class:`Query` is
+    immutable, so no event can invalidate an entry; a
+    :class:`~repro.core.errors.ParseError` is raised again on every
+    call, never remembered.
+    """
+    if len(text) > PARSE_MEMO_MAX_TEXT:
+        return parse_query(text)
+    return _parse_remembered(text)
 
 
 def parse_template(text: str) -> Template:

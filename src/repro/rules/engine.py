@@ -335,10 +335,13 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
                    compiled=None) -> ClosureResult:
     """Incrementally maintain a closure under fact *insertion*.
 
+    ``new_facts`` are facts the caller just stored in the base heap.
     Semi-naive evaluation restarts exactly where it stopped: the new
     facts become the delta, and rounds run until quiescence.  The
     result's store is extended **in place** (so live views over it stay
-    valid); statistics are updated to cover the extension.
+    valid); statistics are updated to cover the extension — each new
+    fact is one more base fact, and one fewer derived fact when the
+    closure already held it.
 
     The rounds run through the dispatched fast path — all strata behind
     one dispatch index, which is sound for any delta and ideal here,
@@ -354,10 +357,12 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     from .dispatch import compile_ruleset, run_rounds
 
     delta = FactStore()
+    stored = 0
     for fact in new_facts:
+        stored += 1
         if result.store.add(fact):
             delta.add(fact)
-    result.base_count += len(delta)
+    result.base_count += stored
     if delta:
         if compiled is None:
             compiled = compile_ruleset(rules)
@@ -369,5 +374,5 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
                 result.store, delta, compiled.all_rules, context,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
-        result.derived_count = len(result.store) - result.base_count
+    result.derived_count = len(result.store) - result.base_count
     return result

@@ -44,9 +44,8 @@ The division of labour:
   *after* publication, so a caller that waited for its write is
   guaranteed to see it in subsequent reads (read-your-writes).
 
-Snapshots share the master's plan cache, so a publication keeps plans
-warm; no answer is carried from one snapshot to the next (the one
-place a whole answer is remembered is the net layer's per-snapshot
+No plan and no answer is carried from one snapshot to the next (the
+one place a whole answer is remembered is the net layer's per-snapshot
 memo, :mod:`repro.serve.net`, which a publish empties).
 
 Checkpointing degrades gracefully: the writer folds the journal into a
@@ -584,8 +583,7 @@ class DatabaseService:
         the seconds the fold took (0.0 when none was due).
 
         Once per batch, however many facts it held.  Store versions
-        survive (plan-cache entries stay valid), so does
-        the lattice, and readers keep the previously published snapshot
+        survive, so does the lattice, and readers keep the previously published snapshot
         — which shares the *old* generation — until the next one is
         swapped in.
         """

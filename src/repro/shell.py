@@ -203,7 +203,7 @@ class BrowserShell:
         if not text:
             return "usage: query FORMULA"
         query = parse_query(text)          # for the variables header
-        value = self.db.query(text)        # text path: plan-cached
+        value = self.db.query(text)
         if not value:
             return "(empty)"
         header = ", ".join(v.name for v in query.variables) or "(true)"

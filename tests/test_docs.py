@@ -1,6 +1,6 @@
 """Documentation health: examples execute, links resolve, the
 metric catalog matches the code, and the served path names one rule
-engine.
+engine and no plan cache.
 
 Thin pytest wrapper over ``tools/docs_check.py`` so the docs gate runs
 with the tier-1 suite as well as in its dedicated CI job.
@@ -34,7 +34,7 @@ class TestDocumentation(unittest.TestCase):
         # and the lattice helper, so the equality above is not vacuous.
         emitted = docs_check.emitted_names()
         for name in ("browse.probes", "serve.requests.<op>",
-                     "plancache.misses", "lattice.builds",
+                     "exec.plans", "lattice.builds",
                      "writer.apply_batch"):
             self.assertIn(name, emitted)
 
@@ -63,6 +63,23 @@ class TestDocumentation(unittest.TestCase):
                 path.name)
         with self.assertRaises(ModuleNotFoundError):
             importlib.import_module("repro.rules.lazy")
+
+    def test_the_query_path_names_no_plan_cache(self):
+        """Plans are remembered nowhere: the module is gone and nothing
+        in ``db.py``, ``query/`` or ``serve/`` spells the vocabulary
+        that kept it honest."""
+        package = ROOT / "src" / "repro"
+        paths = [package / "db.py",
+                 *sorted((package / "query").glob("*.py")),
+                 *sorted((package / "serve").glob("*.py"))]
+        vocabulary = re.compile(
+            r"\b(PlanCache|plan_epoch|data_token|_config_epoch)\b")
+        for path in paths:
+            self.assertEqual(
+                vocabulary.findall(path.read_text(encoding="utf-8")), [],
+                path.name)
+        with self.assertRaises(ModuleNotFoundError):
+            importlib.import_module("repro.query.plancache")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from repro.query import CompiledEvaluator, Evaluator
 from repro.query import exec as qexec
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
 from repro.query.explain import explain_analyze
-from repro.query.plancache import PlanCache
 from repro.virtual.computed import ComputedRelation
 
 SEEDS = range(12)
@@ -186,7 +185,7 @@ def _outcome(evaluator, query):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engines_and_domains_agree(variant, seed, id_domain):
     view, twin, entities, relationships = _views(variant)
-    compiled = CompiledEvaluator(view, plans=PlanCache())
+    compiled = CompiledEvaluator(view)
     reference = Evaluator(view)
     twin_reference = Evaluator(twin)
     rng = random.Random(f"{variant}-{seed}")
@@ -280,7 +279,7 @@ def test_custom_virtual_registry_falls_back_to_strings():
     view.virtual.register(_UpperEcho())
     assert _run_flag(view, "(x, ∈, EMPLOYEE)") is False
     # ...and the answers still fold the custom relation in correctly.
-    compiled = CompiledEvaluator(view, plans=PlanCache())
+    compiled = CompiledEvaluator(view)
     reference = Evaluator(view)
     text = "(x, ECHOES, x) and (x, ∈, ENGINEER)"
     assert compiled.evaluate(text) == reference.evaluate(text)

@@ -117,6 +117,38 @@ class TestDatabaseIncremental:
         assert set(incremental.closure().store) == set(
             fresh.closure().store)
 
+    @pytest.mark.parametrize("interned", [False, True])
+    def test_counts_follow_a_derived_fact_in_and_out_of_the_base(
+            self, interned):
+        """Storing a fact the closure already *derived* makes it a base
+        fact: ``base_count`` / ``derived_count`` move with it — through
+        add, remove and re-add — and equal a recomputation's."""
+        db = Database()
+        db.add("JOHN", MEMBER, "EMPLOYEE")
+        db.add("EMPLOYEE", ISA, "PERSON")
+        if interned:
+            db.compact_store()
+        derived = Fact("JOHN", MEMBER, "PERSON")
+        assert derived in db.closure().store and derived not in db.facts
+
+        def check():
+            closure = db.closure()
+            assert closure.base_count == len(db.facts)
+            assert closure.base_count + closure.derived_count \
+                == len(closure.store)
+            fresh = Database(db.facts, with_axioms=False).closure()
+            assert (closure.base_count, closure.derived_count) \
+                == (fresh.base_count, fresh.derived_count)
+
+        check()
+        assert db.add_fact(derived)
+        check()
+        assert db.remove_fact(derived)
+        assert derived in db.closure().store      # rederived
+        check()
+        assert db.add_fact(derived)
+        check()
+
 
 # ----------------------------------------------------------------------
 # Property: random interleavings of writes and cache-building reads.

@@ -272,23 +272,6 @@ class TestInternedFactStore:
             assert [sorted(g) for g in got] == \
                 [sorted(e) for e in expected], spec
 
-    def test_index_for_view(self):
-        facts = random_facts(23, 80)
-        store = InternedFactStore.from_facts(facts)
-        mirror = FactStore(facts)
-        f = facts[0]
-        for spec, key in (("s", f.source), ("r", f.relationship),
-                          ("t", f.target),
-                          ("sr", (f.source, f.relationship)),
-                          ("st", (f.source, f.target)),
-                          ("rt", (f.relationship, f.target))):
-            got = store.index_for(spec).get(key, ())
-            expected = mirror.index_for(spec).get(key, ())
-            assert sorted(got) == sorted(expected), spec
-        assert store.index_for("s").get("MISSING") is None
-        with pytest.raises(KeyError):
-            store.index_for("xyz")
-
     def test_clear(self):
         store = InternedFactStore.from_facts(random_facts(14, 25))
         v = store.version

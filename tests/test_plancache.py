@@ -1,11 +1,13 @@
-"""Plan cache (ISSUE 8) and the single-atom shapes it serves.
+"""What the plan cache (ISSUE 8, deleted by ISSUE 25) used to guard.
 
-Covers canonical-text keying, the shape classifier, parse/compile
-caching shared across ``query``/``ask``/``succeeds``, the invalidation
-matrix (store version bump → recompile, rule/view redefinition → new
-epoch entries, interned-store compaction → cached plan re-annotated),
-a seeded randomized compiled-vs-reference run over single-atom
-queries, and verdict caching in the versioned result cache.
+A plan now lives for one evaluation, so there is nothing to invalidate;
+what stays here is every assertion about an *answer*, an error message
+or a plan autopsy: the staleness property (the same text re-asked after
+every kind of mutation equals a fresh database), the one parse memo,
+the single-atom shapes through the one executor, and a seeded
+randomized compiled-vs-reference run over single-atom queries.  The
+file and its tests keep the names they had under the cache so their
+ids stay stable.
 """
 
 from __future__ import annotations
@@ -14,21 +16,20 @@ import random
 
 import pytest
 
-from repro.core.errors import QueryError
-from repro.core.facts import Fact, Variable
+from repro.core.errors import ParseError, QueryError
+from repro.core.facts import Fact
 from repro.datasets import books
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
-from repro.query import CompiledEvaluator, Evaluator, parse_query
+from repro.query import CompiledEvaluator, Evaluator
 from repro.query import exec as qexec
-from repro.query.canonical import canonical_text
-from repro.query.compile import compile_query
-from repro.query.plancache import PlanCache, classify
+from repro.query import parser
+from repro.rules.registry import RuleRegistry
+from repro.serve import DatabaseService
 
 
-@pytest.fixture
-def employees():
-    database = Database()
+def employee_world(cls=Database):
+    database = cls()
     for index in range(12):
         database.add(f"EMP{index}", "∈", "EMPLOYEE")
         database.add(f"EMP{index}", "WORKS-FOR", f"DEPT{index % 3}")
@@ -36,131 +37,18 @@ def employees():
     return database
 
 
-# ----------------------------------------------------------------------
-# canonical_text
-# ----------------------------------------------------------------------
-class TestCanonicalText:
-    def test_collapses_insignificant_whitespace(self):
-        assert canonical_text("  (x,  ∈,\tBOOK) \n") == "(x, ∈, BOOK)"
-
-    def test_identical_spellings_share_a_key(self):
-        assert canonical_text("(x, ∈, BOOK)") \
-            == canonical_text("(x,   ∈,   BOOK)")
-
-    def test_quoted_text_is_only_stripped(self):
-        # Whitespace inside a quoted entity is significant content.
-        assert canonical_text(' (x, ∈, "A  B") ') == '(x, ∈, "A  B")'
-        assert canonical_text("(x, ∈, 'A  B')") == "(x, ∈, 'A  B')"
-
-    def test_canonicalization_preserves_parse(self):
-        for text in ("( x , ∈ , BOOK )", '(x, ∈, "A  B")',
-                     "exists y:  (x, CITES, y)   and (x, ∈, BOOK)"):
-            assert str(parse_query(canonical_text(text))) \
-                == str(parse_query(text))
+@pytest.fixture
+def employees():
+    return employee_world()
 
 
 # ----------------------------------------------------------------------
-# Shape classifier
-# ----------------------------------------------------------------------
-class TestClassify:
-    def _plan(self, db, text):
-        return compile_query(parse_query(text), db.view())
-
-    def test_shapes(self, employees):
-        cases = {
-            "(EMP0, ∈, EMPLOYEE)": "point",
-            "(EMP0, r, t)": "star",
-            "(x, ∈, EMPLOYEE)": "star",
-            "(x, r, t)": "scan",
-            "(x, ∈, EMPLOYEE) and (x, EARNS, s)": "join",
-            "exists y: (x, ∈, EMPLOYEE) and (x, EARNS, y)": "complex",
-            "(x, ∈, EMPLOYEE) or (x, ∈, DEPT0)": "complex",
-        }
-        for text, expected in cases.items():
-            assert classify(self._plan(employees, text)) == expected, text
-
-
-# ----------------------------------------------------------------------
-# Cache behavior
+# Static errors
 # ----------------------------------------------------------------------
 class TestPlanCacheBasics:
-    def test_repeated_text_hits(self, employees):
-        stats0 = employees.stats()["plan_cache"]
-        employees.query("(x, ∈, EMPLOYEE)")
-        employees.query("(x,   ∈,  EMPLOYEE)")
-        employees.query(" (x, ∈, EMPLOYEE) ")
-        stats = employees.stats()["plan_cache"]
-        assert stats["misses"] - stats0["misses"] == 1
-        assert stats["hits"] - stats0["hits"] == 2
-        assert stats["entries"] == 1
-
-    def test_query_ask_succeeds_share_entries(self, employees):
-        """The satellite fix: ``ask``/``succeeds`` reuse the plan the
-        first ``query`` compiled — zero further parse/compile work."""
-        employees.query("(EMP0, ∈, EMPLOYEE)")
-        before = employees.stats()["plan_cache"]
-        assert employees.ask("(EMP0, ∈, EMPLOYEE)")
-        assert employees.succeeds("(EMP0, ∈, EMPLOYEE)")
-        after = employees.stats()["plan_cache"]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] - before["hits"] == 2
-        assert after["entries"] == before["entries"]
-
-    def test_repeated_ask_does_zero_parse_and_compile_work(self,
-                                                           employees):
-        """Regression for the ISSUE satellite: N repeated ``ask`` calls
-        cost one parse + compile; repeats are plan-cache hits answered
-        from the result cache."""
-        text = "(EMP3, WORKS-FOR, DEPT0)"
-        base = employees.stats()["plan_cache"]
-        for _ in range(10):
-            assert employees.ask(text) is True
-        stats = employees.stats()["plan_cache"]
-        assert stats["misses"] - base["misses"] == 1
-        assert stats["hits"] - base["hits"] == 9
-        assert stats["recompiles"] == base["recompiles"]
-
-    def test_probe_text_is_parsed_once_and_uncounted(self, employees,
-                                                    monkeypatch):
-        """``probe(text)`` goes through the parse memo — one parse per
-        spelling, across version bumps — and the lookup itself moves
-        neither ``hits`` nor ``misses``: text and the parsed query
-        leave the same counters behind."""
-        from repro.query import plancache
-
-        parses = []
-        real_parse = plancache.parse_query
-
-        def counting(text):
-            parses.append(text)
-            return real_parse(text)
-
-        monkeypatch.setattr(plancache, "parse_query", counting)
-        text = "(EMP0, WORKS-FOR, DEPT1)"
-        menu = employees.probe(text)
-        assert not menu.succeeded and menu.waves
-        employees.add("EMP99", "∈", "EMPLOYEE")    # every cache misses
-        assert employees.probe(" " + text).waves
-        assert parses == [text]
-
-        def counters_after(query):
-            database = Database()
-            database.add("EMP0", "WORKS-FOR", "DEPT0")
-            database.add("DEPT1", "∈", "DEPARTMENT")
-            database.probe(query)
-            stats = database.stats()["plan_cache"]
-            return stats["hits"], stats["misses"]
-
-        assert counters_after(text) == counters_after(real_parse(text))
-
-    def test_obs_counters_emitted(self, employees):
-        with use_telemetry(Telemetry()) as telemetry:
-            employees.ask("(EMP0, ∈, EMPLOYEE)")
-            employees.ask("(EMP0, ∈, EMPLOYEE)")
-        assert telemetry.counters.get("plancache.misses", 0) >= 1
-        assert telemetry.counters.get("plancache.hits", 0) >= 1
-
     def test_unsafe_query_error_is_cached_and_identical(self, employees):
+        """Asked twice, the message is the same, and the reference
+        engine's."""
         text = "(x, ∈, EMPLOYEE) or (y, ∈, EMPLOYEE)"
         messages = []
         for _ in range(2):
@@ -182,94 +70,149 @@ class TestPlanCacheBasics:
             reference.ask("(x, ∈, EMPLOYEE)")
         assert str(compiled_err.value) == str(reference_err.value)
 
-    def test_lru_eviction_bounds_entries(self, employees):
-        cache = PlanCache(maxsize=4)
-        view = employees.view()
-        for index in range(8):
-            cache.entry(f"(EMP{index}, ∈, EMPLOYEE)", view, 0, 1)
-        assert len(cache) == 4
-        assert cache.stats()["entries"] == 4
 
-    def test_clear_drops_entries_keeps_stats(self, employees):
-        cache = PlanCache()
-        cache.entry("(x, ∈, EMPLOYEE)", employees.view(), 0, 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["misses"] == 1
+# ----------------------------------------------------------------------
+# The parse memo: the one thing the query path keeps between calls
+# ----------------------------------------------------------------------
+class TestParseMemo:
+    def test_a_repeated_text_is_parsed_once(self):
+        text = "(x, ∈, PARSE-MEMO-REPEAT) and (x, EARNS, y)"
+        first = parser.parse_query_memo(text)
+        assert parser.parse_query_memo(text) is first
+        assert first == parser.parse_query(text)
+        # Keyed on the text as sent: another spelling is another entry
+        # holding an equal query.
+        respelled = parser.parse_query_memo(" " + text)
+        assert respelled is not first and respelled == first
 
-    def test_parsed_memo(self):
-        cache = PlanCache()
-        key1, query1 = cache.parsed("(x, ∈, BOOK)")
-        key2, query2 = cache.parsed("(x,  ∈,  BOOK)")
-        assert key1 == key2
-        assert query1 is query2
-        assert cache.hits == 1 and cache.misses == 1
+    def test_query_ask_and_probe_share_it(self, employees):
+        text = "(EMP0, WORKS-FOR, DEPT1)"
+        hits = parser._parse_remembered.cache_info().hits
+        assert employees.query(text) == set()
+        assert employees.ask(text) is False
+        assert employees.probe(text).waves
+        assert parser._parse_remembered.cache_info().hits >= hits + 2
 
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
+    def test_parse_errors_are_raised_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parser.parse_query_memo("(x, ∈")
 
-    def test_snapshot_shares_the_plan_cache(self, employees):
-        employees.query("(x, ∈, EMPLOYEE)")
-        snapshot = employees.snapshot()
-        before = employees.stats()["plan_cache"]
-        assert snapshot.query("(x, ∈, EMPLOYEE)") \
-            == employees.query("(x, ∈, EMPLOYEE)")
-        after = employees.stats()["plan_cache"]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
+    def test_an_oversized_text_is_parsed_but_not_kept(self):
+        text = "(x, ∈, EMPLOYEE)" + " " * parser.PARSE_MEMO_MAX_TEXT
+        size = parser._parse_remembered.cache_info().currsize
+        query = parser.parse_query_memo(text)
+        assert query == parser.parse_query("(x, ∈, EMPLOYEE)")
+        assert parser.parse_query_memo(text) is not query
+        assert parser._parse_remembered.cache_info().currsize == size
 
 
 # ----------------------------------------------------------------------
-# Invalidation matrix
+# Staleness: what the configuration epoch and data token used to guard
 # ----------------------------------------------------------------------
+def fresh_copy(database) -> Database:
+    """A new database built from ``database``'s state — base heap,
+    rules with their enabled flags, composition limit — that has never
+    answered anything."""
+    fresh = Database(database.facts, with_axioms=False)
+    fresh.rules = RuleRegistry(database.rules.all_rules())
+    fresh.rules.restore_state(database.rules.snapshot_state())
+    fresh.limit(database.composition_limit)
+    return fresh
+
+
+class _Library(Database):
+    """A bare ``Database`` under the names the service gives the calls
+    the steps below make."""
+
+    fold = Database.compact_store
+
+    def remove(self, source, relationship, target):
+        return self.remove_fact(Fact(source, relationship, target))
+
+    def state(self):
+        return self
+
+    def close(self):
+        pass
+
+
+class _Served(DatabaseService):
+    """A ``DatabaseService``: reads run on the published snapshot."""
+
+    def state(self):
+        return self.read_view()
+
+
+STALENESS_TEXTS = (
+    "(x, ∈, EMPLOYEE) and (x, EARNS, s)",
+    "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, d) and (d, LOCATED-IN, c)",
+    "(x, EARNED-BY, y)",
+    "(EMP0, r, CITY0)",
+    "exists s: (EMP99, EARNS, s)",
+    "(EMP0, EARNS, $20000)",
+)
+
+STALENESS_STEPS = (
+    ("add", lambda t: (t.add("EMP99", "∈", "EMPLOYEE"),
+                       t.add("EMP99", "EARNS", "$99000"),
+                       t.add("DEPT0", "LOCATED-IN", "CITY0"))),
+    ("remove", lambda t: t.remove("EMP0", "EARNS", "$20000")),
+    ("define_rule", lambda t: t.define_rule(
+        "earned-by", "(a, EARNS, b) => (b, EARNED-BY, a)")),
+    ("exclude", lambda t: t.exclude("earned-by")),
+    ("include", lambda t: t.include("earned-by")),
+    ("limit", lambda t: t.limit(2)),
+    ("compact_store", lambda t: t.fold()),
+    ("add after the fold", lambda t: t.add("EMP0", "EARNS", "$1")),
+)
+
+
+@pytest.mark.parametrize("target", ["hash", "interned", "service"])
+def test_a_reasked_text_is_never_stale(target):
+    """The same texts, re-asked after ``add`` / ``remove`` /
+    ``define_rule`` / ``exclude`` / ``include`` / ``limit`` /
+    ``compact_store``, answer as a fresh ``Database`` built from the
+    same state does — on the hash store, on interned storage, and on
+    the snapshots a ``DatabaseService`` publishes."""
+    if target == "service":
+        subject = _Served(employee_world())
+    else:
+        subject = employee_world(_Library)
+        if target == "interned":
+            subject.compact_store()
+    try:
+        seen = {text: set() for text in STALENESS_TEXTS}
+
+        def check(step):
+            fresh = fresh_copy(subject.state())
+            for text in STALENESS_TEXTS:
+                answer = subject.query(text)
+                assert answer == fresh.query(text), (target, step, text)
+                seen[text].add(frozenset(answer))
+            assert subject.ask(STALENESS_TEXTS[-1]) \
+                == fresh.ask(STALENESS_TEXTS[-1]), (target, step)
+
+        check("start")
+        for step, apply in STALENESS_STEPS:
+            apply(subject)
+            check(step)
+    finally:
+        subject.close()
+    # Not vacuous: every text's answer moved at least once on the way.
+    assert all(len(answers) > 1 for answers in seen.values()), seen
+
+
 class TestInvalidation:
-    JOIN = "(x, ∈, EMPLOYEE) and (x, EARNS, s)"
-
-    def test_store_version_bump_forces_recompile(self, employees):
-        employees.query(self.JOIN)
-        before = employees.stats()["plan_cache"]
-        employees.add("EMP99", "∈", "EMPLOYEE")
-        employees.add("EMP99", "EARNS", "$99000")
-        result = employees.query(self.JOIN)
-        assert ("EMP99", "$99000") in result
-        after = employees.stats()["plan_cache"]
-        assert after["recompiles"] == before["recompiles"] + 1
-        # The refreshed plan is cached: a further repeat recompiles
-        # nothing.
-        employees.query(self.JOIN)
-        assert employees.stats()["plan_cache"]["recompiles"] \
-            == after["recompiles"]
-
     def test_empty_hint_does_not_survive_mutation(self):
-        """The reason recompilation exists: a plan lowered when a
-        template provably matched nothing must not short-circuit after
-        facts arrive."""
+        """A plan lowered when a template provably matched nothing must
+        not short-circuit after facts arrive."""
         database = Database()
         database.add("EMP0", "∈", "EMPLOYEE")
         query = "(x, ∈, EMPLOYEE) and (x, EARNS, s)"
         assert database.query(query) == set()
         database.add("EMP0", "EARNS", "$1")
         assert database.query(query) == {("EMP0", "$1")}
-
-    def test_rule_redefinition_compiles_a_fresh_entry(self, employees):
-        employees.query(self.JOIN)
-        before = employees.stats()["plan_cache"]
-        employees.define_rule(
-            "earns-sym", "(a, EARNS, b) => (b, EARNED-BY, a)")
-        employees.query(self.JOIN)
-        after = employees.stats()["plan_cache"]
-        # New configuration epoch → new entry, not a hit on the old one.
-        assert after["misses"] == before["misses"] + 1
-        assert after["entries"] == before["entries"] + 1
-
-    def test_composition_limit_change_is_a_new_epoch(self, employees):
-        employees.query(self.JOIN)
-        before = employees.stats()["plan_cache"]
-        employees.limit(3)
-        employees.query(self.JOIN)
-        after = employees.stats()["plan_cache"]
-        assert after["misses"] == before["misses"] + 1
 
     def test_fast_path_sees_rule_derived_facts(self):
         database = Database()
@@ -280,22 +223,6 @@ class TestInvalidation:
         assert database.query(text) == {("A", "B")}
         database.exclude("lift")
         assert database.query(text) == set()
-
-    def test_cached_plan_survives_compaction(self, employees):
-        """A plan lowered over the hash store keeps serving after
-        ``compact_store()``: the same entry, re-annotated with the new
-        generation's ids on its next execution."""
-        text = "(EMP0, ∈, EMPLOYEE)"
-        assert employees.ask(text)
-        cache = employees._plan_cache
-        entry = next(iter(cache._entries.values()))
-        assert entry.plan.root.id_ann is None
-        employees.compact_store()
-        before = cache.stats()
-        assert employees.ask(text)
-        assert cache.stats()["misses"] == before["misses"]
-        generation = employees.view().store.generation
-        assert entry.plan.root.id_ann.generation is generation
 
     def test_interned_overlay_and_tombstones_through_fast_path(
             self, employees):
@@ -313,9 +240,8 @@ class TestInvalidation:
 # Single-atom plans: compiled ↔ reference equivalence
 # ----------------------------------------------------------------------
 def _single_atom_queries(rng, entities, relationships, count=14):
-    """Texts biased toward the ``point``/``star``/``scan`` shapes:
-    ground, half-ground, and repeated-variable single atoms (plus the
-    odd unsafe spelling)."""
+    """Texts biased toward the single-atom shapes: ground, half-ground,
+    and repeated-variable atoms (plus the odd unsafe spelling)."""
     queries = []
     variables = ("x", "y")
     for _ in range(count):
@@ -347,8 +273,7 @@ def test_fast_path_equivalence(seed, monkeypatch):
     answers, verdicts and QueryError messages of the compiled engine
     equal the reference engine's over the hash store, the interned
     store, and an interned store with overlay facts and tombstones —
-    in the id and the string domain, cold and again through the warm
-    plan cache."""
+    in the id and the string domain, asked once and again."""
     rng = random.Random(f"fastpath-{seed}")
     database = books.load()
     view = database.view()
@@ -381,8 +306,8 @@ def test_fast_path_equivalence(seed, monkeypatch):
     for id_domain in (True, False):
         monkeypatch.setattr(qexec, "ID_DOMAIN", id_domain)
         for reference, probe_view in cases:
-            compiled = CompiledEvaluator(probe_view, plans=PlanCache())
-            for text in queries + queries:      # second lap: warm plans
+            compiled = CompiledEvaluator(probe_view)
+            for text in queries + queries:
                 expected = _outcome(reference.evaluate, text)
                 assert _outcome(compiled.evaluate, text) == expected, \
                     (seed, id_domain, text)

@@ -17,6 +17,7 @@ from repro.core.errors import (
     ServiceError,
 )
 from repro.db import Database
+from repro.query import parser
 from repro.serve import DatabaseService
 from repro.serve.net import (
     MAX_LINE_BYTES,
@@ -217,6 +218,22 @@ class TestErrorPropagation:
             padding = b" " * (MAX_LINE_BYTES - len(request) - 1)
             sock.sendall(request + padding + b"\n")
             assert json.loads(sock.makefile("rb").readline())["ok"] is True
+
+    def test_oversized_queries_answer_and_are_not_remembered(self, served):
+        """Distinct query texts near the line cap are answered and
+        then forgotten: the parse memo keeps no text past its bound,
+        so a client cannot pin a megabyte per entry."""
+        _, (host, port) = served
+        size = parser._parse_remembered.cache_info().currsize
+        with ServiceClient(host, port) as client:
+            for n in range(4):
+                padding = " " * (MAX_LINE_BYTES // 2 + n)
+                assert client.query(f"(x, ∈,{padding}EMPLOYEE)") \
+                    == [["JOHN"]]
+                entity = "E" * parser.PARSE_MEMO_MAX_TEXT + str(n)
+                assert client.query(f"(x, ∈, {entity})") == []
+                assert client.probe(f"(JOHN, ∈, {entity})")["waves"]
+        assert parser._parse_remembered.cache_info().currsize == size
 
     @pytest.mark.parametrize("request_,field", WRONGLY_TYPED, ids=lambda value: value if isinstance(value, str) else value["op"])
     def test_wrongly_typed_field_gets_typed_reply(self, served, request_,

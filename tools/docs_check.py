@@ -57,7 +57,7 @@ CATALOG_HEADING = "### Metric catalog"
 
 # Calls whose first argument names a series or span, and what such a
 # name looks like (dotted lowercase; ``<op>`` stands for an f-string
-# field) — which is what tells ``registry.count("plancache.hits")`` from
+# field) — which is what tells ``registry.count("exec.plans")`` from
 # ``text.count("(")``.
 _EMITTERS = {"count", "gauge", "observe", "span", "_count"}
 _SERIES_RE = re.compile(r"^[a-z_]+(\.[a-z_<>]+)+$")
