@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from ..core import deadline as _deadline
 from ..core.entities import BOTTOM, TOP
 from ..core.errors import QueryError
 from ..core.facts import Template, Variable
@@ -37,7 +36,6 @@ from ..query.ast import And, Atom, Exists, Formula, Query, exists
 from ..query.canonical import canonical_form
 from ..query.evaluate import Evaluator
 from ..query.parser import parse_query
-from ..query.planner import estimate_cost
 from .lattice import GeneralizationLattice
 
 #: Safety valve on the wave process: the lattice above a query is
@@ -246,6 +244,9 @@ class Wave:
     number: int
     attempted: List[RetractedQuery]
     successes: List[RetractionSuccess]
+    #: plan executions the candidates cost (one per variable skeleton
+    #: on the compiled engine, one per candidate on the reference)
+    joins: int = 0
 
     @property
     def all_succeeded(self) -> bool:
@@ -330,15 +331,18 @@ def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
         span.set(succeeded=result.succeeded, waves=len(result.waves))
         attempted = sum(len(w.attempted) for w in result.waves)
         successes = sum(len(w.successes) for w in result.waves)
+        joins = sum(w.joins for w in result.waves)
         if result.waves:
             telemetry.count("browse.probe.waves", len(result.waves))
             telemetry.count("browse.probe.retractions", attempted)
+            telemetry.count("browse.probe.joins", joins)
             telemetry.count("browse.probe.successes", successes)
         _obs.LAST_REQUEST.probe = {
             "query": str(query),
             "succeeded": result.succeeded,
             "waves": len(result.waves),
             "attempted": attempted,
+            "joins": joins,
             "successes": successes,
             "seconds": time.perf_counter() - started,
         }
@@ -351,11 +355,13 @@ def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
     """Set-at-a-time wave expansion.
 
     Each wave is generated whole, deduped against every earlier wave by
-    canonical form, and evaluated cheapest-candidate-first by planner
-    selectivity estimate.  Ordering cannot change the outcome — every
-    candidate in a wave is always evaluated, and successes/failures are
-    recorded in generation order — it just surfaces the first success
-    sooner for interactive abandonment via deadline checkpoints.
+    canonical form, and handed to the evaluator whole
+    (:meth:`~repro.query.evaluate.Evaluator.evaluate_wave`): the
+    compiled engine answers it with one join per variable skeleton —
+    the candidates are its input rows — the reference engine one
+    candidate at a time.  Successes and failures are recorded in
+    generation order either way; a deadline that expires inside a wave
+    raises, so a menu is never partial.
     """
     value = evaluator.evaluate(query.to_query())
     if value:
@@ -365,7 +371,6 @@ def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
     seen = {canonical_form(query.templates, query.free)}
     frontier = [RetractedQuery(query=query, path=())]
     wave_number = 0
-    view = getattr(evaluator, "view", None)
     while frontier and wave_number < max_waves:
         wave_number += 1
         attempted: List[RetractedQuery] = []
@@ -379,18 +384,13 @@ def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
         if not attempted:
             result.exhausted = True
             result.unknown_entities = _unknown_entities(query, hierarchy)
-            result.spelling_suggestions = {
-                unknown: tuple(hierarchy.closest_known(unknown))
-                for unknown in result.unknown_entities
-                if hierarchy.closest_known(unknown)
-            }
+            for unknown in result.unknown_entities:
+                close = hierarchy.closest_known(unknown)
+                if close:
+                    result.spelling_suggestions[unknown] = tuple(close)
             break
-        values: List[Optional[Set[tuple]]] = [None] * len(attempted)
-        for index in _evaluation_order(attempted, view):
-            if _deadline.ACTIVE:
-                _deadline.check()
-            values[index] = evaluator.evaluate(
-                attempted[index].query.to_query())
+        values, joins = evaluator.evaluate_wave(
+            [candidate.query for candidate in attempted])
         successes: List[RetractionSuccess] = []
         failures: List[RetractedQuery] = []
         for candidate, candidate_value in zip(attempted, values):
@@ -400,7 +400,7 @@ def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
             else:
                 failures.append(candidate)
         result.waves.append(Wave(number=wave_number, attempted=attempted,
-                                 successes=successes))
+                                 successes=successes, joins=joins))
         if successes:
             return result
         frontier = failures
@@ -409,33 +409,13 @@ def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
     return result
 
 
-def _evaluation_order(attempted: Sequence[RetractedQuery],
-                      view) -> Sequence[int]:
-    """Candidate indices cheapest-first by planner selectivity.
-
-    A candidate's cost is its most selective conjunct's estimated size
-    (the planner would bind it first).  Falls back to generation order
-    when the evaluator has no fact view to estimate against.
-    """
-    if view is None or len(attempted) <= 1:
-        return range(len(attempted))
-    ranked = []
-    for index, candidate in enumerate(attempted):
-        cost = min(
-            estimate_cost(Atom(template), set(), view)
-            for template in candidate.query.templates)
-        ranked.append((cost, index))
-    ranked.sort()
-    return [index for _, index in ranked]
-
-
 def reference_probe(evaluator: Evaluator,
                     query: Union[Query, str, ConjunctiveQuery],
                     hierarchy,
                     max_waves: int = DEFAULT_MAX_WAVES) -> ProbeResult:
     """The original candidate-at-a-time wave process, kept verbatim as
-    the oracle for the probe-equivalence suite.  No selectivity
-    ordering, no deadline checkpoints."""
+    the oracle for the probe-equivalence suite: one evaluation per
+    candidate, no deadline checkpoints."""
     if not isinstance(query, ConjunctiveQuery):
         query = ConjunctiveQuery.from_query(query)
     return _reference_probe_inner(evaluator, query, hierarchy, max_waves)

@@ -35,7 +35,8 @@ def build_record(op: str, seconds: float, threshold: float,
     produced by :func:`plan_summary`; ``probe`` is the autopsy dict
     :func:`repro.browse.retraction.probe` leaves on
     :data:`~repro.obs.telemetry.LAST_REQUEST` (waves, attempted
-    candidates) for slow probe requests."""
+    candidates, the joins that answered them) for slow probe
+    requests."""
     record: Dict[str, Any] = {
         "ts": time.time(),
         "op": op,

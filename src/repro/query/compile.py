@@ -52,14 +52,15 @@ from ..core.facts import Variable
 from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
-from .planner import conjunct_rank, estimate_cost
+from .planner import estimate_cost, join_order
 
-#: Relationship constants that make one of the three standard virtual
-#: relations handle a template: the comparators (math facts), ``≺``
-#: (reflexive generalization), and ``Δ`` in relationship position
-#: (endpoint witnessing).  ``∇`` as source / ``Δ`` as target are the
-#: other two endpoint triggers, tested separately.
-_TRIGGER_RELS = frozenset(MathRelation.HANDLED) | {ISA, TOP}
+#: Relationship constants whose templates the id-domain executor
+#: answers on strings: the comparators (math facts) and ``≺``
+#: (reflexive generalization).  The third standard virtual relation,
+#: endpoint witnessing — ``Δ`` as relationship or target, ``∇`` as
+#: source — is a stored-fact probe with the endpoint left open, and
+#: stays in id space.
+_STRING_RELS = frozenset(MathRelation.HANDLED) | {ISA}
 
 
 class PlanNode:
@@ -231,14 +232,15 @@ class AtomIdAnnotation:
     never saw the constant, so it can only match through the overlay or
     a virtual relation.  The trigger flags record whether the *ground*
     components alone make a standard virtual relation handle every
-    substituted template (bound-variable positions are tested per key
-    in id space by the executor).  Codec-independent — no scratch ids —
-    so one annotation is safely shared across threads and executions of
-    the same generation.
+    substituted template — ``rel_string`` the two answered on strings,
+    ``open_positions`` the endpoint witness's ``(∇ source, Δ
+    relationship, Δ target)`` — bound-variable positions are tested per
+    key in id space by the executor.  Codec-independent — no scratch
+    ids — so one annotation is safely shared across threads and
+    executions of the same generation.
     """
 
-    __slots__ = ("generation", "ground", "rel_trigger", "src_trigger",
-                 "tgt_trigger")
+    __slots__ = ("generation", "ground", "rel_string", "open_positions")
 
 
 def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
@@ -252,10 +254,10 @@ def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
     ann.generation = generation
     ann.ground = tuple(ground)
     source, relationship, target = pattern
-    ann.rel_trigger = (not isinstance(relationship, Variable)
-                       and relationship in _TRIGGER_RELS)
-    ann.src_trigger = source == BOTTOM
-    ann.tgt_trigger = target == TOP
+    ann.rel_string = (not isinstance(relationship, Variable)
+                      and relationship in _STRING_RELS)
+    ann.open_positions = (source == BOTTOM, relationship == TOP,
+                          target == TOP)
     return ann
 
 
@@ -286,16 +288,10 @@ def _lower(formula: Formula, bound: Set[Variable],
         return AtomJoin(formula, est=estimate_cost(formula, bound, view),
                         empty_hint=hint)
     if isinstance(formula, And):
-        remaining = list(formula.parts)
         b = set(bound)
         parts: List[PlanNode] = []
-        while remaining:
-            best_index, best_rank = 0, None
-            for index, part in enumerate(remaining):
-                rank, _cost = conjunct_rank(part, b, view)
-                if best_rank is None or rank < best_rank:
-                    best_rank, best_index = rank, index
-            part = remaining.pop(best_index)
+        for index in join_order(formula.parts, bound, view):
+            part = formula.parts[index]
             parts.append(_lower(part, b, view))
             b |= part.free_variables()
         return Pipeline(formula, tuple(parts),

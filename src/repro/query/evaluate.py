@@ -21,7 +21,8 @@ Example::
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Optional, Set, Tuple, Union
+from typing import (
+    FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union)
 
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
@@ -78,6 +79,20 @@ class Evaluator:
                 results.add(tuple(binding[v] for v in query.variables))
             span.set(rows=len(results))
         return results
+
+    def evaluate_wave(self, candidates: Sequence
+                      ) -> Tuple[List[Set[Tuple[str, ...]]], int]:
+        """The values of one retraction wave's candidates (conjunctive
+        queries: ``templates``, ``free``, ``to_query()``), in order,
+        and how many evaluations they cost — here one each, the
+        reference the compiled engine's one-join-per-skeleton wave is
+        held to."""
+        values = []
+        for candidate in candidates:
+            if _deadline.ACTIVE:
+                _deadline.check()
+            values.append(self.evaluate(candidate.to_query()))
+        return values, len(values)
 
     def ask(self, query: Union[str, Query]) -> bool:
         """Truth value of a proposition (§2.7)."""

@@ -49,9 +49,9 @@ from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
 from ..virtual.special import EndpointWitness, ReflexiveGeneralization
 from ..core.entities import BOTTOM, TOP
-from .ast import Query
+from .ast import And, Atom, Query
 from .compile import (
-    _TRIGGER_RELS,
+    _STRING_RELS,
     AtomJoin,
     CompiledPlan,
     ForAllProbe,
@@ -63,7 +63,7 @@ from .compile import (
     compile_query,
 )
 from .evaluate import Evaluator, check_safety, require_proposition
-from .planner import conjunct_rank, estimate_cost
+from .planner import conjunct_rank, estimate_cost, join_order
 
 #: Process-wide switch for integer-domain execution over interned
 #: stores.  The id-domain equivalence suite flips this off to prove the
@@ -180,18 +180,20 @@ class PlanRun:
 
 
 class _IdExec:
-    """Per-execution integer-domain state over one interned store: the
-    scratch codec, the base-id universe bound, the encoded trigger ids
-    that decide per join key whether a standard virtual relation could
+    """Integer-domain state over one interned store, shared by every
+    plan an evaluator runs while the store stands still: the scratch
+    codec, the base-id universe bound, the encoded trigger ids that
+    decide per join key whether a standard virtual relation could
     contribute, and the overlay (``None`` when empty) for the
     string-boundary merge.
     """
 
-    __slots__ = ("store", "gen", "codec", "base", "overlay",
-                 "rel_trigger_ids", "bottom_id", "top_id")
+    __slots__ = ("store", "version", "gen", "codec", "base", "overlay",
+                 "string_rel_ids", "rel_trigger_ids", "bottom_id", "top_id")
 
     def __init__(self, store):
         self.store = store
+        self.version = store.version
         self.gen = store.generation
         overlay = store._overlay  # noqa: SLF001
         self.overlay = overlay if len(overlay) else None
@@ -199,16 +201,38 @@ class _IdExec:
         self.codec = codec
         self.base = codec.base
         encode = codec.encode
-        self.rel_trigger_ids = frozenset(
-            encode(name) for name in _TRIGGER_RELS)
         self.bottom_id = encode(BOTTOM)
         self.top_id = encode(TOP)
+        #: Relationships answered on strings (``≺``, the comparators);
+        #: with ``Δ`` they are every relationship that triggers.
+        self.string_rel_ids = frozenset(
+            encode(name) for name in _STRING_RELS)
+        self.rel_trigger_ids = self.string_rel_ids | {self.top_id}
 
 
 def _standard_registry(virtual) -> bool:
     """True when every registered computed relation is one of the
     standard three, so virtual triggering is decidable in id space."""
     return all(type(r) in _STANDARD_RELATIONS for r in virtual)
+
+
+def _id_exec(view: FactView,
+             prior: Optional[_IdExec] = None) -> Optional[_IdExec]:
+    """The integer-domain state for one execution over ``view`` — an
+    interned store with a generation, an overlay within budget and a
+    standard virtual registry — or ``None`` for the string domain.
+    ``prior`` (an evaluator's state from its previous plan) is handed
+    back when the store has not changed under it."""
+    store = view.store
+    if not (ID_DOMAIN and getattr(store, "interned", False)
+            and store.generation is not None
+            and store.overlay_size <= OVERLAY_BUDGET
+            and _standard_registry(view.virtual)):
+        return None
+    if prior is not None and prior.store is store \
+            and prior.version == store.version:
+        return prior
+    return _IdExec(store)
 
 
 class _Context:
@@ -218,29 +242,23 @@ class _Context:
     disabled) no :class:`OperatorStats` rows are built or updated —
     per-operator accounting only exists for a consumer.
 
-    ``ids`` is the :class:`_IdExec` of an integer-domain execution
-    (interned store with a generation and a standard virtual registry)
-    or ``None``: the eligibility decision is made once per execution,
-    so every operator sees one consistent value domain.
+    ``ids`` is the :class:`_IdExec` of an integer-domain execution or
+    ``None`` (:func:`_id_exec`): the eligibility decision is made once
+    per execution, so every operator sees one consistent value domain.
     """
 
     __slots__ = ("view", "store", "virtual", "run", "stats", "collect",
                  "ids")
 
     def __init__(self, view: FactView, run: PlanRun,
-                 collect: bool = True):
+                 ids: Optional[_IdExec], collect: bool = True):
         self.view = view
         self.store = view.store
         self.virtual = view.virtual
         self.run = run
         self.collect = collect
-        self.ids: Optional[_IdExec] = None
-        if ID_DOMAIN and getattr(self.store, "interned", False) \
-                and self.store.generation is not None \
-                and self.store.overlay_size <= OVERLAY_BUDGET \
-                and _standard_registry(self.virtual):
-            self.ids = _IdExec(self.store)
-            run.id_domain = True
+        self.ids = ids
+        run.id_domain = ids is not None
         # Stats rows are created in plan preorder so PlanRun.operators
         # renders as the plan tree regardless of execution order.
         self.stats: Dict[int, OperatorStats] = {}
@@ -292,15 +310,24 @@ def execute_plan(plan: CompiledPlan, view: FactView,
     the hot path.  Direct callers (EXPLAIN ANALYZE, tests) keep the
     default and always get full stats.
     """
+    return _run_plan(plan, view, unit_table(), _id_exec(view), collect)
+
+
+def _run_plan(plan: CompiledPlan, view: FactView, table: BindingTable,
+              ids: Optional[_IdExec],
+              collect: bool) -> Tuple[BindingTable, PlanRun]:
+    """One plan execution from ``table`` (the unit table, or a wave's
+    seed rows — ids when ``ids`` is given) in the domain ``ids``
+    decides."""
     run = PlanRun(plan=plan)
-    ctx = _Context(view, run, collect)
+    ctx = _Context(view, run, ids, collect)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.plans")
-        if ctx.ids is not None:
+        if ids is not None:
             _obs.TELEMETRY.count("exec.id_domain")
-    table = _execute(plan.root, unit_table(), ctx)
-    if ctx.ids is not None:
-        table.codec = ctx.ids.codec
+    table = _execute(plan.root, table, ctx)
+    if ids is not None:
+        table.codec = ids.codec
     if _obs.ENABLED:
         _obs.LAST_REQUEST.run = run
     return table, run
@@ -475,113 +502,166 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
                    bound_vars: Tuple[Variable, ...], keys: List[tuple],
                    new_positions: List[int],
                    checks: List[Tuple[int, int]]) -> List[list]:
-    """The id leaf: join keys, generation probes, and extensions are
+    """The id leaf: join keys, store probes, and extensions are
     interned ids end-to-end.
 
-    The generation is probed through the store's batched id surface
-    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`) —
-    no :class:`Fact` objects, no strings, repeated unbound variables
-    checked natively (id equality is name equality).  The overlay and
-    any *triggered* virtual relation are merged per key through the
-    codec boundary; whether a standard virtual relation can contribute
-    is decided from the plan's ground annotation plus the key's bound
-    ids, so the common case (ground non-trigger relationship) pays
-    nothing per key.
+    Stored facts come from :func:`_stored_id_extensions`.  Whether a
+    standard virtual relation can contribute is decided per key from
+    the plan's ground annotation plus the key's bound ids, so the
+    common case (a non-trigger relationship, no endpoint) pays nothing
+    beyond the test.  An endpoint — ``∇`` as source, ``Δ`` as
+    relationship or target — holds iff some stored fact witnesses the
+    other positions, so it is the same probe with that position left
+    open and never leaves id space; only ``≺`` and the comparators go
+    through the string boundary (:func:`_merge_id_boundary`).
     """
     ids = ctx.ids
     pattern = node.formula.pattern
-    if _obs.ENABLED:
-        _obs.TELEMETRY.count("store.lookups", len(keys))
-
     gen = ids.gen
     ann = node.id_ann
     if ann is None or ann.generation is not gen:
         ann = bind_atom_ids(pattern, gen)
         node.id_ann = ann
-    ground = ann.ground
 
-    # Probe slots in srt spec order: a ground constant's interned id
-    # (possibly None — never in the generation) or the key index of a
-    # bound variable.
-    spec = ""
-    slots: List[Tuple[Optional[int], Optional[int]]] = []
-    for p, letter in ((0, "s"), (1, "r"), (2, "t")):
-        component = pattern[p]
+    # The positions a probe fixes, in srt order: ``(position, name, id,
+    # None)`` of a ground constant (id ``None``: never in the
+    # generation) or ``(position, None, None, key index)`` of a bound
+    # variable.
+    fixed: List[tuple] = []
+    key_of: List[Optional[int]] = [None, None, None]
+    for p, component in enumerate(pattern):
         if not isinstance(component, Variable):
-            spec += letter
-            slots.append((ground[p][1], None))
+            fixed.append((p,) + ann.ground[p] + (None,))
         elif component in bound_vars:
-            spec += letter
-            slots.append((None, bound_vars.index(component)))
-    probe_keys = [
-        tuple(g if k is None else key[k] for g, k in slots)
-        for key in keys
-    ]
-
-    extensions_per_key = ids.store.lookup_many_ids(
-        spec, probe_keys, positions=new_positions, checks=checks)
+            key_of[p] = bound_vars.index(component)
+            fixed.append((p, None, None, key_of[p]))
+    extensions_per_key = _stored_id_extensions(
+        ids, fixed, keys, new_positions, checks)
 
     # Virtual triggering: ground triggers hold for every key;
     # bound-variable positions are tested per key against the encoded
     # trigger ids; unbound positions never trigger (a variable in the
     # substituted template satisfies none of the standard handles).
-    always_virtual = ann.rel_trigger or ann.src_trigger or ann.tgt_trigger
-    rel_key = src_key = tgt_key = None
-    if not always_virtual:
-        component = pattern[1]
-        if isinstance(component, Variable) and component in bound_vars:
-            rel_key = bound_vars.index(component)
-        component = pattern[0]
-        if isinstance(component, Variable) and component in bound_vars:
-            src_key = bound_vars.index(component)
-        component = pattern[2]
-        if isinstance(component, Variable) and component in bound_vars:
-            tgt_key = bound_vars.index(component)
-    check_virtual = always_virtual or rel_key is not None \
-        or src_key is not None or tgt_key is not None
-    rel_triggers = ids.rel_trigger_ids
+    rel_string = ann.rel_string
+    ground_open = ann.open_positions
+    always_virtual = rel_string or True in ground_open
+    src_key, rel_key, tgt_key = key_of
+    if not always_virtual and src_key is None and rel_key is None \
+            and tgt_key is None:
+        return extensions_per_key
+    rel_triggers, string_rels = ids.rel_trigger_ids, ids.string_rel_ids
     bottom_id, top_id = ids.bottom_id, ids.top_id
-    # The overlay: its own hash index answers the pattern's *ground*
-    # positions (every key shares them); the few facts that survive
-    # are encoded through the codec (scratch ids for names the
-    # generation never saw) and appended to the key they agree with on
-    # the bound variables.  An atom whose constants no overlay fact
-    # mentions pays one lookup and nothing per key.  Overlay and
-    # generation are disjoint by store invariant, so no dedup.
-    if ids.overlay is not None:
-        candidates = ids.overlay.lookup(
-            *(None if g is None else g[0] for g in ground))
-        if candidates:
-            encode = ids.codec.encode
-            # Per bound variable its first position in the pattern
-            # gives the key component; a repeat must agree with it,
-            # like the repeated unbound variables of ``checks``.
-            firsts = [pattern.index(v) for v in bound_vars]
-            equal = list(checks) + [
-                (first, p) for first in firsts
-                for p in range(first + 1, 3) if pattern[p] == pattern[first]]
-            where = {key: n for n, key in enumerate(keys)}
-            for f in candidates:
-                if equal and not all(f[i] == f[j] for i, j in equal):
-                    continue
-                n = where.get(tuple([encode(f[p]) for p in firsts]))
-                if n is not None:
+    #: open positions -> the numbers of the keys they are open for
+    witnessed: Dict[Tuple[bool, bool, bool], List[int]] = {}
+    for n, key in enumerate(keys):
+        if _deadline.ACTIVE and n % CHECK_KEYS == 0:
+            _deadline.check()
+        if not (always_virtual
+                or (rel_key is not None and key[rel_key] in rel_triggers)
+                or (src_key is not None and key[src_key] == bottom_id)
+                or (tgt_key is not None and key[tgt_key] == top_id)):
+            continue
+        if rel_string or (rel_key is not None
+                          and key[rel_key] in string_rels):
+            extensions_per_key[n] = _merge_id_boundary(
+                ctx, pattern, bound_vars, key, extensions_per_key[n],
+                new_positions, checks)
+            continue
+        opened = (
+            ground_open[0]
+            or (src_key is not None and key[src_key] == bottom_id),
+            ground_open[1]
+            or (rel_key is not None and key[rel_key] == top_id),
+            ground_open[2]
+            or (tgt_key is not None and key[tgt_key] == top_id))
+        witnessed.setdefault(opened, []).append(n)
+    for opened, numbers in witnessed.items():
+        found = _stored_id_extensions(
+            ids, [slot for slot in fixed if not opened[slot[0]]],
+            [keys[n] for n in numbers], new_positions, checks)
+        for n, witnesses in zip(numbers, found):
+            if witnesses:
+                # Witnesses of one key may project to one extension,
+                # and a stored fact may spell the endpoint out.
+                extensions_per_key[n] = list(dict.fromkeys(
+                    extensions_per_key[n] + witnesses))
+    return extensions_per_key
+
+
+def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
+                          keys: List[tuple], new_positions: List[int],
+                          checks: List[Tuple[int, int]]) -> List[list]:
+    """Per key, the extensions of the stored facts — generation minus
+    tombstones, plus overlay — that match on the ``fixed`` positions
+    (:func:`_id_extensions`: all of an atom's ground and bound ones,
+    or those an endpoint leaves).
+
+    The generation is probed through the store's batched id surface
+    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`) —
+    no :class:`Fact` objects, no strings, repeated unbound variables
+    checked natively (id equality is name equality).  Overlay facts are
+    found through its own hash index and encoded through the codec
+    (scratch ids for names the generation never saw).  Overlay and
+    generation are disjoint by store invariant, so no dedup.
+    """
+    if _obs.ENABLED:
+        _obs.TELEMETRY.count("store.lookups", len(keys))
+    spec = ""
+    for slot in fixed:
+        spec += "srt"[slot[0]]
+    extensions_per_key = ids.store.lookup_many_ids(
+        spec,
+        [tuple([g if k is None else key[k] for _p, _name, g, k in fixed])
+         for key in keys],
+        positions=new_positions, checks=checks)
+    if ids.overlay is None:
+        return extensions_per_key
+    # The overlay's index answers the *ground* positions every key
+    # shares: an atom whose constants no overlay fact mentions pays one
+    # lookup and nothing per key.
+    names: List[Optional[str]] = [None, None, None]
+    bound: List[Tuple[int, int]] = []   # (position, key index)
+    for p, name, _g, k in fixed:
+        names[p] = name
+        if k is not None:
+            bound.append((p, k))
+    candidates = ids.overlay.lookup(*names)
+    if not candidates:
+        return extensions_per_key
+    encode = ids.codec.encode
+    if len(keys) < len(candidates):
+        # Fewer keys than candidates (a wave's seed rows against an
+        # atom with nothing ground): one indexed lookup per key.
+        decode = ids.codec.decode
+        for n, key in enumerate(keys):
+            for p, k in bound:
+                names[p] = decode(key[k])
+            for f in ids.overlay.lookup(*names):
+                if not checks or all(f[i] == f[j] for i, j in checks):
                     extensions_per_key[n].append(
                         tuple([encode(f[p]) for p in new_positions]))
-
-    # Merge any triggered virtual relation into each key's extensions
-    # before building rows.
-    if check_virtual:
-        for n, key in enumerate(keys):
-            if _deadline.ACTIVE and n % CHECK_KEYS == 0:
-                _deadline.check()
-            if always_virtual \
-                    or (rel_key is not None and key[rel_key] in rel_triggers) \
-                    or (src_key is not None and key[src_key] == bottom_id) \
-                    or (tgt_key is not None and key[tgt_key] == top_id):
-                extensions_per_key[n] = _merge_id_boundary(
-                    ctx, pattern, bound_vars, key, extensions_per_key[n],
-                    new_positions, checks)
+        return extensions_per_key
+    # Otherwise the few candidates are each appended to the key they
+    # agree with on the bound variables.  Per bound variable its first
+    # position gives the key component; a repeat must agree with it,
+    # like the repeated unbound variables of ``checks``.
+    first_of: Dict[int, int] = {}
+    equal = list(checks)
+    for p, k in bound:
+        if k in first_of:
+            equal.append((first_of[k], p))
+        else:
+            first_of[k] = p
+    where = {tuple([key[k] for k in first_of]): n
+             for n, key in enumerate(keys)}
+    firsts = list(first_of.values())
+    for f in candidates:
+        if equal and not all(f[i] == f[j] for i, j in equal):
+            continue
+        n = where.get(tuple([encode(f[p]) for p in firsts]))
+        if n is not None:
+            extensions_per_key[n].append(
+                tuple([encode(f[p]) for p in new_positions]))
     return extensions_per_key
 
 
@@ -919,8 +999,13 @@ class CompiledEvaluator(Evaluator):
 
     A plan lives for one evaluation: it is lowered against the view it
     runs on, so its join order and provably-empty hints are always
-    that view's.
+    that view's.  What one evaluator's plans do share is the
+    integer-domain state (:class:`_IdExec`: scratch codec, encoded
+    trigger ids) — a probe's own query and every wave after it run on
+    one, for as long as the store stands still.
     """
+
+    _ids: Optional[_IdExec] = None
 
     def _prepare(self, query: Union[str, Query],
                  proposition: bool = False) -> Query:
@@ -970,9 +1055,111 @@ class CompiledEvaluator(Evaluator):
     # ------------------------------------------------------------------
     def _table(self, query: Query) -> BindingTable:
         """Lower the (checked) query against this view and run it."""
-        table, _run = execute_plan(compile_query(query, self.view),
-                                   self.view, collect=_obs.ENABLED)
-        return table
+        ids = self._ids = _id_exec(self.view, self._ids)
+        return _run_plan(compile_query(query, self.view), self.view,
+                         unit_table(), ids, _obs.ENABLED)[0]
+
+    def evaluate_wave(self, candidates: Sequence
+                      ) -> Tuple[List[Set[Tuple[str, ...]]], int]:
+        """One join per *variable skeleton* instead of one plan per
+        candidate.
+
+        Candidates that agree on where their variables are and on
+        ``free`` (replacing a constant by a constant never changes
+        either; deleting a weak template does) differ only in
+        constants.  Every ground position becomes a seed column, the
+        skeleton is joined once from one input row per candidate, and
+        the final table is split by seed row, projected onto ``free``
+        and decoded.  A seed is a bound variable, so each atom probes
+        once per distinct key exactly as the candidate's own ground
+        template would have; candidates are broader forms of a query
+        :meth:`evaluate` already checked and are not checked again.
+
+        The order a candidate's own plan would join its templates in
+        is part of the skeleton: a computed relation may enumerate
+        less than it tests (a comparator enumerates the active domain
+        and tests any two names), so what an atom matches can depend
+        on what is bound when it runs.
+        """
+        values: List[Set[Tuple[str, ...]]] = [set() for _ in candidates]
+        groups: Dict[tuple, List[tuple]] = {}
+        for candidate, value in zip(candidates, values):
+            templates = candidate.templates
+            skeleton = tuple([
+                tuple([c if isinstance(c, Variable) else None for c in t])
+                for t in templates])
+            order = (0,) if len(templates) == 1 else tuple(join_order(
+                [Atom(t) for t in templates], set(), self.view))
+            groups.setdefault((skeleton, candidate.free, order),
+                              []).append((candidate, value))
+        for (_skeleton, _free, order), members in groups.items():
+            if _deadline.ACTIVE:
+                _deadline.check()
+            self._join_group(members, order)
+        return values, len(groups)
+
+    def _join_group(self, members: List[tuple],
+                    order: Tuple[int, ...]) -> None:
+        """Answer one skeleton group — ``(candidate, its value set to
+        fill)`` pairs — with its templates joined in ``order``."""
+        first = members[0][0]
+        seeds: List[Variable] = []
+        atoms: List[Atom] = []
+        for template in first.templates:
+            lifted = []
+            for component in template:
+                if not isinstance(component, Variable):
+                    # A name the query grammar cannot produce.
+                    component = Variable(f"${len(seeds)}")
+                    seeds.append(component)
+                lifted.append(component)
+            atoms.append(Atom(Template(*lifted)))
+        # Estimates are the first candidate's own, constants and all.
+        parts: List[PlanNode] = []
+        bound: Set[Variable] = set()
+        for index in order:
+            own = Atom(first.templates[index])
+            parts.append(AtomJoin(
+                atoms[index], est=estimate_cost(own, bound, self.view)))
+            bound |= own.free_variables()
+        formula = And(tuple(atoms))
+        root = parts[0] if len(parts) == 1 else Pipeline(
+            formula, tuple(parts), est=parts[0].est)
+        plan = CompiledPlan(Query(formula, tuple(seeds) + first.free), root)
+        rows = [tuple([c for t in candidate.templates for c in t
+                       if not isinstance(c, Variable)])
+                for candidate, _value in members]
+        ids = self._ids = _id_exec(self.view, self._ids)
+        if ids is not None:
+            encode = ids.codec.encode
+            rows = [tuple([encode(name) for name in row]) for row in rows]
+        wave_span = (
+            _obs.TELEMETRY.span("query.evaluate", query=str(plan.query),
+                                engine="compiled", seeds=len(rows))
+            if _obs.ENABLED else _obs.NULL_SPAN)
+        with wave_span as span:
+            table = _run_plan(
+                plan, self.view,
+                BindingTable(seeds, list(dict.fromkeys(rows))),
+                ids, _obs.ENABLED)[0]
+            span.set(rows=len(table.rows))
+            if table.rows:
+                # A join that went empty mid-way stops without adding
+                # the remaining columns; there is nothing to split.
+                width = len(seeds)
+                positions = table.project_positions(first.free)
+                name_of = None if ids is None \
+                    else _DecodeMemo(ids.codec).__getitem__
+                answers: Dict[tuple, Set[Tuple[str, ...]]] = {}
+                for row in table.rows:
+                    answer = [row[p] for p in positions]
+                    if name_of is not None:
+                        answer = map(name_of, answer)
+                    answers.setdefault(row[:width], set()).add(
+                        tuple(answer))
+                for row, (_candidate, value) in zip(rows, members):
+                    value.update(answers.get(row, ()))
+            _flush_decodes(table.codec)
 
     @staticmethod
     def _project(query: Query,

@@ -127,16 +127,32 @@ def next_conjunct(parts: Sequence[Formula], bound: Set[Variable],
     return choose_conjunct(parts, bound, view)[0]
 
 
+def join_order(parts: Sequence[Formula], bound: Set[Variable],
+               view: FactView) -> List[int]:
+    """The greedy static order of a conjunction, as indices into
+    ``parts``: repeatedly the best-ranked remaining part under what the
+    earlier ones bind (the first listed wins a tie).  The compiled
+    engine lowers a conjunction in this order, and a retraction wave
+    groups its candidates by it."""
+    if len(parts) == 1:
+        return [0]
+    remaining = list(range(len(parts)))
+    bound = set(bound)
+    order: List[int] = []
+    while remaining:
+        best_index, best_rank = remaining[0], None
+        for index in remaining:
+            rank, _cost = conjunct_rank(parts[index], bound, view)
+            if best_rank is None or rank < best_rank:
+                best_index, best_rank = index, rank
+        remaining.remove(best_index)
+        order.append(best_index)
+        bound |= parts[best_index].free_variables()
+    return order
+
+
 def order_conjuncts(parts: Sequence[Formula], bound: Set[Variable],
                     view: FactView) -> List[Formula]:
     """A full greedy static order (used by tests and EXPLAIN output);
     the evaluator itself re-plans dynamically per binding."""
-    remaining = list(parts)
-    bound = set(bound)
-    ordered: List[Formula] = []
-    while remaining:
-        index = next_conjunct(remaining, bound, view)
-        part = remaining.pop(index)
-        ordered.append(part)
-        bound |= part.free_variables()
-    return ordered
+    return [parts[index] for index in join_order(parts, bound, view)]

@@ -116,6 +116,10 @@ class EndpointWitness(ComputedRelation):
     Only stored/derived facts witness the endpoints — the virtual
     mathematical facts do not, or every pair of numbers would be
     ``Δ``-related.
+
+    This is the string-domain form; the id-domain executor answers the
+    same question as a stored-fact probe with the endpoint position
+    left open (``repro.query.exec._id_extensions``) and never calls it.
     """
 
     def handles(self, pattern: Template) -> bool:
@@ -135,6 +139,12 @@ class EndpointWitness(ComputedRelation):
 
     def facts(self, pattern: Template, store: FactStore) -> Iterator[Fact]:
         probe = self._probe(pattern)
+        if pattern.is_ground():
+            # Every witness projects to the pattern itself: the first
+            # one decides.
+            if any(True for _witness in store.match(probe)):
+                yield Fact(*pattern)
+            return
         seen = set()
         for witness in store.match(probe):
             projected = Fact(

@@ -803,20 +803,22 @@ class TestTheMemoOwnsRepeats:
     def executions(counters) -> dict:
         return {name: counters.get(name, 0) for name in (
             "exec.plans", "browse.navigations", "browse.probes",
-            "browse.probe.retractions", "serve.net.answer_hits")}
+            "browse.probe.retractions", "browse.probe.joins",
+            "serve.net.answer_hits")}
 
     def test_over_tcp_a_repeat_is_one_execution_and_one_hit(self, stack):
         oracle = build()
-        retractions = sum(
-            len(wave.attempted)
-            for wave in oracle.probe(self.FAILING_PROBE).waves)
-        assert retractions > 0
+        waves = oracle.probe(self.FAILING_PROBE).waves
+        retractions = sum(len(wave.attempted) for wave in waves)
+        joins = sum(wave.joins for wave in waves)
+        # A multi-candidate wave is fewer joins than candidates.
+        assert 0 < joins < retractions
         steps = [
             ("query", self.QUERY, {"exec.plans": 1}),
             ("navigate", self.NAVIGATE, {"browse.navigations": 1}),
             ("probe", self.FAILING_PROBE,
              {"browse.probes": 1, "browse.probe.retractions": retractions,
-              "exec.plans": 1 + retractions}),
+              "browse.probe.joins": joins, "exec.plans": 1 + joins}),
         ]
         with stack.client() as client:
             for verb, text, computed in steps:

@@ -86,6 +86,7 @@ class TestSlowQueryLog:
         for autopsy in probes.values():
             assert autopsy["waves"] >= 1
             assert autopsy["attempted"] >= autopsy["successes"] >= 1
+            assert 1 <= autopsy["joins"] <= autopsy["attempted"]
 
     def test_service_holds_the_spine_only_while_open(self):
         assert not obs_telemetry.ENABLED
@@ -395,10 +396,13 @@ class TestSpineUnderThreads:
         assert counters["browse.probes"] == reads // 2
         assert counters["serve.ops_applied"] == self.WRITES
         # Nothing remembers an answer in process: every query ran its
-        # plan, every probe its own and one per retraction candidate.
+        # plan, every probe its own and one join per wave skeleton —
+        # fewer than the candidates those joins answered.
         assert counters["browse.probe.retractions"] >= reads // 2
+        assert reads // 2 <= counters["browse.probe.joins"] \
+            < counters["browse.probe.retractions"]
         assert counters["exec.plans"] \
-            == reads + counters["browse.probe.retractions"]
+            == reads + counters["browse.probe.joins"]
         histograms = snapshot["histograms"]
         assert histograms["serve.request_seconds.query"]["count"] \
             + histograms["serve.request_seconds.probe"]["count"] == reads

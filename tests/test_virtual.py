@@ -163,6 +163,32 @@ class TestEndpointWitness:
         assert matches == {Fact("JOHN", TOP, "FELIX"),
                            Fact("TOM", TOP, "FELIX")}
 
+    def test_ground_pattern_stops_at_the_first_witness(self):
+        """Every witness of a pattern without variables projects to the
+        pattern itself, so one is enough: the store is asked to produce
+        a single fact however many would match."""
+        class CountingStore(FactStore):
+            produced = 0
+
+            def match(self, pattern):
+                for fact in super().match(pattern):
+                    self.produced += 1
+                    yield fact
+
+        store = CountingStore(
+            Fact(f"P{n}", "LIKES", "FELIX") for n in range(21))
+        pattern = Template(BOTTOM, "LIKES", "FELIX")
+        assert list(EndpointWitness().facts(pattern, store)) == [
+            Fact(BOTTOM, "LIKES", "FELIX")]
+        assert store.produced == 1
+        assert list(EndpointWitness().facts(
+            Template(BOTTOM, "HATES", "FELIX"), store)) == []
+        # An open position still enumerates (and dedupes) them all.
+        assert list(EndpointWitness().facts(
+            Template(BOTTOM, "LIKES", X), store)) == [
+                Fact(BOTTOM, "LIKES", "FELIX")]
+        assert store.produced == 1 + 21
+
     def test_star_navigation_not_polluted(self):
         """A free relationship variable must not surface Δ facts."""
         view = make_view([Fact("JOHN", "LIKES", "FELIX")])
