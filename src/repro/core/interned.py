@@ -101,19 +101,13 @@ class IdCodec:
     directions, so id equality is name equality: the executor's join
     keys, dedup sets, and repeated-variable checks can all operate on
     machine ints and the answers stay bit-identical to the string path.
-
-    ``decodes`` counts string materializations through this codec (the
-    ``interned.decodes`` telemetry source); the executor flushes it
-    after result emission.
     """
 
-    __slots__ = ("interner", "base", "decodes", "_scratch",
-                 "_scratch_ids")
+    __slots__ = ("interner", "base", "_scratch", "_scratch_ids")
 
     def __init__(self, interner):
         self.interner = interner
         self.base = len(interner)
-        self.decodes = 0
         self._scratch: List[str] = []
         self._scratch_ids: Dict[str, int] = {}
 
@@ -129,7 +123,6 @@ class IdCodec:
         return i
 
     def decode(self, i: int) -> str:
-        self.decodes += 1
         if i < self.base:
             return self.interner.names[i]
         return self._scratch[i - self.base]
@@ -665,6 +658,74 @@ class ColumnarGeneration:
             position = self._find(ids[0], ids[1], ids[2])
             return () if position < 0 else (position,)
         raise KeyError(f"no index for position spec {spec!r}")
+
+    def positions_many(self, spec: str,
+                       keys: Sequence[Tuple[Optional[int], ...]]
+                       ) -> List[Sequence[int]]:
+        """:meth:`positions` of each of a batch of keys sharing one
+        ``spec``: the index (CSR offsets, or a packed-pair array and
+        its component order), the permutation and the id bound are
+        resolved once for the batch, so a key costs its binary search
+        and a slice.  A run of the natural order is a ``range``, one
+        of a permuted order that slice of the permutation.  A key
+        holding ``None`` or an id outside the base range (a scratch id
+        would alias another pair once packed) gets an empty run.
+        """
+        if spec == "":
+            return [range(self.n)] * len(keys)
+        index, starts, perm = self._BATCH_INDEX[spec]
+        starts = getattr(self, starts)
+        perm = perm and getattr(self, perm)
+        base = len(self.start_s) - 1
+        runs: List[Sequence[int]] = []
+        append = runs.append
+        if index is None:
+            for (i,) in keys:
+                if i is None or i >= base:
+                    append(())
+                elif perm is None:
+                    append(range(starts[i], starts[i + 1]))
+                else:
+                    append(perm[starts[i]:starts[i + 1]])
+            return runs
+        index = getattr(self, index)
+        last = len(index) - 1
+        # st runs live in the (t, s) physical order; an srt key
+        # bisects its (s, r) run for t.
+        swap = spec == "st"
+        exact = spec == "srt"
+        tcol = self.tcol
+        for key in keys:
+            a, b = key[0], key[1]
+            if None in key or a >= base or b >= base:
+                append(())
+                continue
+            packed = b * base + a if swap else a * base + b
+            k = bisect_left(index, packed)
+            if k > last or index[k] != packed:
+                append(())
+                continue
+            lo, hi = starts[k], starts[k + 1]
+            if exact:
+                at = bisect_left(tcol, key[2], lo, hi)
+                append((at,) if at < hi and tcol[at] == key[2] else ())
+            elif perm is None:
+                append(range(lo, hi))
+            else:
+                append(perm[lo:hi])
+        return runs
+
+    #: spec -> (packed-pair keys or ``None`` for plain CSR offsets,
+    #: run starts, permutation or ``None`` for the natural order)
+    _BATCH_INDEX = {
+        "s": (None, "start_s", None),
+        "r": (None, "start_r", "perm_r"),
+        "t": (None, "start_t", "perm_t"),
+        "sr": ("sr_keys", "sr_starts", None),
+        "rt": ("rt_keys", "rt_starts", "perm_r"),
+        "st": ("st_keys", "st_starts", "perm_t"),
+        "srt": ("sr_keys", "sr_starts", None),
+    }
 
     def count(self, s: Optional[int], r: Optional[int],
               t: Optional[int]) -> int:
@@ -1202,46 +1263,29 @@ class InternedFactStore(FactStore):
         Tombstones are filtered by generation offset.
         """
         gen = self._gen
-        base = len(gen.interner)
         removed = self._removed_at
         cols = (gen.scol, gen.rcol, gen.tcol)
         out_cols = None if positions is None else [
             cols[p] for p in positions]
-        results: List[list] = []
-        for ids in keys:
-            miss = False
-            for i in ids:
-                if i is None or i >= base:
-                    miss = True
-                    break
-            if miss:
-                results.append([])
-                continue
-            offsets: Iterable[int] = gen.positions(spec, ids)
-            if removed:
-                offsets = [p for p in offsets if p not in removed]
-            if checks:
-                offsets = [
-                    p for p in offsets
-                    if all(cols[i][p] == cols[j][p] for i, j in checks)]
-            if out_cols is None:
-                scol, rcol, tcol = cols
-                results.append(
-                    [(scol[p], rcol[p], tcol[p]) for p in offsets])
-            elif len(out_cols) == 1:
-                col = out_cols[0]
-                results.append([(col[p],) for p in offsets])
-            elif out_cols:
-                results.append([tuple(col[p] for col in out_cols)
-                                for p in offsets])
-            else:
-                # Pure filter: only existence matters.
-                hit = False
-                for _p in offsets:
-                    hit = True
-                    break
-                results.append([()] if hit else [])
-        return results
+        runs = gen.positions_many(spec, keys)
+        if removed:
+            runs = [[p for p in run if p not in removed] for run in runs]
+        if checks:
+            runs = [[p for p in run
+                     if all(cols[i][p] == cols[j][p] for i, j in checks)]
+                    for run in runs]
+        if out_cols is None:
+            scol, rcol, tcol = cols
+            return [[(scol[p], rcol[p], tcol[p]) for p in run]
+                    for run in runs]
+        if len(out_cols) == 1:
+            col = out_cols[0]
+            return [[(col[p],) for p in run] for run in runs]
+        if out_cols:
+            return [[tuple([col[p] for col in out_cols]) for p in run]
+                    for run in runs]
+        # Pure filter: only existence matters.
+        return [[()] if len(run) else [] for run in runs]
 
     def entity_id_domain(self, encode) -> List[int]:
         """The active entity domain as codec ids: generation entities

@@ -18,10 +18,11 @@ into a tree of plan operators —
 which :mod:`repro.query.exec` then runs over *binding tables* (columnar
 tuples of entity ids) instead of per-row dicts.
 
-The join order inside each :class:`Pipeline` is chosen here from
-:func:`~repro.query.planner.conjunct_rank` — the same estimator the
+The join order inside each :class:`Pipeline` is chosen here from one
+:class:`~repro.query.planner.Estimates` — the same estimator the
 reference engine consults per binding — so both engines attack a
-conjunction the same way; the compiled engine just decides once.
+conjunction the same way; the compiled engine just decides once, and
+asks the view for each distinct atom's count once.
 Quantifier deferral (satellite of the same planner) applies identically:
 a part whose free variables are not yet generated sorts after every
 generator.
@@ -52,7 +53,7 @@ from ..core.facts import Variable
 from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
-from .planner import estimate_cost, join_order
+from .planner import Estimates
 
 #: Relationship constants whose templates the id-domain executor
 #: answers on strings: the comparators (math facts) and ``≺``
@@ -207,10 +208,14 @@ class ForAllProbe(PlanNode):
 
 @dataclass
 class CompiledPlan:
-    """A lowered query: the operator tree plus the output tuple order."""
+    """A lowered query: the operator tree plus the output tuple order,
+    and the estimator that ordered it — the executor's run-time
+    estimates (the conjunct trace, the adaptive re-order) are
+    arithmetic on the counts lowering already asked for."""
 
     query: Query
     root: PlanNode
+    estimates: Estimates = field(repr=False, compare=False)
 
     def walk(self) -> Iterator[Tuple[PlanNode, int]]:
         return self.root.walk()
@@ -274,38 +279,40 @@ def compile_query(query: TUnion[str, Query],
     if isinstance(query, str):
         from .parser import parse_query
         query = parse_query(query)
-    root = _lower(query.formula, set(), view)
-    return CompiledPlan(query=query, root=root)
+    estimates = Estimates(view)
+    root = _lower(query.formula, set(), estimates)
+    return CompiledPlan(query, root, estimates)
 
 
 def _lower(formula: Formula, bound: Set[Variable],
-           view: FactView) -> PlanNode:
+           estimates: Estimates) -> PlanNode:
     """Recursively lower one formula, given the variables the enclosing
     context will have bound when this node runs."""
     if isinstance(formula, Atom):
-        hint = bool(getattr(view, "exact_counts", False)) \
-            and view.count_estimate(formula.pattern) == 0
-        return AtomJoin(formula, est=estimate_cost(formula, bound, view),
+        hint = estimates.exact and estimates.count(formula.pattern) == 0
+        return AtomJoin(formula, est=estimates.cost(formula, bound),
                         empty_hint=hint)
     if isinstance(formula, And):
         b = set(bound)
         parts: List[PlanNode] = []
-        for index in join_order(formula.parts, bound, view):
+        for index in estimates.join_order(formula.parts, bound):
             part = formula.parts[index]
-            parts.append(_lower(part, b, view))
-            b |= part.free_variables()
+            parts.append(_lower(part, b, estimates))
+            b |= estimates.variables(part)
         return Pipeline(formula, tuple(parts),
-                        est=estimate_cost(formula, bound, view))
+                        est=estimates.cost(formula, bound))
     if isinstance(formula, Or):
-        branches = tuple(_lower(p, set(bound), view) for p in formula.parts)
+        branches = tuple(_lower(p, set(bound), estimates)
+                         for p in formula.parts)
         return Union(formula, branches,
                      est=sum(b.est for b in branches))
     if isinstance(formula, Exists):
-        body = _lower(formula.body, bound - {formula.variable}, view)
+        body = _lower(formula.body, bound - {formula.variable}, estimates)
         return SemiJoin(formula, body, est=body.est)
     if isinstance(formula, ForAll):
         body = _lower(
             formula.body,
-            bound | formula.free_variables() | {formula.variable}, view)
+            bound | formula.free_variables() | {formula.variable},
+            estimates)
         return ForAllProbe(formula, body, est=body.est)
     raise QueryError(f"unknown formula type: {type(formula).__name__}")

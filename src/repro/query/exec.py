@@ -18,10 +18,11 @@ actually receives rows.  The randomized equivalence suite
 across every dataset.
 
 Batch-friendly cancellation: deadline checkpoints
-(:mod:`repro.core.deadline`) fire at operator entry, every
-:data:`CHECK_KEYS` distinct join keys, and every ``∀`` domain chunk —
-per batch, not per row — so a compiled query is cancellable without
-paying a flag test on the innermost loop.
+(:mod:`repro.core.deadline`) fire at operator entry, between an
+atom's probe and its output pass, every :data:`CHECK_KEYS` keys of a
+virtual-relation merge, and every ``∀`` domain chunk — per batch, not
+per row — so a compiled query is cancellable without paying a flag
+test on the innermost loop.
 
 Example::
 
@@ -37,6 +38,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -63,7 +65,7 @@ from .compile import (
     compile_query,
 )
 from .evaluate import Evaluator, check_safety, require_proposition
-from .planner import conjunct_rank, estimate_cost, join_order
+from .planner import Estimates
 
 #: Process-wide switch for integer-domain execution over interned
 #: stores.  The id-domain equivalence suite flips this off to prove the
@@ -78,7 +80,8 @@ ID_DOMAIN = True
 _STANDARD_RELATIONS = (MathRelation, ReflexiveGeneralization,
                        EndpointWitness)
 
-#: Distinct-key interval between deadline checkpoints inside a join.
+#: Distinct-key interval between deadline checkpoints inside the
+#: id leaf's virtual-relation merge.
 CHECK_KEYS = 1024
 
 #: Domain chunk size for the ``∀`` anti-probe: small enough that rows
@@ -111,9 +114,8 @@ class BindingTable:
         self.rows = rows
         #: The :class:`~repro.core.interned.IdCodec` of an id-domain
         #: execution, set on the *final* table by :func:`execute_plan`
-        #: — rows then hold interned ids, and projection decodes each
-        #: distinct result tuple exactly once.  ``None`` on the string
-        #: path.
+        #: — rows then hold interned ids, and projection decodes them
+        #: column by column.  ``None`` on the string path.
         self.codec = None
 
     def __len__(self) -> int:
@@ -248,7 +250,7 @@ class _Context:
     """
 
     __slots__ = ("view", "store", "virtual", "run", "stats", "collect",
-                 "ids")
+                 "ids", "estimates")
 
     def __init__(self, view: FactView, run: PlanRun,
                  ids: Optional[_IdExec], collect: bool = True):
@@ -258,6 +260,7 @@ class _Context:
         self.run = run
         self.collect = collect
         self.ids = ids
+        self.estimates = run.plan.estimates
         run.id_domain = ids is not None
         # Stats rows are created in plan preorder so PlanRun.operators
         # renders as the plan tree regardless of execution order.
@@ -270,33 +273,30 @@ class _Context:
                 run.operators.append(stats)
 
 
-class _DecodeMemo(dict):
-    """id → name map that decodes through the codec on first touch, so
-    repeated ids across output rows hit the C dict fast path and the
-    codec's ``decodes`` counter tallies *distinct* materializations."""
-
-    __slots__ = ("_decode",)
-
-    def __init__(self, codec) -> None:
-        super().__init__()
-        self._decode = codec.decode
-
-    def __missing__(self, i: int) -> str:
-        name = self._decode(i)
-        self[i] = name
-        return name
-
-
-def _flush_decodes(codec) -> None:
-    """Publish an execution's codec decode count to telemetry
-    (``interned.decodes``) and reset it.  No-op on the string
-    path (``codec is None``) or when nothing observes."""
-    if codec is None or not codec.decodes:
-        return
-    n = codec.decodes
-    codec.decodes = 0
+def _decoded_rows(codec, rows: Sequence[tuple]) -> zip:
+    """The rows of an id-domain table as name tuples (one pass each,
+    lazily), decoded by column: a column that holds only generation
+    ids indexes the name table directly at C level — ``max(column) <
+    base`` is the test, not "the codec has scratch ids", for every
+    execution mints ``∇`` / ``Δ`` / ``≺`` — and only a column that
+    holds a scratch id goes through ``codec.decode`` cell by cell."""
+    names, base = codec.interner.names, codec.base
+    columns = list(zip(*rows))
     if _obs.ENABLED:
-        _obs.TELEMETRY.count("interned.decodes", n)
+        _obs.TELEMETRY.count("interned.decodes",
+                             len(set().union(*columns)))
+    return zip(*[
+        map(names.__getitem__ if max(column) < base else codec.decode,
+            column)
+        for column in columns])
+
+
+def _picked(rows: Sequence[tuple], positions: List[int]):
+    """``rows`` projected onto one or more ``positions``, extraction
+    kept in C: a single position is re-wrapped, since itemgetter then
+    yields the bare component."""
+    picked = map(itemgetter(*positions), rows)
+    return zip(picked) if len(positions) == 1 else picked
 
 
 def execute_plan(plan: CompiledPlan, view: FactView,
@@ -372,7 +372,7 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
     "extensions per key" — :func:`_id_extensions` over interned ids or
     :func:`_string_extensions` over names."""
     pattern = node.formula.pattern
-    pattern_var_set = pattern.variable_set()
+    pattern_var_set = ctx.estimates.variables(node.formula)
     bound_vars = tuple(v for v in table.columns if v in pattern_var_set)
     # Extraction positions (first occurrence of each new variable) and
     # the equality checks a repeated new variable imposes on a fact.
@@ -459,20 +459,12 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
             _deadline.check()
         return BindingTable(out_columns, out_rows)
 
-    out_rows = []
-    for n, extensions in enumerate(extensions_per_key):
-        if _deadline.ACTIVE and n % CHECK_KEYS == 0:
-            _deadline.check()
-        if not extensions:
-            continue
-        bucket = buckets[n]
-        if len(extensions) == 1:
-            extension = extensions[0]
-            out_rows += [row + extension for row in bucket]
-        else:
-            out_rows += [row + extension for row in bucket
-                         for extension in extensions]
-    return BindingTable(out_columns, out_rows)
+    if _deadline.ACTIVE:
+        _deadline.check()
+    return BindingTable(out_columns, [
+        row + extension
+        for bucket, extensions in zip(buckets, extensions_per_key)
+        for row in bucket for extension in extensions])
 
 
 def _string_extensions(ctx: _Context, node: AtomJoin,
@@ -506,10 +498,10 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
     interned ids end-to-end.
 
     Stored facts come from :func:`_stored_id_extensions`.  Whether a
-    standard virtual relation can contribute is decided per key from
-    the plan's ground annotation plus the key's bound ids, so the
-    common case (a non-trigger relationship, no endpoint) pays nothing
-    beyond the test.  An endpoint — ``∇`` as source, ``Δ`` as
+    standard virtual relation can contribute is decided from the
+    plan's ground annotation plus the keys' bound ids — for the whole
+    batch first, then per key — so the common case (a non-trigger
+    relationship, no endpoint) pays nothing beyond the test.  An endpoint — ``∇`` as source, ``Δ`` as
     relationship or target — holds iff some stored fact witnesses the
     other positions, so it is the same probe with that position left
     open and never leaves id space; only ``≺`` and the comparators go
@@ -539,18 +531,25 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
         ids, fixed, keys, new_positions, checks)
 
     # Virtual triggering: ground triggers hold for every key;
-    # bound-variable positions are tested per key against the encoded
-    # trigger ids; unbound positions never trigger (a variable in the
-    # substituted template satisfies none of the standard handles).
+    # bound-variable positions are tested against the encoded trigger
+    # ids — first the whole batch, one C-level membership test per
+    # bound position, and key by key only when some key can trigger;
+    # unbound positions never trigger (a variable in the substituted
+    # template satisfies none of the standard handles).
     rel_string = ann.rel_string
     ground_open = ann.open_positions
     always_virtual = rel_string or True in ground_open
     src_key, rel_key, tgt_key = key_of
-    if not always_virtual and src_key is None and rel_key is None \
-            and tgt_key is None:
-        return extensions_per_key
     rel_triggers, string_rels = ids.rel_trigger_ids, ids.string_rel_ids
     bottom_id, top_id = ids.bottom_id, ids.top_id
+    if not (always_virtual
+            or (rel_key is not None and not rel_triggers.isdisjoint(
+                map(itemgetter(rel_key), keys)))
+            or (src_key is not None
+                and bottom_id in map(itemgetter(src_key), keys))
+            or (tgt_key is not None
+                and top_id in map(itemgetter(tgt_key), keys))):
+        return extensions_per_key
     #: open positions -> the numbers of the keys they are open for
     witnessed: Dict[Tuple[bool, bool, bool], List[int]] = {}
     for n, key in enumerate(keys):
@@ -609,11 +608,17 @@ def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
     spec = ""
     for slot in fixed:
         spec += "srt"[slot[0]]
+    if len(keys) == 1 or not fixed:
+        probe_keys = [
+            tuple([g if k is None else key[k] for _p, _name, g, k in fixed])
+            for key in keys]
+    else:
+        # A batch is built by column, at C level.
+        probe_keys = list(zip(*[
+            repeat(g) if k is None else map(itemgetter(k), keys)
+            for _p, _name, g, k in fixed]))
     extensions_per_key = ids.store.lookup_many_ids(
-        spec,
-        [tuple([g if k is None else key[k] for _p, _name, g, k in fixed])
-         for key in keys],
-        positions=new_positions, checks=checks)
+        spec, probe_keys, positions=new_positions, checks=checks)
     if ids.overlay is None:
         return extensions_per_key
     # The overlay's index answers the *ground* positions every key
@@ -784,7 +789,7 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
                    ctx: _Context) -> BindingTable:
     remaining = list(node.parts)
     bound = set(table.columns)
-    view = ctx.view
+    estimates = ctx.estimates
     while remaining:
         child = remaining.pop(0)
         # Per-input-row estimate at this point in the pipeline — the
@@ -793,7 +798,7 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
         # The estimate only exists for a consumer: the conjunct trace,
         # or the adaptive re-order (which needs ≥2 conjuncts left).
         if _obs.ENABLED or len(remaining) >= 2:
-            est = estimate_cost(child.formula, bound, view)
+            est = estimates.cost(child.formula, bound)
         else:
             est = 0.0
         in_rows = len(table.rows)
@@ -801,7 +806,7 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
         out_rows = len(table.rows)
         if _obs.ENABLED:
             _obs.TELEMETRY.record_conjunct(str(child.formula), est, out_rows)
-        bound |= child.formula.free_variables()
+        bound |= estimates.variables(child.formula)
         if not out_rows:
             # No bindings survive: the remaining conjuncts can neither
             # produce rows nor raise (the reference engine never
@@ -817,8 +822,8 @@ def _exec_pipeline(node: Pipeline, table: BindingTable,
                 # Stable sort keeps the compiled order between ties, so
                 # deferred-quantifier ordering (and therefore which
                 # range error could surface) matches the reference.
-                remaining.sort(key=lambda part: conjunct_rank(
-                    part.formula, bound, view)[0])
+                remaining.sort(key=lambda part: estimates.rank(
+                    part.formula, bound)[0])
                 ctx.run.replans += 1
                 if _obs.ENABLED:
                     _obs.TELEMETRY.count("exec.replans")
@@ -1027,7 +1032,6 @@ class CompiledEvaluator(Evaluator):
         with evaluate_span as span:
             table = self._table(query)
             results = self._project(query, table)
-            _flush_decodes(table.codec)
             span.set(rows=len(results))
         return results
 
@@ -1036,9 +1040,7 @@ class CompiledEvaluator(Evaluator):
         requirement differs.  A non-empty final table is a non-empty
         answer set (projection preserves emptiness), so truth queries
         on the id path never decode a single id."""
-        table = self._table(self._prepare(query, proposition))
-        _flush_decodes(table.codec)
-        return bool(table.rows)
+        return bool(self._table(self._prepare(query, proposition)).rows)
 
     def evaluate_with_stats(self, query: Union[str, Query]
                             ) -> Tuple[Set[Tuple[str, ...]], PlanRun]:
@@ -1048,9 +1050,7 @@ class CompiledEvaluator(Evaluator):
         query = self._prepare(query)
         plan = compile_query(query, self.view)
         table, run = execute_plan(plan, self.view)
-        results = self._project(query, table)
-        _flush_decodes(table.codec)
-        return results, run
+        return self._project(query, table), run
 
     # ------------------------------------------------------------------
     def _table(self, query: Query) -> BindingTable:
@@ -1083,23 +1083,26 @@ class CompiledEvaluator(Evaluator):
         """
         values: List[Set[Tuple[str, ...]]] = [set() for _ in candidates]
         groups: Dict[tuple, List[tuple]] = {}
+        # Candidates of one wave share most of their templates: one
+        # estimator, so each distinct template is counted once.
+        estimates = Estimates(self.view)
         for candidate, value in zip(candidates, values):
             templates = candidate.templates
             skeleton = tuple([
                 tuple([c if isinstance(c, Variable) else None for c in t])
                 for t in templates])
-            order = (0,) if len(templates) == 1 else tuple(join_order(
-                [Atom(t) for t in templates], set(), self.view))
+            order = (0,) if len(templates) == 1 else tuple(
+                estimates.join_order([Atom(t) for t in templates], set()))
             groups.setdefault((skeleton, candidate.free, order),
                               []).append((candidate, value))
         for (_skeleton, _free, order), members in groups.items():
             if _deadline.ACTIVE:
                 _deadline.check()
-            self._join_group(members, order)
+            self._join_group(members, order, estimates)
         return values, len(groups)
 
-    def _join_group(self, members: List[tuple],
-                    order: Tuple[int, ...]) -> None:
+    def _join_group(self, members: List[tuple], order: Tuple[int, ...],
+                    estimates: Estimates) -> None:
         """Answer one skeleton group — ``(candidate, its value set to
         fill)`` pairs — with its templates joined in ``order``."""
         first = members[0][0]
@@ -1120,12 +1123,13 @@ class CompiledEvaluator(Evaluator):
         for index in order:
             own = Atom(first.templates[index])
             parts.append(AtomJoin(
-                atoms[index], est=estimate_cost(own, bound, self.view)))
-            bound |= own.free_variables()
+                atoms[index], est=estimates.cost(own, bound)))
+            bound |= estimates.variables(own)
         formula = And(tuple(atoms))
         root = parts[0] if len(parts) == 1 else Pipeline(
             formula, tuple(parts), est=parts[0].est)
-        plan = CompiledPlan(Query(formula, tuple(seeds) + first.free), root)
+        plan = CompiledPlan(Query(formula, tuple(seeds) + first.free), root,
+                            estimates)
         rows = [tuple([c for t in candidate.templates for c in t
                        if not isinstance(c, Variable)])
                 for candidate, _value in members]
@@ -1148,18 +1152,18 @@ class CompiledEvaluator(Evaluator):
                 # the remaining columns; there is nothing to split.
                 width = len(seeds)
                 positions = table.project_positions(first.free)
-                name_of = None if ids is None \
-                    else _DecodeMemo(ids.codec).__getitem__
+                if not positions:
+                    found = repeat(())
+                elif ids is None:
+                    found = _picked(table.rows, positions)
+                else:
+                    found = _decoded_rows(
+                        ids.codec, _picked(table.rows, positions))
                 answers: Dict[tuple, Set[Tuple[str, ...]]] = {}
-                for row in table.rows:
-                    answer = [row[p] for p in positions]
-                    if name_of is not None:
-                        answer = map(name_of, answer)
-                    answers.setdefault(row[:width], set()).add(
-                        tuple(answer))
+                for row, answer in zip(table.rows, found):
+                    answers.setdefault(row[:width], set()).add(answer)
                 for row, (_candidate, value) in zip(rows, members):
                     value.update(answers.get(row, ()))
-            _flush_decodes(table.codec)
 
     @staticmethod
     def _project(query: Query,
@@ -1172,28 +1176,15 @@ class CompiledEvaluator(Evaluator):
             return set()
         positions = table.project_positions(query.variables)
         codec = table.codec
-        # itemgetter keeps the per-row extraction in C; a single
-        # position must be re-wrapped since itemgetter then yields the
-        # bare component.  On an id-domain run this is also the only
-        # place ids become strings: decode is fused into the projection
-        # pass, each distinct id decoding once through the memo's
-        # ``__missing__`` (dedup on names equals dedup on ids — the
-        # codec is injective both ways).
-        if len(positions) == 1:
-            p = positions[0]
+        rows = table.rows
+        if positions != list(range(len(table.columns))):
+            # Dedup on ids before any name is touched (dedup on names
+            # equals dedup on ids — the codec is injective both ways).
+            # An identity projection skips this: the rows already are
+            # the output tuples, and unique.
+            rows = set(_picked(rows, positions))
             if codec is None:
-                return {(row[p],) for row in table.rows}
-            name_of = _DecodeMemo(codec).__getitem__
-            return {(name_of(row[p]),) for row in table.rows}
-        if positions == list(range(len(table.columns))):
-            # Identity projection: the rows already are the output
-            # tuples (modulo decode) — skip re-extraction entirely.
-            if codec is None:
-                return set(table.rows)
-            name_of = _DecodeMemo(codec).__getitem__
-            return {tuple(map(name_of, row)) for row in table.rows}
-        getter = itemgetter(*positions)
-        if codec is None:
-            return set(map(getter, table.rows))
-        name_of = _DecodeMemo(codec).__getitem__
-        return {tuple(map(name_of, getter(row))) for row in table.rows}
+                return rows
+        # On an id-domain run this is the only place ids become
+        # strings.
+        return set(rows if codec is None else _decoded_rows(codec, rows))

@@ -27,7 +27,6 @@ column order of the query's value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -57,44 +56,43 @@ _KEYWORDS = {"and", "or", "exists", "forall"}
 _VARIABLE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _TOKEN_RE = re.compile(
     r"""
-    \s*(
-        "(?:[^"\\]|\\.)*"      # double-quoted entity
-      | '(?:[^'\\]|\\.)*'      # single-quoted entity
-      | [(),:]                 # punctuation
-      | [^\s(),:'"]+           # bare word
+    \s*(?:
+        ("(?:[^"\\]|\\.)*"     # 1: double-quoted entity
+      | '(?:[^'\\]|\\.)*')     #    single-quoted entity
+      | ([(),:]                # 2: punctuation
+      | [^\s(),:'"]+)          #    bare word
+      | \S                     # anything else: a quote never closed
     )
     """, re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    position: int
-    quoted: bool = False
+#: A token is a plain ``(text, position, quoted)`` tuple.
+_Token = Tuple[str, int, bool]
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """One ``finditer`` pass.  Every non-space character belongs to
+    some alternative, so matches leave no gaps; the last alternative
+    exists only to report where tokenizing stopped."""
     tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            remainder = text[position:].strip()
-            if not remainder:
-                break
-            raise ParseError(
-                f"cannot tokenize at position {position}: {remainder[:20]!r}",
-                position)
-        raw = match.group(1)
-        start = match.start(1)
-        if raw and raw[0] in "\"'":
-            body = raw[1:-1]
-            unescaped = re.sub(r"\\(.)", r"\1", body)
-            tokens.append(_Token(unescaped, start, quoted=True))
+    end = 0
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 2:
+            tokens.append((match.group(2), match.start(2), False))
+        elif group == 1:
+            tokens.append((_ESCAPE_RE.sub(r"\1", match.group(1)[1:-1]),
+                           match.start(1), True))
         else:
-            tokens.append(_Token(raw, start))
-        position = match.end()
+            raise ParseError(
+                f"cannot tokenize at position {end}:"
+                f" {text[end:].strip()[:20]!r}", end)
+        end = match.end()
     return tokens
+
+
+def _is_punct(token: Optional[_Token], text: str) -> bool:
+    return token is not None and not token[2] and token[0] == text
 
 
 class _Parser:
@@ -121,17 +119,16 @@ class _Parser:
         self.index += 1
         return token
 
-    def _expect(self, text: str) -> _Token:
-        token = self._next()
-        if token.quoted or token.text != text:
+    def _expect(self, text: str) -> None:
+        found, position, quoted = self._next()
+        if quoted or found != text:
             raise ParseError(
-                f"expected {text!r}, found {token.text!r}"
-                f" at position {token.position}", token.position)
-        return token
+                f"expected {text!r}, found {found!r}"
+                f" at position {position}", position)
 
     def _is_keyword(self, token: Optional[_Token], keyword: str) -> bool:
-        return (token is not None and not token.quoted
-                and token.text.lower() == keyword)
+        return (token is not None and not token[2]
+                and token[0].lower() == keyword)
 
     # ----------------------------------------------------------------
     # Grammar
@@ -163,7 +160,7 @@ class _Parser:
             raise ParseError("unexpected end of query", len(self.text))
         if self._is_keyword(token, "exists") or self._is_keyword(
                 token, "forall"):
-            quantifier = self._next().text.lower()
+            quantifier = self._next()[0].lower()
             variables = self._variable_list()
             self._expect(":")
             # Quantifier scope extends as far right as possible, so
@@ -173,7 +170,8 @@ class _Parser:
             for variable in reversed(variables):
                 body = wrapper(variable, body)
             return body
-        if not token.quoted and token.text == "(":
+        text, position, quoted = token
+        if not quoted and text == "(":
             if self._looks_like_template():
                 return Atom(self._template())
             self._next()
@@ -182,47 +180,41 @@ class _Parser:
             return inner
         raise ParseError(
             f"expected a template, '(', or a quantifier; found"
-            f" {token.text!r} at position {token.position}", token.position)
+            f" {text!r} at position {position}", position)
 
     def _variable_list(self) -> List[Variable]:
         variables = [self._variable()]
         while True:
-            token = self._peek()
-            if token is not None and not token.quoted and token.text == ",":
+            if _is_punct(self._peek(), ","):
                 self._next()
                 variables.append(self._variable())
             else:
                 return variables
 
     def _variable(self) -> Variable:
-        token = self._next()
-        if token.quoted or not _VARIABLE_RE.match(token.text):
+        text, position, quoted = self._next()
+        if quoted or not _VARIABLE_RE.match(text):
             raise ParseError(
                 f"expected a variable (lowercase identifier), found"
-                f" {token.text!r} at position {token.position}",
-                token.position)
-        if token.text in _KEYWORDS:
+                f" {text!r} at position {position}", position)
+        if text in _KEYWORDS:
             raise ParseError(
-                f"{token.text!r} is a reserved word at position"
-                f" {token.position}", token.position)
-        return Variable(token.text)
+                f"{text!r} is a reserved word at position"
+                f" {position}", position)
+        return Variable(text)
 
     def _looks_like_template(self) -> bool:
         """A '(' opens a template iff the next tokens have the shape
         ``( c , c , c )`` with single-token components."""
         def is_component(token: Optional[_Token]) -> bool:
             return token is not None and (
-                token.quoted or token.text not in "(),:")
+                token[2] or token[0] not in "(),:")
 
-        def is_punct(token: Optional[_Token], text: str) -> bool:
-            return (token is not None and not token.quoted
-                    and token.text == text)
-
-        return (is_component(self._peek(1)) and is_punct(self._peek(2), ",")
+        return (is_component(self._peek(1)) and _is_punct(self._peek(2), ",")
                 and is_component(self._peek(3))
-                and is_punct(self._peek(4), ",")
+                and _is_punct(self._peek(4), ",")
                 and is_component(self._peek(5))
-                and is_punct(self._peek(6), ")"))
+                and _is_punct(self._peek(6), ")"))
 
     def _template(self) -> Template:
         self._expect("(")
@@ -235,17 +227,16 @@ class _Parser:
         return Template(source, relationship, target)
 
     def _component(self):
-        token = self._next()
-        if token.quoted:
-            return validate_entity(token.text)
-        text = token.text
+        text, position, quoted = self._next()
+        if quoted:
+            return validate_entity(text)
         if text == "*":
             self.star_count += 1
             return Variable(f"_star{self.star_count}")
         if text.lower() in _KEYWORDS:
             raise ParseError(
-                f"{text!r} is a reserved word at position {token.position}",
-                token.position)
+                f"{text!r} is a reserved word at position {position}",
+                position)
         # The ASCII aliases win over variable syntax in any case
         # (``in`` means ``∈``); quote an entity to escape them.
         if text.upper() in ALIASES:
@@ -260,8 +251,8 @@ class _Parser:
             return validate_entity(entity)
         except Exception as error:
             raise ParseError(
-                f"invalid entity {text!r} at position {token.position}:"
-                f" {error}", token.position)
+                f"invalid entity {text!r} at position {position}:"
+                f" {error}", position)
 
 
 def parse_formula(text: str) -> Formula:
@@ -271,8 +262,8 @@ def parse_formula(text: str) -> Formula:
     trailing = parser._peek()
     if trailing is not None:
         raise ParseError(
-            f"unexpected trailing input {trailing.text!r} at position"
-            f" {trailing.position}", trailing.position)
+            f"unexpected trailing input {trailing[0]!r} at position"
+            f" {trailing[1]}", trailing[1])
     return formula
 
 
@@ -289,8 +280,8 @@ def parse_query(text: str) -> Query:
     trailing = parser._peek()
     if trailing is not None:
         raise ParseError(
-            f"unexpected trailing input {trailing.text!r} at position"
-            f" {trailing.position}", trailing.position)
+            f"unexpected trailing input {trailing[0]!r} at position"
+            f" {trailing[1]}", trailing[1])
     free = formula.free_variables()
     named = [v for v in parser.appearance_order if v in free]
     stars = sorted(
@@ -329,6 +320,6 @@ def parse_template(text: str) -> Template:
     trailing = parser._peek()
     if trailing is not None:
         raise ParseError(
-            f"unexpected trailing input {trailing.text!r} at position"
-            f" {trailing.position}", trailing.position)
+            f"unexpected trailing input {trailing[0]!r} at position"
+            f" {trailing[1]}", trailing[1])
     return parsed

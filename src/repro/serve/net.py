@@ -104,8 +104,9 @@ ANSWER_BYTES = 2 << 20
 
 
 def _rows(result) -> list:
-    """A set of tuples as a deterministic JSON value."""
-    return sorted(list(row) for row in result)
+    """A set of tuples as a deterministic JSON value: ``json.dumps``
+    writes a tuple as an array, and tuples sort as lists do."""
+    return sorted(result)
 
 
 def _facts(facts) -> list:

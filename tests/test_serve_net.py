@@ -18,7 +18,7 @@ from repro.core.errors import (
 )
 from repro.db import Database
 from repro.query import parser
-from repro.serve import DatabaseService
+from repro.serve import DatabaseService, net
 from repro.serve.net import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -137,6 +137,27 @@ class TestRoundTrips:
             assert stats["closed"] is False
             db_stats = client.database_stats()
             assert db_stats["base_facts"] > 0
+
+    def test_rows_lines_are_what_row_lists_gave(self, served):
+        """A rows answer goes out as sorted tuples: byte for byte the
+        line that sorted per-row lists produced (``json.dumps`` writes
+        a tuple as an array), for ``query`` and for a probe's value."""
+        service, (host, port) = served
+        for i in range(99):
+            service.add(f"E{i:02d}", "REPORTS-TO", f"BOSS{i % 7}")
+        service.add("ZOË", "REPORTS-TO", "BOSS0")
+        text = "(x, REPORTS-TO, y)"
+        result = service.query(text)
+        assert len(result) == 100
+        as_lists = sorted(list(row) for row in result)
+        assert net._encode({"ok": True, "result": net._rows(result)}) \
+            == net._encode({"ok": True, "result": as_lists})
+        outcome = {"status": "ok", "value": result}
+        assert net._encode(net._menu(outcome)) \
+            == net._encode(dict(outcome, value=as_lists))
+        with ServiceClient(host, port) as client:
+            assert client.query(text) == as_lists
+            assert ["ZOË", "BOSS0"] in client.query(text)
 
 
 class TestErrorPropagation:
