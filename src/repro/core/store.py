@@ -46,7 +46,9 @@ def seed_store(base: Iterable["Fact"]) -> "FactStore":
     columnar — duplicates it through its own :meth:`FactStore.copy`,
     which for an interned base shares the frozen generation instead of
     materializing one ``Fact`` object per row.  Arbitrary iterables
-    still build a hash store.
+    still build a hash store.  This is the closure's only full copy of
+    a hash store: the dispatched engine's first delta copies just the
+    fact set and the buckets its pivots read.
     """
     if isinstance(base, FactStore):
         return base.copy()
@@ -199,9 +201,12 @@ class FactStore:
 
         The six index dicts and the two refcount maps are duplicated
         directly instead of re-inserting every fact through
-        :meth:`add` — the closure engine seeds each delta with a copy,
-        so this is on the closure hot path.  The copy starts at the
-        same version as the original.
+        :meth:`add` — the one full copy a closure makes is the seed
+        store (:func:`seed_store`); a stratum's first delta copies only
+        the fact set and the buckets its pivots read
+        (:meth:`repro.rules.dispatch.RoundDelta.of_store`, the same
+        ``set(...)`` copies as here).  The copy starts at the same
+        version as the original.
         """
         new = FactStore.__new__(FactStore)
         new._facts = set(self._facts)

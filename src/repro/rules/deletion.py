@@ -38,7 +38,7 @@ from ..core.facts import Binding, Fact
 from ..core.store import FactStore
 from ..obs import telemetry as _obs
 from .dispatch import (
-    CompiledRuleSet, _materialize, compile_ruleset, run_rounds)
+    CompiledRuleSet, RoundDelta, _materialize, compile_ruleset, run_rounds)
 from .engine import ClosureResult, Justification, _checkable, _premises
 from .rule import Rule, RuleContext
 
@@ -89,13 +89,13 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         # atom over the endangered delta and the rest over the (still
         # intact) closure; every head instance present in the closure
         # becomes endangered too.
+        group = compiled.all_rules
         endangered: Set[Fact] = {deleted}
         delta: List[Fact] = [deleted]
         while delta:
-            delta_store = FactStore(delta)
+            delta_store = RoundDelta(group.delta_indexes, delta)
             fresh: List[Fact] = []
-            for cr in compiled.all_rules.select(
-                    delta_store.relationships()):
+            for cr in group.select(delta_store.relationships()):
                 for slots in cr.solutions(delta_store, store, context):
                     for spec in cr.heads:
                         fact = _materialize(spec, slots)
@@ -124,7 +124,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         # Goal-directed: only derivations *of endangered facts* are
         # attempted, so the cost tracks the deleted fact's cone of
         # influence, not the heap.
-        rederived = FactStore()
+        rederived = RoundDelta(group.delta_indexes)
         for fact in sorted(endangered):
             if fact in store:
                 continue
@@ -139,7 +139,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         if rederived:
             before = len(store)
             result.iterations += run_rounds(
-                store, rederived, compiled.all_rules, context,
+                store, rederived, group, context,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
             stats.propagated = len(store) - before

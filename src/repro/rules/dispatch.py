@@ -20,7 +20,17 @@ three classic deductive-database techniques apply directly:
    lookups with precomputed fill/check positions, and conditions are
    compiled to closures attached to the earliest join level at which
    their variables are bound.  No ``Binding`` dicts, no per-candidate
-   frozensets, no re-derived condition schedules.
+   frozensets, no re-derived condition schedules.  A call joins with
+   one cursor per level, depth first (no generator per candidate);
+   ``IndividualRelationship`` / ``NotSpecial`` on a variable are
+   decided once per distinct value and call, each guard with its own
+   memo; and a **semi-join on the pivot** drops, before any probe, the
+   candidates whose value at the position the next level's key binds is
+   not among the values the store's matches of that level's constants
+   take there — when the store has fewer such matches than the pivot
+   has candidates (:meth:`CompiledRule._semijoin_shape`; the
+   ``dispatch.pruned`` counter).  A round's delta (:class:`RoundDelta`)
+   is a fact set plus only the bucket indexes the pivots read.
 
 2. **Relationship-indexed dispatch** — a dispatch index maps each
    ground pivot relationship (plus a wildcard bucket) to the compiled
@@ -41,12 +51,15 @@ three classic deductive-database techniques apply directly:
 
 All three layers preserve the semantics of :func:`.engine.semi_naive_closure`
 bit for bit: the same closure contents and, for single-stratum rule
-sets, the same round structure, per-rule firing totals, and provenance.
+sets, the same round structure, per-rule firing totals, and provenance
+(values and insertion order) — every join walks its candidates in the
+order the reference's matching does.
 """
 
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -193,39 +206,40 @@ def _materialize(spec: _AtomSpec, slots: List[Optional[str]]) -> Fact:
                 v2 if c2 else slots[v2])
 
 
-def _compile_key(parts: Sequence[Tuple[str, Any]]
-                 ) -> Callable[[List[Optional[str]]],
-                               Sequence[Optional[str]]]:
-    """The lookup-key builder for one join level.
-
-    ``parts`` holds per position ``('c', entity)``, ``('b', slot)``
-    (bound at an earlier level), or ``('f', None)`` (free here).
-    """
-    consts = [value if tag == "c" else None for tag, value in parts]
-    bound = tuple((i, value) for i, (tag, value) in enumerate(parts)
-                  if tag == "b")
-    if not bound:
-        fixed = tuple(consts)
-        return lambda slots: fixed
-
-    def key(slots, _consts=tuple(consts), _bound=bound):
-        out = list(_consts)
-        for position, slot in _bound:
-            out[position] = slots[slot]
-        return out
-
-    return key
+def _guard(slot: int, memo_index: int, individual: bool) -> Callable:
+    """``IndividualRelationship`` (``individual``) or ``NotSpecial`` on
+    one slot, decided once per distinct value: the verdict is kept in
+    ``memos[memo_index]``, a dict made on the guard's first use in one
+    :meth:`CompiledRule.solutions` call."""
+    def guard(slots, context, memos):
+        value = slots[slot]
+        memo = memos[memo_index]
+        if memo is None:
+            memo = memos[memo_index] = {}
+        else:
+            held = memo.get(value)
+            if held is not None:
+                return held
+        held = memo[value] = (
+            context.classifier.is_individual(value) if individual
+            else not is_special_relationship(value))
+        return held
+    return guard
 
 
 def _compile_condition(condition: Condition,
-                       slot_of: Dict[Variable, int]):
-    """Compile one condition to ``fn(slots, context) -> bool``.
+                       slot_of: Dict[Variable, int], memo_index: int):
+    """Compile one condition to ``fn(slots, context, memos) -> bool``.
 
-    Returns ``(fn, needed_slots, schedule_last)`` — or the markers
-    :data:`_DROP` / :data:`_DEAD` when the outcome is decidable at
-    compile time.  Unknown :class:`Condition` subclasses fall back to
-    rebuilding a partial binding dict and calling ``holds`` (same
-    semantics as the interpreted engine, just slower).
+    Returns ``(fn, needed_slots, schedule_last, memoised)`` — or the
+    markers :data:`_DROP` / :data:`_DEAD` when the outcome is decidable
+    at compile time.  :class:`IndividualRelationship` and
+    :class:`NotSpecial` on a variable read one slot and are pure, so
+    each becomes a guard with memo number ``memo_index`` of its own
+    (``memoised`` is then True).  :class:`Distinct` stays inline.
+    Unknown :class:`Condition` subclasses fall back to rebuilding a
+    partial binding dict and calling ``holds`` on every candidate
+    (same semantics as the interpreted engine, just slower).
     """
     variables = condition.variables()
     missing = [v for v in variables if v not in slot_of]
@@ -236,67 +250,69 @@ def _compile_condition(condition: Condition,
             right_var = isinstance(right, Variable)
             if left_var and right_var:
                 i, j = slot_of[left], slot_of[right]
-                fn = lambda slots, context, _i=i, _j=j: \
+                fn = lambda slots, context, memos, _i=i, _j=j: \
                     slots[_i] != slots[_j]
             elif left_var:
                 i = slot_of[left]
-                fn = lambda slots, context, _i=i, _v=right: \
+                fn = lambda slots, context, memos, _i=i, _v=right: \
                     slots[_i] != _v
             elif right_var:
                 j = slot_of[right]
-                fn = lambda slots, context, _j=j, _v=left: \
+                fn = lambda slots, context, memos, _j=j, _v=left: \
                     _v != slots[_j]
             else:
                 return _DROP if left != right else _DEAD
             needed = frozenset(slot_of[v] for v in variables)
-            return fn, needed, False
-        if isinstance(condition, IndividualRelationship):
+            return fn, needed, False, False
+        if isinstance(condition, (IndividualRelationship, NotSpecial)):
             component = condition.component
+            individual = isinstance(condition, IndividualRelationship)
             if isinstance(component, Variable):
-                i = slot_of[component]
-                fn = lambda slots, context, _i=i: \
-                    context.classifier.is_individual(slots[_i])
-            else:
-                fn = lambda slots, context, _v=component: \
+                slot = slot_of[component]
+                return (_guard(slot, memo_index, individual),
+                        frozenset((slot,)), False, True)
+            if individual:
+                fn = lambda slots, context, memos, _v=component: \
                     context.classifier.is_individual(_v)
-            needed = frozenset(slot_of[v] for v in variables)
-            return fn, needed, False
-        if isinstance(condition, NotSpecial):
-            component = condition.component
-            if isinstance(component, Variable):
-                i = slot_of[component]
-                fn = lambda slots, context, _i=i: \
-                    not is_special_relationship(slots[_i])
-            else:
-                return (_DROP if not is_special_relationship(component)
-                        else _DEAD)
-            needed = frozenset(slot_of[v] for v in variables)
-            return fn, needed, False
+                return fn, frozenset(), False, False
+            return (_DROP if not is_special_relationship(component)
+                    else _DEAD)
     # Fallback: unknown condition type, or a condition over variables
     # the body never binds (the interpreted engine checks those once
     # per complete solution, with the variable absent from the binding).
     pairs = tuple((v, slot_of[v]) for v in variables if v in slot_of)
 
-    def fallback(slots, context, _condition=condition, _pairs=pairs):
+    def fallback(slots, context, memos, _condition=condition, _pairs=pairs):
         binding: Binding = {v: slots[i] for v, i in _pairs}
         return _condition.holds(binding, context)
 
     needed = frozenset(slot_of[v] for v in variables if v in slot_of)
     # Unknown-but-fully-bindable conditions still schedule at their
     # earliest ready level; only unbindable ones must wait for the end.
-    return fallback, needed, bool(missing)
+    return fallback, needed, bool(missing), False
 
 
-class _Level:
-    """One join level of a compiled rule body."""
+#: Per position, the index spec letter of a ground position.
+_LETTERS = "srt"
 
-    __slots__ = ("key", "fills", "checks", "conditions")
 
-    def __init__(self, key, fills, checks):
-        self.key = key
-        self.fills: Tuple[Tuple[int, int], ...] = fills
-        self.checks: Tuple[Tuple[int, int], ...] = checks
-        self.conditions: Tuple[Callable, ...] = ()
+def _fill_slices(fills: Sequence[Tuple[int, int]]) -> Tuple[slice, slice]:
+    """``(slot_slice, fact_slice)`` with ``slots[slot_slice] =
+    fact[fact_slice]`` doing a level's fills in one step.
+
+    Slots are numbered by first appearance, so the variables a level
+    fills have consecutive slots in position order, and any increasing
+    subset of the three positions is a slice.
+    """
+    if not fills:
+        return slice(0, 0), slice(0, 0)
+    positions = [position for position, _ in fills]
+    first = fills[0][1]
+    assert [slot for _, slot in fills] == list(
+        range(first, first + len(fills)))
+    step = positions[1] - positions[0] if len(positions) > 1 else 1
+    return (slice(first, first + len(fills)),
+            slice(positions[0], positions[-1] + 1, step))
 
 
 class CompiledRule:
@@ -305,10 +321,22 @@ class CompiledRule:
     ``order`` reproduces the interpreted reference's evaluation order
     (rule-major, pivot-minor), so firing attribution and provenance
     stay identical for single-stratum rule sets.
+
+    ``levels`` holds one ``(key_of, fill, take, checks, conditions)``
+    tuple per body atom, pivot first: ``key_of(slots)`` is the level's
+    lookup key, ``slots[fill] = fact[take]`` binds what the level
+    fills, ``checks`` are ``(position, slot)`` pairs a repeated variable
+    must match.  ``slots`` is a copy of ``frame``: one slot per variable,
+    then the key constants.  ``pivot_key`` is level 0's lookup key (the
+    pivot atom's constants, ``None`` elsewhere) and ``pivot_index`` the
+    index spec that key reads (``""`` for none, ``"r"``, ``"sr"``, …).
+    ``semijoin`` is ``None`` or the shape described at
+    :meth:`_semijoin_shape`.
     """
 
-    __slots__ = ("rule", "pivot", "order", "n_slots", "levels", "heads",
-                 "premise_specs", "pivot_spec", "dead")
+    __slots__ = ("rule", "pivot", "order", "n_slots", "frame", "levels",
+                 "heads", "premise_specs", "pivot_spec", "pivot_key",
+                 "pivot_index", "semijoin", "n_memos", "dead")
 
     def __init__(self, rule: Rule, pivot: int, order: int):
         self.rule = rule
@@ -328,46 +356,66 @@ class CompiledRule:
                     slot_of[component] = len(slot_of)
         self.n_slots = len(slot_of)
 
-        # Build levels, tracking which slots are bound after each.
-        levels: List[_Level] = []
+        # Build levels, tracking which slots are bound after each.  The
+        # slot frame is the variables' slots, then every constant of a
+        # level's key, then one ``None``: a level's lookup key is an
+        # ``itemgetter`` over it (index -1 for a free position).
+        frame: List[Optional[str]] = [None] * self.n_slots
+        constant_at: Dict[str, int] = {}
+        levels: List[list] = []
+        level_parts: List[List[Tuple[str, Any]]] = []
+        pivot_fills: List[Tuple[int, int]] = []
         bound: Set[int] = set()
         bound_after: List[Set[int]] = []
         for atom in body:
             parts: List[Tuple[str, Any]] = []
+            key: List[int] = []
             fills: List[Tuple[int, int]] = []
             checks: List[Tuple[int, int]] = []
             filled_here: Set[int] = set()
             for position, component in enumerate(atom):
                 if not isinstance(component, Variable):
                     parts.append(("c", component))
+                    if component not in constant_at:
+                        constant_at[component] = len(frame)
+                        frame.append(component)
+                    key.append(constant_at[component])
                     continue
                 slot = slot_of[component]
                 if slot in bound:
                     parts.append(("b", slot))
-                elif slot in filled_here:
-                    parts.append(("f", None))
+                    key.append(slot)
+                    continue
+                parts.append(("f", None))
+                key.append(-1)
+                if slot in filled_here:
                     checks.append((position, slot))
                 else:
-                    parts.append(("f", None))
                     fills.append((position, slot))
                     filled_here.add(slot)
             bound |= filled_here
             bound_after.append(set(bound))
-            levels.append(_Level(_compile_key(parts), tuple(fills),
-                                 tuple(checks)))
+            level_parts.append(parts)
+            if not levels:
+                pivot_fills = fills
+            levels.append([itemgetter(*key), *_fill_slices(fills),
+                           tuple(checks), ()])
+        self.frame: Tuple[Optional[str], ...] = tuple(frame) + (None,)
 
         # Attach each condition to the earliest level at which its
         # variables are bound (the interpreted engine's eager pruning).
         last = len(levels) - 1
         scheduled: Dict[int, List[Callable]] = {}
+        n_memos = 0
         for condition in rule.conditions:
-            compiled = _compile_condition(condition, slot_of)
+            compiled = _compile_condition(condition, slot_of, n_memos)
             if compiled is _DROP:
                 continue
             if compiled is _DEAD:
                 self.dead = True
                 continue
-            fn, needed, schedule_last = compiled
+            fn, needed, schedule_last, memoised = compiled
+            n_memos += memoised
             level_index = last
             if not schedule_last:
                 for i, bound_slots in enumerate(bound_after):
@@ -376,8 +424,17 @@ class CompiledRule:
                         break
             scheduled.setdefault(level_index, []).append(fn)
         for level_index, fns in scheduled.items():
-            levels[level_index].conditions = tuple(fns)
-        self.levels = tuple(levels)
+            levels[level_index][4] = tuple(fns)
+        self.levels = tuple(tuple(level) for level in levels)
+        self.n_memos = n_memos
+
+        self.pivot_key: Tuple[Optional[str], ...] = tuple(
+            value if tag == "c" else None for tag, value in level_parts[0])
+        self.pivot_index = "".join(
+            letter for letter, value in zip(_LETTERS, self.pivot_key)
+            if value is not None)
+        self.semijoin = (self._semijoin_shape(pivot_fills, level_parts[1])
+                         if len(levels) > 1 else None)
 
         self.heads: Tuple[_AtomSpec, ...] = tuple(
             _atom_spec(atom, slot_of) for atom in rule.head)
@@ -387,28 +444,75 @@ class CompiledRule:
         self.pivot_spec: RelationshipSpec = _pivot_spec(body[0],
                                                         rule.conditions)
 
-    def solutions(self, delta: FactStore, store: FactStore,
+    @staticmethod
+    def _semijoin_shape(pivot_fills: Sequence[Tuple[int, int]],
+                        parts: Sequence[Tuple[str, Any]]):
+        """The semi-join on the pivot, when level 1's key has exactly
+        one bound position plus at least one constant.
+
+        That position's slot was filled at level 0, from
+        ``pivot_position`` of the pivot fact.  A pivot candidate can
+        only join when its value there is among the values the bound
+        position takes in the store's matches of level 1's constants
+        alone (``key``, ``pattern``).  Returns ``(pivot_position,
+        values_of, key, pattern)`` — ``values_of`` reads the bound
+        position of a match — or ``None``.
+        """
+        bound = [(position, value) for position, (tag, value)
+                 in enumerate(parts) if tag == "b"]
+        if len(bound) != 1 or not any(tag == "c" for tag, _ in parts):
+            return None
+        position, slot = bound[0]
+        pivot_position = next(p for p, s in pivot_fills if s == slot)
+        key = tuple(value if tag == "c" else None for tag, value in parts)
+        pattern = Template(*(
+            value if tag == "c" else Variable(f"__semijoin{i}__")
+            for i, (tag, value) in enumerate(parts)))
+        return pivot_position, itemgetter(position), key, pattern
+
+    def solutions(self, delta, store: FactStore,
                   context: RuleContext) -> Iterator[List[Optional[str]]]:
         """All slot assignments satisfying the body, pivot atom matched
-        against ``delta`` and the rest against ``store``.
+        against ``delta`` (a :class:`RoundDelta` or a store) and the
+        rest against ``store``.
 
-        Yields one mutable slot list, reused across solutions: callers
-        must consume (or copy) each yield before advancing.
+        One cursor per level, walked depth first: solutions come in the
+        order a nested loop over the levels gives them, for a body of
+        any length.  The semi-join (:meth:`_semijoin_shape`) filters the
+        pivot's candidates first, keeping their order, when the store's
+        count of level 1's constant pattern is below the candidate
+        count.  Yields one mutable slot list, reused across solutions:
+        callers must consume (or copy) each yield before advancing.
         """
-        slots: List[Optional[str]] = [None] * self.n_slots
+        candidates = delta.lookup(*self.pivot_key)
+        semijoin = self.semijoin
+        if semijoin is not None:
+            try:
+                count = len(candidates)
+            except TypeError:
+                # A lazy scan: the first delta of an interned store.
+                candidates = list(candidates)
+                count = len(candidates)
+            # One candidate: a filter cannot cost less than its probe.
+            if count > 1 and store.count_estimate(semijoin[3]) < count:
+                pivot_position, values_of, key, _ = semijoin
+                values = set(map(values_of, store.lookup(*key)))
+                candidates = [fact for fact in candidates
+                              if fact[pivot_position] in values]
+                if _obs.ENABLED and count > len(candidates):
+                    _obs.TELEMETRY.count("dispatch.pruned",
+                                         count - len(candidates))
+        memos: List[Optional[dict]] = [None] * self.n_memos
+        slots: List[Optional[str]] = list(self.frame)
         levels = self.levels
         last = len(levels) - 1
-
-        def extend(i: int) -> Iterator[List[Optional[str]]]:
-            level = levels[i]
-            s, r, t = level.key(slots)
-            source = delta if i == 0 else store
-            fills = level.fills
-            checks = level.checks
-            conditions = level.conditions
-            for fact in source.lookup(s, r, t):
-                for position, slot in fills:
-                    slots[slot] = fact[position]
+        cursors: List[Any] = []
+        depth = 0
+        _, fill, take, checks, conditions = levels[0]
+        cursor = iter(candidates)
+        while True:
+            for fact in cursor:
+                slots[fill] = fact[take]
                 if checks:
                     matched = True
                     for position, slot in checks:
@@ -420,17 +524,27 @@ class CompiledRule:
                 if conditions:
                     satisfied = True
                     for condition in conditions:
-                        if not condition(slots, context):
+                        if not condition(slots, context, memos):
                             satisfied = False
                             break
                     if not satisfied:
                         continue
-                if i == last:
+                if depth == last:
                     yield slots
-                else:
-                    yield from extend(i + 1)
-
-        return extend(0)
+                    continue
+                # Descend: park this level's cursor, open the next.
+                cursors.append(cursor)
+                depth += 1
+                key_of, fill, take, checks, conditions = levels[depth]
+                cursor = iter(store.lookup(*key_of(slots)))
+                break
+            else:
+                # This level is exhausted: resume the one above.
+                if not depth:
+                    return
+                depth -= 1
+                cursor = cursors.pop()
+                _, fill, take, checks, conditions = levels[depth]
 
     def premises(self, slots: List[Optional[str]]) -> Tuple[Fact, ...]:
         """The body instantiation (original atom order) for a solution."""
@@ -462,11 +576,18 @@ class DispatchGroup:
     the delta — everything else is skipped for the round.
     """
 
-    __slots__ = ("compiled", "by_relationship", "nonspecial", "wildcard")
+    __slots__ = ("compiled", "by_relationship", "nonspecial", "wildcard",
+                 "delta_indexes")
 
     def __init__(self, compiled: Sequence[CompiledRule]):
         self.compiled: Tuple[CompiledRule, ...] = tuple(
             sorted(compiled, key=lambda cr: cr.order))
+        #: The bucket indexes the group's pivot keys read — all a
+        #: :class:`RoundDelta` for this group builds (``""`` and
+        #: ``"srt"`` need none: the fact set answers both).
+        pivot_indexes = {cr.pivot_index for cr in self.compiled}
+        self.delta_indexes: Tuple[str, ...] = tuple(
+            spec for spec in _BUCKET_SPECS if spec in pivot_indexes)
         by_relationship: Dict[str, List[CompiledRule]] = {}
         nonspecial: List[CompiledRule] = []
         wildcard: List[CompiledRule] = []
@@ -545,9 +666,105 @@ def compile_ruleset(rules: Sequence[Rule]) -> CompiledRuleSet:
 
 
 # ----------------------------------------------------------------------
+# Round deltas
+# ----------------------------------------------------------------------
+#: The bucket index specs, in the order a :class:`FactStore` builds
+#: its indexes.
+_BUCKET_SPECS = ("s", "r", "t", "sr", "st", "rt")
+#: Per bucket spec, a fact's key in it (as :class:`FactStore` keys it).
+_KEY_OF = {spec: itemgetter(*(_LETTERS.index(letter) for letter in spec))
+           for spec in _BUCKET_SPECS}
+
+
+class RoundDelta:
+    """The facts a round joins through its pivots: a fact set plus only
+    the bucket indexes the pivot keys read (``indexes``, a
+    :attr:`DispatchGroup.delta_indexes`; for the standard rules just
+    ``"r"``).
+
+    A derived fact is indexed once here instead of into a six-index
+    :class:`FactStore`.  Buckets are built fact by fact in insertion
+    order, as a store builds them, so a bucket iterates in the order the
+    store's would — the order the interpreted reference joins in.
+    """
+
+    __slots__ = ("_facts", "_indexes", "_keyed")
+
+    def __init__(self, indexes: Sequence[str], facts: Iterable[Fact] = ()):
+        self._facts: Set[Fact] = set()
+        self._indexes: Dict[str, Dict[Any, Set[Fact]]] = {}
+        self._keyed: List[Tuple[Callable, Dict[Any, Set[Fact]]]] = []
+        for spec in indexes:
+            index = self._indexes[spec] = {}
+            self._keyed.append((_KEY_OF[spec], index))
+        for fact in facts:
+            self.add(fact)
+
+    @classmethod
+    def of_store(cls, store: FactStore,
+                 indexes: Sequence[str]) -> "RoundDelta":
+        """A stratum's first delta: every fact of a hash ``store``.
+
+        The fact set and the named buckets are copied the way
+        :meth:`FactStore.copy` copies them (``set(...)`` of each), never
+        aliased — a ``set`` copy can iterate in another order than its
+        source, and the reference engine iterates a copy.
+        """
+        delta = cls(indexes)
+        delta._facts = set(store._facts)  # noqa: SLF001
+        for spec, index in delta._indexes.items():
+            index.update((key, set(bucket))
+                         for key, bucket in store.index_for(spec).items()
+                         if bucket)
+        return delta
+
+    def add(self, fact: Fact) -> None:
+        self._facts.add(fact)
+        for key_of, index in self._keyed:
+            key = key_of(fact)
+            bucket = index.get(key)
+            if bucket is None:
+                bucket = index[key] = set()
+            bucket.add(fact)
+
+    def __len__(self) -> int:
+        return len(self._facts)
+
+    def relationships(self) -> Iterable[str]:
+        """The distinct relationships of the delta's facts."""
+        by_r = self._indexes.get("r")
+        if by_r is not None:
+            return by_r.keys()
+        return {fact[1] for fact in self._facts}
+
+    def lookup(self, source: Optional[str] = None,
+               relationship: Optional[str] = None,
+               target: Optional[str] = None) -> Iterable[Fact]:
+        """:meth:`FactStore.lookup` over the delta, for the index specs
+        it was built with."""
+        indexes = self._indexes
+        if source is not None:
+            if relationship is not None:
+                if target is not None:
+                    fact = Fact(source, relationship, target)
+                    return (fact,) if fact in self._facts else ()
+                return indexes["sr"].get((source, relationship), ())
+            if target is not None:
+                return indexes["st"].get((source, target), ())
+            return indexes["s"].get(source, ())
+        if relationship is not None:
+            if target is not None:
+                return indexes["rt"].get((relationship, target), ())
+            return indexes["r"].get(relationship, ())
+        if target is not None:
+            return indexes["t"].get(target, ())
+        return self._facts
+
+
+# ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def run_rounds(store: FactStore, delta: FactStore, group: DispatchGroup,
+def run_rounds(store: FactStore, delta, group: DispatchGroup,
                context: RuleContext, firings: Dict[str, int],
                max_iterations: Optional[int] = None,
                provenance: Optional[Dict[Fact, Any]] = None,
@@ -558,8 +775,10 @@ def run_rounds(store: FactStore, delta: FactStore, group: DispatchGroup,
 
     The compiled twin of :func:`.engine._semi_naive_rounds`: ``store``
     is mutated in place, ``delta`` holds the facts not yet joined
-    against the rest of the store (already *in* the store), and the
-    returned value is the number of rounds executed.
+    against the rest of the store (already *in* the store) — a
+    :class:`RoundDelta` built for ``group``, or the generation-sharing
+    copy of an interned store — and the returned value is the number of
+    rounds executed.  Each later round's delta is a :class:`RoundDelta`.
     """
     from .engine import APPLY, Justification
 
@@ -615,7 +834,7 @@ def run_rounds(store: FactStore, delta: FactStore, group: DispatchGroup,
                         + time.perf_counter() - rule_started)
             if observing:
                 apply_started = time.perf_counter()
-            delta = FactStore()
+            delta = RoundDelta(group.delta_indexes)
             for fact in fresh:
                 if store.add(fact):
                     delta.add(fact)
@@ -670,7 +889,10 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
             with stratum_span as sspan:
                 # The stratum's rules have joined against nothing yet:
                 # every fact accumulated so far is its initial delta.
-                rounds = run_rounds(store, store.copy(), group, context,
+                first = (store.copy() if getattr(store, "interned", False)
+                         else RoundDelta.of_store(store,
+                                                  group.delta_indexes))
+                rounds = run_rounds(store, first, group, context,
                                     firings, remaining, provenance,
                                     rule_times, stratum=stratum_index,
                                     round_offset=iterations)

@@ -354,18 +354,15 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     invalidate derivations and goes through Delete/Rederive
     (:func:`~repro.rules.deletion.delete_with_rederivation`).
     """
-    from .dispatch import compile_ruleset, run_rounds
+    from .dispatch import RoundDelta, compile_ruleset, run_rounds
 
-    delta = FactStore()
-    stored = 0
-    for fact in new_facts:
-        stored += 1
-        if result.store.add(fact):
-            delta.add(fact)
-    result.base_count += stored
-    if delta:
+    new_facts = list(new_facts)
+    added = [fact for fact in new_facts if result.store.add(fact)]
+    result.base_count += len(new_facts)
+    if added:
         if compiled is None:
             compiled = compile_ruleset(rules)
+        delta = RoundDelta(compiled.all_rules.delta_indexes, added)
         extend_span = (_obs.TELEMETRY.span("closure.extend",
                                         new_facts=len(delta))
                        if _obs.ENABLED else _obs.NULL_SPAN)

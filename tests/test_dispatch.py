@@ -227,6 +227,37 @@ class TestDispatch:
             compiled=compiled)
         assert set(result.store) == set(recomputed.store)
 
+    def test_semijoin_prunes_a_closure_but_not_a_one_fact_extension(self):
+        # The macro benchmark's shape: employees in a class, working
+        # for departments, knowing skills under fields under areas.
+        facts = [Fact("EMPLOYEE", ISA, "PERSON")]
+        facts += [Fact(f"SKILL{s}", ISA, f"FIELD{s % 4}") for s in range(12)]
+        facts += [Fact(f"FIELD{f}", ISA, f"AREA{f % 2}") for f in range(4)]
+        for e in range(40):
+            facts += [Fact(f"EMP{e}", MEMBER, "EMPLOYEE"),
+                      Fact(f"EMP{e}", "WORKS-FOR", f"DEPT{e % 4}"),
+                      Fact(f"EMP{e}", "KNOWS", f"SKILL{e % 12}")]
+        facts += [Fact(f"DEPT{d}", MEMBER, "DEPARTMENT") for d in range(4)]
+        context = _context(facts)
+        compiled = compile_ruleset(STANDARD_RULES)
+        with use_telemetry(Telemetry()) as telemetry:
+            result = dispatched_closure(facts, STANDARD_RULES, context,
+                                        compiled=compiled)
+        assert telemetry.counters.get("dispatch.pruned", 0) > 0
+        # A newcomer's first fact: one fact in, one derived per round
+        # ((NEW, WORKS-FOR, DEPARTMENT)), so no pivot ever has two
+        # candidates and the size test never runs.
+        added = Fact("NEW", "WORKS-FOR", "DEPT1")
+        rounds = result.iterations
+        with use_telemetry(Telemetry()) as telemetry:
+            extend_closure(result, (added,), STANDARD_RULES, context,
+                           compiled=compiled)
+        assert telemetry.counters.get("dispatch.pruned", 0) == 0
+        assert result.iterations == rounds + 2
+        reference = semi_naive_closure(facts + [added], STANDARD_RULES,
+                                       context)
+        assert set(result.store) == set(reference.store)
+
     def test_dead_rule_compiles_to_nothing_but_keeps_firing_entry(self):
         dead = Rule(name="never", body=(Template(X, "R", Y),),
                     head=(Template(X, "DERIVED", Y),),
