@@ -2,48 +2,19 @@
 
 Benchmarks print the same rows/series the experiment index in DESIGN.md
 promises; these formatters keep that output uniform and diffable.
+The cell and table formatters live in :mod:`repro.browse.render`,
+beside the browser's own text tables, so the serving code that prints
+tables does not import this package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
+from ..browse.render import format_table, format_value
 from .harness import Sweep
 
-
-def format_value(value: object) -> str:
-    """Render one cell: floats compactly, everything else via ``str``.
-
-    Floats use fixed-point with up to four decimals; scientific
-    notation only when fixed-point would collapse the value to zero
-    (so ``0.0009999`` renders ``0.001`` like its neighbors, not
-    ``1.00e-03``).  Negative values mirror positive ones exactly.
-    """
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        text = f"{value:.4f}".rstrip("0").rstrip(".")
-        if text.lstrip("-") == "0":
-            return f"{value:.2e}"
-        return text
-    return str(value)
-
-
-def format_table(headers: Sequence[str],
-                 rows: Sequence[Sequence[object]]) -> str:
-    """A fixed-width text table."""
-    text_rows = [[format_value(cell) for cell in row] for row in rows]
-    widths = [
-        max([len(header)] + [len(row[i]) for row in text_rows])
-        for i, header in enumerate(headers)
-    ]
-    gap = "  "
-    lines = [gap.join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append(gap.join("-" * w for w in widths))
-    for row in text_rows:
-        lines.append(gap.join(
-            cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+__all__ = ["format_sweep", "format_table", "format_value", "print_sweep"]
 
 
 def format_sweep(sweep: Sweep, title: Optional[str] = None) -> str:

@@ -26,7 +26,6 @@ from .navigation import (
     navigate,
     star_template,
 )
-from .paths import AssociationPath, association_paths, semantic_distance
 from .probe import GeneralizationHierarchy
 from .render import format_columns, render_navigation, render_relation_table
 from .retraction import (
@@ -42,7 +41,6 @@ from .retraction import (
 
 __all__ = [
     "NavigationResult", "NavigationSession", "navigate", "star_template",
-    "AssociationPath", "association_paths", "semantic_distance",
     "GeneralizationHierarchy", "format_columns", "render_navigation",
     "render_relation_table", "ConjunctiveQuery", "ProbeResult",
     "RetractedQuery", "RetractionStep", "RetractionSuccess", "Wave",

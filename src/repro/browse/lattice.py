@@ -1,12 +1,15 @@
 """The materialized generalization lattice (paper §5.1, at scale).
 
-:class:`~repro.browse.probe.GeneralizationHierarchy` answers the two
-questions probing needs — *is E' broader than E?* and *what are E's
-minimal generalizations?* — by building a networkx digraph, condensing
-it, and transitively reducing it **from scratch on every mutation**.
-That is the right reference semantics and the wrong serving shape: a
-browsing session issues thousands of broadness probes against a
-hierarchy that almost never changes.
+:class:`~repro.browse.probe.GeneralizationHierarchy`, the reference
+the equivalence suites hold this module to, answers the two questions
+probing needs — *is E' broader than E?* and *what are E's minimal
+generalizations?* — by building a networkx digraph, condensing it, and
+transitively reducing it **from scratch for every version of the
+hierarchy**.  That is the right reference semantics and the wrong
+serving shape: a browsing session issues thousands of broadness probes
+against a hierarchy that almost never changes.  Nothing on the serving
+path builds the reference, so a server never imports networkx (a
+test-only dependency).
 
 :class:`GeneralizationLattice` is the serving implementation of the
 same contract:

@@ -20,20 +20,17 @@ generalization — exactly the paper's ``(COSTS, ≺, Δ)`` step.
 This networkx implementation is the **reference**: the production path
 is :class:`repro.browse.lattice.GeneralizationLattice`, an interned,
 incrementally maintained equivalent with no third-party dependency.
-networkx is now an optional (test) dependency, present only so the
-equivalence suites can differentially check the lattice against this
-original.
+networkx is a test-only dependency (the ``[test]`` extra), present so
+the equivalence suites can differentially check the lattice against
+this original.  It is imported when a hierarchy is built, not when this
+module is: the package imports this module, and a server never builds
+the reference.
 """
 
 from __future__ import annotations
 
 import difflib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
-
-try:
-    import networkx as nx
-except ImportError:  # pragma: no cover - exercised via minimal installs
-    nx = None
 
 from ..core.entities import BOTTOM, ISA, TOP
 from ..core.facts import Template, Variable
@@ -52,11 +49,13 @@ class GeneralizationHierarchy:
             known_entities: the active domain; entities outside it are
                 "not database entities" and are never generalized (§5.2).
         """
-        if nx is None:
+        try:
+            import networkx as nx
+        except ImportError:
             raise ImportError(
                 "networkx is required for the reference"
                 " GeneralizationHierarchy; the production path is"
-                " repro.browse.lattice.GeneralizationLattice")
+                " repro.browse.lattice.GeneralizationLattice") from None
         self._known: Set[str] = set(known_entities)
         graph = nx.DiGraph()
         graph.add_nodes_from(self._known)
@@ -148,6 +147,8 @@ class GeneralizationHierarchy:
     def _strict_ancestors(self, component: int) -> FrozenSet[int]:
         cached = self._descendants_cache.get(component)
         if cached is None:
+            import networkx as nx
+
             cached = frozenset(nx.descendants(self._condensed, component))
             self._descendants_cache[component] = cached
         return cached

@@ -3,7 +3,9 @@
 The paper displays a navigation answer as a table headed by the
 template, with one column per relationship and the related entities
 listed beneath (§4.1).  These renderers reproduce that layout with
-plain monospaced text.
+plain monospaced text.  :func:`format_table` is the row-per-record
+table that EXPLAIN ANALYZE, the telemetry summary and the benchmark
+reports print.
 """
 
 from __future__ import annotations
@@ -47,6 +49,41 @@ def format_columns(title: str, headers: Sequence[str],
             cells.append(cell.ljust(width))
         lines.append(gap.join(cells).rstrip())
     return "\n".join(line.rstrip() for line in lines)
+
+
+def format_value(value: object) -> str:
+    """Render one cell: floats compactly, everything else via ``str``.
+
+    Floats use fixed-point with up to four decimals; scientific
+    notation only when fixed-point would collapse the value to zero
+    (so ``0.0009999`` renders ``0.001`` like its neighbors, not
+    ``1.00e-03``).  Negative values mirror positive ones exactly.
+    """
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        text = f"{value:.4f}".rstrip("0").rstrip(".")
+        if text.lstrip("-") == "0":
+            return f"{value:.2e}"
+        return text
+    return str(value)
+
+
+def format_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[object]]) -> str:
+    """A fixed-width text table."""
+    text_rows = [[format_value(cell) for cell in row] for row in rows]
+    widths = [
+        max([len(header)] + [len(row[i]) for row in text_rows])
+        for i, header in enumerate(headers)
+    ]
+    gap = "  "
+    lines = [gap.join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append(gap.join("-" * w for w in widths))
+    for row in text_rows:
+        lines.append(gap.join(
+            cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    return "\n".join(lines)
 
 
 def render_navigation(result) -> str:

@@ -32,7 +32,9 @@ whose span records ride back on responses so the client ends up
 holding the stitched tree), :mod:`repro.obs.slowlog` (bounded
 slow-query ring buffer), :mod:`repro.obs.export` (JSON lines / text
 summary) and :mod:`repro.obs.monitor` (text dashboard rendered from
-snapshots).
+snapshots).  A server runs neither of the last two: the package imports
+:mod:`repro.obs.export` when one of its names is first asked for, and
+:mod:`repro.obs.monitor` not at all.
 """
 
 from .context import (
@@ -43,8 +45,6 @@ from .context import (
     stitch,
     trace_processes,
 )
-from .export import read_jsonl, summary, to_events, write_jsonl
-from .monitor import dashboard_rows, render_dashboard
 from .slowlog import SlowQueryLog, build_record, plan_summary
 from .telemetry import (
     LAST_REQUEST,
@@ -77,5 +77,18 @@ __all__ = [
     "SpanRecord", "TraceContext", "new_span_id", "render_trace",
     "stitch", "trace_processes",
     "SlowQueryLog", "build_record", "plan_summary",
-    "dashboard_rows", "render_dashboard",
 ]
+
+#: Names served from :mod:`repro.obs.export`, imported on first use.
+_EXPORT_NAMES = frozenset({"read_jsonl", "summary", "to_events",
+                           "write_jsonl"})
+
+
+def __getattr__(name: str):
+    # PEP 562: no serving path exports telemetry, so the exporters are
+    # imported on first use.
+    if name in _EXPORT_NAMES:
+        from . import export
+
+        return getattr(export, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,7 @@ Two formats:
   references, then counters, gauges, and conjunct records), suitable
   for offline analysis or attaching to a benchmark artifact;
 * **text summary** — a fixed-width report reusing
-  :func:`repro.benchio.reporting.format_table`, what the shell's
+  :func:`repro.browse.render.format_table`, what the shell's
   ``profile`` command prints.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Union
 
-from ..benchio.reporting import format_table
+from ..browse.render import format_table
 from .telemetry import Telemetry
 
 

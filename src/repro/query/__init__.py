@@ -4,8 +4,9 @@
 over the closure plus the virtual relations.  The package provides the
 AST (:mod:`repro.query.ast`), the textual surface syntax
 (:mod:`repro.query.parser`), a selectivity-based conjunct planner, the
-backtracking evaluator, EXPLAIN / EXPLAIN ANALYZE, and a brute-force
-reference evaluator used for differential testing.
+backtracking evaluator and EXPLAIN / EXPLAIN ANALYZE.  The brute-force
+reference evaluator used for differential testing is
+:mod:`repro.query.reference`; the package does not import it.
 
 Example::
 
@@ -43,7 +44,6 @@ from .exec import (
 from .explain import Explanation, PlanStep, explain
 from .parser import ALIASES, parse_formula, parse_query, parse_template
 from .planner import estimate_cost, next_conjunct, order_conjuncts
-from .reference import brute_force_evaluate
 
 __all__ = [
     "And", "Atom", "Exists", "ForAll", "Formula", "Or", "Query", "atom",
@@ -53,5 +53,5 @@ __all__ = [
     "CompiledEvaluator", "OperatorStats", "PlanRun", "execute_plan",
     "Explanation", "PlanStep", "explain", "ALIASES",
     "parse_formula", "parse_query", "parse_template", "estimate_cost",
-    "next_conjunct", "order_conjuncts", "brute_force_evaluate",
+    "next_conjunct", "order_conjuncts",
 ]

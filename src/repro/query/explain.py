@@ -139,7 +139,7 @@ class AnalyzedExplanation:
         return len(self.value)
 
     def render(self) -> str:
-        from ..benchio.reporting import format_table
+        from ..browse.render import format_table
 
         lines = [self.explanation.render()]
         if not self.executed:

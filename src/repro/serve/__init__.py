@@ -36,7 +36,10 @@ inflight accounting, to the workers; read-your-writes is preserved by routing ti
 spilled reads only to replicas that have applied the ticket's version
 (primary fallback otherwise); crashed workers respawn and re-attach
 automatically.  ``python -m repro.shell serve music
---workers 4`` puts a pool behind the TCP server.
+--workers 4`` puts a pool behind the TCP server.  The package loads
+:mod:`repro.serve.pool` (and :mod:`multiprocessing`) only when
+``ReplicaPool`` is first asked for, so a server without workers never
+imports it.
 
 Example::
 
@@ -57,7 +60,6 @@ from ..core.errors import (
     ServiceError,
 )
 from ..core.errors import ReplicaError
-from .pool import ReplicaPool
 from .replica import Delta
 from .service import DatabaseService, WriteTicket
 
@@ -66,3 +68,13 @@ __all__ = [
     "ServiceError", "Overloaded", "DeadlineExceeded", "ServiceClosed",
     "ReplicaError",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the pool pulls in multiprocessing, which a server
+    # without workers never needs, so it is imported on first use.
+    if name == "ReplicaPool":
+        from .pool import ReplicaPool
+
+        return ReplicaPool
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -420,7 +420,8 @@ class BrowserShell:
         return "usage: trace [on|off]"
 
     def _profile(self, command: str) -> str:
-        from .obs import Telemetry, summary, use_telemetry
+        from .obs import Telemetry, use_telemetry
+        from .obs.export import summary
 
         if not command:
             return "usage: profile COMMAND [ARGS...]"

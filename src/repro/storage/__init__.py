@@ -5,7 +5,8 @@ the minimal durable substrate a usable library needs: an append-only
 JSON-lines journal of mutations, atomically written snapshot files,
 and :class:`~repro.storage.session.DurableSession` tying both to a
 live database with replay-on-open recovery.  A one-fact-per-line text
-interchange format rounds it out for export/import and merging.
+interchange format (:mod:`repro.storage.interchange`, which the package
+does not import) rounds it out for export/import and merging.
 
 Example::
 
@@ -22,13 +23,11 @@ Example::
     session2.close()
 """
 
-from .interchange import dumps, loads, read_facts, write_facts
 from .journal import OP_ADD, OP_REMOVE, Journal, JournalEntry
 from .session import DurableSession, open_database
 from .snapshot import SnapshotState, read_snapshot, write_snapshot
 
 __all__ = [
-    "dumps", "loads", "read_facts", "write_facts",
     "OP_ADD", "OP_REMOVE", "Journal", "JournalEntry", "DurableSession",
     "open_database", "SnapshotState", "read_snapshot", "write_snapshot",
 ]
