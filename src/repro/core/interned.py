@@ -63,7 +63,7 @@ from typing import (
 from ..obs import telemetry as _obs
 from .errors import FrozenStoreError, ReplicaError
 from .facts import Fact, Template, Variable
-from .store import FactStore
+from .store import FactStore, NameCodec
 
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
@@ -73,22 +73,17 @@ __all__ = [
 
 #: The one overlay budget: how many facts — additions *plus* tombstones
 #: (:attr:`InternedFactStore.overlay_size`) — a store may hold outside
-#: its generation.  The serving writer folds a store that exceeds it
-#: into a fresh generation before it publishes
-#: (:class:`repro.serve.DatabaseService`), and the query executor runs
-#: in the integer domain only up to it (:mod:`repro.query.exec`), so a
-#: published store never drops to the string executor.  Readers pay
-#: for the overlay (every probe merges it), every fold is O(heap): a
-#: smaller budget buys read latency with more frequent folds.
+#: its generation before the serving writer folds it into a fresh
+#: generation (:class:`repro.serve.DatabaseService`).  It sets only how
+#: often the writer folds: readers pay for the overlay (every probe
+#: merges it, whatever its size), every fold is O(heap), so a smaller
+#: budget buys read latency with more frequent folds.
 OVERLAY_BUDGET = 128
 
 #: Where POSIX shared memory lives on Linux; :meth:`ColumnarGeneration.share`
 #: checks its free space before copying a generation in (platforms
 #: without the directory skip the check).
 SEGMENT_DIRECTORY = "/dev/shm"
-
-#: Position letters to tuple indexes, shared with the query executor.
-_POSITION = {"s": 0, "r": 1, "t": 2}
 
 
 class IdCodec:
@@ -100,7 +95,8 @@ class IdCodec:
     densely per codec instance.  Encoding is injective in both
     directions, so id equality is name equality: the executor's join
     keys, dedup sets, and repeated-variable checks can all operate on
-    machine ints and the answers stay bit-identical to the string path.
+    machine ints and the answers stay bit-identical to a hash store's,
+    whose ids are the names (:class:`~repro.core.store.NameCodec`).
     """
 
     __slots__ = ("interner", "base", "_scratch", "_scratch_ids")
@@ -907,8 +903,8 @@ class InternedFactStore(FactStore):
     tombstones' column offsets.
     """
 
-    #: Class marker the query executor keys its integer-probe fast
-    #: path on.
+    #: Class marker the dispatched closure keys its first delta on (a
+    #: copy shares the generation).
     interned = True
     #: :meth:`count_estimate` is exact for patterns without repeated
     #: variables (index length lookups, tombstone- and
@@ -1180,66 +1176,15 @@ class InternedFactStore(FactStore):
         return itertools.chain(self._gen_facts(s, r, t),
                                overlay.lookup(s, r, t))
 
-    def lookup_many(self, spec: str,
-                    templates: Sequence[Template]) -> List[List[Fact]]:
-        """Batched ground-position lookup: one result list per
-        template, all sharing the same bound-position ``spec``.
-
-        This is the integer-domain batch surface the compiled query
-        executor probes: constants are interned once, the CSR index is
-        resolved once, and each key costs one offset-range probe —
-        facts decode (memoized) only when they reach the output.
-        """
-        gen = self._gen
-        overlay = self._overlay
-        overlay_live = len(overlay) > 0
-        positions = [_POSITION[letter] for letter in spec]
-        results: List[List[Fact]] = []
-        if gen is None:
-            if not overlay_live:
-                return [[] for _ in templates]
-            return [
-                list(overlay.lookup(
-                    template[0] if 0 in positions else None,
-                    template[1] if 1 in positions else None,
-                    template[2] if 2 in positions else None))
-                for template in templates]
-        id_of = gen.interner.id_of
-        fact_at = gen.fact_at
-        removed_at = self._removed_at
-        for template in templates:
-            ids: List[int] = []
-            miss = False
-            for p in positions:
-                i = id_of(template[p])
-                if i is None:
-                    miss = True
-                    break
-                ids.append(i)
-            if miss:
-                matches: List[Fact] = []
-            elif removed_at:
-                matches = [
-                    fact_at(position)
-                    for position in gen.positions(spec, tuple(ids))
-                    if position not in removed_at]
-            else:
-                matches = [fact_at(position)
-                           for position in gen.positions(
-                               spec, tuple(ids))]
-            if overlay_live:
-                matches.extend(overlay.lookup(
-                    template[0] if 0 in positions else None,
-                    template[1] if 1 in positions else None,
-                    template[2] if 2 in positions else None))
-            results.append(matches)
-        return results
-
     # ------------------------------------------------------------------
     # Integer-domain batch surfaces (id-native query execution)
     # ------------------------------------------------------------------
-    def id_codec(self) -> IdCodec:
-        """A fresh per-execution codec over this store's generation."""
+    def id_codec(self):
+        """A fresh per-execution codec over this store's generation;
+        before the first generation every fact is in the overlay and,
+        as on a hash store, the ids are the names."""
+        if self._gen is None:
+            return NameCodec()
         return IdCodec(self._gen.interner)
 
     def lookup_many_ids(self, spec: str,
@@ -1260,9 +1205,12 @@ class InternedFactStore(FactStore):
         it, full ``(s, r, t)`` id triples.  ``checks`` are column-index
         pairs that must hold equal ids (repeated unbound variables —
         id equality is name equality within one interner space).
-        Tombstones are filtered by generation offset.
+        Tombstones are filtered by generation offset; without a
+        generation every list is empty.
         """
         gen = self._gen
+        if gen is None:
+            return [[] for _ in keys]
         removed = self._removed_at
         cols = (gen.scol, gen.rcol, gen.tcol)
         out_cols = None if positions is None else [
@@ -1310,11 +1258,10 @@ class InternedFactStore(FactStore):
                         if occurrences(i)]
             out.extend(live)
         if len(self._overlay):
-            base = len(gen.interner) if gen is not None else 0
             included = set(live)
             for name in self._overlay.entities():
                 i = encode(name)
-                if i >= base or i not in included:
+                if i not in included:
                     out.append(i)
         return out
 

@@ -32,6 +32,7 @@ Example::
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import telemetry as _obs
@@ -55,6 +56,21 @@ def seed_store(base: Iterable["Fact"]) -> "FactStore":
     return FactStore(base)
 
 
+def _same(name: str) -> str:
+    return name
+
+
+class NameCodec:
+    """The id⇄name codec of a store whose ids are its names — a hash
+    store, or an interned store before its first generation: encoding
+    and decoding are the identity, so the query executor's join keys,
+    dedup sets and extensions hold the names themselves and projection
+    decodes nothing."""
+
+    __slots__ = ()
+    encode = decode = staticmethod(_same)
+
+
 class FactStore:
     """A mutable, fully indexed heap of facts.
 
@@ -63,6 +79,10 @@ class FactStore:
     enforced here.  (Contradiction checking lives in
     :mod:`repro.rules.integrity`, because it needs the closure.)
     """
+
+    #: No interned columnar generation: this store's ids are its names
+    #: (:class:`NameCodec`).
+    generation = None
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: Set[Fact] = set()
@@ -317,10 +337,9 @@ class FactStore:
         ``"sr"``, ``"st"``, or ``"rt"``.  The returned mapping is the
         live index (keys are entities or entity pairs, values are fact
         sets) — callers must treat it as read-only and use ``.get`` so
-        the ``defaultdict`` is never grown by a miss.  The compiled
-        query executor (:mod:`repro.query.exec`) resolves the handle
-        once per join operator and then probes it once per *distinct*
-        binding instead of once per row.
+        the ``defaultdict`` is never grown by a miss.
+        :meth:`lookup_many_ids` and the dispatched closure's deltas
+        (:mod:`repro.rules.dispatch`) resolve the handle once per batch.
         """
         try:
             return {"s": self._by_s, "r": self._by_r, "t": self._by_t,
@@ -329,16 +348,56 @@ class FactStore:
         except KeyError:
             raise KeyError(f"no index for position spec {spec!r}") from None
 
-    def match_many(self, patterns: Sequence[Template]) -> List[List[Fact]]:
-        """Batched :meth:`match`: one result list per input pattern.
+    # ------------------------------------------------------------------
+    # The query executor's id protocol, with names as ids
+    # ------------------------------------------------------------------
+    def id_codec(self) -> NameCodec:
+        """The identity codec: this store's ids are its names."""
+        return NameCodec()
 
-        The batch surface the set-at-a-time executor builds on; the
-        store-level implementation simply loops (each pattern already
-        hits the best index), but presenting the batch at once keeps
-        the calling convention uniform with the virtual registry's
-        batched matching.
+    def lookup_many_ids(self, spec: str, keys: Sequence[tuple],
+                        positions: Optional[Sequence[int]] = None,
+                        checks: Sequence[Tuple[int, int]] = ()
+                        ) -> List[list]:
+        """Batched probe of the compiled query executor, the hash
+        store's form of
+        :meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`
+        with names for ids: ``keys`` are name tuples in ``spec`` order,
+        answered from the one index ``spec`` names (resolved once for
+        the batch) at one dict probe per key.  With ``positions`` each
+        match is the tuple of those components (``[]``: a pure
+        existence filter), without it the fact; ``checks`` are
+        position pairs that must hold equal names.
         """
-        return [list(self.match(pattern)) for pattern in patterns]
+        if not spec:
+            runs: List = [self._facts] * len(keys)
+        elif spec == "srt":
+            facts = self._facts
+            runs = [(key,) if key in facts else () for key in keys]
+        elif len(spec) == 1:
+            get = self.index_for(spec).get
+            runs = [get(name, ()) for (name,) in keys]
+        else:
+            get = self.index_for(spec).get
+            runs = [get(key, ()) for key in keys]
+        if checks:
+            runs = [[f for f in run
+                     if all(f[i] == f[j] for i, j in checks)]
+                    for run in runs]
+        if positions is None:
+            return [list(run) for run in runs]
+        if not positions:
+            return [[()] if run else [] for run in runs]
+        if len(positions) == 1:
+            p = positions[0]
+            return [[(f[p],) for f in run] for run in runs]
+        pick = itemgetter(*positions)
+        return [list(map(pick, run)) for run in runs]
+
+    def entity_id_domain(self, encode) -> List[str]:
+        """The active domain in the executor's id protocol: the names
+        themselves (``encode`` is the identity)."""
+        return list(self._entity_refs)
 
     def match(self, pattern: Template,
               binding: Optional[Binding] = None) -> Iterator[Fact]:

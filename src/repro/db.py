@@ -376,8 +376,8 @@ class Database:
         :attr:`overlay_size` exceeds
         :data:`~repro.core.interned.OVERLAY_BUDGET`.  Only a library
         caller mutating a compacted database by hand decides when to
-        call again — the same measure applies (past the budget, queries
-        leave the integer domain).  Returns ``self``.
+        call again — the same measure applies (every probe merges the
+        overlay, so reads slow as it grows).  Returns ``self``.
         """
         from .core.interned import InternedFactStore
 

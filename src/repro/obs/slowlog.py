@@ -64,10 +64,8 @@ def plan_summary(run: Any) -> Optional[Dict[str, Any]]:
         return None
     return {
         "replans": getattr(run, "replans", 0),
-        # Whether the run executed in the integer domain; False means
-        # the string path (plain store, custom virtual registry, big
-        # overlay) — the first thing to check when an interned-store
-        # query shows up slow.
+        # Whether the run executed on a generation's interned ids;
+        # False means a hash store, whose ids are its names.
         "id_domain": bool(getattr(run, "id_domain", False)),
         "operators": [stats.as_dict() for stats in run.operators],
     }

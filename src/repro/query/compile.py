@@ -55,7 +55,7 @@ from ..virtual.math_facts import MathRelation
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
 from .planner import Estimates
 
-#: Relationship constants whose templates the id-domain executor
+#: Relationship constants whose templates the executor's id leaf
 #: answers on strings: the comparators (math facts) and ``≺``
 #: (reflexive generalization).  The third standard virtual relation,
 #: endpoint witnessing — ``Δ`` as relationship or target, ``∇`` as
@@ -112,9 +112,9 @@ class AtomJoin(PlanNode):
     empty_hint: bool = False
     #: Per-generation interned ground constants
     #: (:class:`AtomIdAnnotation`), bound by the executor the first
-    #: time this node runs in the integer domain (a ``∀`` body runs
-    #: once per domain chunk) and validated there by generation
-    #: identity — a cache, never a correctness requirement.
+    #: time this node runs (a ``∀`` body runs once per domain chunk)
+    #: and validated there by generation identity — a cache, never a
+    #: correctness requirement.
     id_ann: object = field(default=None, repr=False, compare=False)
     op = "atom-join"
 
@@ -242,19 +242,21 @@ class AtomIdAnnotation:
     relationship, Δ target)`` — bound-variable positions are tested per
     key in id space by the executor.  Codec-independent — no scratch
     ids — so one annotation is safely shared across threads and
-    executions of the same generation.
+    executions of the same generation.  With no generation (a store
+    whose ids are its names) each constant is its own id.
     """
 
     __slots__ = ("generation", "ground", "rel_string", "open_positions")
 
 
 def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
-    """Intern one template's ground constants against ``generation``."""
-    id_of = generation.interner.id_of
+    """Intern one template's ground constants against ``generation``
+    (``None``: the identity)."""
     ground: List = [None, None, None]
     for p, component in enumerate(pattern):
         if not isinstance(component, Variable):
-            ground[p] = (component, id_of(component))
+            ground[p] = (component, component if generation is None
+                         else generation.interner.id_of(component))
     ann = AtomIdAnnotation()
     ann.generation = generation
     ann.ground = tuple(ground)

@@ -44,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
-from ..core.facts import Fact, Template, Variable
-from ..core.interned import OVERLAY_BUDGET
+from ..core.facts import Template, Variable
 from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
 from ..virtual.math_facts import MathRelation
@@ -67,18 +66,15 @@ from .compile import (
 from .evaluate import Evaluator, check_safety, require_proposition
 from .planner import Estimates
 
-#: Process-wide switch for integer-domain execution over interned
-#: stores.  The id-domain equivalence suite flips this off to prove the
-#: id-native and string paths produce bit-identical answers, verdicts,
-#: errors, and explain-analyze row counts.
-ID_DOMAIN = True
-
 #: The virtual relations whose ``handles`` triggers the executor can
-#: test in id space.  A registry containing anything else routes the
-#: whole execution through the string path (correct, and observable:
-#: ``exec.id_domain`` stops ticking).
-_STANDARD_RELATIONS = (MathRelation, ReflexiveGeneralization,
-                       EndpointWitness)
+#: test in id space (and whose endpoint witnessing it answers there).
+#: Under a registry of any other set of relation types every key of
+#: every atom crosses the string boundary (:func:`_merge_id_boundary`).
+_STANDARD_RELATIONS = frozenset((MathRelation, ReflexiveGeneralization,
+                                 EndpointWitness))
+
+#: :class:`_IdExec`'s trigger ids where the ids are the names.
+_NAME_TRIGGERS = (BOTTOM, TOP, _STRING_RELS, _STRING_RELS | {TOP})
 
 #: Distinct-key interval between deadline checkpoints inside the
 #: id leaf's virtual-relation merge.
@@ -91,8 +87,6 @@ FORALL_CHUNK = 256
 #: Fanout-vs-estimate divergence that triggers an adaptive re-order of
 #: a pipeline's remaining children (ISSUE 5: ``>10×`` either way).
 REPLAN_FACTOR = 10.0
-
-_POSITION = {"s": 0, "r": 1, "t": 2}
 
 
 class BindingTable:
@@ -112,10 +106,11 @@ class BindingTable:
         self.index: Dict[Variable, int] = {
             v: i for i, v in enumerate(self.columns)}
         self.rows = rows
-        #: The :class:`~repro.core.interned.IdCodec` of an id-domain
-        #: execution, set on the *final* table by :func:`execute_plan`
-        #: — rows then hold interned ids, and projection decodes them
-        #: column by column.  ``None`` on the string path.
+        #: The :class:`~repro.core.interned.IdCodec` of an execution
+        #: over a generation, set on the *final* table by
+        #: :func:`execute_plan` — rows then hold interned ids, and
+        #: projection decodes them column by column.  ``None`` when the
+        #: ids are the names.
         self.codec = None
 
     def __len__(self) -> int:
@@ -162,10 +157,9 @@ class PlanRun:
     plan: CompiledPlan
     operators: List[OperatorStats] = field(default_factory=list)
     replans: int = 0
-    #: True when this run executed in the integer domain (interned
-    #: store, standard virtual registry) — surfaced in slow-query plan
-    #: autopsies so operators can see which queries fell back to the
-    #: string path.
+    #: True when this run executed on a generation's interned ids
+    #: (a compacted store), False when its ids were the names (a hash
+    #: store) — surfaced in slow-query plan autopsies.
     id_domain: bool = False
 
     def describe(self) -> str:
@@ -182,55 +176,46 @@ class PlanRun:
 
 
 class _IdExec:
-    """Integer-domain state over one interned store, shared by every
-    plan an evaluator runs while the store stands still: the scratch
-    codec, the base-id universe bound, the encoded trigger ids that
-    decide per join key whether a standard virtual relation could
-    contribute, and the overlay (``None`` when empty) for the
-    string-boundary merge.
+    """Id-space state over one store, shared by every plan an
+    evaluator runs while the store stands still: the store's codec
+    (scratch ids over a generation's interner, or the identity where
+    the ids are the names), the encoded trigger ids that decide per
+    join key whether a standard virtual relation could contribute, and
+    an interned store's overlay (``None`` when empty), merged into
+    every probe.
     """
 
-    __slots__ = ("store", "version", "gen", "codec", "base", "overlay",
+    __slots__ = ("store", "version", "gen", "codec", "overlay",
                  "string_rel_ids", "rel_trigger_ids", "bottom_id", "top_id")
 
     def __init__(self, store):
         self.store = store
         self.version = store.version
         self.gen = store.generation
-        overlay = store._overlay  # noqa: SLF001
-        self.overlay = overlay if len(overlay) else None
+        # An interned store's additions; a hash store has no overlay.
+        overlay = getattr(store, "_overlay", None)
+        self.overlay = overlay if overlay else None
         codec = store.id_codec()
         self.codec = codec
-        self.base = codec.base
+        #: ``string_rel_ids``: relationships answered on strings (``≺``,
+        #: the comparators); with ``Δ`` they are every relationship
+        #: that triggers.
+        if self.gen is None:
+            (self.bottom_id, self.top_id, self.string_rel_ids,
+             self.rel_trigger_ids) = _NAME_TRIGGERS
+            return
         encode = codec.encode
         self.bottom_id = encode(BOTTOM)
         self.top_id = encode(TOP)
-        #: Relationships answered on strings (``≺``, the comparators);
-        #: with ``Δ`` they are every relationship that triggers.
-        self.string_rel_ids = frozenset(
-            encode(name) for name in _STRING_RELS)
+        self.string_rel_ids = frozenset(map(encode, _STRING_RELS))
         self.rel_trigger_ids = self.string_rel_ids | {self.top_id}
 
 
-def _standard_registry(virtual) -> bool:
-    """True when every registered computed relation is one of the
-    standard three, so virtual triggering is decidable in id space."""
-    return all(type(r) in _STANDARD_RELATIONS for r in virtual)
-
-
-def _id_exec(view: FactView,
-             prior: Optional[_IdExec] = None) -> Optional[_IdExec]:
-    """The integer-domain state for one execution over ``view`` — an
-    interned store with a generation, an overlay within budget and a
-    standard virtual registry — or ``None`` for the string domain.
-    ``prior`` (an evaluator's state from its previous plan) is handed
-    back when the store has not changed under it."""
+def _id_exec(view: FactView, prior: Optional[_IdExec] = None) -> _IdExec:
+    """The id-space state for one execution over ``view``; ``prior``
+    (an evaluator's state from its previous plan) is handed back when
+    the store has not changed under it."""
     store = view.store
-    if not (ID_DOMAIN and getattr(store, "interned", False)
-            and store.generation is not None
-            and store.overlay_size <= OVERLAY_BUDGET
-            and _standard_registry(view.virtual)):
-        return None
     if prior is not None and prior.store is store \
             and prior.version == store.version:
         return prior
@@ -238,30 +223,31 @@ def _id_exec(view: FactView,
 
 
 class _Context:
-    """Per-execution state: the view, batch probe surfaces, stats.
+    """Per-execution state: the registry, the id-space state, stats.
 
     With ``collect`` off (the evaluator's hot path when telemetry is
     disabled) no :class:`OperatorStats` rows are built or updated —
     per-operator accounting only exists for a consumer.
 
-    ``ids`` is the :class:`_IdExec` of an integer-domain execution or
-    ``None`` (:func:`_id_exec`): the eligibility decision is made once
-    per execution, so every operator sees one consistent value domain.
+    ``custom`` says the registry is not the standard three (it holds
+    another computed relation, or lacks one of them), so its triggers
+    cannot be tested in id space and every key goes through the string
+    boundary.
     """
 
-    __slots__ = ("view", "store", "virtual", "run", "stats", "collect",
-                 "ids", "estimates")
+    __slots__ = ("virtual", "run", "stats", "collect", "ids", "custom",
+                 "estimates")
 
-    def __init__(self, view: FactView, run: PlanRun,
-                 ids: Optional[_IdExec], collect: bool = True):
-        self.view = view
-        self.store = view.store
+    def __init__(self, view: FactView, run: PlanRun, ids: _IdExec,
+                 collect: bool = True):
         self.virtual = view.virtual
         self.run = run
         self.collect = collect
         self.ids = ids
+        self.custom = frozenset(map(type, view.virtual)) \
+            != _STANDARD_RELATIONS
         self.estimates = run.plan.estimates
-        run.id_domain = ids is not None
+        run.id_domain = ids.gen is not None
         # Stats rows are created in plan preorder so PlanRun.operators
         # renders as the plan tree regardless of execution order.
         self.stats: Dict[int, OperatorStats] = {}
@@ -274,7 +260,7 @@ class _Context:
 
 
 def _decoded_rows(codec, rows: Sequence[tuple]) -> zip:
-    """The rows of an id-domain table as name tuples (one pass each,
+    """The rows of a table of generation ids as name tuples (one pass each,
     lazily), decoded by column: a column that holds only generation
     ids indexes the name table directly at C level — ``max(column) <
     base`` is the test, not "the codec has scratch ids", for every
@@ -314,19 +300,18 @@ def execute_plan(plan: CompiledPlan, view: FactView,
 
 
 def _run_plan(plan: CompiledPlan, view: FactView, table: BindingTable,
-              ids: Optional[_IdExec],
+              ids: _IdExec,
               collect: bool) -> Tuple[BindingTable, PlanRun]:
     """One plan execution from ``table`` (the unit table, or a wave's
-    seed rows — ids when ``ids`` is given) in the domain ``ids``
-    decides."""
+    seed rows, encoded through ``ids.codec``)."""
     run = PlanRun(plan=plan)
     ctx = _Context(view, run, ids, collect)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.plans")
-        if ids is not None:
+        if run.id_domain:
             _obs.TELEMETRY.count("exec.id_domain")
     table = _execute(plan.root, table, ctx)
-    if ids is not None:
+    if run.id_domain:
         table.codec = ids.codec
     if _obs.ENABLED:
         _obs.LAST_REQUEST.run = run
@@ -367,10 +352,8 @@ def _execute(node: PlanNode, table: BindingTable,
 def _exec_atom(node: AtomJoin, table: BindingTable,
                ctx: _Context) -> BindingTable:
     """The one join skeleton: split the pattern's variables into bound
-    and new, probe once per distinct key, and extend each key's rows by
-    its extensions.  The value domain only decides which leaf answers
-    "extensions per key" — :func:`_id_extensions` over interned ids or
-    :func:`_string_extensions` over names."""
+    and new, probe once per distinct key (:func:`_id_extensions`), and
+    extend each key's rows by its extensions."""
     pattern = node.formula.pattern
     pattern_var_set = ctx.estimates.variables(node.formula)
     bound_vars = tuple(v for v in table.columns if v in pattern_var_set)
@@ -437,9 +420,8 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.atom.keys", len(keys))
 
-    leaf = _id_extensions if ctx.ids is not None else _string_extensions
-    extensions_per_key = leaf(ctx, node, bound_vars, keys, new_positions,
-                              checks)
+    extensions_per_key = _id_extensions(ctx, node, bound_vars, keys,
+                                        new_positions, checks)
 
     if pure_filter:
         # Every bound variable is checked by the probe, so rows survive
@@ -467,45 +449,25 @@ def _exec_atom(node: AtomJoin, table: BindingTable,
         for row in bucket for extension in extensions])
 
 
-def _string_extensions(ctx: _Context, node: AtomJoin,
-                       bound_vars: Tuple[Variable, ...], keys: List[tuple],
-                       new_positions: List[int],
-                       checks: List[Tuple[int, int]]) -> List[list]:
-    """The string leaf: one substituted template per key through
-    :func:`_probe_many`, then the new variables' positions of each
-    matching fact.  Facts from the probe are guaranteed to match the
-    template (repeated variables included), so ``checks`` only tells
-    the probe whether an index candidate set is already exact."""
-    pattern = node.formula.pattern
-    templates = [
-        pattern.substitute(dict(zip(bound_vars, key))) if key else pattern
-        for key in keys
-    ]
-    facts_per_key = _probe_many(ctx, pattern, bound_vars, templates,
-                                exact=not checks)
-    if not new_positions:
-        # A pure filter only asks whether each key matched.
-        return facts_per_key
-    return [[tuple(f[p] for p in new_positions) for f in facts]
-            for facts in facts_per_key]
-
-
 def _id_extensions(ctx: _Context, node: AtomJoin,
                    bound_vars: Tuple[Variable, ...], keys: List[tuple],
                    new_positions: List[int],
                    checks: List[Tuple[int, int]]) -> List[list]:
-    """The id leaf: join keys, store probes, and extensions are
-    interned ids end-to-end.
+    """The executor's one leaf: join keys, store probes, and
+    extensions are ids end-to-end — a generation's interned ints, or
+    the names themselves on a store without one.
 
     Stored facts come from :func:`_stored_id_extensions`.  Whether a
     standard virtual relation can contribute is decided from the
     plan's ground annotation plus the keys' bound ids — for the whole
     batch first, then per key — so the common case (a non-trigger
-    relationship, no endpoint) pays nothing beyond the test.  An endpoint — ``∇`` as source, ``Δ`` as
-    relationship or target — holds iff some stored fact witnesses the
-    other positions, so it is the same probe with that position left
-    open and never leaves id space; only ``≺`` and the comparators go
-    through the string boundary (:func:`_merge_id_boundary`).
+    relationship, no endpoint) pays nothing beyond the test.  An
+    endpoint — ``∇`` as source, ``Δ`` as relationship or target —
+    holds iff some stored fact witnesses the other positions, so it is
+    the same probe with that position left open and never leaves id
+    space; only ``≺``, the comparators and, under a registry with a
+    custom relation, every key go through the string boundary
+    (:func:`_merge_id_boundary`).
     """
     ids = ctx.ids
     pattern = node.formula.pattern
@@ -536,7 +498,7 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
     # bound position, and key by key only when some key can trigger;
     # unbound positions never trigger (a variable in the substituted
     # template satisfies none of the standard handles).
-    rel_string = ann.rel_string
+    rel_string = ann.rel_string or ctx.custom
     ground_open = ann.open_positions
     always_virtual = rel_string or True in ground_open
     src_key, rel_key, tgt_key = key_of
@@ -591,17 +553,18 @@ def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
                           keys: List[tuple], new_positions: List[int],
                           checks: List[Tuple[int, int]]) -> List[list]:
     """Per key, the extensions of the stored facts — generation minus
-    tombstones, plus overlay — that match on the ``fixed`` positions
-    (:func:`_id_extensions`: all of an atom's ground and bound ones,
-    or those an endpoint leaves).
+    tombstones, plus overlay, or a hash store's facts — that match on
+    the ``fixed`` positions (:func:`_id_extensions`: all of an atom's
+    ground and bound ones, or those an endpoint leaves).
 
-    The generation is probed through the store's batched id surface
-    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`) —
-    no :class:`Fact` objects, no strings, repeated unbound variables
-    checked natively (id equality is name equality).  Overlay facts are
-    found through its own hash index and encoded through the codec
-    (scratch ids for names the generation never saw).  Overlay and
-    generation are disjoint by store invariant, so no dedup.
+    The store is probed through its batched id surface
+    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`,
+    :meth:`~repro.core.store.FactStore.lookup_many_ids`), repeated
+    unbound variables checked there (id equality is name equality).
+    An interned store's overlay facts are found through its own hash
+    index and encoded through the codec (scratch ids for names the
+    generation never saw).  Overlay and generation are disjoint by
+    store invariant, so no dedup.
     """
     if _obs.ENABLED:
         _obs.TELEMETRY.count("store.lookups", len(keys))
@@ -672,17 +635,21 @@ def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
 
 def _merge_id_boundary(ctx: _Context, pattern: Template,
                        bound_vars: Tuple[Variable, ...],
-                       key: Tuple[int, ...], extensions: list,
+                       key: tuple, extensions: list,
                        new_positions: List[int],
                        checks: List[Tuple[int, int]]) -> list:
-    """The virtual-relation boundary of the id path: decode one
+    """The virtual-relation boundary of the id leaf: decode one
     triggered key, match the registry on strings, and encode the
     results back into (scratch-)id extensions.
 
     Per key every non-new position is fixed, so extension tuples are in
     bijection with matching facts — deduplicating virtual facts against
-    the merged extensions is exactly the string path's full-fact dedup
-    (the stored layers having been merged into ``extensions`` already).
+    the merged extensions is a full-fact dedup (the stored layers
+    having been merged into ``extensions`` already).  Virtual facts are
+    re-checked against the template, as the reference engine's
+    ``view.solutions`` re-matches every fact, so a computed relation
+    that ever yields a non-matching fact degrades identically under
+    both engines.
     """
     ids = ctx.ids
     codec = ids.codec
@@ -693,93 +660,16 @@ def _merge_id_boundary(ctx: _Context, pattern: Template,
             {v: decode(i) for v, i in zip(bound_vars, key)})
     else:
         template = pattern
-    virtual_facts = ctx.virtual.match_many([template], ids.store)[0]
-    if not virtual_facts:
-        return extensions
     merged = list(extensions)
     seen = set(merged)
-    for fact in virtual_facts:
+    for fact in ctx.virtual.match(template, ids.store):
         if template.match(fact) is None:
             continue
-        extension = tuple(encode(fact[p]) for p in new_positions)
+        extension = tuple([encode(fact[p]) for p in new_positions])
         if extension not in seen:
             seen.add(extension)
             merged.append(extension)
     return merged
-
-
-def _probe_many(ctx: _Context, pattern: Template,
-                bound_vars: Tuple[Variable, ...],
-                templates: List[Template], exact: bool) -> List[List[Fact]]:
-    """Matches for each substituted template: stored facts from the
-    best positional index (handle resolved once per operator), merged
-    with virtual contributions.  ``exact`` says no unbound variable
-    repeats, so an index's candidates need no re-match.
-
-    Virtual facts are re-checked against the template before merging —
-    mirroring the reference engine, whose ``view.solutions`` re-matches
-    every fact, so a computed relation that ever yielded a non-matching
-    fact degrades identically under both engines.
-    """
-    store = ctx.store
-
-    if exact:
-        # Fast path: every substituted template's candidate set is
-        # exactly its stored answer set, and the ground positions are
-        # the same for every key — resolve the index handle once.
-        spec = "".join(
-            letter for letter, component in zip("srt", pattern)
-            if not isinstance(component, Variable)
-            or component in bound_vars)
-        if _obs.ENABLED:
-            _obs.TELEMETRY.count("store.lookups", len(templates))
-        if spec and getattr(store, "interned", False):
-            # Interned columnar store: one batched integer-domain call.
-            # Constants are interned once per template, the CSR index
-            # is picked once for the whole batch, and each key costs an
-            # offset-range probe — facts decode only at emission.
-            # (lookup_many does not count store.lookups itself; the
-            # batch was counted above.)
-            stored = store.lookup_many(spec, templates)
-        elif spec == "srt":
-            stored = [
-                [f] if (f := Fact(t.source, t.relationship, t.target))
-                in store else []
-                for t in templates
-            ]
-        elif not spec:
-            stored = [list(store.match(t)) for t in templates]
-        elif len(spec) == 1:
-            handle = store.index_for(spec)
-            p = _POSITION[spec]
-            stored = [list(handle.get(t[p], ())) for t in templates]
-        else:
-            handle = store.index_for(spec)
-            p0, p1 = _POSITION[spec[0]], _POSITION[spec[1]]
-            stored = [
-                list(handle.get((t[p0], t[p1]), ())) for t in templates
-            ]
-    else:
-        # General path: the store's own batched match handles repeated
-        # variables.
-        stored = store.match_many(templates)
-
-    virtual_batches = ctx.virtual.match_many(templates, store)
-    results: List[List[Fact]] = []
-    for template, stored_facts, virtual_facts in zip(
-            templates, stored, virtual_batches):
-        if not virtual_facts:
-            results.append(stored_facts)
-            continue
-        seen = set(stored_facts)
-        merged = list(stored_facts)
-        for virtual_fact in virtual_facts:
-            if virtual_fact not in seen \
-                    and template.match(virtual_fact) is not None:
-                seen.add(virtual_fact)
-                merged.append(virtual_fact)
-        results.append(merged)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -950,12 +840,9 @@ def _exec_forall(node: ForAllProbe, table: BindingTable,
     alive: Set[Tuple[str, ...]] = {
         tuple(row[i] for i in probe_positions) for row in table.rows
     }
-    if ctx.ids is not None:
-        # Same entity *set* as view.entities(), in id space (order may
-        # differ, which only affects chunk boundaries, not results).
-        domain = ctx.ids.store.entity_id_domain(ctx.ids.codec.encode)
-    else:
-        domain = list(ctx.view.entities())
+    # Same entity *set* as view.entities(), in id space (order may
+    # differ, which only affects chunk boundaries, not results).
+    domain = ctx.ids.store.entity_id_domain(ctx.ids.codec.encode)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.forall.keys", len(alive))
         _obs.TELEMETRY.gauge("query.forall.domain_size", len(domain))
@@ -1004,10 +891,10 @@ class CompiledEvaluator(Evaluator):
 
     A plan lives for one evaluation: it is lowered against the view it
     runs on, so its join order and provably-empty hints are always
-    that view's.  What one evaluator's plans do share is the
-    integer-domain state (:class:`_IdExec`: scratch codec, encoded
-    trigger ids) — a probe's own query and every wave after it run on
-    one, for as long as the store stands still.
+    that view's.  What one evaluator's plans do share is the id-space
+    state (:class:`_IdExec`: the store's codec, encoded trigger ids) —
+    a probe's own query and every wave after it run on one, for as
+    long as the store stands still.
     """
 
     _ids: Optional[_IdExec] = None
@@ -1039,7 +926,7 @@ class CompiledEvaluator(Evaluator):
         """Shared ``ask``/``succeeds`` path — only the proposition
         requirement differs.  A non-empty final table is a non-empty
         answer set (projection preserves emptiness), so truth queries
-        on the id path never decode a single id."""
+        never decode a single id."""
         return bool(self._table(self._prepare(query, proposition)).rows)
 
     def evaluate_with_stats(self, query: Union[str, Query]
@@ -1134,9 +1021,8 @@ class CompiledEvaluator(Evaluator):
                        if not isinstance(c, Variable)])
                 for candidate, _value in members]
         ids = self._ids = _id_exec(self.view, self._ids)
-        if ids is not None:
-            encode = ids.codec.encode
-            rows = [tuple([encode(name) for name in row]) for row in rows]
+        encode = ids.codec.encode
+        rows = [tuple([encode(name) for name in row]) for row in rows]
         wave_span = (
             _obs.TELEMETRY.span("query.evaluate", query=str(plan.query),
                                 engine="compiled", seeds=len(rows))
@@ -1154,11 +1040,11 @@ class CompiledEvaluator(Evaluator):
                 positions = table.project_positions(first.free)
                 if not positions:
                     found = repeat(())
-                elif ids is None:
+                elif table.codec is None:
                     found = _picked(table.rows, positions)
                 else:
                     found = _decoded_rows(
-                        ids.codec, _picked(table.rows, positions))
+                        table.codec, _picked(table.rows, positions))
                 answers: Dict[tuple, Set[Tuple[str, ...]]] = {}
                 for row, answer in zip(table.rows, found):
                     answers.setdefault(row[:width], set()).add(answer)

@@ -17,7 +17,7 @@ infinitely many mathematical facts the paper assumes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from ..core.facts import Binding, Fact, Template
 from ..core.store import FactStore
@@ -49,18 +49,6 @@ class ComputedRelation:
         if not variables:
             return 1
         return max(1, len(store.entities())) ** len(set(variables))
-
-    def facts_many(self, patterns: Sequence[Template],
-                   store: FactStore) -> List[List[Fact]]:
-        """Batched :meth:`facts`: one result list per input pattern.
-
-        The default loops, which keeps every existing computed relation
-        correct under the set-at-a-time executor; relations with a
-        cheaper bulk form (shared domain enumeration, vectorized
-        comparison) may override it.  Callers only pass patterns for
-        which :meth:`handles` is true.
-        """
-        return [list(self.facts(pattern, store)) for pattern in patterns]
 
 
 class VirtualRegistry:
@@ -95,32 +83,6 @@ class VirtualRegistry:
         return sum(
             relation.estimate(pattern, store) for relation in self._relations
             if relation.handles(pattern))
-
-    def match_many(self, patterns: Sequence[Template],
-                   store: FactStore) -> List[List[Fact]]:
-        """Batched :meth:`match`: one deduplicated list per pattern.
-
-        Each relation's :meth:`ComputedRelation.facts_many` is called
-        once with the subset of patterns it handles, so a relation with
-        a bulk override pays its setup cost once per batch rather than
-        once per pattern.
-        """
-        results: List[List[Fact]] = [[] for _ in patterns]
-        seen: List[set] = [set() for _ in patterns]
-        for relation in self._relations:
-            indices = [i for i, pattern in enumerate(patterns)
-                       if relation.handles(pattern)]
-            if not indices:
-                continue
-            batches = relation.facts_many(
-                [patterns[i] for i in indices], store)
-            for i, batch in zip(indices, batches):
-                bucket, marker = results[i], seen[i]
-                for virtual_fact in batch:
-                    if virtual_fact not in marker:
-                        marker.add(virtual_fact)
-                        bucket.append(virtual_fact)
-        return results
 
 
 class FactView:

@@ -117,9 +117,11 @@ class EndpointWitness(ComputedRelation):
     mathematical facts do not, or every pair of numbers would be
     ``Δ``-related.
 
-    This is the string-domain form; the id-domain executor answers the
-    same question as a stored-fact probe with the endpoint position
-    left open (``repro.query.exec._id_extensions``) and never calls it.
+    This is the string form; the compiled executor answers the same
+    question as a stored-fact probe with the endpoint position left
+    open (``repro.query.exec._id_extensions``) and calls it only under
+    a registry with a custom relation, where every key crosses the
+    string boundary.
     """
 
     def handles(self, pattern: Template) -> bool:

@@ -1,6 +1,6 @@
 """Documentation health: examples execute, links resolve, the
-metric catalog matches the code, and the served path names one rule
-engine and no plan cache.
+metric catalog matches the code, code spans name only symbols that
+exist, and the served path names one rule engine and no plan cache.
 
 Thin pytest wrapper over ``tools/docs_check.py`` so the docs gate runs
 with the tier-1 suite as well as in its dedicated CI job.
@@ -9,6 +9,7 @@ with the tier-1 suite as well as in its dedicated CI job.
 import importlib
 import re
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -37,6 +38,26 @@ class TestDocumentation(unittest.TestCase):
                      "exec.plans", "lattice.builds",
                      "writer.apply_batch"):
             self.assertIn(name, emitted)
+
+    def test_docs_name_only_symbols_that_exist(self):
+        self.assertEqual(docs_check.check_symbols(), [])
+        with tempfile.TemporaryDirectory() as directory:
+            doc = Path(directory) / "stale.md"
+            doc.write_text(
+                "`repro.query.exec.ID_DOMAIN` is gone, while\n"
+                "`repro.query.exec.CompiledEvaluator`,"
+                " `query/exec.py::execute_plan` and"
+                " `tests/test_docs.py::TestDocumentation` are not;\n"
+                "`src/repro/query/exec.py::_probe_many` and"
+                " `tests/test_docs.py::test_nothing_here` are gone too.\n",
+                encoding="utf-8")
+            failures = docs_check.check_symbols([str(doc)])
+        self.assertEqual(
+            [failure.split(": ", 1)[1].split("`")[1]
+             for failure in failures],
+            ["repro.query.exec.ID_DOMAIN",
+             "src/repro/query/exec.py::_probe_many",
+             "tests/test_docs.py::test_nothing_here"])
 
     def test_block_extraction_sees_the_readme(self):
         blocks = list(docs_check.iter_python_blocks(ROOT / "README.md"))

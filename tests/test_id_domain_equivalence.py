@@ -1,16 +1,19 @@
-"""Seeded randomized id-domain ≡ string-domain equivalence suite.
+"""Seeded randomized store-layout equivalence suite.
 
-The compiled executor runs integer-native over interned stores
-(``repro.query.exec.ID_DOMAIN``): query constants are interned at
-plan-bind time, joins/dedup/∨/∃/∀ operate on id tuples, and names are
-decoded exactly once at emission.  This suite proves the optimization
-is *unobservable*: over seeded random formulas (atoms with constants,
-repeated variables, virtual relationships, ∧/∨/∃/∀) and every store
-representation — plain, freshly interned, and interned with
-post-compaction adds (scratch ids), overlay facts, and tombstones —
-the id path and the string path produce identical answer sets, ask /
-succeeds verdicts, :class:`QueryError` messages, and explain-analyze
-per-operator row counts, and both agree with the reference engine.
+The compiled executor has one leaf and runs it in id space on every
+store: a compacted store's ids are its generation's interned ints
+(query constants interned at plan-bind time, names decoded once at
+emission), a hash store's ids are its names.  This suite proves the
+layout is *unobservable*: over seeded random formulas (atoms with
+constants, repeated variables, virtual relationships, ∧/∨/∃/∀) and
+every layout — plain, freshly interned, interned with post-compaction
+adds (scratch ids), overlay facts and tombstones, and interned past
+:data:`~repro.core.interned.OVERLAY_BUDGET` — the compiled engine
+produces the reference engine's answer sets, ask / succeeds verdicts
+and :class:`QueryError` messages, with the standard virtual registry
+and with a custom computed relation that sends every key across the
+string boundary; explain-analyze row counts do not depend on the
+layout either.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import pytest
 
 from repro.core.errors import QueryError
 from repro.core.facts import Fact, Template, Variable
+from repro.core.interned import OVERLAY_BUDGET
 from repro.db import Database
 from repro.query import CompiledEvaluator, Evaluator
-from repro.query import exec as qexec
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
 from repro.query.explain import explain_analyze
-from repro.virtual.computed import ComputedRelation
+from repro.virtual.computed import ComputedRelation, FactView, VirtualRegistry
 
 SEEDS = range(12)
 QUERIES_PER_CASE = 5
@@ -37,7 +40,7 @@ QUANTIFIED = Variable("w")
 
 
 # ----------------------------------------------------------------------
-# Store variants: one logical content, three representations
+# Store layouts: one logical content, four representations
 # ----------------------------------------------------------------------
 def _populate(db: Database) -> None:
     for i in range(8):
@@ -61,30 +64,35 @@ def _mutate(db: Database) -> None:
     db.remove_fact(Fact("E2", "WORKS-FOR", "D2"))
 
 
-def _plain(mutated: bool) -> Database:
-    db = Database()
-    _populate(db)
-    db.view()
-    if mutated:
-        _mutate(db)
-    return db
+def _over_budget(db: Database) -> None:
+    """``OVERLAY_BUDGET + 1`` additions among the existing employees,
+    plus a tombstone: more outside the generation than a serving
+    writer would leave unfolded."""
+    for n in range(OVERLAY_BUDGET + 1):
+        db.add(f"E{n % 8}", ("KNOWS", "LIKES", "MEETS")[n // 64],
+               f"E{n // 8 % 8}")
+    db.remove_fact(Fact("E2", "WORKS-FOR", "D2"))
 
 
-def _interned(mutated: bool) -> Database:
+#: name -> (compacted, post-compaction churn)
+_VARIANTS = {
+    "plain": (False, None),
+    "interned": (True, None),
+    "interned-mutated": (True, _mutate),
+    "interned-over-budget": (True, _over_budget),
+}
+
+
+def _database(compacted: bool, churn) -> Database:
     db = Database()
     _populate(db)
     db.view()            # closure lands in the base before the freeze
-    db.compact_store()
-    if mutated:
-        _mutate(db)
+    if compacted:
+        db.compact_store()
+    if churn is not None:
+        churn(db)
     return db
 
-
-_VARIANTS = {
-    "plain": lambda: _plain(False),
-    "interned": lambda: _interned(False),
-    "interned-mutated": lambda: _interned(True),
-}
 
 _CACHE: dict = {}
 
@@ -92,8 +100,9 @@ _CACHE: dict = {}
 def _views(variant: str):
     """``(variant view, plain twin view, entities, relationships)``."""
     if variant not in _CACHE:
-        view = _VARIANTS[variant]().view()
-        twin = _plain(variant.endswith("mutated")).view()
+        compacted, churn = _VARIANTS[variant]
+        view = _database(compacted, churn).view()
+        twin = _database(False, churn).view()
         entities, relationships = set(), set()
         for fact in view.store:
             entities.add(fact.source)
@@ -104,15 +113,36 @@ def _views(variant: str):
     return _CACHE[variant]
 
 
-@pytest.fixture(params=[True, False], ids=["id-domain", "string-domain"])
-def id_domain(request):
-    """Run the test body under both executor value domains."""
-    previous = qexec.ID_DOMAIN
-    qexec.ID_DOMAIN = request.param
-    try:
-        yield request.param
-    finally:
-        qexec.ID_DOMAIN = previous
+class _UpperEcho(ComputedRelation):
+    """A non-standard computed relation: (A, ECHOES, A) for every
+    entity.  Its triggers cannot be tested in id space, so under a
+    registry holding it every key crosses the string boundary."""
+
+    def handles(self, pattern: Template) -> bool:
+        return pattern.relationship == "ECHOES"
+
+    def facts(self, pattern, store):
+        for entity in store.entities():
+            fact = Fact(entity, "ECHOES", entity)
+            if pattern.match(fact) is not None:
+                yield fact
+
+    def estimate(self, pattern, store) -> int:
+        return len(store.entities())
+
+
+def _with_echo(view: FactView) -> FactView:
+    """The same store under the standard registry plus ``_UpperEcho``."""
+    return FactView(view.store, VirtualRegistry([*view.virtual,
+                                                 _UpperEcho()]))
+
+
+@pytest.fixture(params=[False, True], ids=["id-domain", "string-domain"])
+def custom(request):
+    """Run the test body under the standard virtual registry, whose
+    triggers are decided in id space, and under one with a custom
+    relation, where every key is decided on strings."""
+    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +188,10 @@ def _random_formula(rng, entities, relationships,
 
 
 def _single_atoms(rng, entities, relationships):
-    """Single-atom plans that drive both leaves of the join skeleton
-    on their awkward shapes: a repeated new variable (equality checked
-    natively on ids, by re-match on strings) and the trigger relation
-    ``≺`` open, source-bound and target-bound (virtual reflexive and
-    endpoint facts merged per key)."""
+    """Single-atom plans that drive the leaf on its awkward shapes: a
+    repeated new variable (equality checked on ids) and the trigger
+    relation ``≺`` open, source-bound and target-bound (virtual
+    reflexive and endpoint facts merged per key)."""
     return [
         atom(X, rng.choice(relationships), X),
         atom(X, "≺", Y),
@@ -183,8 +212,11 @@ def _outcome(evaluator, query):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_engines_and_domains_agree(variant, seed, id_domain):
+def test_engines_and_domains_agree(variant, seed, custom):
     view, twin, entities, relationships = _views(variant)
+    if custom:
+        view, twin = _with_echo(view), _with_echo(twin)
+        relationships = relationships + ["ECHOES"]
     compiled = CompiledEvaluator(view)
     reference = Evaluator(view)
     twin_reference = Evaluator(twin)
@@ -206,8 +238,14 @@ def test_engines_and_domains_agree(variant, seed, id_domain):
                 assert compiled.ask(query) == reference.ask(query)
 
 
+def test_over_budget_variant_is_past_the_budget():
+    view, _twin, _e, _r = _views("interned-over-budget")
+    assert view.store.overlay_size > OVERLAY_BUDGET
+    assert view.store.tombstones
+
+
 # ----------------------------------------------------------------------
-# Explain-analyze row counts: id on/off must agree operator by operator
+# Explain-analyze row counts: interned ids and names agree per operator
 # ----------------------------------------------------------------------
 _EXPLAIN_QUERIES = (
     "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, y) and (y, ∈, DEPARTMENT)",
@@ -219,67 +257,53 @@ _EXPLAIN_QUERIES = (
 
 @pytest.mark.parametrize("text", _EXPLAIN_QUERIES)
 def test_explain_analyze_rows_match_across_domains(text):
-    view, _twin, _e, _r = _views("interned-mutated")
-    previous = qexec.ID_DOMAIN
-    try:
-        qexec.ID_DOMAIN = True
-        with_ids = explain_analyze(view, text, engine="compiled")
-        qexec.ID_DOMAIN = False
-        without = explain_analyze(view, text, engine="compiled")
-    finally:
-        qexec.ID_DOMAIN = previous
-    assert with_ids.value == without.value
+    view, twin, _e, _r = _views("interned-mutated")
+    with_ids = explain_analyze(view, text, engine="compiled")
+    with_names = explain_analyze(twin, text, engine="compiled")
+    assert with_ids.value == with_names.value
     assert [(s.formula, s.evals, s.actual_rows)
             for s in with_ids.steps] \
-        == [(s.formula, s.evals, s.actual_rows) for s in without.steps]
+        == [(s.formula, s.evals, s.actual_rows) for s in with_names.steps]
 
 
 # ----------------------------------------------------------------------
-# Routing: when the id path may not run, it must not run
+# Which ids an execution ran on
 # ----------------------------------------------------------------------
-class _UpperEcho(ComputedRelation):
-    """A non-standard computed relation: (A, ECHOES, A) for every
-    entity.  Its presence makes virtual triggering undecidable in id
-    space, so executions must fall back to the string path."""
-
-    def handles(self, pattern: Template) -> bool:
-        return pattern.relationship == "ECHOES"
-
-    def facts(self, pattern, store):
-        for entity in store.entities():
-            fact = Fact(entity, "ECHOES", entity)
-            if pattern.match(fact) is not None:
-                yield fact
-
-    def estimate(self, pattern, store) -> int:
-        return len(store.entities())
-
-
 def _run_flag(view, text) -> bool:
-    """Execute ``text`` uncached and report whether the execution ran
-    in the integer domain."""
+    """Execute ``text`` and report whether the execution ran on a
+    generation's interned ids."""
     _value, run = CompiledEvaluator(view).evaluate_with_stats(text)
     return run.id_domain
 
 
-def test_id_domain_engages_on_interned_stores(id_domain):
-    view, _twin, _e, _r = _views("interned")
+def test_id_domain_engages_on_interned_stores(custom):
+    """Every compacted layout runs on its generation's ids — past the
+    overlay budget and under a custom registry included."""
     text = "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, y)"
-    assert _run_flag(view, text) is id_domain
+    for variant in _VARIANTS:
+        if variant == "plain":
+            continue
+        view = _views(variant)[0]
+        assert _run_flag(_with_echo(view) if custom else view, text), \
+            variant
 
 
-def test_plain_stores_stay_on_the_string_path(id_domain):
-    view, _twin, _e, _r = _views("plain")
-    assert _run_flag(view, "(x, ∈, EMPLOYEE)") is False
+def test_plain_stores_stay_on_the_string_path(custom):
+    """A hash store's ids are its names: nothing to decode."""
+    view = _views("plain")[0]
+    assert _run_flag(_with_echo(view) if custom else view,
+                     "(x, ∈, EMPLOYEE)") is False
 
 
-def test_custom_virtual_registry_falls_back_to_strings():
-    db = _interned(False)
-    view = db.view()
-    view.virtual.register(_UpperEcho())
-    assert _run_flag(view, "(x, ∈, EMPLOYEE)") is False
-    # ...and the answers still fold the custom relation in correctly.
-    compiled = CompiledEvaluator(view)
-    reference = Evaluator(view)
-    text = "(x, ECHOES, x) and (x, ∈, ENGINEER)"
-    assert compiled.evaluate(text) == reference.evaluate(text)
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_a_registry_without_the_standard_relations(variant):
+    """Endpoints, ``≺`` and the comparators hold only through the
+    registry: with an empty one, every layout answers as the reference
+    engine does — no endpoint witnessed in id space."""
+    view = FactView(_views(variant)[0].store, VirtualRegistry())
+    compiled, reference = CompiledEvaluator(view), Evaluator(view)
+    for text in ("(∇, WORKS-FOR, x)", "(E1, Δ, x)", "(x, WORKS-FOR, Δ)",
+                 "(x, ≺, EMPLOYEE)",
+                 "(x, EARNS, s) and (s, >, 31000)"):
+        assert _outcome(compiled, text) == _outcome(reference, text), \
+            (variant, text)

@@ -250,27 +250,36 @@ class TestInternedFactStore:
         assert store.version == 42
 
     def test_lookup_many(self):
+        """The generation's batched id probe (tombstones filtered)
+        answers as the hash store's, whose ids are its names — full
+        facts, projected positions, pure filters and repeated-variable
+        checks alike."""
         facts = random_facts(19, 120)
         store = InternedFactStore.from_facts(facts)
-        store.add(Fact(facts[0].source, "OVERLAY", "REL"))
         store.discard(facts[1])
         mirror = FactStore(store)
+        codec = store.id_codec()
         subjects = sorted({f.source for f in facts})[:10] + ["MISS"]
         specs = {
-            "s": [template(s, var("y"), var("z")) for s in subjects],
-            "sr": [template(f.source, f.relationship, var("z"))
-                   for f in facts[:10]],
-            "st": [template(f.source, var("y"), f.target)
-                   for f in facts[:10]],
-            "rt": [template(var("x"), f.relationship, f.target)
-                   for f in facts[:10]],
-            "srt": [template(*facts[2]), template("A", "B", "C")],
+            "": [()],
+            "s": [(s,) for s in subjects],
+            "sr": [(f.source, f.relationship) for f in facts[:10]],
+            "st": [(f.source, f.target) for f in facts[:10]],
+            "rt": [(f.relationship, f.target) for f in facts[:10]],
+            "srt": [tuple(facts[2]), tuple(facts[1]), ("A", "B", "C")],
         }
-        for spec, templates in specs.items():
-            got = store.lookup_many(spec, templates)
-            expected = mirror.match_many(templates)
-            assert [sorted(g) for g in got] == \
-                [sorted(e) for e in expected], spec
+        shapes = ((None, ()), ([0, 2], ()), ([], ()), ([1], [(0, 2)]))
+        for spec, keys in specs.items():
+            encoded = [tuple(map(codec.encode, key)) for key in keys]
+            for positions, checks in shapes:
+                got = store.lookup_many_ids(spec, encoded, positions,
+                                            checks)
+                expected = mirror.lookup_many_ids(spec, keys, positions,
+                                                  checks)
+                assert [sorted(tuple(map(codec.decode, match))
+                               for match in group) for group in got] \
+                    == [sorted(map(tuple, group)) for group in expected], \
+                    (spec, positions, checks)
 
     def test_clear(self):
         store = InternedFactStore.from_facts(random_facts(14, 25))

@@ -22,7 +22,6 @@ from repro.datasets import books
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
 from repro.query import CompiledEvaluator, Evaluator
-from repro.query import exec as qexec
 from repro.query import parser
 from repro.rules.registry import RuleRegistry
 from repro.serve import DatabaseService
@@ -267,13 +266,13 @@ def _outcome(callable_, *args):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_fast_path_equivalence(seed, monkeypatch):
+def test_fast_path_equivalence(seed):
     """12-seed randomized run over single-atom queries (the shapes a
     dedicated fast path used to absorb; they now run the one executor):
     answers, verdicts and QueryError messages of the compiled engine
     equal the reference engine's over the hash store, the interned
-    store, and an interned store with overlay facts and tombstones —
-    in the id and the string domain, asked once and again."""
+    store, and an interned store with overlay facts and tombstones,
+    asked once and again."""
     rng = random.Random(f"fastpath-{seed}")
     database = books.load()
     view = database.view()
@@ -303,17 +302,14 @@ def test_fast_path_equivalence(seed, monkeypatch):
         (Evaluator(view), books.load().compact_store().view()),
         (Evaluator(reference_db.view()), overlay_db.view()),
     ]
-    for id_domain in (True, False):
-        monkeypatch.setattr(qexec, "ID_DOMAIN", id_domain)
-        for reference, probe_view in cases:
-            compiled = CompiledEvaluator(probe_view)
-            for text in queries + queries:
-                expected = _outcome(reference.evaluate, text)
-                assert _outcome(compiled.evaluate, text) == expected, \
-                    (seed, id_domain, text)
-                assert _outcome(compiled.succeeds, text) \
-                    == _outcome(reference.succeeds, text), \
-                    (seed, id_domain, text)
+    for reference, probe_view in cases:
+        compiled = CompiledEvaluator(probe_view)
+        for text in queries + queries:
+            expected = _outcome(reference.evaluate, text)
+            assert _outcome(compiled.evaluate, text) == expected, \
+                (seed, text)
+            assert _outcome(compiled.succeeds, text) \
+                == _outcome(reference.succeeds, text), (seed, text)
 
 
 def test_fast_path_slowlog_autopsy(employees):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checker: executable examples, dead links, metric catalog.
+"""Documentation checker: examples, links, metric catalog, named symbols.
 
-Three checks, all designed to keep the docs honest as the code moves:
+Four checks, all designed to keep the docs honest as the code moves:
 
 1. **Fenced ``python`` blocks run.**  Every ```` ```python ```` block in
    ``README.md`` and ``docs/*.md`` is executed, in order, in a fresh
@@ -20,8 +20,16 @@ Three checks, all designed to keep the docs honest as the code moves:
    ``docs/operations.md``, and the table must list no name the code
    does not emit.
 
+4. **Named symbols exist.**  Every inline code span in ``README.md``,
+   ``DESIGN.md`` and ``docs/*.md`` (not ``CHANGES.md``, ``ROADMAP.md``
+   or ``docs/measurements/``, which record history) that names a symbol
+   must resolve: ``repro.a.b[.Name]`` imports and resolves by ``getattr``,
+   ``[src/repro/]a/b.py::Name`` resolves the same way, and any other
+   ``path.py::name[::name]`` (``tests/``, ``tools/``, ``benchmarks/``)
+   is an existing file whose source defines those names.
+
 Run:  python tools/docs_check.py            # check everything
-      python tools/docs_check.py --links    # links + catalog only (fast)
+      python tools/docs_check.py --links    # links, catalog, symbols (fast)
 Exits non-zero on the first category of failure, printing each offender
 with file and line number.
 """
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import sys
@@ -46,10 +55,18 @@ EXECUTABLE_DOCS = ["README.md", "docs"]
 # Markdown files whose relative links must resolve.
 LINKED_DOCS = ["README.md", "DESIGN.md", "ROADMAP.md", "CHANGES.md", "docs"]
 
+# Markdown files whose code spans may name only symbols that exist.
+SYMBOL_DOCS = ["README.md", "DESIGN.md", "docs"]
+
 SKIP_MARKER = "docs-check: skip"
 
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_SPAN_RE = re.compile(r"(`+)(.+?)\1")
+# ``repro.query.exec.CompiledEvaluator`` (a trailing ``()`` allowed).
+_DOTTED_RE = re.compile(r"^(repro(?:\.\w+)+)(?:\(\))?$")
+# ``query/exec.py::_id_extensions``, ``tests/test_x.py::TestY::test_z``.
+_PATH_RE = re.compile(r"^((?:[\w.-]+/)*\w+\.py)((?:::\w+(?:\[[^\]]*\])?)+)$")
 
 # The catalog: the table under this heading of this file.
 CATALOG_DOC = "docs/operations.md"
@@ -136,6 +153,95 @@ def check_links() -> List[str]:
     return failures
 
 
+def _attribute_chain(module: str, names: List[str]) -> bool:
+    """Whether ``module`` imports and ``getattr`` reaches each of
+    ``names`` in turn."""
+    try:
+        target = importlib.import_module(module)
+    except ImportError:
+        return False
+    for name in names:
+        if not hasattr(target, name):
+            return False
+        target = getattr(target, name)
+    return True
+
+
+def _dotted_exists(dotted: str) -> bool:
+    """``repro.a.b.Name``: the longest prefix that imports as a module,
+    then attributes for the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        return _attribute_chain(".".join(parts[:cut]), parts[cut:])
+    return False
+
+
+def _defines(path: Path, names: List[str]) -> bool:
+    """Whether the source of ``path`` defines each of ``names`` (a
+    function, class or assigned name, at any depth)."""
+    defined: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    return set(names) <= defined
+
+
+def _path_exists(path: str, names: List[str]) -> bool:
+    """``[src/repro/]a/b.py::Name``: that module and its attributes;
+    any other ``path.py::name``: that file defining the names."""
+    inside = path[len("src/repro/"):] if path.startswith("src/repro/") \
+        else path
+    if (ROOT / "src" / "repro" / inside).is_file():
+        module = "repro." + inside[:-len(".py")].replace("/", ".")
+        module = module.removesuffix(".__init__")
+        dotted = [part for name in names for part in name.split(".")]
+        return _attribute_chain(module, dotted)
+    return (ROOT / path).is_file() and _defines(ROOT / path, names)
+
+
+def symbol_spans(path: Path) -> Iterator[Tuple[int, str]]:
+    """``(line, span)`` for each inline code span outside fences."""
+    in_fence = False
+    for number, line in enumerate(path.read_text(
+            encoding="utf-8").splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            for _ticks, span in _SPAN_RE.findall(line):
+                yield number, span.strip()
+
+
+def check_symbols(entries: List[str] = SYMBOL_DOCS) -> List[str]:
+    """Code spans naming a module, attribute or test that does not
+    exist; return descriptions of the offenders."""
+    sys.path.insert(0, str(ROOT / "src"))
+    failures: List[str] = []
+    for path in _markdown_files(entries):
+        rel = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+        for number, span in symbol_spans(path):
+            dotted, located = _DOTTED_RE.match(span), _PATH_RE.match(span)
+            if dotted:
+                ok = _dotted_exists(dotted.group(1))
+            elif located:
+                names = [re.sub(r"\[.*\]$", "", name) for name
+                         in located.group(2).split("::")[1:]]
+                ok = _path_exists(located.group(1), names)
+            else:
+                continue
+            if not ok:
+                failures.append(f"{rel}:{number}: `{span}` names a symbol"
+                                f" that does not exist")
+    return failures
+
+
 def _name_literals(node: ast.AST) -> Iterator[str]:
     """The string(s) an argument expression can evaluate to: a plain
     literal, an f-string (fields rendered ``<expr>``), or either arm
@@ -202,8 +308,8 @@ def check_catalog() -> List[str]:
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true",
-                        help="check links and the metric catalog only,"
-                             " skip executing examples")
+                        help="check links, the metric catalog and named"
+                             " symbols only, skip executing examples")
     arguments = parser.parse_args(argv)
 
     link_failures = check_links()
@@ -216,6 +322,11 @@ def main(argv: List[str] = None) -> int:
         print(failure)
     print(f"metric catalog: {'FAILED' if catalog_failures else 'ok'}")
 
+    symbol_failures = check_symbols()
+    for failure in symbol_failures:
+        print(failure)
+    print(f"symbols: {'FAILED' if symbol_failures else 'ok'}")
+
     example_failures: List[str] = []
     if not arguments.links:
         example_failures = check_examples()
@@ -223,7 +334,7 @@ def main(argv: List[str] = None) -> int:
             print("\n" + failure)
         print(f"examples: {'FAILED' if example_failures else 'ok'}")
 
-    return 1 if (link_failures or catalog_failures
+    return 1 if (link_failures or catalog_failures or symbol_failures
                  or example_failures) else 0
 
 
