@@ -365,6 +365,7 @@ class ColumnarGeneration:
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
         "st_keys", "st_starts",
         "_fact_memo", "_segment", "_views",
+        "__weakref__",      # a retired generation's release is testable
     )
 
     def __init__(self):

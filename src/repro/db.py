@@ -20,7 +20,9 @@ Example::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .browse.lattice import ISA_PATTERN, GeneralizationLattice
 from .browse.navigation import NavigationResult, NavigationSession, navigate
@@ -31,6 +33,7 @@ from .core.entities import (
 )
 from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
+from .core.heap import heap_build
 from .core.store import FactStore
 from .operators.definitions import OperatorRegistry
 from .operators.ops import (
@@ -58,6 +61,7 @@ from .rules.registry import RuleRegistry
 from .rules.rule import RelationshipClassifier, Rule, RuleContext
 from .virtual.computed import FactView, VirtualRegistry
 from .virtual.special import standard_virtual_registry
+from .views import ViewCatalog, ViewDefinition
 
 #: Facts every database is seeded with (unless ``with_axioms=False``):
 #: ``↔`` and ``⊥`` are their own inverses (§3.4, §3.5), and the
@@ -101,12 +105,10 @@ class Database:
         """
         if query_engine not in ("compiled", "reference"):
             raise ValueError(f"unknown query engine: {query_engine!r}")
-        from .views import ViewCatalog
-
         self._base = FactStore()
         self.rules = RuleRegistry()
         self.operators = OperatorRegistry()
-        self.views = ViewCatalog(self)
+        self._view_definitions: Dict[str, ViewDefinition] = {}
         self.query_engine = query_engine
         self.auto_check = auto_check
         self.trace = trace
@@ -136,6 +138,13 @@ class Database:
             self._base.add_all(AXIOM_FACTS)
         for initial in facts:
             self._base.add(initial)
+
+    @property
+    def views(self) -> ViewCatalog:
+        """The named §6.1 views over this database.  The database keeps
+        their definitions; the catalog is bound on access, so it is
+        never part of a reference cycle with the database."""
+        return ViewCatalog(self, self._view_definitions)
 
     # ------------------------------------------------------------------
     # Facts
@@ -296,16 +305,13 @@ class Database:
         concurrent readers may compute it twice, but every computed
         value is identical.
         """
-        from .views import ViewCatalog
-
         clone = Database.__new__(Database)
         clone._base = self._base.copy().freeze()
         clone.rules = RuleRegistry(self.rules.all_rules())
         clone.rules.restore_state(self.rules.snapshot_state())
         clone.rules._compiled = self.rules._compiled  # reuse compilation
         clone.operators = self.operators
-        clone.views = ViewCatalog(clone)
-        clone.views._definitions = dict(self.views._definitions)
+        clone._view_definitions = dict(self._view_definitions)
         clone.query_engine = self.query_engine
         clone.auto_check = False       # snapshots never mutate
         clone.trace = self.trace
@@ -377,41 +383,48 @@ class Database:
         :data:`~repro.core.interned.OVERLAY_BUDGET`.  Only a library
         caller mutating a compacted database by hand decides when to
         call again — the same measure applies (every probe merges the
-        overlay, so reads slow as it grows).  Returns ``self``.
+        overlay, so reads slow as it grows).  The rebuild is an O(heap)
+        build (:func:`~repro.core.heap.heap_build`).  Returns ``self``.
         """
         from .core.interned import InternedFactStore
 
-        base = self._base
-        if not isinstance(base, InternedFactStore) \
-                or base.overlay_size:
-            compacted = InternedFactStore.from_facts(
-                base, version=base.version)
-            if base.frozen:
-                compacted.freeze()
-            self._base = compacted
-        if closure:
-            for attr in ("_standard_result", "_full_result"):
-                result = getattr(self, attr)
-                if result is None:
-                    continue
-                if attr == "_full_result" \
-                        and result is self._standard_result:
-                    continue      # same object: store already swapped
-                store = result.store
-                if isinstance(store, InternedFactStore) \
-                        and not store.overlay_size:
-                    continue
-                interned = InternedFactStore.from_facts(
-                    store, version=store.version)
-                if store.frozen:
-                    interned.freeze()
-                result.store = interned
-            # Lazy caches hold references to the old stores; let them
-            # rebuild over the interned ones on next use.  The lattice
-            # survives: compaction changes the representation, not the
-            # facts, so only its store binding must refresh.
-            self._view = None
-            self._hierarchy_bound = None
+        with heap_build():
+            base = self._base
+            if not isinstance(base, InternedFactStore) \
+                    or base.overlay_size:
+                compacted = InternedFactStore.from_facts(
+                    base, version=base.version)
+                if base.frozen:
+                    compacted.freeze()
+                self._base = compacted
+            if closure:
+                for attr in ("_standard_result", "_full_result"):
+                    result = getattr(self, attr)
+                    if result is None:
+                        continue
+                    if attr == "_full_result" \
+                            and result is self._standard_result:
+                        continue  # same object: store already swapped
+                    store = result.store
+                    if isinstance(store, InternedFactStore) \
+                            and not store.overlay_size:
+                        continue
+                    interned = InternedFactStore.from_facts(
+                        store, version=store.version)
+                    if store.frozen:
+                        interned.freeze()
+                    result.store = interned
+                # Lazy caches hold references to the old stores; let
+                # them rebuild over the interned ones on next use.  The
+                # lattice survives: compaction changes the
+                # representation, not the facts, so only its store
+                # binding must refresh — and the structure lets go of
+                # the store it was built from, or a fold's retired
+                # generation would live as long as the lattice.
+                self._view = None
+                self._hierarchy_bound = None
+                if self._hierarchy is not None:
+                    self._hierarchy = self._hierarchy.with_store(None)
         return self
 
     @property
@@ -521,11 +534,15 @@ class Database:
 
     def standard_closure(self) -> ClosureResult:
         """The closure under the enabled rules, *without* composition
-        facts — the layer incremental maintenance extends in place."""
+        facts — the layer incremental maintenance extends in place.
+        Building it from scratch is an O(heap) build
+        (:func:`~repro.core.heap.heap_build`); a cached or
+        incrementally maintained closure is not."""
         if self._standard_result is None:
-            self._standard_result = dispatched_closure(
-                self._base, list(self.rules), self.rule_context(),
-                trace=self.trace, compiled=self.rules.compiled())
+            with heap_build():
+                self._standard_result = dispatched_closure(
+                    self._base, list(self.rules), self.rule_context(),
+                    trace=self.trace, compiled=self.rules.compiled())
             self._full_result = None
         return self._standard_result
 

@@ -40,6 +40,12 @@ thread's ``serve.batch``.
 (the last :class:`~repro.query.exec.PlanRun` and probe autopsy), kept
 while telemetry is on; the slow-query log reads it.
 
+The cyclic collector is a layer too: while the switch is on, a
+``gc.callbacks`` hook counts its passes per generation
+(``gc.collections.gen<N>``) and times each one (``gc.pause_us``).
+:func:`enable_telemetry` and :func:`use_telemetry` install it and
+turning the switch off removes it.
+
 Example::
 
     from repro.obs import telemetry
@@ -52,6 +58,7 @@ Example::
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
 import time
@@ -76,6 +83,14 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: Root spans kept per registry; older trees fall off, so a service
 #: that holds the spine enabled for days stays bounded.
 MAX_ROOT_SPANS = 4096
+
+#: ``gc.pause_us`` bounds (microseconds): a young pass over a few
+#: hundred objects takes tens of µs, a full pass over a served heap
+#: tens to hundreds of ms.
+GC_PAUSE_BUCKETS_US: Tuple[float, ...] = (
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1e3, 2.5e3, 5e3,
+    1e4, 2.5e4, 5e4, 1e5, 2.5e5, 1e6,
+)
 
 
 class GaugeAggregate:
@@ -267,6 +282,9 @@ class Telemetry:
         self.histograms: Dict[str, Histogram] = {}
         self.roots: Deque[Span] = deque(maxlen=MAX_ROOT_SPANS)
         self.conjuncts: Dict[str, ConjunctStats] = {}
+        # (generation, pause µs) per collector pass, queued by
+        # record_collection and folded in by _drain_collections.
+        self._collections: Deque[Tuple[int, float]] = deque()
 
     # ------------------------------------------------------------------
     # Update paths
@@ -303,6 +321,29 @@ class Telemetry:
             stats.evals += 1
             stats.rows += rows
             stats.estimate_total += estimate
+
+    def record_collection(self, generation: int, pause_us: float) -> None:
+        """One pass of the cyclic collector, as ``gc.collections.gen<N>``
+        and ``gc.pause_us``.
+
+        The collector runs inside whatever allocation triggered it —
+        possibly one this registry makes under its own lock — so the
+        pass is queued first and folded in only if the lock is free
+        (otherwise by the next call here or the next :meth:`snapshot`).
+        """
+        self._collections.append((generation, pause_us))
+        if self._lock.acquire(blocking=False):
+            self._lock.release()
+            self._drain_collections()
+
+    def _drain_collections(self) -> None:
+        while True:
+            try:
+                generation, pause_us = self._collections.popleft()
+            except IndexError:
+                return
+            self.count(f"gc.collections.gen{generation}")
+            self.observe("gc.pause_us", pause_us, GC_PAUSE_BUCKETS_US)
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
@@ -345,6 +386,7 @@ class Telemetry:
         the ``metrics`` protocol verb, Prometheus exposition, and the
         metrics block benchmarks stamp into ``BENCH_*.json``.
         """
+        self._drain_collections()
         with self._lock:
             return {
                 "counters": dict(sorted(self.counters.items())),
@@ -418,6 +460,9 @@ class NullTelemetry:
     def record_conjunct(self, key: str, estimate: float, rows: int) -> None:
         pass
 
+    def record_collection(self, generation: int, pause_us: float) -> None:
+        pass
+
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return NULL_SPAN
 
@@ -456,6 +501,33 @@ class _LastRequest(threading.local):
 LAST_REQUEST = _LastRequest()
 
 
+_collection_started = 0.0
+_hook_lock = threading.Lock()
+
+
+def _collector_hook(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` entry while telemetry is on: each pass of
+    the cyclic collector, timed, into the active spine."""
+    global _collection_started
+    if phase == "start":
+        _collection_started = time.perf_counter()
+    elif ENABLED:
+        TELEMETRY.record_collection(
+            info["generation"],
+            (time.perf_counter() - _collection_started) * 1e6)
+
+
+def _sync_collector_hook() -> None:
+    """Install the collector hook while telemetry is on and remove it
+    while off, so a process without telemetry pays nothing per pass."""
+    with _hook_lock:
+        installed = _collector_hook in gc.callbacks
+        if ENABLED and not installed:
+            gc.callbacks.append(_collector_hook)
+        elif not ENABLED and installed:
+            gc.callbacks.remove(_collector_hook)
+
+
 def enable_telemetry(fresh: bool = False) -> Telemetry:
     """Turn telemetry on, installing (and returning) the process
     spine.  Re-enabling keeps previously collected data unless
@@ -464,6 +536,7 @@ def enable_telemetry(fresh: bool = False) -> Telemetry:
     if fresh or not isinstance(TELEMETRY, Telemetry):
         TELEMETRY = Telemetry()
     ENABLED = True
+    _sync_collector_hook()
     return TELEMETRY
 
 
@@ -473,6 +546,7 @@ def disable_telemetry() -> None:
     ``enable_telemetry(fresh=True)``."""
     global ENABLED
     ENABLED = False
+    _sync_collector_hook()
 
 
 def telemetry_enabled() -> bool:
@@ -495,10 +569,12 @@ def use_telemetry(telemetry: Telemetry) -> Iterator[Telemetry]:
     global TELEMETRY, ENABLED
     saved = TELEMETRY, ENABLED
     TELEMETRY, ENABLED = telemetry, True
+    _sync_collector_hook()
     try:
         yield telemetry
     finally:
         TELEMETRY, ENABLED = saved
+        _sync_collector_hook()
 
 
 def pattern_shape(pattern) -> str:

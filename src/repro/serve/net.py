@@ -175,12 +175,14 @@ class _Answers:
     """The encoded response lines one published snapshot has given,
     by stripped raw request line.
 
-    The server finds the memo by the identity of
-    ``service.published_state()`` and starts an empty one when that has
-    moved, which is the whole of invalidation.  It notices on the next
-    request, not at the publish: until one arrives the server still
-    holds the retired pair and its answers (at most the budget).
-    Size is bounded by
+    The server finds the memo by the replication sequence of
+    ``service.published_state()`` — every publish, and nothing else,
+    makes a new pair with the next number — and starts an empty one
+    when that has moved, which is the whole of invalidation.  It notices
+    on the next request, not at the publish: until one arrives the
+    server still holds the retired answers (at most the budget), but
+    not the retired snapshot, which the writer frees by refcount as it
+    publishes.  Size is bounded by
     :data:`ANSWER_BYTES` with two generations: entries are filed in
     ``young``; when it would pass half the budget it becomes ``old``
     and the previous ``old`` is dropped; a hit in ``old`` moves the
@@ -191,8 +193,8 @@ class _Answers:
     __slots__ = ("published", "young", "old", "young_bytes", "old_bytes",
                  "_lock")
 
-    def __init__(self, published):
-        self.published = published
+    def __init__(self, published: int):
+        self.published = published      # the publish's sequence number
         self.young: Dict[bytes, bytes] = {}
         self.old: Dict[bytes, bytes] = {}
         self.young_bytes = self.old_bytes = 0
@@ -256,7 +258,7 @@ class ServiceServer:
                  pool=None):
         self.service = service
         self.pool = pool
-        self._answers = _Answers(service.published_state())
+        self._answers = _Answers(service.published_state()[1])
         # Stats only: handler threads bump these without a lock.
         self._answer_hits = 0
         self._answer_misses = 0
@@ -302,11 +304,11 @@ class ServiceServer:
         it was computed on is still the published one."""
         published = self.service.published_state()
         answers = self._answers
-        if answers.published is not published:
+        if answers.published != published[1]:
             # A batch published: what the last snapshot answered goes
             # with it.  (Two racing threads may each start a memo; one
             # wins, the other's few entries are recomputed.)
-            answers = self._answers = _Answers(published)
+            answers = self._answers = _Answers(published[1])
         # A closed service answers nothing, repeats included: the miss
         # path raises its ServiceClosed.
         encoded = None if self.service.closed else answers.get(line)
@@ -321,7 +323,7 @@ class ServiceServer:
         encoded = _encode(response)
         # An answer computed across a publish is newer than its memo,
         # which nobody consults again: drop it rather than reason.
-        if keep and self.service.published_state() is published:
+        if keep and self.service.published_state()[1] == published[1]:
             answers.file(line, encoded)
             if _obs.ENABLED:
                 _obs.TELEMETRY.gauge("serve.net.answer_bytes",

@@ -880,13 +880,16 @@ class DatabaseService:
         The pool bootstraps workers from this: capturing the pair with
         a single reference grab guarantees the captured version really
         describes the captured snapshot, however many batches publish
-        concurrently.  Every publish makes a new pair and nothing else
-        does, and every read takes its snapshot from this pair, so the
-        pair's identity (``is``) names the published snapshot: a read
-        that saw the same object before and after it ran was computed
-        on that object's snapshot, and ``serve/net.py`` keeps what it
-        derived from one snapshot — its encoded answers — only while
-        this returns the same object.
+        concurrently.  Every publish makes a new pair with the next
+        sequence number and nothing else does, and every read takes its
+        snapshot from this pair, so the sequence names the published
+        snapshot: a read that saw the same sequence before and after it
+        ran was computed on that sequence's snapshot, and
+        ``serve/net.py`` keeps what it derived from one snapshot — its
+        encoded answers — only while this returns the same sequence.
+        Because the memo keeps the number rather than the pair, the
+        publish that retires a snapshot frees it, unless a read is still
+        running on it.
         """
         return self._published_state
 

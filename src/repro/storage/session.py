@@ -17,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core.heap import heap_build
 from .journal import OP_ADD, OP_REMOVE, Journal
 from .snapshot import SnapshotState, read_snapshot, write_snapshot
 
@@ -37,22 +38,24 @@ class DurableSession:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self, strict_journal: bool = False):
-        """Rebuild a Database from snapshot + journal replay."""
+        """Rebuild a Database from snapshot + journal replay (an O(heap)
+        build: :func:`~repro.core.heap.heap_build`)."""
         from ..db import Database
 
-        if self.snapshot_path.exists():
-            state = read_snapshot(self.snapshot_path)
-            database = Database(with_axioms=False)
-            database.rules.restore_state(state.rule_states)
-            database.composition_limit = state.composition_limit
-            database.add_facts(state.facts)
-        else:
-            database = Database()
-        for entry in self.journal.entries(strict=strict_journal):
-            if entry.op == OP_ADD:
-                database.add_fact(entry.fact)
+        with heap_build():
+            if self.snapshot_path.exists():
+                state = read_snapshot(self.snapshot_path)
+                database = Database(with_axioms=False)
+                database.rules.restore_state(state.rule_states)
+                database.composition_limit = state.composition_limit
+                database.add_facts(state.facts)
             else:
-                database.remove_fact(entry.fact)
+                database = Database()
+            for entry in self.journal.entries(strict=strict_journal):
+                if entry.op == OP_ADD:
+                    database.add_fact(entry.fact)
+                else:
+                    database.remove_fact(entry.fact)
         return database
 
     # ------------------------------------------------------------------

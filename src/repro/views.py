@@ -56,11 +56,20 @@ class ViewDefinition:
 
 
 class ViewCatalog:
-    """Named views over one database."""
+    """Named views over one database.
 
-    def __init__(self, database):
+    A database keeps only the definitions; ``db.views`` binds a catalog
+    to them and to the database on each access.  The database holds no
+    catalog, so no database — and no published snapshot — is a cycle
+    that only the cyclic collector could free: a retired snapshot is
+    freed by refcount the moment its last reader lets go.
+    """
+
+    def __init__(self, database,
+                 definitions: Optional[Dict[str, ViewDefinition]] = None):
         self._database = database
-        self._definitions: Dict[str, ViewDefinition] = {}
+        self._definitions: Dict[str, ViewDefinition] = \
+            {} if definitions is None else definitions
 
     # ------------------------------------------------------------------
     # Definition

@@ -9,6 +9,7 @@ rendering of ``explain_analyze``.
 
 from __future__ import annotations
 
+import gc
 import io
 import time
 
@@ -26,11 +27,14 @@ from repro.obs import (
     active_telemetry,
     disable_telemetry,
     enable_telemetry,
+    merge_snapshots,
+    parse_prometheus,
     pattern_shape,
     read_jsonl,
     summary,
     to_events,
     telemetry_enabled,
+    to_prometheus,
     use_telemetry,
     write_jsonl,
 )
@@ -49,6 +53,7 @@ def _pristine_global_spine():
     telemetry_module.TELEMETRY, telemetry_module.ENABLED = NULL_TELEMETRY, False
     yield
     telemetry_module.TELEMETRY, telemetry_module.ENABLED = saved
+    telemetry_module._sync_collector_hook()  # noqa: SLF001
 
 
 def _context(facts):
@@ -188,6 +193,78 @@ class TestDisabledPath:
         db.query("(x, EARNS, y)")
         assert active_telemetry() is NULL_TELEMETRY
         assert active_telemetry().counters == {}
+
+
+# ----------------------------------------------------------------------
+# The cyclic collector on the spine
+# ----------------------------------------------------------------------
+def repro_gc_hooks() -> list:
+    return [callback for callback in gc.callbacks
+            if getattr(callback, "__module__", "").startswith("repro")]
+
+
+def collections(snapshot) -> int:
+    return sum(value for name, value in snapshot["counters"].items()
+               if name.startswith("gc.collections."))
+
+
+class TestCollectorHook:
+    def test_a_forced_collection_shows_up_in_the_snapshot(self):
+        telemetry = enable_telemetry(fresh=True)
+        try:
+            before = telemetry.snapshot()["counters"].get(
+                "gc.collections.gen2", 0)
+            gc.collect()
+            snapshot = telemetry.snapshot()
+        finally:
+            disable_telemetry()
+        assert snapshot["counters"]["gc.collections.gen2"] == before + 1
+        pauses = snapshot["histograms"]["gc.pause_us"]
+        assert pauses["count"] == collections(snapshot)
+        assert pauses["sum"] > 0
+
+    def test_disable_removes_the_hook(self):
+        telemetry = enable_telemetry(fresh=True)
+        assert len(repro_gc_hooks()) == 1
+        enable_telemetry()
+        assert len(repro_gc_hooks()) == 1
+        disable_telemetry()
+        assert repro_gc_hooks() == []
+        counted = collections(telemetry.snapshot())
+        gc.collect()
+        assert collections(telemetry.snapshot()) == counted
+
+    def test_a_scoped_spine_holds_the_hook_for_its_block(self):
+        with use_telemetry(Telemetry()) as telemetry:
+            assert len(repro_gc_hooks()) == 1
+            gc.collect()
+        assert repro_gc_hooks() == []
+        assert telemetry.snapshot()["counters"]["gc.collections.gen2"] >= 1
+
+    def test_a_pass_inside_the_registry_lock_is_queued(self):
+        """The collector can run inside an allocation the registry makes
+        under its own lock: the pass must wait for the next snapshot,
+        not for the lock (which would deadlock)."""
+        telemetry = Telemetry()
+        with telemetry._lock:  # noqa: SLF001
+            telemetry.record_collection(0, 12.0)
+        assert telemetry.counters == {}
+        snapshot = telemetry.snapshot()
+        assert snapshot["counters"] == {"gc.collections.gen0": 1}
+        assert snapshot["histograms"]["gc.pause_us"]["sum"] == 12.0
+
+    def test_collector_names_merge_and_export(self):
+        one, two = Telemetry(), Telemetry()
+        one.record_collection(0, 40.0)
+        two.record_collection(0, 60.0)
+        two.record_collection(2, 30_000.0)
+        merged = merge_snapshots([one.snapshot(), two.snapshot()])
+        assert merged["counters"] == {"gc.collections.gen0": 2,
+                                      "gc.collections.gen2": 1}
+        assert merged["histograms"]["gc.pause_us"]["count"] == 3
+        series = parse_prometheus(to_prometheus(merged))
+        assert series["repro_gc_collections_gen2_total"] == 1
+        assert series["repro_gc_pause_us_count"] == 3
 
 
 # ----------------------------------------------------------------------

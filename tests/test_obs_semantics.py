@@ -40,6 +40,7 @@ def _pristine_global_spine():
     telemetry_module.TELEMETRY, telemetry_module.ENABLED = NULL_TELEMETRY, False
     yield
     telemetry_module.TELEMETRY, telemetry_module.ENABLED = saved
+    telemetry_module._sync_collector_hook()  # noqa: SLF001
 
 
 def _observe(dataset):
