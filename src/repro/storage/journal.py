@@ -4,8 +4,10 @@ The paper defers storage strategies to future work (§6.2); this is the
 minimal durable substrate a usable library needs: every ``add`` /
 ``remove`` appends one JSON line, and recovery replays the journal over
 the latest snapshot.  One line per mutation keeps the format greppable
-and the writes crash-safe up to the last completed line (a torn final
-line is detected and ignored on replay).
+and the writes crash-safe up to the last completed line: a torn final
+line is ignored on lenient replay, and :meth:`Journal.repair_tail`
+(which a recovering session calls) cuts it off, so the next append
+starts a line of its own.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class Journal:
         per-mutation flush cost is paid once per *batch* — the storage
         half of write coalescing.  Returns the number of entries
         written.  Crash safety is per line, exactly as with
-        :meth:`append`: a torn final line is dropped on lenient replay.
+        :meth:`append`: a torn final line is dropped on lenient replay
+        and cut off by :meth:`repair_tail`.
         """
         lines = []
         for op, fact in mutations:
@@ -116,6 +119,35 @@ class Journal:
         self.close()
         if self.path.exists():
             self.path.unlink()
+
+    def repair_tail(self) -> int:
+        """End the file at a line boundary, as lenient replay reads it.
+
+        A final line that does not parse (a torn append) is cut off; a
+        complete final record that lacks its ``\\n`` gets one.  Either
+        would otherwise merge with the next append and be lost with it.
+        Returns the bytes cut or added (0 for a file already whole,
+        which is only read).
+        """
+        if not self.path.exists():
+            return 0
+        data = self.path.read_bytes()
+        terminated = data.endswith(b"\n")
+        end = len(data) - terminated
+        start = data.rfind(b"\n", 0, end) + 1
+        line = data[start:end]
+        if not data or (terminated and not line.strip()):
+            return 0
+        try:
+            JournalEntry.from_json(line.decode("utf-8"))
+        except (StorageError, UnicodeDecodeError):
+            os.truncate(self.path, start)
+            return len(data) - start
+        if terminated:
+            return 0
+        with open(self.path, "ab") as handle:
+            handle.write(b"\n")
+        return 1
 
     def __enter__(self) -> "Journal":
         return self

@@ -10,19 +10,31 @@ Layout::
 ``attach`` wires a live :class:`~repro.db.Database` so subsequent
 mutations journal automatically; ``checkpoint`` folds the journal into
 a fresh snapshot.
+
+With telemetry on, a checkpoint records ``storage.checkpoint`` (ms)
+and ``storage.snapshot_bytes``; a recovery ``storage.recover_s`` and,
+when it had to cut or terminate the journal's final line,
+``storage.journal_repaired_bytes``.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..core.heap import heap_build
+from ..obs import telemetry as _obs
 from .journal import OP_ADD, OP_REMOVE, Journal
 from .snapshot import SnapshotState, read_snapshot, write_snapshot
 
 SNAPSHOT_NAME = "snapshot.json"
 JOURNAL_NAME = "journal.jsonl"
+
+#: ``storage.checkpoint`` bounds (milliseconds): a few ms for a heap of
+#: thousands of facts, tens for the tens of thousands of a large one.
+CHECKPOINT_BUCKETS_MS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+                         250.0, 500.0, 1e3, 2.5e3, 1e4)
 
 
 class DurableSession:
@@ -39,9 +51,17 @@ class DurableSession:
     # ------------------------------------------------------------------
     def recover(self, strict_journal: bool = False):
         """Rebuild a Database from snapshot + journal replay (an O(heap)
-        build: :func:`~repro.core.heap.heap_build`)."""
+        build: :func:`~repro.core.heap.heap_build`).
+
+        A lenient recovery leaves the journal ending at a line boundary
+        (:meth:`Journal.repair_tail`): the torn final line it skips is
+        cut off, so the writes appended next are not lost with it.  A
+        strict one raises on that line and changes nothing.
+        """
         from ..db import Database
 
+        started = time.perf_counter()
+        repaired = 0 if strict_journal else self.journal.repair_tail()
         with heap_build():
             if self.snapshot_path.exists():
                 state = read_snapshot(self.snapshot_path)
@@ -56,6 +76,12 @@ class DurableSession:
                     database.add_fact(entry.fact)
                 else:
                     database.remove_fact(entry.fact)
+        if _obs.ENABLED:
+            telemetry = _obs.TELEMETRY
+            telemetry.gauge("storage.recover_s",
+                            time.perf_counter() - started)
+            if repaired:
+                telemetry.count("storage.journal_repaired_bytes", repaired)
         return database
 
     # ------------------------------------------------------------------
@@ -101,13 +127,20 @@ class DurableSession:
         if database is None:
             raise RuntimeError("no database attached; call attach() first"
                                " or pass database=")
+        started = time.perf_counter()
         state = SnapshotState(
             facts=list(database.facts),
             rule_states=database.rules.snapshot_state(),
             composition_limit=database.composition_limit,
         )
-        write_snapshot(self.snapshot_path, state)
+        size = write_snapshot(self.snapshot_path, state)
         self.journal.truncate()
+        if _obs.ENABLED:
+            telemetry = _obs.TELEMETRY
+            telemetry.observe("storage.checkpoint",
+                              1e3 * (time.perf_counter() - started),
+                              CHECKPOINT_BUCKETS_MS)
+            telemetry.gauge("storage.snapshot_bytes", size)
 
     def close(self) -> None:
         self.detach()

@@ -43,6 +43,7 @@ from repro.query.parser import parse_template
 from repro.rules.builtin import STANDARD_RULES
 from repro.rules.engine import APPLY, semi_naive_closure
 from repro.rules.rule import RelationshipClassifier, RuleContext
+from repro.storage.session import CHECKPOINT_BUCKETS_MS, open_database
 
 
 @pytest.fixture(autouse=True)
@@ -462,6 +463,51 @@ class TestBrowseInstrumentation:
         assert telemetry.counters["browse.probe.waves"] == len(result.waves)
         attempted = sum(len(wave.attempted) for wave in result.waves)
         assert telemetry.counters["browse.probe.retractions"] == attempted
+
+
+class TestStorageInstrumentation:
+    TORN = '{"op": "add", "fact": ["C"'
+
+    def test_checkpoint_and_recovery_series(self, tmp_path):
+        directory = tmp_path / "d"
+        db, session = open_database(directory)
+        db.add("A", "R", "B")
+        with use_telemetry(Telemetry()) as telemetry:
+            session.checkpoint()
+            session.checkpoint()
+        session.close()
+        checkpoints = telemetry.histograms["storage.checkpoint"]
+        assert checkpoints.count == 2 and checkpoints.sum > 0
+        assert checkpoints.bounds == CHECKPOINT_BUCKETS_MS
+        size = (directory / "snapshot.json").stat().st_size
+        assert telemetry.gauges["storage.snapshot_bytes"].last == size
+
+        with open(directory / "journal.jsonl", "a", encoding="utf-8") as h:
+            h.write(self.TORN)
+        with use_telemetry(Telemetry()) as telemetry:
+            _db, session = open_database(directory)
+            session.close()
+            _db, session = open_database(directory)     # already whole
+            session.close()
+        assert telemetry.gauges["storage.recover_s"].count == 2
+        assert telemetry.gauges["storage.recover_s"].max > 0
+        assert telemetry.counters["storage.journal_repaired_bytes"] \
+            == len(self.TORN)
+
+    def test_nothing_is_recorded_while_telemetry_is_off(self, tmp_path):
+        telemetry = enable_telemetry(fresh=True)
+        disable_telemetry()             # the spine stays installed, off
+        db, session = open_database(tmp_path / "d")
+        db.add("A", "R", "B")
+        session.checkpoint()
+        session.close()
+        with open(tmp_path / "d" / "journal.jsonl", "w") as handle:
+            handle.write(self.TORN)
+        open_database(tmp_path / "d")[1].close()
+        assert active_telemetry() is telemetry
+        snapshot = telemetry.snapshot()
+        assert not [name for kind in ("counters", "gauges", "histograms")
+                    for name in snapshot[kind] if name.startswith("storage.")]
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,15 @@ crash-recovery behaviors."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.core.facts import Fact
+from repro.datasets import paper
 from repro.db import Database
 from repro.storage.journal import OP_ADD, OP_REMOVE, Journal, JournalEntry
 from repro.storage.session import DurableSession, open_database
@@ -137,6 +141,129 @@ class TestSnapshot:
         write_snapshot(path, SnapshotState(facts=[Fact("C", "R", "D")]))
         assert read_snapshot(path).facts == [Fact("C", "R", "D")]
         assert not path.with_suffix(".json.tmp").exists()
+
+
+# ----------------------------------------------------------------------
+# The snapshot codec against the layout and reader earlier releases had
+# ----------------------------------------------------------------------
+FIXTURE = Path(__file__).parent / "fixtures" / "durable_pr18"
+
+
+def indented_layout(state: SnapshotState) -> str:
+    """The snapshot text earlier releases wrote: one fact component per
+    line, facts sorted as lists."""
+    return json.dumps(
+        {
+            "version": 1,
+            "composition_limit": state.composition_limit,
+            "rule_states": state.rule_states,
+            "facts": sorted(list(f) for f in state.facts),
+        },
+        ensure_ascii=False, indent=0)
+
+
+def row_loop_reader(text: str):
+    """The reader earlier releases had: ``json.loads`` plus a loop that
+    checks each row."""
+    record = json.loads(text)
+    facts = []
+    for raw in record.get("facts", []):
+        if (not isinstance(raw, list) or len(raw) != 3
+                or not all(isinstance(c, str) for c in raw)):
+            raise StorageError(f"malformed fact in snapshot: {raw!r}")
+        facts.append(Fact(*raw))
+    return SnapshotState(facts=facts,
+                         rule_states=record.get("rule_states", {}),
+                         composition_limit=record.get("composition_limit", 1))
+
+
+def paper_state() -> SnapshotState:
+    db = paper.load()
+    db.add("ZOË", "∈", "EMPLOYEE")                # non-ASCII, unescaped
+    db.add('QUOTE"D', "LIKES", "BACK\\SLASH")       # escaped in JSON
+    db.exclude("gen-transitive")
+    db.limit(3)
+    return SnapshotState(facts=list(db.facts),
+                         rule_states=db.rules.snapshot_state(),
+                         composition_limit=db.composition_limit)
+
+
+entities = st.text(alphabet=st.characters(min_codepoint=1,
+                                          max_codepoint=0x2400),
+                   max_size=6)
+
+
+class TestSnapshotCodec:
+    def test_parses_to_the_indented_layouts_object(self):
+        state = paper_state()
+        text = state.to_json()
+        assert json.loads(text) == json.loads(indented_layout(state))
+        assert "\n" not in text                    # one line
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(entities, entities, entities), max_size=30),
+           st.sampled_from([None, 0, 1, 7]))
+    def test_any_heap_encodes_like_the_indented_layout(self, rows, limit):
+        state = SnapshotState(facts=[Fact(*row) for row in rows],
+                              rule_states={"r": True, "s": False},
+                              composition_limit=limit)
+        text = state.to_json()
+        assert json.loads(text) == json.loads(indented_layout(state))
+        loaded = SnapshotState.from_json(text)
+        assert loaded.facts == sorted(state.facts)
+        assert all(type(f) is Fact for f in loaded.facts)
+        assert (loaded.rule_states, loaded.composition_limit) \
+            == (state.rule_states, limit)
+
+    def test_an_indented_snapshot_reads(self, tmp_path):
+        state = paper_state()
+        path = tmp_path / "snapshot.json"
+        path.write_text(indented_layout(state), encoding="utf-8")
+        assert read_snapshot(path) == SnapshotState(
+            facts=sorted(state.facts), rule_states=state.rule_states,
+            composition_limit=3)
+
+    def test_the_earlier_reader_opens_a_new_checkpoint(self, tmp_path):
+        db, session = open_database(tmp_path / "d")
+        db.add("ZOË", "∈", "EMPLOYEE")
+        db.limit(2)
+        session.checkpoint()
+        session.close()
+        text = (tmp_path / "d" / "snapshot.json").read_text(encoding="utf-8")
+        old = row_loop_reader(text)
+        assert set(old.facts) == set(db.facts)
+        assert old.rule_states == db.rules.snapshot_state()
+        assert old.composition_limit == 2
+        assert old == read_snapshot(tmp_path / "d" / "snapshot.json")
+
+    def test_the_fixture_directorys_snapshot_reads(self):
+        path = FIXTURE / "snapshot.json"
+        assert read_snapshot(path) == row_loop_reader(
+            path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("rows, named", [
+        ([["A", "R", "B"], "oops"], "'oops'"),                # not a list
+        ([["A", "R", "B"], {"s": "A"}], "{'s': 'A'}"),
+        ([["A", "R"]], "['A', 'R']"),                         # length ≠ 3
+        ([["A", "R", "B", "C"]], "['A', 'R', 'B', 'C']"),
+        ([["A", "R", 3]], "['A', 'R', 3]"),                   # non-str
+        ([["A", ["R"], "B"]], "['A', ['R'], 'B']"),
+        ([["A", "R", "B"], ["C", "R", "D"], ["E", None, "F"]],
+         "['E', None, 'F']"),                                 # after good
+        ([["A", "R", "B"], [1, 2, 3], ["X"]], "[1, 2, 3]"),   # first bad
+        ({"A": "R"}, "'A'"),                                  # not rows
+    ])
+    def test_a_malformed_row_is_named_as_before(self, tmp_path, rows,
+                                                named):
+        text = json.dumps({"version": 1, "facts": rows})
+        with pytest.raises(StorageError) as before:
+            row_loop_reader(text)
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(StorageError) as now:
+            read_snapshot(path)
+        assert str(now.value) == str(before.value) \
+            == f"malformed fact in snapshot: {named}"
 
 
 class TestDurableSession:
