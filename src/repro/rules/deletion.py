@@ -19,14 +19,16 @@ classic phases:
    :func:`..engine.extend_closure` runs) restores everything downstream
    of them.
 
-Both forward phases join through the rule set's compiled pivoted
-bodies (:class:`~repro.rules.dispatch.CompiledRuleSet`), the ones the
-closure itself was computed with; phase 3's one-step check is the only
-goal-directed join (:func:`_join_body`, seeded by unifying a rule head
-with the endangered fact).  The result equals recomputing the closure
-from scratch on the surviving base facts (property-tested in
-``tests/test_deletion.py``), at a cost proportional to the deleted
-fact's "cone of influence".
+Every phase joins through the rule set's compiled pivoted bodies
+(:class:`~repro.rules.dispatch.CompiledRuleSet`), the ones the closure
+itself was computed with.  Phase 3 is goal-directed
+(:func:`_one_step_derivation`): it unifies each head that can produce
+the endangered fact with it, counts every pivoted body's pivot atom
+under that unifier, and runs the body whose pivot has the fewest
+matches, fed the store's facts at that atom's ground positions.  The
+result equals recomputing the closure from scratch on the surviving
+base facts (property-tested in ``tests/test_deletion.py``), at a cost
+proportional to the deleted fact's "cone of influence".
 """
 
 from __future__ import annotations
@@ -34,22 +36,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
-from ..core.facts import Binding, Fact
+from ..core.facts import Fact, Variable
 from ..core.store import FactStore
 from ..obs import telemetry as _obs
 from .dispatch import (
     CompiledRuleSet, RoundDelta, _materialize, compile_ruleset, run_rounds)
-from .engine import ClosureResult, Justification, _checkable, _premises
-from .rule import Rule, RuleContext
+from .engine import ClosureResult, Justification
+from .rule import Rule, RuleContext, specs_overlap
 
 
 @dataclass
 class DeletionStats:
-    """Work counters for tests and benchmarks."""
+    """Work counters for tests and benchmarks: the facts each phase
+    moved, then the head unifications phase 3 tried and the pivot
+    facts it fed its compiled joins."""
 
     overdeleted: int = 0
     rederived: int = 0
     propagated: int = 0
+    rederive_heads: int = 0
+    rederive_candidates: int = 0
 
 
 def delete_with_rederivation(result: ClosureResult, base: FactStore,
@@ -72,7 +78,8 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
     The closure's provenance map (if any) is pruned of endangered
     facts; rederived facts get fresh justifications.  With telemetry
     on, each removal that reaches the closure is one ``closure.delete``
-    span carrying the returned counts.
+    span carrying the returned counts, and the ``dispatch.rederive_candidates``
+    counter adds phase 3's pivot facts.
     """
     stats = DeletionStats()
     store = result.store
@@ -96,7 +103,8 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
             delta_store = RoundDelta(group.delta_indexes, delta)
             fresh: List[Fact] = []
             for cr in group.select(delta_store.relationships()):
-                for slots in cr.solutions(delta_store, store, context):
+                for slots in cr.solutions(delta_store.lookup(*cr.pivot_key),
+                                          store, context):
                     for spec in cr.heads:
                         fact = _materialize(spec, slots)
                         if fact in store and fact not in endangered:
@@ -128,7 +136,8 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         for fact in sorted(endangered):
             if fact in store:
                 continue
-            justification = _rederive_once(fact, store, rules, context)
+            justification = _one_step_derivation(fact, store, compiled,
+                                                 context, stats)
             if justification is not None:
                 store.add(fact)
                 rederived.add(fact)
@@ -147,54 +156,58 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         result.base_count -= 1
         result.derived_count = len(store) - result.base_count
         if observing:
+            _obs.TELEMETRY.count("dispatch.rederive_candidates",
+                                 stats.rederive_candidates)
             span.set(overdeleted=stats.overdeleted,
                      rederived=stats.rederived,
-                     propagated=stats.propagated)
+                     propagated=stats.propagated,
+                     rederive_heads=stats.rederive_heads,
+                     rederive_candidates=stats.rederive_candidates)
     return stats
 
 
-def _rederive_once(fact: Fact, store: FactStore, rules: Sequence[Rule],
-                   context: RuleContext) -> Optional[Justification]:
-    """One-step derivation of ``fact`` from ``store``, if any: a rule
-    whose head matches the fact and whose body, seeded with that
-    match's bindings, has a solution."""
-    for rule in rules:
-        for head in rule.head:
-            seed = head.match(fact)
-            if seed is None:
-                continue
-            binding = next(_join_body(rule, seed, store, context), None)
-            if binding is not None:
-                return Justification(rule.name, _premises(rule, binding))
-    return None
+def _one_step_derivation(fact: Fact, store: FactStore,
+                         compiled: CompiledRuleSet, context: RuleContext,
+                         stats: DeletionStats) -> Optional[Justification]:
+    """One-step derivation of ``fact`` from ``store``, if any.
 
-
-def _join_body(rule: Rule, binding: Binding, store: FactStore,
-               context: RuleContext):
-    """Join a rule body against one store under an initial binding.
-
-    The next atom is the one ``store.count_estimate`` calls smallest
-    under the bindings so far (body order breaks ties), so a bound
-    head narrows every later probe instead of waiting behind an
-    unselective first atom; guards are checked as soon as their
-    variables are bound.
+    For each head of ``compiled.heads`` that can carry the fact's
+    relationship: unify it with the fact, take ``store.count_estimate``
+    of every pivoted body's pivot atom under that unifier (a zero ends
+    the head — that atom has no match), and run the body whose pivot
+    has the fewest matches, fed the store's facts at the atom's ground
+    positions.  Counting, not ground positions alone, picks the pivot:
+    gen-source's ``(?s, KNOWS, AREA)`` holds every member who knows the
+    area, its ``(M0, ≺, ?s)`` nothing.  Later levels join as compiled
+    for the closure, unseeded by the head, so the first solution whose
+    head materialises to the fact is the derivation.
     """
-    def extend(atoms, current, remaining):
-        if not atoms:
-            if all(c.holds(current, context) for c in remaining):
-                yield current
-            return
-        pick = 0 if len(atoms) == 1 else min(
-            range(len(atoms)),
-            key=lambda i: store.count_estimate(atoms[i], current))
-        later = atoms[:pick] + atoms[pick + 1:]
-        for extended in store.solutions(atoms[pick], current):
-            bound = set(extended)
-            ready = _checkable(remaining, bound)
-            if all(remaining[i].holds(extended, context) for i in ready):
-                ready_set = set(ready)
-                rest = [c for i, c in enumerate(remaining)
-                        if i not in ready_set]
-                yield from extend(later, extended, rest)
-
-    yield from extend(list(rule.body), binding, list(rule.conditions))
+    relationship = fact[1]
+    for spec, head, index, bodies in compiled.heads:
+        if not specs_overlap(spec, relationship):
+            continue
+        stats.rederive_heads += 1
+        seed = head.match(fact)
+        if seed is None:
+            continue
+        best = best_atom = None
+        fewest = 0
+        for cr in bodies:
+            atom = cr.rule.body[cr.pivot].substitute(seed)
+            count = store.count_estimate(atom)
+            if not count:
+                best = None
+                break
+            if best is None or count < fewest:
+                best, best_atom, fewest = cr, atom, count
+        if best is None:
+            continue
+        stats.rederive_candidates += fewest
+        candidates = store.lookup(*(
+            None if isinstance(component, Variable) else component
+            for component in best_atom))
+        produced = best.heads[index]
+        for slots in best.solutions(candidates, store, context):
+            if _materialize(produced, slots) == fact:
+                return Justification(best.rule.name, best.premises(slots))
+    return None

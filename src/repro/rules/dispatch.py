@@ -3,8 +3,8 @@ dispatch, and stratified fixpoint evaluation.
 
 This is the one rule engine :class:`~repro.db.Database` and ``serve/``
 run: the full closure (:func:`dispatched_closure`), insertion
-maintenance (:func:`.engine.extend_closure`) and both forward phases
-of Delete/Rederive (:mod:`.deletion`) all join through one
+maintenance (:func:`.engine.extend_closure`) and all three joining
+phases of Delete/Rederive (:mod:`.deletion`) join through one
 :class:`CompiledRuleSet`.
 
 The paper leaves "suitable storage strategies [and] performance" open
@@ -470,21 +470,23 @@ class CompiledRule:
             for i, (tag, value) in enumerate(parts)))
         return pivot_position, itemgetter(position), key, pattern
 
-    def solutions(self, delta, store: FactStore,
+    def solutions(self, candidates: Iterable[Fact], store: FactStore,
                   context: RuleContext) -> Iterator[List[Optional[str]]]:
         """All slot assignments satisfying the body, pivot atom matched
-        against ``delta`` (a :class:`RoundDelta` or a store) and the
-        rest against ``store``.
+        against ``candidates`` and the rest against ``store``.
 
-        One cursor per level, walked depth first: solutions come in the
-        order a nested loop over the levels gives them, for a body of
-        any length.  The semi-join (:meth:`_semijoin_shape`) filters the
-        pivot's candidates first, keeping their order, when the store's
-        count of level 1's constant pattern is below the candidate
-        count.  Yields one mutable slot list, reused across solutions:
-        callers must consume (or copy) each yield before advancing.
+        A round passes ``delta.lookup(*self.pivot_key)`` (a
+        :class:`RoundDelta` or a store); the rederive step of
+        :mod:`.deletion` passes the store's facts at the pivot's ground
+        positions under a head unifier.  One cursor per level, walked
+        depth first: solutions come in the order a nested loop over the
+        levels gives them, for a body of any length.  The semi-join
+        (:meth:`_semijoin_shape`) filters the pivot's candidates first,
+        keeping their order, when the store's count of level 1's
+        constant pattern is below the candidate count.  Yields one
+        mutable slot list, reused across solutions: callers must
+        consume (or copy) each yield before advancing.
         """
-        candidates = delta.lookup(*self.pivot_key)
         semijoin = self.semijoin
         if semijoin is not None:
             try:
@@ -628,7 +630,8 @@ class DispatchGroup:
 
 class CompiledRuleSet:
     """Everything the dispatched engine precomputes for a rule set:
-    compiled pivoted bodies, the dispatch index, and the SCC strata."""
+    compiled pivoted bodies, the dispatch index, the SCC strata, and
+    the head table Delete/Rederive's one-step check walks."""
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules: List[Rule] = list(rules)
@@ -644,6 +647,16 @@ class CompiledRuleSet:
                 compiled.append(cr)
                 by_name.setdefault(rule.name, []).append(cr)
         self.compiled = compiled
+        #: Per head of a rule that can fire, in rule order: ``(spec,
+        #: head, index, bodies)`` — the relationship spec it produces,
+        #: the head template, its index in ``rule.head`` (and in each
+        #: body's ``heads``), and the rule's compiled pivoted bodies.
+        self.heads: Tuple[Tuple[RelationshipSpec, Template, int,
+                                Tuple[CompiledRule, ...]], ...] = tuple(
+            (spec, head, index, tuple(by_name[rule.name]))
+            for rule in self.rules if rule.name in by_name
+            for index, (head, spec) in enumerate(
+                zip(rule.head, rule.produced_relationship_specs())))
         #: Every compiled body behind one dispatch index — the group
         #: incremental extension evaluates (deltas there are tiny).
         self.all_rules = DispatchGroup(compiled)
@@ -818,7 +831,8 @@ def run_rounds(store: FactStore, delta, group: DispatchGroup,
                 heads = cr.heads
                 if observing:
                     rule_started = time.perf_counter()
-                for slots in cr.solutions(delta, store, context):
+                for slots in cr.solutions(delta.lookup(*cr.pivot_key),
+                                          store, context):
                     for spec in heads:
                         fact = _materialize(spec, slots)
                         if fact not in store and fact not in fresh:

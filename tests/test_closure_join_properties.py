@@ -268,5 +268,6 @@ def test_solutions_walk_the_recursive_join(facts, rule, pivot, store_kind,
         delta = _interned(chosen)
     expected = list(_recursive_solutions(rule, pivot, delta, store, context))
     got = [slots[:cr.n_slots]
-           for slots in cr.solutions(delta, store, context)]
+           for slots in cr.solutions(delta.lookup(*cr.pivot_key), store,
+                                     context)]
     assert got == expected

@@ -386,6 +386,23 @@ class TestEngineInstrumentation:
         assert stats.overdeleted > 1      # SUE's inherited facts fell too
         assert span.attributes == dataclasses.asdict(stats)
 
+    def test_delete_span_counts_the_rederive_joins(self):
+        """(A, R, X) survives its own removal through syn-source: the
+        span counts the head unifications tried and the pivot facts fed
+        to compiled joins, and the counter adds the same candidates."""
+        db = Database(with_axioms=False)
+        db.add_facts([Fact("A", "≈", "B"), Fact("A", "R", "X"),
+                      Fact("B", "R", "X")])
+        db.closure()
+        with use_telemetry(Telemetry()) as telemetry:
+            assert db.remove_fact(Fact("A", "R", "X"))
+        (span,) = telemetry.spans("closure.delete")
+        assert span.attributes["rederived"] == 1
+        assert span.attributes["rederive_heads"] >= 1
+        assert span.attributes["rederive_candidates"] >= 1
+        assert (telemetry.counters["dispatch.rederive_candidates"]
+                == span.attributes["rederive_candidates"])
+
     def test_removal_makes_no_telemetry_call_when_off(self, monkeypatch):
         class Untouchable:
             def __getattr__(self, name):
