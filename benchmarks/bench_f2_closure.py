@@ -3,8 +3,8 @@
 The paper's closure (§2.6) is the cost every other operation amortizes;
 this bench sweeps heap size across the three engines — the textbook
 naive baseline, the interpreted semi-naive engine, and the dispatched
-fast path (compiled joins + relationship-indexed dispatch + stratified
-rounds, :mod:`repro.rules.dispatch`) — and verifies they agree fact for
+fast path (compiled joins + relationship-indexed dispatch,
+:mod:`repro.rules.dispatch`) — and verifies they agree fact for
 fact while the fast path wins the wall clock.
 
 Run as a script to emit ``BENCH_closure.json`` (the engine × dataset ×
@@ -251,8 +251,7 @@ def run_matrix(quick: bool = False, repeat: int = 3):
                             counter_prefixes=("store.lookups",
                                               "store.adds",
                                               "dispatch.",
-                                              "engine.rounds",
-                                              "engine.strata"))
+                                              "engine.rounds"))
                 closure_size = len(runner())
                 sizes.setdefault(limit, set()).add(closure_size)
                 seconds[engine, dataset_name, limit] = m.seconds

@@ -222,7 +222,7 @@ class FactStore:
         The six index dicts and the two refcount maps are duplicated
         directly instead of re-inserting every fact through
         :meth:`add` — the one full copy a closure makes is the seed
-        store (:func:`seed_store`); a stratum's first delta copies only
+        store (:func:`seed_store`); the closure's first delta copies only
         the fact set and the buckets its pivots read
         (:meth:`repro.rules.dispatch.RoundDelta.of_store`, the same
         ``set(...)`` copies as here).  The copy starts at the same

@@ -30,7 +30,6 @@ from .dispatch import (
     CompiledRuleSet,
     compile_ruleset,
     dispatched_closure,
-    stratify,
 )
 from .engine import (
     ClosureResult,
@@ -66,7 +65,7 @@ __all__ = [
     "UNLIMITED", "CompositionResult", "composable", "compose_closure",
     "compose_pair", "ClosureResult", "Justification", "extend_closure",
     "naive_closure", "semi_naive_closure", "CompiledRuleSet",
-    "compile_ruleset", "dispatched_closure", "stratify",
+    "compile_ruleset", "dispatched_closure",
     "DerivationTree", "ProvenanceError", "explain_fact",
     "Violation", "contradictory_pairs", "find_contradictions",
     "is_consistent", "RuleRegistry", "Condition", "Distinct",

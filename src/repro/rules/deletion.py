@@ -96,13 +96,12 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         # atom over the endangered delta and the rest over the (still
         # intact) closure; every head instance present in the closure
         # becomes endangered too.
-        group = compiled.all_rules
         endangered: Set[Fact] = {deleted}
         delta: List[Fact] = [deleted]
         while delta:
-            delta_store = RoundDelta(group.delta_indexes, delta)
+            delta_store = RoundDelta(compiled.delta_indexes, delta)
             fresh: List[Fact] = []
-            for cr in group.select(delta_store.relationships()):
+            for cr in compiled.select(delta_store.relationships()):
                 for slots in cr.solutions(delta_store.lookup(*cr.pivot_key),
                                           store, context):
                     for spec in cr.heads:
@@ -132,7 +131,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         # Goal-directed: only derivations *of endangered facts* are
         # attempted, so the cost tracks the deleted fact's cone of
         # influence, not the heap.
-        rederived = RoundDelta(group.delta_indexes)
+        rederived = RoundDelta(compiled.delta_indexes)
         for fact in sorted(endangered):
             if fact in store:
                 continue
@@ -148,7 +147,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         if rederived:
             before = len(store)
             result.iterations += run_rounds(
-                store, rederived, group, context,
+                store, rederived, compiled, context,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
             stats.propagated = len(store) - before

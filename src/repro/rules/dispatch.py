@@ -1,5 +1,5 @@
-"""The rule engine: compiled joins, relationship-indexed rule
-dispatch, and stratified fixpoint evaluation.
+"""The rule engine: compiled joins and relationship-indexed rule
+dispatch.
 
 This is the one rule engine :class:`~repro.db.Database` and ``serve/``
 run: the full closure (:func:`dispatched_closure`), insertion
@@ -13,7 +13,7 @@ correct but does far more work per round than the rule set requires:
 every pivoted rule body is re-joined through every delta, via generic
 template matching that allocates a binding dict per candidate.  The standard rules (§3) have
 *ground* relationship positions in almost every body atom, which makes
-three classic deductive-database techniques apply directly:
+two classic deductive-database techniques apply directly:
 
 1. **Compiled joins** — each pivoted rule body is compiled once into a
    slot program: variables become integer slots, atoms become indexed
@@ -39,21 +39,12 @@ three classic deductive-database techniques apply directly:
    present in the delta; quiescent rules are skipped outright (the
    ``dispatch.skipped_rules`` counter).
 
-3. **Stratified fixpoint** — the rule head→body relationship-dependency
-   graph is condensed into SCC strata; each stratum runs to quiescence
-   in topological order.  Rules in later strata never join against the
-   churn of earlier strata's rounds, and rules in earlier strata are
-   provably quiescent once their stratum closes.  (The full standard
-   rule set collapses into one stratum — the synonym substitution rules
-   consume and produce every relationship — so stratification pays off
-   for ablated and user-defined rule sets, exactly the configurations
-   ``include``/``exclude`` (§6.1) creates.)
-
-All three layers preserve the semantics of :func:`.engine.semi_naive_closure`
-bit for bit: the same closure contents and, for single-stratum rule
-sets, the same round structure, per-rule firing totals, and provenance
-(values and insertion order) — every join walks its candidates in the
-order the reference's matching does.
+The closure, an insertion and a removal's propagation all run the
+same :func:`run_rounds` over the whole rule set.  Both layers preserve
+the semantics of :func:`.engine.semi_naive_closure` bit for bit, for
+any rule set: the same closure contents, round structure, per-rule
+firing totals, and provenance (values and insertion order) — every
+join walks its candidates in the order the reference's matching does.
 """
 
 from __future__ import annotations
@@ -64,7 +55,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -89,95 +79,7 @@ from .rule import (
     RelationshipSpec,
     Rule,
     RuleContext,
-    specs_overlap,
 )
-
-# ----------------------------------------------------------------------
-# Stratification
-# ----------------------------------------------------------------------
-def rule_dependencies(rules: Sequence[Rule]) -> List[List[int]]:
-    """Adjacency lists of the head→body relationship-dependency graph.
-
-    ``edges[b]`` contains ``a`` when a fact derivable by ``rules[b]``'s
-    head could match some body atom of ``rules[a]`` — i.e. rule *b*
-    feeds rule *a*, so *a* must be evaluated with or after *b*.  The
-    analysis is a sound overapproximation (see
-    :func:`~repro.rules.rule.specs_overlap`).
-    """
-    produced = [rule.produced_relationship_specs() for rule in rules]
-    consumed = [rule.consumed_relationship_specs() for rule in rules]
-    edges: List[List[int]] = []
-    for b in range(len(rules)):
-        out: List[int] = []
-        for a in range(len(rules)):
-            if any(specs_overlap(p, c)
-                   for p in produced[b] for c in consumed[a]):
-                out.append(a)
-        edges.append(out)
-    return edges
-
-
-def stratify(rules: Sequence[Rule]) -> List[List[Rule]]:
-    """SCC strata of the dependency graph, in topological order.
-
-    Producers come first; mutually recursive rules share a stratum;
-    within a stratum rules keep their registration order.  Evaluating
-    the strata in order, each to quiescence, reaches the same fixpoint
-    as global round-robin evaluation.
-    """
-    rules = list(rules)
-    n = len(rules)
-    if n == 0:
-        return []
-    succ = rule_dependencies(rules)
-
-    # Iterative Tarjan: SCCs are emitted consumers-first, so the
-    # reversed emission order is the producers-first topological order.
-    indices: List[Optional[int]] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 0
-    for root in range(n):
-        if indices[root] is not None:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, edge_index = work[-1]
-            if edge_index == 0:
-                indices[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            descended = False
-            for i in range(edge_index, len(succ[node])):
-                neighbor = succ[node][i]
-                if indices[neighbor] is None:
-                    work[-1] = (node, i + 1)
-                    work.append((neighbor, 0))
-                    descended = True
-                    break
-                if on_stack[neighbor]:
-                    low[node] = min(low[node], indices[neighbor])
-            if descended:
-                continue
-            if low[node] == indices[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return [[rules[i] for i in sorted(component)]
-            for component in reversed(sccs)]
-
 
 # ----------------------------------------------------------------------
 # Rule compilation
@@ -320,7 +222,7 @@ class CompiledRule:
 
     ``order`` reproduces the interpreted reference's evaluation order
     (rule-major, pivot-minor), so firing attribution and provenance
-    stay identical for single-stratum rule sets.
+    stay identical.
 
     ``levels`` holds one ``(key_of, fill, take, checks, conditions)``
     tuple per body atom, pivot first: ``key_of(slots)`` is the level's
@@ -565,35 +467,56 @@ def _pivot_spec(pivot_atom: Template,
 
 
 # ----------------------------------------------------------------------
-# Dispatch index
+# The compiled rule set and its dispatch index
 # ----------------------------------------------------------------------
-class DispatchGroup:
-    """A set of compiled rules plus the relationship → rules index.
+class CompiledRuleSet:
+    """Everything the dispatched engine precomputes for a rule set:
+    compiled pivoted bodies, the dispatch index, and the head table
+    Delete/Rederive's one-step check walks.
 
     ``by_relationship`` maps each ground pivot relationship to the
     compiled bodies pivoting on it; ``nonspecial`` and ``wildcard`` are
     the buckets for variable pivot relationships (with and without a
     ``NotSpecial`` guard).  :meth:`select` returns, in evaluation
-    order, exactly the rules whose pivot can match some relationship in
-    the delta — everything else is skipped for the round.
+    order, exactly the bodies whose pivot can match some relationship
+    in the delta — everything else is skipped for the round.
     """
 
-    __slots__ = ("compiled", "by_relationship", "nonspecial", "wildcard",
-                 "delta_indexes")
-
-    def __init__(self, compiled: Sequence[CompiledRule]):
-        self.compiled: Tuple[CompiledRule, ...] = tuple(
-            sorted(compiled, key=lambda cr: cr.order))
-        #: The bucket indexes the group's pivot keys read — all a
-        #: :class:`RoundDelta` for this group builds (``""`` and
-        #: ``"srt"`` need none: the fact set answers both).
-        pivot_indexes = {cr.pivot_index for cr in self.compiled}
+    def __init__(self, rules: Sequence[Rule]):
+        self.rules: List[Rule] = list(rules)
+        compiled: List[CompiledRule] = []
+        order = 0
+        by_name: Dict[str, List[CompiledRule]] = {}
+        for rule in self.rules:
+            for pivot in range(len(rule.body)):
+                cr = CompiledRule(rule, pivot, order)
+                order += 1
+                if cr.dead:
+                    continue
+                compiled.append(cr)
+                by_name.setdefault(rule.name, []).append(cr)
+        #: The live pivoted bodies, in evaluation order.
+        self.compiled: Tuple[CompiledRule, ...] = tuple(compiled)
+        #: Per head of a rule that can fire, in rule order: ``(spec,
+        #: head, index, bodies)`` — the relationship spec it produces,
+        #: the head template, its index in ``rule.head`` (and in each
+        #: body's ``heads``), and the rule's compiled pivoted bodies.
+        self.heads: Tuple[Tuple[RelationshipSpec, Template, int,
+                                Tuple[CompiledRule, ...]], ...] = tuple(
+            (spec, head, index, tuple(by_name[rule.name]))
+            for rule in self.rules if rule.name in by_name
+            for index, (head, spec) in enumerate(
+                zip(rule.head, rule.produced_relationship_specs())))
+        #: The bucket indexes the pivot keys read — all a
+        #: :class:`RoundDelta` builds (``""`` and ``"srt"`` need none:
+        #: the fact set answers both).
+        pivot_indexes = {cr.pivot_index for cr in compiled}
         self.delta_indexes: Tuple[str, ...] = tuple(
             spec for spec in _BUCKET_SPECS if spec in pivot_indexes)
         by_relationship: Dict[str, List[CompiledRule]] = {}
         nonspecial: List[CompiledRule] = []
         wildcard: List[CompiledRule] = []
-        for cr in self.compiled:
+        for cr in compiled:
             spec = cr.pivot_spec
             if spec is ANY_RELATIONSHIP:
                 wildcard.append(cr)
@@ -602,13 +525,13 @@ class DispatchGroup:
             else:
                 by_relationship.setdefault(spec, []).append(cr)
         self.by_relationship = {
-            rel: tuple(rules) for rel, rules in by_relationship.items()}
+            rel: tuple(bodies) for rel, bodies in by_relationship.items()}
         self.nonspecial = tuple(nonspecial)
         self.wildcard = tuple(wildcard)
 
     def select(self, delta_relationships: Iterable[str]
                ) -> List[CompiledRule]:
-        """The compiled rules reachable from a delta's relationships,
+        """The compiled bodies reachable from a delta's relationships,
         in evaluation order."""
         chosen: Dict[int, CompiledRule] = {}
         has_nonspecial = False
@@ -624,53 +547,9 @@ class DispatchGroup:
             chosen[cr.order] = cr
         return [chosen[order] for order in sorted(chosen)]
 
-    def __len__(self) -> int:
-        return len(self.compiled)
-
-
-class CompiledRuleSet:
-    """Everything the dispatched engine precomputes for a rule set:
-    compiled pivoted bodies, the dispatch index, the SCC strata, and
-    the head table Delete/Rederive's one-step check walks."""
-
-    def __init__(self, rules: Sequence[Rule]):
-        self.rules: List[Rule] = list(rules)
-        compiled: List[CompiledRule] = []
-        order = 0
-        by_name: Dict[str, List[CompiledRule]] = {}
-        for rule in self.rules:
-            for pivot in range(len(rule.body)):
-                cr = CompiledRule(rule, pivot, order)
-                order += 1
-                if cr.dead:
-                    continue
-                compiled.append(cr)
-                by_name.setdefault(rule.name, []).append(cr)
-        self.compiled = compiled
-        #: Per head of a rule that can fire, in rule order: ``(spec,
-        #: head, index, bodies)`` — the relationship spec it produces,
-        #: the head template, its index in ``rule.head`` (and in each
-        #: body's ``heads``), and the rule's compiled pivoted bodies.
-        self.heads: Tuple[Tuple[RelationshipSpec, Template, int,
-                                Tuple[CompiledRule, ...]], ...] = tuple(
-            (spec, head, index, tuple(by_name[rule.name]))
-            for rule in self.rules if rule.name in by_name
-            for index, (head, spec) in enumerate(
-                zip(rule.head, rule.produced_relationship_specs())))
-        #: Every compiled body behind one dispatch index — the group
-        #: incremental extension evaluates (deltas there are tiny).
-        self.all_rules = DispatchGroup(compiled)
-        self.strata_rules: List[List[Rule]] = stratify(self.rules)
-        self.strata: List[DispatchGroup] = [
-            DispatchGroup([cr for rule in stratum
-                           for cr in by_name.get(rule.name, ())])
-            for stratum in self.strata_rules
-        ]
-
     def __repr__(self) -> str:
         return (f"CompiledRuleSet({len(self.rules)} rules,"
-                f" {len(self.compiled)} pivoted bodies,"
-                f" {len(self.strata)} strata)")
+                f" {len(self.compiled)} pivoted bodies)")
 
 
 def compile_ruleset(rules: Sequence[Rule]) -> CompiledRuleSet:
@@ -692,7 +571,7 @@ _KEY_OF = {spec: itemgetter(*(_LETTERS.index(letter) for letter in spec))
 class RoundDelta:
     """The facts a round joins through its pivots: a fact set plus only
     the bucket indexes the pivot keys read (``indexes``, a
-    :attr:`DispatchGroup.delta_indexes`; for the standard rules just
+    :attr:`CompiledRuleSet.delta_indexes`; for the standard rules just
     ``"r"``).
 
     A derived fact is indexed once here instead of into a six-index
@@ -716,7 +595,7 @@ class RoundDelta:
     @classmethod
     def of_store(cls, store: FactStore,
                  indexes: Sequence[str]) -> "RoundDelta":
-        """A stratum's first delta: every fact of a hash ``store``.
+        """The closure's first delta: every fact of a hash ``store``.
 
         The fact set and the named buckets are copied the way
         :meth:`FactStore.copy` copies them (``set(...)`` of each), never
@@ -777,19 +656,17 @@ class RoundDelta:
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def run_rounds(store: FactStore, delta, group: DispatchGroup,
+def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
                context: RuleContext, firings: Dict[str, int],
                max_iterations: Optional[int] = None,
                provenance: Optional[Dict[Fact, Any]] = None,
-               rule_times: Optional[Dict[str, float]] = None,
-               stratum: Optional[int] = None,
-               round_offset: int = 0) -> int:
+               rule_times: Optional[Dict[str, float]] = None) -> int:
     """Dispatched semi-naive rounds until quiescence.
 
     The compiled twin of :func:`.engine._semi_naive_rounds`: ``store``
     is mutated in place, ``delta`` holds the facts not yet joined
     against the rest of the store (already *in* the store) — a
-    :class:`RoundDelta` built for ``group``, or the generation-sharing
+    :class:`RoundDelta` built for ``compiled``, or the generation-sharing
     copy of an interned store — and the returned value is the number of
     rounds executed.  Each later round's delta is a :class:`RoundDelta`.
     """
@@ -797,24 +674,17 @@ def run_rounds(store: FactStore, delta, group: DispatchGroup,
 
     iterations = 0
     observing = _obs.ENABLED and rule_times is not None
-    total = len(group)
+    total = len(compiled.compiled)
     while delta:
         if max_iterations is not None and iterations >= max_iterations:
             break
         iterations += 1
-        if observing:
-            attributes: Dict[str, Any] = {
-                "engine": "dispatched",
-                "round": round_offset + iterations,
-                "delta_in": len(delta),
-            }
-            if stratum is not None:
-                attributes["stratum"] = stratum
-            round_span = _obs.TELEMETRY.span("closure.round", **attributes)
-        else:
-            round_span = _obs.NULL_SPAN
+        round_span = (_obs.TELEMETRY.span("closure.round", **{
+                          "engine": "dispatched", "round": iterations,
+                          "delta_in": len(delta)})
+                      if observing else _obs.NULL_SPAN)
         with round_span as rspan:
-            active = group.select(delta.relationships())
+            active = compiled.select(delta.relationships())
             if observing:
                 skipped = total - len(active)
                 if skipped:
@@ -848,7 +718,7 @@ def run_rounds(store: FactStore, delta, group: DispatchGroup,
                         + time.perf_counter() - rule_started)
             if observing:
                 apply_started = time.perf_counter()
-            delta = RoundDelta(group.delta_indexes)
+            delta = RoundDelta(compiled.delta_indexes)
             for fact in fresh:
                 if store.add(fact):
                     delta.add(fact)
@@ -864,12 +734,12 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                        max_iterations: Optional[int] = None,
                        trace: bool = False,
                        compiled: Optional[CompiledRuleSet] = None):
-    """Fixpoint by dispatched, stratified, compiled semi-naive rounds.
+    """Fixpoint by dispatched, compiled semi-naive rounds.
 
     Drop-in equivalent of :func:`.engine.semi_naive_closure` (identical
-    closure contents; identical rounds/firings for single-stratum rule
-    sets) with the three fast-path layers applied.  ``compiled`` lets
-    callers reuse a :class:`CompiledRuleSet` across closures — the
+    closure contents, rounds, firings and provenance) with both
+    fast-path layers applied.  ``compiled`` lets callers reuse a
+    :class:`CompiledRuleSet` across closures — the
     :class:`~repro.rules.registry.RuleRegistry` caches one per enabled
     rule set.
     """
@@ -880,8 +750,7 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
         compiled = compile_ruleset(rules)
     observing = _obs.ENABLED
     closure_span = (_obs.TELEMETRY.span("closure.dispatched",
-                                     rules=len(rules),
-                                     strata=len(compiled.strata))
+                                     rules=len(rules))
                     if observing else _obs.NULL_SPAN)
     with closure_span as span:
         store = seed_store(base)
@@ -889,32 +758,15 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
         firings: Dict[str, int] = {rule.name: 0 for rule in rules}
         rule_times: Dict[str, float] = {}
         provenance: Optional[Dict[Fact, Any]] = {} if trace else None
-        iterations = 0
         loop_started = time.perf_counter()
-        for stratum_index, group in enumerate(compiled.strata):
-            remaining = (None if max_iterations is None
-                         else max_iterations - iterations)
-            if remaining is not None and remaining <= 0:
-                break
-            stratum_span = (_obs.TELEMETRY.span("closure.stratum",
-                                             stratum=stratum_index,
-                                             rules=len(group))
-                            if observing else _obs.NULL_SPAN)
-            with stratum_span as sspan:
-                # The stratum's rules have joined against nothing yet:
-                # every fact accumulated so far is its initial delta.
-                first = (store.copy() if getattr(store, "interned", False)
-                         else RoundDelta.of_store(store,
-                                                  group.delta_indexes))
-                rounds = run_rounds(store, first, group, context,
-                                    firings, remaining, provenance,
-                                    rule_times, stratum=stratum_index,
-                                    round_offset=iterations)
-                iterations += rounds
-                sspan.set(rounds=rounds, store_size=len(store))
+        # No rule has joined against anything yet: every base fact is
+        # the first delta.
+        first = (store.copy() if getattr(store, "interned", False)
+                 else RoundDelta.of_store(store, compiled.delta_indexes))
+        iterations = run_rounds(store, first, compiled, context, firings,
+                                max_iterations, provenance, rule_times)
         if observing:
             _obs.TELEMETRY.count("engine.rounds", iterations)
-            _obs.TELEMETRY.gauge("engine.strata", len(compiled.strata))
             _obs.TELEMETRY.gauge("engine.closure_seconds",
                               time.perf_counter() - loop_started)
             span.set(iterations=iterations,

@@ -343,10 +343,11 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     fact is one more base fact, and one fewer derived fact when the
     closure already held it.
 
-    The rounds run through the dispatched fast path — all strata behind
-    one dispatch index, which is sound for any delta and ideal here,
-    where deltas are tiny and most rules stay quiescent.  ``compiled``
-    is the :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
+    The rounds are the closure's own
+    (:func:`~repro.rules.dispatch.run_rounds` over the whole rule set
+    behind one dispatch index), ideal here, where deltas are tiny and
+    most rules stay quiescent.  ``compiled`` is the
+    :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
     (:meth:`RuleRegistry.compiled` caches one); compiled here when not
     given.
 
@@ -362,13 +363,13 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     if added:
         if compiled is None:
             compiled = compile_ruleset(rules)
-        delta = RoundDelta(compiled.all_rules.delta_indexes, added)
+        delta = RoundDelta(compiled.delta_indexes, added)
         extend_span = (_obs.TELEMETRY.span("closure.extend",
                                         new_facts=len(delta))
                        if _obs.ENABLED else _obs.NULL_SPAN)
         with extend_span:
             result.iterations += run_rounds(
-                result.store, delta, compiled.all_rules, context,
+                result.store, delta, compiled, context,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
     result.derived_count = len(result.store) - result.base_count

@@ -124,7 +124,7 @@ class RuleRegistry:
         """The :class:`~repro.rules.dispatch.CompiledRuleSet` for the
         currently enabled rules.
 
-        Compilation (pivoting, slot programs, dispatch index, strata)
+        Compilation (pivoting, slot programs, dispatch index, head table)
         costs a few milliseconds, so the result is cached and
         invalidated whenever the registry changes — the dispatched
         engine then reuses it across every closure of the session.

@@ -152,7 +152,7 @@ class NotSpecial(Condition):
 
 
 # ----------------------------------------------------------------------
-# Relationship signatures (static dispatch / stratification analysis)
+# Relationship signatures (static dispatch analysis)
 # ----------------------------------------------------------------------
 class _RelationshipWildcard:
     """A non-ground relationship-position signature (see
@@ -264,16 +264,10 @@ class Rule:
             variables.update(atom.variable_set())
         return frozenset(variables)
 
-    def consumed_relationship_specs(self) -> Tuple[RelationshipSpec, ...]:
-        """Per body atom, the relationships it can match (see
-        :func:`atom_relationship_spec`) — the rule's input signature
-        for dispatch and stratification."""
-        return tuple(atom_relationship_spec(atom, self.conditions)
-                     for atom in self.body)
-
     def produced_relationship_specs(self) -> Tuple[RelationshipSpec, ...]:
         """Per head atom, the relationships its derived facts can carry
-        — the rule's output signature for stratification."""
+        — the rule's output signature, for Delete/Rederive's head
+        table."""
         return tuple(atom_relationship_spec(atom, self.conditions)
                      for atom in self.head)
 

@@ -1,10 +1,11 @@
-"""The closure fast path: compiled dispatch, strata, and result caches.
+"""The closure fast path: relationship signatures and compiled dispatch.
 
-Covers the three layers of :mod:`repro.rules.dispatch` (compiled
-joins, the relationship-indexed dispatch index, SCC stratification),
-the versioned query/navigation cache, the fast
+Covers the two layers of :mod:`repro.rules.dispatch` (compiled joins
+and the relationship-indexed dispatch index) against the semi-naive
+reference, the :class:`~repro.db.Database` running that engine (and
+its answers following every write and rule toggle), the fast
 :meth:`~repro.core.store.FactStore.copy`, and the duplicate-condition
-pruning regression in the interpreted engines.
+pruning regression in every engine.
 """
 
 import pytest
@@ -19,8 +20,6 @@ from repro.rules.dispatch import (
     CompiledRuleSet,
     compile_ruleset,
     dispatched_closure,
-    rule_dependencies,
-    stratify,
 )
 from repro.rules.engine import (
     extend_closure,
@@ -74,47 +73,12 @@ class TestRelationshipSpecs:
 
 
 # ----------------------------------------------------------------------
-# Stratification
+# Compiled rules and the dispatch index
 # ----------------------------------------------------------------------
-class TestStratify:
-    def test_standard_rules_collapse_to_one_stratum(self):
-        # syn-source/syn-target consume and produce *any* relationship,
-        # so the full standard set is one big SCC.
-        strata = stratify(STANDARD_RULES)
-        assert len(strata) == 1
-        assert [r.name for r in strata[0]] == [
-            r.name for r in STANDARD_RULES]
-
-    def test_ablated_rules_split_into_ordered_strata(self):
-        ablated = [r for r in STANDARD_RULES
-                   if not r.name.startswith("syn-")]
-        strata = stratify(ablated)
-        assert len(strata) > 1
-        # Topological soundness: no rule in a later stratum feeds a
-        # rule in an earlier one.
-        for later_index in range(1, len(strata)):
-            for earlier_index in range(later_index):
-                for producer in strata[later_index]:
-                    for consumer in strata[earlier_index]:
-                        assert not any(
-                            specs_overlap(p, c)
-                            for p in
-                            producer.produced_relationship_specs()
-                            for c in
-                            consumer.consumed_relationship_specs()), (
-                            f"{producer.name} (stratum {later_index})"
-                            f" feeds {consumer.name}"
-                            f" (stratum {earlier_index})")
-
-    def test_dependencies_are_a_sound_overapproximation(self):
-        edges = rule_dependencies(STANDARD_RULES)
-        by_name = {r.name: i for i, r in enumerate(STANDARD_RULES)}
-        # ≺-transitivity feeds itself and the inheritance rules.
-        gen = by_name["gen-transitive"]
-        assert gen in edges[gen]
-        assert by_name["gen-source"] in edges[gen]
-
-    def test_stratified_closure_matches_on_ablated_rules(self):
+class TestDispatch:
+    def test_closure_matches_on_ablated_rules(self):
+        # Without both synonym rules nothing consumes every
+        # relationship; the closure still runs the reference's rounds.
         ablated = [r for r in STANDARD_RULES
                    if not r.name.startswith("syn-")]
         facts = [Fact("A", ISA, "B"), Fact("B", ISA, "C"),
@@ -124,13 +88,9 @@ class TestStratify:
         reference = semi_naive_closure(facts, ablated, context)
         fast = dispatched_closure(facts, ablated, context)
         assert set(fast.store) == set(reference.store)
+        assert fast.iterations == reference.iterations
         assert fast.rule_firings == reference.rule_firings
 
-
-# ----------------------------------------------------------------------
-# Compiled rules and the dispatch index
-# ----------------------------------------------------------------------
-class TestDispatch:
     def test_standard_rules_identical_closure_and_attribution(self):
         facts = [Fact("A", ISA, "B"), Fact("B", ISA, "C"),
                  Fact("M", SYN, "A"), Fact("I", MEMBER, "A"),
@@ -147,28 +107,26 @@ class TestDispatch:
 
     def test_dispatch_index_buckets_by_pivot_relationship(self):
         compiled = compile_ruleset(STANDARD_RULES)
-        group = compiled.all_rules
-        assert ISA in group.by_relationship
+        assert ISA in compiled.by_relationship
         # The synonym-substitution pivots land in the wildcard bucket.
-        wildcard_rules = {cr.rule.name for cr in group.wildcard}
+        wildcard_rules = {cr.rule.name for cr in compiled.wildcard}
         assert "syn-source" in wildcard_rules
         # The ordinary-relationship inheritance pivots are guarded by
         # NotSpecial, so they sit in the nonspecial bucket.
-        nonspecial_rules = {cr.rule.name for cr in group.nonspecial}
+        nonspecial_rules = {cr.rule.name for cr in compiled.nonspecial}
         assert "gen-source" in nonspecial_rules
 
     def test_select_skips_unreachable_rules(self):
         compiled = compile_ruleset(STANDARD_RULES)
-        group = compiled.all_rules
-        active = group.select({ISA})
-        assert len(active) < len(group)
+        active = compiled.select({ISA})
+        assert len(active) < len(compiled.compiled)
         names = {cr.rule.name for cr in active}
         assert "gen-transitive" in names
         # No delta relationship can feed the ∈-pivoted bodies.
         assert all(cr.pivot_spec != MEMBER for cr in active)
         # A non-special relationship additionally wakes the nonspecial
         # bucket.
-        wider = group.select({ISA, "OWNS"})
+        wider = compiled.select({ISA, "OWNS"})
         assert len(wider) > len(active)
 
     def test_skipped_rules_counter_and_equivalence(self):

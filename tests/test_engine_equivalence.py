@@ -1,7 +1,7 @@
 """Randomized engine-equivalence suite.
 
 The three closure engines — naive, semi-naive, and dispatched
-(compiled + relationship-indexed + stratified) — implement the same
+(compiled + relationship-indexed) — implement the same
 §2.6 fixpoint with very different machinery.  This suite drives all
 three over seeded random databases mixing every special relationship
 family and asserts they agree on the closure, on firing totals, and on
@@ -139,20 +139,23 @@ def test_dispatched_provenance_is_bit_identical(seed):
     assert list(fast.provenance) == list(semi.provenance)
 
 
-@pytest.mark.parametrize("seed", range(6))
+#: Seed 6 drops both synonym rules, which a random 0.6 draw rarely does.
+@pytest.mark.parametrize("seed", range(7))
 def test_engines_agree_on_ablated_rule_sets(seed):
-    """Random rule subsets exercise multi-stratum evaluation (the full
-    standard set collapses into a single stratum)."""
+    """Random rule subsets run the same rounds as the reference: the
+    same closure, rounds, firings and provenance in insertion order."""
     rng = random.Random(1000 + seed)
     rules = [r for r in STANDARD_RULES if rng.random() < 0.6]
+    if seed == 6:
+        rules = [r for r in STANDARD_RULES if not r.name.startswith("syn-")]
     if not rules:
         rules = [STANDARD_RULES[0]]
     facts = _random_database(seed)
     context = _context(facts)
-    semi = semi_naive_closure(facts, rules, context)
-    fast = dispatched_closure(facts, rules, context)
-    assert set(fast.store) == set(semi.store), \
+    semi = semi_naive_closure(facts, rules, context, trace=True)
+    fast = dispatched_closure(facts, rules, context, trace=True)
+    assert list(fast.store) == list(semi.store), \
         f"seed {seed}, rules {[r.name for r in rules]}"
-    # Firing *totals* match even when stratification reorders rounds.
-    assert sum(fast.rule_firings.values()) == \
-        sum(semi.rule_firings.values())
+    assert fast.iterations == semi.iterations
+    assert fast.rule_firings == semi.rule_firings
+    assert list(fast.provenance.items()) == list(semi.provenance.items())
