@@ -3,7 +3,8 @@
 per workload, the side that runs first swapped every workload.  Every
 run's last stdout line is appended to RUNS.jsonl with its side; the
 per-layer rows (``setup.*``, ``dispatch.*``, …) are in its
-``metrics``.  Run it alone, like ``../pr28/pairs.py``.
+``metrics``.  Run it alone, like ``tools/bench_pairs.py``; ``tools/bench_pairs.py
+--summarize RUNS.jsonl`` reads the log back.
 """
 import json
 import subprocess

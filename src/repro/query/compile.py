@@ -47,21 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Set, Tuple, Union as TUnion
 
-from ..core.entities import BOTTOM, ISA, TOP
 from ..core.errors import QueryError
 from ..core.facts import Variable
 from ..virtual.computed import FactView
-from ..virtual.math_facts import MathRelation
 from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
 from .planner import Estimates
-
-#: Relationship constants whose templates the executor's id leaf
-#: answers on strings: the comparators (math facts) and ``≺``
-#: (reflexive generalization).  The third standard virtual relation,
-#: endpoint witnessing — ``Δ`` as relationship or target, ``∇`` as
-#: source — is a stored-fact probe with the endpoint left open, and
-#: stays in id space.
-_STRING_RELS = frozenset(MathRelation.HANDLED) | {ISA}
 
 
 class PlanNode:
@@ -113,8 +103,8 @@ class AtomJoin(PlanNode):
     #: Per-generation interned ground constants
     #: (:class:`AtomIdAnnotation`), bound by the executor the first
     #: time this node runs (a ``∀`` body runs once per domain chunk)
-    #: and validated there by generation identity — a cache, never a
-    #: correctness requirement.
+    #: and validated there by generation and relations identity — a
+    #: cache, never a correctness requirement.
     id_ann: object = field(default=None, repr=False, compare=False)
     op = "atom-join"
 
@@ -230,28 +220,32 @@ class CompiledPlan:
 
 
 class AtomIdAnnotation:
-    """One AtomJoin's ground constants interned against one generation.
+    """One AtomJoin's ground constants interned against one generation,
+    and the computed relations they trigger.
 
     ``ground[p]`` is ``None`` for variable positions, else
     ``(name, base id or None)`` — ``None`` id meaning the generation
     never saw the constant, so it can only match through the overlay or
-    a virtual relation.  The trigger flags record whether the *ground*
-    components alone make a standard virtual relation handle every
-    substituted template — ``rel_string`` the two answered on strings,
-    ``open_positions`` the endpoint witness's ``(∇ source, Δ
-    relationship, Δ target)`` — bound-variable positions are tested per
-    key in id space by the executor.  Codec-independent — no scratch
-    ids — so one annotation is safely shared across threads and
-    executions of the same generation.  With no generation (a store
-    whose ids are its names) each constant is its own id.
+    a virtual relation.  ``triggers`` holds, per relation of
+    ``relations`` (a registry's, in order), which positions hold a
+    ground name its :attr:`~repro.virtual.computed.ComputedRelation.TRIGGERS`
+    declares — such a relation is triggered for every key — or ``None``
+    for a relation that declares none, which is asked for every key;
+    ``every_key`` says some relation is.  Bound-variable positions are
+    tested per key in id space by the executor.  Codec-independent — no
+    scratch ids — so one annotation is safely shared across threads and
+    executions over the same generation and relations.  With no
+    generation (a store whose ids are its names) each constant is its
+    own id.
     """
 
-    __slots__ = ("generation", "ground", "rel_string", "open_positions")
+    __slots__ = ("generation", "ground", "relations", "triggers", "every_key")
 
 
-def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
+def bind_atom_ids(pattern, generation, relations) -> AtomIdAnnotation:
     """Intern one template's ground constants against ``generation``
-    (``None``: the identity)."""
+    (``None``: the identity) and mark the ground triggers of
+    ``relations``."""
     ground: List = [None, None, None]
     for p, component in enumerate(pattern):
         if not isinstance(component, Variable):
@@ -260,11 +254,15 @@ def bind_atom_ids(pattern, generation) -> AtomIdAnnotation:
     ann = AtomIdAnnotation()
     ann.generation = generation
     ann.ground = tuple(ground)
-    source, relationship, target = pattern
-    ann.rel_string = (not isinstance(relationship, Variable)
-                      and relationship in _STRING_RELS)
-    ann.open_positions = (source == BOTTOM, relationship == TOP,
-                          target == TOP)
+    ann.relations = relations
+    ann.triggers, ann.every_key = [], False
+    s, r, t = [g and g[0] for g in ground]     # a variable: None
+    for relation in relations:
+        names = relation.TRIGGERS
+        marked = None if names is None else (
+            s in names[0], r in names[1], t in names[2])
+        ann.triggers.append(marked)
+        ann.every_key = ann.every_key or marked is None or True in marked
     return ann
 
 

@@ -19,8 +19,9 @@ across every dataset.
 
 Batch-friendly cancellation: deadline checkpoints
 (:mod:`repro.core.deadline`) fire at operator entry, between an
-atom's probe and its output pass, every :data:`CHECK_KEYS` keys of a
-virtual-relation merge, and every ``∀`` domain chunk — per batch, not
+atom's probe and its output pass, every
+:data:`~repro.virtual.computed.CHECK_KEYS` keys a computed relation is
+asked for, and every ``∀`` domain chunk — per batch, not
 per row — so a compiled query is cancellable without paying a flag
 test on the innermost loop.
 
@@ -46,13 +47,9 @@ from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Template, Variable
 from ..obs import telemetry as _obs
-from ..virtual.computed import FactView
-from ..virtual.math_facts import MathRelation
-from ..virtual.special import EndpointWitness, ReflexiveGeneralization
-from ..core.entities import BOTTOM, TOP
+from ..virtual.computed import CHECK_KEYS, FactView
 from .ast import And, Atom, Query
 from .compile import (
-    _STRING_RELS,
     AtomJoin,
     CompiledPlan,
     ForAllProbe,
@@ -65,20 +62,6 @@ from .compile import (
 )
 from .evaluate import Evaluator, check_safety, require_proposition
 from .planner import Estimates
-
-#: The virtual relations whose ``handles`` triggers the executor can
-#: test in id space (and whose endpoint witnessing it answers there).
-#: Under a registry of any other set of relation types every key of
-#: every atom crosses the string boundary (:func:`_merge_id_boundary`).
-_STANDARD_RELATIONS = frozenset((MathRelation, ReflexiveGeneralization,
-                                 EndpointWitness))
-
-#: :class:`_IdExec`'s trigger ids where the ids are the names.
-_NAME_TRIGGERS = (BOTTOM, TOP, _STRING_RELS, _STRING_RELS | {TOP})
-
-#: Distinct-key interval between deadline checkpoints inside the
-#: id leaf's virtual-relation merge.
-CHECK_KEYS = 1024
 
 #: Domain chunk size for the ``∀`` anti-probe: small enough that rows
 #: which fail early stop scanning, large enough to amortize the batch.
@@ -176,76 +159,65 @@ class PlanRun:
 
 
 class _IdExec:
-    """Id-space state over one store, shared by every plan an
-    evaluator runs while the store stands still: the store's codec
+    """Id-space state over one store and one registry, shared by every
+    plan an evaluator runs while both stand still: the store's codec
     (scratch ids over a generation's interner, or the identity where
-    the ids are the names), the encoded trigger ids that decide per
-    join key whether a standard virtual relation could contribute, and
-    an interned store's overlay (``None`` when empty), merged into
-    every probe.
+    the ids are the names), the registry's computed relations with
+    their declared triggers encoded through it (``trigger_ids``,
+    ``None`` for a relation that declares none; ``triggers``, per
+    position their union), and an interned store's overlay (``None``
+    when empty), merged into every probe.
     """
 
     __slots__ = ("store", "version", "gen", "codec", "overlay",
-                 "string_rel_ids", "rel_trigger_ids", "bottom_id", "top_id")
+                 "relations", "trigger_ids", "triggers")
 
-    def __init__(self, store):
+    def __init__(self, store, virtual):
         self.store = store
         self.version = store.version
         self.gen = store.generation
         # An interned store's additions; a hash store has no overlay.
         overlay = getattr(store, "_overlay", None)
         self.overlay = overlay if overlay else None
-        codec = store.id_codec()
-        self.codec = codec
-        #: ``string_rel_ids``: relationships answered on strings (``≺``,
-        #: the comparators); with ``Δ`` they are every relationship
-        #: that triggers.
-        if self.gen is None:
-            (self.bottom_id, self.top_id, self.string_rel_ids,
-             self.rel_trigger_ids) = _NAME_TRIGGERS
-            return
-        encode = codec.encode
-        self.bottom_id = encode(BOTTOM)
-        self.top_id = encode(TOP)
-        self.string_rel_ids = frozenset(map(encode, _STRING_RELS))
-        self.rel_trigger_ids = self.string_rel_ids | {self.top_id}
+        codec = self.codec = store.id_codec()
+        self.relations = tuple(virtual)
+        self.trigger_ids, self.triggers = [], [set(), set(), set()]
+        for relation in self.relations:
+            ids = relation.TRIGGERS
+            if ids is not None:
+                ids = [frozenset(map(codec.encode, names)) for names in ids]
+                for union, some in zip(self.triggers, ids):
+                    union |= some
+            self.trigger_ids.append(ids)
 
 
 def _id_exec(view: FactView, prior: Optional[_IdExec] = None) -> _IdExec:
     """The id-space state for one execution over ``view``; ``prior``
     (an evaluator's state from its previous plan) is handed back when
-    the store has not changed under it."""
+    neither the store nor the registry has changed under it."""
     store = view.store
     if prior is not None and prior.store is store \
-            and prior.version == store.version:
+            and prior.version == store.version \
+            and prior.relations == tuple(view.virtual):
         return prior
-    return _IdExec(store)
+    return _IdExec(store, view.virtual)
 
 
 class _Context:
-    """Per-execution state: the registry, the id-space state, stats.
+    """Per-execution state: the id-space state (registry included),
+    stats.
 
     With ``collect`` off (the evaluator's hot path when telemetry is
     disabled) no :class:`OperatorStats` rows are built or updated —
     per-operator accounting only exists for a consumer.
-
-    ``custom`` says the registry is not the standard three (it holds
-    another computed relation, or lacks one of them), so its triggers
-    cannot be tested in id space and every key goes through the string
-    boundary.
     """
 
-    __slots__ = ("virtual", "run", "stats", "collect", "ids", "custom",
-                 "estimates")
+    __slots__ = ("run", "stats", "collect", "ids", "estimates")
 
-    def __init__(self, view: FactView, run: PlanRun, ids: _IdExec,
-                 collect: bool = True):
-        self.virtual = view.virtual
+    def __init__(self, run: PlanRun, ids: _IdExec, collect: bool = True):
         self.run = run
         self.collect = collect
         self.ids = ids
-        self.custom = frozenset(map(type, view.virtual)) \
-            != _STANDARD_RELATIONS
         self.estimates = run.plan.estimates
         run.id_domain = ids.gen is not None
         # Stats rows are created in plan preorder so PlanRun.operators
@@ -305,7 +277,7 @@ def _run_plan(plan: CompiledPlan, view: FactView, table: BindingTable,
     """One plan execution from ``table`` (the unit table, or a wave's
     seed rows, encoded through ``ids.codec``)."""
     run = PlanRun(plan=plan)
-    ctx = _Context(view, run, ids, collect)
+    ctx = _Context(run, ids, collect)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.plans")
         if run.id_domain:
@@ -457,24 +429,25 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
     extensions are ids end-to-end — a generation's interned ints, or
     the names themselves on a store without one.
 
-    Stored facts come from :func:`_stored_id_extensions`.  Whether a
-    standard virtual relation can contribute is decided from the
-    plan's ground annotation plus the keys' bound ids — for the whole
-    batch first, then per key — so the common case (a non-trigger
-    relationship, no endpoint) pays nothing beyond the test.  An
-    endpoint — ``∇`` as source, ``Δ`` as relationship or target —
-    holds iff some stored fact witnesses the other positions, so it is
-    the same probe with that position left open and never leaves id
-    space; only ``≺``, the comparators and, under a registry with a
-    custom relation, every key go through the string boundary
-    (:func:`_merge_id_boundary`).
+    Stored facts come from :func:`_stored_id_extensions`.  Which
+    computed relations contribute is decided from the plan's ground
+    annotation plus the keys' bound ids against the triggers the
+    relations declare — for the whole batch first, then per relation
+    and per key — so the common case (no trigger anywhere) pays
+    nothing beyond the test.  Each relation then answers its triggered
+    keys itself
+    (:meth:`~repro.virtual.computed.ComputedRelation.extend_ids`):
+    endpoint witnessing as a stored probe with the endpoints left open,
+    ``≺``, the comparators and any relation that declares no triggers
+    across the string boundary.
     """
     ids = ctx.ids
     pattern = node.formula.pattern
     gen = ids.gen
     ann = node.id_ann
-    if ann is None or ann.generation is not gen:
-        ann = bind_atom_ids(pattern, gen)
+    if ann is None or ann.generation is not gen \
+            or ann.relations is not ids.relations:
+        ann = bind_atom_ids(pattern, gen, ids.relations)
         node.id_ann = ann
 
     # The positions a probe fixes, in srt order: ``(position, name, id,
@@ -492,61 +465,70 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
     extensions_per_key = _stored_id_extensions(
         ids, fixed, keys, new_positions, checks)
 
-    # Virtual triggering: ground triggers hold for every key;
-    # bound-variable positions are tested against the encoded trigger
-    # ids — first the whole batch, one C-level membership test per
-    # bound position, and key by key only when some key can trigger;
-    # unbound positions never trigger (a variable in the substituted
-    # template satisfies none of the standard handles).
-    rel_string = ann.rel_string or ctx.custom
-    ground_open = ann.open_positions
-    always_virtual = rel_string or True in ground_open
-    src_key, rel_key, tgt_key = key_of
-    rel_triggers, string_rels = ids.rel_trigger_ids, ids.string_rel_ids
-    bottom_id, top_id = ids.bottom_id, ids.top_id
-    if not (always_virtual
-            or (rel_key is not None and not rel_triggers.isdisjoint(
-                map(itemgetter(rel_key), keys)))
-            or (src_key is not None
-                and bottom_id in map(itemgetter(src_key), keys))
-            or (tgt_key is not None
-                and top_id in map(itemgetter(tgt_key), keys))):
-        return extensions_per_key
-    #: open positions -> the numbers of the keys they are open for
-    witnessed: Dict[Tuple[bool, bool, bool], List[int]] = {}
+    # Computed relations: a ground trigger holds for every key; a bound
+    # position triggers where its id is among the encoded trigger ids
+    # — first for the whole batch, one C-level membership test per
+    # bound position against every relation's; an unbound position
+    # never triggers.
+    if not ann.every_key:
+        for p, k in enumerate(key_of):
+            if k is not None and not ids.triggers[p].isdisjoint(
+                    map(itemgetter(k), keys)):
+                break
+        else:
+            return extensions_per_key
+
+    def probe(opened, some_keys):
+        return _stored_id_extensions(
+            ids, [slot for slot in fixed if not opened[slot[0]]],
+            some_keys, new_positions, checks)
+
+    for relation, trigger_ids, ground in zip(
+            ids.relations, ids.trigger_ids, ann.triggers):
+        numbers, opened = _triggered(keys, key_of, ground, trigger_ids)
+        if not numbers:
+            continue
+        found = relation.extend_ids(
+            pattern, key_of, [keys[n] for n in numbers], opened, probe,
+            ids.codec, ids.store, new_positions)
+        for n, extra in zip(numbers, found):
+            if extra:
+                # Witnesses of one key may project to one extension, and
+                # a stored fact or another relation may spell one out.
+                extensions_per_key[n] = list(dict.fromkeys(
+                    extensions_per_key[n] + extra))
+    return extensions_per_key
+
+
+def _triggered(keys: List[tuple], key_of: List[Optional[int]],
+               ground: Optional[Tuple[bool, ...]],
+               trigger_ids: Optional[List[frozenset]]
+               ) -> Tuple[Sequence[int], Optional[List[Tuple[bool, ...]]]]:
+    """The numbers of the ``keys`` that trigger one relation, and per
+    such key the positions that do: those ``ground`` marks, and each
+    bound position whose id is among the relation's ``trigger_ids``
+    there.  A position no key triggers is ruled out at C level.  A
+    relation that declares no triggers (``ground`` ``None``) is asked
+    for every key, with no positions."""
+    if ground is None:
+        return range(len(keys)), None
+    tests = [(p, k, trigger_ids[p]) for p, k in enumerate(key_of)
+             if k is not None and trigger_ids[p]
+             and not trigger_ids[p].isdisjoint(map(itemgetter(k), keys))]
+    if not tests and True not in ground:
+        return (), ()
+    numbers, opened = [], []
     for n, key in enumerate(keys):
         if _deadline.ACTIVE and n % CHECK_KEYS == 0:
             _deadline.check()
-        if not (always_virtual
-                or (rel_key is not None and key[rel_key] in rel_triggers)
-                or (src_key is not None and key[src_key] == bottom_id)
-                or (tgt_key is not None and key[tgt_key] == top_id)):
-            continue
-        if rel_string or (rel_key is not None
-                          and key[rel_key] in string_rels):
-            extensions_per_key[n] = _merge_id_boundary(
-                ctx, pattern, bound_vars, key, extensions_per_key[n],
-                new_positions, checks)
-            continue
-        opened = (
-            ground_open[0]
-            or (src_key is not None and key[src_key] == bottom_id),
-            ground_open[1]
-            or (rel_key is not None and key[rel_key] == top_id),
-            ground_open[2]
-            or (tgt_key is not None and key[tgt_key] == top_id))
-        witnessed.setdefault(opened, []).append(n)
-    for opened, numbers in witnessed.items():
-        found = _stored_id_extensions(
-            ids, [slot for slot in fixed if not opened[slot[0]]],
-            [keys[n] for n in numbers], new_positions, checks)
-        for n, witnesses in zip(numbers, found):
-            if witnesses:
-                # Witnesses of one key may project to one extension,
-                # and a stored fact may spell the endpoint out.
-                extensions_per_key[n] = list(dict.fromkeys(
-                    extensions_per_key[n] + witnesses))
-    return extensions_per_key
+        hit = list(ground)
+        for p, k, names in tests:
+            if key[k] in names:
+                hit[p] = True
+        if True in hit:
+            numbers.append(n)
+            opened.append(tuple(hit))
+    return numbers, opened
 
 
 def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
@@ -632,44 +614,6 @@ def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
                 tuple([encode(f[p]) for p in new_positions]))
     return extensions_per_key
 
-
-def _merge_id_boundary(ctx: _Context, pattern: Template,
-                       bound_vars: Tuple[Variable, ...],
-                       key: tuple, extensions: list,
-                       new_positions: List[int],
-                       checks: List[Tuple[int, int]]) -> list:
-    """The virtual-relation boundary of the id leaf: decode one
-    triggered key, match the registry on strings, and encode the
-    results back into (scratch-)id extensions.
-
-    Per key every non-new position is fixed, so extension tuples are in
-    bijection with matching facts — deduplicating virtual facts against
-    the merged extensions is a full-fact dedup (the stored layers
-    having been merged into ``extensions`` already).  Virtual facts are
-    re-checked against the template, as the reference engine's
-    ``view.solutions`` re-matches every fact, so a computed relation
-    that ever yields a non-matching fact degrades identically under
-    both engines.
-    """
-    ids = ctx.ids
-    codec = ids.codec
-    decode = codec.decode
-    encode = codec.encode
-    if key:
-        template = pattern.substitute(
-            {v: decode(i) for v, i in zip(bound_vars, key)})
-    else:
-        template = pattern
-    merged = list(extensions)
-    seen = set(merged)
-    for fact in ctx.virtual.match(template, ids.store):
-        if template.match(fact) is None:
-            continue
-        extension = tuple([encode(fact[p]) for p in new_positions])
-        if extension not in seen:
-            seen.add(extension)
-            merged.append(extension)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -892,9 +836,9 @@ class CompiledEvaluator(Evaluator):
     A plan lives for one evaluation: it is lowered against the view it
     runs on, so its join order and provably-empty hints are always
     that view's.  What one evaluator's plans do share is the id-space
-    state (:class:`_IdExec`: the store's codec, encoded trigger ids) —
-    a probe's own query and every wave after it run on one, for as
-    long as the store stands still.
+    state (:class:`_IdExec`: the store's codec, the registry's
+    encoded triggers) — a probe's own query and every wave after it
+    run on one, for as long as the store and registry stand still.
     """
 
     _ids: Optional[_IdExec] = None

@@ -8,31 +8,98 @@ ordinary facts."  This module provides the mechanism: a
 template-matching interface the :class:`~repro.core.store.FactStore`
 offers.
 
-Ground rule: a computed relation only contributes when the template's
-*relationship position is ground* and names that relation.  A fully
-open template such as ``(x, y, z)`` therefore matches only stored and
-derived facts — otherwise every navigation table would drown in the
-infinitely many mathematical facts the paper assumes.
+Trigger rule: a computed relation contributes to a template only when
+some *ground* position of the template holds a name the relation
+declares for that position (:attr:`ComputedRelation.TRIGGERS`) — a
+comparator or ``≺`` as relationship, ``∇`` as source, ``Δ`` as
+relationship or target.  So ``(∇, r, t)`` and ``(s, r, Δ)`` trigger
+endpoint witnessing with ``r`` a variable, while a variable triggers
+nothing: a fully open template such as ``(x, y, z)`` matches only
+stored and derived facts — otherwise every navigation table would drown
+in the infinitely many mathematical facts the paper assumes.  A
+relation that declares no triggers decides in its own
+:meth:`~ComputedRelation.handles`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import (Callable, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
+from ..core import deadline as _deadline
 from ..core.facts import Binding, Fact, Template
 from ..core.store import FactStore
+
+#: Key interval between deadline checkpoints where the compiled
+#: executor asks a computed relation key by key.
+CHECK_KEYS = 1024
 
 
 class ComputedRelation:
     """Interface for a virtually present family of facts.
 
-    Subclasses override :meth:`handles` and :meth:`facts`;
-    :meth:`estimate` feeds the query planner.
+    Subclasses declare :attr:`TRIGGERS` (or override :meth:`handles`)
+    and implement :meth:`facts`; :meth:`estimate` feeds the query
+    planner, and :meth:`extend_ids` answers the compiled executor.
     """
 
+    #: Per position — source, relationship, target — the names that
+    #: trigger this relation.  The compiled executor tests them on ids,
+    #: join key by join key; ``None`` leaves the decision to an
+    #: overriding :meth:`handles`, asked on names for every key.
+    TRIGGERS: Optional[Tuple[FrozenSet[str], ...]] = None
+
     def handles(self, pattern: Template) -> bool:
-        """True if this relation can contribute matches for ``pattern``."""
-        raise NotImplementedError
+        """True if this relation can contribute matches for ``pattern``:
+        some position holds a name :attr:`TRIGGERS` declares for it (a
+        variable never equals a name)."""
+        if self.TRIGGERS is None:
+            raise NotImplementedError
+        source, relationship, target = self.TRIGGERS
+        return bool(source and pattern.source in source
+                    or relationship and pattern.relationship in relationship
+                    or target and pattern.target in target)
+
+    def extend_ids(self, pattern: Template, key_of: Sequence[Optional[int]],
+                   keys: List[tuple], opened: Optional[List[tuple]],
+                   probe: Callable, codec, store: FactStore,
+                   new_positions: List[int]) -> List[list]:
+        """Per key, the extensions this relation adds to one atom of the
+        compiled executor, as ids.
+
+        ``keys`` are id tuples of the atom's bound variables, each one
+        that triggers this relation (``key_of[p]``: the component that
+        fills position ``p``, ``None`` where ``pattern`` holds a
+        constant or a new variable); ``opened`` marks, per key, the
+        positions that trigger it (``None`` when :attr:`TRIGGERS` is
+        not declared).  An extension is the tuple of ids at
+        ``new_positions``.  ``probe(opened, keys)`` answers keys from
+        the stored facts with the ``opened`` positions left open.
+
+        This form crosses the string boundary: decode the key, ask
+        :meth:`handles` and :meth:`facts` on names (an undeclared
+        relation is handed every key), re-check each fact against the
+        template
+        — the reference engine's ``view.solutions`` re-matches too, so
+        a relation that yields a non-matching fact degrades identically
+        under both engines — and encode the extensions through
+        ``codec``.
+        """
+        found = []
+        for n, key in enumerate(keys):
+            if _deadline.ACTIVE and n % CHECK_KEYS == 0:
+                _deadline.check()
+            template = Template(*[c if k is None else codec.decode(key[k])
+                                  for c, k in zip(pattern, key_of)])
+            extensions = []
+            if self.handles(template):
+                for fact in self.facts(template, store):
+                    if template.match(fact) is not None:
+                        extensions.append(
+                            tuple([codec.encode(fact[p])
+                                   for p in new_positions]))
+            found.append(extensions)
+        return found
 
     def facts(self, pattern: Template, store: FactStore) -> Iterator[Fact]:
         """Yield the virtual facts matching ``pattern``.

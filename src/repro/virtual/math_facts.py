@@ -72,10 +72,7 @@ class MathRelation(ComputedRelation):
     """The six comparators, as one computed relation."""
 
     HANDLED = frozenset(_ORDER_OPS) | {EQ, NE}
-
-    def handles(self, pattern: Template) -> bool:
-        return (isinstance(pattern.relationship, str)
-                and pattern.relationship in self.HANDLED)
+    TRIGGERS = (frozenset(), HANDLED, frozenset())
 
     # ------------------------------------------------------------------
     def _domain(self, store: FactStore, relationship: str) -> List[str]:

@@ -15,7 +15,7 @@ being stored:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Dict, Iterator, List, Tuple
 
 from ..core.entities import BOTTOM, ISA, TOP
 from ..core.facts import Fact, Template, Variable
@@ -27,8 +27,7 @@ class ReflexiveGeneralization(ComputedRelation):
     """``(E, ≺, E)``, ``(E, ≺, Δ)``, ``(∇, ≺, E)`` for the active
     domain plus the two virtual endpoints themselves."""
 
-    def handles(self, pattern: Template) -> bool:
-        return pattern.relationship == ISA
+    TRIGGERS = (frozenset(), frozenset({ISA}), frozenset())
 
     def _domain(self, store: FactStore):
         domain = set(store.entities())
@@ -117,16 +116,29 @@ class EndpointWitness(ComputedRelation):
     mathematical facts do not, or every pair of numbers would be
     ``Δ``-related.
 
-    This is the string form; the compiled executor answers the same
-    question as a stored-fact probe with the endpoint position left
-    open (``repro.query.exec._id_extensions``) and calls it only under
-    a registry with a custom relation, where every key crosses the
-    string boundary.
+    :meth:`facts` is the string form, which the reference engine and
+    :meth:`~repro.virtual.computed.VirtualRegistry.match` use; the
+    compiled executor asks :meth:`extend_ids`, the same question as a
+    stored-fact probe with the endpoint positions left open.
     """
 
-    def handles(self, pattern: Template) -> bool:
-        return (pattern.source == BOTTOM or pattern.relationship == TOP
-                or pattern.target == TOP)
+    TRIGGERS = (frozenset({BOTTOM}), frozenset({TOP}), frozenset({TOP}))
+
+    def extend_ids(self, pattern, key_of, keys, opened, probe, codec,
+                   store, new_positions) -> List[list]:
+        """Witnessing in id space: the keys opened at the same positions
+        are one stored-fact ``probe`` with those positions left open,
+        so a triggered key never leaves id space (overlay and
+        tombstones honoured like any probe's)."""
+        groups: Dict[Tuple[bool, ...], List[int]] = {}
+        for n, positions in enumerate(opened):
+            groups.setdefault(positions, []).append(n)
+        found: List[list] = [[] for _ in keys]
+        for positions, numbers in groups.items():
+            witnesses = probe(positions, [keys[n] for n in numbers])
+            for n, extensions in zip(numbers, witnesses):
+                found[n] = extensions
+        return found
 
     @staticmethod
     def _probe(pattern: Template) -> Template:

@@ -7,6 +7,7 @@ metric is judged against its ``BENCHMARK.json`` bound.
 """
 
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -127,3 +128,18 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path):
                      ("parent", 2), ("parent", 3), ("change", 3)]
     assert [r["ran"] for r in records] == ["first", "second"] * 3
     assert len(log.getvalue().splitlines()) == 6
+
+
+@pytest.mark.parametrize("pr", ["pr23", "pr25", "pr26", "pr28"])
+def test_summarize_reads_the_committed_pairs_logs(pr, capsys):
+    """The logs the deleted per-PR ``pairs.py`` copies wrote are read
+    whole by the one command: every workload in a log is reported."""
+    log = ROOT / "docs" / "measurements" / pr / "runs.jsonl"
+    workloads = {json.loads(line)["workload"] for line
+                 in log.read_text(encoding="utf-8").splitlines()
+                 if line.strip()}
+    assert len(workloads) == 4
+    assert bench_pairs.main(["--summarize", str(log)]) == 0
+    out = capsys.readouterr().out
+    for workload in workloads:
+        assert f"## {workload}: " in out, workload

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.browse.retraction import probe
 from repro.core.errors import QueryError
 from repro.core.facts import Fact, Template, Variable
 from repro.core.interned import OVERLAY_BUDGET
@@ -29,6 +30,8 @@ from repro.db import Database
 from repro.query import CompiledEvaluator, Evaluator
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
 from repro.query.explain import explain_analyze
+from repro.virtual import (EndpointWitness, MathRelation,
+                           ReflexiveGeneralization)
 from repro.virtual.computed import ComputedRelation, FactView, VirtualRegistry
 
 SEEDS = range(12)
@@ -114,9 +117,11 @@ def _views(variant: str):
 
 
 class _UpperEcho(ComputedRelation):
-    """A non-standard computed relation: (A, ECHOES, A) for every
-    entity.  Its triggers cannot be tested in id space, so under a
-    registry holding it every key crosses the string boundary."""
+    """A non-standard computed relation that declares no triggers:
+    (A, ECHOES, A) for every entity.  Its own ``handles`` can only be
+    asked on names, so under a registry holding it every key of every
+    atom is asked of it across the string boundary; the standard
+    relations beside it stay on ids."""
 
     def handles(self, pattern: Template) -> bool:
         return pattern.relationship == "ECHOES"
@@ -307,3 +312,70 @@ def test_a_registry_without_the_standard_relations(variant):
                  "(x, EARNS, s) and (s, >, 31000)"):
         assert _outcome(compiled, text) == _outcome(reference, text), \
             (variant, text)
+
+
+# ----------------------------------------------------------------------
+# Beside another relation, the standard ones stay on ids
+# ----------------------------------------------------------------------
+class _DeclaredEcho(_UpperEcho):
+    """``_UpperEcho`` with its trigger declared (``ECHOES`` as
+    relationship) and the ``handles`` derived from it."""
+
+    TRIGGERS = (frozenset(), frozenset({"ECHOES"}), frozenset())
+    handles = ComputedRelation.handles
+
+
+@pytest.fixture
+def string_calls(monkeypatch):
+    """The ``facts`` / ``handles`` calls — the string forms — of the
+    standard relations and of ``_DeclaredEcho``, outside the planner's
+    estimates (which ask ``handles`` of every relation)."""
+    calls, planning = [], []
+    estimate = VirtualRegistry.estimate
+
+    def planner_estimate(self, pattern, store):
+        planning.append(pattern)
+        try:
+            return estimate(self, pattern, store)
+        finally:
+            planning.pop()
+
+    monkeypatch.setattr(VirtualRegistry, "estimate", planner_estimate)
+    for cls in (MathRelation, ReflexiveGeneralization, EndpointWitness,
+                _DeclaredEcho):
+        for name in ("facts", "handles"):
+            def spy(self, pattern, *rest, _method=getattr(cls, name),
+                    _name=f"{cls.__name__}.{name}"):
+                if not planning:
+                    calls.append((_name, pattern))
+                return _method(self, pattern, *rest)
+            monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("echo", [_UpperEcho, _DeclaredEcho],
+                         ids=["undeclared", "declared"])
+def test_standard_relations_stay_on_ids_beside_another(echo,
+                                                       string_calls):
+    """On a compacted store, with another relation in the standard
+    registry — declaring its triggers or not — endpoint queries and a
+    failing probe's menu ask no standard relation, and no declared
+    relation they do not trigger, for anything on names; and they
+    answer as the reference engine does."""
+    db = _database(True, None)
+    view = FactView(db.view().store,
+                    VirtualRegistry([*db.view().virtual, echo()]))
+    compiled, reference = CompiledEvaluator(view), Evaluator(view)
+    for text in ("(∇, WORKS-FOR, x)", "(x, WORKS-FOR, Δ)"):
+        value = compiled.evaluate(text)
+        assert string_calls == [], text
+        assert value == reference.evaluate(text) != set(), text
+        string_calls.clear()
+    text = "(E0, WORKS-FOR, D1)"
+    result = probe(compiled, text, db.hierarchy())
+    assert string_calls == []
+    assert not result.succeeded and result.waves
+    assert result.menu() == probe(reference, text, db.hierarchy()).menu()
+    string_calls.clear()
+    echoes = "(x, ECHOES, y) and (x, WORKS-FOR, D1)"
+    assert compiled.evaluate(echoes) == reference.evaluate(echoes) != set()

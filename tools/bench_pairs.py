@@ -14,8 +14,9 @@ first every pair, so a host that drifts during the session favours
 neither.  Each run's last stdout line (the
 object the benchmark prints for whoever reads it) is appended to
 ``--log`` with its side, seed and position.  ``--summarize`` reads such
-logs back without running anything; it also reads the ``pairs.py`` logs
-under ``docs/measurements/``, which have the same shape.
+logs back without running anything; it also reads the older pairs logs
+under ``docs/measurements/`` (``pr{23,25,26,28}/runs.jsonl``), which
+have the same shape.
 
 It prints, per workload, one row per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the shift of the
@@ -193,8 +194,10 @@ def paired(records: Iterable[dict]) -> Dict[str, List[Tuple[dict, dict]]]:
 
 def report(records: Iterable[dict], catalog: List[dict],
            claims: Sequence[str] = (),
-           out: TextIO = sys.stdout) -> bool:
-    """Print the tables and verdicts; True when every claim holds."""
+           out: TextIO = None) -> bool:
+    """Print the tables and verdicts (to ``out``, by default the
+    current ``sys.stdout``); True when every claim holds."""
+    out = sys.stdout if out is None else out
     ok = True
     for workload, pairs in paired(records).items():
         parents = [p for p, _ in pairs]
