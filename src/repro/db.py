@@ -28,7 +28,7 @@ from .browse.lattice import ISA_PATTERN, GeneralizationLattice
 from .browse.navigation import NavigationResult, NavigationSession, navigate
 from .browse.retraction import DEFAULT_MAX_WAVES, ProbeResult, probe
 from .core.entities import (
-    CONTRA, EQ, GE, GT, INV, LE, LT, NE,
+    CONTRA, EQ, GE, GT, INV, ISA, LE, LT, NE,
     CLASS_RELATIONSHIP, INDIVIDUAL_RELATIONSHIP, MEMBER,
 )
 from .core.errors import IntegrityError, QueryError
@@ -134,6 +134,11 @@ class Database:
         self._hierarchy_rebuilds = 0
         self._hierarchy_patches = 0
         self._on_mutation = None  # set by storage.DurableSession.attach
+        # Set to a list by a serving writer for one batch: incremental
+        # maintenance appends the closure's net change to it as
+        # ("add" | "remove", fact) entries, and an invalidation sets it
+        # back to None — that batch recomputes the closure.
+        self._closure_log: Optional[List[Tuple[str, Fact]]] = None
         if with_axioms:
             self._base.add_all(AXIOM_FACTS)
         for initial in facts:
@@ -176,17 +181,9 @@ class Database:
         if not self._base.add(new_fact):
             return False
         if self._can_extend_incrementally(new_fact):
-            extend_closure(self._standard_result, (new_fact,),
-                           list(self.rules), self.rule_context(),
-                           compiled=self.rules.compiled())
-            # Composition (if on) and the derived caches rebuild lazily
-            # from the extended standard closure.
-            if self._full_result is not self._standard_result:
-                self._full_result = None
-            self._view = None
-            # New ≺ facts are patched into the lattice by the next
-            # hierarchy(), once for however many insertions came first.
-            self._hierarchy_stale = True
+            self._closure_changed(extend_closure(
+                self._standard_result, (new_fact,), list(self.rules),
+                self.rule_context(), compiled=self.rules.compiled()), ())
         else:
             self._invalidate()
         if self.auto_check:
@@ -231,48 +228,83 @@ class Database:
         if not self._base.discard(old_fact):
             return False
         if self._can_extend_incrementally(old_fact):
-            isa_before = self._isa_count()
-            delete_with_rederivation(
+            self._closure_changed((), delete_with_rederivation(
                 self._standard_result, self._base, old_fact,
                 list(self.rules), self.rule_context(),
-                compiled=self.rules.compiled())
-            if self._full_result is not self._standard_result:
-                self._full_result = None
-            self._view = None
-            if self._isa_count() != isa_before:
-                # The lattice cannot un-ingest a pair: drop it, and the
-                # next hierarchy() rebuilds.
-                self._hierarchy = None
-                self._hierarchy_bound = None
-                self._hierarchy_isa = -1
+                compiled=self.rules.compiled()).removed)
         else:
             self._invalidate()
         if self._on_mutation is not None:
             self._on_mutation("remove", old_fact)
         return True
 
-    def apply_delta(self, adds: Iterable[Fact] = (),
-                    removes: Iterable[Fact] = ()) -> Tuple[int, int]:
-        """Apply a replicated net-effect delta batch.
+    def apply_delta(self, delta) -> Tuple[int, int]:
+        """Apply one replicated batch record, derived once already.
 
         This is the replica-side entry point of the log-shipping
-        design (:mod:`repro.serve.replica`): the primary's writer
-        coalesces each published batch into disjoint net ``adds`` and
-        ``removes``, and a replica applies them here.  Removals go
-        first (a batch can free an entity name an add then reuses),
-        then insertions; both run through the normal mutation paths,
-        so a warm closure is maintained in place — Delete/Rederive for
-        removals, incremental extension for insertions — with no full
-        recompute.
+        design (:mod:`repro.serve.replica`).  ``delta`` is a
+        :class:`~repro.serve.replica.Delta`: the primary's writer
+        coalesced its batch into the net base ``adds`` / ``removes``
+        and the net change the batch's incremental maintenance made to
+        the standard closure (``closure_adds`` / ``closure_removes``),
+        plus the closure statistics it left.  Both halves are applied
+        here as plain store operations, removals first, and no rule
+        runs: the primary derived them.  A record without a closure
+        half (``closure_stats`` is ``None``: the batch recomputed the
+        closure) applies its base half and drops the closure, which
+        the next read recomputes — as it does when this database holds
+        no closure to apply the half to.
 
-        Application is idempotent: re-adding a present fact and
-        re-removing an absent one are no-ops, so a bootstrap that
-        already contains a prefix of the delta log can safely replay
-        the overlapping suffix.  Returns ``(added, removed)`` counts.
+        Set operations make application idempotent: re-adding a
+        present fact and re-removing an absent one are no-ops, so a
+        bootstrap that already reflects a prefix of the delta log can
+        replay the overlapping suffix and end where the primary did.
+        Returns the base ``(added, removed)`` counts.
         """
-        removed = sum(1 for f in removes if self.remove_fact(f))
-        added = sum(1 for f in adds if self.add_fact(f))
+        base = self._base
+        removed = sum(1 for f in delta.removes if base.discard(f))
+        added = sum(1 for f in delta.adds if base.add(f))
+        result = self._standard_result
+        stats = delta.closure_stats
+        if stats is None or result is None:
+            self._invalidate()
+            return added, removed
+        store = result.store
+        for f in delta.closure_removes:
+            store.discard(f)
+        for f in delta.closure_adds:
+            store.add(f)
+        result.base_count = stats["base_count"]
+        result.derived_count = stats["derived_count"]
+        result.iterations = stats["iterations"]
+        result.rule_firings = dict(stats["rule_firings"])
+        result.rule_times = dict(stats["rule_times"])
+        self._closure_changed(delta.closure_adds, delta.closure_removes)
         return added, removed
+
+    def _closure_changed(self, added: Sequence[Fact],
+                         removed: Sequence[Fact]) -> None:
+        """The one bookkeeping tail after the standard closure gained
+        ``added`` and lost ``removed`` in place — by an insertion, a
+        Delete/Rederive or a replicated record.  Composition (if on)
+        and the view rebuild lazily from it.  New ``≺`` facts are
+        patched into the lattice by the next :meth:`hierarchy`, once
+        for however many mutations came first; a lost one drops it
+        (the lattice cannot un-ingest a pair), and the next call
+        rebuilds.  A serving writer's log gets the change."""
+        if self._full_result is not self._standard_result:
+            self._full_result = None
+        self._view = None
+        if any(f.relationship == ISA for f in removed):
+            self._hierarchy = None
+            self._hierarchy_bound = None
+            self._hierarchy_isa = -1
+        elif any(f.relationship == ISA for f in added):
+            self._hierarchy_stale = True
+        log = self._closure_log
+        if log is not None:
+            log += [("remove", f) for f in removed]
+            log += [("add", f) for f in added]
 
     # ------------------------------------------------------------------
     # Snapshots (repro.serve)
@@ -336,6 +368,7 @@ class Database:
         if self._hierarchy is not None:
             self._hierarchy_shared = True
         clone._on_mutation = None
+        clone._closure_log = None
         return clone
 
     @staticmethod
@@ -523,6 +556,7 @@ class Database:
         self._hierarchy = None
         self._hierarchy_bound = None
         self._hierarchy_isa = -1
+        self._closure_log = None
 
     def rule_context(self) -> RuleContext:
         return RuleContext(classifier=RelationshipClassifier(self._base))

@@ -47,15 +47,21 @@ from .rule import Rule, RuleContext, specs_overlap
 
 @dataclass
 class DeletionStats:
-    """Work counters for tests and benchmarks: the facts each phase
-    moved, then the head unifications phase 3 tried and the pivot
-    facts it fed its compiled joins."""
+    """What one removal did: the facts each phase moved, the head
+    unifications phase 3 tried and the pivot facts it fed its compiled
+    joins, and ``removed``, the facts the closure lost — the endangered
+    ones nothing put back.  That is the closure's whole net change: a
+    removal never grows it, since everything the rederive and the
+    propagation add was endangered."""
 
     overdeleted: int = 0
     rederived: int = 0
     propagated: int = 0
     rederive_heads: int = 0
     rederive_candidates: int = 0
+    # Not a field: the fields are the counters the ``closure.delete``
+    # span carries (``dataclasses.asdict``), and this is facts.
+    removed = ()
 
 
 def delete_with_rederivation(result: ClosureResult, base: FactStore,
@@ -75,11 +81,13 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
             ``rules`` (:meth:`RuleRegistry.compiled` caches one);
             compiled here when not given.
 
-    The closure's provenance map (if any) is pruned of endangered
-    facts; rederived facts get fresh justifications.  With telemetry
-    on, each removal that reaches the closure is one ``closure.delete``
-    span carrying the returned counts, and the ``dispatch.rederive_candidates``
-    counter adds phase 3's pivot facts.
+    Returns the removal's :class:`DeletionStats`, whose ``removed`` is
+    the closure's net change.  The closure's provenance map (if any)
+    is pruned of endangered facts; rederived facts get fresh
+    justifications.  With telemetry on, each removal that reaches the
+    closure is one ``closure.delete`` span carrying the returned
+    counts, and the ``dispatch.rederive_candidates`` counter adds
+    phase 3's pivot facts.
     """
     stats = DeletionStats()
     store = result.store
@@ -151,6 +159,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
             stats.propagated = len(store) - before
+        stats.removed = [fact for fact in endangered if fact not in store]
 
         result.base_count -= 1
         result.derived_count = len(store) - result.base_count

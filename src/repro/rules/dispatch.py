@@ -660,7 +660,8 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
                context: RuleContext, firings: Dict[str, int],
                max_iterations: Optional[int] = None,
                provenance: Optional[Dict[Fact, Any]] = None,
-               rule_times: Optional[Dict[str, float]] = None) -> int:
+               rule_times: Optional[Dict[str, float]] = None,
+               added: Optional[List[Fact]] = None) -> int:
     """Dispatched semi-naive rounds until quiescence.
 
     The compiled twin of :func:`.engine._semi_naive_rounds`: ``store``
@@ -669,6 +670,10 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
     :class:`RoundDelta` built for ``compiled``, or the generation-sharing
     copy of an interned store — and the returned value is the number of
     rounds executed.  Each later round's delta is a :class:`RoundDelta`.
+    Like ``firings``, ``provenance`` and ``rule_times``, ``added`` is
+    filled in when given: the facts the rounds added to the store, in
+    insertion order (insertion maintenance reports them; a full closure
+    does not ask).
     """
     from .engine import APPLY, Justification
 
@@ -722,6 +727,8 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
             for fact in fresh:
                 if store.add(fact):
                     delta.add(fact)
+            if added is not None:
+                added.extend(fresh)     # each was new to the store
             if observing:
                 rule_times[APPLY] = (rule_times.get(APPLY, 0.0)
                                      + time.perf_counter() - apply_started)

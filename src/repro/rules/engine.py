@@ -86,6 +86,17 @@ class ClosureResult:
     def total(self) -> int:
         return len(self.store)
 
+    def statistics(self) -> dict:
+        """Everything but the store and the provenance, copied: what a
+        replica is sent beside the facts (:mod:`repro.serve.replica`)."""
+        return {
+            "base_count": self.base_count,
+            "derived_count": self.derived_count,
+            "iterations": self.iterations,
+            "rule_firings": dict(self.rule_firings),
+            "rule_times": dict(self.rule_times),
+        }
+
 
 def _checkable(conditions: Sequence[Condition],
                bound: Set[Variable]) -> List[int]:
@@ -332,7 +343,7 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
 
 def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
                    rules: Sequence[Rule], context: RuleContext,
-                   compiled=None) -> ClosureResult:
+                   compiled=None) -> List[Fact]:
     """Incrementally maintain a closure under fact *insertion*.
 
     ``new_facts`` are facts the caller just stored in the base heap.
@@ -341,7 +352,10 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     result's store is extended **in place** (so live views over it stay
     valid); statistics are updated to cover the extension — each new
     fact is one more base fact, and one fewer derived fact when the
-    closure already held it.
+    closure already held it.  Returns the facts the store gained — the
+    closure's net change, which an insertion never shrinks — in
+    insertion order: the new facts it did not hold yet, then what the
+    rounds derived.
 
     The rounds are the closure's own
     (:func:`~repro.rules.dispatch.run_rounds` over the whole rule set
@@ -371,6 +385,6 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
             result.iterations += run_rounds(
                 result.store, delta, compiled, context,
                 result.rule_firings, provenance=result.provenance,
-                rule_times=result.rule_times)
+                rule_times=result.rule_times, added=added)
     result.derived_count = len(result.store) - result.base_count
-    return result
+    return added

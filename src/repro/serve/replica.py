@@ -7,13 +7,18 @@ primary keeps its single writer thread, and each *worker process*
 holds a :class:`~repro.db.Database` replica *attached* to the
 generations the writer last folded (:class:`GenerationBootstrap` —
 shared-memory handles, never a copied heap), which it keeps current by
-applying ordered :class:`Delta` records — coalesced net fact mutations
-plus rule/limit control operations — shipped over a pipe.  Deltas ride
-the database's existing incremental maintenance
-(:meth:`repro.db.Database.apply_delta`: insertion extension and
-Delete/Rederive) into the replica's overlay; when the writer folds,
-the worker is sent the new generations in place of that batch's delta
-and re-attaches, so its overlay never outgrows the one budget
+applying ordered :class:`Delta` records shipped over a pipe.  A record
+carries what the primary's writer already derived: the batch's net
+change to the base heap *and* to the standard closure, plus the
+closure statistics it left, so a worker derives nothing — it applies
+both halves to its overlays as plain store operations
+(:meth:`repro.db.Database.apply_delta`) and runs no rule.  Only a
+batch the primary could not maintain incrementally (a rule or limit
+control, an ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback)
+ships no closure half; the writer folds after it, so workers are sent
+the closure to attach.  When the writer folds, the worker is sent the
+new generations in place of that batch's record and re-attaches, so
+its overlay never outgrows the one budget
 (:data:`~repro.core.interned.OVERLAY_BUDGET`).
 
 The parent half — sharing, spawning, routing, read-your-writes,
@@ -84,8 +89,16 @@ class Delta:
 
     ``adds`` and ``removes`` are the batch's *net* effect on the base
     heap (a fact added and removed inside one batch appears in
-    neither), so applying them in any order within the record is
-    equivalent to replaying the batch.  ``controls`` carries the
+    neither); ``closure_adds`` and ``closure_removes`` are its net
+    effect on the standard closure store, as the writer's incremental
+    maintenance reported it (insertion extension and Delete/Rederive,
+    coalesced the same way), and ``closure_stats`` the closure's
+    :meth:`~repro.rules.engine.ClosureResult.statistics` after the
+    batch.  Each pair is disjoint, so applying the record is a
+    handful of set operations, equivalent to replaying the batch.
+    ``closure_stats`` is ``None`` when the batch recomputed the
+    closure instead: the record then has no closure half, and a
+    replica that applies it recomputes.  ``controls`` carries the
     non-fact operations in application order: ``("limit", n)``,
     ``("include", name_or_rule)``, ``("exclude", name)``, and
     ``("define_rule", name, text, is_constraint)``.  ``folded`` says
@@ -99,6 +112,9 @@ class Delta:
     removes: Tuple[Fact, ...] = ()
     controls: Tuple[tuple, ...] = ()
     folded: bool = False
+    closure_adds: Tuple[Fact, ...] = ()
+    closure_removes: Tuple[Fact, ...] = ()
+    closure_stats: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.adds) + len(self.removes) + len(self.controls)
@@ -128,7 +144,7 @@ class GenerationBootstrap:
 
     base_handle: Any                      # core.interned.GenerationHandle
     closure_handle: Any
-    closure_stats: dict                   # ClosureResult scalars
+    closure_stats: dict                   # ClosureResult.statistics()
     rules: List[Rule]
     enabled: Dict[str, bool]
     composition_limit: Optional[int]
@@ -170,13 +186,7 @@ class GenerationBootstrap:
         return cls(
             base_handle=base_handle,
             closure_handle=closure_handle,
-            closure_stats={
-                "base_count": result.base_count,
-                "derived_count": result.derived_count,
-                "iterations": result.iterations,
-                "rule_firings": dict(result.rule_firings),
-                "rule_times": dict(result.rule_times),
-            },
+            closure_stats=result.statistics(),
             rules=snap.rules.all_rules(),
             enabled=snap.rules.snapshot_state(),
             composition_limit=snap.composition_limit,
@@ -204,8 +214,8 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     :class:`~repro.core.interned.InternedFactStore` over the
     parent-owned shared segment: zero fact copying, and the replica's
     incremental memory is its overlay plus whatever facts its reads
-    decode.  Deltas extend the attached closure in place, and it
-    never auto-checks: integrity was the primary's job at write
+    decode.  Records change the attached closure's overlay in place,
+    and it never auto-checks: integrity was the primary's job at write
     admission.  Deltas in ``state.deltas`` are **not** applied here —
     the caller replays them so it can track the resulting version (see
     :func:`replica_main`).
@@ -250,14 +260,15 @@ def release_attached_stores(db: Database) -> None:
 
 
 def apply_delta_message(db: Database, delta: Delta) -> None:
-    """Apply one shipped delta: net fact mutations, then controls.
+    """Apply one shipped delta: its base and closure halves, then
+    controls.
 
-    Fact mutations go through :meth:`~repro.db.Database.apply_delta`
-    (incremental maintenance); controls go through the same public
-    methods the primary used, so a rule toggle invalidates the
-    replica's closure exactly as it did the primary's.
+    The halves go through :meth:`~repro.db.Database.apply_delta` (store
+    operations, no rule); controls go through the same public methods
+    the primary used, so a rule toggle invalidates the replica's
+    closure exactly as it did the primary's.
     """
-    db.apply_delta(delta.adds, delta.removes)
+    db.apply_delta(delta)
     for control in delta.controls:
         kind = control[0]
         if kind == "limit":

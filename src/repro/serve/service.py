@@ -13,11 +13,14 @@ and closure each become one immutable columnar generation plus a small
 overlay of additions and tombstones, so a publish *shares* the
 generation and copies only the overlay.  The writer owns the fold: a
 batch that leaves a store's overlay above
-:data:`~repro.core.interned.OVERLAY_BUDGET` — or that held a rule or
-limit control, which recomputes the closure — folds it into a fresh
-generation before publishing (once per batch; ``stats()["store"]``),
-and says so on the batch's :class:`~repro.serve.replica.Delta`, which
-is what the replica pool shares with its workers.
+:data:`~repro.core.interned.OVERLAY_BUDGET` — or that recomputed the
+closure (a rule or limit control, an ``(r, ∈, R_c)`` declaration, an
+``auto_check`` rollback) — folds it into a fresh generation before
+publishing (once per batch; ``stats()["store"]``), and says so on the
+batch's :class:`~repro.serve.replica.Delta`, which is what the replica
+pool shares with its workers.  Every other batch's record carries the
+closure change the writer's incremental maintenance made, so the batch
+is derived once, here, and never again on a replica.
 The division of labour:
 
 * **Readers** grab a local reference to the published snapshot — a
@@ -102,14 +105,15 @@ def _as_fact(value) -> Fact:
 
 
 def _coalesce(entries) -> Tuple[Tuple[Fact, ...], Tuple[Fact, ...]]:
-    """A batch's journal entries as net ``(adds, removes)``.
+    """A batch's journal entries — or its closure log — as net
+    ``(adds, removes)``.
 
-    Journal entries record *effective* mutations, so per fact they
+    Both record *effective* mutations of one store, so per fact they
     strictly alternate add/remove: an even count cancels out (the batch
     left that fact as it found it) and an odd count nets to the final
     operation.  Replicas therefore apply exactly the batch's net effect
-    on the base heap — which determines the closure — without replaying
-    intermediate flips.
+    on the base heap and on the closure, without replaying intermediate
+    flips.
     """
     last: dict = {}
     count: dict = {}
@@ -425,8 +429,13 @@ class DatabaseService:
         settled: List[Tuple[WriteTicket, Any, Optional[BaseException]]] = []
         batch_started_wall = time.time()
         batch_started = time.perf_counter()
+        db = self._db
         with span:
             journal_entries: List[Tuple[str, Fact]] = []
+            # The closure's net change, as maintenance reports it; an
+            # invalidation (a control, an (r, ∈, R_c) declaration, an
+            # auto_check rollback) sets it back to None.
+            db._closure_log = []  # noqa: SLF001
             controls: List[tuple] = []
             mutated = False
             checkpoints: List[int] = []     # indexes into ``settled``
@@ -489,15 +498,18 @@ class DatabaseService:
                     settled.append((ticket, None, error))
                 else:
                     settled.append((ticket, outcome, None))
+            closure_entries = db._closure_log  # noqa: SLF001
+            db._closure_log = None  # noqa: SLF001
             if journal_entries and self._session is not None:
                 self._session.record_batch(journal_entries)
             delta = None
             if mutated:
                 publish_started = time.perf_counter()
-                # A control recomputed the closure: re-found it now, so
+                # The batch recomputed the closure: re-found it now, so
                 # replicas attach the result instead of recomputing it.
                 folded = self._fold_if_due(
-                    0 if fold_asked or controls else OVERLAY_BUDGET)
+                    0 if fold_asked or closure_entries is None
+                    else OVERLAY_BUDGET)
                 snap = self._build_snapshot()
                 pause = time.perf_counter() - publish_started - folded
                 self._publish_pause_last = pause
@@ -507,9 +519,18 @@ class DatabaseService:
                 self._applied_seq += 1
                 self._published_state = (snap, self._applied_seq)
                 adds, removes = _coalesce(journal_entries)
+                closure_adds = closure_removes = ()
+                closure_stats = None
+                if closure_entries is not None:
+                    closure_adds, closure_removes = _coalesce(
+                        closure_entries)
+                    closure_stats = db.standard_closure().statistics()
                 delta = Delta(version=self._applied_seq, adds=adds,
                               removes=removes, controls=tuple(controls),
-                              folded=folded > 0.0)
+                              folded=folded > 0.0,
+                              closure_adds=closure_adds,
+                              closure_removes=closure_removes,
+                              closure_stats=closure_stats)
                 if _obs.ENABLED:
                     _obs.TELEMETRY.gauge("serve.publish_pause_seconds",
                                          pause)
@@ -579,7 +600,8 @@ class DatabaseService:
     def _fold_if_due(self, budget: int) -> float:
         """Fold the master's stores into fresh generations when a
         batch left one of them over ``budget`` (the overlay budget, or
-        0 for a batch that held a :meth:`fold` or a control); returns
+        0 for a batch that held a :meth:`fold` or recomputed the
+        closure); returns
         the seconds the fold took (0.0 when none was due).
 
         Once per batch, however many facts it held.  Store versions

@@ -19,8 +19,12 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.db as db_module
+from repro.core.entities import CLASS_RELATIONSHIP, CONTRA, ISA, MEMBER
+from repro.core.errors import IntegrityError
 from repro.core.facts import Fact
 from repro.db import Database
+from repro.rules import deletion, dispatch
 from repro.serve import DatabaseService
 from repro.serve.replica import (
     GenerationBootstrap,
@@ -118,8 +122,10 @@ def test_delta_replay_is_bit_identical(seed):
 def test_overlap_replay_is_idempotent(seed):
     """The overlap case: a replica whose bootstrap state is already
     *ahead* of the delta suffix it then receives must be unchanged by
-    re-applying those deltas — re-adding a present fact and
-    re-removing an absent one are no-ops."""
+    re-applying those deltas.  Both halves of a record are set
+    operations, so the replay is exactly idempotent: each fact a
+    record touches ends as the last record touching it left it — as
+    it already is in the final state — and every other fact stays."""
     facts = _random_database(seed)
     service = DatabaseService(Database(facts))
     deltas = []
@@ -135,7 +141,7 @@ def test_overlap_replay_is_idempotent(seed):
             # suffix that state already reflects.  (Controls are not
             # re-applied: the bootstrap carries the configuration.)
             for delta in deltas[-5:]:
-                replica.apply_delta(delta.adds, delta.removes)
+                replica.apply_delta(delta)
             _assert_identical(replica, reference, seed)
     finally:
         service.close()
@@ -182,5 +188,157 @@ def test_coalesced_add_remove_cancels():
                 apply_delta_message(replica, delta)
             assert set(replica.facts) == set(reference.facts)
             assert not replica.ask("(FLASH, ∈, TRANSIENT)")
+    finally:
+        service.close()
+
+
+#: The ``stats()`` fields a replica takes from the records it applies.
+CLOSURE_FIELDS = ("closure_facts", "derived_facts", "iterations",
+                  "rule_firings")
+
+
+@pytest.fixture()
+def rule_engine_calls(monkeypatch):
+    """Every call into the rule engine's fixpoint and maintenance entry
+    points — the closure's rounds, insertion extension, Delete/Rederive
+    — by name."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(dispatch, "run_rounds")
+    spy(deletion, "run_rounds")
+    spy(db_module, "extend_closure")
+    spy(db_module, "delete_with_rederivation")
+    return calls
+
+
+def _recorded(service: DatabaseService) -> list:
+    """``(delta, published snapshot)`` for every batch from here on:
+    subscribers run after publication, so the snapshot is the record's."""
+    records = []
+    service.subscribe_deltas(lambda delta: records.append(
+        (delta, service.published_state()[0])))
+    return records
+
+
+def _versions(db: Database):
+    """The base heap's and the standard closure store's versions."""
+    return db.facts.version, db.standard_closure().store.version
+
+
+def _not_behind(later, earlier) -> bool:
+    return all(a >= b for a, b in zip(later, earlier))
+
+
+def _replay_checked(replica: Database, version: int, records,
+                    calls: list, queries) -> int:
+    """Apply the records above ``version`` one by one and return the
+    version reached.  A record with a closure half runs no rule, and
+    after every record the replica is the snapshot the primary
+    published for it."""
+    for delta, primary in records:
+        if delta.version <= version:
+            continue
+        before = _versions(replica)
+        calls.clear()
+        apply_delta_message(replica, delta)
+        version = delta.version
+        if delta.closure_stats is not None and not delta.controls:
+            assert calls == [], delta
+            assert _not_behind(_versions(replica), before), delta
+        assert replica.facts.version >= before[0], delta
+        assert set(replica.facts) == set(primary.facts), delta
+        assert set(replica.closure().store) \
+            == set(primary.closure().store), delta
+        mine, theirs = replica.stats(), primary.stats()
+        for field in CLOSURE_FIELDS:
+            assert mine[field] == theirs[field], (field, delta)
+        for text in queries:
+            assert replica.query(text) == primary.query(text), text
+    return version
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fact_records_are_applied_not_derived(seed, rule_engine_calls):
+    facts = _random_database(seed)
+    service = DatabaseService(Database(facts))
+    try:
+        with attached_replica(service) as (replica, version):
+            records = _recorded(service)
+            _drive(service, random.Random(3000 + seed), 30)
+            assert any(delta.closure_stats is not None
+                       for delta, _ in records)
+            _replay_checked(replica, version, records, rule_engine_calls,
+                            [f"({e}, x, y)" for e in ("C0", "E0", "E1")])
+            # A re-attach to the primary's next fold never moves a
+            # version back: the replica counted net changes only.
+            service.fold()
+            with attached_replica(service) as (reattached, _):
+                assert _not_behind(_versions(reattached), _versions(replica))
+    finally:
+        service.close()
+
+
+def test_recomputing_mutations_ship_no_closure_half(rule_engine_calls):
+    """``≺`` facts come and go as records (the replica's lattice is
+    patched, then dropped); a relationship declaration and an
+    ``auto_check`` rollback recompute on the primary, which folds after
+    them and ships no closure half — applied as a record (what a
+    worker does when the fold's share fails), the replica recomputes
+    to the same closure and statistics."""
+    db = Database(auto_check=True)
+    for fact in (("ENGINEER", ISA, "EMPLOYEE"), ("SUE", MEMBER, "ENGINEER"),
+                 ("EMPLOYEE", "EARNS", "SALARY"),
+                 ("BOB", "WORKS-FOR", "SALES"), ("LIKES", CONTRA, "HATES"),
+                 ("ANN", "LIKES", "BOB")):
+        db.add(*fact)
+    service = DatabaseService(db)
+    queries = ["(x, EARNS, y)", "(x, WORKS-FOR, y)", "(x, ∈, y)"]
+    try:
+        with attached_replica(service) as (replica, version):
+            records = _recorded(service)
+
+            def replay():
+                return _replay_checked(replica, version, records,
+                                       rule_engine_calls, queries)
+
+            replica.hierarchy()
+            lattice = replica.stats()["hierarchy"]
+            service.add("MANAGER", ISA, "EMPLOYEE")
+            service.add("ANN", MEMBER, "MANAGER")
+            version = replay()
+            replica.hierarchy()
+            patched = replica.stats()["hierarchy"]
+            assert patched["patches"] == lattice["patches"] + 1
+            assert patched["rebuilds"] == lattice["rebuilds"]
+
+            service.remove("MANAGER", ISA, "EMPLOYEE")
+            version = replay()
+            assert not replica.stats()["hierarchy"]["cached"]
+            replica.hierarchy()
+            assert replica.stats()["hierarchy"]["rebuilds"] \
+                == lattice["rebuilds"] + 1
+            assert service.stats()["folds"] == 0
+
+            service.add("WORKS-FOR", MEMBER, CLASS_RELATIONSHIP)
+            with pytest.raises(IntegrityError):
+                service.add_facts([("CARL", MEMBER, "ENGINEER"),
+                                   ("ANN", "HATES", "BOB")])
+            recomputed = [delta for delta, _ in records[3:]]
+            assert len(recomputed) == 2
+            for delta in recomputed:
+                assert delta.closure_stats is None and delta.folded
+                assert delta.closure_adds == delta.closure_removes == ()
+            assert recomputed[1].adds == (Fact("CARL", MEMBER, "ENGINEER"),)
+            assert service.stats()["folds"] == 2
+            replay()
     finally:
         service.close()

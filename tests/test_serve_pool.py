@@ -489,6 +489,35 @@ class TestGenerationBootstrap:
                 assert pool.ask("(COMPACT, EARNS, SALARY)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
+    def test_declaration_ends_in_a_fold_and_a_reattach(self, pooled):
+        """An ``(r, ∈, R_c)`` declaration is the one fact the primary
+        cannot maintain incrementally: it recomputes, folds after the
+        batch, and every worker attaches that closure — a fact record
+        never makes a worker recompute."""
+        service, pool = pooled
+        ticket = service.add_async(("JOHN", "WORKS-FOR", "SALES"))
+        _settle(pool, ticket)
+        assert service.stats()["folds"] == 0
+        assert pool.stats()["generation_log"] == 1
+        ticket = service.add_async(("EARNS", "∈", "CLASS-RELATIONSHIP"))
+        _settle(pool, ticket)
+        assert service.stats()["folds"] == 1
+        stats = pool.stats()
+        assert stats["compactions"] == 1
+        assert stats["generation_seq"] == ticket.version
+        assert stats["generation_log"] == 0
+        assert stats["retired_segments"] == 0
+        primary = service.database_stats()
+        for _ in range(2):          # rotation: once per worker
+            replica = pool.database_stats(min_version=ticket.version)
+            for field in ("closure_facts", "derived_facts", "iterations",
+                          "rule_firings"):
+                assert replica[field] == primary[field], field
+        with primary_busy(pool):
+            # EARNS is a class relationship now: JOHN inherits nothing.
+            assert not pool.ask("(JOHN, EARNS, SALARY)", ticket=ticket)
+            assert pool.ask("(JOHN, WORKS-FOR, SALES)", ticket=ticket)
+
     def test_auto_compaction_folds_log_without_failed_reads(self):
         """The regression behind the one lifecycle: writes past several
         budgets leave a worker attached to the writer's last fold with
