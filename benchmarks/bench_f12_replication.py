@@ -439,7 +439,7 @@ def run_observed_pass(depth: int, fanout: int, instances: int,
                 ticket.result(60.0)
             for index in range(reads):
                 pool.query(queries[index % len(queries)])
-            snapshot = pool.metrics(refresh=True)
+            snapshot = pool.metrics()
         finally:
             pool.close()
             service.close()

@@ -249,11 +249,11 @@ class Database:
         the standard closure (``closure_adds`` / ``closure_removes``),
         plus the closure statistics it left.  Both halves are applied
         here as plain store operations, removals first, and no rule
-        runs: the primary derived them.  A record without a closure
-        half (``closure_stats`` is ``None``: the batch recomputed the
-        closure) applies its base half and drops the closure, which
-        the next read recomputes — as it does when this database holds
-        no closure to apply the half to.
+        runs: the primary derived them.  The record must carry a
+        closure half and this database must hold the closure it
+        applies to: a replica attached one, and a batch that
+        recomputed the closure (``closure_stats`` is ``None``) reaches
+        it as generations to attach, never as a record.
 
         Set operations make application idempotent: re-adding a
         present fact and re-removing an absent one are no-ops, so a
@@ -266,9 +266,6 @@ class Database:
         added = sum(1 for f in delta.adds if base.add(f))
         result = self._standard_result
         stats = delta.closure_stats
-        if stats is None or result is None:
-            self._invalidate()
-            return added, removed
         store = result.store
         for f in delta.closure_removes:
             store.discard(f)

@@ -96,4 +96,5 @@ def parse_rule(text: str, name: str,
         conditions=tuple(guards),
         description=f"user rule: {text.strip()}",
         is_constraint=is_constraint,
+        text=text,
     )

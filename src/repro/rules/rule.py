@@ -231,6 +231,10 @@ class Rule:
             derived facts express *required* relationships (§2.5); the
             integrity checker reports, rather than silently tolerates,
             their contradiction.
+        text: the text the rule was parsed from
+            (:meth:`~repro.db.Database.define_rule`), which a
+            checkpoint writes to the snapshot; empty for a rule built
+            in code.
     """
 
     name: str
@@ -239,6 +243,7 @@ class Rule:
     conditions: Tuple[Condition, ...] = ()
     description: str = ""
     is_constraint: bool = False
+    text: str = ""
 
     def __post_init__(self):
         if not self.name:
@@ -284,6 +289,7 @@ class Rule:
                 _rename_condition(c, mapping) for c in self.conditions),
             description=self.description,
             is_constraint=self.is_constraint,
+            text=self.text,
         )
 
     def __str__(self) -> str:

@@ -30,9 +30,9 @@ backward compatible (old clients simply omit the new fields):
   server (and, through the pool, its replica workers) contributed, for
   the client to stitch into one tree
   (:mod:`repro.obs.context`);
-* ``{"op": "metrics"}`` returns the pool-wide merged metrics snapshot
-  (``{"format": "prometheus"}`` for text exposition,
-  ``{"refresh": true}`` to heartbeat the workers first);
+* ``{"op": "metrics"}`` returns the pool-wide merged metrics snapshot,
+  asked of the live workers as it is read (``{"format": "prometheus"}``
+  for text exposition; an old client's ``"refresh"`` is ignored);
 * ``{"op": "slowlog"}`` returns the service's slow-query records.
 
 Framing is bytes on both ends: each side reads the socket into its own
@@ -407,7 +407,7 @@ class ServiceServer:
             return info
         if op == "metrics":
             if pool is not None:
-                snapshot = pool.metrics(refresh=bool(request.get("refresh")))
+                snapshot = pool.metrics()
             else:
                 snapshot = _obs.active_telemetry().snapshot()
             if request.get("format") == "prometheus":
@@ -643,12 +643,10 @@ class ServiceClient:
     def database_stats(self, deadline: Optional[float] = None) -> dict:
         return self._call("db_stats", deadline=deadline)
 
-    def metrics(self, format: Optional[str] = None,
-                refresh: bool = False):
+    def metrics(self, format: Optional[str] = None):
         """The server's (pool-wide, merged) metrics snapshot;
         ``format="prometheus"`` returns exposition text instead."""
-        return self._call("metrics", format=format,
-                          refresh=refresh or None)
+        return self._call("metrics", format=format)
 
     def slowlog(self, limit: Optional[int] = None) -> dict:
         """The server's slow-query log:
@@ -769,7 +767,7 @@ class RemoteShell:
         if command == "metrics":
             if rest.strip() == "prometheus":
                 return client.metrics(format="prometheus").rstrip()
-            snapshot = client.metrics(refresh=True)
+            snapshot = client.metrics()
             lines = [f"{name}: {value}" for name, value
                      in sorted(snapshot.get("counters", {}).items())]
             for name, histogram in sorted(

@@ -9,28 +9,37 @@ worker *processes* each hold a :class:`~repro.db.Database` replica,
 kept current by the ordered delta log the writer emits after every
 published batch (:meth:`DatabaseService.subscribe_deltas`).
 
-One generation lifecycle, driven by the writer's fold::
+One generation lifecycle, driven by the writer::
 
-    fold ──► share ──► attach ──► unlink
-    writer   pool      workers    pool, on the last worker's ack
+    fold / recompute ──► share ──► attach ──► unlink
+    writer               pool      workers    pool, on the last ack
 
 The pool never builds a generation.  At construction it copies the
 published snapshot's base and closure generations into shared memory
 (:meth:`GenerationBootstrap.share
 <repro.serve.replica.GenerationBootstrap.share>`) and every worker
-*attaches* them; a batch whose :class:`~repro.serve.replica.Delta`
-says the writer folded makes the pool share the generations the fold
-produced and send workers those *instead of* the delta, and the
-retired segments are unlinked when the last live worker has
-acknowledged the re-attach.  Between folds, deltas go through each
-replica's incremental maintenance (insertion extension and
-Delete/Rederive) into its overlay, and are buffered for workers yet to
-spawn — so a worker's overlay, the buffer and a respawn's replay are
-all bounded by the budget that makes the writer fold
-(:data:`~repro.core.interned.OVERLAY_BUDGET`), and the paper's §6
-operators (``limit`` / ``include`` / ``exclude``), whose batches the
-writer always ends in a fold, reach workers as a closure to attach,
-not one to recompute.
+*attaches* them.  Each published batch then reaches a worker one way:
+
+* a batch whose :class:`~repro.serve.replica.Delta` carries a closure
+  half and did not fold is sent as that record, which the worker
+  applies as store operations (and which is buffered for workers yet
+  to spawn);
+* a batch that folded, or that recomputed the closure (a rule or limit
+  control, an ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback:
+  ``closure_stats`` is ``None``), makes the pool share the snapshot
+  published for it, and workers are sent those generations *instead
+  of* the record; the retired segments are unlinked when the last
+  live worker has acknowledged the re-attach.
+
+So a worker only applies or attaches — it never runs a rule — and its
+overlay, the buffer and a respawn's replay are all bounded by the
+budget that makes the writer fold
+(:data:`~repro.core.interned.OVERLAY_BUDGET`).  A share that shared
+memory refuses is counted (``share_failures``).  After a fold, workers
+take that batch as a record, as before.  After a recompute they could
+not follow it, so the pool is *behind*: it sends workers nothing and
+routes them no read until its next successful share — the writer's
+next fold — re-attaches them.
 
 Reads are routed primary first: the primary's published snapshot is
 always current and lock-free, so a read that finds no other pool read
@@ -47,12 +56,17 @@ item 6).  Read-your-writes is preserved on both
 routes: the primary is current by construction, and a spilled read
 carrying a settled :class:`~repro.serve.service.WriteTicket` is only
 dispatched to workers whose applied replication sequence has reached
-the ticket's; when no replica is fresh enough (or none is alive) the
-read falls back to the primary as well.  A crashed worker is detected
-by its pipe closing, its inflight requests are retried on the primary,
-and a replacement is spawned that attaches the current generations and
-replays the buffered deltas — a durable service's workers included:
-nothing but the primary ever reads the directory.
+the ticket's; when no replica is fresh enough (or none is alive, or
+the pool is behind) the read falls back to the primary as well.  A
+crashed worker is detected by its pipe closing, its inflight requests
+are retried on the primary, and a replacement is spawned that attaches
+the current generations and replays the buffered deltas — a durable
+service's workers included: nothing but the primary ever reads the
+directory.
+
+Worker metrics are asked for when read: :meth:`ReplicaPool.metrics`
+requests a snapshot from every live worker and merges the replies with
+the primary's registry; no thread polls in the background.
 
 Example::
 
@@ -92,6 +106,10 @@ from .replica import Delta, GenerationBootstrap, replica_main
 from .service import DatabaseService, WriteTicket
 
 __all__ = ["ReplicaPool"]
+
+#: Per-delta replication latency samples kept for
+#: :meth:`ReplicaPool.lag_stats`.
+LAG_SAMPLES = 4096
 
 
 class _Pending:
@@ -140,7 +158,7 @@ class _Worker:
         self.start_seq = start_seq
         self.receiver: Optional[threading.Thread] = None
         self.metrics_snapshot: Optional[dict] = None
-        self.metrics_seq = 0       # heartbeat snapshots received
+        self.metrics_seq = 0       # metrics snapshots received
         # Sequence of the shared generations this worker maps (or is
         # about to: every later pair is already in its pipe, in order).
         self.attached_seq = attached_seq
@@ -174,45 +192,35 @@ class ReplicaPool:
     Args:
         service: the primary.  The pool subscribes to its delta stream;
             writes still go through the service's own API.
-        workers: number of replica processes.
+        workers: number of replica processes; one that dies is
+            replaced.
         start_method: ``multiprocessing`` start method; default picks
             ``fork`` where available (fast spawn/respawn) and falls
             back to ``spawn``.
-        respawn: automatically replace crashed workers.
         read_timeout: default seconds to wait for a worker's answer
             when the read itself carries no deadline.
         ready_timeout: seconds the constructor waits for the workers.
-        lag_samples: how many per-delta replication latency samples to
-            retain for :meth:`lag_stats`.
-        heartbeat_interval: seconds between ``metrics_request``
-            heartbeats to workers (their snapshots feed
-            :meth:`metrics`).  ``None`` (default) starts a heartbeat
-            only when worker metrics are on — the parent's telemetry
-            was enabled when the pool was built — every 2 s; pass ``0``
-            to disable the background heartbeat entirely
-            (:meth:`refresh_metrics` still works on demand).
     """
 
     def __init__(self, service: DatabaseService, workers: int = 2, *,
                  start_method: Optional[str] = None,
-                 respawn: bool = True,
                  read_timeout: Optional[float] = 30.0,
-                 ready_timeout: float = 60.0,
-                 lag_samples: int = 4096,
-                 heartbeat_interval: Optional[float] = None):
+                 ready_timeout: float = 60.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._service = service
         # Generation lifecycle (all under self._lock): the shared pair
         # workers attach, the deltas published since it was shared
         # (replayed by workers that attach later), and pairs a fold
-        # replaced that some live worker has yet to let go of.
+        # replaced that some live worker has yet to let go of.  Behind:
+        # a recompute's share was refused, so workers are stale until
+        # the next share.
         self._gen: Optional[GenerationBootstrap] = None
         self._gen_log: List[Delta] = []
         self._retired: List[GenerationBootstrap] = []
+        self._behind = False
         self.compactions = 0
         self._share_failures = 0
-        self._respawn = respawn
         self.read_timeout = read_timeout
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
@@ -222,11 +230,6 @@ class ReplicaPool:
         # Worker observability follows the parent's.
         self._telemetry = {"metrics": _obs.ENABLED,
                            "slow_query_seconds": service.slow_query_seconds}
-        if heartbeat_interval is None:
-            heartbeat_interval = 2.0 if _obs.ENABLED else 0.0
-        self.heartbeat_interval = heartbeat_interval
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat: Optional[threading.Thread] = None
 
         self._lock = threading.RLock()
         self._version_cv = threading.Condition(self._lock)
@@ -248,7 +251,7 @@ class ReplicaPool:
         self._deaths = 0
         self._deltas_shipped = 0
         self._delta_emit_times: Dict[int, float] = {}
-        self._lag_log: deque = deque(maxlen=lag_samples)
+        self._lag_log: deque = deque(maxlen=LAG_SAMPLES)
 
         service.subscribe_deltas(self._on_delta)
         try:
@@ -272,11 +275,6 @@ class ReplicaPool:
         except BaseException:
             self.close()
             raise
-        if self.heartbeat_interval and self.heartbeat_interval > 0:
-            self._heartbeat = threading.Thread(
-                target=self._heartbeat_loop, name="repro-pool-heartbeat",
-                daemon=True)
-            self._heartbeat.start()
 
     # ------------------------------------------------------------------
     # The generation lifecycle and the delta stream
@@ -285,14 +283,15 @@ class ReplicaPool:
         """Share the published snapshot's generations as the pair that
         workers attach (caller holds the pool lock); the pair it
         replaces is retired, to be unlinked once no live worker maps
-        it.  False, with nothing changed, for a snapshot that has an
-        overlay; a refused share raises and changes nothing either."""
+        it, and the pool is no longer behind.  False, with nothing
+        changed, for a snapshot that has an overlay; a refused share
+        raises and changes nothing either."""
         fresh = GenerationBootstrap.share(*self._service.published_state())
         if fresh is None:
             return False
         if self._gen is not None:
             self._retired.append(self._gen)
-        self._gen, self._gen_log = fresh, []
+        self._gen, self._gen_log, self._behind = fresh, [], False
         if _obs.ENABLED:
             _obs.TELEMETRY.count("serve.pool.generation_builds")
         return True
@@ -341,27 +340,35 @@ class ReplicaPool:
         return worker
 
     def _on_delta(self, delta: Delta) -> None:
-        """Writer-thread subscriber: forward to every live worker —
-        the batch's delta, or, when the writer folded after it, the
-        generations the fold produced."""
+        """Writer-thread subscriber: send every live worker the
+        batch's record or, when the batch folded or recomputed the
+        closure, the generations of the snapshot published for it —
+        or nothing, while the pool is behind."""
         with self._lock:
             if self._closed or (self._gen is not None
                                 and delta.version <= self._gen.version):
                 return      # the shared pair already holds this batch
-            self._deltas_shipped += 1
-            message = ("delta", delta)
-            if delta.folded and self._share_folded():
+            recomputed = delta.closure_stats is None
+            if (delta.folded or recomputed) and self._share_folded():
                 # The published snapshot is this batch's (subscribers
                 # run before the writer takes the next one).
                 message = ("generation", self._gen)
-            elif self._gen is not None:
-                # Buffer for future attachers.  The service updates its
-                # published state before invoking subscribers, so every
-                # delta above the shared pair's sequence lands here
-                # before any spawn could need it.
-                self._gen_log.append(delta)
+            elif self._behind or recomputed:
+                # Workers cannot follow a recompute as a record: they
+                # wait, unrouted, for the next share to re-attach them.
+                self._behind = True
+                return
+            else:
+                message = ("delta", delta)
+                if self._gen is not None:
+                    # Buffer for future attachers.  The service updates
+                    # its published state before invoking subscribers,
+                    # so every delta above the shared pair's sequence
+                    # lands here before any spawn could need it.
+                    self._gen_log.append(delta)
+            self._deltas_shipped += 1
             self._delta_emit_times[delta.version] = time.perf_counter()
-            if len(self._delta_emit_times) > 2 * self._lag_log.maxlen:
+            if len(self._delta_emit_times) > 2 * LAG_SAMPLES:
                 oldest = min(self._delta_emit_times)
                 self._delta_emit_times.pop(oldest, None)
             workers = [w for w in self._workers if w.alive]
@@ -370,11 +377,10 @@ class ReplicaPool:
                 worker.send(message)
 
     def _share_folded(self) -> bool:
-        """Share what the writer just folded (writer thread, pool lock
-        held).  A refused share — shared memory is full — is counted
-        and survived: workers stay on the pair they have and take the
-        batch as a delta, the primary answers as always, and the next
-        fold tries again."""
+        """Share the snapshot the writer just published after a fold
+        or a recompute (writer thread, pool lock held).  A refused
+        share — shared memory is full — is counted and survived: the
+        primary answers as always, and the next fold tries again."""
         try:
             shared = self._share_published()
         except (ReplicaError, OSError):
@@ -402,13 +408,13 @@ class ReplicaPool:
                     worker.applied = message[1]
                     worker.ready = True
                     self._version_cv.notify_all()
-            elif kind in ("applied", "reattached", "pong"):
+            elif kind in ("applied", "reattached"):
                 version = message[1]
                 with self._version_cv:
                     if version > worker.applied:
                         worker.applied = version
                     emitted = self._delta_emit_times.get(version)
-                    if emitted is not None and kind != "pong":
+                    if emitted is not None:
                         lag = time.perf_counter() - emitted
                         self._lag_log.append(lag)
                         if _obs.ENABLED:
@@ -459,7 +465,7 @@ class ReplicaPool:
             worker.conn.close()
         except OSError:
             pass
-        if closed or not self._respawn or not was_alive:
+        if closed or not was_alive:
             return
         # Respawn on a fresh thread so this receiver can exit; the
         # replacement attaches the *current* shared generations and
@@ -487,61 +493,31 @@ class ReplicaPool:
                 _obs.TELEMETRY.count("serve.pool.respawn_failures")
 
     # ------------------------------------------------------------------
-    # Metrics heartbeat
+    # Metrics, asked for when read
     # ------------------------------------------------------------------
-    def _heartbeat_loop(self) -> None:
-        """Periodically ask every live worker for a metrics snapshot.
-
-        The replies land asynchronously in the receiver threads, so a
-        heartbeat never blocks reads; :meth:`metrics` merges whatever
-        snapshots have most recently arrived.
-        """
-        while not self._heartbeat_stop.wait(self.heartbeat_interval):
-            with self._lock:
-                if self._closed:
-                    return
-                workers = [w for w in self._workers if w.alive]
-            for worker in workers:
-                worker.send(("metrics_request",))
-
-    def refresh_metrics(self, timeout: float = 2.0) -> bool:
-        """Request a fresh snapshot from every live worker and wait
-        (up to ``timeout``) for the replies — best effort: a worker
-        that dies mid-request is simply skipped.  Returns whether
-        every surviving target replied within the timeout."""
-        with self._lock:
-            targets = [(w, w.metrics_seq)
-                       for w in self._workers if w.alive]
-        for worker, _ in targets:
-            worker.send(("metrics_request",))
-        limit = time.monotonic() + timeout
-        with self._version_cv:
-            while True:
-                if all(worker.metrics_seq > seq or not worker.alive
-                       for worker, seq in targets):
-                    return True
-                remaining = limit - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._version_cv.wait(remaining)
-
     def worker_metrics(self) -> List[dict]:
-        """Per-worker heartbeat state: index, liveness, applied
-        version, inflight count, and the latest shipped snapshot."""
+        """Per-worker state: index, liveness, applied version, inflight
+        count, and the snapshot the last :meth:`metrics` call got."""
         with self._lock:
             return [{"index": w.index, "alive": w.alive,
                      "applied": w.applied, "inflight": len(w.pending),
                      "metrics": w.metrics_snapshot}
                     for w in self._workers]
 
-    def metrics(self, refresh: bool = False, timeout: float = 2.0) -> dict:
+    def metrics(self, timeout: float = 2.0) -> dict:
         """The pool-wide metrics view: the primary process's registry
-        merged with every worker's latest heartbeat snapshot
+        merged with a snapshot asked of every live worker now
         (:func:`repro.obs.telemetry.merge_snapshots`) — counters add,
         histogram buckets add, so ``serve.request_seconds.query`` here
-        is the latency distribution across the whole pool."""
-        if refresh:
-            self.refresh_metrics(timeout)
+        is the latency distribution across the whole pool.  Best
+        effort: a worker that dies or does not reply within
+        ``timeout`` seconds contributes the last snapshot it sent."""
+        with self._lock:
+            targets = [(w, w.metrics_seq) for w in self._workers if w.alive]
+        for worker, _ in targets:
+            worker.send(("metrics_request",))
+        self._wait(lambda: all(worker.metrics_seq > seq or not worker.alive
+                               for worker, seq in targets), timeout)
         snapshots = [_obs.active_telemetry().snapshot()]
         with self._lock:
             snapshots.extend(w.metrics_snapshot for w in self._workers
@@ -555,9 +531,10 @@ class ReplicaPool:
         """Round-robin with inflight accounting (caller holds lock):
         rotate the starting slot for fairness, then take the eligible
         worker with the fewest inflight reads (rotation order breaks
-        ties).  Eligible = alive, ready, applied ≥ ``min_version``."""
+        ties).  Eligible = alive, ready, applied ≥ ``min_version``; none
+        is while the pool is behind."""
         count = len(self._workers)
-        if not count:
+        if not count or self._behind:
             return None
         start = self._rotation
         self._rotation = (self._rotation + 1) % count
@@ -752,46 +729,47 @@ class ReplicaPool:
     # ------------------------------------------------------------------
     # Introspection and control
     # ------------------------------------------------------------------
-    def wait_ready(self, timeout: Optional[float] = 60.0) -> None:
-        """Block until every live worker has attached and is ready."""
-        limit = (None if timeout is None
-                 else time.monotonic() + timeout)
+    def _wait(self, done, timeout: Optional[float]) -> bool:
+        """Block until ``done()`` — evaluated under the pool lock, after
+        every worker message — holds; False once ``timeout`` seconds
+        pass first (``None`` waits for good)."""
+        limit = None if timeout is None else time.monotonic() + timeout
         with self._version_cv:
-            while True:
-                alive = [w for w in self._workers if w.alive]
-                if alive and all(w.ready for w in alive):
-                    return
+            while not done():
                 remaining = (None if limit is None
                              else limit - time.monotonic())
                 if remaining is not None and remaining <= 0:
-                    raise ReplicaError(
-                        "replica workers did not become ready in time")
+                    return False
                 self._version_cv.wait(remaining
                                       if remaining is not None else 1.0)
+        return True
+
+    def _alive_applied(self) -> List[int]:
+        return [w.applied for w in self._workers if w.alive]
+
+    def wait_ready(self, timeout: Optional[float] = 60.0) -> None:
+        """Block until every live worker has attached and is ready."""
+        def ready() -> bool:
+            alive = [w for w in self._workers if w.alive]
+            return bool(alive) and all(w.ready for w in alive)
+
+        if not self._wait(ready, timeout):
+            raise ReplicaError("replica workers did not become ready in time")
 
     def wait_for_version(self, version: int, *, all_workers: bool = False,
                          timeout: Optional[float] = 30.0) -> None:
         """Block until one (or every) live worker has applied
         ``version`` — the replication-lag barrier used by tests and
         the failover benchmark."""
-        limit = (None if timeout is None
-                 else time.monotonic() + timeout)
-        with self._version_cv:
-            while True:
-                applied = [w.applied for w in self._workers if w.alive]
-                if applied:
-                    reached = (min(applied) if all_workers
-                               else max(applied))
-                    if reached >= version:
-                        return
-                remaining = (None if limit is None
-                             else limit - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    raise DeadlineExceeded(
-                        f"replicas did not reach version {version}"
-                        f" in time (applied: {applied})")
-                self._version_cv.wait(remaining
-                                      if remaining is not None else 1.0)
+        def reached() -> bool:
+            applied = self._alive_applied()
+            return bool(applied) and (
+                min(applied) if all_workers else max(applied)) >= version
+
+        if not self._wait(reached, timeout):
+            raise DeadlineExceeded(
+                f"replicas did not reach version {version}"
+                f" in time (applied: {self._alive_applied()})")
 
     def crash_worker(self, index: int) -> None:
         """Hard-kill one worker (failover tests and benchmarks): the
@@ -833,7 +811,6 @@ class ReplicaPool:
                 "deltas_shipped": self._deltas_shipped,
                 "worker_deaths": self._deaths,
                 "respawns": self._respawns,
-                "heartbeat_interval": self.heartbeat_interval,
                 "worker_metrics_received": sum(
                     w.metrics_seq for w in self._workers),
                 "closed": self._closed,
@@ -844,6 +821,7 @@ class ReplicaPool:
                                         for pair in self._retired),
                 "compactions": self.compactions,
                 "share_failures": self._share_failures,
+                "behind": self._behind,
             }
 
     def lag_stats(self) -> dict:
@@ -876,7 +854,6 @@ class ReplicaPool:
                 return
             self._closed = True
             workers = list(self._workers)
-        self._heartbeat_stop.set()
         self._service.unsubscribe_deltas(self._on_delta)
         for worker in workers:
             worker.send(("stop",))
@@ -905,10 +882,6 @@ class ReplicaPool:
                 self._gen = None
         for pair in pairs:
             pair.unlink()
-
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Alias for :meth:`close` (service-style naming)."""
-        self.close(timeout=timeout)
 
     def __enter__(self) -> "ReplicaPool":
         return self

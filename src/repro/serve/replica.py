@@ -5,40 +5,43 @@ aggregate read throughput, however many reader threads connect.  This
 module is the worker half of the standard log-shipping answer: the
 primary keeps its single writer thread, and each *worker process*
 holds a :class:`~repro.db.Database` replica *attached* to the
-generations the writer last folded (:class:`GenerationBootstrap` —
+generations the pool last shared (:class:`GenerationBootstrap` —
 shared-memory handles, never a copied heap), which it keeps current by
 applying ordered :class:`Delta` records shipped over a pipe.  A record
 carries what the primary's writer already derived: the batch's net
 change to the base heap *and* to the standard closure, plus the
 closure statistics it left, so a worker derives nothing — it applies
 both halves to its overlays as plain store operations
-(:meth:`repro.db.Database.apply_delta`) and runs no rule.  Only a
-batch the primary could not maintain incrementally (a rule or limit
-control, an ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback)
-ships no closure half; the writer folds after it, so workers are sent
-the closure to attach.  When the writer folds, the worker is sent the
-new generations in place of that batch's record and re-attaches, so
-its overlay never outgrows the one budget
+(:meth:`repro.db.Database.apply_delta`) and runs no rule.  A worker
+does one of two things with a message that changes its data: it
+applies a record, or it attaches generations.  A batch the primary
+could not maintain incrementally (a rule or limit control, an
+``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback) has no
+closure half and never reaches a worker as a record: the pool shares
+the snapshot published for it and the worker re-attaches, as it does
+after every fold, so its overlay never outgrows the one budget
 (:data:`~repro.core.interned.OVERLAY_BUDGET`).
 
 The parent half — sharing, spawning, routing, read-your-writes,
 respawn — lives in :mod:`repro.serve.pool`.  This module is
 deliberately parent-agnostic: :func:`replica_main` speaks only the
 pipe protocol, which keeps it importable under the ``spawn`` start
-method and easy to drive from tests without any pool at all.
+method and easy to drive from tests without any pool at all.  Its one
+read executor, :func:`run_read`, is also the primary's
+(:class:`~repro.serve.DatabaseService`), so a read reports the same
+spans, counters and slow-query record wherever it runs.
 
 Pipe protocol (parent → worker)::
 
     ("delta", Delta)                     apply, then ack
-    ("generation", GenerationBootstrap)  the writer folded: re-attach
-                                         to the generations it made,
-                                         then ack ("reattached", …)
+    ("generation", GenerationBootstrap)  re-attach to the generations
+                                         the pool shared, then ack
+                                         ("reattached", …)
     ("read", rid, op, payload, seconds, trace)
                                          evaluate under a deadline;
                                          ``trace`` is a TraceContext
                                          wire dict, or None
     ("metrics_request",)                 ship a metrics snapshot
-    ("ping",)                            liveness probe
     ("crash",)                           hard-exit (failover tests)
     ("stop",)                            clean shutdown
 
@@ -54,8 +57,7 @@ and worker → parent::
                                          ``extra`` is None, or telemetry:
                                          ``{"spans": [...]}`` and/or
                                          ``{"slow": record}``
-    ("metrics", version, snapshot)       registry snapshot (heartbeat)
-    ("pong", version)
+    ("metrics", version, snapshot)       registry snapshot, on request
 
 ``version`` is always the replication sequence number — the primary's
 count of published batches — never a store-internal counter.
@@ -65,10 +67,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import deadline as _deadline
-from ..core.errors import ReproError, ServiceError
+from ..core.errors import DeadlineExceeded, ReproError, ServiceError
 from ..core.facts import Fact
 from ..db import Database
 from ..obs import telemetry as _obs
@@ -79,7 +81,7 @@ from ..rules.rule import Rule
 
 __all__ = [
     "Delta", "GenerationBootstrap", "build_replica_from_generation",
-    "apply_delta_message", "replica_main",
+    "replica_main", "run_read",
 ]
 
 
@@ -97,27 +99,22 @@ class Delta:
     batch.  Each pair is disjoint, so applying the record is a
     handful of set operations, equivalent to replaying the batch.
     ``closure_stats`` is ``None`` when the batch recomputed the
-    closure instead: the record then has no closure half, and a
-    replica that applies it recomputes.  ``controls`` carries the
-    non-fact operations in application order: ``("limit", n)``,
-    ``("include", name_or_rule)``, ``("exclude", name)``, and
-    ``("define_rule", name, text, is_constraint)``.  ``folded`` says
-    the writer folded after this batch: the snapshot published at
-    ``version`` has empty overlays, and a replica is better served by
-    attaching its generations than by applying the record.
+    closure instead (a control, an ``(r, ∈, R_c)`` declaration, an
+    ``auto_check`` rollback): the record then has no closure half, and
+    the pool sends workers the published snapshot's generations in its
+    place.  ``folded`` says the writer folded after this batch: the
+    snapshot published at ``version`` has empty overlays, and a
+    replica is better served by attaching its generations than by
+    applying the record.
     """
 
     version: int
     adds: Tuple[Fact, ...] = ()
     removes: Tuple[Fact, ...] = ()
-    controls: Tuple[tuple, ...] = ()
     folded: bool = False
     closure_adds: Tuple[Fact, ...] = ()
     closure_removes: Tuple[Fact, ...] = ()
     closure_stats: Optional[dict] = None
-
-    def __len__(self) -> int:
-        return len(self.adds) + len(self.removes) + len(self.controls)
 
 
 @dataclass
@@ -259,40 +256,15 @@ def release_attached_stores(db: Database) -> None:
         store.close()
 
 
-def apply_delta_message(db: Database, delta: Delta) -> None:
-    """Apply one shipped delta: its base and closure halves, then
-    controls.
-
-    The halves go through :meth:`~repro.db.Database.apply_delta` (store
-    operations, no rule); controls go through the same public methods
-    the primary used, so a rule toggle invalidates the replica's
-    closure exactly as it did the primary's.
-    """
-    db.apply_delta(delta)
-    for control in delta.controls:
-        kind = control[0]
-        if kind == "limit":
-            db.limit(control[1])
-        elif kind == "include":
-            db.include(control[1])
-        elif kind == "exclude":
-            db.exclude(control[1])
-        elif kind == "define_rule":
-            _, name, text, is_constraint = control
-            db.define_rule(name, text, is_constraint=is_constraint)
-        else:  # pragma: no cover - versioned protocol guard
-            raise ServiceError(f"unknown control operation {kind!r}")
-
-
 def _probe_payload(outcome) -> dict:
     return {"succeeded": outcome.succeeded,
             "value": outcome.value,
             "waves": len(outcome.waves)}
 
 
-#: Read operations a worker can serve.  ``navigate`` ships rendered
-#: text (NavigationResult holds live view references); everything else
-#: returns plain picklable data.
+#: Read operations by verb, in the plain-data shape a worker ships
+#: back: ``navigate`` ships rendered text (NavigationResult holds live
+#: view references); everything else returns plain picklable data.
 READ_OPS = {
     "query": lambda db, payload: db.query(payload),
     "ask": lambda db, payload: db.ask(payload),
@@ -304,6 +276,69 @@ READ_OPS = {
 }
 
 
+def bind_read(op: str, payload) -> Callable[[Database], Any]:
+    """The :data:`READ_OPS` verb ``op`` bound to ``payload``; a
+    :class:`~repro.core.errors.ServiceError` for an unknown verb."""
+    handler = READ_OPS.get(op)
+    if handler is None:
+        raise ServiceError(f"unknown read operation {op!r}")
+    return lambda db: handler(db, payload)
+
+
+def run_read(db: Database, op: str, fn: Callable[[Database], Any],
+             seconds: Optional[float], ctx: Optional[TraceContext],
+             text: str, slow_seconds: Optional[float],
+             on_slow: Callable[[dict], None], replica: bool) -> Any:
+    """Run one read, ``fn(db)``: the read executor of the primary's
+    snapshot and of every worker's replica (``replica=True``).
+
+    The read runs inside a :func:`~repro.core.deadline.deadline_scope`
+    of ``seconds`` and, when traced, a ``service.read`` /
+    ``replica.read`` span on ``ctx``.  Under telemetry it counts
+    ``serve.requests`` / ``serve.requests.<op>`` (and
+    ``serve.deadline_exceeded`` when cancelled) and times
+    ``serve.request_seconds``, answer or error; a read slower than
+    ``slow_seconds`` counts ``serve.slow_queries`` and hands its
+    slow-query record (with the compiled plan's statistics) to
+    ``on_slow``.  Both sides report under the same names.
+    """
+    if slow_seconds is not None:
+        # Don't attribute a previous request's plan to this one.
+        _obs.LAST_REQUEST.clear()
+    started = time.perf_counter()
+    try:
+        if ctx is None:
+            with _deadline.deadline_scope(seconds):
+                return fn(db)
+        with ctx.span("replica.read" if replica else "service.read",
+                      role="replica" if replica else "service", op=op), \
+                _deadline.deadline_scope(seconds):
+            return fn(db)
+    except DeadlineExceeded:
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("serve.deadline_exceeded")
+        raise
+    finally:
+        elapsed = time.perf_counter() - started
+        slow = slow_seconds is not None and elapsed >= slow_seconds
+        if _obs.ENABLED:
+            telemetry = _obs.TELEMETRY
+            telemetry.count("serve.requests")
+            telemetry.count(f"serve.requests.{op}")
+            telemetry.gauge("serve.request_seconds", elapsed)
+            telemetry.observe(f"serve.request_seconds.{op}", elapsed)
+            if slow:
+                telemetry.count("serve.slow_queries")
+        if slow:
+            last = _obs.LAST_REQUEST
+            on_slow(build_record(
+                op, elapsed, slow_seconds, text=text,
+                source="replica" if replica else "primary",
+                trace_id=ctx.trace_id if ctx is not None else None,
+                deadline=seconds,
+                plan=plan_summary(last.run), probe=last.probe))
+
+
 def _attach(state: GenerationBootstrap) -> Tuple[Database, int]:
     """Build the replica database for one bootstrap: attach, replay
     the shipped delta suffix, warm the view.  Returns ``(db, version)``
@@ -312,7 +347,7 @@ def _attach(state: GenerationBootstrap) -> Tuple[Database, int]:
     db = build_replica_from_generation(state)
     version = state.version
     for delta in state.deltas:
-        apply_delta_message(db, delta)
+        db.apply_delta(delta)
         version = delta.version
     db.view()
     return db, version
@@ -329,8 +364,8 @@ def replica_main(conn, state: GenerationBootstrap,
     after a delta always sees that delta applied.
 
     ``telemetry`` configures this process's observability:
-    ``{"metrics": True}`` enables a fresh telemetry spine (shipped
-    back on ``metrics_request`` heartbeats), and
+    ``{"metrics": True}`` enables a fresh telemetry spine (its snapshot
+    is shipped back on each ``metrics_request``), and
     ``{"slow_query_seconds": t}`` does the same and makes reads slower
     than ``t`` attach a slow-query record (with compiled-plan stats)
     to their result.  ``None`` leaves whatever the process inherited —
@@ -366,7 +401,7 @@ def replica_main(conn, state: GenerationBootstrap,
             delta = message[1]
             if delta.version > version:
                 apply_started = time.perf_counter()
-                apply_delta_message(db, delta)
+                db.apply_delta(delta)
                 version = delta.version
                 if _obs.ENABLED:
                     _obs.TELEMETRY.count("replica.deltas")
@@ -375,7 +410,8 @@ def replica_main(conn, state: GenerationBootstrap,
                         time.perf_counter() - apply_started)
             conn.send(("applied", version))
         elif kind == "generation":
-            # The writer folded: its new generations hold every batch
+            # The pool shared the snapshot of a batch that folded or
+            # recomputed the closure: its generations hold every batch
             # up to their version, this one's included (the message
             # came in place of that batch's delta), and the overlay
             # built up since the last attach is dropped with the old
@@ -388,57 +424,28 @@ def replica_main(conn, state: GenerationBootstrap,
             # predate the re-attach), so it can unlink them safely.
             conn.send(("reattached", version))
         elif kind == "read":
-            rid, op, read_payload, seconds, trace = message[1:]
+            rid, op, payload, seconds, trace = message[1:]
             ctx = (TraceContext.from_wire(trace)
                    if trace is not None else None)
-            if slow_threshold is not None:
-                _obs.LAST_REQUEST.clear()
-            started = time.perf_counter()
+            slow: List[dict] = []
             try:
-                handler = READ_OPS.get(op)
-                if handler is None:
-                    raise ServiceError(f"unknown read operation {op!r}")
-                if ctx is not None:
-                    with ctx.span("replica.read", role="replica", op=op):
-                        with _deadline.deadline_scope(seconds):
-                            value = handler(db, read_payload)
-                else:
-                    with _deadline.deadline_scope(seconds):
-                        value = handler(db, read_payload)
+                value = run_read(db, op, bind_read(op, payload), seconds,
+                                 ctx, str(payload), slow_threshold,
+                                 slow.append, replica=True)
                 ok = True
             except (ReproError, ValueError) as error:
                 ok, value = False, (type(error).__name__, str(error))
             except Exception as error:  # pragma: no cover - defensive
                 ok, value = False, ("ReplicaError", repr(error))
-            elapsed = time.perf_counter() - started
-            slow = slow_threshold is not None and elapsed >= slow_threshold
-            if _obs.ENABLED:
-                registry = _obs.TELEMETRY
-                registry.count("serve.requests")
-                registry.count(f"serve.requests.{op}")
-                registry.count("replica.reads")
-                registry.observe(f"serve.request_seconds.{op}", elapsed)
-                if slow:
-                    registry.count("serve.slow_queries")
             extra: Optional[Dict[str, Any]] = None
             if ctx is not None:
                 extra = {"spans": ctx.collect()}
             if slow:
-                record = build_record(
-                    op, elapsed, slow_threshold,
-                    text=str(read_payload), source="replica",
-                    trace_id=ctx.trace_id if ctx is not None else None,
-                    deadline=seconds,
-                    plan=plan_summary(_obs.LAST_REQUEST.run),
-                    probe=_obs.LAST_REQUEST.probe)
-                extra = extra or {}
-                extra["slow"] = record
+                extra = dict(extra or {}, slow=slow[0])
             conn.send(("result", rid, ok, value, version, extra))
         elif kind == "metrics_request":
             conn.send(("metrics", version,
                        _obs.active_telemetry().snapshot()))
-        elif kind == "ping":
-            conn.send(("pong", version))
         elif kind == "crash":
             os._exit(3)
         elif kind == "stop":

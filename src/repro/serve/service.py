@@ -78,7 +78,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from ..core import deadline as _deadline
 from ..core.errors import (
     DeadlineExceeded,
     Overloaded,
@@ -92,8 +91,8 @@ from ..core.interned import OVERLAY_BUDGET
 from ..db import Database
 from ..obs import telemetry as _obs
 from ..obs.context import SpanRecord, TraceContext, new_span_id
-from ..obs.slowlog import SlowQueryLog, build_record, plan_summary
-from .replica import READ_OPS, Delta
+from ..obs.slowlog import SlowQueryLog
+from .replica import Delta, bind_read, run_read
 
 __all__ = ["DatabaseService", "WriteTicket"]
 
@@ -436,7 +435,6 @@ class DatabaseService:
             # invalidation (a control, an (r, ∈, R_c) declaration, an
             # auto_check rollback) sets it back to None.
             db._closure_log = []  # noqa: SLF001
-            controls: List[tuple] = []
             mutated = False
             checkpoints: List[int] = []     # indexes into ``settled``
             fold_asked = False
@@ -464,27 +462,19 @@ class DatabaseService:
                     elif kind == "limit":
                         self._db.limit(payload)
                         outcome = payload
-                        controls.append(("limit", payload))
                         mutated = True
                     elif kind == "include":
                         self._db.include(payload)
                         outcome = True
-                        # A Rule object ships whole (replicas may not
-                        # know it yet); a name ships as the name.
-                        controls.append(("include", payload))
                         mutated = True
                     elif kind == "exclude":
                         self._db.exclude(payload)
                         outcome = True
-                        controls.append(("exclude", getattr(
-                            payload, "name", payload)))
                         mutated = True
                     elif kind == "define_rule":
                         name, text, is_constraint = payload
                         outcome = self._db.define_rule(
                             name, text, is_constraint=is_constraint)
-                        controls.append(
-                            ("define_rule", name, text, is_constraint))
                         mutated = True
                     elif kind == "checkpoint":
                         checkpoints.append(len(settled))
@@ -526,8 +516,7 @@ class DatabaseService:
                         closure_entries)
                     closure_stats = db.standard_closure().statistics()
                 delta = Delta(version=self._applied_seq, adds=adds,
-                              removes=removes, controls=tuple(controls),
-                              folded=folded > 0.0,
+                              removes=removes, folded=folded > 0.0,
                               closure_adds=closure_adds,
                               closure_removes=closure_removes,
                               closure_stats=closure_stats)
@@ -788,44 +777,11 @@ class DatabaseService:
               text: str = "") -> Any:
         if self._closed:
             raise ServiceClosed("service is closed")
-        # Atomic ref grab: our isolation.
-        snap = self._published_state[0]
         seconds = deadline if deadline is not None else self.default_deadline
-        threshold = self.slow_query_seconds
-        if threshold is not None:
-            # Don't attribute a previous request's plan to this one.
-            _obs.LAST_REQUEST.clear()
-        started = time.perf_counter()
-        try:
-            if ctx is not None:
-                with ctx.span("service.read", role="service", op=op):
-                    with _deadline.deadline_scope(seconds):
-                        return fn(snap)
-            else:
-                with _deadline.deadline_scope(seconds):
-                    return fn(snap)
-        except DeadlineExceeded:
-            if _obs.ENABLED:
-                _obs.TELEMETRY.count("serve.deadline_exceeded")
-            raise
-        finally:
-            elapsed = time.perf_counter() - started
-            slow = threshold is not None and elapsed >= threshold
-            if _obs.ENABLED:
-                telemetry = _obs.TELEMETRY
-                telemetry.count("serve.requests")
-                telemetry.count(f"serve.requests.{op}")
-                telemetry.gauge("serve.request_seconds", elapsed)
-                telemetry.observe(f"serve.request_seconds.{op}", elapsed)
-                if slow:
-                    telemetry.count("serve.slow_queries")
-            if slow:
-                last = _obs.LAST_REQUEST
-                self.slow_log.add(build_record(
-                    op, elapsed, threshold, text=text, source="primary",
-                    trace_id=ctx.trace_id if ctx is not None else None,
-                    deadline=seconds,
-                    plan=plan_summary(last.run), probe=last.probe))
+        # Atomic ref grab: our isolation.
+        return run_read(self._published_state[0], op, fn, seconds, ctx,
+                        text, self.slow_query_seconds, self.slow_log.add,
+                        replica=False)
 
     def query(self, query, deadline: Optional[float] = None,
               ctx: Optional[TraceContext] = None):
@@ -876,11 +832,8 @@ class DatabaseService:
         a replica worker answers in (``navigate`` rendered, ``probe``
         as ``{"succeeded", "value", "waves"}``): what the pool and the
         TCP layer pass on, so the verbs are spelled out once."""
-        handler = READ_OPS.get(op)
-        if handler is None:
-            raise ServiceError(f"unknown read operation {op!r}")
-        return self._read(op, lambda db: handler(db, payload), deadline,
-                          ctx, "" if payload is None else str(payload))
+        return self._read(op, bind_read(op, payload), deadline, ctx,
+                          "" if payload is None else str(payload))
 
     def read_view(self) -> Database:
         """The currently published snapshot (frozen, safe to share).

@@ -590,7 +590,7 @@ def _monitor_main(arguments: List[str]) -> int:
     with ServiceClient(host or "127.0.0.1", port) as client:
         try:
             while True:
-                sample = client.metrics(refresh=True)
+                sample = client.metrics()
                 title = (f"repro monitor — {host or '127.0.0.1'}:{port}"
                          f" — frame {frames + 1}")
                 frame = render_dashboard(

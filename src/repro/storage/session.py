@@ -66,6 +66,9 @@ class DurableSession:
             if self.snapshot_path.exists():
                 state = read_snapshot(self.snapshot_path)
                 database = Database(with_axioms=False)
+                for name, text, is_constraint in state.rules:
+                    database.define_rule(name, text,
+                                         is_constraint=is_constraint)
                 database.rules.restore_state(state.rule_states)
                 database.composition_limit = state.composition_limit
                 database.add_facts(state.facts)
@@ -132,6 +135,8 @@ class DurableSession:
             facts=list(database.facts),
             rule_states=database.rules.snapshot_state(),
             composition_limit=database.composition_limit,
+            rules=[(rule.name, rule.text, rule.is_constraint)
+                   for rule in database.rules.all_rules() if rule.text],
         )
         size = write_snapshot(self.snapshot_path, state)
         self.journal.truncate()

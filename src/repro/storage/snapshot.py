@@ -1,9 +1,10 @@
 """Snapshots: a full, atomic image of the database state.
 
 A snapshot records the base facts (never the closure — derived facts
-are recomputed), the rule enable/disable map, and the composition
-limit.  Written via a temporary file + rename so a crash mid-write
-leaves the previous snapshot intact.
+are recomputed), the rules defined from text (name, text, constraint
+flag), the rule enable/disable map, and the composition limit.
+Written via a temporary file + rename so a crash mid-write leaves the
+previous snapshot intact.
 
 Both directions run at C speed.  The file is one compact line written
 by the C JSON encoder, facts sorted as tuples (which sort exactly as
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.errors import StorageError
 from ..core.facts import Fact
@@ -36,19 +37,23 @@ class SnapshotState:
     facts: List[Fact]
     rule_states: Dict[str, bool] = field(default_factory=dict)
     composition_limit: Optional[int] = 1
+    #: ``(name, text, is_constraint)`` of each rule defined from text,
+    #: re-defined on recovery before ``rule_states`` is applied.
+    rules: List[Tuple[str, str, bool]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": FORMAT_VERSION,
-                "composition_limit": self.composition_limit,
-                "rule_states": self.rule_states,
-                # Plain tuples: the encoder copies a tuple subclass
-                # (Fact) into a list first.
-                "facts": sorted(map(tuple, self.facts)),
-            },
-            ensure_ascii=False, separators=(",", ":"),
-            check_circular=False)   # strings, bools and ints only
+        record = {
+            "version": FORMAT_VERSION,
+            "composition_limit": self.composition_limit,
+            "rule_states": self.rule_states,
+            # Plain tuples: the encoder copies a tuple subclass (Fact)
+            # into a list first.
+            "facts": sorted(map(tuple, self.facts)),
+        }
+        if self.rules:      # absent, the layout is the one readers had
+            record["rules"] = [list(rule) for rule in self.rules]
+        return json.dumps(record, ensure_ascii=False, separators=(",", ":"),
+                          check_circular=False)   # strings, bools, ints
 
     @staticmethod
     def from_json(text: str) -> "SnapshotState":
@@ -77,8 +82,15 @@ class SnapshotState:
         limit = record.get("composition_limit", 1)
         if limit is not None and not isinstance(limit, int):
             raise StorageError("malformed composition_limit in snapshot")
+        rules = record.get("rules", [])
+        if not isinstance(rules, list) or not all(
+                isinstance(rule, list) and len(rule) == 3
+                and isinstance(rule[0], str) and isinstance(rule[1], str)
+                and isinstance(rule[2], bool) for rule in rules):
+            raise StorageError("malformed rules in snapshot")
         return SnapshotState(facts=facts, rule_states=rule_states,
-                             composition_limit=limit)
+                             composition_limit=limit,
+                             rules=[tuple(rule) for rule in rules])
 
 
 def _facts_row_by_row(rows) -> List[Fact]:

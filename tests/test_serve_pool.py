@@ -26,6 +26,7 @@ from repro.core.interned import OVERLAY_BUDGET
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
 from repro.serve import DatabaseService, ReplicaPool
+from repro.serve.pool import _Worker
 
 from .conftest import primary_busy, replica_served
 
@@ -280,9 +281,11 @@ class TestFailover:
                 assert pool.ask("(EVE, ∈, EMPLOYEE)", ticket=ticket)
         assert pool.stats()["fallback_reads"] == before
 
-    def test_no_respawn_when_disabled(self):
+    def test_reads_fall_back_while_no_worker_is_alive(self, monkeypatch):
         service = DatabaseService(_database())
-        pool = ReplicaPool(service, workers=1, respawn=False)
+        pool = ReplicaPool(service, workers=1)
+        # Hold the replacement back, to see the window before it.
+        monkeypatch.setattr(pool, "_respawn_slot", lambda *slot: None)
         try:
             pool.crash_worker(0)
             deadline_at = time.monotonic() + 30.0
@@ -527,8 +530,7 @@ class TestGenerationBootstrap:
         writes = 3 * OVERLAY_BUDGET + 1
         with use_telemetry(Telemetry()):        # workers collect metrics
             service = DatabaseService(_database())
-            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
-                               heartbeat_interval=0)
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0)
             try:
                 ticket = None
                 for i in range(writes):
@@ -549,7 +551,7 @@ class TestGenerationBootstrap:
                     assert len([name for name in segments
                                 if f"-{os.getpid()}-" in name]) == 2
 
-                assert pool.refresh_metrics(timeout=30.0)
+                pool.metrics(timeout=30.0)
                 id_domain = _worker_counter(pool, "exec.id_domain")
                 served = replica_served(pool)
                 with primary_busy(pool):
@@ -559,7 +561,7 @@ class TestGenerationBootstrap:
                             ticket=ticket) == {("EMPLOYEE", "SALARY")}
                 assert replica_served(pool) == served + 3
                 assert pool.stats()["fallback_reads"] == 0
-                assert pool.refresh_metrics(timeout=30.0)
+                pool.metrics(timeout=30.0)
                 assert _worker_counter(pool, "exec.id_domain") \
                     >= id_domain + 3
                 # Base heap and closure each stay inside the budget.
@@ -616,8 +618,7 @@ class TestGenerationBootstrap:
     def test_respawn_between_folds_attaches_the_current_generation(self):
         with use_telemetry(Telemetry()) as telemetry:
             service = DatabaseService(_database())
-            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
-                               heartbeat_interval=0)
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0)
             try:
                 ticket = None
                 for i in range(OVERLAY_BUDGET + 10):
@@ -705,7 +706,7 @@ class TestGenerationBootstrap:
             during = _gen_segments()
             assert len(during) > len(segments_before)
         finally:
-            pool.shutdown()
+            pool.close()
             service.close()
         assert _gen_segments() == segments_before
 
@@ -780,8 +781,7 @@ class TestSharedMemoryCapacity:
             self, monkeypatch):
         with use_telemetry(Telemetry()) as telemetry:
             service = DatabaseService(self._big_database())
-            pool = ReplicaPool(service, workers=1, read_timeout=60.0,
-                               heartbeat_interval=0)
+            pool = ReplicaPool(service, workers=1, read_timeout=60.0)
             try:
                 generation = pool.stats()["generation_seq"]
                 monkeypatch.setattr("repro.core.interned.os.statvfs",
@@ -817,3 +817,57 @@ class TestSharedMemoryCapacity:
             finally:
                 pool.close()
                 service.close()
+
+    def test_refused_share_of_a_recompute_leaves_workers_unrouted(
+            self, monkeypatch):
+        """A recompute (here ``limit(2)``) that shared memory cannot
+        take: the worker is sent nothing and asked nothing until the
+        next fold re-attaches it."""
+        service = DatabaseService(self._big_database())
+        pool = ReplicaPool(service, workers=1, read_timeout=60.0)
+        queries = ["(BIG7, r, y)", "(x, EARNS, SALARY)"]
+        try:
+            _settle(pool, service.add_async(("EARLY", "∈", "EMPLOYEE")))
+            applied = pool.stats()["applied_versions"]
+            sent = []
+            send = _Worker.send
+            monkeypatch.setattr(_Worker, "send", lambda worker, message: (
+                sent.append(message[0]), send(worker, message))[1])
+            monkeypatch.setattr("repro.core.interned.os.statvfs",
+                                lambda path: _NoRoom)
+            service.limit(2)
+            ticket = service.add_async(("LATE", "∈", "EMPLOYEE"))
+            ticket.result(timeout=30.0)
+            stats = pool.stats()
+            assert stats["share_failures"] == 1 and stats["behind"]
+            assert stats["compactions"] == 0
+            before = stats["fallback_reads"]
+            assert pool.ask("(LATE, EARNS, SALARY)", ticket=ticket)
+            with primary_busy(pool):
+                assert pool.ask("(LATE, EARNS, SALARY)", ticket=ticket)
+                for text in queries:
+                    assert pool.query(text) == service.query(text)
+                assert pool.database_stats()["composition_limit"] == 2
+            assert pool.stats()["fallback_reads"] == before + 4
+            assert sent == []
+            assert pool.stats()["applied_versions"] == applied
+            # Room again: the next fold re-attaches the worker.
+            monkeypatch.undo()
+            service.fold()
+            pool.wait_for_version(service.applied_seq, all_workers=True,
+                                  timeout=60.0)
+            stats = pool.stats()
+            assert not stats["behind"] and stats["compactions"] == 1
+            assert stats["applied_versions"] == [service.applied_seq]
+            primary = service.database_stats()
+            with primary_busy(pool):
+                for text in queries:
+                    assert pool.query(text) == service.query(text)
+                replica = pool.database_stats()
+            for field in ("closure_facts", "derived_facts", "rule_firings",
+                          "composition_limit"):
+                assert replica[field] == primary[field], field
+            assert pool.stats()["fallback_reads"] == before + 4
+        finally:
+            pool.close()
+            service.close()

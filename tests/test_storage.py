@@ -343,3 +343,30 @@ class TestDurableSession:
         recovered, session2 = open_database(tmp_path / "d")
         assert Fact("A", "R", "B") in recovered.facts
         session2.close()
+
+    def test_a_rule_defined_through_a_service_survives_a_restart(
+            self, tmp_path):
+        from repro.serve import DatabaseService
+
+        db, session = open_database(tmp_path / "d")
+        service = DatabaseService(db, session=session)
+        try:
+            service.define_rule(
+                "sym", "(a, MARRIED-TO, b) => (b, MARRIED-TO, a)")
+            service.define_rule("age-positive",
+                                "(x, in, AGE) => (x, >, 0)",
+                                is_constraint=True)
+            service.exclude("age-positive")
+            service.add("ANN", "MARRIED-TO", "BOB")
+            service.checkpoint()
+        finally:
+            service.close()
+        reopened, session = open_database(tmp_path / "d")
+        try:
+            assert reopened.ask("(BOB, MARRIED-TO, ANN)")
+            assert reopened.rules.is_enabled("sym")
+            constraint = reopened.rules.get("age-positive")
+            assert constraint.is_constraint
+            assert not reopened.rules.is_enabled("age-positive")
+        finally:
+            session.close()

@@ -158,13 +158,15 @@ class TestMetricsSurface:
                 for _ in range(3):
                     client.query("(x, WORKS-IN, y)")
             client.query("(x, WORKS-IN, y)")
-            snapshot = client.metrics(refresh=True)
+            snapshot = client.metrics()
         counters = snapshot["counters"]
         assert counters.get("serve.pool.primary_reads", 0) == 1
         assert counters["serve.requests"] >= 3
         assert counters["serve.requests.query"] >= 3
-        # Replica-side series prove worker snapshots were merged in.
-        assert counters.get("replica.reads", 0) >= 3
+        # Workers count their reads under the primary's names, and
+        # their snapshots were merged in: the three they answered and
+        # the primary's one.
+        assert counters["serve.requests.query"] == 4
         # Nothing below the wire remembers an answer and the net memo
         # never keeps a worker's: all four reads ran their plan.
         assert counters.get("exec.plans", 0) == 4
@@ -175,7 +177,7 @@ class TestMetricsSurface:
         (host, port), _pool, _registry = metered_server
         with ServiceClient(host, port) as client:
             client.query("(x, WORKS-IN, y)")
-            text = client.metrics(format="prometheus", refresh=True)
+            text = client.metrics(format="prometheus")
         series = obs_telemetry.parse_prometheus(text)
         assert series.get("repro_serve_requests_total", 0) >= 1
 
@@ -190,13 +192,14 @@ class TestMetricsSurface:
     def test_pool_worker_metrics_and_stats(self, metered_server):
         (_host, _port), pool, _registry = metered_server
         pool.query("(x, PART-OF, y)")
-        assert pool.refresh_metrics(timeout=10.0)
+        pool.metrics(timeout=10.0)
         workers = pool.worker_metrics()
         assert len(workers) == 2
         assert all(worker["metrics"] is not None for worker in workers)
-        stats = pool.stats()
-        assert stats["worker_metrics_received"] >= 2
-        assert stats["heartbeat_interval"] > 0
+        assert pool.stats()["worker_metrics_received"] == 2
+        # Every call asks the workers again.
+        pool.metrics(timeout=10.0)
+        assert pool.stats()["worker_metrics_received"] == 4
 
 
 class TestRemoteShellTelemetry:
@@ -271,7 +274,7 @@ class TestMonitorDashboard:
         (host, port), _pool, _registry = metered_server
         with ServiceClient(host, port) as client:
             client.query("(x, WORKS-IN, y)")
-            snapshot = client.metrics(refresh=True)
+            snapshot = client.metrics()
         text = render_dashboard(snapshot)
         assert "query" in text
 
@@ -328,15 +331,6 @@ class TestTelemetryNeutrality:
         assert "trace" not in response
         # Nothing leaked into the (disabled) global spine.
         assert not obs_telemetry.ENABLED
-
-    def test_pool_heartbeat_disabled_without_metrics(self):
-        service = DatabaseService(_build_database())
-        pool = ReplicaPool(service, workers=1)
-        try:
-            assert pool.stats()["heartbeat_interval"] == 0
-        finally:
-            pool.close()
-            service.close()
 
 
 # ----------------------------------------------------------------------

@@ -28,15 +28,16 @@ from repro.obs.telemetry import to_prometheus  # noqa: E402
 from repro.serve.net import ServiceClient  # noqa: E402
 
 
-def scrape(host: str, port: int, prefix: str, refresh: bool) -> str:
-    """One exposition document from a running server."""
+def scrape(host: str, port: int, prefix: str) -> str:
+    """One exposition document from a running server (its workers are
+    asked for their metrics as it is taken)."""
     with ServiceClient(host, port) as client:
-        snapshot = client.metrics(refresh=refresh)
+        snapshot = client.metrics()
     return to_prometheus(snapshot, prefix=prefix)
 
 
-def serve_http(host: str, port: int, listen_port: int, prefix: str,
-               refresh: bool) -> None:
+def serve_http(host: str, port: int, listen_port: int,
+               prefix: str) -> None:
     """A minimal scrape endpoint: GET /metrics → text exposition."""
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -46,7 +47,7 @@ def serve_http(host: str, port: int, listen_port: int, prefix: str,
                 self.send_error(404)
                 return
             try:
-                body = scrape(host, port, prefix, refresh).encode("utf-8")
+                body = scrape(host, port, prefix).encode("utf-8")
             except OSError as error:
                 self.send_error(502, f"upstream unreachable: {error}")
                 return
@@ -82,18 +83,14 @@ def main(argv=None) -> int:
                              " instead of printing once (0 = ephemeral)")
     parser.add_argument("--prefix", default="repro",
                         help="metric name prefix (default: repro)")
-    parser.add_argument("--no-refresh", action="store_true",
-                        help="skip the synchronous worker-snapshot"
-                             " refresh; use whatever the heartbeat has")
     options = parser.parse_args(argv)
     host, _, port_text = options.address.partition(":")
     host = host or "127.0.0.1"
     port = int(port_text) if port_text else 7474
-    refresh = not options.no_refresh
     if options.listen is None:
-        sys.stdout.write(scrape(host, port, options.prefix, refresh))
+        sys.stdout.write(scrape(host, port, options.prefix))
         return 0
-    serve_http(host, port, options.listen, options.prefix, refresh)
+    serve_http(host, port, options.listen, options.prefix)
     return 0
 
 

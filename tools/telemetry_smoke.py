@@ -90,7 +90,7 @@ def main() -> int:
             if len(roots) != 1:
                 return fail(f"expected one stitched root, got {len(roots)}")
 
-            snapshot = client.metrics(refresh=True)
+            snapshot = client.metrics()
             requests = snapshot.get("counters", {}).get("serve.requests", 0)
             if requests < 4:
                 return fail(f"merged snapshot shows {requests} requests,"
@@ -123,7 +123,7 @@ def main() -> int:
             # Enough writes to outgrow the overlay: the writer folds.
             for index in range(OVERLAY_BUDGET + 1):
                 client.add(f"N{index}", "WORKS-IN", "D0")
-            counters = client.metrics(refresh=True).get("counters", {})
+            counters = client.metrics().get("counters", {})
             folds = counters.get("serve.folds", 0)
             if folds < 1:
                 return fail(f"{OVERLAY_BUDGET + 1} writes and no"
