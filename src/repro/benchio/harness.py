@@ -112,9 +112,9 @@ def rss_anon_mb(pid: Optional[int] = None) -> Optional[float]:
 
     This is the column that distinguishes a replica that *copied* the
     fact heap (the copy is anonymous memory, counted here per process)
-    from one that *attached* a shared-memory generation (the columns
-    are ``RssShmem`` — one set of physical pages no matter how many
-    workers map them).  ``None`` when the kernel does not break RSS
+    from one that *attached* a generation file in ``/dev/shm`` (the
+    columns are ``RssShmem`` — one set of physical pages no matter how
+    many workers map them).  ``None`` when the kernel does not break RSS
     down (pre-4.5 Linux, non-Linux).
     """
     import os

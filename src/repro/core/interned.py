@@ -24,12 +24,14 @@ This module stores the same information relationally:
   generation once the two outgrow :data:`OVERLAY_BUDGET`.
 
 Because a generation is nothing but flat arrays and one string blob,
-it can be placed in :mod:`multiprocessing.shared_memory` and *attached*
-by other processes: :meth:`ColumnarGeneration.share` publishes a
-generation under a :class:`GenerationHandle` (segment name + layout),
-and :meth:`ColumnarGeneration.attach` maps it with zero copying of the
-fact data.  The replica pool bootstraps workers by shipping a handle
-instead of a pickled snapshot (see :mod:`repro.serve.replica`).
+it can be written to one self-describing file and *attached* by other
+processes: :meth:`ColumnarGeneration.share` writes a header (magic,
+counts, store version, each array's length) and the arrays after it,
+and :meth:`ColumnarGeneration.attach` maps the file read-only with
+:mod:`mmap`, with zero copying of the fact data.  The file's name is
+all a process needs; the replica pool bootstraps workers by shipping
+two names instead of a pickled snapshot (see
+:mod:`repro.serve.replica`).
 
 Example::
 
@@ -45,8 +47,10 @@ Example::
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import secrets
+import struct
 from array import array
 from bisect import bisect_left
 from typing import (
@@ -67,8 +71,7 @@ from .store import FactStore, NameCodec
 
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
-    "GenerationHandle", "InternedFactStore", "attach_shared_memory",
-    "unlink_generation",
+    "InternedFactStore", "unlink_generation",
 ]
 
 #: The one overlay budget: how many facts — additions *plus* tombstones
@@ -79,12 +82,6 @@ __all__ = [
 #: merges it, whatever its size), every fold is O(heap), so a smaller
 #: budget buys read latency with more frequent folds.
 OVERLAY_BUDGET = 128
-
-#: Where POSIX shared memory lives on Linux; :meth:`ColumnarGeneration.share`
-#: checks its free space before copying a generation in (platforms
-#: without the directory skip the check).
-SEGMENT_DIRECTORY = "/dev/shm"
-
 
 class IdCodec:
     """A per-execution id⇄name codec over one generation's interner.
@@ -251,84 +248,40 @@ class SharedInterner:
         return self.id_of(name) is not None
 
 
-class GenerationHandle:
-    """Everything needed to attach a shared generation from another
-    process: the segment name plus the layout of the arrays inside it.
+def _generation_path(name: str) -> str:
+    """Where the generation file ``name`` lives: the RAM-backed
+    ``/dev/shm`` where the host has one, else the temporary directory."""
+    if os.path.isdir("/dev/shm"):
+        return os.path.join("/dev/shm", name)
+    import tempfile
 
-    Plain picklable data — this is what the replica pool ships over a
-    pipe (or through ``spawn`` process arguments) instead of the fact
-    heap itself.
-    """
-
-    __slots__ = ("name", "n", "n_names", "version", "layout", "size")
-
-    def __init__(self, name: str, n: int, n_names: int, version: int,
-                 layout: Tuple[Tuple[str, str, int], ...], size: int):
-        self.name = name
-        self.n = n
-        self.n_names = n_names
-        self.version = version
-        self.layout = layout        # ((field, typecode, count), ...)
-        self.size = size
-
-    def __getstate__(self):
-        return (self.name, self.n, self.n_names, self.version,
-                self.layout, self.size)
-
-    def __setstate__(self, state):
-        (self.name, self.n, self.n_names, self.version,
-         self.layout, self.size) = state
-
-    def __repr__(self) -> str:
-        return (f"GenerationHandle({self.name!r}, n={self.n},"
-                f" names={self.n_names}, {self.size} bytes)")
-
-
-def attach_shared_memory(name: str):
-    """Attach an existing shared-memory segment *without* registering
-    it with the resource tracker.
-
-    The creator of a segment owns its lifetime; an attaching process
-    must not let Python's ``resource_tracker`` adopt the name, or every
-    worker exit produces "leaked shared_memory" warnings and a
-    double-unlink race.  Python 3.13 has ``track=False`` for exactly
-    this; earlier versions need the documented unregister workaround.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(segment._name,  # noqa: SLF001
-                                        "shared_memory")
-        except Exception:  # pragma: no cover - defensive
-            pass
-        return segment
+    return os.path.join(tempfile.gettempdir(), name)
 
 
 def unlink_generation(name: str) -> bool:
-    """Unlink a shared generation segment by name (idempotent).
+    """Remove a generation file by name (idempotent).
 
-    Returns True if the segment existed.  Already-attached processes
-    keep their mappings (POSIX semantics); the memory is reclaimed when
-    the last of them detaches.
+    Returns True if the file existed.  Processes that mapped it keep
+    their mappings; the memory is reclaimed when the last of them lets
+    go.
     """
-    from multiprocessing import shared_memory
-
-    # Deliberately tracked: attaching registers the name with this
-    # process's resource tracker and unlink() unregisters it, so the
-    # pair stays balanced whether or not this process created the
-    # segment (registration is a set — the creator's own entry merges).
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        os.unlink(_generation_path(name))
     except FileNotFoundError:
         return False
-    segment.unlink()
-    segment.close()
     return True
+
+
+def _write_all(fd: int, chunks: List) -> None:
+    """Write ``chunks`` in order, straight from their buffers, resuming
+    after a short write."""
+    pending = [memoryview(chunk).cast("B") for chunk in chunks]
+    while pending:
+        written = os.writev(fd, pending)
+        while pending and written >= len(pending[0]):
+            written -= len(pending.pop(0))
+        if pending:
+            pending[0] = pending[0][written:]
 
 
 class ColumnarGeneration:
@@ -353,8 +306,8 @@ class ColumnarGeneration:
 
     Every structure is a flat ``array``/``memoryview``, so a generation
     is either *built* (process-local arrays) or *attached* (zero-copy
-    views over a :mod:`multiprocessing.shared_memory` segment); all
-    probing code is agnostic to which.
+    views over a mapped generation file); all probing code is agnostic
+    to which.
     """
 
     __slots__ = (
@@ -364,7 +317,7 @@ class ColumnarGeneration:
         "perm_r", "perm_t",
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
         "st_keys", "st_starts",
-        "_fact_memo", "_segment", "_views",
+        "_fact_memo", "_map", "_views",
         "__weakref__",      # a retired generation's release is testable
     )
 
@@ -372,7 +325,7 @@ class ColumnarGeneration:
         # Lazily allocated flat memo (one slot per column offset): a
         # list index beats dict hashing on the hottest decode path.
         self._fact_memo: Optional[List[Optional[Fact]]] = None
-        self._segment = None
+        self._map = None
         self._views: List = []
 
     # ------------------------------------------------------------------
@@ -421,8 +374,10 @@ class ColumnarGeneration:
                         key=lambda i: (tcol[i] * u + scol[i]) * u + rcol[i])
         gen.perm_r = array("i", perm_r)
         gen.perm_t = array("i", perm_t)
-        gen.start_r = cls._offsets_perm(rcol, perm_r, u)
-        gen.start_t = cls._offsets_perm(tcol, perm_t, u)
+        # A column's counts do not depend on its order, so its offsets
+        # into a permutation sorted on it are the same.
+        gen.start_r = cls._offsets(rcol, u)
+        gen.start_t = cls._offsets(tcol, u)
 
         gen.sr_keys, gen.sr_starts = cls._pair_runs(
             ((scol[i], rcol[i]) for i in range(n)), u, n)
@@ -434,18 +389,11 @@ class ColumnarGeneration:
 
     @staticmethod
     def _offsets(col: Sequence[int], u: int) -> array:
-        """CSR offsets over a sorted column: id → [start, end)."""
+        """CSR offsets over a column, taken in the order sorted on
+        it: id → [start, end)."""
         counts = [0] * (u + 1)
         for value in col:
             counts[value + 1] += 1
-        return array("q", itertools.accumulate(counts))
-
-    @staticmethod
-    def _offsets_perm(col: Sequence[int], perm: Sequence[int],
-                      u: int) -> array:
-        counts = [0] * (u + 1)
-        for i in perm:
-            counts[col[i] + 1] += 1
         return array("q", itertools.accumulate(counts))
 
     @staticmethod
@@ -466,137 +414,133 @@ class ColumnarGeneration:
         return keys, starts
 
     # ------------------------------------------------------------------
-    # Shared memory
+    # The generation file
     # ------------------------------------------------------------------
     _FIELDS = ("scol", "rcol", "tcol", "perm_r", "perm_t",
                "start_s", "start_r", "start_t",
                "sr_keys", "sr_starts", "rt_keys", "rt_starts",
                "st_keys", "st_starts")
+    #: A generation file's arrays in file order, with their typecodes:
+    #: the name table, then the columns and indexes.
+    _ARRAYS = tuple(zip(("name_offsets", "names_blob", "name_sort")
+                        + _FIELDS, "qBi" + "i" * 5 + "q" * 9))
+    #: Magic, fact count, name count, store version, then each array's
+    #: length in items.
+    _HEADER = struct.Struct(f"=8s3q{len(_ARRAYS)}q")
+    _MAGIC = b"REPROGN1"
 
-    def share(self, name: Optional[str] = None) -> GenerationHandle:
-        """Copy this generation into one shared-memory segment.
+    @classmethod
+    def _placements(cls, counts: Sequence[int]) -> List[Tuple[int, int]]:
+        """``(start, end)`` of each array in the file: after the
+        header, each 8-byte aligned."""
+        placed, end = [], cls._HEADER.size
+        for (_, typecode), count in zip(cls._ARRAYS, counts):
+            start = (end + 7) & ~7
+            end = start + count * array(typecode).itemsize
+            placed.append((start, end))
+        return placed
 
-        Returns the :class:`GenerationHandle` other processes attach
-        with.  The caller owns the segment, by name: nothing of it
-        stays mapped here, and it lives until
-        :func:`unlink_generation` (the pool's re-share at the next
-        fold, or its shutdown) removes it.  Raises
-        :class:`~repro.core.errors.ReplicaError` before creating
-        anything when the segment directory has less room than the
-        generation needs — on tmpfs the allocation would succeed and
-        the copy would kill this process with ``SIGBUS``.
+    def share(self) -> str:
+        """Write this generation to a fresh generation file.
+
+        Returns the file's name, which is all another process needs to
+        :meth:`attach` it: the header describes the layout.  The caller
+        owns the file, by name, until :func:`unlink_generation` removes
+        it (the pool's re-share at the next fold, or its close).  A
+        write the file system refuses (``ENOSPC`` on a full
+        ``/dev/shm``) removes the partial file and raises
+        :class:`~repro.core.errors.ReplicaError`.
         """
-        from multiprocessing import shared_memory
-
         encoded = [s.encode("utf-8") for s in self.interner.names]
-        blob = b"".join(encoded)
-        offsets = array("q", itertools.accumulate(
-            itertools.chain((0,), map(len, encoded))))
         # Ids in byte-lexicographic name order: the attach side
         # resolves str→id by bisecting this permutation against the
         # blob instead of materializing a dict over the whole table.
-        order = array("i", sorted(range(len(encoded)),
-                                  key=encoded.__getitem__))
-        parts: List[Tuple[str, str, bytes]] = [
-            ("name_offsets", "q", offsets.tobytes()),
-            ("names_blob", "B", blob),
-            ("name_sort", "i", order.tobytes()),
-        ]
-        for field in self._FIELDS:
-            arr: array = getattr(self, field)
-            parts.append((field, arr.typecode, arr.tobytes()))
-
-        layout: List[Tuple[str, str, int]] = []
-        total = 0
-        placed: List[Tuple[int, bytes]] = []
-        for field, typecode, raw in parts:
-            total = (total + 7) & ~7        # 8-byte alignment
-            itemsize = array(typecode).itemsize
-            layout.append((field, typecode, len(raw) // itemsize))
-            placed.append((total, raw))
-            total += len(raw)
-        total = max(total, 1)
-
-        if os.path.isdir(SEGMENT_DIRECTORY):
-            room = os.statvfs(SEGMENT_DIRECTORY)
-            available = room.f_bavail * room.f_frsize
-            if total > available:
-                raise ReplicaError(
-                    f"sharing a generation of {self.n} facts needs"
-                    f" {total} bytes of shared memory and"
-                    f" {SEGMENT_DIRECTORY} has {available} free: serve"
-                    f" without replica workers (--workers 0) or mount"
-                    f" a larger {SEGMENT_DIRECTORY}")
-        if name is None:
-            name = f"repro-gen-{os.getpid()}-{secrets.token_hex(4)}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=total)
+        buffers = [
+            array("q", itertools.accumulate(
+                itertools.chain((0,), map(len, encoded)))),
+            b"".join(encoded),
+            array("i", sorted(range(len(encoded)),
+                              key=encoded.__getitem__)),
+        ] + [getattr(self, field) for field in self._FIELDS]
+        counts = [len(buffer) for buffer in buffers]
+        chunks: List = [self._HEADER.pack(
+            self._MAGIC, self.n, len(encoded), self.version, *counts)]
+        end = self._HEADER.size
+        for buffer, (start, stop) in zip(buffers,
+                                         self._placements(counts)):
+            chunks += [bytes(start - end), buffer]
+            end = stop
+        name = f"repro-gen-{os.getpid()}-{secrets.token_hex(4)}"
+        path = _generation_path(name)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
-            buf = segment.buf
-            for (offset, raw) in placed:
-                buf[offset:offset + len(raw)] = raw
+            _write_all(fd, chunks)
+        except OSError as error:
+            os.unlink(path)
+            directory = os.path.dirname(path)
+            raise ReplicaError(
+                f"sharing a generation of {self.n} facts needs {end}"
+                f" bytes in {directory} and writing them failed"
+                f" ({error}): serve without replica workers"
+                f" (--workers 0) or make room in {directory}") from error
         finally:
-            segment.close()
-        return GenerationHandle(
-            name=segment.name, n=self.n, n_names=len(self.interner),
-            version=self.version, layout=tuple(layout), size=total)
+            os.close(fd)
+        return name
 
     @classmethod
-    def attach(cls, handle: GenerationHandle) -> "ColumnarGeneration":
-        """Map a shared generation with zero copying of fact data.
+    def attach(cls, name: str) -> "ColumnarGeneration":
+        """Map a generation file read-only, with zero copying of fact
+        data.
 
         The columns, permutations, and CSR indexes are read directly
-        from the segment as typed memoryviews, and the name table
+        from the mapping as typed memoryviews, and the name table
         resolves both directions lazily (:class:`SharedInterner`), so
-        attach cost is independent of heap size.
+        attach cost is independent of heap size.  A file that is not
+        a generation file, or is shorter than its header declares (it
+        comes from outside this process), raises
+        :class:`~repro.core.errors.ReplicaError` and stays unmapped.
         """
+        path = _generation_path(name)
+        with open(path, "rb") as file:
+            size = os.fstat(file.fileno()).st_size
+            if size < cls._HEADER.size:
+                raise ReplicaError(
+                    f"{path} is not a whole generation file ({size} bytes)")
+            mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        magic, n, n_names, version, *counts = cls._HEADER.unpack_from(mapped)
+        placed = cls._placements(counts)
+        if (magic != cls._MAGIC or min(counts) < 0
+                or placed[-1][1] > len(mapped)):
+            mapped.close()
+            raise ReplicaError(
+                f"{path} is not a whole generation file ({size} bytes)")
         gen = cls()
-        segment = attach_shared_memory(handle.name)
-        gen._segment = segment
-        gen.n = handle.n
-        gen.version = handle.version
-        buf = segment.buf
-        offset = 0
-        views: Dict[str, memoryview] = {}
-        for field, typecode, count in handle.layout:
-            offset = (offset + 7) & ~7
-            itemsize = array(typecode).itemsize
-            nbytes = count * itemsize
-            view = memoryview(buf)[offset:offset + nbytes]
-            if typecode != "B":
-                view = view.cast(typecode)
-            views[field] = view
-            gen._views.append(view)
-            offset += nbytes
-        gen.interner = SharedInterner(
-            views["names_blob"], views["name_offsets"],
-            views["name_sort"], handle.n_names)
-        for field in cls._FIELDS:
-            setattr(gen, field, views[field])
+        gen._map, gen.n, gen.version = mapped, n, version
+        whole = memoryview(mapped)
+        gen._views = [whole[start:end] if typecode == "B"
+                      else whole[start:end].cast(typecode)
+                      for (_, typecode), (start, end)
+                      in zip(cls._ARRAYS, placed)]
+        offsets, blob, order, *fields = gen._views
+        gen.interner = SharedInterner(blob, offsets, order, n_names)
+        for field, view in zip(cls._FIELDS, fields):
+            setattr(gen, field, view)
         return gen
 
     def close(self) -> None:
-        """Release an attached generation's segment mapping (not
-        unlink); a built generation has none and is left as it is."""
-        if self._segment is None:
+        """Release an attached generation's mapping (the file stays);
+        a built generation has none and is left as it is."""
+        if self._map is None:
             return
         for view in self._views:
             view.release()
-        self._views = []
         # The fields were those views: the memo goes with them.
-        self._fact_memo = None
+        self._views, self._fact_memo = [], None
         try:
-            self._segment.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
-        self._segment = None
-
-    def __del__(self):
-        # A replica that recomputes its closure (a shipped control)
-        # drops the attached store without closing it; left to the
-        # collector, the segment would go before the views into it
-        # and say so on stderr.
-        self.close()
+            self._map.close()
+        except BufferError:  # pragma: no cover - a view kept elsewhere
+            pass             # holds the mapping until it goes
+        self._map = None
 
     # ------------------------------------------------------------------
     # Probing
@@ -806,12 +750,12 @@ class ColumnarGeneration:
             yield self.fact_at(position)
 
     def nbytes(self) -> int:
-        """Total flat-array payload (what a shared segment holds)."""
-        total = sum(len(getattr(self, f)) * (8 if getattr(
-            self, f).typecode == "q" else 4) for f in self._FIELDS) \
-            if not self._views else 0
+        """Total flat-array payload (what a generation file's body
+        holds)."""
         if self._views:
             return sum(v.nbytes for v in self._views)
+        total = sum(len(a) * a.itemsize
+                    for a in (getattr(self, f) for f in self._FIELDS))
         total += sum(len(s.encode("utf-8")) for s in self.interner.names)
         total += 8 * (len(self.interner) + 1)
         return total
@@ -889,7 +833,8 @@ class InternedFactStore(FactStore):
     counting either layer is an index length; the win is that the bulk
     of the heap is flat arrays — cheap to copy (the generation is
     shared, the two small layers share their fact sets copy-on-write),
-    cheap to place in shared memory, and probed without tuple hashing.
+    cheap to write to a generation file, and probed without tuple
+    hashing.
 
     Nothing here folds by itself: :attr:`overlay_size` is the pressure
     gauge and :data:`OVERLAY_BUDGET` the bound.  The serving writer
@@ -946,9 +891,9 @@ class InternedFactStore(FactStore):
         return store
 
     @classmethod
-    def attach(cls, handle: GenerationHandle) -> "InternedFactStore":
-        """Attach to a shared generation published by another process."""
-        return cls.from_generation(ColumnarGeneration.attach(handle))
+    def attach(cls, name: str) -> "InternedFactStore":
+        """Attach to a generation file another process shared."""
+        return cls.from_generation(ColumnarGeneration.attach(name))
 
     def compact(self) -> "InternedFactStore":
         """Fold generation, tombstones, and overlay into a fresh
@@ -971,7 +916,7 @@ class InternedFactStore(FactStore):
         return len(self._removed)
 
     def close(self) -> None:
-        """Release an attached generation's shared mapping."""
+        """Release an attached generation's mapping."""
         if self._gen is not None:
             self._gen.close()
 

@@ -59,7 +59,7 @@ from .rules.provenance import (
 )
 from .rules.registry import RuleRegistry
 from .rules.rule import RelationshipClassifier, Rule, RuleContext
-from .virtual.computed import FactView, VirtualRegistry
+from .virtual.computed import FactView
 from .virtual.special import standard_virtual_registry
 from .views import ViewCatalog, ViewDefinition
 
@@ -86,8 +86,7 @@ class Database:
                  with_axioms: bool = True,
                  auto_check: bool = False,
                  query_engine: str = "compiled",
-                 trace: bool = False,
-                 virtual: Optional[VirtualRegistry] = None):
+                 trace: bool = False):
         """
         Args:
             facts: initial facts.
@@ -101,7 +100,6 @@ class Database:
             trace: record derivation provenance so :meth:`why` can
                 show why any closure fact holds (small time/memory
                 overhead on closure computation).
-            virtual: override the virtual-relation registry (tests).
         """
         if query_engine not in ("compiled", "reference"):
             raise ValueError(f"unknown query engine: {query_engine!r}")
@@ -113,8 +111,7 @@ class Database:
         self.auto_check = auto_check
         self.trace = trace
         self._composition_limit: Optional[int] = COMPOSITION_OFF
-        self._virtual = virtual if virtual is not None \
-            else standard_virtual_registry()
+        self._virtual = standard_virtual_registry()
         # The closure is cached in two layers: the standard-rule
         # closure (maintainable incrementally under insertion) and the
         # full closure (standard + composition facts).
@@ -403,8 +400,8 @@ class Database:
         :meth:`~repro.core.store.FactStore.copy` (snapshot publication,
         closure seeding) shares the generation instead of duplicating
         index dicts, and :meth:`ColumnarGeneration.share
-        <repro.core.interned.ColumnarGeneration.share>` can place the
-        generation in shared memory for the replica pool.  Mutations
+        <repro.core.interned.ColumnarGeneration.share>` can write the
+        generation to a file the replica pool's workers map.  Mutations
         accumulate in the overlay (additions and tombstones); calling
         again *folds* them into a fresh generation.  A
         :class:`~repro.serve.DatabaseService` does both for its master:
@@ -580,12 +577,15 @@ class Database:
     def closure(self) -> ClosureResult:
         """The closure of the facts under the enabled rules, cached
         until the next mutation.  Composition facts (bounded by the
-        limit) are folded into the closed store."""
+        limit) are folded into the closed store; composing them over
+        the whole standard closure is an O(heap) build
+        (:func:`~repro.core.heap.heap_build`)."""
         if self._full_result is None:
             standard = self.standard_closure()
             if not self._composition_enabled:
                 self._full_result = standard
-            else:
+                return standard
+            with heap_build():
                 combined = standard.store.copy()
                 composed = compose_closure(standard.store,
                                            self._composition_limit)
@@ -595,15 +595,15 @@ class Database:
                     add_composition_provenance(
                         provenance, composed.chain_lengths,
                         composed.facts)
-                self._full_result = ClosureResult(
-                    store=combined,
-                    base_count=standard.base_count,
-                    derived_count=standard.derived_count + added,
-                    iterations=standard.iterations,
-                    rule_firings=dict(standard.rule_firings),
-                    rule_times=dict(standard.rule_times),
-                    provenance=provenance,
-                )
+            self._full_result = ClosureResult(
+                store=combined,
+                base_count=standard.base_count,
+                derived_count=standard.derived_count + added,
+                iterations=standard.iterations,
+                rule_firings=dict(standard.rule_firings),
+                rule_times=dict(standard.rule_times),
+                provenance=provenance,
+            )
         return self._full_result
 
     def view(self) -> FactView:

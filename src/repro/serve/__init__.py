@@ -25,7 +25,7 @@ service can sit behind a socket (``python -m repro.shell serve music``
 
 :mod:`repro.serve.pool` scales reads past the GIL:
 :class:`ReplicaPool` forks N worker *processes*, each a database
-replica attached to the shared-memory generations of the writer's last
+replica attached to the generation files of the writer's last
 fold and kept current by the delta batches the writer thread publishes
 (coalesced net fact mutations plus rule/limit controls, in order, over
 pipes), applied through the database's incremental maintenance rather

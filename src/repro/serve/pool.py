@@ -14,11 +14,12 @@ One generation lifecycle, driven by the writer::
     fold / recompute ──► share ──► attach ──► unlink
     writer               pool      workers    pool, on the last ack
 
-The pool never builds a generation.  At construction it copies the
-published snapshot's base and closure generations into shared memory
-(:meth:`GenerationBootstrap.share
+The pool never builds a generation.  At construction it writes the
+published snapshot's base and closure generations to two generation
+files in ``/dev/shm`` (:meth:`GenerationBootstrap.share
 <repro.serve.replica.GenerationBootstrap.share>`) and every worker
-*attaches* them.  Each published batch then reaches a worker one way:
+*attaches* them: it maps each file read-only, by name.  Each
+published batch then reaches a worker one way:
 
 * a batch whose :class:`~repro.serve.replica.Delta` carries a closure
   half and did not fold is sent as that record, which the worker
@@ -28,18 +29,19 @@ published snapshot's base and closure generations into shared memory
   control, an ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback:
   ``closure_stats`` is ``None``), makes the pool share the snapshot
   published for it, and workers are sent those generations *instead
-  of* the record; the retired segments are unlinked when the last
+  of* the record; the retired files are unlinked when the last
   live worker has acknowledged the re-attach.
 
 So a worker only applies or attaches — it never runs a rule — and its
 overlay, the buffer and a respawn's replay are all bounded by the
 budget that makes the writer fold
-(:data:`~repro.core.interned.OVERLAY_BUDGET`).  A share that shared
-memory refuses is counted (``share_failures``).  After a fold, workers
-take that batch as a record, as before.  After a recompute they could
-not follow it, so the pool is *behind*: it sends workers nothing and
-routes them no read until its next successful share — the writer's
-next fold — re-attaches them.
+(:data:`~repro.core.interned.OVERLAY_BUDGET`).  A share whose write
+the file system refuses (a full ``/dev/shm``) is counted
+(``share_failures``).  After a fold, workers take that batch as a
+record, as before.  After a recompute they could not follow it, so
+the pool is *behind*: it sends workers nothing and routes them no
+read until its next successful share — the writer's next fold —
+re-attaches them.
 
 Reads are routed primary first: the primary's published snapshot is
 always current and lock-free, so a read that finds no other pool read
@@ -186,8 +188,9 @@ class ReplicaPool:
     The constructor returns once every worker has attached the shared
     generations and is ready.  It raises
     :class:`~repro.core.errors.ReplicaError`, before any worker is
-    spawned, when shared memory cannot hold the generations — such a
-    host serves without workers or mounts a larger ``/dev/shm``.
+    spawned, when writing the generation files fails — a full
+    ``/dev/shm``; such a host serves without workers or mounts a
+    larger one.
 
     Args:
         service: the primary.  The pool subscribes to its delta stream;
@@ -379,7 +382,7 @@ class ReplicaPool:
     def _share_folded(self) -> bool:
         """Share the snapshot the writer just published after a fold
         or a recompute (writer thread, pool lock held).  A refused
-        share — shared memory is full — is counted and survived: the
+        share — a full ``/dev/shm`` — is counted and survived: the
         primary answers as always, and the next fold tries again."""
         try:
             shared = self._share_published()
@@ -422,7 +425,7 @@ class ReplicaPool:
                                 "serve.pool.lag_seconds", lag)
                     if kind == "reattached":
                         # The worker let go of the pair it had: the
-                        # last live one to say so frees the segments.
+                        # last live one to say so frees the files.
                         worker.attached_seq = version
                         self._unlink_unmapped()
                     self._version_cv.notify_all()
@@ -817,7 +820,7 @@ class ReplicaPool:
                 "generation_seq": (self._gen.version
                                    if self._gen is not None else None),
                 "generation_log": len(self._gen_log),
-                "retired_segments": sum(len(pair.segment_names())
+                "retired_segments": sum(len(pair.file_names())
                                         for pair in self._retired),
                 "compactions": self.compactions,
                 "share_failures": self._share_failures,
@@ -872,9 +875,9 @@ class ReplicaPool:
             worker.pending.clear()
             for pending in stranded:
                 pending.fail_dead()
-        # Workers are gone: the shared generation segments (the current
-        # pair plus any a fold retired) have no readers left and must
-        # be unlinked here, or they outlive the pool in /dev/shm.
+        # Workers are gone: the generation files (the current pair
+        # plus any a fold retired) have no readers left and must be
+        # unlinked here, or they outlive the pool in /dev/shm.
         with self._lock:
             pairs, self._retired = self._retired, []
             if self._gen is not None:

@@ -5,13 +5,13 @@ aggregate read throughput, however many reader threads connect.  This
 module is the worker half of the standard log-shipping answer: the
 primary keeps its single writer thread, and each *worker process*
 holds a :class:`~repro.db.Database` replica *attached* to the
-generations the pool last shared (:class:`GenerationBootstrap` —
-shared-memory handles, never a copied heap), which it keeps current by
-applying ordered :class:`Delta` records shipped over a pipe.  A record
-carries what the primary's writer already derived: the batch's net
-change to the base heap *and* to the standard closure, plus the
-closure statistics it left, so a worker derives nothing — it applies
-both halves to its overlays as plain store operations
+generations the pool last shared (:class:`GenerationBootstrap` — the
+names of two generation files it maps, never a copied heap), which it
+keeps current by applying ordered :class:`Delta` records shipped over
+a pipe.  A record carries what the primary's writer already derived:
+the batch's net change to the base heap *and* to the standard closure,
+plus the closure statistics it left, so a worker derives nothing — it
+applies both halves to its overlays as plain store operations
 (:meth:`repro.db.Database.apply_delta`) and runs no rule.  A worker
 does one of two things with a message that changes its data: it
 applies a record, or it attaches generations.  A batch the primary
@@ -50,7 +50,7 @@ and worker → parent::
     ("ready", version)                   bootstrap finished
     ("applied", version)                 delta ack
     ("reattached", version)              generation re-attach ack (the
-                                         old segments are now unmapped)
+                                         old files are now unmapped)
     ("result", rid, ok, value, version, extra)
                                          read outcome (value is the
                                          result, or (error_name, text));
@@ -119,14 +119,14 @@ class Delta:
 
 @dataclass
 class GenerationBootstrap:
-    """Bootstrap by *attaching*, not copying: shared-memory handles.
+    """Bootstrap by *attaching*, not copying: two generation files.
 
-    The worker receives the names and layouts of the shared-memory
-    segments holding a published snapshot's base heap and standard
-    closure as frozen columnar generations
-    (:mod:`repro.core.interned`), plus the configuration that closure
-    was computed under.  It maps the segments read-only-by-convention
-    and layers its own small mutable overlay on top, so per-worker
+    The worker receives the names of the generation files holding a
+    published snapshot's base heap and standard closure as frozen
+    columnar generations (:mod:`repro.core.interned`; each file
+    describes its own layout), plus the configuration that closure
+    was computed under.  It maps the files read-only and layers its
+    own small mutable overlay on top, so per-worker
     incremental memory is the overlay plus decode memo, not a database
     copy, and it never recomputes the closure it attached.
 
@@ -139,8 +139,8 @@ class GenerationBootstrap:
     validated against stays continuous across attach.
     """
 
-    base_handle: Any                      # core.interned.GenerationHandle
-    closure_handle: Any
+    base_name: str                        # generation file names
+    closure_name: str
     closure_stats: dict                   # ClosureResult.statistics()
     rules: List[Rule]
     enabled: Dict[str, bool]
@@ -153,18 +153,18 @@ class GenerationBootstrap:
     @classmethod
     def share(cls, snap: Database,
               version: int) -> Optional["GenerationBootstrap"]:
-        """Place a published snapshot's generations in shared memory.
+        """Write a published snapshot's generations to two files.
 
         ``snap`` is the service's snapshot at replication ``version``.
         Only a snapshot with nothing outside its generations — the one
         the service was constructed with, or one the writer just
-        folded — can be shared, as two copies into fresh segments,
-        never a build; for any other this returns ``None`` (folding is
-        the writer's: :meth:`DatabaseService.fold
+        folded — can be shared, as two writes of fresh files, never a
+        build; for any other this returns ``None`` (folding is the
+        writer's: :meth:`DatabaseService.fold
         <repro.serve.DatabaseService.fold>`).  The caller owns both
-        segments (:meth:`unlink`).  Raises
-        :class:`~repro.core.errors.ReplicaError`, leaving no segment
-        behind, when shared memory has no room
+        files (:meth:`unlink`).  Raises
+        :class:`~repro.core.errors.ReplicaError`, leaving no file
+        behind, when a write is refused
         (:meth:`ColumnarGeneration.share
         <repro.core.interned.ColumnarGeneration.share>`).
         """
@@ -174,15 +174,15 @@ class GenerationBootstrap:
         result = snap.standard_closure()    # warmed before publication
         if base.overlay_size or result.store.overlay_size:
             return None
-        base_handle = base.generation.share()
+        base_name = base.generation.share()
         try:
-            closure_handle = result.store.generation.share()
+            closure_name = result.store.generation.share()
         except BaseException:
-            unlink_generation(base_handle.name)
+            unlink_generation(base_name)
             raise
         return cls(
-            base_handle=base_handle,
-            closure_handle=closure_handle,
+            base_name=base_name,
+            closure_name=closure_name,
             closure_stats=result.statistics(),
             rules=snap.rules.all_rules(),
             enabled=snap.rules.snapshot_state(),
@@ -192,15 +192,15 @@ class GenerationBootstrap:
             closure_version=result.store.version,
         )
 
-    def segment_names(self) -> List[str]:
-        return [self.base_handle.name, self.closure_handle.name]
+    def file_names(self) -> List[str]:
+        return [self.base_name, self.closure_name]
 
     def unlink(self) -> None:
-        """Remove both segments (idempotent).  Processes still attached
+        """Remove both files (idempotent).  Processes still attached
         keep their mappings until they release them."""
         from ..core.interned import unlink_generation
 
-        for name in self.segment_names():
+        for name in self.file_names():
             unlink_generation(name)
 
 
@@ -208,8 +208,8 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     """A replica database attached to shared columnar generations.
 
     Base heap and standard closure are each an
-    :class:`~repro.core.interned.InternedFactStore` over the
-    parent-owned shared segment: zero fact copying, and the replica's
+    :class:`~repro.core.interned.InternedFactStore` over a mapped,
+    parent-owned generation file: zero fact copying, and the replica's
     incremental memory is its overlay plus whatever facts its reads
     decode.  Records change the attached closure's overlay in place,
     and it never auto-checks: integrity was the primary's job at write
@@ -221,13 +221,13 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     from ..rules.engine import ClosureResult
 
     db = Database(with_axioms=False)
-    base = InternedFactStore.attach(state.base_handle)
+    base = InternedFactStore.attach(state.base_name)
     base._version = state.store_version  # noqa: SLF001
     db._base = base  # noqa: SLF001
     db.rules = RuleRegistry(state.rules)
     db.rules.restore_state(state.enabled)
     db._composition_limit = state.composition_limit  # noqa: SLF001
-    closure_store = InternedFactStore.attach(state.closure_handle)
+    closure_store = InternedFactStore.attach(state.closure_name)
     closure_store._version = state.closure_version  # noqa: SLF001
     stats = state.closure_stats
     db._standard_result = ClosureResult(  # noqa: SLF001
@@ -243,12 +243,12 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
 
 
 def release_attached_stores(db: Database) -> None:
-    """Release a replica's shared-memory mappings (base + closure).
+    """Release a replica's generation mappings (base + closure).
 
     Called when a worker swaps to the generations of the writer's next
     fold; process exit would release them anyway, but an explicit close
-    keeps the old segment's pages reclaimable as soon as the pool
-    unlinks it.  (The closure seeds its store from the base heap's
+    keeps the old file's pages reclaimable as soon as the pool unlinks
+    it.  (The closure seeds its store from the base heap's
     type, so all three are interned stores.)
     """
     results = (db._standard_result, db._full_result)  # noqa: SLF001
@@ -420,7 +420,7 @@ def replica_main(conn, state: GenerationBootstrap,
             db, version = _attach(message[1])
             release_attached_stores(old)
             # Distinct ack type: the parent must know the worker is
-            # done with the *old* segments (a plain delta ack could
+            # done with the *old* files (a plain delta ack could
             # predate the re-attach), so it can unlink them safely.
             conn.send(("reattached", version))
         elif kind == "read":
@@ -449,9 +449,4 @@ def replica_main(conn, state: GenerationBootstrap,
         elif kind == "crash":
             os._exit(3)
         elif kind == "stop":
-            # Release attached shared-memory views before interpreter
-            # teardown: GC order is arbitrary there, and closing a
-            # segment while typed views still reference its buffer
-            # raises BufferError noise on the way out.
-            release_attached_stores(db)
             return

@@ -286,8 +286,8 @@ def _tables(draw):
 def test_projection_by_column_decodes_as_cell_by_cell_would(table):
     facts, columns, variables, rows, attached = table
     source = InternedFactStore.from_facts(facts)
-    handle = source.generation.share() if attached else None
-    store = InternedFactStore.attach(handle) if attached else source
+    file_name = source.generation.share() if attached else None
+    store = InternedFactStore.attach(file_name) if attached else source
     try:
         codec = store.id_codec()
         scratch = [codec.encode(name) for name in (TOP, "GHOST", ISA)]
@@ -309,4 +309,4 @@ def test_projection_by_column_decodes_as_cell_by_cell_would(table):
     finally:
         if attached:
             store.close()
-            unlink_generation(handle.name)
+            unlink_generation(file_name)

@@ -160,6 +160,32 @@ class TestWhatABuildLeaves:
             assert alive() is None
 
 
+    def test_the_composition_build_runs_inside_a_build(self, monkeypatch):
+        """``limit(2)`` composes over the whole standard closure: an
+        O(heap) build like the closure itself."""
+        import repro.db
+
+        compose = repro.db.compose_closure
+        collector_on = []
+
+        def spy(*args, **kwargs):
+            collector_on.append(gc.isenabled())
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(repro.db, "compose_closure", spy)
+        db = Database(world_facts())
+        db.limit(2)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            db.closure()
+            assert gc.isenabled()
+        finally:
+            if not was:
+                gc.disable()
+        assert collector_on == [False]
+
+
 # ----------------------------------------------------------------------
 # The caller's collector state
 # ----------------------------------------------------------------------

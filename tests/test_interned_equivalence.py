@@ -230,9 +230,9 @@ def test_attach_preserves_store_equivalence():
     hash_db, _interned_db, entities, relationships = _pair("movies")
     reference = hash_db.facts
     source = InternedFactStore.from_facts(reference)
-    handle = source.generation.share()
+    file_name = source.generation.share()
     try:
-        attached = InternedFactStore.attach(handle)
+        attached = InternedFactStore.attach(file_name)
         try:
             rng = random.Random("attach-equivalence")
             for _ in range(TEMPLATES_PER_CASE):
@@ -250,4 +250,4 @@ def test_attach_preserves_store_equivalence():
         from repro.core.interned import unlink_generation
 
         source.close()
-        unlink_generation(handle.name)
+        unlink_generation(file_name)

@@ -1,15 +1,18 @@
 """Unit tests for the interned columnar store (repro.core.interned)."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core import Fact, FactStore, template, var
-from repro.core.errors import FrozenStoreError
+from repro.core.errors import FrozenStoreError, ReplicaError
 from repro.core.interned import (
     ColumnarGeneration,
     Interner,
     InternedFactStore,
+    _generation_path,
     unlink_generation,
 )
 
@@ -333,13 +336,23 @@ class TestInternedFactStore:
         assert sorted(rebuilt) == sorted(facts)
 
 
+def _mapped(path) -> bool:
+    """Whether this process maps ``path`` (always False where
+    ``/proc/self/maps`` does not exist)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            return any(line.rstrip().endswith(str(path)) for line in maps)
+    except FileNotFoundError:
+        return False
+
+
 class TestSharedMemory:
     def test_share_attach_round_trip(self):
         facts = random_facts(31, 200)
         gen = ColumnarGeneration.build(facts, version=7)
-        handle = gen.share()
+        name = gen.share()
         try:
-            attached = ColumnarGeneration.attach(handle)
+            attached = ColumnarGeneration.attach(name)
             try:
                 assert attached.version == 7
                 assert len(attached) == len(facts)
@@ -354,15 +367,60 @@ class TestSharedMemory:
                 attached.close()
         finally:
             gen.close()
-            assert unlink_generation(handle.name)
-            assert not unlink_generation(handle.name)  # idempotent
+            assert unlink_generation(name)
+            assert not unlink_generation(name)  # idempotent
+
+    def test_empty_generation_round_trip(self):
+        gen = ColumnarGeneration.build([], version=3)
+        name = gen.share()
+        try:
+            attached = ColumnarGeneration.attach(name)
+            try:
+                assert attached.version == 3
+                assert len(attached) == 0 and list(attached) == []
+                store = InternedFactStore.from_generation(attached)
+                pattern = template(var("x"), "R", var("y"))
+                assert list(store.match(pattern)) == []
+                assert store.add(Fact("A", "R", "B"))
+                assert list(store.match(pattern)) == [Fact("A", "R", "B")]
+            finally:
+                attached.close()
+        finally:
+            unlink_generation(name)
+
+    def test_multibyte_names_round_trip(self):
+        names = ["ÉCOLE", "名前", "Ωμέγα", "ÅSA", "日本語の名前", "A",
+                 "🙂", "ZÜRICH", "é", "e"]
+        facts = sorted({Fact(names[i % len(names)], "∈",
+                             names[(3 * i + 1) % len(names)])
+                        for i in range(40)})
+        gen = ColumnarGeneration.build(facts)
+        name = gen.share()
+        try:
+            attached = ColumnarGeneration.attach(name)
+            try:
+                assert sorted(attached) == facts
+                for entity in names + ["∈"]:
+                    i = attached.interner.id_of(entity)
+                    assert i == gen.interner.id_of(entity)
+                    assert attached.interner.name_of(i) == entity
+                assert attached.interner.id_of("名") is None
+                store = InternedFactStore.from_generation(attached)
+                mirror = FactStore(facts)
+                for pattern in all_ground_patterns(facts):
+                    assert sorted(store.match(pattern)) == \
+                        sorted(mirror.match(pattern)), pattern
+            finally:
+                attached.close()
+        finally:
+            unlink_generation(name)
 
     def test_attached_store_is_mutable(self):
         facts = random_facts(37, 50)
         gen = ColumnarGeneration.build(facts)
-        handle = gen.share()
+        name = gen.share()
         try:
-            store = InternedFactStore.attach(handle)
+            store = InternedFactStore.attach(name)
             try:
                 assert store.add(Fact("NEW", "FACT", "HERE"))
                 assert store.discard(facts[0])
@@ -371,25 +429,35 @@ class TestSharedMemory:
                 store.close()
         finally:
             gen.close()
-            unlink_generation(handle.name)
+            unlink_generation(name)
 
-    def test_handle_is_picklable(self):
-        import pickle
-
-        gen = ColumnarGeneration.build(random_facts(41, 20))
-        handle = gen.share()
+    @pytest.mark.parametrize("keep", [0, 5, 100, -1])
+    def test_truncated_file_is_refused_and_not_left_mapped(self, keep):
+        """A generation file cut short anywhere — empty, inside the
+        header, inside the arrays, one byte short — is refused."""
+        gen = ColumnarGeneration.build(random_facts(43, 60))
+        name = gen.share()
+        path = Path(_generation_path(name))
         try:
-            clone = pickle.loads(pickle.dumps(handle))
-            assert clone.name == handle.name
-            assert clone.layout == handle.layout
-            attached = ColumnarGeneration.attach(clone)
-            try:
-                assert sorted(attached) == sorted(gen)
-            finally:
-                attached.close()
+            whole = path.read_bytes()
+            path.write_bytes(whole[:keep])
+            with pytest.raises(ReplicaError):
+                ColumnarGeneration.attach(name)
+            assert not _mapped(path)
         finally:
-            gen.close()
-            unlink_generation(handle.name)
+            unlink_generation(name)
+
+    def test_foreign_file_is_refused_and_not_left_mapped(self):
+        name = f"repro-gen-{os.getpid()}-foreign"
+        path = Path(_generation_path(name))
+        path.write_bytes(b"not a generation" * 64)
+        try:
+            with pytest.raises(ReplicaError,
+                               match="not a whole generation file"):
+                ColumnarGeneration.attach(name)
+            assert not _mapped(path)
+        finally:
+            assert unlink_generation(name)
 
     def test_unlink_missing_segment(self):
         assert not unlink_generation("repro-gen-definitely-missing")

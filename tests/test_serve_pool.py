@@ -1,7 +1,7 @@
 """ReplicaPool tests: primary-first routing, replica reads,
 read-your-writes on both routes, primary fallback, crash/respawn
 failover, and the one generation lifecycle (the writer's fold is
-shared, workers re-attach, retired segments are unlinked).
+shared, workers re-attach, retired generation files are unlinked).
 
 A lone sequential read is served by the primary; tests about the worker
 route issue their reads inside ``primary_busy(pool)``.
@@ -9,6 +9,7 @@ route issue their reads inside ``primary_busy(pool)``.
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 import time
@@ -732,15 +733,14 @@ def _worker_counter(pool, name: str) -> int:
                for worker in pool.worker_metrics())
 
 
-class _NoRoom:
-    """``os.statvfs`` of a shared-memory directory with 4 KiB left."""
-    f_bavail = 1
-    f_frsize = 4096
+def _no_room(fd, buffers):
+    """``os.writev`` on a full ``/dev/shm``."""
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestSharedMemoryCapacity:
-    """Nothing is copied into ``/dev/shm`` that does not fit there (on
-    tmpfs the copy, not the allocation, is what fails — with SIGBUS)."""
+    """A generation file that ``/dev/shm`` has no room for is refused
+    by its write (``ENOSPC``) and leaves no partial file behind."""
 
     @pytest.fixture(autouse=True)
     def _needs_dev_shm(self):
@@ -758,16 +758,15 @@ class TestSharedMemoryCapacity:
         service = DatabaseService(self._big_database())
         segments = _gen_segments()
         try:
-            monkeypatch.setattr("repro.core.interned.os.statvfs",
-                                lambda path: _NoRoom)
+            monkeypatch.setattr("repro.core.interned.os.writev", _no_room)
             started = []
             monkeypatch.setattr(ReplicaPool, "_spawn",
                                 lambda self, index: started.append(index))
             with pytest.raises(ReplicaError) as refused:
                 ReplicaPool(service, workers=2)
             text = str(refused.value)
-            assert "4096" in text and "--workers 0" in text \
-                and "/dev/shm" in text
+            assert "No space left on device" in text \
+                and "--workers 0" in text and "/dev/shm" in text
             needed = int(text.split(" needs ")[1].split()[0])
             assert needed > 4096
             assert started == []
@@ -784,13 +783,15 @@ class TestSharedMemoryCapacity:
             pool = ReplicaPool(service, workers=1, read_timeout=60.0)
             try:
                 generation = pool.stats()["generation_seq"]
-                monkeypatch.setattr("repro.core.interned.os.statvfs",
-                                    lambda path: _NoRoom)
+                segments = _gen_segments()
+                monkeypatch.setattr("repro.core.interned.os.writev",
+                                    _no_room)
                 burst = [(f"S{i}", "∈", "EMPLOYEE")
                          for i in range(OVERLAY_BUDGET + 1)]
                 ticket = service.add_facts_async(burst)
                 _settle(pool, ticket)
                 assert service.stats()["folds"] == 1
+                assert _gen_segments() == segments
                 stats = pool.stats()
                 assert stats["share_failures"] == 1
                 assert stats["compactions"] == 0
@@ -820,9 +821,10 @@ class TestSharedMemoryCapacity:
 
     def test_refused_share_of_a_recompute_leaves_workers_unrouted(
             self, monkeypatch):
-        """A recompute (here ``limit(2)``) that shared memory cannot
-        take: the worker is sent nothing and asked nothing until the
-        next fold re-attaches it."""
+        """A recompute (here ``limit(2)``) whose generation files
+        ``/dev/shm`` cannot take: the worker is sent nothing and asked
+        nothing until the next fold re-attaches it.  The refused
+        write leaves no file behind."""
         service = DatabaseService(self._big_database())
         pool = ReplicaPool(service, workers=1, read_timeout=60.0)
         queries = ["(BIG7, r, y)", "(x, EARNS, SALARY)"]
@@ -833,11 +835,12 @@ class TestSharedMemoryCapacity:
             send = _Worker.send
             monkeypatch.setattr(_Worker, "send", lambda worker, message: (
                 sent.append(message[0]), send(worker, message))[1])
-            monkeypatch.setattr("repro.core.interned.os.statvfs",
-                                lambda path: _NoRoom)
+            segments = _gen_segments()
+            monkeypatch.setattr("repro.core.interned.os.writev", _no_room)
             service.limit(2)
             ticket = service.add_async(("LATE", "∈", "EMPLOYEE"))
             ticket.result(timeout=30.0)
+            assert _gen_segments() == segments
             stats = pool.stats()
             assert stats["share_failures"] == 1 and stats["behind"]
             assert stats["compactions"] == 0

@@ -360,9 +360,12 @@ def test_pool_started_after_a_fold_shares_the_master_generation(
             pool = ReplicaPool(svc, workers=1, read_timeout=60.0)
             try:
                 shared = pool._gen  # noqa: SLF001
-                assert shared.base_handle.n == len(snap.facts.generation)
-                assert shared.closure_handle.n \
-                    == len(snap.closure().store.generation)
+                base = ColumnarGeneration.attach(shared.base_name)
+                closure = ColumnarGeneration.attach(shared.closure_name)
+                assert len(base) == len(snap.facts.generation)
+                assert len(closure) == len(snap.closure().store.generation)
+                base.close()
+                closure.close()
                 assert builds == []         # shared, not rebuilt
                 assert telemetry.counters[
                     "serve.pool.generation_builds"] == 1
