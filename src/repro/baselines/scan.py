@@ -16,7 +16,10 @@ from ..core.facts import Binding, Fact, Template
 
 
 class ScanStore:
-    """A list of facts; matching is a full scan."""
+    """A list of facts; matching is a full scan.
+
+    It keeps the whole store interface, methods no test calls
+    included, so it can stand in wherever a store does."""
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: List[Fact] = []

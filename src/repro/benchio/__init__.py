@@ -16,10 +16,9 @@ Example::
 """
 
 from .harness import (Measurement, Sweep, host_metadata, measure,
-                      plan_stats, rss_anon_mb, rss_mb, timed,
-                      write_bench_json)
+                      rss_anon_mb, rss_mb, timed, write_bench_json)
 from .reporting import format_sweep, format_table, format_value, print_sweep
 
 __all__ = ["Measurement", "Sweep", "measure", "timed", "write_bench_json",
-           "host_metadata", "plan_stats", "rss_mb", "rss_anon_mb",
+           "host_metadata", "rss_mb", "rss_anon_mb",
            "format_sweep", "format_table", "format_value", "print_sweep"]

@@ -38,7 +38,8 @@ def measure(label: str, function: Callable[[], object], repeat: int = 3,
             observe: bool = True,
             counter_prefixes: Optional[Sequence[str]] = None) -> Measurement:
     """Time a function *and* explain it: best-of-``repeat`` untraced
-    wall clock plus telemetry counters from one extra traced run.
+    wall clock plus telemetry counters from one extra traced run (the
+    F2 benchmark's cells).
 
     The timing runs are never traced, so the seconds are comparable to
     plain :func:`timed`; the counters (rule firings, facts scanned,
@@ -62,22 +63,6 @@ def measure(label: str, function: Callable[[], object], repeat: int = 3,
                     name.startswith(prefix) for prefix in counter_prefixes):
                 metrics[name] = value
     return Measurement(label=label, seconds=seconds, metrics=metrics)
-
-
-def plan_stats(run) -> Dict[str, object]:
-    """Per-operator plan statistics of one executed compiled query.
-
-    ``run`` is a :class:`repro.query.exec.PlanRun` (duck-typed so this
-    module stays import-light).  Returns a JSON-able block — one entry
-    per operator in plan preorder with estimated vs actual rows, plus
-    the adaptive re-order count — for embedding in ``BENCH_*.json``
-    rows, so a committed number explains *which operator* moved, not
-    just that the total did.
-    """
-    return {
-        "operators": [stats.as_dict() for stats in run.operators],
-        "replans": run.replans,
-    }
 
 
 def rss_mb(pid: Optional[int] = None) -> Optional[float]:
@@ -108,7 +93,8 @@ def rss_mb(pid: Optional[int] = None) -> Optional[float]:
 
 
 def rss_anon_mb(pid: Optional[int] = None) -> Optional[float]:
-    """Anonymous (private, non-shared) resident memory in MiB.
+    """Anonymous (private, non-shared) resident memory in MiB (the F12
+    benchmark's replica column).
 
     This is the column that distinguishes a replica that *copied* the
     fact heap (the copy is anonymous memory, counted here per process)

@@ -27,5 +27,7 @@ def format_sweep(sweep: Sweep, title: Optional[str] = None) -> str:
 
 
 def print_sweep(sweep: Sweep, title: Optional[str] = None) -> None:
+    """Print :func:`format_sweep`'s table (the ``benchmarks/bench_f*``
+    sweeps call it)."""
     print()
     print(format_sweep(sweep, title))

@@ -5,7 +5,9 @@ The paper's principal retrieval method for an unorganized heap:
 each answer as the grouped two-way table of §4.1; *probing* evaluates
 a query and, on failure, automatically retries minimally broader
 versions of it — the §5.2 wave process over the generalization
-hierarchy — presenting the successes as a menu.
+hierarchy — presenting the successes as a menu.  The networkx
+reference hierarchy the lattice is held to is
+:mod:`repro.browse.hierarchy`; the package does not import it.
 
 Example::
 
@@ -26,7 +28,6 @@ from .navigation import (
     navigate,
     star_template,
 )
-from .probe import GeneralizationHierarchy
 from .render import format_columns, render_navigation, render_relation_table
 from .retraction import (
     ConjunctiveQuery,
@@ -41,7 +42,7 @@ from .retraction import (
 
 __all__ = [
     "NavigationResult", "NavigationSession", "navigate", "star_template",
-    "GeneralizationHierarchy", "format_columns", "render_navigation",
+    "format_columns", "render_navigation",
     "render_relation_table", "ConjunctiveQuery", "ProbeResult",
     "RetractedQuery", "RetractionStep", "RetractionSuccess", "Wave",
     "probe", "retraction_set",

@@ -22,9 +22,9 @@ is :class:`repro.browse.lattice.GeneralizationLattice`, an interned,
 incrementally maintained equivalent with no third-party dependency.
 networkx is a test-only dependency (the ``[test]`` extra), present so
 the equivalence suites can differentially check the lattice against
-this original.  It is imported when a hierarchy is built, not when this
-module is: the package imports this module, and a server never builds
-the reference.
+this original.  Neither :mod:`repro.browse` nor anything a server
+loads imports this module, and networkx is imported only when a
+hierarchy is built.
 """
 
 from __future__ import annotations

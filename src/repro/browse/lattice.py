@@ -1,6 +1,6 @@
 """The materialized generalization lattice (paper §5.1, at scale).
 
-:class:`~repro.browse.probe.GeneralizationHierarchy`, the reference
+:class:`~repro.browse.hierarchy.GeneralizationHierarchy`, the reference
 the equivalence suites hold this module to, answers the two questions
 probing needs — *is E' broader than E?* and *what are E's minimal
 generalizations?* — by building a networkx digraph, condensing it, and
@@ -391,7 +391,7 @@ class _LatticeCore:
 
 class GeneralizationLattice:
     """The ``≺`` partial order of a database — drop-in for
-    :class:`~repro.browse.probe.GeneralizationHierarchy`, built for
+    :class:`~repro.browse.hierarchy.GeneralizationHierarchy`, built for
     repeated probing.
 
     A lattice is a *view*: shared immutable-between-patches structure

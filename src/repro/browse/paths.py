@@ -36,14 +36,6 @@ class AssociationPath:
     facts: Tuple[Fact, ...]
 
     @property
-    def source(self) -> str:
-        return self.facts[0].source
-
-    @property
-    def target(self) -> str:
-        return self.facts[-1].target
-
-    @property
     def length(self) -> int:
         """The paper's semantic distance: primitive facts chained."""
         return len(self.facts)

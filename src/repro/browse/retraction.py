@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set,
+                    Tuple, Union)
 
 from ..core.entities import BOTTOM, TOP
 from ..core.errors import QueryError
@@ -34,9 +35,12 @@ from ..core.facts import Template, Variable
 from ..obs import telemetry as _obs
 from ..query.ast import And, Atom, Exists, Formula, Query, exists
 from ..query.canonical import canonical_form
-from ..query.evaluate import Evaluator
 from ..query.parser import parse_query
 from .lattice import GeneralizationLattice
+
+if TYPE_CHECKING:
+    from ..query.evaluate import Evaluator
+    from ..query.exec import CompiledEvaluator
 
 #: Safety valve on the wave process: the lattice above a query is
 #: finite but can be wide; probing past this many waves almost always
@@ -311,7 +315,8 @@ class ProbeResult:
         return "\n".join(lines)
 
 
-def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
+def probe(evaluator: Union[CompiledEvaluator, Evaluator],
+          query: Union[Query, str, ConjunctiveQuery],
           hierarchy: GeneralizationLattice,
           max_waves: int = DEFAULT_MAX_WAVES) -> ProbeResult:
     """Evaluate a query; on failure, run the automatic retraction
@@ -349,7 +354,8 @@ def probe(evaluator: Evaluator, query: Union[Query, str, ConjunctiveQuery],
     return result
 
 
-def _probe_inner(evaluator: Evaluator, query: ConjunctiveQuery,
+def _probe_inner(evaluator: Union[CompiledEvaluator, Evaluator],
+                 query: ConjunctiveQuery,
                  hierarchy: GeneralizationLattice,
                  max_waves: int) -> ProbeResult:
     """Set-at-a-time wave expansion.

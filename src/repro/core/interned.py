@@ -214,6 +214,8 @@ class SharedInterner:
         self._ids: Dict[str, object] = {}
 
     def intern(self, name: str) -> int:
+        """Refuses: a mapped table is read-only (kept as the error a
+        stray write meets; nothing reaches it)."""
         raise RuntimeError("shared name table is frozen")
 
     def id_of(self, name: str) -> Optional[int]:
@@ -243,9 +245,6 @@ class SharedInterner:
 
     def __len__(self) -> int:
         return self._n
-
-    def __contains__(self, name: str) -> bool:
-        return self.id_of(name) is not None
 
 
 def _generation_path(name: str) -> str:

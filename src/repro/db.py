@@ -43,12 +43,10 @@ from .operators.ops import (
     try_ as try_op,
 )
 from .query.ast import Query
-from .query.evaluate import Evaluator
 from .query.exec import CompiledEvaluator
 from .query.parser import parse_query_memo, parse_template
 from .rules.composition import COMPOSITION_OFF, compose_closure
-from .rules.dispatch import dispatched_closure
-from .rules.engine import ClosureResult, extend_closure
+from .rules.dispatch import ClosureResult, dispatched_closure, extend_closure
 from .rules.integrity import Diagnosis, Violation, diagnose, find_contradictions
 from .rules.deletion import DeletionStats, delete_with_rederivation
 from .rules.provenance import (
@@ -719,10 +717,12 @@ class Database:
     # ------------------------------------------------------------------
     # Standard queries (§2.7)
     # ------------------------------------------------------------------
-    def evaluator(self) -> Evaluator:
-        cls = (CompiledEvaluator if self.query_engine == "compiled"
-               else Evaluator)
-        return cls(self.view())
+    def evaluator(self):
+        """The configured engine's evaluator over the current view."""
+        if self.query_engine == "compiled":
+            return CompiledEvaluator(self.view())
+        from .query.evaluate import Evaluator
+        return Evaluator(self.view())
 
     def query(self, query: Union[str, Query]) -> Set[tuple]:
         """The value {Q} of a query: the set of satisfying tuples.
@@ -774,9 +774,11 @@ class Database:
             query = parse_query_memo(query)
         if engine is None:
             evaluator = self.evaluator()
-        elif engine in ("compiled", "reference"):
-            cls = CompiledEvaluator if engine == "compiled" else Evaluator
-            evaluator = cls(self.view())
+        elif engine == "compiled":
+            evaluator = CompiledEvaluator(self.view())
+        elif engine == "reference":
+            from .query.evaluate import Evaluator
+            evaluator = Evaluator(self.view())
         else:
             raise ValueError(f"unknown query engine: {engine!r}")
         return probe(evaluator, query, self.hierarchy(),

@@ -151,11 +151,6 @@ class TraceContext:
             payload["parent"] = self.parent_id
         return payload
 
-    def child(self) -> "TraceContext":
-        """A context for handing to a downstream hop: same trace, same
-        parent, its own record pile (merged back via :meth:`absorb`)."""
-        return TraceContext(self.trace_id, self.parent_id)
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------

@@ -93,13 +93,8 @@ class SlowQueryLog:
         with self._lock:
             items = list(self._records)
         if limit is not None and limit >= 0:
-            items = items[-limit:]
+            items = items[max(len(items) - limit, 0):]
         return items
 
     def snapshot(self, limit: Optional[int] = None) -> Dict[str, Any]:
         return {"total": self.total, "records": self.records(limit)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.total = 0

@@ -182,10 +182,6 @@ class Histogram:
                 return lower + (upper - lower) * min(1.0, max(0.0, fill))
         return self.max
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "bounds": list(self.bounds),
@@ -230,10 +226,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def __repr__(self) -> str:
-        state = f"{self.wall:.6f}s" if self.finished else "open"
-        return f"Span({self.name!r}, {state}, {len(self.children)} children)"
 
 
 @dataclass
@@ -397,12 +389,6 @@ class Telemetry:
                                in sorted(self.histograms.items())},
             }
 
-    def __repr__(self) -> str:
-        return (f"Telemetry({len(self.roots)} root spans,"
-                f" {len(self.counters)} counters,"
-                f" {len(self.gauges)} gauges,"
-                f" {len(self.histograms)} histograms)")
-
 
 class _NullSpan:
     """The do-nothing span: context manager and attribute sink."""
@@ -426,6 +412,8 @@ class _NullSpan:
         pass
 
     def walk(self):
+        """Null-object protocol: a span's walk, of nothing (kept
+        unreached so a held span never needs a type check)."""
         return iter(())
 
 
@@ -461,7 +449,8 @@ class NullTelemetry:
         pass
 
     def record_collection(self, generation: int, pause_us: float) -> None:
-        pass
+        """Null-object protocol: the spine's collector hook, a no-op
+        (kept unreached so the disabled spine answers every call)."""
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return NULL_SPAN
@@ -471,9 +460,6 @@ class NullTelemetry:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def __repr__(self) -> str:
-        return "NullTelemetry()"
 
 
 NULL_TELEMETRY = NullTelemetry()

@@ -4,9 +4,11 @@
 over the closure plus the virtual relations.  The package provides the
 AST (:mod:`repro.query.ast`), the textual surface syntax
 (:mod:`repro.query.parser`), a selectivity-based conjunct planner, the
-backtracking evaluator and EXPLAIN / EXPLAIN ANALYZE.  The brute-force
-reference evaluator used for differential testing is
-:mod:`repro.query.reference`; the package does not import it.
+compiled set-at-a-time engine and EXPLAIN / EXPLAIN ANALYZE.  The two
+references the engine is checked against — the backtracking
+:class:`~repro.query.evaluate.Evaluator` and the brute-force
+:mod:`repro.query.reference` — are imported by whoever compares
+against them; the package imports neither.
 
 Example::
 
@@ -28,12 +30,13 @@ from .ast import (
     Or,
     Query,
     atom,
+    check_safety,
     exists,
     forall,
+    limited_variables,
 )
 from .canonical import canonical_form
 from .compile import CompiledPlan, compile_query
-from .evaluate import Evaluator, check_safety, limited_variables
 from .exec import (
     BindingTable,
     CompiledEvaluator,
@@ -43,15 +46,15 @@ from .exec import (
 )
 from .explain import Explanation, PlanStep, explain
 from .parser import ALIASES, parse_formula, parse_query, parse_template
-from .planner import estimate_cost, next_conjunct, order_conjuncts
+from .planner import estimate_cost, order_conjuncts
 
 __all__ = [
     "And", "Atom", "Exists", "ForAll", "Formula", "Or", "Query", "atom",
     "exists", "forall", "canonical_form",
     "CompiledPlan", "compile_query",
-    "Evaluator", "check_safety", "limited_variables", "BindingTable",
+    "check_safety", "limited_variables", "BindingTable",
     "CompiledEvaluator", "OperatorStats", "PlanRun", "execute_plan",
     "Explanation", "PlanStep", "explain", "ALIASES",
     "parse_formula", "parse_query", "parse_template", "estimate_cost",
-    "next_conjunct", "order_conjuncts",
+    "order_conjuncts",
 ]

@@ -70,10 +70,6 @@ class PlanNode:
     def children(self) -> Tuple["PlanNode", ...]:
         return ()
 
-    @property
-    def label(self) -> str:
-        return f"{self.op} {self.formula}"
-
     def walk(self, depth: int = 0) -> Iterator[Tuple["PlanNode", int]]:
         """This node and all descendants, preorder with depths."""
         yield self, depth

@@ -21,15 +21,15 @@ Example::
 
 from __future__ import annotations
 
-from typing import (
-    FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union)
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
-from ..core.facts import Binding, Variable
+from ..core.facts import Binding
 from ..obs import telemetry as _obs
 from ..virtual.computed import FactView
-from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
+from .ast import (And, Atom, Exists, ForAll, Formula, Or, Query,
+                  check_safety, require_proposition)
 from .parser import parse_query_memo
 from .planner import choose_conjunct
 
@@ -245,93 +245,3 @@ class Evaluator:
             if not any(True for _ in self.solutions(formula.body, candidate)):
                 return
         yield binding
-
-
-# ----------------------------------------------------------------------
-# Safety (range restriction)
-# ----------------------------------------------------------------------
-def limited_variables(formula: Formula) -> FrozenSet[Variable]:
-    """Free variables guaranteed to be bound by evaluating the formula.
-
-    A variable is *limited* if every evaluation path binds it: atoms
-    bind their variables; a conjunction limits the union of its parts;
-    a disjunction only the intersection; quantifiers remove their own
-    variable; a ∀ body limits nothing for the outer formula (it is a
-    filter)."""
-    if isinstance(formula, Atom):
-        return formula.pattern.variable_set()
-    if isinstance(formula, And):
-        result: FrozenSet[Variable] = frozenset()
-        for part in formula.parts:
-            result |= limited_variables(part)
-        return result
-    if isinstance(formula, Or):
-        parts = [limited_variables(p) for p in formula.parts]
-        result = parts[0]
-        for part in parts[1:]:
-            result &= part
-        return result
-    if isinstance(formula, Exists):
-        return limited_variables(formula.body) - {formula.variable}
-    if isinstance(formula, ForAll):
-        return frozenset()
-    raise QueryError(f"unknown formula type: {type(formula).__name__}")
-
-
-def require_proposition(query: Query) -> None:
-    """``ask`` takes closed formulas only (§2.7).
-
-    Raises:
-        QueryError: if the query has free variables.
-    """
-    if not query.is_proposition:
-        raise QueryError(
-            f"not a proposition — free variables:"
-            f" {[v.name for v in query.variables]}")
-
-
-def check_safety(formula: Formula) -> None:
-    """Reject queries whose value is not generated by their own
-    templates (the classic range-restriction condition).
-
-    Raises:
-        QueryError: if some free variable is not limited.
-    """
-    free = formula.free_variables()
-    limited = limited_variables(formula)
-    unsafe = free - limited
-    if unsafe:
-        names = sorted(v.name for v in unsafe)
-        raise QueryError(
-            f"unsafe query: free variables {names} are not limited by"
-            " any template (every free variable must appear in a"
-            " template on every disjunctive branch)")
-    _check_forall_bodies(formula, frozenset())
-
-
-def _check_forall_bodies(formula: Formula,
-                         enclosing: FrozenSet[Variable]) -> None:
-    """Every ∀'s outer free variables must be limited by the enclosing
-    conjunctive context, or evaluation will raise at runtime."""
-    if isinstance(formula, Atom):
-        return
-    if isinstance(formula, (And, Or)):
-        limited = enclosing
-        if isinstance(formula, And):
-            limited = enclosing | limited_variables(formula)
-        for part in formula.parts:
-            _check_forall_bodies(part, limited)
-        return
-    if isinstance(formula, Exists):
-        _check_forall_bodies(formula.body, enclosing | {formula.variable})
-        return
-    if isinstance(formula, ForAll):
-        unbound = formula.free_variables() - enclosing
-        if unbound:
-            names = sorted(v.name for v in unbound)
-            raise QueryError(
-                f"∀ body refers to {names}, which no surrounding"
-                " template generates (range restriction)")
-        _check_forall_bodies(formula.body, enclosing | {formula.variable})
-        return
-    raise QueryError(f"unknown formula type: {type(formula).__name__}")

@@ -48,7 +48,7 @@ from ..core.errors import QueryError
 from ..core.facts import Template, Variable
 from ..obs import telemetry as _obs
 from ..virtual.computed import CHECK_KEYS, FactView
-from .ast import And, Atom, Query
+from .ast import And, Atom, Query, check_safety, require_proposition
 from .compile import (
     AtomJoin,
     CompiledPlan,
@@ -60,7 +60,7 @@ from .compile import (
     bind_atom_ids,
     compile_query,
 )
-from .evaluate import Evaluator, check_safety, require_proposition
+from .parser import parse_query_memo
 from .planner import Estimates
 
 #: Domain chunk size for the ``∀`` anti-probe: small enough that rows
@@ -823,15 +823,16 @@ def _exec_forall(node: ForAllProbe, table: BindingTable,
 # ----------------------------------------------------------------------
 # The compiled engine
 # ----------------------------------------------------------------------
-class CompiledEvaluator(Evaluator):
+class CompiledEvaluator:
     """The set-at-a-time engine behind ``Database(query_engine=
     "compiled")`` (the default).
 
     ``evaluate`` / ``ask`` / ``succeeds`` compile the query once and
-    run the plan over binding tables; everything else —
-    :meth:`~repro.query.evaluate.Evaluator.solutions` for callers that
-    stream bindings, safety checking — is inherited from the reference
-    engine, whose results this class reproduces exactly.
+    run the plan over binding tables.  The answers and errors are the
+    reference :class:`~repro.query.evaluate.Evaluator`'s, which this
+    class does not import: text goes through the same parse memo
+    (:func:`~repro.query.parser.parse_query_memo`) and the same static
+    checks (:mod:`repro.query.ast`).
 
     A plan lives for one evaluation: it is lowered against the view it
     runs on, so its join order and provably-empty hints are always
@@ -841,7 +842,16 @@ class CompiledEvaluator(Evaluator):
     run on one, for as long as the store and registry stand still.
     """
 
-    _ids: Optional[_IdExec] = None
+    def __init__(self, view: FactView):
+        self.view = view
+        self._ids: Optional[_IdExec] = None
+
+    @staticmethod
+    def _resolve(query: Union[str, Query]) -> Query:
+        """The parsed query for either input form."""
+        if isinstance(query, str):
+            return parse_query_memo(query)
+        return query
 
     def _prepare(self, query: Union[str, Query],
                  proposition: bool = False) -> Query:
@@ -865,6 +875,15 @@ class CompiledEvaluator(Evaluator):
             results = self._project(query, table)
             span.set(rows=len(results))
         return results
+
+    def ask(self, query: Union[str, Query]) -> bool:
+        """Truth value of a proposition (§2.7)."""
+        return self._truth(query, proposition=True)
+
+    def succeeds(self, query: Union[str, Query]) -> bool:
+        """True if the query has a non-empty value — the §5 probe
+        predicate (a query *fails* when it succeeds for no tuple)."""
+        return self._truth(query, proposition=False)
 
     def _truth(self, query: Union[str, Query], proposition: bool) -> bool:
         """Shared ``ask``/``succeeds`` path — only the proposition

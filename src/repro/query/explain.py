@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Set, Union
 from ..core.facts import Variable
 from ..obs.telemetry import ConjunctStats, Telemetry, use_telemetry
 from ..virtual.computed import FactView
-from .ast import And, Atom, Exists, ForAll, Formula, Or, Query
-from .evaluate import Evaluator, check_safety, limited_variables
+from .ast import And, Exists, Formula, Query, check_safety
 from .parser import parse_query
 from .planner import estimate_cost, order_conjuncts
 
@@ -212,6 +211,8 @@ def explain_analyze(view: FactView, query: Union[str, Query],
                 estimated_cost=stats.est,
                 evals=stats.calls, actual_rows=stats.out_rows))
         return analyzed
+
+    from .evaluate import Evaluator
 
     telemetry = Telemetry()
     with use_telemetry(telemetry):

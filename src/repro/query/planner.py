@@ -200,12 +200,6 @@ def choose_conjunct(parts: Sequence[Formula], bound: Set[Variable],
     return best_index, best_cost
 
 
-def next_conjunct(parts: Sequence[Formula], bound: Set[Variable],
-                  view: FactView) -> int:
-    """Index of the cheapest remaining conjunct to evaluate next."""
-    return choose_conjunct(parts, bound, view)[0]
-
-
 def order_conjuncts(parts: Sequence[Formula], bound: Set[Variable],
                     view: FactView) -> List[Formula]:
     """A full greedy static order — the one the compiled engine lowers

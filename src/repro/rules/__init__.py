@@ -2,10 +2,12 @@
 
 The §2.5–§3 inference machinery: conjunctive rules ``<L, R>``, the
 standard rule set (generalization, membership, synonymy, inversion),
-the compiled *dispatched* closure engine with its two interpreted
-references (naive, semi-naive), incremental maintenance under
+the compiled *dispatched* closure engine, incremental maintenance under
 insertion and deletion through the same compiled rule set, composition
-bounded by ``limit(n)``, integrity constraints, and provenance.
+bounded by ``limit(n)``, integrity constraints, and provenance.  The
+two interpreted references the engine is checked against (naive,
+semi-naive) are :mod:`repro.rules.engine`; the package does not import
+it.
 
 Example::
 
@@ -27,16 +29,12 @@ from .composition import (
     compose_pair,
 )
 from .dispatch import (
+    ClosureResult,
     CompiledRuleSet,
+    Justification,
     compile_ruleset,
     dispatched_closure,
-)
-from .engine import (
-    ClosureResult,
-    Justification,
     extend_closure,
-    naive_closure,
-    semi_naive_closure,
 )
 from .provenance import (
     DerivationTree,
@@ -64,7 +62,7 @@ __all__ = [
     "STANDARD_RULES", "STANDARD_RULES_BY_NAME", "COMPOSITION_OFF",
     "UNLIMITED", "CompositionResult", "composable", "compose_closure",
     "compose_pair", "ClosureResult", "Justification", "extend_closure",
-    "naive_closure", "semi_naive_closure", "CompiledRuleSet",
+    "CompiledRuleSet",
     "compile_ruleset", "dispatched_closure",
     "DerivationTree", "ProvenanceError", "explain_fact",
     "Violation", "contradictory_pairs", "find_contradictions",

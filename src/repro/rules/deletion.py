@@ -1,7 +1,7 @@
 """Incremental deletion: the Delete/Rederive (DRed) algorithm.
 
 §6.2 lists "update of data" among the open issues.  Insertions are
-monotone and extend the closure in place (:func:`..engine.extend_closure`);
+monotone and extend the closure in place (:func:`.dispatch.extend_closure`);
 deletions are not — a removed fact may invalidate derivations, which
 may invalidate further derivations, while some of the endangered facts
 survive via alternative derivations.  DRed handles this in three
@@ -16,7 +16,7 @@ classic phases:
 3. **Rederive** — endangered facts that still have a one-step
    derivation from surviving facts are put back, and insertion
    propagation (:func:`..dispatch.run_rounds`, the rounds
-   :func:`..engine.extend_closure` runs) restores everything downstream
+   :func:`.dispatch.extend_closure` runs) restores everything downstream
    of them.
 
 Every phase joins through the rule set's compiled pivoted bodies
@@ -40,8 +40,8 @@ from ..core.facts import Fact, Variable
 from ..core.store import FactStore
 from ..obs import telemetry as _obs
 from .dispatch import (
-    CompiledRuleSet, RoundDelta, _materialize, compile_ruleset, run_rounds)
-from .engine import ClosureResult, Justification
+    ClosureResult, CompiledRuleSet, Justification, RoundDelta, _materialize,
+    compile_ruleset, run_rounds)
 from .rule import Rule, RuleContext, specs_overlap
 
 

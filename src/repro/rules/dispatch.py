@@ -3,7 +3,7 @@ dispatch.
 
 This is the one rule engine :class:`~repro.db.Database` and ``serve/``
 run: the full closure (:func:`dispatched_closure`), insertion
-maintenance (:func:`.engine.extend_closure`) and all three joining
+maintenance (:func:`extend_closure`) and all three joining
 phases of Delete/Rederive (:mod:`.deletion`) join through one
 :class:`CompiledRuleSet`.
 
@@ -50,6 +50,7 @@ join walks its candidates in the order the reference's matching does.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
     Any,
@@ -80,6 +81,61 @@ from .rule import (
     Rule,
     RuleContext,
 )
+
+# ----------------------------------------------------------------------
+# Closure results
+# ----------------------------------------------------------------------
+#: Reserved :attr:`ClosureResult.rule_times` key for the round-end
+#: store-update ("apply") phase — time spent inserting fresh facts,
+#: attributable to no single rule.
+APPLY = "(apply)"
+
+
+@dataclass(frozen=True)
+class Justification:
+    """Why one derived fact is in the closure: the rule that produced
+    it and the (already-present) premise facts the rule's body matched.
+    Base facts carry no justification."""
+
+    rule: str
+    premises: Tuple[Fact, ...]
+
+
+@dataclass
+class ClosureResult:
+    """The outcome of a closure computation."""
+
+    store: FactStore
+    base_count: int
+    derived_count: int
+    iterations: int
+    rule_firings: Dict[str, int] = field(default_factory=dict)
+    #: rule name -> cumulative seconds spent joining that rule's body
+    #: (populated only while telemetry is enabled; see
+    #: :mod:`repro.obs`).  The reserved ``"(apply)"`` entry holds the
+    #: round-end store-update time, so the entries together partition
+    #: the fixpoint loop's total time (the ``engine.closure_seconds``
+    #: gauge).
+    rule_times: Dict[str, float] = field(default_factory=dict)
+    #: fact -> the first justification found (present when the engine
+    #: ran with ``trace=True``).
+    provenance: Optional[Dict[Fact, Justification]] = None
+
+    @property
+    def total(self) -> int:
+        return len(self.store)
+
+    def statistics(self) -> dict:
+        """Everything but the store and the provenance, copied: what a
+        replica is sent beside the facts (:mod:`repro.serve.replica`)."""
+        return {
+            "base_count": self.base_count,
+            "derived_count": self.derived_count,
+            "iterations": self.iterations,
+            "rule_firings": dict(self.rule_firings),
+            "rule_times": dict(self.rule_times),
+        }
+
 
 # ----------------------------------------------------------------------
 # Rule compilation
@@ -455,10 +511,6 @@ class CompiledRule:
         return tuple(_materialize(spec, slots)
                      for spec in self.premise_specs)
 
-    def __repr__(self) -> str:
-        return (f"CompiledRule({self.rule.name!r}, pivot={self.pivot},"
-                f" levels={len(self.levels)})")
-
 
 def _pivot_spec(pivot_atom: Template,
                 conditions: Sequence[Condition]) -> RelationshipSpec:
@@ -546,10 +598,6 @@ class CompiledRuleSet:
         for cr in self.wildcard:
             chosen[cr.order] = cr
         return [chosen[order] for order in sorted(chosen)]
-
-    def __repr__(self) -> str:
-        return (f"CompiledRuleSet({len(self.rules)} rules,"
-                f" {len(self.compiled)} pivoted bodies)")
 
 
 def compile_ruleset(rules: Sequence[Rule]) -> CompiledRuleSet:
@@ -675,8 +723,6 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
     insertion order (insertion maintenance reports them; a full closure
     does not ask).
     """
-    from .engine import APPLY, Justification
-
     iterations = 0
     observing = _obs.ENABLED and rule_times is not None
     total = len(compiled.compiled)
@@ -750,8 +796,6 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
     :class:`~repro.rules.registry.RuleRegistry` caches one per enabled
     rule set.
     """
-    from .engine import ClosureResult
-
     rules = list(rules)
     if compiled is None or compiled.rules != rules:
         compiled = compile_ruleset(rules)
@@ -782,3 +826,50 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                              derived_count=len(store) - base_count,
                              iterations=iterations, rule_firings=firings,
                              rule_times=rule_times, provenance=provenance)
+
+
+def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
+                   rules: Sequence[Rule], context: RuleContext,
+                   compiled=None) -> List[Fact]:
+    """Incrementally maintain a closure under fact *insertion*.
+
+    ``new_facts`` are facts the caller just stored in the base heap.
+    Semi-naive evaluation restarts exactly where it stopped: the new
+    facts become the delta, and rounds run until quiescence.  The
+    result's store is extended **in place** (so live views over it stay
+    valid); statistics are updated to cover the extension — each new
+    fact is one more base fact, and one fewer derived fact when the
+    closure already held it.  Returns the facts the store gained — the
+    closure's net change, which an insertion never shrinks — in
+    insertion order: the new facts it did not hold yet, then what the
+    rounds derived.
+
+    The rounds are the closure's own
+    (:func:`~repro.rules.dispatch.run_rounds` over the whole rule set
+    behind one dispatch index), ideal here, where deltas are tiny and
+    most rules stay quiescent.  ``compiled`` is the
+    :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
+    (:meth:`RuleRegistry.compiled` caches one); compiled here when not
+    given.
+
+    Only insertions can be maintained this way — a deletion may
+    invalidate derivations and goes through Delete/Rederive
+    (:func:`~repro.rules.deletion.delete_with_rederivation`).
+    """
+    new_facts = list(new_facts)
+    added = [fact for fact in new_facts if result.store.add(fact)]
+    result.base_count += len(new_facts)
+    if added:
+        if compiled is None:
+            compiled = compile_ruleset(rules)
+        delta = RoundDelta(compiled.delta_indexes, added)
+        extend_span = (_obs.TELEMETRY.span("closure.extend",
+                                        new_facts=len(delta))
+                       if _obs.ENABLED else _obs.NULL_SPAN)
+        with extend_span:
+            result.iterations += run_rounds(
+                result.store, delta, compiled, context,
+                result.rule_firings, provenance=result.provenance,
+                rule_times=result.rule_times, added=added)
+    result.derived_count = len(result.store) - result.base_count
+    return added

@@ -15,15 +15,16 @@ benchmark F2 call them directly, and nothing on a served path does:
   through the *delta* (facts new in the previous round), so quiescent
   parts of the database are never revisited.
 
-Both return a :class:`ClosureResult` carrying the closed store and
-evaluation statistics — the result type every engine shares, together
-with :class:`Justification` and :func:`extend_closure` (insertion
-maintenance, which runs the compiled rounds).
+Both return a :class:`~.dispatch.ClosureResult` carrying the closed
+store and evaluation statistics — the result type every engine shares,
+which lives with the production engine in :mod:`.dispatch`; nothing
+the server loads imports this module.
 
 Example::
 
     from repro import Database
-    from repro.rules import STANDARD_RULES, semi_naive_closure
+    from repro.rules import STANDARD_RULES
+    from repro.rules.engine import semi_naive_closure
 
     db = Database()
     db.add("JOHN", "∈", "EMPLOYEE")
@@ -35,67 +36,15 @@ Example::
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import deadline as _deadline
-from ..core.facts import Binding, Fact, Template, Variable
+from ..core.facts import Binding, Fact, Variable
 from ..core.store import FactStore, seed_store
 from ..obs import telemetry as _obs
+from .dispatch import APPLY, ClosureResult, Justification
 from .rule import Condition, Rule, RuleContext
-
-#: Reserved :attr:`ClosureResult.rule_times` key for the round-end
-#: store-update ("apply") phase — time spent inserting fresh facts,
-#: attributable to no single rule.
-APPLY = "(apply)"
-
-
-@dataclass(frozen=True)
-class Justification:
-    """Why one derived fact is in the closure: the rule that produced
-    it and the (already-present) premise facts the rule's body matched.
-    Base facts carry no justification."""
-
-    rule: str
-    premises: Tuple[Fact, ...]
-
-
-@dataclass
-class ClosureResult:
-    """The outcome of a closure computation."""
-
-    store: FactStore
-    base_count: int
-    derived_count: int
-    iterations: int
-    rule_firings: Dict[str, int] = field(default_factory=dict)
-    #: rule name -> cumulative seconds spent joining that rule's body
-    #: (populated only while telemetry is enabled; see
-    #: :mod:`repro.obs`).  The reserved ``"(apply)"`` entry holds the
-    #: round-end store-update time, so the entries together partition
-    #: the fixpoint loop's total time (the ``engine.closure_seconds``
-    #: gauge).
-    rule_times: Dict[str, float] = field(default_factory=dict)
-    #: fact -> the first justification found (present when the engine
-    #: ran with ``trace=True``).
-    provenance: Optional[Dict[Fact, Justification]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.store)
-
-    def statistics(self) -> dict:
-        """Everything but the store and the provenance, copied: what a
-        replica is sent beside the facts (:mod:`repro.serve.replica`)."""
-        return {
-            "base_count": self.base_count,
-            "derived_count": self.derived_count,
-            "iterations": self.iterations,
-            "rule_firings": dict(self.rule_firings),
-            "rule_times": dict(self.rule_times),
-        }
 
 
 def _checkable(conditions: Sequence[Condition],
@@ -339,52 +288,3 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
     if observing:
         _obs.TELEMETRY.count("engine.rounds", iterations)
     return iterations
-
-
-def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
-                   rules: Sequence[Rule], context: RuleContext,
-                   compiled=None) -> List[Fact]:
-    """Incrementally maintain a closure under fact *insertion*.
-
-    ``new_facts`` are facts the caller just stored in the base heap.
-    Semi-naive evaluation restarts exactly where it stopped: the new
-    facts become the delta, and rounds run until quiescence.  The
-    result's store is extended **in place** (so live views over it stay
-    valid); statistics are updated to cover the extension — each new
-    fact is one more base fact, and one fewer derived fact when the
-    closure already held it.  Returns the facts the store gained — the
-    closure's net change, which an insertion never shrinks — in
-    insertion order: the new facts it did not hold yet, then what the
-    rounds derived.
-
-    The rounds are the closure's own
-    (:func:`~repro.rules.dispatch.run_rounds` over the whole rule set
-    behind one dispatch index), ideal here, where deltas are tiny and
-    most rules stay quiescent.  ``compiled`` is the
-    :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
-    (:meth:`RuleRegistry.compiled` caches one); compiled here when not
-    given.
-
-    Only insertions can be maintained this way — a deletion may
-    invalidate derivations and goes through Delete/Rederive
-    (:func:`~repro.rules.deletion.delete_with_rederivation`).
-    """
-    from .dispatch import RoundDelta, compile_ruleset, run_rounds
-
-    new_facts = list(new_facts)
-    added = [fact for fact in new_facts if result.store.add(fact)]
-    result.base_count += len(new_facts)
-    if added:
-        if compiled is None:
-            compiled = compile_ruleset(rules)
-        delta = RoundDelta(compiled.delta_indexes, added)
-        extend_span = (_obs.TELEMETRY.span("closure.extend",
-                                        new_facts=len(delta))
-                       if _obs.ENABLED else _obs.NULL_SPAN)
-        with extend_span:
-            result.iterations += run_rounds(
-                result.store, delta, compiled, context,
-                result.rule_firings, provenance=result.provenance,
-                rule_times=result.rule_times, added=added)
-    result.derived_count = len(result.store) - result.base_count
-    return added

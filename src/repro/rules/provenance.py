@@ -22,7 +22,7 @@ from ..core.entities import compose_relationship, is_special_relationship
 from ..core.errors import ReproError
 from ..core.facts import Fact
 from ..core.store import FactStore
-from .engine import ClosureResult, Justification
+from .dispatch import ClosureResult, Justification
 
 #: Justification rule name for composition-derived facts.
 COMPOSITION_RULE = "composition"

@@ -75,15 +75,10 @@ class RuleContext:
 
 
 class Condition:
-    """A side constraint on a rule's variable binding."""
-
-    def holds(self, binding: Binding, context: RuleContext) -> bool:
-        raise NotImplementedError
-
-    def variables(self) -> FrozenSet[Variable]:
-        """Variables this condition needs bound before it can be
-        checked (used for eager pruning during joins)."""
-        raise NotImplementedError
+    """A side constraint on a rule's variable binding.  Each defines
+    ``holds(binding, context)`` and ``variables()``: the variables it
+    needs bound before it can be checked (for eager pruning during
+    joins)."""
 
 
 def _resolve(component: Component, binding: Binding) -> Optional[str]:
@@ -127,6 +122,7 @@ class IndividualRelationship(Condition):
         return frozenset()
 
     def __str__(self) -> str:
+        """The guard as a rule's text shows it (the shell's ``rules``)."""
         return f"{self.component} ∈ R_i"
 
 
@@ -148,6 +144,7 @@ class NotSpecial(Condition):
         return frozenset()
 
     def __str__(self) -> str:
+        """The guard as a rule's text shows it (the shell's ``rules``)."""
         return f"{self.component} not special"
 
 
@@ -164,6 +161,8 @@ class _RelationshipWildcard:
         self.label = label
 
     def __repr__(self) -> str:
+        """Names the sentinel wherever a spec is shown (dispatch-index
+        dumps, assertion output); no served or tested path prints one."""
         return f"<{self.label}>"
 
 

@@ -157,6 +157,10 @@ def _check_fields(request: Dict[str, Any]) -> None:
     n = request.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
         raise bad("n", "an integer or null")
+    limit = request.get("limit")
+    if limit is not None and (not isinstance(limit, int)
+                              or isinstance(limit, bool) or limit < 0):
+        raise bad("limit", "a non-negative integer or null")
     deadline = request.get("deadline")
     if deadline is not None and (not isinstance(deadline, (int, float))
                                  or isinstance(deadline, bool)):
@@ -498,13 +502,6 @@ class ServiceServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-
-    def __enter__(self) -> "ServiceServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class ServiceClient:

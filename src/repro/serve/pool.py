@@ -891,9 +891,3 @@ class ReplicaPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        alive = sum(1 for w in self._workers if w.alive)
-        return (f"ReplicaPool({state}, workers={len(self._workers)},"
-                f" alive={alive}, start_method={self.start_method})")

@@ -95,7 +95,7 @@ class Delta:
     effect on the standard closure store, as the writer's incremental
     maintenance reported it (insertion extension and Delete/Rederive,
     coalesced the same way), and ``closure_stats`` the closure's
-    :meth:`~repro.rules.engine.ClosureResult.statistics` after the
+    :meth:`~repro.rules.dispatch.ClosureResult.statistics` after the
     batch.  Each pair is disjoint, so applying the record is a
     handful of set operations, equivalent to replaying the batch.
     ``closure_stats`` is ``None`` when the batch recomputed the
@@ -218,7 +218,7 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     :func:`replica_main`).
     """
     from ..core.interned import InternedFactStore
-    from ..rules.engine import ClosureResult
+    from ..rules.dispatch import ClosureResult
 
     db = Database(with_axioms=False)
     base = InternedFactStore.attach(state.base_name)

@@ -807,23 +807,11 @@ class DatabaseService:
         return self._read("navigate", lambda db: db.navigate(pattern),
                           deadline, ctx, str(pattern))
 
-    def try_(self, entity: str, deadline: Optional[float] = None,
-             ctx: Optional[TraceContext] = None):
-        """The paper's ``try`` operator against the snapshot."""
-        return self._read("try", lambda db: db.try_(entity), deadline,
-                          ctx, str(entity))
-
     def probe(self, query, deadline: Optional[float] = None,
               ctx: Optional[TraceContext] = None):
         """Broadened query (vagueness, §5) against the snapshot."""
         return self._read("probe", lambda db: db.probe(query), deadline,
                           ctx, str(query))
-
-    def why(self, fact, deadline: Optional[float] = None,
-            ctx: Optional[TraceContext] = None):
-        """Derivation tree for a fact, from the snapshot's provenance."""
-        return self._read("why", lambda db: db.why(fact), deadline,
-                          ctx, str(fact))
 
     def read(self, op: str, payload=None, deadline: Optional[float] = None,
              ctx: Optional[TraceContext] = None) -> Any:

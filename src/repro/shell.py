@@ -401,6 +401,8 @@ class BrowserShell:
         return "\n".join(lines)
 
     def _trace(self, arguments: List[str]) -> str:
+        """``trace [on|off]``: the spine's switch, typed at the prompt
+        (no test or served run types it)."""
         from .obs import (active_telemetry, disable_telemetry,
                           enable_telemetry, telemetry_enabled)
 
@@ -420,6 +422,8 @@ class BrowserShell:
         return "usage: trace [on|off]"
 
     def _profile(self, command: str) -> str:
+        """``profile COMMAND``: run one command under a scoped spine,
+        typed at the prompt (no test or served run types it)."""
         from .obs import Telemetry, use_telemetry
         from .obs.export import summary
 

@@ -104,7 +104,8 @@ class Journal:
         return len(lines)
 
     def sync(self) -> None:
-        """fsync the journal (durability point)."""
+        """fsync the journal (durability point).  No caller asks for it
+        yet; it stays as the flush an fsync'd journal is built on."""
         if self._handle is not None:
             self._handle.flush()
             os.fsync(self._handle.fileno())
@@ -148,12 +149,6 @@ class Journal:
         with open(self.path, "ab") as handle:
             handle.write(b"\n")
         return 1
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Reading

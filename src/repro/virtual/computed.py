@@ -39,8 +39,12 @@ class ComputedRelation:
     """Interface for a virtually present family of facts.
 
     Subclasses declare :attr:`TRIGGERS` (or override :meth:`handles`)
-    and implement :meth:`facts`; :meth:`estimate` feeds the query
-    planner, and :meth:`extend_ids` answers the compiled executor.
+    and implement ``facts(pattern, store)``: the virtual facts matching
+    ``pattern``, each of which must actually match it (the registry
+    does not re-check); ``store`` supplies the active domain
+    (``store.entities()``) for relations that enumerate over it.
+    :meth:`estimate` feeds the query planner, and :meth:`extend_ids`
+    answers the compiled executor.
     """
 
     #: Per position — source, relationship, target — the names that
@@ -77,7 +81,7 @@ class ComputedRelation:
         the stored facts with the ``opened`` positions left open.
 
         This form crosses the string boundary: decode the key, ask
-        :meth:`handles` and :meth:`facts` on names (an undeclared
+        :meth:`handles` and ``facts`` on names (an undeclared
         relation is handed every key), re-check each fact against the
         template
         — the reference engine's ``view.solutions`` re-matches too, so
@@ -101,17 +105,11 @@ class ComputedRelation:
             found.append(extensions)
         return found
 
-    def facts(self, pattern: Template, store: FactStore) -> Iterator[Fact]:
-        """Yield the virtual facts matching ``pattern``.
-
-        ``store`` supplies the active domain (``store.entities()``) for
-        relations that enumerate over it.  Yielded facts must actually
-        match ``pattern`` (the registry does not re-check).
-        """
-        raise NotImplementedError
-
     def estimate(self, pattern: Template, store: FactStore) -> int:
-        """Upper bound on the number of facts :meth:`facts` will yield."""
+        """Upper bound on the number of facts ``facts`` will yield.
+
+        Every shipped relation overrides it; this is the bound a
+        relation that declares none is planned with."""
         variables = pattern.variables()
         if not variables:
             return 1
@@ -123,10 +121,6 @@ class VirtualRegistry:
 
     def __init__(self, relations: Iterable[ComputedRelation] = ()):
         self._relations: List[ComputedRelation] = list(relations)
-
-    def register(self, relation: ComputedRelation) -> None:
-        """Add a computed relation to the registry."""
-        self._relations.append(relation)
 
     def __iter__(self) -> Iterator[ComputedRelation]:
         return iter(self._relations)
@@ -204,18 +198,6 @@ class FactView:
         entities ``Δ``/``∇`` and the unbounded numbers are excluded, so
         quantifiers and ``≠`` stay finite)."""
         return self.store.entities()
-
-    def relationships(self):
-        return self.store.relationships()
-
-    def has_entity(self, entity: str) -> bool:
-        return self.store.has_entity(entity)
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self.store)
 
     @property
     def exact_counts(self) -> bool:

@@ -1,6 +1,6 @@
 """The closure-change hook: incremental maintenance reports the net ±.
 
-Insertion extension (:func:`~repro.rules.engine.extend_closure`) and
+Insertion extension (:func:`~repro.rules.dispatch.extend_closure`) and
 Delete/Rederive (:func:`~repro.rules.deletion.delete_with_rederivation`)
 report the facts they added to and removed from the standard closure
 store, and :class:`~repro.db.Database` hands that change to whoever

@@ -20,9 +20,9 @@ from repro.rules.dispatch import (
     CompiledRuleSet,
     compile_ruleset,
     dispatched_closure,
+    extend_closure,
 )
 from repro.rules.engine import (
-    extend_closure,
     naive_closure,
     semi_naive_closure,
 )

@@ -27,7 +27,8 @@ from repro.core.errors import QueryError
 from repro.core.facts import Fact, Template, Variable
 from repro.core.interned import OVERLAY_BUDGET
 from repro.db import Database
-from repro.query import CompiledEvaluator, Evaluator
+from repro.query import CompiledEvaluator
+from repro.query.evaluate import Evaluator
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
 from repro.query.explain import explain_analyze
 from repro.virtual import (EndpointWitness, MathRelation,

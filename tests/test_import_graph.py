@@ -7,12 +7,15 @@ suite imported earlier hides a module:
 
 * the boundary: the serving imports load no reference, exporter,
   dashboard, interchange, replica-pool or benchmark module, and neither
-  networkx nor :mod:`multiprocessing`;
+  networkx nor :mod:`multiprocessing`; the reference query evaluator
+  loads when a caller first picks it, and answers what the compiled
+  engine answers;
 * the names: every package-level name still resolves to its defining
   module's object, before and after every submodule is imported — a
   submodule imported lazily rebinds the package attribute of the same
-  name (``repro.browse.probe`` and ``repro.query.explain`` are both a
-  function and a module), so those two submodules stay eager;
+  name (``repro.query.explain`` is both a function and a module), so
+  that submodule stays eager, and ``repro.browse.probe`` stays the
+  function with the reference hierarchy loaded;
 * the production path without networkx: a served database navigates,
   probes (both ways) and queries with networkx unimportable, and
   answers what an in-process database answers.
@@ -25,6 +28,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.datasets import university
@@ -41,7 +46,8 @@ SERVING_IMPORTS = ("repro", "repro.serve", "repro.serve.net",
 OFFLINE = ("networkx", "multiprocessing", "repro.benchio",
            "repro.serve.pool", "repro.obs.export", "repro.obs.monitor",
            "repro.storage.interchange", "repro.query.reference",
-           "repro.browse.paths")
+           "repro.browse.paths", "repro.rules.engine",
+           "repro.query.evaluate", "repro.browse.hierarchy")
 
 PACKAGES = ("repro.browse", "repro.obs", "repro.query", "repro.serve",
             "repro.storage")
@@ -96,6 +102,43 @@ class TestServingImportBoundary:
                     if name.startswith("repro.benchio")]
 
 
+_FIRST_USE_SCRIPT = """
+import json, sys
+
+from repro import Database
+from repro.datasets import university
+
+compiled = university.load()
+reference = university.load(Database(query_engine="reference"))
+USES = {  # (the compiled answer, the reference answer)
+    "query": (lambda: sorted(compiled.query(QUERY)),
+              lambda: sorted(reference.query(QUERY))),
+    "probe": (lambda: compiled.probe(FAILS).menu(),
+              lambda: compiled.probe(FAILS, engine="reference").menu()),
+    "explain_analyze": (
+        lambda: sorted(compiled.explain_analyze(QUERY).value),
+        lambda: sorted(reference.explain_analyze(QUERY).value)),
+}
+by_compiled, by_reference = USES[USE]
+found = {"compiled": by_compiled()}
+found["before"] = "repro.query.evaluate" in sys.modules
+found["reference"] = by_reference()
+found["after"] = "repro.query.evaluate" in sys.modules
+print(json.dumps(found))
+"""
+
+
+class TestReferenceEvaluatorLoadsOnFirstUse:
+    @pytest.mark.parametrize("use", ["query", "probe", "explain_analyze"])
+    def test_loaded_by_the_caller_that_picks_it(self, use):
+        found = _run(f"QUERY, FAILS, USE = {(QUERY, FAILS, use)!r}\n"
+                     + _FIRST_USE_SCRIPT)
+        assert found["before"] is False
+        assert found["after"] is True
+        assert found["reference"] == found["compiled"]
+        assert found["compiled"]
+
+
 _NAMES_SCRIPT = """
 import importlib, json, pkgutil, sys
 
@@ -132,7 +175,7 @@ print(json.dumps({
     "after": after,
     "probe": repro.browse.probe is sys.modules["repro.browse.retraction"].probe,
     "explain": repro.query.explain is sys.modules["repro.query.explain"].explain,
-    "probe_module": "repro.browse.probe" in sys.modules,
+    "hierarchy_module": "repro.browse.hierarchy" in sys.modules,
     "explain_module": "repro.query.explain" in sys.modules,
 }))
 """
@@ -143,8 +186,10 @@ class TestNamesStayWhereCallersFindThem:
         found = _run(f"PACKAGES = {PACKAGES!r}\n" + _NAMES_SCRIPT)
         assert found["before"] == []
         assert found["after"] == []
-        # The two names that are also submodules stay the functions.
-        assert found["probe_module"] and found["explain_module"]
+        # ``repro.query.explain`` is also a submodule and stays the
+        # function; ``repro.browse.probe`` stays the function with the
+        # reference hierarchy loaded beside it.
+        assert found["hierarchy_module"] and found["explain_module"]
         assert found["probe"] is True
         assert found["explain"] is True
 
@@ -154,7 +199,7 @@ import json, sys
 
 sys.modules["networkx"] = None      # unimportable from here on
 
-from repro.browse.probe import GeneralizationHierarchy
+from repro.browse.hierarchy import GeneralizationHierarchy
 from repro.datasets import university
 from repro.serve import DatabaseService
 from repro.serve.net import ServiceClient, ServiceServer

@@ -15,7 +15,8 @@ from repro.core.entities import INV, ISA, MEMBER, SYN
 from repro.core.facts import Fact
 from repro.db import Database
 from repro.rules.builtin import STANDARD_RULES
-from repro.rules.engine import extend_closure, semi_naive_closure
+from repro.rules.dispatch import extend_closure
+from repro.rules.engine import semi_naive_closure
 from repro.rules.rule import RelationshipClassifier, RuleContext
 from repro.core.store import FactStore
 

@@ -142,7 +142,7 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_networkx_reference(self, seed):
         probe = pytest.importorskip("networkx") and __import__(
-            "repro.browse.probe", fromlist=["GeneralizationHierarchy"])
+            "repro.browse.hierarchy", fromlist=["GeneralizationHierarchy"])
         rng = random.Random(seed)
         names, pairs = random_pairs(
             rng, n_entities=rng.randint(2, 12),
@@ -170,7 +170,7 @@ class TestDifferentialEquivalence:
 
     def test_closest_known_matches_reference(self):
         probe = pytest.importorskip("networkx") and __import__(
-            "repro.browse.probe", fromlist=["GeneralizationHierarchy"])
+            "repro.browse.hierarchy", fromlist=["GeneralizationHierarchy"])
         known = ["EMPLOYEE", "EMPLOYER", "DEPARTMENT", "PERSON"]
         reference = probe.GeneralizationHierarchy([], known)
         lattice = GeneralizationLattice([], known)

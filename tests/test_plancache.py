@@ -21,7 +21,8 @@ from repro.core.facts import Fact
 from repro.datasets import books
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
-from repro.query import CompiledEvaluator, Evaluator
+from repro.query import CompiledEvaluator
+from repro.query.evaluate import Evaluator
 from repro.query import parser
 from repro.rules.registry import RuleRegistry
 from repro.serve import DatabaseService

@@ -23,7 +23,7 @@ import pytest
 
 pytest.importorskip("networkx")
 
-from repro.browse.probe import GeneralizationHierarchy
+from repro.browse.hierarchy import GeneralizationHierarchy
 from repro.browse.retraction import probe, reference_probe
 from repro.core import deadline
 from repro.core.entities import BOTTOM, ISA, MEMBER, SYN

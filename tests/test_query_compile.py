@@ -20,13 +20,13 @@ from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
 from repro.query import (
     CompiledEvaluator,
-    Evaluator,
     compile_query,
     explain,
     order_conjuncts,
     parse_query,
 )
 from repro.query.ast import And, Or, Query, atom, exists, forall
+from repro.query.evaluate import Evaluator
 from repro.query.exec import BindingTable, execute_plan, unit_table
 from repro.query.explain import explain_analyze
 

@@ -22,7 +22,8 @@ from repro.core.facts import Variable
 from repro.db import Database
 from repro.datasets import books, movies, music, paper, university
 from repro.datasets.synthetic import random_heap
-from repro.query import CompiledEvaluator, Evaluator
+from repro.query import CompiledEvaluator
+from repro.query.evaluate import Evaluator
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
 
 SEEDS = range(24)

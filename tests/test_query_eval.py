@@ -17,10 +17,12 @@ from repro.query.ast import (
     Or,
     Query,
     atom,
+    check_safety,
     exists,
     forall,
+    limited_variables,
 )
-from repro.query.evaluate import Evaluator, check_safety, limited_variables
+from repro.query.evaluate import Evaluator
 from repro.query.parser import parse_query
 from repro.virtual.computed import FactView
 from repro.virtual.special import standard_virtual_registry

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.browse.probe import GeneralizationHierarchy
+from repro.browse.hierarchy import GeneralizationHierarchy
 from repro.browse.retraction import (
     ConjunctiveQuery,
     RetractedQuery,

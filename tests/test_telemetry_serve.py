@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.core.errors import ServiceError
 from repro.db import Database
 from repro.obs import telemetry as obs_telemetry
 from repro.obs.telemetry import Telemetry, use_telemetry
@@ -223,6 +224,50 @@ class TestRemoteShellTelemetry:
             assert "client.request" in rendered
             assert "net.dispatch" in rendered
             assert "off" in shell.execute("trace off")
+
+
+class TestSlowLogLimit:
+    """``limit`` bounds the records a ``slowlog`` returns: 0 is none,
+    and on the wire anything but a non-negative integer or null is a
+    bad request."""
+
+    @pytest.fixture()
+    def client(self):
+        service = DatabaseService(_build_database(),
+                                  slow_query_seconds=0.0)
+        server = ServiceServer(service, port=0)
+        server.start()
+        try:
+            with ServiceClient(*server.address) as client:
+                client.query("(x, WORKS-IN, y)")
+                client.query("(x, PART-OF, y)")
+                yield client
+        finally:
+            server.close()
+            service.close()
+
+    def test_in_process_limit_zero_is_no_records(self):
+        log = SlowQueryLog(size=3)
+        for index in range(2):
+            log.add(build_record("query", 0.2, 0.1, text=f"q{index}"))
+        assert log.records(0) == []
+        assert log.snapshot(limit=0) == {"total": 2, "records": []}
+        assert [r["text"] for r in log.records(5)] == ["q0", "q1"]
+
+    def test_limit_zero_over_the_wire_returns_no_records(self, client):
+        log = client.slowlog(limit=0)
+        assert log["total"] >= 2
+        assert log["records"] == []
+        assert len(client.slowlog(limit=1)["records"]) == 1
+        assert len(client.slowlog()["records"]) >= 2
+
+    @pytest.mark.parametrize("limit", [True, -1, "5", 2.0])
+    def test_a_limit_that_is_not_a_count_is_a_bad_request(self, client,
+                                                          limit):
+        with pytest.raises(ServiceError, match="bad request: 'limit'"):
+            client.slowlog(limit=limit)
+        # The connection survives a refused request.
+        assert client.slowlog(limit=1)["records"]
 
 
 # ----------------------------------------------------------------------
