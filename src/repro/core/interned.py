@@ -848,8 +848,8 @@ class InternedFactStore(FactStore):
     tombstones' column offsets.
     """
 
-    #: Class marker the dispatched closure keys its first delta on (a
-    #: copy shares the generation).
+    #: Class marker :func:`~repro.core.store.seed_store` keys on: a
+    #: closure's working store is decoded from :meth:`rows`.
     interned = True
     #: :meth:`count_estimate` is exact for patterns without repeated
     #: variables (index length lookups, tombstone- and
@@ -894,10 +894,22 @@ class InternedFactStore(FactStore):
         """Attach to a generation file another process shared."""
         return cls.from_generation(ColumnarGeneration.attach(name))
 
+    @classmethod
+    def consume(cls, store: FactStore) -> "InternedFactStore":
+        """Fold a hash working store (a closure's) into one fresh
+        generation at its version, emptying it: its six index dicts and
+        reference counts are dropped before the generation is built from
+        its fact set, so the fold never holds both."""
+        version = store.version
+        facts = store._facts  # noqa: SLF001
+        store.clear()
+        return cls.from_facts(facts, version=version)
+
     def compact(self) -> "InternedFactStore":
         """Fold generation, tombstones, and overlay into a fresh
         single-generation store (same facts, same version)."""
-        return InternedFactStore.from_facts(self, version=self._version)
+        return InternedFactStore.from_facts(self.rows(),
+                                            version=self._version)
 
     @property
     def generation(self) -> Optional[ColumnarGeneration]:
@@ -995,10 +1007,30 @@ class InternedFactStore(FactStore):
     def __bool__(self) -> bool:
         return len(self) > 0
 
+    def rows(self) -> Iterator[Fact]:
+        """Every fact once — the generation's rows less the tombstones,
+        then the overlay — decoded column by column.  Unlike iteration
+        (:meth:`ColumnarGeneration.fact_at`), the decode leaves the
+        generation's fact memo as it is, so a whole-heap pass (a
+        closure's seed, a fold, a checkpoint) pins no ``Fact`` per
+        row."""
+        gen = self._gen
+        if gen is not None:
+            name = gen.interner.names.__getitem__
+            decoded = map(Fact, map(name, gen.scol), map(name, gen.rcol),
+                          map(name, gen.tcol))
+            removed_at = self._removed_at
+            if removed_at:
+                decoded = itertools.compress(decoded, (
+                    position not in removed_at
+                    for position in range(gen.n)))
+            yield from decoded
+        yield from self._overlay
+
     def copy(self) -> "InternedFactStore":
         """An independent mutable copy: the generation (immutable) is
         shared, only the overlay layers duplicate — this is what makes
-        snapshot publication and closure seeding cheap at heap scale."""
+        snapshot publication cheap at heap scale."""
         new = InternedFactStore.__new__(InternedFactStore)
         new._gen = self._gen
         new._overlay = self._overlay.copy()

@@ -41,16 +41,19 @@ from .facts import Binding, Fact, Template, Variable
 
 
 def seed_store(base: Iterable["Fact"]) -> "FactStore":
-    """The mutable store a closure engine grows from ``base``.
+    """The hash working store a closure engine grows from ``base``.
 
-    Type-preserving: seeding from an existing store — hash or interned
-    columnar — duplicates it through its own :meth:`FactStore.copy`,
-    which for an interned base shares the frozen generation instead of
-    materializing one ``Fact`` object per row.  Arbitrary iterables
-    still build a hash store.  This is the closure's only full copy of
-    a hash store: the dispatched engine's first delta copies just the
-    fact set and the buckets its pivots read.
+    A closure always grows a hash store, whatever the base is stored
+    on.  A hash base is duplicated through :meth:`FactStore.copy` —
+    the closure's only full copy of it: the dispatched engine's first
+    delta copies just the fact set and the buckets its pivots read.
+    An interned base is decoded column by column
+    (:meth:`~repro.core.interned.InternedFactStore.rows`, which leaves
+    its generation's fact memo as it is) into a store at the base's
+    version.  Arbitrary iterables build a store fact by fact.
     """
+    if getattr(base, "interned", False):
+        return FactStore.from_rows(base.rows(), base.version)
     if isinstance(base, FactStore):
         return base.copy()
     return FactStore(base)
@@ -103,6 +106,18 @@ class FactStore:
         self._frozen: bool = False
         for f in facts:
             self.add(f)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Fact], version: int) -> "FactStore":
+        """A store of ``rows``, which must be distinct, at ``version``:
+        each row is indexed directly (:meth:`_index`), without
+        :meth:`add`'s membership test, telemetry and version bump."""
+        store = cls()
+        index = store._index
+        for fact in rows:
+            index(fact)
+        store._version = version
+        return store
 
     # ------------------------------------------------------------------
     # Mutation
@@ -211,6 +226,11 @@ class FactStore:
     def __bool__(self) -> bool:
         return bool(self._facts)
 
+    def rows(self) -> Iterator[Fact]:
+        """Every fact once, for a whole-heap pass (a closure's seed, a
+        fold, a checkpoint): here the fact set itself."""
+        return iter(self._facts)
+
     @property
     def version(self) -> int:
         """Monotone mutation counter (adds, discards, and clears)."""
@@ -221,8 +241,9 @@ class FactStore:
 
         The six index dicts and the two refcount maps are duplicated
         directly instead of re-inserting every fact through
-        :meth:`add` — the one full copy a closure makes is the seed
-        store (:func:`seed_store`); the closure's first delta copies only
+        :meth:`add` — the one full copy a closure of a hash base makes
+        is the seed store (:func:`seed_store`); the closure's first
+        delta copies only
         the fact set and the buckets its pivots read
         (:meth:`repro.rules.dispatch.RoundDelta.of_store`, the same
         ``set(...)`` copies as here).  The copy starts at the same

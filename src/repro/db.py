@@ -34,6 +34,7 @@ from .core.entities import (
 from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
 from .core.heap import heap_build
+from .core.interned import InternedFactStore
 from .core.store import FactStore
 from .operators.definitions import OperatorRegistry
 from .operators.ops import (
@@ -390,18 +391,25 @@ class Database:
         store) is rebuilt as an
         :class:`~repro.core.interned.InternedFactStore`: one frozen
         columnar generation of interned-id arrays with CSR indexes,
-        plus an empty mutable overlay.  Store versions are preserved:
+        plus an empty mutable overlay.  A store that already is one
+        generation with an empty overlay is left as it is — a
+        recovered base (:meth:`DurableSession.recover
+        <repro.storage.session.DurableSession.recover>`) and a closure
+        built from scratch over an interned base
+        (:meth:`standard_closure`) are.  Store versions are preserved:
         the representation changes, the database state does not.
 
         Compaction pays one O(n log n) rebuild to make everything
         after it cheaper: template matching becomes integer probes,
-        :meth:`~repro.core.store.FactStore.copy` (snapshot publication,
-        closure seeding) shares the generation instead of duplicating
-        index dicts, and :meth:`ColumnarGeneration.share
+        :meth:`~repro.core.store.FactStore.copy` (snapshot publication)
+        shares the generation instead of duplicating index dicts, and
+        :meth:`ColumnarGeneration.share
         <repro.core.interned.ColumnarGeneration.share>` can write the
         generation to a file the replica pool's workers map.  Mutations
         accumulate in the overlay (additions and tombstones); calling
-        again *folds* them into a fresh generation.  A
+        again *folds* them into a fresh generation, decoding the old
+        one column by column (:meth:`InternedFactStore.rows
+        <repro.core.interned.InternedFactStore.rows>`).  A
         :class:`~repro.serve.DatabaseService` does both for its master:
         it re-founds at construction and folds on its writer whenever
         :attr:`overlay_size` exceeds
@@ -411,14 +419,12 @@ class Database:
         overlay, so reads slow as it grows).  The rebuild is an O(heap)
         build (:func:`~repro.core.heap.heap_build`).  Returns ``self``.
         """
-        from .core.interned import InternedFactStore
-
         with heap_build():
             base = self._base
             if not isinstance(base, InternedFactStore) \
                     or base.overlay_size:
                 compacted = InternedFactStore.from_facts(
-                    base, version=base.version)
+                    base.rows(), version=base.version)
                 if base.frozen:
                     compacted.freeze()
                 self._base = compacted
@@ -435,7 +441,7 @@ class Database:
                             and not store.overlay_size:
                         continue
                     interned = InternedFactStore.from_facts(
-                        store, version=store.version)
+                        store.rows(), version=store.version)
                     if store.frozen:
                         interned.freeze()
                     result.store = interned
@@ -561,14 +567,24 @@ class Database:
     def standard_closure(self) -> ClosureResult:
         """The closure under the enabled rules, *without* composition
         facts — the layer incremental maintenance extends in place.
+
         Building it from scratch is an O(heap) build
         (:func:`~repro.core.heap.heap_build`); a cached or
-        incrementally maintained closure is not."""
+        incrementally maintained closure is not.  The engine grows a
+        hash working store (:func:`~repro.core.store.seed_store`).
+        Over an interned base the build ends in one fold that consumes
+        it (:meth:`InternedFactStore.consume
+        <repro.core.interned.InternedFactStore.consume>`), so the
+        closure is one generation with an empty overlay, like the base.
+        """
         if self._standard_result is None:
             with heap_build():
-                self._standard_result = dispatched_closure(
+                result = dispatched_closure(
                     self._base, list(self.rules), self.rule_context(),
                     trace=self.trace, compiled=self.rules.compiled())
+                if isinstance(self._base, InternedFactStore):
+                    result.store = InternedFactStore.consume(result.store)
+                self._standard_result = result
             self._full_result = None
         return self._standard_result
 

@@ -434,7 +434,7 @@ class CompiledRule:
         against ``candidates`` and the rest against ``store``.
 
         A round passes ``delta.lookup(*self.pivot_key)`` (a
-        :class:`RoundDelta` or a store); the rederive step of
+        :class:`RoundDelta`'s bucket); the rederive step of
         :mod:`.deletion` passes the store's facts at the pivot's ground
         positions under a head unifier.  One cursor per level, walked
         depth first: solutions come in the order a nested loop over the
@@ -450,7 +450,7 @@ class CompiledRule:
             try:
                 count = len(candidates)
             except TypeError:
-                # A lazy scan: the first delta of an interned store.
+                # A lazy scan: an interned store's lookup (rederive).
                 candidates = list(candidates)
                 count = len(candidates)
             # One candidate: a filter cannot cost less than its probe.
@@ -715,9 +715,8 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
     The compiled twin of :func:`.engine._semi_naive_rounds`: ``store``
     is mutated in place, ``delta`` holds the facts not yet joined
     against the rest of the store (already *in* the store) — a
-    :class:`RoundDelta` built for ``compiled``, or the generation-sharing
-    copy of an interned store — and the returned value is the number of
-    rounds executed.  Each later round's delta is a :class:`RoundDelta`.
+    :class:`RoundDelta` built for ``compiled`` — and the returned value
+    is the number of rounds executed.
     Like ``firings``, ``provenance`` and ``rule_times``, ``added`` is
     filled in when given: the facts the rounds added to the store, in
     insertion order (insertion maintenance reports them; a full closure
@@ -812,8 +811,7 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
         loop_started = time.perf_counter()
         # No rule has joined against anything yet: every base fact is
         # the first delta.
-        first = (store.copy() if getattr(store, "interned", False)
-                 else RoundDelta.of_store(store, compiled.delta_indexes))
+        first = RoundDelta.of_store(store, compiled.delta_indexes)
         iterations = run_rounds(store, first, compiled, context, firings,
                                 max_iterations, provenance, rule_times)
         if observing:

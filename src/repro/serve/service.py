@@ -304,11 +304,11 @@ class DatabaseService:
 
         # Initial publication happens on the constructing thread; the
         # writer has not started yet, so the master is ours to touch.
-        # The closure is computed on the store the caller loaded (the
-        # dispatched engine is faster on the hash store), then heap and
-        # closure are re-founded on one generation each: from here on a
-        # publish shares them.  A database that arrives compacted pays
-        # nothing.
+        # Heap and closure end on one generation each: from here on a
+        # publish shares them.  A recovered or compacted database's
+        # closure is built folded (``standard_closure``), so the
+        # re-found finds nothing to do; a database loaded by hand onto
+        # the hash store is re-founded here, heap and closure.
         self._db.view()
         self._db.compact_store()
         snap = self._build_snapshot()

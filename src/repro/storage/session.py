@@ -6,10 +6,13 @@ Layout::
         snapshot.json   # latest checkpoint (atomic)
         journal.jsonl   # mutations since that checkpoint
 
-``open_database`` recovers the state (snapshot, then journal replay);
+``open_database`` recovers the state: the snapshot's rows become one
+interned generation (:class:`~repro.core.interned.InternedFactStore`),
+the journal replays into its overlay and tombstones, and a journal that
+left any is folded, so the recovered base heap is one generation.
 ``attach`` wires a live :class:`~repro.db.Database` so subsequent
 mutations journal automatically; ``checkpoint`` folds the journal into
-a fresh snapshot.
+a fresh snapshot, decoding the base heap column by column.
 
 With telemetry on, a checkpoint records ``storage.checkpoint`` (ms)
 and ``storage.snapshot_bytes``; a recovery ``storage.recover_s`` and,
@@ -24,6 +27,7 @@ from pathlib import Path
 from typing import Union
 
 from ..core.heap import heap_build
+from ..core.interned import InternedFactStore
 from ..obs import telemetry as _obs
 from .journal import OP_ADD, OP_REMOVE, Journal
 from .snapshot import SnapshotState, read_snapshot, write_snapshot
@@ -53,6 +57,15 @@ class DurableSession:
         """Rebuild a Database from snapshot + journal replay (an O(heap)
         build: :func:`~repro.core.heap.heap_build`).
 
+        The base heap is built once, as one interned generation: the
+        snapshot's rows (the axioms, without a snapshot) go straight
+        into it, the journal replays into its overlay and tombstones,
+        and a journal that left either is folded
+        (:meth:`Database.compact_store
+        <repro.db.Database.compact_store>`).  A closure computed from
+        it comes back folded too (:meth:`Database.standard_closure
+        <repro.db.Database.standard_closure>`).
+
         A lenient recovery leaves the journal ending at a line boundary
         (:meth:`Journal.repair_tail`): the torn final line it skips is
         cut off, so the writes appended next are not lost with it.  A
@@ -71,14 +84,19 @@ class DurableSession:
                                          is_constraint=is_constraint)
                 database.rules.restore_state(state.rule_states)
                 database.composition_limit = state.composition_limit
-                database.add_facts(state.facts)
+                rows = state.facts
             else:
                 database = Database()
+                rows = list(database.facts)
+            database._base = InternedFactStore.from_facts(  # noqa: SLF001
+                rows, version=len(rows))
             for entry in self.journal.entries(strict=strict_journal):
                 if entry.op == OP_ADD:
                     database.add_fact(entry.fact)
                 else:
                     database.remove_fact(entry.fact)
+            if database.overlay_size:
+                database.compact_store(closure=False)
         if _obs.ENABLED:
             telemetry = _obs.TELEMETRY
             telemetry.gauge("storage.recover_s",
@@ -132,7 +150,7 @@ class DurableSession:
                                " or pass database=")
         started = time.perf_counter()
         state = SnapshotState(
-            facts=list(database.facts),
+            facts=list(database.facts.rows()),
             rule_states=database.rules.snapshot_state(),
             composition_limit=database.composition_limit,
             rules=[(rule.name, rule.text, rule.is_constraint)

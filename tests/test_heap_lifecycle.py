@@ -7,12 +7,18 @@ that may and may not do to the process: nested and concurrent builds
 restore the collector's state, a caller's ``gc.disable()`` /
 ``gc.freeze()`` survives, a served set-up leaves nothing frozen, and
 nothing a fold or a publish retires waits for the collector — a
-published snapshot is not a cycle, so it is freed by refcount.
+published snapshot is not a cycle, so it is freed by refcount.  A
+recovered heap is built once: after ``open_database`` + ``view()`` +
+``checkpoint()`` no hash store bigger than an overlay is alive and no
+``Fact`` is pinned per generation row.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -409,3 +415,58 @@ class TestNoGrowthAcrossFolds:
             assert after_ten[0] - after_two[0] < 2000
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# What a recovered heap holds
+# ----------------------------------------------------------------------
+_RECOVERED_SCRIPT = """
+import gc, json, sys
+from repro.core.interned import OVERLAY_BUDGET, InternedFactStore
+from repro.core.store import FactStore
+from repro.storage.session import open_database
+
+db, session = open_database(sys.argv[1])
+db.view()
+session.checkpoint()
+gc.collect()
+hash_stores = [len(o) for o in gc.get_objects()
+               if isinstance(o, FactStore)
+               and not isinstance(o, InternedFactStore)
+               and len(o) > OVERLAY_BUDGET]
+print(json.dumps({
+    "hash_stores": hash_stores,
+    "base_memo": getattr(db.facts.generation, "_fact_memo", None)
+                 is not None,
+    "base_facts": len(db.facts),
+    "closure_facts": len(db.closure().store),
+    "overlays": [getattr(store, "overlay_size", None)
+                 for store in (db.facts, db.closure().store)],
+}))
+"""
+
+
+class TestARecoveredHeapIsBuiltOnce:
+    def test_no_hash_store_and_no_memo_outlive_the_set_up(self, tmp_path):
+        """Fresh interpreter, so no other test's store is on its heap."""
+        db, session = open_database(tmp_path)
+        db.add_facts(world_facts(100))
+        session.checkpoint()
+        db.add("EMP0", "WORKS-FOR", "DEPT1")     # journal: one add,
+        db.remove_fact(Fact("EMP1", "WORKS-FOR", "DEPT0"))  # one remove
+        session.close()
+        source = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [source] + ([path] if path else [])))
+        done = subprocess.run(
+            [sys.executable, "-c", _RECOVERED_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        held = json.loads(done.stdout.splitlines()[-1])
+        assert held["base_facts"] > OVERLAY_BUDGET
+        assert held["closure_facts"] > held["base_facts"]
+        assert held["overlays"] == [0, 0]
+        assert held["hash_stores"] == []
+        assert held["base_memo"] is False

@@ -284,12 +284,18 @@ def test_fast_path_equivalence(seed):
 
     def churn(db):
         """The same seeded adds + removes, applied to each churned
-        database (base facts sorted: set order is not stable)."""
+        database (base facts sorted: set order is not stable).  The
+        closure is built before each one, so on an interned store each
+        is maintained into the closure's overlay (a closure built from
+        scratch — after an ``(r, ∈, R_c)`` declaration — is one
+        generation)."""
         churn_rng = random.Random(f"fastpath-churn-{seed}")
         base = sorted(db.facts, key=tuple)
         for fact in churn_rng.sample(base, 3):
+            db.view()
             db.remove_fact(fact)
         for _ in range(3):
+            db.view()
             db.add(churn_rng.choice(entities),
                    churn_rng.choice(relationships),
                    churn_rng.choice(entities))
