@@ -19,15 +19,17 @@ This module stores the same information relationally:
   (probed by binary search) for the two-position patterns;
 * an :class:`InternedFactStore` — a drop-in :class:`FactStore`
   replacement layering a small mutable *overlay* (adds) and an indexed
-  tombstone store (removes) over one frozen generation, with
-  :meth:`~InternedFactStore.compact` folding everything into a fresh
+  tombstone store (removes) over one frozen generation, which
+  :meth:`repro.db.Database.compact_store` folds into a fresh
   generation once the two outgrow :data:`OVERLAY_BUDGET`.
 
-Because a generation is nothing but flat arrays and one string blob,
-it can be written to one self-describing file and *attached* by other
-processes: :meth:`ColumnarGeneration.share` writes a header (magic,
-counts, store version, each array's length) and the arrays after it,
-and :meth:`ColumnarGeneration.attach` maps the file read-only with
+A generation caches nothing: a fact is decoded from its three id
+columns each time it is read.  Because a generation is nothing but
+flat arrays and one string blob, it can be written to one
+self-describing file and *attached* by other processes:
+:meth:`ColumnarGeneration.share` writes a header (magic, counts, store
+version, each array's length) and the arrays after it, and
+:meth:`ColumnarGeneration.attach` maps the file read-only with
 :mod:`mmap`, with zero copying of the fact data.  The file's name is
 all a process needs; the replica pool bootstraps workers by shipping
 two names instead of a pickled snapshot (see
@@ -67,7 +69,7 @@ from typing import (
 from ..obs import telemetry as _obs
 from .errors import FrozenStoreError, ReplicaError
 from .facts import Fact, Template, Variable
-from .store import FactStore, NameCodec
+from .store import FactStore
 
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
@@ -316,14 +318,11 @@ class ColumnarGeneration:
         "perm_r", "perm_t",
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
         "st_keys", "st_starts",
-        "_fact_memo", "_map", "_views",
+        "_map", "_views",
         "__weakref__",      # a retired generation's release is testable
     )
 
     def __init__(self):
-        # Lazily allocated flat memo (one slot per column offset): a
-        # list index beats dict hashing on the hottest decode path.
-        self._fact_memo: Optional[List[Optional[Fact]]] = None
         self._map = None
         self._views: List = []
 
@@ -533,8 +532,7 @@ class ColumnarGeneration:
             return
         for view in self._views:
             view.release()
-        # The fields were those views: the memo goes with them.
-        self._views, self._fact_memo = [], None
+        self._views = []
         try:
             self._map.close()
         except BufferError:  # pragma: no cover - a view kept elsewhere
@@ -545,19 +543,12 @@ class ColumnarGeneration:
     # Probing
     # ------------------------------------------------------------------
     def fact_at(self, position: int) -> Fact:
-        """The decoded fact at one column offset (memoized, so a fact
-        is materialized at most once per process)."""
-        memo = self._fact_memo
-        if memo is None:
-            memo = self._fact_memo = [None] * self.n
-        fact = memo[position]
-        if fact is None:
-            names = self.interner.names
-            fact = Fact(names[self.scol[position]],
-                        names[self.rcol[position]],
-                        names[self.tcol[position]])
-            memo[position] = fact
-        return fact
+        """The fact at one column offset, decoded from its three ids
+        on every call (nothing is kept)."""
+        names = self.interner.names
+        return Fact(names[self.scol[position]],
+                    names[self.rcol[position]],
+                    names[self.tcol[position]])
 
     def positions(self, spec: str,
                   ids: Tuple[int, ...]) -> Iterable[int]:
@@ -745,8 +736,10 @@ class ColumnarGeneration:
         return self.n
 
     def __iter__(self) -> Iterator[Fact]:
-        for position in range(self.n):
-            yield self.fact_at(position)
+        """Every fact in column order, decoded column by column."""
+        name = self.interner.names.__getitem__
+        return map(Fact, map(name, self.scol), map(name, self.rcol),
+                   map(name, self.tcol))
 
     def nbytes(self) -> int:
         """Total flat-array payload (what a generation file's body
@@ -842,29 +835,28 @@ class InternedFactStore(FactStore):
     the budget; a library caller who mutates a compacted
     :class:`~repro.db.Database` by hand folds by calling it again.
 
-    Invariants: the overlay and the (non-tombstoned) generation are
-    disjoint, so merged iteration never deduplicates; every tombstone
-    is a generation fact, and ``_removed_at`` holds exactly the
-    tombstones' column offsets.
+    Invariants: a store always has a generation (an empty one when it
+    was built from no facts or cleared); the overlay and the
+    (non-tombstoned) generation are disjoint, so merged iteration
+    never deduplicates; every tombstone is a generation fact, and
+    ``_removed_at`` holds exactly the tombstones' column offsets.
     """
 
-    #: Class marker :func:`~repro.core.store.seed_store` keys on: a
-    #: closure's working store is decoded from :meth:`rows`.
-    interned = True
     #: :meth:`count_estimate` is exact for patterns without repeated
     #: variables (index length lookups, tombstone- and
     #: overlay-adjusted) — the planner drops its sampling fudge.
     count_estimate_exact = True
 
-    def __init__(self, facts: Iterable[Fact] = ()):
-        self._gen: Optional[ColumnarGeneration] = None
+    def __init__(self, generation: ColumnarGeneration):
+        """Wrap a generation (built or attached); the overlay starts
+        empty and the store version continues from the generation's
+        recorded source version."""
+        self._gen = generation
         self._overlay = _OverlayStore()
         self._removed = _OverlayStore()
         self._removed_at: Set[int] = set()
-        self._version = 0
+        self._version = generation.version
         self._frozen = False
-        for fact in facts:
-            self.add(fact)
 
     # ------------------------------------------------------------------
     # Construction
@@ -873,26 +865,12 @@ class InternedFactStore(FactStore):
     def from_facts(cls, facts: Iterable[Fact],
                    version: int = 0) -> "InternedFactStore":
         """A store whose entire content is one fresh generation."""
-        store = cls()
-        store._gen = ColumnarGeneration.build(facts, version=version)
-        store._version = version
-        return store
-
-    @classmethod
-    def from_generation(cls, generation: ColumnarGeneration
-                        ) -> "InternedFactStore":
-        """Wrap an existing (e.g. attached) generation; the overlay
-        starts empty and the store version continues from the
-        generation's recorded source version."""
-        store = cls()
-        store._gen = generation
-        store._version = generation.version
-        return store
+        return cls(ColumnarGeneration.build(facts, version=version))
 
     @classmethod
     def attach(cls, name: str) -> "InternedFactStore":
         """Attach to a generation file another process shared."""
-        return cls.from_generation(ColumnarGeneration.attach(name))
+        return cls(ColumnarGeneration.attach(name))
 
     @classmethod
     def consume(cls, store: FactStore) -> "InternedFactStore":
@@ -905,14 +883,8 @@ class InternedFactStore(FactStore):
         store.clear()
         return cls.from_facts(facts, version=version)
 
-    def compact(self) -> "InternedFactStore":
-        """Fold generation, tombstones, and overlay into a fresh
-        single-generation store (same facts, same version)."""
-        return InternedFactStore.from_facts(self.rows(),
-                                            version=self._version)
-
     @property
-    def generation(self) -> Optional[ColumnarGeneration]:
+    def generation(self) -> ColumnarGeneration:
         return self._gen
 
     @property
@@ -928,8 +900,7 @@ class InternedFactStore(FactStore):
 
     def close(self) -> None:
         """Release an attached generation's mapping."""
-        if self._gen is not None:
-            self._gen.close()
+        self._gen.close()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -944,7 +915,7 @@ class InternedFactStore(FactStore):
                 _obs.TELEMETRY.count("store.adds")
             self._version += 1
             return True
-        if self._gen is not None and self._gen.contains_fact(fact):
+        if self._gen.contains_fact(fact):
             return False
         if self._overlay.add(fact):
             self._version += 1
@@ -957,7 +928,7 @@ class InternedFactStore(FactStore):
         if self._overlay.discard(fact):
             self._version += 1
             return True
-        if self._gen is None or fact in self._removed:
+        if fact in self._removed:
             return False
         position = self._gen.position_of(fact)
         if position < 0:
@@ -973,7 +944,7 @@ class InternedFactStore(FactStore):
         if self._frozen:
             raise FrozenStoreError("cannot clear a frozen store")
         version = self._version + 1
-        self.__init__()
+        self.__init__(ColumnarGeneration.build(()))
         self._version = version
 
     # ------------------------------------------------------------------
@@ -982,50 +953,26 @@ class InternedFactStore(FactStore):
     def __contains__(self, fact: Fact) -> bool:
         if fact in self._overlay:
             return True
-        if self._gen is None:
-            return False
         if fact in self._removed:
             return False
         return self._gen.contains_fact(fact)
 
     def __len__(self) -> int:
-        base = self._gen.n if self._gen is not None else 0
-        return base - len(self._removed) + len(self._overlay)
+        return self._gen.n - len(self._removed) + len(self._overlay)
 
     def __iter__(self) -> Iterator[Fact]:
-        if self._gen is not None:
-            removed_at = self._removed_at
-            if removed_at:
-                fact_at = self._gen.fact_at
-                for position in range(self._gen.n):
-                    if position not in removed_at:
-                        yield fact_at(position)
-            else:
-                yield from self._gen
-        yield from self._overlay
+        """Every fact once — the generation's rows less the tombstones,
+        then the overlay — decoded column by column."""
+        facts = iter(self._gen)
+        removed_at = self._removed_at
+        if removed_at:
+            facts = itertools.compress(facts, (
+                position not in removed_at
+                for position in range(self._gen.n)))
+        return itertools.chain(facts, self._overlay)
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def rows(self) -> Iterator[Fact]:
-        """Every fact once — the generation's rows less the tombstones,
-        then the overlay — decoded column by column.  Unlike iteration
-        (:meth:`ColumnarGeneration.fact_at`), the decode leaves the
-        generation's fact memo as it is, so a whole-heap pass (a
-        closure's seed, a fold, a checkpoint) pins no ``Fact`` per
-        row."""
-        gen = self._gen
-        if gen is not None:
-            name = gen.interner.names.__getitem__
-            decoded = map(Fact, map(name, gen.scol), map(name, gen.rcol),
-                          map(name, gen.tcol))
-            removed_at = self._removed_at
-            if removed_at:
-                decoded = itertools.compress(decoded, (
-                    position not in removed_at
-                    for position in range(gen.n)))
-            yield from decoded
-        yield from self._overlay
 
     def copy(self) -> "InternedFactStore":
         """An independent mutable copy: the generation (immutable) is
@@ -1043,32 +990,27 @@ class InternedFactStore(FactStore):
     def entities(self) -> Set[str]:
         result = self._overlay.entities()
         gen = self._gen
-        if gen is not None:
-            removed = self._removed._entity_refs  # noqa: SLF001
-            for i, name in enumerate(gen.interner.names):
-                if gen.entity_occurrences(i) > removed.get(name, 0):
-                    result.add(name)
+        removed = self._removed._entity_refs  # noqa: SLF001
+        for i, name in enumerate(gen.interner.names):
+            if gen.entity_occurrences(i) > removed.get(name, 0):
+                result.add(name)
         return result
 
     def relationships(self) -> Set[str]:
         result = self._overlay.relationships()
-        gen = self._gen
-        if gen is not None:
-            removed = self._removed._relationship_refs  # noqa: SLF001
-            start_r = gen.start_r
-            names = gen.interner.names
-            for i in range(len(names)):
-                count = start_r[i + 1] - start_r[i]
-                if count and count > removed.get(names[i], 0):
-                    result.add(names[i])
+        removed = self._removed._relationship_refs  # noqa: SLF001
+        start_r = self._gen.start_r
+        names = self._gen.interner.names
+        for i in range(len(names)):
+            count = start_r[i + 1] - start_r[i]
+            if count and count > removed.get(names[i], 0):
+                result.add(names[i])
         return result
 
     def has_entity(self, entity: str) -> bool:
         if self._overlay.has_entity(entity):
             return True
         gen = self._gen
-        if gen is None:
-            return False
         i = gen.interner.id_of(entity)
         if i is None:
             return False
@@ -1079,8 +1021,6 @@ class InternedFactStore(FactStore):
         if self._overlay.has_relationship(relationship):
             return True
         gen = self._gen
-        if gen is None:
-            return False
         i = gen.interner.id_of(relationship)
         if i is None:
             return False
@@ -1146,8 +1086,6 @@ class InternedFactStore(FactStore):
     def _merged(self, s: Optional[str], r: Optional[str],
                 t: Optional[str]) -> Iterable[Fact]:
         overlay = self._overlay
-        if self._gen is None:
-            return overlay.lookup(s, r, t) if len(overlay) else ()
         if not len(overlay):
             return self._gen_facts(s, r, t)
         return itertools.chain(self._gen_facts(s, r, t),
@@ -1156,12 +1094,8 @@ class InternedFactStore(FactStore):
     # ------------------------------------------------------------------
     # Integer-domain batch surfaces (id-native query execution)
     # ------------------------------------------------------------------
-    def id_codec(self):
-        """A fresh per-execution codec over this store's generation;
-        before the first generation every fact is in the overlay and,
-        as on a hash store, the ids are the names."""
-        if self._gen is None:
-            return NameCodec()
+    def id_codec(self) -> IdCodec:
+        """A fresh per-execution codec over this store's generation."""
         return IdCodec(self._gen.interner)
 
     def lookup_many_ids(self, spec: str,
@@ -1182,12 +1116,9 @@ class InternedFactStore(FactStore):
         it, full ``(s, r, t)`` id triples.  ``checks`` are column-index
         pairs that must hold equal ids (repeated unbound variables —
         id equality is name equality within one interner space).
-        Tombstones are filtered by generation offset; without a
-        generation every list is empty.
+        Tombstones are filtered by generation offset.
         """
         gen = self._gen
-        if gen is None:
-            return [[] for _ in keys]
         removed = self._removed_at
         cols = (gen.scol, gen.rcol, gen.tcol)
         out_cols = None if positions is None else [
@@ -1219,23 +1150,19 @@ class InternedFactStore(FactStore):
         against the generation's contribution.  Same *set* as
         :meth:`entities`, in id space (order may differ)."""
         gen = self._gen
-        out: List[int] = []
-        live: List[int] = []
-        if gen is not None:
-            id_of = gen.interner.id_of
-            removed: Dict[int, int] = {
-                id_of(name): count for name, count
-                in self._removed._entity_refs.items()}  # noqa: SLF001
-            occurrences = gen.entity_occurrences
-            if removed:
-                live = [i for i in range(len(gen.interner))
-                        if occurrences(i) > removed.get(i, 0)]
-            else:
-                live = [i for i in range(len(gen.interner))
-                        if occurrences(i)]
-            out.extend(live)
+        id_of = gen.interner.id_of
+        removed: Dict[int, int] = {
+            id_of(name): count for name, count
+            in self._removed._entity_refs.items()}  # noqa: SLF001
+        occurrences = gen.entity_occurrences
+        if removed:
+            out = [i for i in range(len(gen.interner))
+                   if occurrences(i) > removed.get(i, 0)]
+        else:
+            out = [i for i in range(len(gen.interner))
+                   if occurrences(i)]
         if len(self._overlay):
-            included = set(live)
+            included = set(out)
             for name in self._overlay.entities():
                 i = encode(name)
                 if i not in included:
@@ -1268,19 +1195,17 @@ class InternedFactStore(FactStore):
         if t_open:
             t = None
         total = 0
-        gen = self._gen
-        if gen is not None:
-            # A constant the generation never interned matches nothing
-            # in it (and so no tombstone either).
-            id_of = gen.interner.id_of
-            si = None if s is None else id_of(s)
-            ri = None if r is None else id_of(r)
-            ti = None if t is None else id_of(t)
-            if (si is None) == (s is None) and (ri is None) == (r is None) \
-                    and (ti is None) == (t is None):
-                total = gen.count(si, ri, ti)
-                if self._removed_at:
-                    total -= len(self._removed.lookup(s, r, t))
+        # A constant the generation never interned matches nothing in
+        # it (and so no tombstone either).
+        id_of = self._gen.interner.id_of
+        si = None if s is None else id_of(s)
+        ri = None if r is None else id_of(r)
+        ti = None if t is None else id_of(t)
+        if (si is None) == (s is None) and (ri is None) == (r is None) \
+                and (ti is None) == (t is None):
+            total = self._gen.count(si, ri, ti)
+            if self._removed_at:
+                total -= len(self._removed.lookup(s, r, t))
         if self._overlay._facts:  # noqa: SLF001 - C-level truth test
             total += len(self._overlay.lookup(s, r, t))
         return total

@@ -47,16 +47,15 @@ def seed_store(base: Iterable["Fact"]) -> "FactStore":
     on.  A hash base is duplicated through :meth:`FactStore.copy` —
     the closure's only full copy of it: the dispatched engine's first
     delta copies just the fact set and the buckets its pivots read.
-    An interned base is decoded column by column
-    (:meth:`~repro.core.interned.InternedFactStore.rows`, which leaves
-    its generation's fact memo as it is) into a store at the base's
-    version.  Arbitrary iterables build a store fact by fact.
+    A base with a generation (an interned one) is iterated, which
+    decodes its columns, into a store at the base's version.
+    Arbitrary iterables build a store fact by fact.
     """
-    if getattr(base, "interned", False):
-        return FactStore.from_rows(base.rows(), base.version)
-    if isinstance(base, FactStore):
+    if not isinstance(base, FactStore):
+        return FactStore(base)
+    if base.generation is None:
         return base.copy()
-    return FactStore(base)
+    return FactStore.from_rows(base, base.version)
 
 
 def _same(name: str) -> str:
@@ -64,11 +63,10 @@ def _same(name: str) -> str:
 
 
 class NameCodec:
-    """The id⇄name codec of a store whose ids are its names — a hash
-    store, or an interned store before its first generation: encoding
-    and decoding are the identity, so the query executor's join keys,
-    dedup sets and extensions hold the names themselves and projection
-    decodes nothing."""
+    """The id⇄name codec of a store whose ids are its names, a hash
+    store: encoding and decoding are the identity, so the query
+    executor's join keys, dedup sets and extensions hold the names
+    themselves and projection decodes nothing."""
 
     __slots__ = ()
     encode = decode = staticmethod(_same)
@@ -225,11 +223,6 @@ class FactStore:
 
     def __bool__(self) -> bool:
         return bool(self._facts)
-
-    def rows(self) -> Iterator[Fact]:
-        """Every fact once, for a whole-heap pass (a closure's seed, a
-        fold, a checkpoint): here the fact set itself."""
-        return iter(self._facts)
 
     @property
     def version(self) -> int:

@@ -408,8 +408,7 @@ class Database:
         generation to a file the replica pool's workers map.  Mutations
         accumulate in the overlay (additions and tombstones); calling
         again *folds* them into a fresh generation, decoding the old
-        one column by column (:meth:`InternedFactStore.rows
-        <repro.core.interned.InternedFactStore.rows>`).  A
+        one column by column as it iterates.  A
         :class:`~repro.serve.DatabaseService` does both for its master:
         it re-founds at construction and folds on its writer whenever
         :attr:`overlay_size` exceeds
@@ -420,31 +419,25 @@ class Database:
         build (:func:`~repro.core.heap.heap_build`).  Returns ``self``.
         """
         with heap_build():
-            base = self._base
-            if not isinstance(base, InternedFactStore) \
-                    or base.overlay_size:
-                compacted = InternedFactStore.from_facts(
-                    base.rows(), version=base.version)
-                if base.frozen:
-                    compacted.freeze()
-                self._base = compacted
+            # The three store slots: the base, and the store of each
+            # cached closure (one object when composition adds nothing,
+            # already folded when the second visit reaches it).
+            slots = [(self, "_base")]
             if closure:
-                for attr in ("_standard_result", "_full_result"):
-                    result = getattr(self, attr)
-                    if result is None:
-                        continue
-                    if attr == "_full_result" \
-                            and result is self._standard_result:
-                        continue  # same object: store already swapped
-                    store = result.store
-                    if isinstance(store, InternedFactStore) \
-                            and not store.overlay_size:
-                        continue
-                    interned = InternedFactStore.from_facts(
-                        store.rows(), version=store.version)
-                    if store.frozen:
-                        interned.freeze()
-                    result.store = interned
+                slots += [(result, "store") for result
+                          in (self._standard_result, self._full_result)
+                          if result is not None]
+            for owner, attr in slots:
+                store = getattr(owner, attr)
+                if isinstance(store, InternedFactStore) \
+                        and not store.overlay_size:
+                    continue
+                folded = InternedFactStore.from_facts(
+                    store, version=store.version)
+                if store.frozen:
+                    folded.freeze()
+                setattr(owner, attr, folded)
+            if closure:
                 # Lazy caches hold references to the old stores; let
                 # them rebuild over the interned ones on next use.  The
                 # lattice survives: compaction changes the

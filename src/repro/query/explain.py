@@ -133,10 +133,6 @@ class AnalyzedExplanation:
     steps: List[AnalyzedStep] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def rows(self) -> int:
-        return len(self.value)
-
     def render(self) -> str:
         from ..browse.render import format_table
 
@@ -157,7 +153,7 @@ class AnalyzedExplanation:
             lines.extend("  " + line for line in table.splitlines())
         else:
             lines.append("  (single template; no conjunct breakdown)")
-        lines.append(f"result rows: {self.rows}")
+        lines.append(f"result rows: {len(self.value)}")
         lines.append(f"wall: {self.wall_seconds * 1000:.3f} ms"
                      f"   cpu: {self.cpu_seconds * 1000:.3f} ms")
         if self.counters:

@@ -127,8 +127,9 @@ class GenerationBootstrap:
     describes its own layout), plus the configuration that closure
     was computed under.  It maps the files read-only and layers its
     own small mutable overlay on top, so per-worker
-    incremental memory is the overlay plus decode memo, not a database
-    copy, and it never recomputes the closure it attached.
+    incremental memory is the overlay plus the names its reads decode,
+    not a database copy, and it never recomputes the closure it
+    attached.
 
     ``version`` is the replication sequence of the snapshot;
     ``deltas`` is the suffix published since, replayed by the worker
@@ -210,12 +211,12 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     Base heap and standard closure are each an
     :class:`~repro.core.interned.InternedFactStore` over a mapped,
     parent-owned generation file: zero fact copying, and the replica's
-    incremental memory is its overlay plus whatever facts its reads
-    decode.  Records change the attached closure's overlay in place,
-    and it never auto-checks: integrity was the primary's job at write
-    admission.  Deltas in ``state.deltas`` are **not** applied here —
-    the caller replays them so it can track the resulting version (see
-    :func:`replica_main`).
+    incremental memory is its overlay plus the names its reads decode
+    (the attach side's name memo).  Records change the attached
+    closure's overlay in place, and it never auto-checks: integrity was
+    the primary's job at write admission.  Deltas in ``state.deltas``
+    are **not** applied here — the caller replays them so it can track
+    the resulting version (see :func:`replica_main`).
     """
     from ..core.interned import InternedFactStore
     from ..rules.dispatch import ClosureResult

@@ -12,7 +12,8 @@ the journal replays into its overlay and tombstones, and a journal that
 left any is folded, so the recovered base heap is one generation.
 ``attach`` wires a live :class:`~repro.db.Database` so subsequent
 mutations journal automatically; ``checkpoint`` folds the journal into
-a fresh snapshot, decoding the base heap column by column.
+a fresh snapshot of the base heap, which it iterates once (an interned
+heap decodes its columns and keeps nothing).
 
 With telemetry on, a checkpoint records ``storage.checkpoint`` (ms)
 and ``storage.snapshot_bytes``; a recovery ``storage.recover_s`` and,
@@ -139,9 +140,12 @@ class DurableSession:
     def checkpoint(self, database=None) -> None:
         """Fold the journal into a fresh snapshot.
 
-        ``database`` defaults to the attached one; the serving layer
-        passes its master database explicitly because it journals
-        batches itself instead of attaching.
+        The snapshot's rows are the base heap iterated once: an
+        interned heap decodes its generation column by column, then
+        its overlay, and holds no ``Fact`` afterwards.  ``database``
+        defaults to the attached one; the serving layer passes its
+        master database explicitly because it journals batches itself
+        instead of attaching.
         """
         if database is None:
             database = self._database
@@ -150,7 +154,7 @@ class DurableSession:
                                " or pass database=")
         started = time.perf_counter()
         state = SnapshotState(
-            facts=list(database.facts.rows()),
+            facts=list(database.facts),
             rule_states=database.rules.snapshot_state(),
             composition_limit=database.composition_limit,
             rules=[(rule.name, rule.text, rule.is_constraint)

@@ -436,8 +436,6 @@ hash_stores = [len(o) for o in gc.get_objects()
                and len(o) > OVERLAY_BUDGET]
 print(json.dumps({
     "hash_stores": hash_stores,
-    "base_memo": getattr(db.facts.generation, "_fact_memo", None)
-                 is not None,
     "base_facts": len(db.facts),
     "closure_facts": len(db.closure().store),
     "overlays": [getattr(store, "overlay_size", None)
@@ -469,4 +467,3 @@ class TestARecoveredHeapIsBuiltOnce:
         assert held["closure_facts"] > held["base_facts"]
         assert held["overlays"] == [0, 0]
         assert held["hash_stores"] == []
-        assert held["base_memo"] is False

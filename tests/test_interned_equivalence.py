@@ -100,22 +100,45 @@ def _binding_set(solutions):
     return {frozenset(b.items()) for b in solutions}
 
 
+def _probe_pair(dataset):
+    """(hash store, interned twin, entities, relationships).  Past the
+    datasets, ``empty`` is a generation of no facts and ``cleared`` a
+    cleared store, each given the heap's facts afterwards: everything
+    lives in the overlay over an empty generation."""
+    if dataset in _DATASETS:
+        hash_db, _interned_db, entities, relationships = _pair(dataset)
+        return (hash_db.facts, InternedFactStore.from_facts(hash_db.facts),
+                entities, relationships)
+    hash_db, _interned_db, entities, relationships = _pair("heap")
+    if dataset == "empty":
+        interned = InternedFactStore.from_facts([])
+    else:
+        interned = InternedFactStore.from_facts(_pair("paper")[0].facts)
+        interned.clear()
+    assert all(map(interned.add, hash_db.facts))
+    return hash_db.facts, interned, entities, relationships
+
+
 # ----------------------------------------------------------------------
 # Store probes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dataset", sorted(_DATASETS))
+@pytest.mark.parametrize("dataset", sorted(_DATASETS) + ["empty", "cleared"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_store_probes_identical(dataset, seed):
-    hash_db, _interned_db, entities, relationships = _pair(dataset)
-    reference = hash_db.facts
-    interned = InternedFactStore.from_facts(reference)
+    reference, interned, entities, relationships = _probe_pair(dataset)
     assert len(interned) == len(reference)
+    assert set(interned) == set(reference)
+    assert interned.entities() == reference.entities()
     rng = random.Random(f"{dataset}-{seed}")
     for _ in range(TEMPLATES_PER_CASE):
         probe = _random_template(rng, entities, relationships)
         expected = sorted(map(tuple, reference.match(probe)))
         assert sorted(map(tuple, interned.match(probe))) == expected, \
             f"match diverged on {probe!r}"
+        ground = [c if isinstance(c, str) else None for c in probe]
+        assert sorted(interned.lookup(*ground)) \
+            == sorted(reference.lookup(*ground)), \
+            f"lookup diverged on {probe!r}"
         assert (_binding_set(interned.solutions(probe))
                 == _binding_set(reference.solutions(probe))), \
             f"solutions diverged on {probe!r}"
@@ -129,8 +152,12 @@ def test_store_probes_identical(dataset, seed):
         else:
             assert count >= len(expected)
     # The executor's batched probe: generation ids decode to the names
-    # the hash store answers with.
+    # the hash store answers with; it reads the generation only (the
+    # overlay is the executor's to merge).
     codec = interned.id_codec()
+    generation_side = FactStore(interned.generation)
+    assert sorted(map(codec.decode, interned.entity_id_domain(
+        codec.encode))) == sorted(reference.entities())
     for _ in range(8):
         probe = _random_template(rng, entities, relationships)
         spec = "".join(letter for letter, c in zip("srt", probe)
@@ -138,7 +165,7 @@ def test_store_probes_identical(dataset, seed):
         key = tuple(c for c in probe if not isinstance(c, Variable))
         [got] = interned.lookup_many_ids(
             spec, [tuple(map(codec.encode, key))])
-        [expected] = reference.lookup_many_ids(spec, [key])
+        [expected] = generation_side.lookup_many_ids(spec, [key])
         assert sorted(tuple(map(codec.decode, match)) for match in got) \
             == sorted(map(tuple, expected)), f"diverged on {probe!r}"
     for entity in rng.sample(entities, min(6, len(entities))):
@@ -153,7 +180,7 @@ def test_store_probes_identical(dataset, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compacted_database_answers_identically(dataset, seed):
     hash_db, interned_db, entities, relationships = _pair(dataset)
-    assert getattr(interned_db.facts, "interned", False)
+    assert isinstance(interned_db.facts, InternedFactStore)
     assert interned_db.view().exact_counts
     rng = random.Random(f"{dataset}-interned-{seed}")
     for _ in range(QUERIES_PER_CASE):

@@ -15,6 +15,7 @@ from repro.core.interned import (
     _generation_path,
     unlink_generation,
 )
+from repro.db import Database
 
 
 def random_facts(seed, n, entities=40, relationships=8):
@@ -76,7 +77,7 @@ class TestColumnarGeneration:
         facts = random_facts(7, 300)
         hash_store = FactStore(facts)
         gen = ColumnarGeneration.build(facts)
-        store = InternedFactStore.from_generation(gen)
+        store = InternedFactStore(gen)
         for pattern in all_ground_patterns(facts):
             expected = sorted(hash_store.match(pattern))
             got = sorted(store.match(pattern))
@@ -118,7 +119,7 @@ class TestColumnarGeneration:
         gen = ColumnarGeneration.build([])
         assert len(gen) == 0
         assert list(gen) == []
-        store = InternedFactStore.from_generation(gen)
+        store = InternedFactStore(gen)
         assert len(store) == 0
         assert list(store.match(template(var("x"), var("y"),
                                          var("z")))) == []
@@ -236,14 +237,19 @@ class TestInternedFactStore:
         assert unfrozen.add(Fact("A", "B", "C"))
 
     def test_compact(self):
+        """The one fold, ``Database.compact_store``: same facts, same
+        version, one generation with nothing outside it."""
         facts = random_facts(8, 70)
-        store = InternedFactStore.from_facts(facts)
-        store.discard(facts[0])
-        store.add(Fact("LATE", "ADD", "ITION"))
-        compacted = store.compact()
-        assert compacted.overlay_size == 0
-        assert sorted(compacted) == sorted(store)
-        assert compacted.version == store.version
+        db = Database(facts, with_axioms=False).compact_store()
+        db.remove_fact(facts[0])
+        db.add_fact(Fact("LATE", "ADD", "ITION"))
+        store = db.facts
+        assert (store.tombstones, store.overlay_size) == (1, 2)
+        db.compact_store()
+        assert db.facts is not store
+        assert db.facts.overlay_size == 0
+        assert sorted(db.facts) == sorted(store)
+        assert db.facts.version == store.version
 
     def test_version_continuity(self):
         facts = random_facts(12, 20)
@@ -292,16 +298,27 @@ class TestInternedFactStore:
         assert store.version > v
         assert store.add(Fact("A", "B", "C"))
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "empty", "cleared"])
     def test_copies_share_layers_copy_on_write(self, seed):
         """Overlay and tombstones are copied by sharing their per-key
         fact sets: every copy keeps exactly the content it was taken
         at, whichever side mutates afterwards, and counts stay exact
-        against a plain store."""
+        against a plain store.  ``empty`` starts from a generation of
+        no facts and ``cleared`` from a cleared store, so every fact
+        lives in the overlay (added after the clear)."""
         rng = random.Random(seed)
         pool = random_facts(seed, 120, entities=12, relationships=4)
-        store = InternedFactStore.from_facts(pool[:60])
-        mirror = FactStore(pool[:60])
+        if seed == "empty":
+            store = InternedFactStore.from_facts([])
+            mirror = FactStore()
+        elif seed == "cleared":
+            store = InternedFactStore.from_facts(pool[:60])
+            store.clear()
+            mirror = FactStore()
+            assert len(store.generation) == 0
+        else:
+            store = InternedFactStore.from_facts(pool[:60])
+            mirror = FactStore(pool[:60])
         taken = []                      # (copy, its own mirror)
         for step in range(300):
             fact = rng.choice(pool)
@@ -319,15 +336,37 @@ class TestInternedFactStore:
                 other = rng.choice(pool)
                 assert copy.discard(other) == copy_mirror.discard(other)
         taken.append((store, mirror))
-        assert store.overlay_size and store.tombstones
+        assert store.overlay_size
+        assert bool(store.tombstones) == bool(len(store.generation))
         for copy, copy_mirror in taken:
             assert sorted(copy) == sorted(copy_mirror)
             assert copy.entities() == copy_mirror.entities()
+            codec = copy.id_codec()
+            assert sorted(map(codec.decode,
+                              copy.entity_id_domain(codec.encode))) \
+                == sorted(copy_mirror.entities())
+            # The batched id probe answers from the generation less
+            # its tombstones; the overlay is the executor's to merge.
+            generation_side = FactStore(
+                fact for fact in copy.generation if fact in copy)
             for pattern in all_ground_patterns(pool):
                 assert sorted(copy.match(pattern)) \
                     == sorted(copy_mirror.match(pattern))
+                ground = [c if isinstance(c, str) else None
+                          for c in pattern]
+                assert sorted(copy.lookup(*ground)) \
+                    == sorted(copy_mirror.lookup(*ground))
                 assert copy.count_estimate(pattern) \
                     == copy_mirror.count_estimate(pattern)
+                spec = "".join(letter for letter, c in zip("srt", ground)
+                               if c is not None)
+                key = tuple(c for c in ground if c is not None)
+                [got] = copy.lookup_many_ids(
+                    spec, [tuple(map(codec.encode, key))])
+                [expected] = generation_side.lookup_many_ids(spec, [key])
+                assert sorted(tuple(map(codec.decode, match))
+                              for match in got) \
+                    == sorted(map(tuple, expected))
 
     def test_hash_store_from_interned(self):
         facts = random_facts(16, 30)
@@ -357,7 +396,7 @@ class TestSharedMemory:
                 assert attached.version == 7
                 assert len(attached) == len(facts)
                 assert sorted(attached) == sorted(facts)
-                store = InternedFactStore.from_generation(attached)
+                store = InternedFactStore(attached)
                 mirror = FactStore(facts)
                 for pattern in all_ground_patterns(facts):
                     assert sorted(store.match(pattern)) == \
@@ -378,7 +417,7 @@ class TestSharedMemory:
             try:
                 assert attached.version == 3
                 assert len(attached) == 0 and list(attached) == []
-                store = InternedFactStore.from_generation(attached)
+                store = InternedFactStore(attached)
                 pattern = template(var("x"), "R", var("y"))
                 assert list(store.match(pattern)) == []
                 assert store.add(Fact("A", "R", "B"))
@@ -405,7 +444,7 @@ class TestSharedMemory:
                     assert i == gen.interner.id_of(entity)
                     assert attached.interner.name_of(i) == entity
                 assert attached.interner.id_of("名") is None
-                store = InternedFactStore.from_generation(attached)
+                store = InternedFactStore(attached)
                 mirror = FactStore(facts)
                 for pattern in all_ground_patterns(facts):
                     assert sorted(store.match(pattern)) == \

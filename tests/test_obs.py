@@ -607,7 +607,7 @@ class TestExplainAnalyze:
             "  3  atom-join (?x, EARNS, ?y)    1.4       9            1"
         assert lines[16] == "result rows: 9"
         assert lines[17].startswith("wall: ")
-        assert analyzed.rows == 9
+        assert len(analyzed.value) == 9
         assert analyzed.value == db.query("(x, ∈, EMPLOYEE) and (x, EARNS, y)")
 
     def test_golden_rendering_reference_engine(self):
@@ -620,7 +620,7 @@ class TestExplainAnalyze:
         assert lines[9] == "  1  (?x, ∈, EMPLOYEE)  3.1       3            1"
         assert lines[10] == "  2  (?x, EARNS, ?y)    1.4       9            3"
         assert lines[11] == "result rows: 9"
-        assert analyzed.rows == 9
+        assert len(analyzed.value) == 9
 
     def test_unsafe_query_not_executed(self):
         from repro.core.facts import var

@@ -1,15 +1,18 @@
 """Whole-heap passes decode an interned store column by column.
 
 A closure's seed (``seed_store``), a fold (``compact_store``) and a
-checkpoint read every fact of an interned store once.  They decode the
-generation's columns (``InternedFactStore.rows``) instead of iterating
-it, which would fill the generation's fact memo with one ``Fact`` per
-row and keep it until the next fold.  A from-scratch closure over an
-interned base grows a hash working store and ends in one fold that
-consumes it.
+checkpoint read every fact of an interned store once, by iterating it:
+the generation's columns are decoded as they are read and nothing is
+kept, so a pass leaves no ``Fact`` per row behind.  A from-scratch
+closure over an interned base grows a hash working store and ends in
+one fold that consumes it.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
 
 from repro.core.entities import ISA, MEMBER
 from repro.core.facts import Fact
@@ -40,36 +43,29 @@ def churned() -> InternedFactStore:
     return store
 
 
-def memo(store) -> object:
-    return store.generation._fact_memo  # noqa: SLF001
-
-
-class TestRows:
-    def test_rows_are_the_store_and_leave_the_memo(self):
+class TestIteration:
+    def test_iteration_is_the_store(self):
+        """Each fact once: the generation less its tombstone, then the
+        overlay."""
         store = churned()
         assert (store.tombstones, store.overlay_size) == (1, 2)
         expected = set(world_facts()) - {world_facts()[2]} \
             | {Fact("EMP99", MEMBER, "EMPLOYEE")}
-        rows = list(store.rows())
-        assert memo(store) is None
+        rows = list(store)
         assert len(rows) == len(set(rows)) == len(store)
-        assert set(rows) == expected == set(store)
-
-    def test_a_hash_store_rows_are_its_facts(self):
-        store = FactStore(world_facts())
-        assert set(store.rows()) == set(world_facts())
+        assert set(rows) == expected
+        assert all(fact in store for fact in rows)
 
 
 class TestSeed:
-    def test_an_interned_base_seeds_a_hash_store_without_the_memo(self):
+    def test_an_interned_base_seeds_a_hash_store(self):
         base = churned()
         seed = seed_store(base)
         assert type(seed) is FactStore
         assert seed.version == base.version
-        assert memo(base) is None
-        assert set(seed) == set(base.rows())
+        assert set(seed) == set(base)
         assert set(seed.lookup(None, MEMBER, "EMPLOYEE")) \
-            == {f for f in base.rows() if f[1:] == (MEMBER, "EMPLOYEE")}
+            == {f for f in base if f[1:] == (MEMBER, "EMPLOYEE")}
 
 
 class TestConsumingFold:
@@ -81,7 +77,7 @@ class TestConsumingFold:
         assert working.index_for("s") == {}
         assert folded.version == version
         assert folded.overlay_size == 0
-        assert set(folded.rows()) == set(world_facts())
+        assert set(folded) == set(world_facts())
 
     def test_a_closure_over_an_interned_base_is_one_generation(self):
         plain = Database(world_facts())
@@ -89,8 +85,7 @@ class TestConsumingFold:
         closure = interned.standard_closure().store
         assert isinstance(closure, InternedFactStore)
         assert closure.overlay_size == 0
-        assert memo(interned.facts) is None
-        assert set(closure.rows()) == set(plain.standard_closure().store)
+        assert set(closure) == set(plain.standard_closure().store)
         assert interned.standard_closure().rule_firings \
             == plain.standard_closure().rule_firings
 
@@ -101,18 +96,30 @@ class TestConsumingFold:
 
 class TestCheckpoint:
     def test_a_checkpoint_pins_no_fact_per_base_fact(self, tmp_path):
-        """The served master's shape: heap and closure compacted, then
-        written to the snapshot — the overlay and tombstones too."""
-        db = Database(world_facts())
+        """The served master's shape: heap and closure compacted, the
+        overlay churned, then written to the snapshot — the overlay
+        and tombstones too.  What the checkpoint still holds once it
+        returns is far below one ``Fact`` per base fact: a store that
+        kept the facts it decoded would hold them all."""
+        db = Database(world_facts(2000))
         db.view()
         db.compact_store()
-        db.add("EMP99", MEMBER, "EMPLOYEE")
+        db.add("EMP9999", MEMBER, "EMPLOYEE")
         db.remove_fact(Fact("EMP3", "WORKS-FOR", "DEPT0"))
         assert db.facts.overlay_size == 2
-        assert memo(db.facts) is None
+        base_facts = len(db.facts.generation)
+        assert base_facts > 4000
         with DurableSession(tmp_path) as session:
-            session.checkpoint(db)
-        assert memo(db.facts) is None
+            gc.collect()
+            tracemalloc.start()
+            try:
+                session.checkpoint(db)
+                gc.collect()
+                held, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        one_fact = sys.getsizeof(Fact("EMP0", MEMBER, "EMPLOYEE"))
+        assert held < base_facts * one_fact / 10, held
         written = read_snapshot(tmp_path / "snapshot.json").facts
         assert len(written) == len(db.facts)
-        assert set(written) == set(db.facts.rows())
+        assert set(written) == set(db.facts)
