@@ -32,8 +32,10 @@ version, each array's length) and the arrays after it, and
 :meth:`ColumnarGeneration.attach` maps the file read-only with
 :mod:`mmap`, with zero copying of the fact data.  The file's name is
 all a process needs; the replica pool bootstraps workers by shipping
-two names instead of a pickled snapshot (see
-:mod:`repro.serve.replica`).
+one name instead of a pickled snapshot (see
+:mod:`repro.serve.replica`): a database's base heap and closure read
+one generation, the base its rows flagged :data:`STORED`
+(:class:`FlaggedFactStore`).
 
 Example::
 
@@ -55,6 +57,7 @@ import secrets
 import struct
 from array import array
 from bisect import bisect_left
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -73,7 +76,8 @@ from .store import FactStore
 
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
-    "InternedFactStore", "unlink_generation",
+    "InternedFactStore", "FlaggedFactStore", "STORED", "STANDARD", "fold",
+    "unlink_generation",
 ]
 
 #: The one overlay budget: how many facts — additions *plus* tombstones
@@ -84,6 +88,17 @@ __all__ = [
 #: merges it, whatever its size), every fold is O(heap), so a smaller
 #: budget buys read latency with more frequent folds.
 OVERLAY_BUDGET = 128
+
+#: Row flags, one byte per generation row.  A database folds its base
+#: heap and its closure into one generation of the closure's rows
+#: (Motro's fact set P is a subset of its closure): ``STORED`` marks
+#: the rows of P, which :attr:`repro.db.Database.facts` reads, and
+#: ``STANDARD`` the rows of the closure under the standard rules,
+#: which the standard closure reads when ``limit(n > 1)`` adds
+#: composition facts to the full closure (:class:`FlaggedFactStore`).
+STORED = 1
+STANDARD = 2
+ALL = STORED | STANDARD
 
 class IdCodec:
     """A per-execution id⇄name codec over one generation's interner.
@@ -305,10 +320,12 @@ class ColumnarGeneration:
     s, t                  binary search in ``st_keys``
     ====================  ====================================
 
-    Every structure is a flat ``array``/``memoryview``, so a generation
-    is either *built* (process-local arrays) or *attached* (zero-copy
-    views over a mapped generation file); all probing code is agnostic
-    to which.
+    One flags byte per row (:data:`STORED`, :data:`STANDARD`) says
+    which of a database's stores hold it; the full closure holds every
+    row.  Every structure is a flat ``array``/``memoryview``, so a
+    generation is either *built* (process-local arrays) or *attached*
+    (zero-copy views over a mapped generation file); all probing code
+    is agnostic to which.
     """
 
     __slots__ = (
@@ -317,7 +334,7 @@ class ColumnarGeneration:
         "start_s", "start_r", "start_t",
         "perm_r", "perm_t",
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
-        "st_keys", "st_starts",
+        "st_keys", "st_starts", "flags",
         "_map", "_views",
         "__weakref__",      # a retired generation's release is testable
     )
@@ -333,12 +350,34 @@ class ColumnarGeneration:
     def build(cls, facts: Iterable[Fact],
               version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from an iterable of
-        facts.  O(n log n): one sort per physical order."""
-        gen = cls()
+        facts, every row flagged :data:`STORED` and :data:`STANDARD`."""
         interner = Interner()
         intern = interner.intern
-        triples = [(intern(f[0]), intern(f[1]), intern(f[2]))
-                   for f in facts]
+        return cls._of_triples(interner, [
+            (intern(f[0]), intern(f[1]), intern(f[2])) for f in facts],
+            version, ALL)
+
+    @classmethod
+    def build_flagged(cls, rows: Iterable[Tuple[Fact, int]],
+                      version: int = 0) -> "ColumnarGeneration":
+        """Build a generation from ``(fact, flags)`` rows; a fact may
+        repeat, with the same flags."""
+        interner = Interner()
+        intern = interner.intern
+        # A row's flags ride in the two bits under its target id, so
+        # the sort key stays a triple of ints.
+        return cls._of_triples(interner, [
+            (intern(f[0]), intern(f[1]), intern(f[2]) << 2 | flags)
+            for f, flags in rows], version, None)
+
+    @classmethod
+    def _of_triples(cls, interner: Interner, triples: List[Tuple],
+                    version: int,
+                    flags: Optional[int]) -> "ColumnarGeneration":
+        """The generation of id ``triples``: every row flagged
+        ``flags``, or, for ``None``, by the two bits under its target
+        id.  O(n log n): one sort per physical order."""
+        gen = cls()
         triples.sort()
         # The heap is a set: callers may feed raw fact lists with
         # repeats (the hash store dedupes on insert), so drop adjacent
@@ -353,12 +392,15 @@ class ColumnarGeneration:
         scol = array("i", bytes(4 * n))
         rcol = array("i", bytes(4 * n))
         tcol = array("i", bytes(4 * n))
+        flag_col = array("B", [flags or 0]) * n
+        shift, mask = (2, ALL) if flags is None else (0, 0)
         for i, (s, r, t) in enumerate(triples):
             scol[i] = s
             rcol[i] = r
-            tcol[i] = t
+            tcol[i] = t >> shift
+            flag_col[i] |= t & mask
         del triples
-        gen.scol, gen.rcol, gen.tcol = scol, rcol, tcol
+        gen.scol, gen.rcol, gen.tcol, gen.flags = scol, rcol, tcol, flag_col
 
         gen.start_s = cls._offsets(scol, u)
         # Secondary physical orders.  Packing (a, b, c) into one int
@@ -417,15 +459,15 @@ class ColumnarGeneration:
     _FIELDS = ("scol", "rcol", "tcol", "perm_r", "perm_t",
                "start_s", "start_r", "start_t",
                "sr_keys", "sr_starts", "rt_keys", "rt_starts",
-               "st_keys", "st_starts")
+               "st_keys", "st_starts", "flags")
     #: A generation file's arrays in file order, with their typecodes:
-    #: the name table, then the columns and indexes.
+    #: the name table, then the columns, indexes and row flags.
     _ARRAYS = tuple(zip(("name_offsets", "names_blob", "name_sort")
-                        + _FIELDS, "qBi" + "i" * 5 + "q" * 9))
+                        + _FIELDS, "qBi" + "i" * 5 + "q" * 9 + "B"))
     #: Magic, fact count, name count, store version, then each array's
     #: length in items.
     _HEADER = struct.Struct(f"=8s3q{len(_ARRAYS)}q")
-    _MAGIC = b"REPROGN1"
+    _MAGIC = b"REPROGN2"
 
     @classmethod
     def _placements(cls, counts: Sequence[int]) -> List[Tuple[int, int]]:
@@ -729,8 +771,11 @@ class ColumnarGeneration:
                 + (self.start_r[i + 1] - self.start_r[i])
                 + (self.start_t[i + 1] - self.start_t[i]))
 
-    def relationship_occurrences(self, i: int) -> int:
-        return self.start_r[i + 1] - self.start_r[i]
+    def flagged(self, flag: int) -> bytearray:
+        """One byte per row: 1 where the row carries every bit of
+        ``flag`` (every row for 0)."""
+        return bytearray(self.flags).translate(
+            bytes(v & flag == flag for v in range(256)))
 
     def __len__(self) -> int:
         return self.n
@@ -837,21 +882,26 @@ class InternedFactStore(FactStore):
 
     Invariants: a store always has a generation (an empty one when it
     was built from no facts or cleared); the overlay and the
-    (non-tombstoned) generation are disjoint, so merged iteration
-    never deduplicates; every tombstone is a generation fact, and
-    ``_removed_at`` holds exactly the tombstones' column offsets.
+    (non-tombstoned) generation rows the store holds are disjoint, so
+    merged iteration never deduplicates; every tombstone is one of
+    those rows, and ``_removed_at`` holds exactly the tombstones'
+    column offsets.
     """
 
     #: :meth:`count_estimate` is exact for patterns without repeated
     #: variables (index length lookups, tombstone- and
     #: overlay-adjusted) — the planner drops its sampling fudge.
     count_estimate_exact = True
+    #: The flag of the generation rows the store holds: 0, every row.
+    _flag = 0
 
     def __init__(self, generation: ColumnarGeneration):
         """Wrap a generation (built or attached); the overlay starts
         empty and the store version continues from the generation's
         recorded source version."""
         self._gen = generation
+        #: How many generation rows the store holds (every one here).
+        self._rows = generation.n
         self._overlay = _OverlayStore()
         self._removed = _OverlayStore()
         self._removed_at: Set[int] = set()
@@ -873,15 +923,26 @@ class InternedFactStore(FactStore):
         return cls(ColumnarGeneration.attach(name))
 
     @classmethod
-    def consume(cls, store: FactStore) -> "InternedFactStore":
-        """Fold a hash working store (a closure's) into one fresh
-        generation at its version, emptying it: its six index dicts and
-        reference counts are dropped before the generation is built from
-        its fact set, so the fold never holds both."""
+    def consume(cls, store: FactStore,
+                derived: Sequence[Fact]) -> "InternedFactStore":
+        """Fold a closure's hash working store into one fresh generation
+        at its version, emptying it.  ``derived`` are the facts the
+        closure's rounds added to its seed: their rows are flagged
+        :data:`STANDARD`, every other row (the seed's) :data:`STORED`
+        too.  The store's six index dicts and reference counts are
+        dropped before the generation is built from its fact set, so
+        the fold never holds both."""
         version = store.version
         facts = store._facts  # noqa: SLF001
         store.clear()
-        return cls.from_facts(facts, version=version)
+        facts.difference_update(derived)
+        # The seed's rows go first, in subject-name order: ids are given
+        # in first-intern order, so the generation's rows (and those a
+        # checkpoint sorts) come in that order, as the rows of a heap
+        # built from a snapshot do.
+        return cls(ColumnarGeneration.build_flagged(itertools.chain(
+            zip(sorted(facts, key=itemgetter(0)), itertools.repeat(ALL)),
+            zip(derived, itertools.repeat(STANDARD))), version))
 
     @property
     def generation(self) -> ColumnarGeneration:
@@ -915,7 +976,7 @@ class InternedFactStore(FactStore):
                 _obs.TELEMETRY.count("store.adds")
             self._version += 1
             return True
-        if self._gen.contains_fact(fact):
+        if self._position(fact) >= 0:
             return False
         if self._overlay.add(fact):
             self._version += 1
@@ -930,7 +991,7 @@ class InternedFactStore(FactStore):
             return True
         if fact in self._removed:
             return False
-        position = self._gen.position_of(fact)
+        position = self._position(fact)
         if position < 0:
             return False
         self._removed._index(fact)  # noqa: SLF001
@@ -944,7 +1005,7 @@ class InternedFactStore(FactStore):
         if self._frozen:
             raise FrozenStoreError("cannot clear a frozen store")
         version = self._version + 1
-        self.__init__(ColumnarGeneration.build(()))
+        InternedFactStore.__init__(self, ColumnarGeneration.build(()))
         self._version = version
 
     # ------------------------------------------------------------------
@@ -955,21 +1016,32 @@ class InternedFactStore(FactStore):
             return True
         if fact in self._removed:
             return False
-        return self._gen.contains_fact(fact)
+        return self._position(fact) >= 0
+
+    def _position(self, fact: Fact) -> int:
+        """The column offset of ``fact`` among the generation rows this
+        store reads, or -1."""
+        return self._gen.position_of(fact)
 
     def __len__(self) -> int:
-        return self._gen.n - len(self._removed) + len(self._overlay)
+        return self._rows - len(self._removed) + len(self._overlay)
 
     def __iter__(self) -> Iterator[Fact]:
-        """Every fact once — the generation's rows less the tombstones,
-        then the overlay — decoded column by column."""
-        facts = iter(self._gen)
-        removed_at = self._removed_at
-        if removed_at:
-            facts = itertools.compress(facts, (
-                position not in removed_at
-                for position in range(self._gen.n)))
-        return itertools.chain(facts, self._overlay)
+        """Every fact once — the generation rows the store holds, then
+        the overlay — selected on the id columns, then decoded column
+        by column."""
+        gen, keep = self._gen, self._kept()
+        name = gen.interner.names.__getitem__
+        return itertools.chain(map(Fact, *[
+            map(name, itertools.compress(column, keep))
+            for column in (gen.scol, gen.rcol, gen.tcol)]), self._overlay)
+
+    def _kept(self) -> bytearray:
+        """One byte per generation row, 1 where the store holds it."""
+        keep = self._gen.flagged(self._flag)
+        for position in self._removed_at:   # the tombstones
+            keep[position] = 0
+        return keep
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -978,12 +1050,11 @@ class InternedFactStore(FactStore):
         """An independent mutable copy: the generation (immutable) is
         shared, only the overlay layers duplicate — this is what makes
         snapshot publication cheap at heap scale."""
-        new = InternedFactStore.__new__(InternedFactStore)
-        new._gen = self._gen
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new._overlay = self._overlay.copy()
         new._removed = self._removed.copy()
-        new._removed_at = set(self._removed_at)
-        new._version = self._version
+        new._removed_at = self._removed_at.copy()
         new._frozen = False
         return new
 
@@ -997,15 +1068,8 @@ class InternedFactStore(FactStore):
         return result
 
     def relationships(self) -> Set[str]:
-        result = self._overlay.relationships()
-        removed = self._removed._relationship_refs  # noqa: SLF001
-        start_r = self._gen.start_r
-        names = self._gen.interner.names
-        for i in range(len(names)):
-            count = start_r[i + 1] - start_r[i]
-            if count and count > removed.get(names[i], 0):
-                result.add(names[i])
-        return result
+        """Read by scanning the store: nothing on a read path asks."""
+        return {fact[1] for fact in self}
 
     def has_entity(self, entity: str) -> bool:
         if self._overlay.has_entity(entity):
@@ -1018,15 +1082,7 @@ class InternedFactStore(FactStore):
             > self._removed._entity_refs.get(entity, 0)  # noqa: SLF001
 
     def has_relationship(self, relationship: str) -> bool:
-        if self._overlay.has_relationship(relationship):
-            return True
-        gen = self._gen
-        i = gen.interner.id_of(relationship)
-        if i is None:
-            return False
-        return gen.relationship_occurrences(i) \
-            > self._removed._relationship_refs.get(  # noqa: SLF001
-                relationship, 0)
+        return relationship in self.relationships()
 
     # ------------------------------------------------------------------
     # Template matching (integer probes)
@@ -1209,3 +1265,102 @@ class InternedFactStore(FactStore):
         if self._overlay._facts:  # noqa: SLF001 - C-level truth test
             total += len(self._overlay.lookup(s, r, t))
         return total
+
+
+class _HiddenRows(set):
+    """A flagged store's ``_removed_at``: the column offsets of its
+    tombstones (the set's members) and, to membership tests only, every
+    generation row without the store's flag — so each read that skips
+    tombstoned offsets skips those rows too."""
+
+    __slots__ = ("flags", "flag")
+
+    def __init__(self, flags, flag: int, positions: Iterable[int] = ()):
+        super().__init__(positions)
+        self.flags, self.flag = flags, flag
+
+    def __contains__(self, position) -> bool:
+        return (not self.flags[position] & self.flag
+                or set.__contains__(self, position))
+
+    def __bool__(self) -> bool:
+        return True
+
+    def copy(self) -> "_HiddenRows":
+        return _HiddenRows(self.flags, self.flag, self)
+
+
+class FlaggedFactStore(InternedFactStore):
+    """An :class:`InternedFactStore` that holds only the rows of its
+    generation that carry one flag, plus its own overlay and
+    tombstones.
+
+    A database's base heap is the :data:`STORED` rows of its closure's
+    generation (and, while composition adds facts, its standard
+    closure the :data:`STANDARD` rows), so a fold, a share and an
+    attach are paid once for both.  A probe skips the rows without the
+    flag as it skips tombstones (:class:`_HiddenRows`), and iterating
+    selects the flagged id columns before decoding them.  Counting a
+    pattern and the entity surfaces read the rows the store holds, not
+    the generation's offsets: nothing on a read path asks them of a
+    flagged store.  Flags belong to the generation, and a store never
+    changes them: adding a row the generation holds without the flag
+    puts it in the overlay.
+    """
+
+    def __init__(self, generation: ColumnarGeneration, flag: int):
+        super().__init__(generation)
+        self._flag = flag
+        self._rows = generation.flagged(flag).count(1)
+        self._removed_at = _HiddenRows(generation.flags, flag)
+
+    def _position(self, fact: Fact) -> int:
+        position = self._gen.position_of(fact)
+        if position < 0 or self._gen.flags[position] & self._flag:
+            return position
+        return -1
+
+    count_estimate = FactStore.count_estimate
+
+    def entities(self) -> Set[str]:
+        return set(itertools.chain.from_iterable(self))
+
+    def has_entity(self, entity: str) -> bool:
+        return entity in self.entities()
+
+    def entity_id_domain(self, encode) -> List[int]:
+        return list(map(encode, self.entities()))
+
+
+def fold(closure: FactStore,
+         layers: Sequence[Tuple[FactStore, int]]) -> ColumnarGeneration:
+    """One generation of ``closure``'s facts at its version, each row
+    flagged with the flag of every ``(store, flag)`` layer that holds
+    it (each layer's facts are a subset of the closure's).
+
+    When every store reads ``closure``'s generation, a row of it
+    carries its flags by position: each layer's tombstones clear its
+    flag and each of its overlay facts the generation holds sets it;
+    only the closure's overlay rows are flagged by membership.  Any
+    other store — the first fold of a database built on the hash store
+    — flags every row by membership.
+    """
+    gen = closure.generation
+    if gen is None or any(store.generation is not gen
+                          for store, _ in layers):
+        return ColumnarGeneration.build_flagged(
+            ((fact, sum(flag for store, flag in layers if fact in store))
+             for fact in closure), closure.version)
+    flags = bytearray(gen.flags)
+    for store, flag in layers:
+        for position in store._removed_at:  # noqa: SLF001
+            flags[position] &= ~flag
+        for fact in store._overlay:  # noqa: SLF001
+            position = gen.position_of(fact)
+            if position >= 0:
+                flags[position] |= flag
+    # The closure iterates its generation rows, then its overlay.
+    return ColumnarGeneration.build_flagged(zip(closure, itertools.chain(
+        itertools.compress(flags, closure._kept()),  # noqa: SLF001
+        (sum(flag for store, flag in layers if fact in store)
+         for fact in closure._overlay))), closure.version)  # noqa: SLF001

@@ -34,7 +34,9 @@ from .core.entities import (
 from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
 from .core.heap import heap_build
-from .core.interned import InternedFactStore
+from .core.interned import (
+    STANDARD, STORED, FlaggedFactStore, InternedFactStore, fold,
+)
 from .core.store import FactStore
 from .operators.definitions import OperatorRegistry
 from .operators.ops import (
@@ -75,6 +77,17 @@ AXIOM_FACTS: Tuple[Fact, ...] = (
     Fact(LE, CONTRA, GT),
     Fact(GE, CONTRA, LT),
 )
+
+
+def _refounded(store: FactStore, generation, flag: int) -> FactStore:
+    """``store``'s facts as the rows of ``generation`` that carry
+    ``flag`` (every row for 0), at its version and frozen as it was."""
+    new = (FlaggedFactStore(generation, flag) if flag
+           else InternedFactStore(generation))
+    new._version = store.version  # noqa: SLF001
+    if store.frozen:
+        new.freeze()
+    return new
 
 
 class Database:
@@ -384,19 +397,24 @@ class Database:
                         if result.provenance is not None else None),
         )
 
-    def compact_store(self, closure: bool = True) -> "Database":
-        """Re-found this database's heap on interned columnar storage.
+    def compact_store(self) -> "Database":
+        """Fold this database's heap and closure onto one interned
+        columnar generation.
 
-        The base heap (and, with ``closure=True``, any cached closure
-        store) is rebuilt as an
-        :class:`~repro.core.interned.InternedFactStore`: one frozen
-        columnar generation of interned-id arrays with CSR indexes,
-        plus an empty mutable overlay.  A store that already is one
-        generation with an empty overlay is left as it is — a
-        recovered base (:meth:`DurableSession.recover
-        <repro.storage.session.DurableSession.recover>`) and a closure
-        built from scratch over an interned base
-        (:meth:`standard_closure`) are.  Store versions are preserved:
+        The closure's facts (the base heap's, while no closure is
+        cached) become one frozen
+        :class:`~repro.core.interned.ColumnarGeneration` of interned-id
+        arrays with CSR indexes and one flags byte per row, and every
+        store is re-founded on it with an empty overlay: the closure
+        reads every row, the base heap its ``STORED`` rows
+        (:class:`~repro.core.interned.FlaggedFactStore`; §2.6's fact set
+        is a subset of its closure), and the standard closure, while
+        composition adds facts to the full one, its ``STANDARD`` rows.
+        Each row carries its flags into the fold
+        (:func:`~repro.core.interned.fold`).  Stores that already read
+        one generation with empty overlays are left as they are — a
+        closure built from scratch over an interned base
+        (:meth:`standard_closure`) is.  Store versions are preserved:
         the representation changes, the database state does not.
 
         Compaction pays one O(n log n) rebuild to make everything
@@ -404,9 +422,9 @@ class Database:
         :meth:`~repro.core.store.FactStore.copy` (snapshot publication)
         shares the generation instead of duplicating index dicts, and
         :meth:`ColumnarGeneration.share
-        <repro.core.interned.ColumnarGeneration.share>` can write the
-        generation to a file the replica pool's workers map.  Mutations
-        accumulate in the overlay (additions and tombstones); calling
+        <repro.core.interned.ColumnarGeneration.share>` writes it to the
+        one file the replica pool's workers map.  Mutations accumulate
+        in each store's overlay (additions and tombstones); calling
         again *folds* them into a fresh generation, decoding the old
         one column by column as it iterates.  A
         :class:`~repro.serve.DatabaseService` does both for its master:
@@ -418,37 +436,38 @@ class Database:
         overlay, so reads slow as it grows).  The rebuild is an O(heap)
         build (:func:`~repro.core.heap.heap_build`).  Returns ``self``.
         """
+        standard, full = self._standard_result, self._full_result
+        results = [result for result in (
+            standard, None if full is standard else full)
+            if result is not None]
+        top = results[-1].store if results else self._base
+        stores = [self._base] + [result.store for result in results]
+        if top.generation is not None and all(
+                store.generation is top.generation
+                and not store.overlay_size for store in stores):
+            return self
+        # The base heap reads the STORED rows, a standard closure that
+        # is not the whole closure the STANDARD rows, the closure all.
+        flags = [STORED] + [0 if result.store is top else STANDARD
+                            for result in results]
         with heap_build():
-            # The three store slots: the base, and the store of each
-            # cached closure (one object when composition adds nothing,
-            # already folded when the second visit reaches it).
-            slots = [(self, "_base")]
-            if closure:
-                slots += [(result, "store") for result
-                          in (self._standard_result, self._full_result)
-                          if result is not None]
-            for owner, attr in slots:
-                store = getattr(owner, attr)
-                if isinstance(store, InternedFactStore) \
-                        and not store.overlay_size:
-                    continue
-                folded = InternedFactStore.from_facts(
-                    store, version=store.version)
-                if store.frozen:
-                    folded.freeze()
-                setattr(owner, attr, folded)
-            if closure:
-                # Lazy caches hold references to the old stores; let
-                # them rebuild over the interned ones on next use.  The
-                # lattice survives: compaction changes the
-                # representation, not the facts, so only its store
-                # binding must refresh — and the structure lets go of
-                # the store it was built from, or a fold's retired
-                # generation would live as long as the lattice.
-                self._view = None
-                self._hierarchy_bound = None
-                if self._hierarchy is not None:
-                    self._hierarchy = self._hierarchy.with_store(None)
+            generation = fold(top, [
+                (store, flag) for store, flag in zip(stores, flags) if flag])
+            self._base, *folded = [_refounded(store, generation, flag)
+                                   for store, flag in zip(stores, flags)]
+            for result, store in zip(results, folded):
+                result.store = store
+            # Lazy caches hold references to the old stores; let them
+            # rebuild over the interned ones on next use.  The lattice
+            # survives: compaction changes the representation, not the
+            # facts, so only its store binding must refresh — and the
+            # structure lets go of the store it was built from, or a
+            # fold's retired generation would live as long as the
+            # lattice.
+            self._view = None
+            self._hierarchy_bound = None
+            if self._hierarchy is not None:
+                self._hierarchy = self._hierarchy.with_store(None)
         return self
 
     @property
@@ -463,17 +482,16 @@ class Database:
         return max(getattr(store, "overlay_size", 0) for store in stores)
 
     def store_shape(self) -> dict:
-        """What sits inside the generations and what outside, summed
-        over the base heap and the closure store (all zero while they
-        are hash stores): a publish shares the first and copies the
-        rest, and a read merges the rest into every probe."""
+        """What sits inside the generation and what outside, over the
+        base heap and the closure store (all zero while they are hash
+        stores; a generation they share counts once): a publish shares
+        the first and copies the rest, and a read merges the rest into
+        every probe."""
         stores = (self._base, self.closure().store)
         tombstones = sum(getattr(s, "tombstones", 0) for s in stores)
         return {
-            "generation_facts": sum(
-                len(generation) for generation in
-                (getattr(s, "generation", None) for s in stores)
-                if generation is not None),
+            "generation_facts": sum(map(len, {
+                store.generation for store in stores} - {None})),
             "overlay_facts": sum(getattr(s, "overlay_size", 0)
                                  for s in stores) - tombstones,
             "tombstones": tombstones,
@@ -567,16 +585,24 @@ class Database:
         hash working store (:func:`~repro.core.store.seed_store`).
         Over an interned base the build ends in one fold that consumes
         it (:meth:`InternedFactStore.consume
-        <repro.core.interned.InternedFactStore.consume>`), so the
-        closure is one generation with an empty overlay, like the base.
+        <repro.core.interned.InternedFactStore.consume>`), flagging the
+        facts the rounds derived, and the base heap is re-founded on the
+        other, ``STORED`` rows: base and closure read one generation
+        with empty overlays.
         """
         if self._standard_result is None:
             with heap_build():
+                derived = (None if self._base.generation is None
+                           else [])
                 result = dispatched_closure(
                     self._base, list(self.rules), self.rule_context(),
-                    trace=self.trace, compiled=self.rules.compiled())
-                if isinstance(self._base, InternedFactStore):
-                    result.store = InternedFactStore.consume(result.store)
+                    trace=self.trace, compiled=self.rules.compiled(),
+                    added=derived)
+                if derived is not None:
+                    result.store = InternedFactStore.consume(
+                        result.store, derived)
+                    self._base = _refounded(
+                        self._base, result.store.generation, STORED)
                 self._standard_result = result
             self._full_result = None
         return self._standard_result

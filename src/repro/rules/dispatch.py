@@ -785,7 +785,8 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                        context: RuleContext,
                        max_iterations: Optional[int] = None,
                        trace: bool = False,
-                       compiled: Optional[CompiledRuleSet] = None):
+                       compiled: Optional[CompiledRuleSet] = None,
+                       added: Optional[List[Fact]] = None):
     """Fixpoint by dispatched, compiled semi-naive rounds.
 
     Drop-in equivalent of :func:`.engine.semi_naive_closure` (identical
@@ -793,7 +794,9 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
     fast-path layers applied.  ``compiled`` lets callers reuse a
     :class:`CompiledRuleSet` across closures — the
     :class:`~repro.rules.registry.RuleRegistry` caches one per enabled
-    rule set.
+    rule set.  ``added`` is :func:`run_rounds`' sink, filled when given
+    with the facts the rounds derived (a closure over an interned base
+    flags its rows with it).
     """
     rules = list(rules)
     if compiled is None or compiled.rules != rules:
@@ -813,7 +816,8 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
         # the first delta.
         first = RoundDelta.of_store(store, compiled.delta_indexes)
         iterations = run_rounds(store, first, compiled, context, firings,
-                                max_iterations, provenance, rule_times)
+                                max_iterations, provenance, rule_times,
+                                added)
         if observing:
             _obs.TELEMETRY.count("engine.rounds", iterations)
             _obs.TELEMETRY.gauge("engine.closure_seconds",

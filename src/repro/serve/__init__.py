@@ -25,11 +25,12 @@ service can sit behind a socket (``python -m repro.shell serve music``
 
 :mod:`repro.serve.pool` scales reads past the GIL:
 :class:`ReplicaPool` forks N worker *processes*, each a database
-replica attached to the generation files of the writer's last
-fold and kept current by the delta batches the writer thread publishes
-(coalesced net fact mutations plus rule/limit controls, in order, over
-pipes), applied through the database's incremental maintenance rather
-than full recomputation; the next fold's generations replace both.
+replica attached to the one generation file of the writer's last
+fold (base heap and closure read it) and kept current by the delta
+batches the writer thread publishes (coalesced net fact mutations plus
+rule/limit controls, in order, over pipes), applied as store
+operations rather than full recomputation; the next fold's generation
+replaces it.
 Reads route primary first — the published snapshot answers while no
 other pool read is in flight there — and spill round-robin, with
 inflight accounting, to the workers; read-your-writes is preserved by routing ticket-bearing

@@ -15,10 +15,11 @@ One generation lifecycle, driven by the writer::
     writer               pool      workers    pool, on the last ack
 
 The pool never builds a generation.  At construction it writes the
-published snapshot's base and closure generations to two generation
-files in ``/dev/shm`` (:meth:`GenerationBootstrap.share
+published snapshot's one generation — the closure's rows, the base
+heap's flagged among them — to one generation file in ``/dev/shm``
+(:meth:`GenerationBootstrap.share
 <repro.serve.replica.GenerationBootstrap.share>`) and every worker
-*attaches* them: it maps each file read-only, by name.  Each
+*attaches* it: it maps the file read-only, by name.  Each
 published batch then reaches a worker one way:
 
 * a batch whose :class:`~repro.serve.replica.Delta` carries a closure
@@ -28,7 +29,7 @@ published batch then reaches a worker one way:
 * a batch that folded, or that recomputed the closure (a rule or limit
   control, an ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback:
   ``closure_stats`` is ``None``), makes the pool share the snapshot
-  published for it, and workers are sent those generations *instead
+  published for it, and workers are sent that generation *instead
   of* the record; the retired files are unlinked when the last
   live worker has acknowledged the re-attach.
 
@@ -62,7 +63,7 @@ the ticket's; when no replica is fresh enough (or none is alive, or
 the pool is behind) the read falls back to the primary as well.  A
 crashed worker is detected by its pipe closing, its inflight requests
 are retried on the primary, and a replacement is spawned that attaches
-the current generations and replays the buffered deltas — a durable
+the current generation and replays the buffered deltas — a durable
 service's workers included: nothing but the primary ever reads the
 directory.
 
@@ -161,8 +162,8 @@ class _Worker:
         self.receiver: Optional[threading.Thread] = None
         self.metrics_snapshot: Optional[dict] = None
         self.metrics_seq = 0       # metrics snapshots received
-        # Sequence of the shared generations this worker maps (or is
-        # about to: every later pair is already in its pipe, in order).
+        # Sequence of the shared generation this worker maps (or is
+        # about to: every later one is already in its pipe, in order).
         self.attached_seq = attached_seq
 
     def send(self, message) -> bool:
@@ -186,9 +187,9 @@ class ReplicaPool:
     wanted and none was eligible) and the rest, which workers answered.
 
     The constructor returns once every worker has attached the shared
-    generations and is ready.  It raises
+    generation and is ready.  It raises
     :class:`~repro.core.errors.ReplicaError`, before any worker is
-    spawned, when writing the generation files fails — a full
+    spawned, when writing the generation file fails — a full
     ``/dev/shm``; such a host serves without workers or mounts a
     larger one.
 
@@ -212,9 +213,9 @@ class ReplicaPool:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._service = service
-        # Generation lifecycle (all under self._lock): the shared pair
+        # Generation lifecycle (all under self._lock): the shared file
         # workers attach, the deltas published since it was shared
-        # (replayed by workers that attach later), and pairs a fold
+        # (replayed by workers that attach later), and files a fold
         # replaced that some live worker has yet to let go of.  Behind:
         # a recompute's share was refused, so workers are stale until
         # the next share.
@@ -283,8 +284,8 @@ class ReplicaPool:
     # The generation lifecycle and the delta stream
     # ------------------------------------------------------------------
     def _share_published(self) -> bool:
-        """Share the published snapshot's generations as the pair that
-        workers attach (caller holds the pool lock); the pair it
+        """Share the published snapshot's generation as the file that
+        workers attach (caller holds the pool lock); the file it
         replaces is retired, to be unlinked once no live worker maps
         it, and the pool is no longer behind.  False, with nothing
         changed, for a snapshot that has an overlay; a refused share
@@ -300,18 +301,18 @@ class ReplicaPool:
         return True
 
     def _unlink_unmapped(self) -> None:
-        """Unlink the retired pairs that no live worker maps or will
-        (caller holds the pool lock).  A worker walks the pairs in
+        """Unlink the retired files that no live worker maps or will
+        (caller holds the pool lock).  A worker walks the files in
         sequence order, so it is done with everything older than the
         one it has acknowledged; a dead worker holds nothing."""
         oldest = min((w.attached_seq for w in self._workers if w.alive),
                      default=None)
         kept = []
-        for pair in self._retired:
-            if oldest is not None and pair.version >= oldest:
-                kept.append(pair)
+        for shared in self._retired:
+            if oldest is not None and shared.version >= oldest:
+                kept.append(shared)
             else:
-                pair.unlink()
+                shared.unlink()
         self._retired = kept
 
     def _spawn(self, index: int) -> _Worker:
@@ -345,12 +346,12 @@ class ReplicaPool:
     def _on_delta(self, delta: Delta) -> None:
         """Writer-thread subscriber: send every live worker the
         batch's record or, when the batch folded or recomputed the
-        closure, the generations of the snapshot published for it —
+        closure, the generation of the snapshot published for it —
         or nothing, while the pool is behind."""
         with self._lock:
             if self._closed or (self._gen is not None
                                 and delta.version <= self._gen.version):
-                return      # the shared pair already holds this batch
+                return      # the shared file already holds this batch
             recomputed = delta.closure_stats is None
             if (delta.folded or recomputed) and self._share_folded():
                 # The published snapshot is this batch's (subscribers
@@ -366,7 +367,7 @@ class ReplicaPool:
                 if self._gen is not None:
                     # Buffer for future attachers.  The service updates
                     # its published state before invoking subscribers,
-                    # so every delta above the shared pair's sequence
+                    # so every delta above the shared file's sequence
                     # lands here before any spawn could need it.
                     self._gen_log.append(delta)
             self._deltas_shipped += 1
@@ -424,7 +425,7 @@ class ReplicaPool:
                             _obs.TELEMETRY.observe(
                                 "serve.pool.lag_seconds", lag)
                     if kind == "reattached":
-                        # The worker let go of the pair it had: the
+                        # The worker let go of the file it had: the
                         # last live one to say so frees the files.
                         worker.attached_seq = version
                         self._unlink_unmapped()
@@ -471,7 +472,7 @@ class ReplicaPool:
         if closed or not was_alive:
             return
         # Respawn on a fresh thread so this receiver can exit; the
-        # replacement attaches the *current* shared generations and
+        # replacement attaches the *current* shared generation and
         # replays the deltas buffered since, not from where the dead
         # worker had gotten to.
         threading.Thread(target=self._respawn_slot,
@@ -820,8 +821,7 @@ class ReplicaPool:
                 "generation_seq": (self._gen.version
                                    if self._gen is not None else None),
                 "generation_log": len(self._gen_log),
-                "retired_segments": sum(len(pair.file_names())
-                                        for pair in self._retired),
+                "retired_segments": len(self._retired),
                 "compactions": self.compactions,
                 "share_failures": self._share_failures,
                 "behind": self._behind,
@@ -875,16 +875,16 @@ class ReplicaPool:
             worker.pending.clear()
             for pending in stranded:
                 pending.fail_dead()
-        # Workers are gone: the generation files (the current pair
-        # plus any a fold retired) have no readers left and must be
+        # Workers are gone: the generation files (the current one plus
+        # any a fold retired) have no readers left and must be
         # unlinked here, or they outlive the pool in /dev/shm.
         with self._lock:
-            pairs, self._retired = self._retired, []
+            files, self._retired = self._retired, []
             if self._gen is not None:
-                pairs.append(self._gen)
+                files.append(self._gen)
                 self._gen = None
-        for pair in pairs:
-            pair.unlink()
+        for shared in files:
+            shared.unlink()
 
     def __enter__(self) -> "ReplicaPool":
         return self

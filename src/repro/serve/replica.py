@@ -5,8 +5,8 @@ aggregate read throughput, however many reader threads connect.  This
 module is the worker half of the standard log-shipping answer: the
 primary keeps its single writer thread, and each *worker process*
 holds a :class:`~repro.db.Database` replica *attached* to the
-generations the pool last shared (:class:`GenerationBootstrap` — the
-names of two generation files it maps, never a copied heap), which it
+generation the pool last shared (:class:`GenerationBootstrap` — the
+name of one generation file it maps, never a copied heap), which it
 keeps current by applying ordered :class:`Delta` records shipped over
 a pipe.  A record carries what the primary's writer already derived:
 the batch's net change to the base heap *and* to the standard closure,
@@ -14,7 +14,7 @@ plus the closure statistics it left, so a worker derives nothing — it
 applies both halves to its overlays as plain store operations
 (:meth:`repro.db.Database.apply_delta`) and runs no rule.  A worker
 does one of two things with a message that changes its data: it
-applies a record, or it attaches generations.  A batch the primary
+applies a record, or it attaches a generation.  A batch the primary
 could not maintain incrementally (a rule or limit control, an
 ``(r, ∈, R_c)`` declaration, an ``auto_check`` rollback) has no
 closure half and never reaches a worker as a record: the pool shares
@@ -34,7 +34,7 @@ spans, counters and slow-query record wherever it runs.
 Pipe protocol (parent → worker)::
 
     ("delta", Delta)                     apply, then ack
-    ("generation", GenerationBootstrap)  re-attach to the generations
+    ("generation", GenerationBootstrap)  re-attach to the generation
                                          the pool shared, then ack
                                          ("reattached", …)
     ("read", rid, op, payload, seconds, trace)
@@ -50,7 +50,7 @@ and worker → parent::
     ("ready", version)                   bootstrap finished
     ("applied", version)                 delta ack
     ("reattached", version)              generation re-attach ack (the
-                                         old files are now unmapped)
+                                         old file is now unmapped)
     ("result", rid, ok, value, version, extra)
                                          read outcome (value is the
                                          result, or (error_name, text));
@@ -101,10 +101,10 @@ class Delta:
     ``closure_stats`` is ``None`` when the batch recomputed the
     closure instead (a control, an ``(r, ∈, R_c)`` declaration, an
     ``auto_check`` rollback): the record then has no closure half, and
-    the pool sends workers the published snapshot's generations in its
+    the pool sends workers the published snapshot's generation in its
     place.  ``folded`` says the writer folded after this batch: the
     snapshot published at ``version`` has empty overlays, and a
-    replica is better served by attaching its generations than by
+    replica is better served by attaching its generation than by
     applying the record.
     """
 
@@ -119,17 +119,17 @@ class Delta:
 
 @dataclass
 class GenerationBootstrap:
-    """Bootstrap by *attaching*, not copying: two generation files.
+    """Bootstrap by *attaching*, not copying: one generation file.
 
-    The worker receives the names of the generation files holding a
-    published snapshot's base heap and standard closure as frozen
-    columnar generations (:mod:`repro.core.interned`; each file
-    describes its own layout), plus the configuration that closure
-    was computed under.  It maps the files read-only and layers its
-    own small mutable overlay on top, so per-worker
-    incremental memory is the overlay plus the names its reads decode,
-    not a database copy, and it never recomputes the closure it
-    attached.
+    The worker receives the name of the generation file holding a
+    published snapshot's closure as one frozen columnar generation
+    (:mod:`repro.core.interned`; the file describes its own layout),
+    whose ``STORED`` rows are the base heap, plus the configuration
+    that closure was computed under.  It maps the file read-only once
+    and layers each store's own small mutable overlay on top, so
+    per-worker incremental memory is the overlays plus the names its
+    reads decode, not a database copy, and it never recomputes the
+    closure it attached.
 
     ``version`` is the replication sequence of the snapshot;
     ``deltas`` is the suffix published since, replayed by the worker
@@ -140,8 +140,7 @@ class GenerationBootstrap:
     validated against stays continuous across attach.
     """
 
-    base_name: str                        # generation file names
-    closure_name: str
+    name: str                             # the generation file's name
     closure_stats: dict                   # ClosureResult.statistics()
     rules: List[Rule]
     enabled: Dict[str, bool]
@@ -154,81 +153,74 @@ class GenerationBootstrap:
     @classmethod
     def share(cls, snap: Database,
               version: int) -> Optional["GenerationBootstrap"]:
-        """Write a published snapshot's generations to two files.
+        """Write a published snapshot's generation to one file.
 
         ``snap`` is the service's snapshot at replication ``version``.
-        Only a snapshot with nothing outside its generations — the one
+        Only a snapshot with nothing outside its generation — the one
         the service was constructed with, or one the writer just
-        folded — can be shared, as two writes of fresh files, never a
+        folded — can be shared, as one write of a fresh file, never a
         build; for any other this returns ``None`` (folding is the
         writer's: :meth:`DatabaseService.fold
-        <repro.serve.DatabaseService.fold>`).  The caller owns both
-        files (:meth:`unlink`).  Raises
+        <repro.serve.DatabaseService.fold>`).  The caller owns the
+        file (:meth:`unlink`).  Raises
         :class:`~repro.core.errors.ReplicaError`, leaving no file
-        behind, when a write is refused
+        behind, when the write is refused
         (:meth:`ColumnarGeneration.share
         <repro.core.interned.ColumnarGeneration.share>`).
         """
-        from ..core.interned import unlink_generation
-
-        base = snap.facts
         result = snap.standard_closure()    # warmed before publication
-        if base.overlay_size or result.store.overlay_size:
+        if snap.overlay_size:
             return None
-        base_name = base.generation.share()
-        try:
-            closure_name = result.store.generation.share()
-        except BaseException:
-            unlink_generation(base_name)
-            raise
         return cls(
-            base_name=base_name,
-            closure_name=closure_name,
+            name=snap.closure().store.generation.share(),
             closure_stats=result.statistics(),
             rules=snap.rules.all_rules(),
             enabled=snap.rules.snapshot_state(),
             composition_limit=snap.composition_limit,
             version=version,
-            store_version=base.version,
+            store_version=snap.facts.version,
             closure_version=result.store.version,
         )
 
-    def file_names(self) -> List[str]:
-        return [self.base_name, self.closure_name]
-
     def unlink(self) -> None:
-        """Remove both files (idempotent).  Processes still attached
+        """Remove the file (idempotent).  Processes still attached
         keep their mappings until they release them."""
         from ..core.interned import unlink_generation
 
-        for name in self.file_names():
-            unlink_generation(name)
+        unlink_generation(self.name)
 
 
 def build_replica_from_generation(state: GenerationBootstrap) -> Database:
-    """A replica database attached to shared columnar generations.
+    """A replica database attached to one shared columnar generation.
 
     Base heap and standard closure are each an
-    :class:`~repro.core.interned.InternedFactStore` over a mapped,
-    parent-owned generation file: zero fact copying, and the replica's
-    incremental memory is its overlay plus the names its reads decode
+    :class:`~repro.core.interned.InternedFactStore` over the one
+    mapped, parent-owned generation file — the base its ``STORED``
+    rows, the closure every row (its ``STANDARD`` rows while
+    composition adds facts): zero fact copying, and the replica's
+    incremental memory is its overlays plus the names its reads decode
     (the attach side's name memo).  Records change the attached
     closure's overlay in place, and it never auto-checks: integrity was
     the primary's job at write admission.  Deltas in ``state.deltas``
     are **not** applied here — the caller replays them so it can track
     the resulting version (see :func:`replica_main`).
     """
-    from ..core.interned import InternedFactStore
+    from ..core.interned import (
+        STANDARD, STORED, ColumnarGeneration, FlaggedFactStore,
+        InternedFactStore,
+    )
     from ..rules.dispatch import ClosureResult
 
     db = Database(with_axioms=False)
-    base = InternedFactStore.attach(state.base_name)
-    base._version = state.store_version  # noqa: SLF001
-    db._base = base  # noqa: SLF001
+    generation = ColumnarGeneration.attach(state.name)
+    db._base = FlaggedFactStore(generation, STORED)  # noqa: SLF001
+    db._base._version = state.store_version  # noqa: SLF001
     db.rules = RuleRegistry(state.rules)
     db.rules.restore_state(state.enabled)
     db._composition_limit = state.composition_limit  # noqa: SLF001
-    closure_store = InternedFactStore.attach(state.closure_name)
+    closure_store = (FlaggedFactStore(generation, STANDARD)
+                     if db._composition_enabled  # noqa: SLF001
+                     else InternedFactStore(generation))
     closure_store._version = state.closure_version  # noqa: SLF001
     stats = state.closure_stats
     db._standard_result = ClosureResult(  # noqa: SLF001
@@ -244,17 +236,15 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
 
 
 def release_attached_stores(db: Database) -> None:
-    """Release a replica's generation mappings (base + closure).
+    """Release a replica's generation mapping, which its base heap and
+    closure stores all read.
 
-    Called when a worker swaps to the generations of the writer's next
-    fold; process exit would release them anyway, but an explicit close
+    Called when a worker swaps to the generation of the writer's next
+    fold; process exit would release it anyway, but an explicit close
     keeps the old file's pages reclaimable as soon as the pool unlinks
-    it.  (The closure seeds its store from the base heap's
-    type, so all three are interned stores.)
+    it.
     """
-    results = (db._standard_result, db._full_result)  # noqa: SLF001
-    for store in [db.facts] + [r.store for r in results if r is not None]:
-        store.close()
+    db.facts.close()
 
 
 def _probe_payload(outcome) -> dict:
@@ -359,7 +349,7 @@ def replica_main(conn, state: GenerationBootstrap,
     """The worker process entry point.
 
     ``conn`` is this end of a duplex pipe; ``state`` names the shared
-    generations to attach and carries the delta suffix to replay.
+    generation to attach and carries the delta suffix to replay.
     Builds the replica, then serves the pipe until ``("stop",)`` or
     EOF.  Requests are handled strictly in order, so a read enqueued
     after a delta always sees that delta applied.
@@ -412,8 +402,8 @@ def replica_main(conn, state: GenerationBootstrap,
             conn.send(("applied", version))
         elif kind == "generation":
             # The pool shared the snapshot of a batch that folded or
-            # recomputed the closure: its generations hold every batch
-            # up to their version, this one's included (the message
+            # recomputed the closure: its generation holds every batch
+            # up to its version, this one's included (the message
             # came in place of that batch's delta), and the overlay
             # built up since the last attach is dropped with the old
             # database.
@@ -421,7 +411,7 @@ def replica_main(conn, state: GenerationBootstrap,
             db, version = _attach(message[1])
             release_attached_stores(old)
             # Distinct ack type: the parent must know the worker is
-            # done with the *old* files (a plain delta ack could
+            # done with the *old* file (a plain delta ack could
             # predate the re-attach), so it can unlink them safely.
             conn.send(("reattached", version))
         elif kind == "read":

@@ -9,9 +9,10 @@ only the writer thread ever touches, plus one *published* snapshot
 :meth:`repro.db.Database.snapshot`).  Whatever store the caller's
 database arrived on, the service re-founds it at construction on
 interned storage (:meth:`repro.db.Database.compact_store`): base heap
-and closure each become one immutable columnar generation plus a small
-overlay of additions and tombstones, so a publish *shares* the
-generation and copies only the overlay.  The writer owns the fold: a
+and closure become one immutable columnar generation of the closure's
+rows, the base heap's flagged among them, each store with its own
+small overlay of additions and tombstones, so a publish *shares* the
+generation and copies only the overlays.  The writer owns the fold: a
 batch that leaves a store's overlay above
 :data:`~repro.core.interned.OVERLAY_BUDGET` — or that recomputed the
 closure (a rule or limit control, an ``(r, ∈, R_c)`` declaration, an
@@ -304,11 +305,12 @@ class DatabaseService:
 
         # Initial publication happens on the constructing thread; the
         # writer has not started yet, so the master is ours to touch.
-        # Heap and closure end on one generation each: from here on a
-        # publish shares them.  A recovered or compacted database's
-        # closure is built folded (``standard_closure``), so the
-        # re-found finds nothing to do; a database loaded by hand onto
-        # the hash store is re-founded here, heap and closure.
+        # Heap and closure end on one shared generation: from here on
+        # a publish shares it.  A recovered or compacted database's
+        # closure is built folded, with the heap re-founded on its
+        # stored rows (``standard_closure``), so the re-found finds
+        # nothing to do; a database loaded by hand onto the hash store
+        # is re-founded here, heap and closure.
         self._db.view()
         self._db.compact_store()
         snap = self._build_snapshot()
@@ -587,23 +589,28 @@ class DatabaseService:
                 ticket._resolve(value)
 
     def _fold_if_due(self, budget: int) -> float:
-        """Fold the master's stores into fresh generations when a
+        """Fold the master's stores into one fresh generation when a
         batch left one of them over ``budget`` (the overlay budget, or
         0 for a batch that held a :meth:`fold` or recomputed the
-        closure); returns
-        the seconds the fold took (0.0 when none was due).
+        closure); returns the seconds the fold took (0.0 when none was
+        due).  A closure recomputed over a heap the batch changed has
+        folded the change already — it comes back as one fresh
+        generation the heap is re-founded on — and counts as the fold.
 
         Once per batch, however many facts it held.  Store versions
-        survive, so does the lattice, and readers keep the previously published snapshot
-        — which shares the *old* generation — until the next one is
-        swapped in.
+        survive, so does the lattice, and readers keep the previously
+        published snapshot — which shares the *old* generation — until
+        the next one is swapped in.
         """
         db = self._db
-        db.view()       # the closure as the batch left it
-        if db.overlay_size <= budget:
-            return 0.0
+        published = self._published_state[0].facts
         started = time.perf_counter()
-        db.compact_store()
+        db.view()       # the closure as the batch left it
+        if db.overlay_size > budget:
+            db.compact_store()
+        elif db.facts.generation is published.generation \
+                or db.facts.version == published.version:
+            return 0.0
         seconds = time.perf_counter() - started
         self._folds += 1
         self._fold_pause_last = seconds
@@ -883,8 +890,8 @@ class DatabaseService:
 
         The ``store`` block describes what a publish shares and what it
         copies, summed over the snapshot's base heap and closure store:
-        facts in the shared generations, overlay additions and
-        tombstones outside them (each store is folded once its own
+        facts in the shared generation, overlay additions and
+        tombstones outside it (each store is folded once its own
         additions + tombstones pass ``overlay_budget``), and the
         writer's fold count and pauses.
         """

@@ -6,10 +6,11 @@ Layout::
         snapshot.json   # latest checkpoint (atomic)
         journal.jsonl   # mutations since that checkpoint
 
-``open_database`` recovers the state: the snapshot's rows become one
-interned generation (:class:`~repro.core.interned.InternedFactStore`),
-the journal replays into its overlay and tombstones, and a journal that
-left any is folded, so the recovered base heap is one generation.
+``open_database`` recovers the state: the journal replays onto the
+snapshot's rows, which then become one interned generation
+(:class:`~repro.core.interned.InternedFactStore`); the closure computed
+from it is one generation too, whose stored rows the base heap is
+re-founded on.
 ``attach`` wires a live :class:`~repro.db.Database` so subsequent
 mutations journal automatically; ``checkpoint`` folds the journal into
 a fresh snapshot of the base heap, which it iterates once (an interned
@@ -59,12 +60,12 @@ class DurableSession:
         build: :func:`~repro.core.heap.heap_build`).
 
         The base heap is built once, as one interned generation: the
-        snapshot's rows (the axioms, without a snapshot) go straight
-        into it, the journal replays into its overlay and tombstones,
-        and a journal that left either is folded
-        (:meth:`Database.compact_store
-        <repro.db.Database.compact_store>`).  A closure computed from
-        it comes back folded too (:meth:`Database.standard_closure
+        journal replays onto the snapshot's rows (the axioms, without a
+        snapshot), and what they leave goes straight into it, at the
+        version a replay onto the heap would have left.  The closure
+        computed from it comes back as one generation too, whose
+        ``STORED`` rows the base heap is re-founded on
+        (:meth:`Database.standard_closure
         <repro.db.Database.standard_closure>`).
 
         A lenient recovery leaves the journal ending at a line boundary
@@ -89,15 +90,22 @@ class DurableSession:
             else:
                 database = Database()
                 rows = list(database.facts)
+            # A journal replays onto the heap as an ordered set: the
+            # snapshot's sorted rows stay in order.
+            entries = list(self.journal.entries(strict=strict_journal))
+            facts = dict.fromkeys(rows) if entries else rows
+            version = len(rows)
+            for entry in entries:
+                # An add of an absent fact or a removal of a present
+                # one changes the heap and moves its version.
+                if (entry.op == OP_ADD) != (entry.fact in facts):
+                    if entry.op == OP_ADD:
+                        facts[entry.fact] = None
+                    else:
+                        del facts[entry.fact]
+                    version += 1
             database._base = InternedFactStore.from_facts(  # noqa: SLF001
-                rows, version=len(rows))
-            for entry in self.journal.entries(strict=strict_journal):
-                if entry.op == OP_ADD:
-                    database.add_fact(entry.fact)
-                else:
-                    database.remove_fact(entry.fact)
-            if database.overlay_size:
-                database.compact_store(closure=False)
+                facts, version=version)
         if _obs.ENABLED:
             telemetry = _obs.TELEMETRY
             telemetry.gauge("storage.recover_s",

@@ -72,7 +72,7 @@ class TestConsumingFold:
     def test_consume_empties_the_working_store(self):
         working = FactStore(world_facts())
         version = working.version
-        folded = InternedFactStore.consume(working)
+        folded = InternedFactStore.consume(working, [])
         assert len(working) == 0
         assert working.index_for("s") == {}
         assert folded.version == version
@@ -81,10 +81,12 @@ class TestConsumingFold:
 
     def test_a_closure_over_an_interned_base_is_one_generation(self):
         plain = Database(world_facts())
-        interned = Database(world_facts()).compact_store(closure=False)
+        interned = Database(world_facts()).compact_store()
         closure = interned.standard_closure().store
         assert isinstance(closure, InternedFactStore)
         assert closure.overlay_size == 0
+        assert interned.facts.generation is closure.generation
+        assert set(interned.facts) == set(plain.facts)
         assert set(closure) == set(plain.standard_closure().store)
         assert interned.standard_closure().rule_firings \
             == plain.standard_closure().rule_firings

@@ -548,9 +548,9 @@ class TestGenerationBootstrap:
                 assert stats["share_failures"] == 0
                 assert stats["alive"] == stats["workers"] == 1
                 segments = _gen_segments()
-                if segments is not None:    # one pair, however many folds
+                if segments is not None:    # one file, however many folds
                     assert len([name for name in segments
-                                if f"-{os.getpid()}-" in name]) == 2
+                                if f"-{os.getpid()}-" in name]) == 1
 
                 pool.metrics(timeout=30.0)
                 id_domain = _worker_counter(pool, "exec.id_domain")
@@ -569,7 +569,8 @@ class TestGenerationBootstrap:
                 store = pool.database_stats()["store"]
                 assert store["overlay_facts"] + store["tombstones"] \
                     <= 2 * OVERLAY_BUDGET
-                assert store["generation_facts"] > 2 * writes
+                # One generation, counted once, holds every write.
+                assert store["generation_facts"] > writes
             finally:
                 pool.close()
                 service.close()

@@ -91,8 +91,10 @@ def test_publish_shares_the_generation(service):
         assert published.generation is master.generation
         assert 0 < published.overlay_size <= OVERLAY_BUDGET
         assert published.frozen and not master.frozen
+    # Base heap and closure share one generation, counted once.
+    assert snap.facts.generation is snap.closure().store.generation
     assert service.stats()["store"]["generation_facts"] \
-        == sum(len(s.generation) for s in master_stores(service))
+        == len(master_stores(service)[1].generation)
 
 
 def test_a_compacted_database_is_not_rebuilt():
@@ -343,9 +345,9 @@ def test_directory_written_by_the_previous_release_opens(tmp_path):
 def test_pool_started_after_a_fold_shares_the_master_generation(
         monkeypatch):
     builds = []
-    build = ColumnarGeneration.build.__func__
+    build = ColumnarGeneration.build_flagged.__func__
     monkeypatch.setattr(
-        ColumnarGeneration, "build",
+        ColumnarGeneration, "build_flagged",
         classmethod(lambda cls, *a, **k: builds.append(1)
                     or build(cls, *a, **k)))
     with use_telemetry(Telemetry()) as telemetry:
@@ -360,12 +362,11 @@ def test_pool_started_after_a_fold_shares_the_master_generation(
             pool = ReplicaPool(svc, workers=1, read_timeout=60.0)
             try:
                 shared = pool._gen  # noqa: SLF001
-                base = ColumnarGeneration.attach(shared.base_name)
-                closure = ColumnarGeneration.attach(shared.closure_name)
-                assert len(base) == len(snap.facts.generation)
-                assert len(closure) == len(snap.closure().store.generation)
-                base.close()
-                closure.close()
+                generation = ColumnarGeneration.attach(shared.name)
+                assert snap.facts.generation \
+                    is snap.closure().store.generation
+                assert len(generation) == len(snap.facts.generation)
+                generation.close()
                 assert builds == []         # shared, not rebuilt
                 assert telemetry.counters[
                     "serve.pool.generation_builds"] == 1
