@@ -77,7 +77,7 @@ from .store import FactStore
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
     "InternedFactStore", "FlaggedFactStore", "STORED", "STANDARD", "fold",
-    "unlink_generation",
+    "refound", "unlink_generation",
 ]
 
 #: The one overlay budget: how many facts — additions *plus* tombstones
@@ -88,6 +88,8 @@ __all__ = [
 #: merges it, whatever its size), every fold is O(heap), so a smaller
 #: budget buys read latency with more frequent folds.
 OVERLAY_BUDGET = 128
+
+_EMPTY = range(0)
 
 #: Row flags, one byte per generation row.  A database folds its base
 #: heap and its closure into one generation of the closure's rows
@@ -335,13 +337,14 @@ class ColumnarGeneration:
         "perm_r", "perm_t",
         "sr_keys", "sr_starts", "rt_keys", "rt_starts",
         "st_keys", "st_starts", "flags",
-        "_map", "_views",
+        "_map", "_views", "_masks",
         "__weakref__",      # a retired generation's release is testable
     )
 
     def __init__(self):
         self._map = None
         self._views: List = []
+        self._masks: Dict[int, Tuple[bytes, bytes, bytes]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -351,39 +354,25 @@ class ColumnarGeneration:
               version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from an iterable of
         facts, every row flagged :data:`STORED` and :data:`STANDARD`."""
-        interner = Interner()
-        intern = interner.intern
-        return cls._of_triples(interner, [
-            (intern(f[0]), intern(f[1]), intern(f[2])) for f in facts],
-            version, ALL)
+        return cls.build_flagged(zip(facts, itertools.repeat(ALL)), version)
 
     @classmethod
     def build_flagged(cls, rows: Iterable[Tuple[Fact, int]],
                       version: int = 0) -> "ColumnarGeneration":
-        """Build a generation from ``(fact, flags)`` rows; a fact may
-        repeat, with the same flags."""
+        """Build a generation (and its interner) from ``(fact, flags)``
+        rows; a fact may repeat, with the same flags.  O(n log n): one
+        sort per physical order."""
+        gen = cls()
         interner = Interner()
         intern = interner.intern
-        # A row's flags ride in the two bits under its target id, so
-        # the sort key stays a triple of ints.
-        return cls._of_triples(interner, [
-            (intern(f[0]), intern(f[1]), intern(f[2]) << 2 | flags)
-            for f, flags in rows], version, None)
-
-    @classmethod
-    def _of_triples(cls, interner: Interner, triples: List[Tuple],
-                    version: int,
-                    flags: Optional[int]) -> "ColumnarGeneration":
-        """The generation of id ``triples``: every row flagged
-        ``flags``, or, for ``None``, by the two bits under its target
-        id.  O(n log n): one sort per physical order."""
-        gen = cls()
-        triples.sort()
+        keys = [(intern(f[0]), intern(f[1]), intern(f[2]), flags)
+                for f, flags in rows]
+        keys.sort()
         # The heap is a set: callers may feed raw fact lists with
         # repeats (the hash store dedupes on insert), so drop adjacent
         # duplicates from the sorted order.
-        triples = [key for key, _ in itertools.groupby(triples)]
-        n = len(triples)
+        keys = [key for key, _ in itertools.groupby(keys)]
+        n = len(keys)
         u = len(interner)
         gen.interner = interner
         gen.n = n
@@ -392,14 +381,13 @@ class ColumnarGeneration:
         scol = array("i", bytes(4 * n))
         rcol = array("i", bytes(4 * n))
         tcol = array("i", bytes(4 * n))
-        flag_col = array("B", [flags or 0]) * n
-        shift, mask = (2, ALL) if flags is None else (0, 0)
-        for i, (s, r, t) in enumerate(triples):
+        flag_col = array("B", bytes(n))
+        for i, (s, r, t, flags) in enumerate(keys):
             scol[i] = s
             rcol[i] = r
-            tcol[i] = t >> shift
-            flag_col[i] |= t & mask
-        del triples
+            tcol[i] = t
+            flag_col[i] = flags
+        del keys
         gen.scol, gen.rcol, gen.tcol, gen.flags = scol, rcol, tcol, flag_col
 
         gen.start_s = cls._offsets(scol, u)
@@ -593,74 +581,62 @@ class ColumnarGeneration:
                     names[self.tcol[position]])
 
     def positions(self, spec: str,
-                  ids: Tuple[int, ...]) -> Iterable[int]:
+                  ids: Tuple[int, ...]) -> Sequence[int]:
         """Column offsets of the facts matching one ground pattern.
 
         ``spec`` names the bound positions (``"s"``, ``"sr"``, …) and
         ``ids`` their interned values, in spec order.  Integer probes
         only — no strings, no tuple hashing.
         """
-        n = self.n
-        if spec == "":
-            return range(n)
-        if spec == "s":
-            return range(self.start_s[ids[0]], self.start_s[ids[0] + 1])
-        if spec == "sr":
-            return self._pair_range(self.sr_keys, self.sr_starts,
-                                    ids[0], ids[1])
-        if spec == "r":
-            lo, hi = self.start_r[ids[0]], self.start_r[ids[0] + 1]
-            perm = self.perm_r
-            return (perm[i] for i in range(lo, hi))
-        if spec == "rt":
-            run = self._pair_range(self.rt_keys, self.rt_starts,
-                                   ids[0], ids[1])
-            perm = self.perm_r
-            return (perm[i] for i in run)
-        if spec == "t":
-            lo, hi = self.start_t[ids[0]], self.start_t[ids[0] + 1]
-            perm = self.perm_t
-            return (perm[i] for i in range(lo, hi))
-        if spec == "st":
-            # st runs live in the (t, s) physical order.
-            run = self._pair_range(self.st_keys, self.st_starts,
-                                   ids[1], ids[0])
-            perm = self.perm_t
-            return (perm[i] for i in run)
-        if spec == "srt":
-            position = self._find(ids[0], ids[1], ids[2])
-            return () if position < 0 else (position,)
-        raise KeyError(f"no index for position spec {spec!r}")
+        [run], order = self._runs(spec, [ids])
+        if not order:
+            return run
+        return (self.perm_r if order == 1 else self.perm_t)[
+            run.start:run.stop]
 
     def positions_many(self, spec: str,
                        keys: Sequence[Tuple[Optional[int], ...]]
                        ) -> List[Sequence[int]]:
         """:meth:`positions` of each of a batch of keys sharing one
-        ``spec``: the index (CSR offsets, or a packed-pair array and
-        its component order), the permutation and the id bound are
-        resolved once for the batch, so a key costs its binary search
-        and a slice.  A run of the natural order is a ``range``, one
-        of a permuted order that slice of the permutation.  A key
+        ``spec`` (:meth:`_runs`): a run of the natural order is a
+        ``range``, one of a permuted order that slice of the
+        permutation."""
+        runs, order = self._runs(spec, keys)
+        if not order:
+            return runs
+        perm = self.perm_r if order == 1 else self.perm_t
+        return [perm[run.start:run.stop] for run in runs]
+
+    def count(self, spec: str, ids: Tuple[int, ...], masks=None) -> int:
+        """Exact match count for one ground pattern, never a scan: an
+        index length, or, among the rows of ``masks`` (:meth:`masks`),
+        a count of the run's bytes."""
+        [run], order = self._runs(spec, [ids])
+        if masks is None:
+            return len(run)
+        return masks[order].count(1, run.start, run.stop)
+
+    def _runs(self, spec: str, keys: Sequence[Tuple[Optional[int], ...]]
+              ) -> Tuple[List[range], int]:
+        """The run of rows each of a batch of keys sharing one ``spec``
+        matches, and the physical order they are runs of: 0 natural,
+        1 ``r``, 2 ``t``.  The index (CSR offsets, or a packed-pair
+        array and its component order) and the id bound are resolved
+        once for the batch, so a key costs its binary search.  A key
         holding ``None`` or an id outside the base range (a scratch id
         would alias another pair once packed) gets an empty run.
         """
         if spec == "":
-            return [range(self.n)] * len(keys)
-        index, starts, perm = self._BATCH_INDEX[spec]
+            return [range(self.n)] * len(keys), 0
+        index, starts, order = self._INDEX[spec]
         starts = getattr(self, starts)
-        perm = perm and getattr(self, perm)
         base = len(self.start_s) - 1
-        runs: List[Sequence[int]] = []
-        append = runs.append
         if index is None:
-            for (i,) in keys:
-                if i is None or i >= base:
-                    append(())
-                elif perm is None:
-                    append(range(starts[i], starts[i + 1]))
-                else:
-                    append(perm[starts[i]:starts[i + 1]])
-            return runs
+            return [_EMPTY if i is None or i >= base
+                    else range(starts[i], starts[i + 1])
+                    for (i,) in keys], order
+        runs: List[range] = []
+        append = runs.append
         index = getattr(self, index)
         last = len(index) - 1
         # st runs live in the (t, s) physical order; an srt key
@@ -671,111 +647,63 @@ class ColumnarGeneration:
         for key in keys:
             a, b = key[0], key[1]
             if None in key or a >= base or b >= base:
-                append(())
+                append(_EMPTY)
                 continue
             packed = b * base + a if swap else a * base + b
             k = bisect_left(index, packed)
             if k > last or index[k] != packed:
-                append(())
+                append(_EMPTY)
                 continue
             lo, hi = starts[k], starts[k + 1]
             if exact:
-                at = bisect_left(tcol, key[2], lo, hi)
-                append((at,) if at < hi and tcol[at] == key[2] else ())
-            elif perm is None:
-                append(range(lo, hi))
-            else:
-                append(perm[lo:hi])
-        return runs
+                lo = bisect_left(tcol, key[2], lo, hi)
+                hi = lo + 1 if lo < hi and tcol[lo] == key[2] else lo
+            append(range(lo, hi))
+        return runs, order
 
     #: spec -> (packed-pair keys or ``None`` for plain CSR offsets,
-    #: run starts, permutation or ``None`` for the natural order)
-    _BATCH_INDEX = {
-        "s": (None, "start_s", None),
-        "r": (None, "start_r", "perm_r"),
-        "t": (None, "start_t", "perm_t"),
-        "sr": ("sr_keys", "sr_starts", None),
-        "rt": ("rt_keys", "rt_starts", "perm_r"),
-        "st": ("st_keys", "st_starts", "perm_t"),
-        "srt": ("sr_keys", "sr_starts", None),
+    #: run starts, the physical order the runs are of)
+    _INDEX = {
+        "s": (None, "start_s", 0),
+        "r": (None, "start_r", 1),
+        "t": (None, "start_t", 2),
+        "sr": ("sr_keys", "sr_starts", 0),
+        "rt": ("rt_keys", "rt_starts", 1),
+        "st": ("st_keys", "st_starts", 2),
+        "srt": ("sr_keys", "sr_starts", 0),
     }
-
-    def count(self, s: Optional[int], r: Optional[int],
-              t: Optional[int]) -> int:
-        """Exact match count for one ground pattern (``None`` = open
-        position): pure index-length lookups, never a scan."""
-        if s is None:
-            if r is None:
-                if t is None:
-                    return self.n
-                return self.start_t[t + 1] - self.start_t[t]
-            if t is None:
-                return self.start_r[r + 1] - self.start_r[r]
-            return len(self._pair_range(self.rt_keys, self.rt_starts,
-                                        r, t))
-        if r is None:
-            if t is None:
-                return self.start_s[s + 1] - self.start_s[s]
-            return len(self._pair_range(self.st_keys, self.st_starts,
-                                        t, s))
-        if t is None:
-            return len(self._pair_range(self.sr_keys, self.sr_starts,
-                                        s, r))
-        return 1 if self._find(s, r, t) >= 0 else 0
-
-    def _pair_range(self, keys, starts, a: int, b: int) -> range:
-        packed = a * len(self.interner) + b
-        k = bisect_left(keys, packed)
-        if k >= len(keys) or keys[k] != packed:
-            return range(0)
-        return range(starts[k], starts[k + 1])
-
-    def _find(self, s: int, r: int, t: int) -> int:
-        """Offset of the exact triple, or -1: binary search on t inside
-        the (s, r) run (the natural order is sorted by (s, r, t))."""
-        run = self._pair_range(self.sr_keys, self.sr_starts, s, r)
-        lo, hi = run.start, run.stop
-        tcol = self.tcol
-        while lo < hi:
-            mid = (lo + hi) // 2
-            value = tcol[mid]
-            if value < t:
-                lo = mid + 1
-            elif value > t:
-                hi = mid
-            else:
-                return mid
-        return -1
 
     def position_of(self, fact: Fact) -> int:
         """Column offset of ``fact``, or -1 when it is not here."""
-        id_of = self.interner.id_of
-        s = id_of(fact[0])
-        if s is None:
-            return -1
-        r = id_of(fact[1])
-        if r is None:
-            return -1
-        t = id_of(fact[2])
-        if t is None:
-            return -1
-        return self._find(s, r, t)
+        [run], _ = self._runs("srt", [tuple(map(self.interner.id_of, fact))])
+        return run.start if run else -1
 
     def contains_fact(self, fact: Fact) -> bool:
         return self.position_of(fact) >= 0
 
-    def entity_occurrences(self, i: int) -> int:
+    def entity_occurrences(self, i: int, masks=None) -> int:
         """How many position slots entity ``i`` fills across all facts
-        (three O(1) offset subtractions)."""
-        return ((self.start_s[i + 1] - self.start_s[i])
-                + (self.start_r[i + 1] - self.start_r[i])
-                + (self.start_t[i + 1] - self.start_t[i]))
+        (three offset subtractions), or across the rows of ``masks``
+        (:meth:`count`, thrice)."""
+        if masks is None:
+            return ((self.start_s[i + 1] - self.start_s[i])
+                    + (self.start_r[i + 1] - self.start_r[i])
+                    + (self.start_t[i + 1] - self.start_t[i]))
+        return sum(self.count(spec, (i,), masks) for spec in "srt")
 
-    def flagged(self, flag: int) -> bytearray:
-        """One byte per row: 1 where the row carries every bit of
-        ``flag`` (every row for 0)."""
-        return bytearray(self.flags).translate(
-            bytes(v & flag == flag for v in range(256)))
+    def masks(self, flag: int) -> Tuple[bytes, bytes, bytes]:
+        """The rows that carry ``flag``, one byte each (1 or 0), in each
+        physical order: natural, ``r`` and ``t``.  Built once per
+        generation and flag, for the stores that hold those rows."""
+        masks = self._masks.get(flag)
+        if masks is None:
+            keep = bytes(self.flags).translate(
+                bytes(bool(v & flag) for v in range(256)))
+            at = keep.__getitem__
+            masks = self._masks[flag] = (
+                keep, bytes(map(at, self.perm_r)),
+                bytes(map(at, self.perm_t)))
+        return masks
 
     def __len__(self) -> int:
         return self.n
@@ -892,8 +820,9 @@ class InternedFactStore(FactStore):
     #: variables (index length lookups, tombstone- and
     #: overlay-adjusted) — the planner drops its sampling fudge.
     count_estimate_exact = True
-    #: The flag of the generation rows the store holds: 0, every row.
-    _flag = 0
+    #: The generation rows the store holds, in each physical order
+    #: (:meth:`ColumnarGeneration.masks`): ``None``, every row.
+    _masks = None
 
     def __init__(self, generation: ColumnarGeneration):
         """Wrap a generation (built or attached); the overlay starts
@@ -1038,7 +967,8 @@ class InternedFactStore(FactStore):
 
     def _kept(self) -> bytearray:
         """One byte per generation row, 1 where the store holds it."""
-        keep = self._gen.flagged(self._flag)
+        keep = (bytearray(self._masks[0]) if self._masks
+                else bytearray(b"\x01") * self._gen.n)
         for position in self._removed_at:   # the tombstones
             keep[position] = 0
         return keep
@@ -1060,16 +990,39 @@ class InternedFactStore(FactStore):
 
     def entities(self) -> Set[str]:
         result = self._overlay.entities()
-        gen = self._gen
-        removed = self._removed._entity_refs  # noqa: SLF001
-        for i, name in enumerate(gen.interner.names):
-            if gen.entity_occurrences(i) > removed.get(name, 0):
-                result.add(name)
+        result.update(map(self._gen.interner.names.__getitem__,
+                          self._entity_ids()))
         return result
 
+    def _entity_ids(self) -> List[int]:
+        """The ids, ascending, of the generation entities the store
+        holds: those its rows name (every id, without a mask; the held
+        id columns, with one), less those only its tombstones still
+        name — counted for the entities the tombstones name."""
+        gen = self._gen
+        id_of = gen.interner.id_of
+        removed: Dict[int, int] = {
+            id_of(name): count for name, count
+            in self._removed._entity_refs.items()}  # noqa: SLF001
+        masks = self._masks
+        ids = range(len(gen.interner)) if masks is None else sorted(set(
+            itertools.chain.from_iterable(
+                itertools.compress(column, masks[0])
+                for column in (gen.scol, gen.rcol, gen.tcol))))
+        return [i for i in ids if i not in removed
+                or gen.entity_occurrences(i, masks) > removed[i]]
+
     def relationships(self) -> Set[str]:
-        """Read by scanning the store: nothing on a read path asks."""
-        return {fact[1] for fact in self}
+        result = self._overlay.relationships()
+        removed = self._removed._relationship_refs  # noqa: SLF001
+        gen = self._gen
+        start_r = gen.start_r
+        names = gen.interner.names
+        for i in range(len(names)):
+            if start_r[i + 1] > start_r[i] and gen.count(
+                    "r", (i,), self._masks) > removed.get(names[i], 0):
+                result.add(names[i])
+        return result
 
     def has_entity(self, entity: str) -> bool:
         if self._overlay.has_entity(entity):
@@ -1078,11 +1031,19 @@ class InternedFactStore(FactStore):
         i = gen.interner.id_of(entity)
         if i is None:
             return False
-        return gen.entity_occurrences(i) \
+        return gen.entity_occurrences(i, self._masks) \
             > self._removed._entity_refs.get(entity, 0)  # noqa: SLF001
 
     def has_relationship(self, relationship: str) -> bool:
-        return relationship in self.relationships()
+        if self._overlay.has_relationship(relationship):
+            return True
+        gen = self._gen
+        i = gen.interner.id_of(relationship)
+        if i is None:
+            return False
+        return gen.count("r", (i,), self._masks) \
+            > self._removed._relationship_refs.get(  # noqa: SLF001
+                relationship, 0)
 
     # ------------------------------------------------------------------
     # Template matching (integer probes)
@@ -1108,20 +1069,16 @@ class InternedFactStore(FactStore):
     def _gen_facts(self, s: Optional[str], r: Optional[str],
                    t: Optional[str]) -> Iterator[Fact]:
         """Generation-side candidates for raw ground positions."""
-        gen = self._gen
         resolved = self._spec_ids(s, r, t)
         if resolved is None:
-            return
-        spec, ids = resolved
-        fact_at = gen.fact_at
-        removed_at = self._removed_at
-        if removed_at:
-            for position in gen.positions(spec, ids):
-                if position not in removed_at:
-                    yield fact_at(position)
-        else:
-            for position in gen.positions(spec, ids):
-                yield fact_at(position)
+            return ()
+        positions = self._gen.positions(*resolved)
+        if self._masks:
+            positions = filter(self._masks[0].__getitem__, positions)
+        if self._removed_at:
+            positions = itertools.filterfalse(
+                self._removed_at.__contains__, positions)
+        return map(self._gen.fact_at, positions)
 
     def _candidates(self, pattern: Template) -> Iterable[Fact]:
         s = pattern.source if isinstance(pattern.source, str) else None
@@ -1180,6 +1137,9 @@ class InternedFactStore(FactStore):
         out_cols = None if positions is None else [
             cols[p] for p in positions]
         runs = gen.positions_many(spec, keys)
+        if self._masks:
+            held = self._masks[0].__getitem__
+            runs = [list(filter(held, run)) for run in runs]
         if removed:
             runs = [[p for p in run if p not in removed] for run in runs]
         if checks:
@@ -1205,18 +1165,7 @@ class InternedFactStore(FactStore):
         plus overlay entities encoded through ``encode``, deduplicated
         against the generation's contribution.  Same *set* as
         :meth:`entities`, in id space (order may differ)."""
-        gen = self._gen
-        id_of = gen.interner.id_of
-        removed: Dict[int, int] = {
-            id_of(name): count for name, count
-            in self._removed._entity_refs.items()}  # noqa: SLF001
-        occurrences = gen.entity_occurrences
-        if removed:
-            out = [i for i in range(len(gen.interner))
-                   if occurrences(i) > removed.get(i, 0)]
-        else:
-            out = [i for i in range(len(gen.interner))
-                   if occurrences(i)]
+        out = self._entity_ids()
         if len(self._overlay):
             included = set(out)
             for name in self._overlay.entities():
@@ -1253,41 +1202,14 @@ class InternedFactStore(FactStore):
         total = 0
         # A constant the generation never interned matches nothing in
         # it (and so no tombstone either).
-        id_of = self._gen.interner.id_of
-        si = None if s is None else id_of(s)
-        ri = None if r is None else id_of(r)
-        ti = None if t is None else id_of(t)
-        if (si is None) == (s is None) and (ri is None) == (r is None) \
-                and (ti is None) == (t is None):
-            total = self._gen.count(si, ri, ti)
+        resolved = self._spec_ids(s, r, t)
+        if resolved is not None:
+            total = self._gen.count(*resolved, self._masks)
             if self._removed_at:
                 total -= len(self._removed.lookup(s, r, t))
         if self._overlay._facts:  # noqa: SLF001 - C-level truth test
             total += len(self._overlay.lookup(s, r, t))
         return total
-
-
-class _HiddenRows(set):
-    """A flagged store's ``_removed_at``: the column offsets of its
-    tombstones (the set's members) and, to membership tests only, every
-    generation row without the store's flag — so each read that skips
-    tombstoned offsets skips those rows too."""
-
-    __slots__ = ("flags", "flag")
-
-    def __init__(self, flags, flag: int, positions: Iterable[int] = ()):
-        super().__init__(positions)
-        self.flags, self.flag = flags, flag
-
-    def __contains__(self, position) -> bool:
-        return (not self.flags[position] & self.flag
-                or set.__contains__(self, position))
-
-    def __bool__(self) -> bool:
-        return True
-
-    def copy(self) -> "_HiddenRows":
-        return _HiddenRows(self.flags, self.flag, self)
 
 
 class FlaggedFactStore(InternedFactStore):
@@ -1298,69 +1220,76 @@ class FlaggedFactStore(InternedFactStore):
     A database's base heap is the :data:`STORED` rows of its closure's
     generation (and, while composition adds facts, its standard
     closure the :data:`STANDARD` rows), so a fold, a share and an
-    attach are paid once for both.  A probe skips the rows without the
-    flag as it skips tombstones (:class:`_HiddenRows`), and iterating
-    selects the flagged id columns before decoding them.  Counting a
-    pattern and the entity surfaces read the rows the store holds, not
-    the generation's offsets: nothing on a read path asks them of a
-    flagged store.  Flags belong to the generation, and a store never
+    attach are paid once for both.  The flag is selected once per
+    generation (:meth:`ColumnarGeneration.masks`): a probe skips the
+    rows without it by their byte, a count counts the bytes under its
+    index run, and iterating selects the held id columns before
+    decoding them.  Flags belong to the generation, and a store never
     changes them: adding a row the generation holds without the flag
     puts it in the overlay.
     """
 
     def __init__(self, generation: ColumnarGeneration, flag: int):
         super().__init__(generation)
-        self._flag = flag
-        self._rows = generation.flagged(flag).count(1)
-        self._removed_at = _HiddenRows(generation.flags, flag)
+        self._masks = generation.masks(flag)
+        self._rows = self._masks[0].count(1)
 
     def _position(self, fact: Fact) -> int:
         position = self._gen.position_of(fact)
-        if position < 0 or self._gen.flags[position] & self._flag:
-            return position
-        return -1
-
-    count_estimate = FactStore.count_estimate
-
-    def entities(self) -> Set[str]:
-        return set(itertools.chain.from_iterable(self))
-
-    def has_entity(self, entity: str) -> bool:
-        return entity in self.entities()
-
-    def entity_id_domain(self, encode) -> List[int]:
-        return list(map(encode, self.entities()))
+        return position if position >= 0 and self._masks[0][position] \
+            else -1
 
 
-def fold(closure: FactStore,
-         layers: Sequence[Tuple[FactStore, int]]) -> ColumnarGeneration:
-    """One generation of ``closure``'s facts at its version, each row
-    flagged with the flag of every ``(store, flag)`` layer that holds
-    it (each layer's facts are a subset of the closure's).
+def refound(store: FactStore, generation: ColumnarGeneration,
+            flag: int) -> InternedFactStore:
+    """``store``'s facts as the rows of ``generation`` that carry
+    ``flag`` (every row for 0), at its version and frozen as it was."""
+    new = (FlaggedFactStore(generation, flag) if flag
+           else InternedFactStore(generation))
+    new._version = store.version  # noqa: SLF001
+    if store.frozen:
+        new.freeze()
+    return new
 
-    When every store reads ``closure``'s generation, a row of it
-    carries its flags by position: each layer's tombstones clear its
-    flag and each of its overlay facts the generation holds sets it;
-    only the closure's overlay rows are flagged by membership.  Any
-    other store — the first fold of a database built on the hash store
-    — flags every row by membership.
+
+def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
+    """Fold a database's stores onto one generation and re-found each
+    on it (:func:`refound`).
+
+    ``stores`` are the base heap, then the standard closure and, while
+    composition adds facts, the whole closure: each a subset of the
+    next.  The generation holds the last one's facts at its version,
+    each row flagged :data:`STORED` when the base heap holds it and
+    :data:`STANDARD` when the standard closure does; the last store
+    reads every row.  When every store reads the last one's
+    generation, a row of it carries its flags by position: each
+    store's tombstones clear its flag and each of its overlay facts
+    the generation holds sets it; only the last store's overlay rows
+    are flagged by membership.  Any other store — the first fold of a
+    database built on the hash store — flags every row by membership.
     """
+    closure = stores[-1]
+    layers = list(zip(stores, (STORED, STANDARD)))
+
+    def flagged(fact: Fact) -> int:
+        return sum(flag for store, flag in layers if fact in store)
+
     gen = closure.generation
-    if gen is None or any(store.generation is not gen
-                          for store, _ in layers):
-        return ColumnarGeneration.build_flagged(
-            ((fact, sum(flag for store, flag in layers if fact in store))
-             for fact in closure), closure.version)
-    flags = bytearray(gen.flags)
-    for store, flag in layers:
-        for position in store._removed_at:  # noqa: SLF001
-            flags[position] &= ~flag
-        for fact in store._overlay:  # noqa: SLF001
-            position = gen.position_of(fact)
-            if position >= 0:
-                flags[position] |= flag
-    # The closure iterates its generation rows, then its overlay.
-    return ColumnarGeneration.build_flagged(zip(closure, itertools.chain(
-        itertools.compress(flags, closure._kept()),  # noqa: SLF001
-        (sum(flag for store, flag in layers if fact in store)
-         for fact in closure._overlay))), closure.version)  # noqa: SLF001
+    if gen is None or any(store.generation is not gen for store in stores):
+        rows = ((fact, flagged(fact)) for fact in closure)
+    else:
+        flags = bytearray(gen.flags)
+        for store, flag in layers:
+            for position in store._removed_at:  # noqa: SLF001
+                flags[position] &= ~flag
+            for fact in store._overlay:  # noqa: SLF001
+                position = gen.position_of(fact)
+                if position >= 0:
+                    flags[position] |= flag
+        # The closure iterates its generation rows, then its overlay.
+        rows = zip(closure, itertools.chain(
+            itertools.compress(flags, closure._kept()),  # noqa: SLF001
+            map(flagged, closure._overlay)))  # noqa: SLF001
+    generation = ColumnarGeneration.build_flagged(rows, closure.version)
+    return [refound(store, generation, 0 if store is closure else flag)
+            for store, flag in zip(stores, (STORED, STANDARD, 0))]

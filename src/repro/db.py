@@ -34,9 +34,7 @@ from .core.entities import (
 from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
 from .core.heap import heap_build
-from .core.interned import (
-    STANDARD, STORED, FlaggedFactStore, InternedFactStore, fold,
-)
+from .core.interned import STORED, InternedFactStore, fold, refound
 from .core.store import FactStore
 from .operators.definitions import OperatorRegistry
 from .operators.ops import (
@@ -77,17 +75,6 @@ AXIOM_FACTS: Tuple[Fact, ...] = (
     Fact(LE, CONTRA, GT),
     Fact(GE, CONTRA, LT),
 )
-
-
-def _refounded(store: FactStore, generation, flag: int) -> FactStore:
-    """``store``'s facts as the rows of ``generation`` that carry
-    ``flag`` (every row for 0), at its version and frozen as it was."""
-    new = (FlaggedFactStore(generation, flag) if flag
-           else InternedFactStore(generation))
-    new._version = store.version  # noqa: SLF001
-    if store.frozen:
-        new.freeze()
-    return new
 
 
 class Database:
@@ -440,21 +427,14 @@ class Database:
         results = [result for result in (
             standard, None if full is standard else full)
             if result is not None]
-        top = results[-1].store if results else self._base
         stores = [self._base] + [result.store for result in results]
+        top = stores[-1]
         if top.generation is not None and all(
                 store.generation is top.generation
                 and not store.overlay_size for store in stores):
             return self
-        # The base heap reads the STORED rows, a standard closure that
-        # is not the whole closure the STANDARD rows, the closure all.
-        flags = [STORED] + [0 if result.store is top else STANDARD
-                            for result in results]
         with heap_build():
-            generation = fold(top, [
-                (store, flag) for store, flag in zip(stores, flags) if flag])
-            self._base, *folded = [_refounded(store, generation, flag)
-                                   for store, flag in zip(stores, flags)]
+            self._base, *folded = fold(stores)
             for result, store in zip(results, folded):
                 result.store = store
             # Lazy caches hold references to the old stores; let them
@@ -601,7 +581,7 @@ class Database:
                 if derived is not None:
                     result.store = InternedFactStore.consume(
                         result.store, derived)
-                    self._base = _refounded(
+                    self._base = refound(
                         self._base, result.store.generation, STORED)
                 self._standard_result = result
             self._full_result = None

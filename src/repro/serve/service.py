@@ -503,7 +503,8 @@ class DatabaseService:
                     0 if fold_asked or closure_entries is None
                     else OVERLAY_BUDGET)
                 snap = self._build_snapshot()
-                pause = time.perf_counter() - publish_started - folded
+                pause = time.perf_counter() - publish_started \
+                    - (folded or 0.0)
                 self._publish_pause_last = pause
                 self._publish_pause_max = max(self._publish_pause_max,
                                               pause)
@@ -518,7 +519,7 @@ class DatabaseService:
                         closure_entries)
                     closure_stats = db.standard_closure().statistics()
                 delta = Delta(version=self._applied_seq, adds=adds,
-                              removes=removes, folded=folded > 0.0,
+                              removes=removes, folded=folded is not None,
                               closure_adds=closure_adds,
                               closure_removes=closure_removes,
                               closure_stats=closure_stats)
@@ -588,14 +589,15 @@ class DatabaseService:
             else:
                 ticket._resolve(value)
 
-    def _fold_if_due(self, budget: int) -> float:
+    def _fold_if_due(self, budget: int) -> Optional[float]:
         """Fold the master's stores into one fresh generation when a
         batch left one of them over ``budget`` (the overlay budget, or
         0 for a batch that held a :meth:`fold` or recomputed the
-        closure); returns the seconds the fold took (0.0 when none was
-        due).  A closure recomputed over a heap the batch changed has
+        closure); returns the seconds the fold took (``None`` when none
+        was due).  A closure recomputed over a heap the batch changed has
         folded the change already — it comes back as one fresh
-        generation the heap is re-founded on — and counts as the fold.
+        generation the heap is re-founded on — and counts as the fold,
+        with a pause of nearly nothing: the recompute is not timed.
 
         Once per batch, however many facts it held.  Store versions
         survive, so does the lattice, and readers keep the previously
@@ -604,13 +606,13 @@ class DatabaseService:
         """
         db = self._db
         published = self._published_state[0].facts
-        started = time.perf_counter()
         db.view()       # the closure as the batch left it
+        started = time.perf_counter()
         if db.overlay_size > budget:
             db.compact_store()
         elif db.facts.generation is published.generation \
                 or db.facts.version == published.version:
-            return 0.0
+            return None
         seconds = time.perf_counter() - started
         self._folds += 1
         self._fold_pause_last = seconds

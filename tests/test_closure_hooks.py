@@ -144,6 +144,33 @@ def test_reported_change_is_the_closure_difference(compacted, steps):
     _run(compacted, steps)
 
 
+def test_a_fold_under_composition_keeps_the_standard_rows():
+    """Under ``limit(2)`` a fold whose top store is the standard
+    closure (an add dropped the composed one) still flags every row it
+    holds standard: after add, fold, view and fold, both closures are
+    the hash database's, and stay so through one more add."""
+    world = WORLD + (Fact("SALES", "LOCATED-IN", "BOSTON"),)
+    compacted, plain = _world(True), Database(world)
+    compacted.add_fact(world[-1])
+    for db in (compacted, plain):
+        db.limit(2)
+        db.view()
+        db.add_fact(Fact("ANN", "WORKS-FOR", "SALES"))
+    compacted.compact_store()
+    compacted.view()
+    compacted.compact_store()
+    assert compacted.facts.generation \
+        is compacted.closure().store.generation
+    for new in (None, Fact("ANN", MEMBER, "ENGINEER")):
+        if new is not None:
+            compacted.add_fact(new)
+            plain.add_fact(new)
+        assert set(compacted.standard_closure().store) \
+            == set(plain.standard_closure().store)
+        assert set(compacted.closure().store) == set(plain.closure().store)
+        assert set(compacted.facts) == set(plain.facts)
+
+
 def test_the_named_cases():
     for compacted in (False, True):
         db = _world(compacted)

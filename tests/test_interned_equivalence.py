@@ -154,6 +154,7 @@ def test_store_probes_identical(dataset, seed):
     assert len(interned) == len(reference)
     assert set(interned) == set(reference)
     assert interned.entities() == reference.entities()
+    assert interned.relationships() == reference.relationships()
     rng = random.Random(f"{dataset}-{seed}")
     for _ in range(TEMPLATES_PER_CASE):
         probe = _random_template(rng, entities, relationships)
