@@ -56,8 +56,9 @@ import os
 import secrets
 import struct
 from array import array
-from bisect import bisect_left
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from operator import itemgetter, ne
 from typing import (
     Dict,
     Iterable,
@@ -111,8 +112,8 @@ class IdCodec:
     densely per codec instance.  Encoding is injective in both
     directions, so id equality is name equality: the executor's join
     keys, dedup sets, and repeated-variable checks can all operate on
-    machine ints and the answers stay bit-identical to a hash store's,
-    whose ids are the names (:class:`~repro.core.store.NameCodec`).
+    machine ints and the answers stay bit-identical to the reference
+    evaluator's, which joins on the names.
     """
 
     __slots__ = ("interner", "base", "_scratch", "_scratch_ids")
@@ -209,9 +210,6 @@ class _LazyNames:
             yield self[i]
 
 
-_ID_MISS = object()
-
-
 class SharedInterner:
     """A read-only str↔int dictionary over the shared name table.
 
@@ -219,8 +217,10 @@ class SharedInterner:
     :meth:`intern` (a generation's table is frozen; overlay facts keep
     their strings).  ``names`` decodes lazily; ``id_of`` binary-searches
     the ``name_sort`` permutation the sharer wrote — O(log n) over the
-    shared bytes, memoized per process — so neither direction ever
-    materializes the full table."""
+    shared bytes, each name found memoized per process — so neither
+    direction ever materializes the full table.  A miss is not kept:
+    the names a replica is asked about that its generation never saw
+    (unknown query constants) are unbounded."""
 
     __slots__ = ("names", "_blob", "_offsets", "_order", "_n", "_ids")
 
@@ -230,7 +230,7 @@ class SharedInterner:
         self._offsets = offsets
         self._order = order
         self._n = n
-        self._ids: Dict[str, object] = {}
+        self._ids: Dict[str, int] = {}
 
     def intern(self, name: str) -> int:
         """Refuses: a mapped table is read-only (kept as the error a
@@ -238,9 +238,9 @@ class SharedInterner:
         raise RuntimeError("shared name table is frozen")
 
     def id_of(self, name: str) -> Optional[int]:
-        i = self._ids.get(name, _ID_MISS)
-        if i is not _ID_MISS:
-            return i  # type: ignore[return-value]
+        i = self._ids.get(name)
+        if i is not None:
+            return i
         target = name.encode("utf-8")
         blob, offsets, order = self._blob, self._offsets, self._order
         lo, hi = 0, self._n
@@ -251,13 +251,12 @@ class SharedInterner:
                 lo = mid + 1
             else:
                 hi = mid
-        found: Optional[int] = None
         if lo < self._n:
             j = order[lo]
             if bytes(blob[offsets[j]:offsets[j + 1]]) == target:
-                found = j
-        self._ids[name] = found
-        return found
+                self._ids[name] = j
+                return j
+        return None
 
     def name_of(self, i: int) -> str:
         return self.names[i]
@@ -314,7 +313,7 @@ class ColumnarGeneration:
     bound positions       probe
     ====================  ====================================
     s                     ``start_s[id] .. start_s[id+1]``
-    s, r                  binary search in ``sr_keys``
+    s, r                  ``s`` range + binary search on r
     s, r, t               ``sr`` range + binary search on t
     r                     ``start_r`` range over ``perm_r``
     r, t                  binary search in ``rt_keys``
@@ -335,8 +334,7 @@ class ColumnarGeneration:
         "scol", "rcol", "tcol",
         "start_s", "start_r", "start_t",
         "perm_r", "perm_t",
-        "sr_keys", "sr_starts", "rt_keys", "rt_starts",
-        "st_keys", "st_starts", "flags",
+        "rt_keys", "rt_starts", "st_keys", "st_starts", "flags",
         "_map", "_views", "_masks",
         "__weakref__",      # a retired generation's release is testable
     )
@@ -361,101 +359,83 @@ class ColumnarGeneration:
                       version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from ``(fact, flags)``
         rows; a fact may repeat, with the same flags.  O(n log n): one
-        sort per physical order."""
+        sort per physical order, each fed a key list built in one pass,
+        and the columns, offsets and run starts each one C-level map."""
         gen = cls()
-        interner = Interner()
-        intern = interner.intern
-        keys = [(intern(f[0]), intern(f[1]), intern(f[2]), flags)
-                for f, flags in rows]
+        # Ids in first-intern order: an unseen name gets ``len(ids)``,
+        # read before the call that stores it.
+        ids: Dict[str, int] = {}
+        intern = ids.setdefault
+        keys = [(intern(s, len(ids)), intern(r, len(ids)),
+                 intern(t, len(ids)), flags)
+                for (s, r, t), flags in rows]
         keys.sort()
         # The heap is a set: callers may feed raw fact lists with
         # repeats (the hash store dedupes on insert), so drop adjacent
         # duplicates from the sorted order.
         keys = [key for key, _ in itertools.groupby(keys)]
         n = len(keys)
-        u = len(interner)
-        gen.interner = interner
+        u = len(ids)
+        gen.interner = Interner(ids)
         gen.n = n
         gen.version = version
-
-        scol = array("i", bytes(4 * n))
-        rcol = array("i", bytes(4 * n))
-        tcol = array("i", bytes(4 * n))
-        flag_col = array("B", bytes(n))
-        for i, (s, r, t, flags) in enumerate(keys):
-            scol[i] = s
-            rcol[i] = r
-            tcol[i] = t
-            flag_col[i] = flags
-        del keys
-        gen.scol, gen.rcol, gen.tcol, gen.flags = scol, rcol, tcol, flag_col
-
-        gen.start_s = cls._offsets(scol, u)
+        scol, rcol, tcol, gen.flags = (
+            array(code, map(itemgetter(k), keys))
+            for k, code in enumerate("iiiB"))
+        gen.scol, gen.rcol, gen.tcol = scol, rcol, tcol
         # Secondary physical orders.  Packing (a, b, c) into one int
         # makes the sort key cheap; ids are dense so u bounds each
         # component and the packed key stays well inside 64 bits for
         # any realistic interner (overflow simply promotes to a long —
-        # still correct, just slower).
-        perm_r = sorted(range(n),
-                        key=lambda i: (rcol[i] * u + tcol[i]) * u + scol[i])
-        perm_t = sorted(range(n),
-                        key=lambda i: (tcol[i] * u + scol[i]) * u + rcol[i])
-        gen.perm_r = array("i", perm_r)
-        gen.perm_t = array("i", perm_t)
+        # still correct, just slower).  A pair run's key is the packed
+        # triple less its last component.
+        by_r = [(r * u + t) * u + s for s, r, t, _ in keys]
+        by_t = [(t * u + s) * u + r for s, r, t, _ in keys]
+        del keys
+        gen.perm_r = array("i", sorted(range(n), key=by_r.__getitem__))
+        gen.perm_t = array("i", sorted(range(n), key=by_t.__getitem__))
+        gen.rt_keys, gen.rt_starts = cls._pair_runs(
+            [by_r[i] // u for i in gen.perm_r], n)
+        gen.st_keys, gen.st_starts = cls._pair_runs(
+            [by_t[i] // u for i in gen.perm_t], n)
         # A column's counts do not depend on its order, so its offsets
         # into a permutation sorted on it are the same.
+        gen.start_s = cls._offsets(scol, u)
         gen.start_r = cls._offsets(rcol, u)
         gen.start_t = cls._offsets(tcol, u)
-
-        gen.sr_keys, gen.sr_starts = cls._pair_runs(
-            ((scol[i], rcol[i]) for i in range(n)), u, n)
-        gen.rt_keys, gen.rt_starts = cls._pair_runs(
-            ((rcol[i], tcol[i]) for i in perm_r), u, n)
-        gen.st_keys, gen.st_starts = cls._pair_runs(
-            ((tcol[i], scol[i]) for i in perm_t), u, n)
         return gen
 
     @staticmethod
     def _offsets(col: Sequence[int], u: int) -> array:
         """CSR offsets over a column, taken in the order sorted on
         it: id → [start, end)."""
-        counts = [0] * (u + 1)
-        for value in col:
-            counts[value + 1] += 1
-        return array("q", itertools.accumulate(counts))
+        counts = Counter(col)
+        return array("q", itertools.accumulate(itertools.chain(
+            (0,), map(counts.get, range(u), itertools.repeat(0)))))
 
     @staticmethod
-    def _pair_runs(pairs: Iterator[Tuple[int, int]], u: int,
-                   n: int) -> Tuple[array, array]:
-        """Distinct (a, b) run keys and their start offsets, for a
-        stream of pairs already sorted by (a, b)."""
-        keys = array("q")
-        starts = array("q")
-        last = None
-        for i, (a, b) in enumerate(pairs):
-            packed = a * u + b
-            if packed != last:
-                keys.append(packed)
-                starts.append(i)
-                last = packed
+    def _pair_runs(packed: List[int], n: int) -> Tuple[array, array]:
+        """Distinct packed pair keys and their runs' start offsets, for
+        keys already sorted."""
+        first = list(map(ne, packed, itertools.chain((None,), packed)))
+        starts = array("q", itertools.compress(range(n), first))
         starts.append(n)
-        return keys, starts
+        return array("q", itertools.compress(packed, first)), starts
 
     # ------------------------------------------------------------------
     # The generation file
     # ------------------------------------------------------------------
     _FIELDS = ("scol", "rcol", "tcol", "perm_r", "perm_t",
                "start_s", "start_r", "start_t",
-               "sr_keys", "sr_starts", "rt_keys", "rt_starts",
-               "st_keys", "st_starts", "flags")
+               "rt_keys", "rt_starts", "st_keys", "st_starts", "flags")
     #: A generation file's arrays in file order, with their typecodes:
     #: the name table, then the columns, indexes and row flags.
     _ARRAYS = tuple(zip(("name_offsets", "names_blob", "name_sort")
-                        + _FIELDS, "qBi" + "i" * 5 + "q" * 9 + "B"))
+                        + _FIELDS, "qBi" + "i" * 5 + "q" * 7 + "B"))
     #: Magic, fact count, name count, store version, then each array's
     #: length in items.
     _HEADER = struct.Struct(f"=8s3q{len(_ARRAYS)}q")
-    _MAGIC = b"REPROGN2"
+    _MAGIC = b"REPROGN3"
 
     @classmethod
     def _placements(cls, counts: Sequence[int]) -> List[Tuple[int, int]]:
@@ -524,8 +504,9 @@ class ColumnarGeneration:
         from the mapping as typed memoryviews, and the name table
         resolves both directions lazily (:class:`SharedInterner`), so
         attach cost is independent of heap size.  A file that is not
-        a generation file, or is shorter than its header declares (it
-        comes from outside this process), raises
+        a generation file, is shorter than its header declares, or
+        whose header's fact and name counts disagree with its arrays'
+        lengths (it comes from outside this process) raises
         :class:`~repro.core.errors.ReplicaError` and stays unmapped.
         """
         path = _generation_path(name)
@@ -537,8 +518,12 @@ class ColumnarGeneration:
             mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
         magic, n, n_names, version, *counts = cls._HEADER.unpack_from(mapped)
         placed = cls._placements(counts)
+        length = dict(zip((field for field, _ in cls._ARRAYS), counts))
         if (magic != cls._MAGIC or min(counts) < 0
-                or placed[-1][1] > len(mapped)):
+                or placed[-1][1] > len(mapped)
+                or length["name_offsets"] != n_names + 1
+                or any(length[field] != n
+                       for field in ("scol", "rcol", "tcol", "flags"))):
             mapped.close()
             raise ReplicaError(
                 f"{path} is not a whole generation file ({size} bytes)")
@@ -620,33 +605,50 @@ class ColumnarGeneration:
               ) -> Tuple[List[range], int]:
         """The run of rows each of a batch of keys sharing one ``spec``
         matches, and the physical order they are runs of: 0 natural,
-        1 ``r``, 2 ``t``.  The index (CSR offsets, or a packed-pair
-        array and its component order) and the id bound are resolved
-        once for the batch, so a key costs its binary search.  A key
-        holding ``None`` or an id outside the base range (a scratch id
-        would alias another pair once packed) gets an empty run.
+        1 ``r``, 2 ``t``.  The index (CSR offsets, the natural order's
+        columns, or a packed-pair array and its component order) and
+        the id bound are resolved once for the batch, so a key costs
+        its binary searches.  A key holding ``None`` or an id outside
+        the base range (a scratch id would alias another pair once
+        packed) gets an empty run.
         """
         if spec == "":
             return [range(self.n)] * len(keys), 0
+        base = len(self.start_s) - 1
+        runs: List[range] = []
+        append = runs.append
+        if spec in ("sr", "srt"):
+            # The natural order is sorted by (s, r, t): a key's subject
+            # run is bisected for its relationship, and an srt key's
+            # relationship run for its target.
+            start_s, rcol, tcol = self.start_s, self.rcol, self.tcol
+            exact = spec == "srt"
+            for key in keys:
+                s = key[0]
+                if None in key or s >= base:
+                    append(_EMPTY)
+                    continue
+                r, hi = key[1], start_s[s + 1]
+                lo = bisect_left(rcol, r, start_s[s], hi)
+                hi = bisect_right(rcol, r, lo, hi)
+                if exact:
+                    lo = bisect_left(tcol, key[2], lo, hi)
+                    hi = lo + 1 if lo < hi and tcol[lo] == key[2] else lo
+                append(range(lo, hi))
+            return runs, 0
         index, starts, order = self._INDEX[spec]
         starts = getattr(self, starts)
-        base = len(self.start_s) - 1
         if index is None:
             return [_EMPTY if i is None or i >= base
                     else range(starts[i], starts[i + 1])
                     for (i,) in keys], order
-        runs: List[range] = []
-        append = runs.append
         index = getattr(self, index)
         last = len(index) - 1
-        # st runs live in the (t, s) physical order; an srt key
-        # bisects its (s, r) run for t.
+        # st runs live in the (t, s) physical order.
         swap = spec == "st"
-        exact = spec == "srt"
-        tcol = self.tcol
         for key in keys:
-            a, b = key[0], key[1]
-            if None in key or a >= base or b >= base:
+            a, b = key
+            if a is None or b is None or a >= base or b >= base:
                 append(_EMPTY)
                 continue
             packed = b * base + a if swap else a * base + b
@@ -654,23 +656,18 @@ class ColumnarGeneration:
             if k > last or index[k] != packed:
                 append(_EMPTY)
                 continue
-            lo, hi = starts[k], starts[k + 1]
-            if exact:
-                lo = bisect_left(tcol, key[2], lo, hi)
-                hi = lo + 1 if lo < hi and tcol[lo] == key[2] else lo
-            append(range(lo, hi))
+            append(range(starts[k], starts[k + 1]))
         return runs, order
 
     #: spec -> (packed-pair keys or ``None`` for plain CSR offsets,
-    #: run starts, the physical order the runs are of)
+    #: run starts, the physical order the runs are of); ``sr`` and
+    #: ``srt`` bisect the natural order's columns instead.
     _INDEX = {
         "s": (None, "start_s", 0),
         "r": (None, "start_r", 1),
         "t": (None, "start_t", 2),
-        "sr": ("sr_keys", "sr_starts", 0),
         "rt": ("rt_keys", "rt_starts", 1),
         "st": ("st_keys", "st_starts", 2),
-        "srt": ("sr_keys", "sr_starts", 0),
     }
 
     def position_of(self, fact: Fact) -> int:
@@ -733,16 +730,18 @@ class _OverlayStore(FactStore):
     set the first time it mutates that key.  A copy is then a handful
     of C-level dict copies however many facts the layer holds, and a
     mutation costs what it costs on a :class:`FactStore` except for the
-    first touch of a key after a copy.
+    first touch of a key after a copy.  A layer no copy ever shared
+    (a library database's) skips that bookkeeping.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        #: ``id`` of every per-key set this store created itself (and
-        #: may therefore mutate in place).  Sets enter the indexes only
-        #: through :meth:`_own` or :meth:`copy` — which disowns all of
-        #: them on both sides — and never leave, so an owned id always
-        #: names a live set of this store.
-        self._owned: Set[int] = set()
+        #: ``id`` of every per-key set this store created itself since
+        #: a :meth:`copy` (and may therefore mutate in place); ``None``
+        #: until the first copy, when no set is shared.  Sets enter the
+        #: indexes only through :meth:`_own` or :meth:`copy` — which
+        #: disowns all of them on both sides — and never leave, so an
+        #: owned id always names a live set of this store.
+        self._owned: Optional[Set[int]] = None
         super().__init__(facts)
 
     def _own(self, fact: Fact) -> None:
@@ -760,11 +759,13 @@ class _OverlayStore(FactStore):
                 owned.add(id(bucket))
 
     def _index(self, fact: Fact) -> None:
-        self._own(fact)
+        if self._owned is not None:
+            self._own(fact)
         super()._index(fact)
 
     def _unindex(self, fact: Fact) -> None:
-        self._own(fact)
+        if self._owned is not None:
+            self._own(fact)
         super()._unindex(fact)
 
     def copy(self) -> "_OverlayStore":
@@ -805,8 +806,8 @@ class InternedFactStore(FactStore):
     gauge and :data:`OVERLAY_BUDGET` the bound.  The serving writer
     (:class:`repro.serve.DatabaseService`) folds its master's stores
     with :meth:`repro.db.Database.compact_store` whenever one exceeds
-    the budget; a library caller who mutates a compacted
-    :class:`~repro.db.Database` by hand folds by calling it again.
+    the budget; a library caller who mutates a
+    :class:`~repro.db.Database` by hand folds by calling it.
 
     Invariants: a store always has a generation (an empty one when it
     was built from no facts or cleared); the overlay and the
@@ -1258,15 +1259,14 @@ def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
 
     ``stores`` are the base heap, then the standard closure and, while
     composition adds facts, the whole closure: each a subset of the
-    next.  The generation holds the last one's facts at its version,
-    each row flagged :data:`STORED` when the base heap holds it and
+    next, and all reading the last one's generation.  The new
+    generation holds the last one's facts at its version, each row
+    flagged :data:`STORED` when the base heap holds it and
     :data:`STANDARD` when the standard closure does; the last store
-    reads every row.  When every store reads the last one's
-    generation, a row of it carries its flags by position: each
-    store's tombstones clear its flag and each of its overlay facts
-    the generation holds sets it; only the last store's overlay rows
-    are flagged by membership.  Any other store — the first fold of a
-    database built on the hash store — flags every row by membership.
+    reads every row.  A row of the old generation carries its flags by
+    position: each store's tombstones clear its flag and each of its
+    overlay facts the generation holds sets it; only the last store's
+    overlay rows are flagged by membership.
     """
     closure = stores[-1]
     layers = list(zip(stores, (STORED, STANDARD)))
@@ -1275,21 +1275,18 @@ def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
         return sum(flag for store, flag in layers if fact in store)
 
     gen = closure.generation
-    if gen is None or any(store.generation is not gen for store in stores):
-        rows = ((fact, flagged(fact)) for fact in closure)
-    else:
-        flags = bytearray(gen.flags)
-        for store, flag in layers:
-            for position in store._removed_at:  # noqa: SLF001
-                flags[position] &= ~flag
-            for fact in store._overlay:  # noqa: SLF001
-                position = gen.position_of(fact)
-                if position >= 0:
-                    flags[position] |= flag
-        # The closure iterates its generation rows, then its overlay.
-        rows = zip(closure, itertools.chain(
-            itertools.compress(flags, closure._kept()),  # noqa: SLF001
-            map(flagged, closure._overlay)))  # noqa: SLF001
+    flags = bytearray(gen.flags)
+    for store, flag in layers:
+        for position in store._removed_at:  # noqa: SLF001
+            flags[position] &= ~flag
+        for fact in store._overlay:  # noqa: SLF001
+            position = gen.position_of(fact)
+            if position >= 0:
+                flags[position] |= flag
+    # The closure iterates its generation rows, then its overlay.
+    rows = zip(closure, itertools.chain(
+        itertools.compress(flags, closure._kept()),  # noqa: SLF001
+        map(flagged, closure._overlay)))  # noqa: SLF001
     generation = ColumnarGeneration.build_flagged(rows, closure.version)
     return [refound(store, generation, 0 if store is closure else flag)
             for store, flag in zip(stores, (STORED, STANDARD, 0))]

@@ -44,32 +44,16 @@ def seed_store(base: Iterable["Fact"]) -> "FactStore":
     """The hash working store a closure engine grows from ``base``.
 
     A closure always grows a hash store, whatever the base is stored
-    on.  A hash base is duplicated through :meth:`FactStore.copy` —
-    the closure's only full copy of it: the dispatched engine's first
-    delta copies just the fact set and the buckets its pivots read.
-    A base with a generation (an interned one) is iterated, which
-    decodes its columns, into a store at the base's version.
-    Arbitrary iterables build a store fact by fact.
+    on.  A store is iterated (an interned one decodes its columns) and
+    each of its rows indexed once, into a store at the base's version
+    (:meth:`FactStore.from_rows`): the closure's only full copy of it
+    (the dispatched engine's first delta copies just the fact set and
+    the buckets its pivots read).  Arbitrary iterables build a store
+    fact by fact.
     """
     if not isinstance(base, FactStore):
         return FactStore(base)
-    if base.generation is None:
-        return base.copy()
     return FactStore.from_rows(base, base.version)
-
-
-def _same(name: str) -> str:
-    return name
-
-
-class NameCodec:
-    """The id⇄name codec of a store whose ids are its names, a hash
-    store: encoding and decoding are the identity, so the query
-    executor's join keys, dedup sets and extensions hold the names
-    themselves and projection decodes nothing."""
-
-    __slots__ = ()
-    encode = decode = staticmethod(_same)
 
 
 class FactStore:
@@ -80,10 +64,6 @@ class FactStore:
     enforced here.  (Contradiction checking lives in
     :mod:`repro.rules.integrity`, because it needs the closure.)
     """
-
-    #: No interned columnar generation: this store's ids are its names
-    #: (:class:`NameCodec`).
-    generation = None
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: Set[Fact] = set()
@@ -198,8 +178,9 @@ class FactStore:
         raises :class:`~repro.core.errors.FrozenStoreError`.  The
         serving layer freezes the stores of every published snapshot so
         concurrent readers can share them without locks — an accidental
-        write fails instead of tearing another reader's view.
-        :meth:`copy` always produces an *unfrozen* copy.
+        write fails instead of tearing another reader's view.  An
+        interned store's :meth:`~repro.core.interned.InternedFactStore.copy`
+        is always *unfrozen*.
         """
         self._frozen = True
         return self
@@ -228,39 +209,6 @@ class FactStore:
     def version(self) -> int:
         """Monotone mutation counter (adds, discards, and clears)."""
         return self._version
-
-    def copy(self) -> "FactStore":
-        """An independent copy of this store.
-
-        The six index dicts and the two refcount maps are duplicated
-        directly instead of re-inserting every fact through
-        :meth:`add` — the one full copy a closure of a hash base makes
-        is the seed store (:func:`seed_store`); the closure's first
-        delta copies only
-        the fact set and the buckets its pivots read
-        (:meth:`repro.rules.dispatch.RoundDelta.of_store`, the same
-        ``set(...)`` copies as here).  The copy starts at the same
-        version as the original.
-        """
-        new = FactStore.__new__(FactStore)
-        new._facts = set(self._facts)
-        new._by_s = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_s.items() if v))
-        new._by_r = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_r.items() if v))
-        new._by_t = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_t.items() if v))
-        new._by_sr = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_sr.items() if v))
-        new._by_st = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_st.items() if v))
-        new._by_rt = defaultdict(
-            set, ((k, set(v)) for k, v in self._by_rt.items() if v))
-        new._entity_refs = defaultdict(int, self._entity_refs)
-        new._relationship_refs = defaultdict(int, self._relationship_refs)
-        new._version = self._version
-        new._frozen = False
-        return new
 
     def entities(self) -> Set[str]:
         """The active domain: every entity occurring in any position."""
@@ -363,25 +311,22 @@ class FactStore:
             raise KeyError(f"no index for position spec {spec!r}") from None
 
     # ------------------------------------------------------------------
-    # The query executor's id protocol, with names as ids
+    # The batched probe, with names as ids
     # ------------------------------------------------------------------
-    def id_codec(self) -> NameCodec:
-        """The identity codec: this store's ids are its names."""
-        return NameCodec()
-
     def lookup_many_ids(self, spec: str, keys: Sequence[tuple],
                         positions: Optional[Sequence[int]] = None,
                         checks: Sequence[Tuple[int, int]] = ()
                         ) -> List[list]:
-        """Batched probe of the compiled query executor, the hash
-        store's form of
-        :meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`
-        with names for ids: ``keys`` are name tuples in ``spec`` order,
-        answered from the one index ``spec`` names (resolved once for
-        the batch) at one dict probe per key.  With ``positions`` each
-        match is the tuple of those components (``[]``: a pure
-        existence filter), without it the fact; ``checks`` are
-        position pairs that must hold equal names.
+        """The hash store's form of the query executor's batched probe,
+        :meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`,
+        with names for ids — the mirror ``tests/test_interned_store.py``
+        holds the interned store's probe to (the executor itself only
+        runs on a generation).  ``keys`` are name tuples in ``spec``
+        order, answered from the one index ``spec`` names (resolved
+        once for the batch) at one dict probe per key.  With
+        ``positions`` each match is the tuple of those components
+        (``[]``: a pure existence filter), without it the fact;
+        ``checks`` are position pairs that must hold equal names.
         """
         if not spec:
             runs: List = [self._facts] * len(keys)
@@ -407,11 +352,6 @@ class FactStore:
             return [[(f[p],) for f in run] for run in runs]
         pick = itemgetter(*positions)
         return [list(map(pick, run)) for run in runs]
-
-    def entity_id_domain(self, encode) -> List[str]:
-        """The active domain in the executor's id protocol: the names
-        themselves (``encode`` is the identity)."""
-        return list(self._entity_refs)
 
     def match(self, pattern: Template,
               binding: Optional[Binding] = None) -> Iterator[Fact]:

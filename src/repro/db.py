@@ -20,6 +20,7 @@ Example::
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -35,7 +36,6 @@ from .core.errors import IntegrityError, QueryError
 from .core.facts import Fact, Template, fact as make_fact
 from .core.heap import heap_build
 from .core.interned import STORED, InternedFactStore, fold, refound
-from .core.store import FactStore
 from .operators.definitions import OperatorRegistry
 from .operators.ops import (
     FunctionView,
@@ -102,7 +102,11 @@ class Database:
         """
         if query_engine not in ("compiled", "reference"):
             raise ValueError(f"unknown query engine: {query_engine!r}")
-        self._base = FactStore()
+        # The base heap is one interned generation from birth, at the
+        # version adding its distinct facts one by one would leave.
+        initial = dict.fromkeys(itertools.chain(
+            AXIOM_FACTS if with_axioms else (), facts))
+        self._base = InternedFactStore.from_facts(initial, len(initial))
         self.rules = RuleRegistry()
         self.operators = OperatorRegistry()
         self._view_definitions: Dict[str, ViewDefinition] = {}
@@ -135,10 +139,6 @@ class Database:
         # ("add" | "remove", fact) entries, and an invalidation sets it
         # back to None — that batch recomputes the closure.
         self._closure_log: Optional[List[Tuple[str, Fact]]] = None
-        if with_axioms:
-            self._base.add_all(AXIOM_FACTS)
-        for initial in facts:
-            self._base.add(initial)
 
     @property
     def views(self) -> ViewCatalog:
@@ -151,7 +151,7 @@ class Database:
     # Facts
     # ------------------------------------------------------------------
     @property
-    def facts(self) -> FactStore:
+    def facts(self) -> InternedFactStore:
         """The base fact heap (stored facts only, no closure)."""
         return self._base
 
@@ -305,14 +305,17 @@ class Database:
     def snapshot(self) -> "Database":
         """A read-only, point-in-time clone for concurrent readers.
 
-        The clone's base heap is an independent :meth:`FactStore.copy`
-        (frozen, so any mutation attempt raises
-        :class:`~repro.core.errors.FrozenStoreError`), the cached
-        closure layers are copied so later incremental maintenance of
-        *this* database cannot tear them, and the rule registry state
-        is duplicated.  No plan and no answer is carried over: a
-        snapshot lowers and computes every read it is asked, against
-        its own view.
+        The clone's base heap is an independent
+        :meth:`InternedFactStore.copy
+        <repro.core.interned.InternedFactStore.copy>` — it shares the
+        generation and duplicates only the overlay — frozen, so any
+        mutation attempt raises
+        :class:`~repro.core.errors.FrozenStoreError`; the cached
+        closure layers are copied the same way so later incremental
+        maintenance of *this* database cannot tear them, and the rule
+        registry state is duplicated.  No plan and no answer is carried
+        over: a snapshot lowers and computes every read it is asked,
+        against its own view.
 
         This is the publication primitive of
         :class:`repro.serve.DatabaseService`: the single writer mutates
@@ -385,42 +388,36 @@ class Database:
         )
 
     def compact_store(self) -> "Database":
-        """Fold this database's heap and closure onto one interned
-        columnar generation.
+        """Fold the overlays of this database's heap and closure into one
+        fresh interned columnar generation.
 
-        The closure's facts (the base heap's, while no closure is
-        cached) become one frozen
+        Every store of a database reads one frozen
         :class:`~repro.core.interned.ColumnarGeneration` of interned-id
-        arrays with CSR indexes and one flags byte per row, and every
-        store is re-founded on it with an empty overlay: the closure
+        arrays with CSR indexes and one flags byte per row — the base
+        heap from construction, the closure from its first computation
+        (:meth:`standard_closure`) — and mutations accumulate in each
+        store's overlay (additions and tombstones).  A fold
+        (:func:`~repro.core.interned.fold`) builds the closure's facts
+        (the base heap's, while no closure is cached) into a new
+        generation, each row carrying its flags by position, and
+        re-founds every store on it with an empty overlay: the closure
         reads every row, the base heap its ``STORED`` rows
         (:class:`~repro.core.interned.FlaggedFactStore`; §2.6's fact set
         is a subset of its closure), and the standard closure, while
         composition adds facts to the full one, its ``STANDARD`` rows.
-        Each row carries its flags into the fold
-        (:func:`~repro.core.interned.fold`).  Stores that already read
-        one generation with empty overlays are left as they are — a
-        closure built from scratch over an interned base
-        (:meth:`standard_closure`) is.  Store versions are preserved:
-        the representation changes, the database state does not.
+        Stores that already read one generation with empty overlays
+        are left as they are.  Store versions are preserved: the
+        representation changes, the database state does not.
 
-        Compaction pays one O(n log n) rebuild to make everything
-        after it cheaper: template matching becomes integer probes,
-        :meth:`~repro.core.store.FactStore.copy` (snapshot publication)
-        shares the generation instead of duplicating index dicts, and
-        :meth:`ColumnarGeneration.share
-        <repro.core.interned.ColumnarGeneration.share>` writes it to the
-        one file the replica pool's workers map.  Mutations accumulate
-        in each store's overlay (additions and tombstones); calling
-        again *folds* them into a fresh generation, decoding the old
-        one column by column as it iterates.  A
-        :class:`~repro.serve.DatabaseService` does both for its master:
-        it re-founds at construction and folds on its writer whenever
-        :attr:`overlay_size` exceeds
-        :data:`~repro.core.interned.OVERLAY_BUDGET`.  Only a library
-        caller mutating a compacted database by hand decides when to
-        call again — the same measure applies (every probe merges the
-        overlay, so reads slow as it grows).  The rebuild is an O(heap)
+        Every probe merges the overlay, so reads slow as it grows; a
+        fold pays one O(n log n) rebuild, decoding the old generation
+        column by column, to make them integer probes again.  A
+        :class:`~repro.serve.DatabaseService` folds its master on its
+        writer whenever :attr:`overlay_size` exceeds
+        :data:`~repro.core.interned.OVERLAY_BUDGET` (and once at
+        construction, for a database handed over with overlays); a
+        library caller mutating a database by hand decides when to call
+        this — the same measure applies.  The rebuild is an O(heap)
         build (:func:`~repro.core.heap.heap_build`).  Returns ``self``.
         """
         standard, full = self._standard_result, self._full_result
@@ -429,9 +426,8 @@ class Database:
             if result is not None]
         stores = [self._base] + [result.store for result in results]
         top = stores[-1]
-        if top.generation is not None and all(
-                store.generation is top.generation
-                and not store.overlay_size for store in stores):
+        if all(store.generation is top.generation
+               and not store.overlay_size for store in stores):
             return self
         with heap_build():
             self._base, *folded = fold(stores)
@@ -453,27 +449,26 @@ class Database:
     @property
     def overlay_size(self) -> int:
         """The largest overlay — additions plus tombstones outside the
-        generation — among the base heap and the cached closure stores
-        (0 while they are hash stores): what a fold would clear."""
+        generation — among the base heap and the cached closure stores:
+        what a fold would clear."""
         stores = [self._base]
         stores += [result.store for result
                    in (self._standard_result, self._full_result)
                    if result is not None]
-        return max(getattr(store, "overlay_size", 0) for store in stores)
+        return max(store.overlay_size for store in stores)
 
     def store_shape(self) -> dict:
         """What sits inside the generation and what outside, over the
-        base heap and the closure store (all zero while they are hash
-        stores; a generation they share counts once): a publish shares
-        the first and copies the rest, and a read merges the rest into
-        every probe."""
+        base heap and the closure store (a generation they share counts
+        once): a publish shares the first and copies the rest, and a
+        read merges the rest into every probe."""
         stores = (self._base, self.closure().store)
-        tombstones = sum(getattr(s, "tombstones", 0) for s in stores)
+        tombstones = sum(store.tombstones for store in stores)
         return {
             "generation_facts": sum(map(len, {
-                store.generation for store in stores} - {None})),
-            "overlay_facts": sum(getattr(s, "overlay_size", 0)
-                                 for s in stores) - tombstones,
+                store.generation for store in stores})),
+            "overlay_facts": sum(store.overlay_size
+                                 for store in stores) - tombstones,
             "tombstones": tombstones,
         }
 
@@ -562,27 +557,25 @@ class Database:
         Building it from scratch is an O(heap) build
         (:func:`~repro.core.heap.heap_build`); a cached or
         incrementally maintained closure is not.  The engine grows a
-        hash working store (:func:`~repro.core.store.seed_store`).
-        Over an interned base the build ends in one fold that consumes
-        it (:meth:`InternedFactStore.consume
+        hash working store (:func:`~repro.core.store.seed_store`), and
+        the build ends in one fold that consumes it
+        (:meth:`InternedFactStore.consume
         <repro.core.interned.InternedFactStore.consume>`), flagging the
-        facts the rounds derived, and the base heap is re-founded on the
-        other, ``STORED`` rows: base and closure read one generation
-        with empty overlays.
+        facts the rounds derived; the base heap is re-founded on the
+        other, ``STORED`` rows, its overlay folded in: base and closure
+        read one generation with empty overlays.
         """
         if self._standard_result is None:
             with heap_build():
-                derived = (None if self._base.generation is None
-                           else [])
+                derived: List[Fact] = []
                 result = dispatched_closure(
                     self._base, list(self.rules), self.rule_context(),
                     trace=self.trace, compiled=self.rules.compiled(),
                     added=derived)
-                if derived is not None:
-                    result.store = InternedFactStore.consume(
-                        result.store, derived)
-                    self._base = refound(
-                        self._base, result.store.generation, STORED)
+                result.store = InternedFactStore.consume(
+                    result.store, derived)
+                self._base = refound(
+                    self._base, result.store.generation, STORED)
                 self._standard_result = result
             self._full_result = None
         return self._standard_result

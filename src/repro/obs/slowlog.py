@@ -64,9 +64,6 @@ def plan_summary(run: Any) -> Optional[Dict[str, Any]]:
         return None
     return {
         "replans": getattr(run, "replans", 0),
-        # Whether the run executed on a generation's interned ids;
-        # False means a hash store, whose ids are its names.
-        "id_domain": bool(getattr(run, "id_domain", False)),
         "operators": [stats.as_dict() for stats in run.operators],
     }
 

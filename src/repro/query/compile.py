@@ -230,9 +230,7 @@ class AtomIdAnnotation:
     ``every_key`` says some relation is.  Bound-variable positions are
     tested per key in id space by the executor.  Codec-independent — no
     scratch ids — so one annotation is safely shared across threads and
-    executions over the same generation and relations.  With no
-    generation (a store whose ids are its names) each constant is its
-    own id.
+    executions over the same generation and relations.
     """
 
     __slots__ = ("generation", "ground", "relations", "triggers", "every_key")
@@ -240,13 +238,11 @@ class AtomIdAnnotation:
 
 def bind_atom_ids(pattern, generation, relations) -> AtomIdAnnotation:
     """Intern one template's ground constants against ``generation``
-    (``None``: the identity) and mark the ground triggers of
-    ``relations``."""
+    and mark the ground triggers of ``relations``."""
     ground: List = [None, None, None]
     for p, component in enumerate(pattern):
         if not isinstance(component, Variable):
-            ground[p] = (component, component if generation is None
-                         else generation.interner.id_of(component))
+            ground[p] = (component, generation.interner.id_of(component))
     ann = AtomIdAnnotation()
     ann.generation = generation
     ann.ground = tuple(ground)

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core import deadline as _deadline
 from ..core.errors import QueryError
 from ..core.facts import Template, Variable
+from ..core.interned import InternedFactStore
 from ..obs import telemetry as _obs
 from ..virtual.computed import CHECK_KEYS, FactView
 from .ast import And, Atom, Query, check_safety, require_proposition
@@ -89,11 +90,9 @@ class BindingTable:
         self.index: Dict[Variable, int] = {
             v: i for i, v in enumerate(self.columns)}
         self.rows = rows
-        #: The :class:`~repro.core.interned.IdCodec` of an execution
-        #: over a generation, set on the *final* table by
-        #: :func:`execute_plan` — rows then hold interned ids, and
-        #: projection decodes them column by column.  ``None`` when the
-        #: ids are the names.
+        #: The execution's :class:`~repro.core.interned.IdCodec`, set on
+        #: the *final* table by :func:`execute_plan`: projection decodes
+        #: its rows of interned ids column by column.
         self.codec = None
 
     def __len__(self) -> int:
@@ -140,10 +139,9 @@ class PlanRun:
     plan: CompiledPlan
     operators: List[OperatorStats] = field(default_factory=list)
     replans: int = 0
-    #: True when this run executed on a generation's interned ids
-    #: (a compacted store), False when its ids were the names (a hash
-    #: store) — surfaced in slow-query plan autopsies.
-    id_domain: bool = False
+    #: Every run executes on a generation's interned ids; kept for the
+    #: benchmark's id-domain share, which reads it.
+    id_domain: bool = True
 
     def describe(self) -> str:
         lines = [f"executed plan: {self.plan.query}"]
@@ -161,12 +159,11 @@ class PlanRun:
 class _IdExec:
     """Id-space state over one store and one registry, shared by every
     plan an evaluator runs while both stand still: the store's codec
-    (scratch ids over a generation's interner, or the identity where
-    the ids are the names), the registry's computed relations with
-    their declared triggers encoded through it (``trigger_ids``,
-    ``None`` for a relation that declares none; ``triggers``, per
-    position their union), and an interned store's overlay (``None``
-    when empty), merged into every probe.
+    (scratch ids over its generation's interner), the registry's
+    computed relations with their declared triggers encoded through it
+    (``trigger_ids``, ``None`` for a relation that declares none;
+    ``triggers``, per position their union), and the store's overlay
+    (``None`` when empty), merged into every probe.
     """
 
     __slots__ = ("store", "version", "gen", "codec", "overlay",
@@ -176,8 +173,7 @@ class _IdExec:
         self.store = store
         self.version = store.version
         self.gen = store.generation
-        # An interned store's additions; a hash store has no overlay.
-        overlay = getattr(store, "_overlay", None)
+        overlay = store._overlay  # noqa: SLF001
         self.overlay = overlay if overlay else None
         codec = self.codec = store.id_codec()
         self.relations = tuple(virtual)
@@ -200,6 +196,10 @@ def _id_exec(view: FactView, prior: Optional[_IdExec] = None) -> _IdExec:
             and prior.version == store.version \
             and prior.relations == tuple(view.virtual):
         return prior
+    if not isinstance(store, InternedFactStore):
+        raise TypeError(
+            "the compiled executor runs on a view over an interned store"
+            f" (Database.view()), not a {type(store).__name__}")
     return _IdExec(store, view.virtual)
 
 
@@ -219,7 +219,6 @@ class _Context:
         self.collect = collect
         self.ids = ids
         self.estimates = run.plan.estimates
-        run.id_domain = ids.gen is not None
         # Stats rows are created in plan preorder so PlanRun.operators
         # renders as the plan tree regardless of execution order.
         self.stats: Dict[int, OperatorStats] = {}
@@ -280,11 +279,8 @@ def _run_plan(plan: CompiledPlan, view: FactView, table: BindingTable,
     ctx = _Context(run, ids, collect)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.plans")
-        if run.id_domain:
-            _obs.TELEMETRY.count("exec.id_domain")
     table = _execute(plan.root, table, ctx)
-    if run.id_domain:
-        table.codec = ids.codec
+    table.codec = ids.codec
     if _obs.ENABLED:
         _obs.LAST_REQUEST.run = run
     return table, run
@@ -426,8 +422,7 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
                    new_positions: List[int],
                    checks: List[Tuple[int, int]]) -> List[list]:
     """The executor's one leaf: join keys, store probes, and
-    extensions are ids end-to-end — a generation's interned ints, or
-    the names themselves on a store without one.
+    extensions are ids end-to-end — a generation's interned ints.
 
     Stored facts come from :func:`_stored_id_extensions`.  Which
     computed relations contribute is decided from the plan's ground
@@ -535,15 +530,14 @@ def _stored_id_extensions(ids: _IdExec, fixed: List[tuple],
                           keys: List[tuple], new_positions: List[int],
                           checks: List[Tuple[int, int]]) -> List[list]:
     """Per key, the extensions of the stored facts — generation minus
-    tombstones, plus overlay, or a hash store's facts — that match on
-    the ``fixed`` positions (:func:`_id_extensions`: all of an atom's
-    ground and bound ones, or those an endpoint leaves).
+    tombstones, plus overlay — that match on the ``fixed`` positions
+    (:func:`_id_extensions`: all of an atom's ground and bound ones, or
+    those an endpoint leaves).
 
     The store is probed through its batched id surface
-    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`,
-    :meth:`~repro.core.store.FactStore.lookup_many_ids`), repeated
-    unbound variables checked there (id equality is name equality).
-    An interned store's overlay facts are found through its own hash
+    (:meth:`~repro.core.interned.InternedFactStore.lookup_many_ids`),
+    repeated unbound variables checked there (id equality is name
+    equality).  The overlay's facts are found through its own hash
     index and encoded through the codec (scratch ids for names the
     generation never saw).  Overlay and generation are disjoint by
     store invariant, so no dedup.
@@ -840,6 +834,12 @@ class CompiledEvaluator:
     state (:class:`_IdExec`: the store's codec, the registry's
     encoded triggers) — a probe's own query and every wave after it
     run on one, for as long as the store and registry stand still.
+
+    The view's store must be an interned one (any store of a
+    :class:`~repro.db.Database`, e.g. :meth:`Database.view()
+    <repro.db.Database.view>`): a plan over a hash
+    :class:`~repro.core.store.FactStore` raises :class:`TypeError`.
+    The reference engine runs over either.
     """
 
     def __init__(self, view: FactView):
@@ -1001,13 +1001,9 @@ class CompiledEvaluator:
                 # the remaining columns; there is nothing to split.
                 width = len(seeds)
                 positions = table.project_positions(first.free)
-                if not positions:
-                    found = repeat(())
-                elif table.codec is None:
-                    found = _picked(table.rows, positions)
-                else:
-                    found = _decoded_rows(
-                        table.codec, _picked(table.rows, positions))
+                found = (_decoded_rows(table.codec,
+                                       _picked(table.rows, positions))
+                         if positions else repeat(()))
                 answers: Dict[tuple, Set[Tuple[str, ...]]] = {}
                 for row, answer in zip(table.rows, found):
                     answers.setdefault(row[:width], set()).add(answer)
@@ -1024,7 +1020,6 @@ class CompiledEvaluator:
             # the remaining columns; there is nothing to project.
             return set()
         positions = table.project_positions(query.variables)
-        codec = table.codec
         rows = table.rows
         if positions != list(range(len(table.columns))):
             # Dedup on ids before any name is touched (dedup on names
@@ -1032,8 +1027,5 @@ class CompiledEvaluator:
             # An identity projection skips this: the rows already are
             # the output tuples, and unique.
             rows = set(_picked(rows, positions))
-            if codec is None:
-                return rows
-        # On an id-domain run this is the only place ids become
-        # strings.
-        return set(rows if codec is None else _decoded_rows(codec, rows))
+        # The only place ids become strings.
+        return set(_decoded_rows(table.codec, rows))

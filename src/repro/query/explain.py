@@ -180,7 +180,8 @@ def explain_analyze(view: FactView, query: Union[str, Query],
     set-at-a-time executor and the analyzed steps are the compiled
     plan's *operators* — estimated vs actual rows per operator, in
     plan-tree preorder — instead of the reference engine's per-conjunct
-    records.
+    records; it needs a view over an interned store, as
+    :class:`~repro.query.exec.CompiledEvaluator` does.
     """
     if isinstance(query, str):
         query = parse_query(query)

@@ -645,10 +645,10 @@ class RoundDelta:
                  indexes: Sequence[str]) -> "RoundDelta":
         """The closure's first delta: every fact of a hash ``store``.
 
-        The fact set and the named buckets are copied the way
-        :meth:`FactStore.copy` copies them (``set(...)`` of each), never
-        aliased — a ``set`` copy can iterate in another order than its
-        source, and the reference engine iterates a copy.
+        The fact set and the named buckets are copied (``set(...)`` of
+        each), never aliased — a ``set`` copy can iterate in another
+        order than its source, and the reference engine iterates such a
+        copy (``rules.engine._first_delta``).
         """
         delta = cls(indexes)
         delta._facts = set(store._facts)  # noqa: SLF001

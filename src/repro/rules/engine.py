@@ -191,7 +191,7 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
         provenance: Optional[Dict[Fact, Justification]] = {} if trace else None
         pivoted = _pivoted_rules(rules)
         loop_started = time.perf_counter()
-        iterations = _semi_naive_rounds(store, store.copy(), pivoted,
+        iterations = _semi_naive_rounds(store, _first_delta(store), pivoted,
                                         context, firings, max_iterations,
                                         provenance, rule_times)
         if observing:
@@ -221,6 +221,21 @@ def _pivoted_rules(rules: Sequence[Rule]) -> List[Tuple[Rule, Rule]]:
                 is_constraint=rule.is_constraint)
             pivoted.append((rule, reordered))
     return pivoted
+
+
+def _first_delta(store: FactStore) -> FactStore:
+    """Every fact of ``store`` as the first round's delta, its fact set
+    and buckets copied with ``set(...)`` as
+    :meth:`RoundDelta.of_store <repro.rules.dispatch.RoundDelta.of_store>`
+    copies them: a set copy can iterate in another order than a store
+    indexed fact by fact, and both engines must derive in one order."""
+    delta = FactStore()
+    delta._facts = set(store._facts)  # noqa: SLF001
+    for spec in ("s", "r", "t", "sr", "st", "rt"):
+        delta.index_for(spec).update(
+            (key, set(bucket)) for key, bucket
+            in store.index_for(spec).items() if bucket)
+    return delta
 
 
 def _semi_naive_rounds(store: FactStore, delta: FactStore,

@@ -6,13 +6,13 @@ Concurrency model
 The service owns a private *master* :class:`~repro.db.Database` that
 only the writer thread ever touches, plus one *published* snapshot
 (a frozen, read-only clone produced by
-:meth:`repro.db.Database.snapshot`).  Whatever store the caller's
-database arrived on, the service re-founds it at construction on
-interned storage (:meth:`repro.db.Database.compact_store`): base heap
-and closure become one immutable columnar generation of the closure's
-rows, the base heap's flagged among them, each store with its own
-small overlay of additions and tombstones, so a publish *shares* the
-generation and copies only the overlays.  The writer owns the fold: a
+:meth:`repro.db.Database.snapshot`).  Base heap and closure read one
+immutable columnar generation of the closure's rows, the base heap's
+flagged among them — a database is built that way, and the service
+folds whatever overlays the caller's database arrives with at
+construction (:meth:`repro.db.Database.compact_store`) — each store
+with its own small overlay of additions and tombstones, so a publish
+*shares* the generation and copies only the overlays.  The writer owns the fold: a
 batch that leaves a store's overlay above
 :data:`~repro.core.interned.OVERLAY_BUDGET` — or that recomputed the
 closure (a rule or limit control, an ``(r, ∈, R_c)`` declaration, an
@@ -306,11 +306,10 @@ class DatabaseService:
         # Initial publication happens on the constructing thread; the
         # writer has not started yet, so the master is ours to touch.
         # Heap and closure end on one shared generation: from here on
-        # a publish shares it.  A recovered or compacted database's
-        # closure is built folded, with the heap re-founded on its
-        # stored rows (``standard_closure``), so the re-found finds
-        # nothing to do; a database loaded by hand onto the hash store
-        # is re-founded here, heap and closure.
+        # a publish shares it.  A closure is built folded, with the heap
+        # re-founded on its stored rows (``standard_closure``), so the
+        # fold finds nothing to do unless the database was mutated by
+        # hand after its closure: those overlays are folded here.
         self._db.view()
         self._db.compact_store()
         snap = self._build_snapshot()

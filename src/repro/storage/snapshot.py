@@ -106,12 +106,15 @@ def _facts_row_by_row(rows) -> List[Fact]:
 
 
 def write_snapshot(path: Union[str, Path], state: SnapshotState) -> int:
-    """Atomically write a snapshot (tmp file + rename); returns its size
-    in bytes.
+    """Atomically and durably write a snapshot (tmp file + rename);
+    returns its size in bytes.
 
     The state is encoded before the temporary file is opened, and a
     write that fails removes the temporary file: a failed checkpoint
-    leaves the directory as it found it.
+    leaves the directory as it found it.  The file is synced before the
+    rename and the directory after it, so once this returns the new
+    snapshot survives a host crash — the journal it replaces may then
+    be truncated.
     """
     path = Path(path)
     data = state.to_json().encode("utf-8")
@@ -126,6 +129,11 @@ def write_snapshot(path: Union[str, Path], state: SnapshotState) -> int:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return len(data)
 
 

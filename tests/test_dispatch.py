@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.entities import ISA, MEMBER, SYN
 from repro.core.facts import Fact, Template, Variable
-from repro.core.store import FactStore
+from repro.core.store import FactStore, seed_store
 from repro.db import Database
 from repro.obs import Telemetry, use_telemetry
 from repro.rules.builtin import STANDARD_RULES
@@ -290,7 +290,7 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# FactStore.copy fast path
+# The closure's copy of its base: the seed store
 # ----------------------------------------------------------------------
 class TestStoreCopy:
     def test_copy_equals_rebuilt_from_scratch(self):
@@ -299,7 +299,7 @@ class TestStoreCopy:
             store.add(Fact(f"E{i % 7}", f"R{i % 3}", f"E{(i + 2) % 7}"))
         store.discard(Fact("E0", "R0", "E2"))
         store.discard(Fact("E1", "R1", "E3"))
-        copied = store.copy()
+        copied = seed_store(store)
         rebuilt = FactStore(store)
         assert set(copied) == set(rebuilt)
         for index in ("_by_s", "_by_r", "_by_t", "_by_sr", "_by_st",
@@ -314,7 +314,7 @@ class TestStoreCopy:
 
     def test_copy_is_independent(self):
         store = FactStore([Fact("A", "R", "B")])
-        copied = store.copy()
+        copied = seed_store(store)
         copied.add(Fact("C", "S", "D"))
         copied.discard(Fact("A", "R", "B"))
         assert Fact("A", "R", "B") in store
@@ -324,7 +324,7 @@ class TestStoreCopy:
     def test_copy_preserves_version(self):
         store = FactStore([Fact("A", "R", "B")])
         version = store.version
-        assert store.copy().version == version
+        assert seed_store(store).version == version
 
     def test_version_moves_on_every_mutation(self):
         store = FactStore()

@@ -1,16 +1,17 @@
 """Seeded randomized store-layout equivalence suite.
 
 The compiled executor has one leaf and runs it in id space on every
-store: a compacted store's ids are its generation's interned ints
-(query constants interned at plan-bind time, names decoded once at
-emission), a hash store's ids are its names.  This suite proves the
-layout is *unobservable*: over seeded random formulas (atoms with
-constants, repeated variables, virtual relationships, ∧/∨/∃/∀) and
-every layout — plain, freshly interned, interned with post-compaction
-adds (scratch ids), overlay facts and tombstones, and interned past
-:data:`~repro.core.interned.OVERLAY_BUDGET` — the compiled engine
+store: a store's ids are its generation's interned ints (query
+constants interned at plan-bind time, names decoded once at emission).
+This suite proves the layout is *unobservable*: over seeded random
+formulas (atoms with constants, repeated variables, virtual
+relationships, ∧/∨/∃/∀) and every layout — a closure as first built
+(``plain``: no ``compact_store()``), freshly compacted, compacted with
+post-compaction adds (scratch ids), overlay facts and tombstones, and
+past :data:`~repro.core.interned.OVERLAY_BUDGET` — the compiled engine
 produces the reference engine's answer sets, ask / succeeds verdicts
-and :class:`QueryError` messages, with the standard virtual registry
+and :class:`QueryError` messages (which the reference engine gives over
+a hash store of the same closure too), with the standard virtual registry
 and with a custom computed relation that sends every key across the
 string boundary; explain-analyze row counts do not depend on the
 layout either.
@@ -30,10 +31,14 @@ from repro.db import Database
 from repro.query import CompiledEvaluator
 from repro.query.evaluate import Evaluator
 from repro.query.ast import And, Formula, Or, Query, atom, exists, forall
+from repro.query.compile import compile_query
+from repro.query.exec import execute_plan
 from repro.query.explain import explain_analyze
 from repro.virtual import (EndpointWitness, MathRelation,
                            ReflexiveGeneralization)
 from repro.virtual.computed import ComputedRelation, FactView, VirtualRegistry
+
+from .hash_reference import hash_twin
 
 SEEDS = range(12)
 QUERIES_PER_CASE = 5
@@ -102,11 +107,13 @@ _CACHE: dict = {}
 
 
 def _views(variant: str):
-    """``(variant view, plain twin view, entities, relationships)``."""
+    """``(variant view, hash twin view, entities, relationships)``: the
+    twin is the same heap's closure by the reference engine over a hash
+    store (:func:`~tests.hash_reference.hash_twin`)."""
     if variant not in _CACHE:
         compacted, churn = _VARIANTS[variant]
         view = _database(compacted, churn).view()
-        twin = _database(False, churn).view()
+        twin = hash_twin(_database(False, churn)).view
         entities, relationships = set(), set()
         for fact in view.store:
             entities.add(fact.source)
@@ -251,7 +258,7 @@ def test_over_budget_variant_is_past_the_budget():
 
 
 # ----------------------------------------------------------------------
-# Explain-analyze row counts: interned ids and names agree per operator
+# Explain-analyze row counts: compacted or not, the same per operator
 # ----------------------------------------------------------------------
 _EXPLAIN_QUERIES = (
     "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, y) and (y, ∈, DEPARTMENT)",
@@ -263,42 +270,45 @@ _EXPLAIN_QUERIES = (
 
 @pytest.mark.parametrize("text", _EXPLAIN_QUERIES)
 def test_explain_analyze_rows_match_across_domains(text):
-    view, twin, _e, _r = _views("interned-mutated")
-    with_ids = explain_analyze(view, text, engine="compiled")
-    with_names = explain_analyze(twin, text, engine="compiled")
-    assert with_ids.value == with_names.value
+    view = _views("interned-mutated")[0]
+    compacted = explain_analyze(view, text, engine="compiled")
+    unfolded = explain_analyze(_database(False, _mutate).view(), text,
+                               engine="compiled")
+    assert compacted.value == unfolded.value
     assert [(s.formula, s.evals, s.actual_rows)
-            for s in with_ids.steps] \
-        == [(s.formula, s.evals, s.actual_rows) for s in with_names.steps]
+            for s in compacted.steps] \
+        == [(s.formula, s.evals, s.actual_rows) for s in unfolded.steps]
 
 
 # ----------------------------------------------------------------------
 # Which ids an execution ran on
 # ----------------------------------------------------------------------
 def _run_flag(view, text) -> bool:
-    """Execute ``text`` and report whether the execution ran on a
-    generation's interned ids."""
-    _value, run = CompiledEvaluator(view).evaluate_with_stats(text)
-    return run.id_domain
+    """Execute ``text`` and report whether its rows were decoded through
+    the interner of the generation the view's store reads."""
+    table, _run = execute_plan(compile_query(text, view), view)
+    return table.codec.interner is view.store.generation.interner
 
 
 def test_id_domain_engages_on_interned_stores(custom):
-    """Every compacted layout runs on its generation's ids — past the
-    overlay budget and under a custom registry included."""
+    """Every layout runs on its generation's ids — the uncompacted one,
+    past the overlay budget and under a custom registry included."""
     text = "(x, ∈, EMPLOYEE) and (x, WORKS-FOR, y)"
     for variant in _VARIANTS:
-        if variant == "plain":
-            continue
         view = _views(variant)[0]
         assert _run_flag(_with_echo(view) if custom else view, text), \
             variant
 
 
-def test_plain_stores_stay_on_the_string_path(custom):
-    """A hash store's ids are its names: nothing to decode."""
-    view = _views("plain")[0]
-    assert _run_flag(_with_echo(view) if custom else view,
-                     "(x, ∈, EMPLOYEE)") is False
+def test_a_hash_store_is_refused_by_name():
+    """The executor runs on nothing but a generation's ids: over a hash
+    store it says what it needs instead of failing inside a probe."""
+    twin = _views("plain")[1]
+    with pytest.raises(TypeError, match="interned store.*FactStore"):
+        CompiledEvaluator(twin).evaluate("(x, ∈, EMPLOYEE)")
+    with pytest.raises(TypeError, match="interned store"):
+        explain_analyze(twin, "(x, ∈, EMPLOYEE)", engine="compiled")
+    assert Evaluator(twin).evaluate("(x, ∈, EMPLOYEE)")
 
 
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))

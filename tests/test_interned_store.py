@@ -15,6 +15,7 @@ from repro.core.interned import (
     _generation_path,
     unlink_generation,
 )
+from repro.core.store import seed_store
 from repro.db import Database
 
 
@@ -327,7 +328,7 @@ class TestInternedFactStore:
             else:
                 assert store.discard(fact) == mirror.discard(fact)
             if step % 25 == 0:
-                taken.append((store.copy(), mirror.copy()))
+                taken.append((store.copy(), seed_store(mirror)))
             if taken and step % 7 == 0:
                 # Copies are mutable stores of their own.
                 copy, copy_mirror = rng.choice(taken)
@@ -483,6 +484,49 @@ class TestSharedMemory:
             with pytest.raises(ReplicaError):
                 ColumnarGeneration.attach(name)
             assert not _mapped(path)
+        finally:
+            unlink_generation(name)
+
+    @pytest.mark.parametrize("count", ["facts", "names"])
+    def test_header_counts_must_match_the_arrays(self, count):
+        """A header whose fact count disagrees with the columns' and the
+        flags' lengths, or whose name count plus one disagrees with the
+        name offsets', is refused and not left mapped."""
+        gen = ColumnarGeneration.build(random_facts(47, 60))
+        name = gen.share()
+        path = Path(_generation_path(name))
+        try:
+            whole = bytearray(path.read_bytes())
+            header = ColumnarGeneration._HEADER
+            fields = list(header.unpack_from(whole))
+            fields[1 if count == "facts" else 2] += 1   # after the magic
+            header.pack_into(whole, 0, *fields)
+            path.write_bytes(bytes(whole))
+            with pytest.raises(ReplicaError,
+                               match="not a whole generation file"):
+                ColumnarGeneration.attach(name)
+            assert not _mapped(path)
+        finally:
+            unlink_generation(name)
+
+    def test_unknown_names_are_not_memoized(self):
+        """An attached name table keeps the names it found, not those it
+        was asked about and never held: a run of unknown query
+        constants leaves its memo empty."""
+        gen = ColumnarGeneration.build(random_facts(53, 40))
+        name = gen.share()
+        try:
+            attached = ColumnarGeneration.attach(name)
+            try:
+                interner = attached.interner
+                for i in range(500):
+                    assert interner.id_of(f"UNKNOWN{i}") is None
+                assert interner._ids == {}
+                known = gen.interner.names[3]
+                assert interner.id_of(known) == 3
+                assert interner._ids == {known: 3}
+            finally:
+                attached.close()
         finally:
             unlink_generation(name)
 

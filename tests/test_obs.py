@@ -591,18 +591,18 @@ class TestExplainAnalyze:
             " (?x, EARNS, ?y))"
         assert lines[1] == "safety: ok"
         assert lines[2] == "initial conjunct order:"
-        assert lines[3] == "  1. (?x, ∈, EMPLOYEE)   [est 3.1; bound: -]"
+        assert lines[3] == "  1. (?x, ∈, EMPLOYEE)   [est 3.0; bound: -]"
         assert lines[4] == "  2. (?x, EARNS, ?y)   [est 1.4; bound: x]"
         assert lines[5] == "compiled plan: Q(x, y) = ((?x, ∈, EMPLOYEE)" \
             " ∧ (?x, EARNS, ?y))"
-        assert lines[6] == "  pipeline (∧, 2 parts)   [est 3.1]"
-        assert lines[7] == "    atom-join (?x, ∈, EMPLOYEE)   [est 3.1]"
+        assert lines[6] == "  pipeline (∧, 2 parts)   [est 3.0]"
+        assert lines[7] == "    atom-join (?x, ∈, EMPLOYEE)   [est 3.0]"
         assert lines[8] == "    atom-join (?x, EARNS, ?y)   [est 1.4]"
         assert lines[10] == "plan vs actual:"
         assert lines[13] == \
-            "  1  pipeline (∧, 2 parts)        3.1       9            1"
+            "  1  pipeline (∧, 2 parts)        3         9            1"
         assert lines[14] == \
-            "  2  atom-join (?x, ∈, EMPLOYEE)  3.1       3            1"
+            "  2  atom-join (?x, ∈, EMPLOYEE)  3         3            1"
         assert lines[15] == \
             "  3  atom-join (?x, EARNS, ?y)    1.4       9            1"
         assert lines[16] == "result rows: 9"
@@ -617,7 +617,7 @@ class TestExplainAnalyze:
         assert lines[6] == "plan vs actual:"
         assert lines[7] == \
             "  #  conjunct           est cost  actual rows  evals"
-        assert lines[9] == "  1  (?x, ∈, EMPLOYEE)  3.1       3            1"
+        assert lines[9] == "  1  (?x, ∈, EMPLOYEE)  3         3            1"
         assert lines[10] == "  2  (?x, EARNS, ?y)    1.4       9            3"
         assert lines[11] == "result rows: 9"
         assert len(analyzed.value) == 9

@@ -6,10 +6,10 @@ wave answered as one join per variable skeleton — must produce outcomes
 networkx hierarchy: same waves, same menus, same critical failures,
 same "no such database entities" diagnoses.  These tests compare full
 probe outcomes across randomized databases and seeds, on every store
-layout a workload serves from (plain hash store; one interned
-generation; generation + overlay + tombstones; an overlay past the
-budget, which drops to the string executor; a service snapshot held
-across a fold).
+layout a workload serves from (one interned generation; generation +
+overlay + tombstones; an overlay past the budget; a service snapshot
+held across a fold), against the original process run over a hash
+store of the same heap.
 
 The reference side (``reference_probe`` + ``GeneralizationHierarchy``)
 needs networkx; the whole module skips on minimal installs.
@@ -18,6 +18,7 @@ needs networkx; the whole module skips on minimal installs.
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
@@ -35,6 +36,8 @@ from repro.query.compile import compile_query
 from repro.query.evaluate import Evaluator
 from repro.query.exec import CompiledEvaluator, execute_plan
 from repro.serve import DatabaseService
+
+from .hash_reference import hash_twin
 
 
 def outcome_signature(result):
@@ -64,10 +67,23 @@ def outcome_signature(result):
 
 def reference_outcome(db, query, max_waves=25):
     """The original stack end to end: reference backtracking evaluator,
-    networkx hierarchy, candidate-at-a-time wave loop, no caches."""
-    hierarchy = GeneralizationHierarchy.from_store(db.closure().store)
-    return reference_probe(Evaluator(db.view()), query, hierarchy,
-                           max_waves=max_waves)
+    networkx hierarchy, candidate-at-a-time wave loop, no caches — over
+    ``db``'s heap closed by the reference engine on a hash store
+    (:func:`~tests.hash_reference.hash_twin`)."""
+    version = (db.facts.version, db.composition_limit)
+    held = _TWINS.get(db)
+    if held is None or held[0] != version:
+        twin = hash_twin(db)
+        held = _TWINS[db] = (version, twin, Evaluator(twin.view),
+                             GeneralizationHierarchy.from_store(twin.closure))
+    _version, _twin, evaluator, hierarchy = held
+    return reference_probe(evaluator, query, hierarchy, max_waves=max_waves)
+
+
+#: database -> (its heap's version and limit, hash twin, the reference
+#: evaluator over it, its hierarchy), so the queries of one state close
+#: the heap once.
+_TWINS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def random_database(seed):
@@ -204,8 +220,11 @@ def apply(steps, *databases):
 
 
 def runs_in_id_domain(db, query):
+    """Whether ``query``'s rows were decoded through the interner of the
+    generation ``db``'s view reads."""
     view = db.view()
-    return execute_plan(compile_query(query, view), view)[1].id_domain
+    table, _run = execute_plan(compile_query(query, view), view)
+    return table.codec.interner is view.store.generation.interner
 
 
 class TestStoreLayouts:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.entities import BOTTOM, EQ, GE, GT, ISA, LE, LT, NE, TOP
 from repro.core.facts import Fact, Template, Variable
+from repro.core.interned import ColumnarGeneration
 from repro.query.compile import bind_atom_ids
 from repro.virtual import (ComputedRelation, EndpointWitness, MathRelation,
                            ReflexiveGeneralization)
@@ -70,14 +71,16 @@ def test_derived_handles_equal_the_overrides(pattern):
 def test_ground_annotation_equals_handles(pattern):
     relations = (MathRelation(), ReflexiveGeneralization(),
                  EndpointWitness(), _Undeclared())
-    ann = bind_atom_ids(pattern, None, relations)
+    # The marks read names, not ids: any generation will do.
+    empty = ColumnarGeneration.build(())
+    ann = bind_atom_ids(pattern, empty, relations)
     for relation, triggers in zip(relations[:3], ann.triggers):
         assert (True in triggers) == relation.handles(pattern)
         # A position marked holds a name declared for it.
         assert all(not marked or pattern[p] in relation.TRIGGERS[p]
                    for p, marked in enumerate(triggers))
     assert ann.triggers[3] is None and ann.every_key
-    standard = bind_atom_ids(pattern, None, relations[:3])
+    standard = bind_atom_ids(pattern, empty, relations[:3])
     assert standard.every_key == any(r.handles(pattern)
                                      for r in relations[:3])
 

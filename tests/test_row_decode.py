@@ -91,10 +91,6 @@ class TestConsumingFold:
         assert interned.standard_closure().rule_firings \
             == plain.standard_closure().rule_firings
 
-    def test_a_closure_over_a_hash_base_stays_a_hash_store(self):
-        db = Database(world_facts())
-        assert type(db.standard_closure().store) is FactStore
-
 
 class TestCheckpoint:
     def test_a_checkpoint_pins_no_fact_per_base_fact(self, tmp_path):

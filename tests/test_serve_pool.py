@@ -553,7 +553,7 @@ class TestGenerationBootstrap:
                                 if f"-{os.getpid()}-" in name]) == 1
 
                 pool.metrics(timeout=30.0)
-                id_domain = _worker_counter(pool, "exec.id_domain")
+                plans = _worker_counter(pool, "exec.plans")
                 served = replica_served(pool)
                 with primary_busy(pool):
                     for i in (0, writes // 2, writes - 1):
@@ -563,8 +563,7 @@ class TestGenerationBootstrap:
                 assert replica_served(pool) == served + 3
                 assert pool.stats()["fallback_reads"] == 0
                 pool.metrics(timeout=30.0)
-                assert _worker_counter(pool, "exec.id_domain") \
-                    >= id_domain + 3
+                assert _worker_counter(pool, "exec.plans") >= plans + 3
                 # Base heap and closure each stay inside the budget.
                 store = pool.database_stats()["store"]
                 assert store["overlay_facts"] + store["tombstones"] \

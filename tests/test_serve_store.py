@@ -178,13 +178,13 @@ def test_fold_sequence_matches_a_plain_database(service, seed):
         assert set(snap.facts) == set(model.facts)
         assert snap.stats()["hierarchy"]["rebuilds"] == 0
 
-        # (e) every published snapshot stays inside the budget, so the
-        # executor stays in the integer domain.
+        # (e) every published snapshot stays inside the budget, and
+        # the executor decodes through its generation.
         stores = (snap.facts, snap.closure().store)
         assert all(s.overlay_size <= OVERLAY_BUDGET for s in stores)
-        _table, run = execute_plan(compile_query(JOIN, snap.view()),
+        table, _run = execute_plan(compile_query(JOIN, snap.view()),
                                    snap.view())
-        assert run.id_domain
+        assert table.codec.interner is snap.view().store.generation.interner
         # Store versions only move forward, folds included.
         assert all(now >= before for now, before
                    in zip((s.version for s in stores), versions))

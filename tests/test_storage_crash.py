@@ -12,6 +12,8 @@ keep doing so through later writes and restarts.
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -235,3 +237,40 @@ def test_a_served_checkpoint_that_fails_after_its_rename(tmp_path,
         service.close()
     assert recovered(directory) == set(model.facts)
     assert leftovers(directory) == []
+
+
+def test_a_checkpoint_syncs_its_directory_before_truncating(tmp_path,
+                                                            monkeypatch):
+    """The snapshot's rename is durable only once its directory is
+    synced: were the journal truncated first, a host crash could leave
+    the previous snapshot beside an empty journal."""
+    directory = tmp_path / "d"
+    database, session = open_database(directory)
+    database.add("A", "R", "B")
+    events = []
+    real_fsync, real_truncate = os.fsync, Journal.truncate
+
+    def fsync(fd):
+        synced = os.fstat(fd)
+        if stat.S_ISDIR(synced.st_mode):
+            events.append("directory" if os.path.samestat(
+                synced, os.stat(directory)) else "other directory")
+        else:
+            events.append("file")
+        real_fsync(fd)
+
+    def truncate(journal):
+        events.append("truncate")
+        real_truncate(journal)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(Journal, "truncate", truncate)
+    session.checkpoint()
+    monkeypatch.undo()
+    session.close()
+    assert "directory" in events
+    last_file = len(events) - 1 - events[::-1].index("file")
+    assert last_file < events.index("directory") \
+        < events.index("truncate"), events
+    assert recovered(directory) == {Fact("A", "R", "B")} | set(
+        Database().facts)

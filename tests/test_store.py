@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.facts import Fact, Template, Variable, var
-from repro.core.store import FactStore
+from repro.core.store import FactStore, seed_store
 
 X, Y, Z = var("x"), var("y"), var("z")
 
@@ -69,7 +69,7 @@ class TestMutation:
 
     def test_copy_is_independent(self):
         store = make_store()
-        copied = store.copy()
+        copied = seed_store(store)
         copied.add(Fact("NEW", "R", "B"))
         assert Fact("NEW", "R", "B") not in store
 
