@@ -6,8 +6,9 @@ reference from elsewhere.  :func:`hash_twin` rebuilds a database's
 stored facts on a hash :class:`~repro.core.store.FactStore`, closes them
 with the reference engine (:func:`~repro.rules.engine.semi_naive_closure`,
 provenance included when asked) under the database's rules and
-relationship declarations, composes up to its ``limit(n)``, and puts the
-database's virtual relations over the result.  Nothing in a twin reads a
+relationship declarations, composes up to its ``limit(n)`` with the
+oracle (:func:`~repro.rules.composition.compose_closure`), and puts the
+standard virtual relations over the result.  Nothing in a twin reads a
 generation, so the reference :class:`~repro.query.evaluate.Evaluator`
 over its view answers by the hash indexes and the planner's sampled
 counts.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.entities import is_special_relationship
 from repro.core.facts import Fact
 from repro.core.store import FactStore
 from repro.db import Database
@@ -26,6 +28,7 @@ from repro.rules.engine import semi_naive_closure
 from repro.rules.provenance import DerivationTree, explain_fact
 from repro.rules.rule import RelationshipClassifier, RuleContext
 from repro.virtual.computed import FactView
+from repro.virtual.special import standard_virtual_registry
 
 
 @dataclass
@@ -42,11 +45,27 @@ class HashTwin:
     view: FactView
 
     def why(self, fact: Fact) -> DerivationTree:
-        """:meth:`Database.why <repro.db.Database.why>` for a stored or
-        derived fact, from the reference engine's provenance."""
+        """:meth:`Database.why <repro.db.Database.why>` for a stored,
+        derived or composed fact: the reference engine's provenance,
+        and for a composed fact its name split at the first odd
+        segment whose two halves the closure holds (a ``virtual`` leaf
+        when none does: an intermediate that contains the separator)."""
         if fact in self.facts:
             return DerivationTree(fact=fact, rule=None)
-        return explain_fact(fact, self.facts, self.standard.provenance)
+        if fact in self.standard.store:
+            return explain_fact(fact, self.facts, self.standard.provenance)
+        segments = fact.relationship.split(".")
+        for cut in range(1, len(segments) - 1, 2):
+            left = Fact(fact.source, ".".join(segments[:cut]), segments[cut])
+            right = Fact(segments[cut], ".".join(segments[cut + 1:]),
+                         fact.target)
+            if all(part in self.closure
+                   and not is_special_relationship(part.relationship)
+                   for part in (left, right)):
+                return DerivationTree(fact=fact, rule="composition",
+                                      premises=(self.why(left),
+                                                self.why(right)))
+        return DerivationTree(fact=fact, rule="virtual")
 
 
 def hash_twin(db: Database, trace: bool = False) -> HashTwin:
@@ -61,4 +80,4 @@ def hash_twin(db: Database, trace: bool = False) -> HashTwin:
         closure.add_all(compose_closure(
             standard.store, db.composition_limit).facts)
     return HashTwin(facts, standard, closure,
-                    FactView(closure, db.view().virtual))
+                    FactView(closure, standard_virtual_registry()))

@@ -157,6 +157,28 @@ class TestProbeOutcomeEquivalence:
             expected = outcome_signature(reference_outcome(db, query))
             assert outcome_signature(db.probe(query)) == expected, query
 
+    def test_a_composed_fact_witnesses_a_retraction(self):
+        """Under ``limit(2)`` nothing stored relates ANN to CAT: the
+        composed ``(ANN, LIKES.BOB.KNOWS, CAT)`` is the only witness of
+        ``(ANN, Δ, CAT)``, the retraction of ``(ANN, HATES, CAT)``."""
+        db = Database()
+        for fact in (("ANN", "LIKES", "BOB"), ("BOB", "KNOWS", "CAT"),
+                     ("EVE", "HATES", "DAN")):
+            db.add(*fact)
+        query = "(ANN, HATES, CAT)"
+        assert len(db.probe(query).waves) == 2
+        db.limit(2)
+        outcome = db.probe(query)
+        assert outcome_signature(outcome) \
+            == outcome_signature(reference_outcome(db, query))
+        [wave] = outcome.waves
+        assert [s.describe() for s in wave.successes] \
+            == ["Δ instead of HATES"]
+        for query in ("(ANN, HATES, x)", "(x, HATES, CAT)",
+                      "(ANN, LIKES.BOB.KNOWS, DAN)"):
+            assert outcome_signature(db.probe(query)) == outcome_signature(
+                reference_outcome(db, query)), query
+
     def test_max_waves_abandonment_matches(self):
         from repro.datasets.synthetic import deep_retraction_workload
 
