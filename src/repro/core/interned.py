@@ -77,7 +77,7 @@ from .store import FactStore
 
 __all__ = [
     "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
-    "InternedFactStore", "FlaggedFactStore", "STORED", "STANDARD", "fold",
+    "InternedFactStore", "FlaggedFactStore", "STORED", "fold",
     "refound", "unlink_generation",
 ]
 
@@ -92,16 +92,12 @@ OVERLAY_BUDGET = 128
 
 _EMPTY = range(0)
 
-#: Row flags, one byte per generation row.  A database folds its base
-#: heap and its closure into one generation of the closure's rows
+#: The row flag, one byte per generation row.  A database folds its
+#: base heap and its closure into one generation of the closure's rows
 #: (Motro's fact set P is a subset of its closure): ``STORED`` marks
-#: the rows of P, which :attr:`repro.db.Database.facts` reads, and
-#: ``STANDARD`` the rows of the closure under the standard rules,
-#: which the standard closure reads when ``limit(n > 1)`` adds
-#: composition facts to the full closure (:class:`FlaggedFactStore`).
+#: the rows of P, which :attr:`repro.db.Database.facts` reads
+#: (:class:`FlaggedFactStore`); a derived row holds 0.
 STORED = 1
-STANDARD = 2
-ALL = STORED | STANDARD
 
 class IdCodec:
     """A per-execution id⇄name codec over one generation's interner.
@@ -321,9 +317,8 @@ class ColumnarGeneration:
     s, t                  binary search in ``st_keys``
     ====================  ====================================
 
-    One flags byte per row (:data:`STORED`, :data:`STANDARD`) says
-    which of a database's stores hold it; the full closure holds every
-    row.  Every structure is a flat ``array``/``memoryview``, so a
+    One flags byte per row says whether a database's base heap holds
+    it (:data:`STORED`); the closure holds every row.  Every structure is a flat ``array``/``memoryview``, so a
     generation is either *built* (process-local arrays) or *attached*
     (zero-copy views over a mapped generation file); all probing code
     is agnostic to which.
@@ -342,7 +337,7 @@ class ColumnarGeneration:
     def __init__(self):
         self._map = None
         self._views: List = []
-        self._masks: Dict[int, Tuple[bytes, bytes, bytes]] = {}
+        self._masks: Optional[Tuple[bytes, bytes, bytes]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -351,8 +346,9 @@ class ColumnarGeneration:
     def build(cls, facts: Iterable[Fact],
               version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from an iterable of
-        facts, every row flagged :data:`STORED` and :data:`STANDARD`."""
-        return cls.build_flagged(zip(facts, itertools.repeat(ALL)), version)
+        facts, every row flagged :data:`STORED`."""
+        return cls.build_flagged(zip(facts, itertools.repeat(STORED)),
+                                 version)
 
     @classmethod
     def build_flagged(cls, rows: Iterable[Tuple[Fact, int]],
@@ -688,19 +684,16 @@ class ColumnarGeneration:
                     + (self.start_t[i + 1] - self.start_t[i]))
         return sum(self.count(spec, (i,), masks) for spec in "srt")
 
-    def masks(self, flag: int) -> Tuple[bytes, bytes, bytes]:
-        """The rows that carry ``flag``, one byte each (1 or 0), in each
+    def masks(self) -> Tuple[bytes, bytes, bytes]:
+        """The :data:`STORED` rows, one byte each (1 or 0), in each
         physical order: natural, ``r`` and ``t``.  Built once per
-        generation and flag, for the stores that hold those rows."""
-        masks = self._masks.get(flag)
-        if masks is None:
-            keep = bytes(self.flags).translate(
-                bytes(bool(v & flag) for v in range(256)))
+        generation, for the base heap that holds those rows."""
+        if self._masks is None:
+            keep = bytes(self.flags)
             at = keep.__getitem__
-            masks = self._masks[flag] = (
-                keep, bytes(map(at, self.perm_r)),
-                bytes(map(at, self.perm_t)))
-        return masks
+            self._masks = (keep, bytes(map(at, self.perm_r)),
+                           bytes(map(at, self.perm_t)))
+        return self._masks
 
     def __len__(self) -> int:
         return self.n
@@ -857,9 +850,8 @@ class InternedFactStore(FactStore):
                 derived: Sequence[Fact]) -> "InternedFactStore":
         """Fold a closure's hash working store into one fresh generation
         at its version, emptying it.  ``derived`` are the facts the
-        closure's rounds added to its seed: their rows are flagged
-        :data:`STANDARD`, every other row (the seed's) :data:`STORED`
-        too.  The store's six index dicts and reference counts are
+        closure's rounds added to its seed: their rows hold 0, every
+        other row (the seed's) :data:`STORED`.  The store's six index dicts and reference counts are
         dropped before the generation is built from its fact set, so
         the fold never holds both."""
         version = store.version
@@ -871,8 +863,8 @@ class InternedFactStore(FactStore):
         # checkpoint sorts) come in that order, as the rows of a heap
         # built from a snapshot do.
         return cls(ColumnarGeneration.build_flagged(itertools.chain(
-            zip(sorted(facts, key=itemgetter(0)), itertools.repeat(ALL)),
-            zip(derived, itertools.repeat(STANDARD))), version))
+            zip(sorted(facts, key=itemgetter(0)), itertools.repeat(STORED)),
+            zip(derived, itertools.repeat(0))), version))
 
     @property
     def generation(self) -> ColumnarGeneration:
@@ -1214,25 +1206,23 @@ class InternedFactStore(FactStore):
 
 
 class FlaggedFactStore(InternedFactStore):
-    """An :class:`InternedFactStore` that holds only the rows of its
-    generation that carry one flag, plus its own overlay and
+    """An :class:`InternedFactStore` that holds only the
+    :data:`STORED` rows of its generation, plus its own overlay and
     tombstones.
 
     A database's base heap is the :data:`STORED` rows of its closure's
-    generation (and, while composition adds facts, its standard
-    closure the :data:`STANDARD` rows), so a fold, a share and an
-    attach are paid once for both.  The flag is selected once per
-    generation (:meth:`ColumnarGeneration.masks`): a probe skips the
-    rows without it by their byte, a count counts the bytes under its
-    index run, and iterating selects the held id columns before
-    decoding them.  Flags belong to the generation, and a store never
-    changes them: adding a row the generation holds without the flag
-    puts it in the overlay.
+    generation, so a fold, a share and an attach are paid once for
+    both.  The rows are selected once per generation
+    (:meth:`ColumnarGeneration.masks`): a probe skips the others by
+    their byte, a count counts the bytes under its index run, and
+    iterating selects the held id columns before decoding them.  Flags
+    belong to the generation, and a store never changes them: adding a
+    row the generation holds without the flag puts it in the overlay.
     """
 
-    def __init__(self, generation: ColumnarGeneration, flag: int):
+    def __init__(self, generation: ColumnarGeneration):
         super().__init__(generation)
-        self._masks = generation.masks(flag)
+        self._masks = generation.masks()
         self._rows = self._masks[0].count(1)
 
     def _position(self, fact: Fact) -> int:
@@ -1242,10 +1232,11 @@ class FlaggedFactStore(InternedFactStore):
 
 
 def refound(store: FactStore, generation: ColumnarGeneration,
-            flag: int) -> InternedFactStore:
-    """``store``'s facts as the rows of ``generation`` that carry
-    ``flag`` (every row for 0), at its version and frozen as it was."""
-    new = (FlaggedFactStore(generation, flag) if flag
+            stored: bool) -> InternedFactStore:
+    """``store``'s facts as the :data:`STORED` rows of ``generation``
+    (every row, unless ``stored``), at its version and frozen as it
+    was."""
+    new = (FlaggedFactStore(generation) if stored
            else InternedFactStore(generation))
     new._version = store.version  # noqa: SLF001
     if store.frozen:
@@ -1257,36 +1248,29 @@ def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
     """Fold a database's stores onto one generation and re-found each
     on it (:func:`refound`).
 
-    ``stores`` are the base heap, then the standard closure and, while
-    composition adds facts, the whole closure: each a subset of the
-    next, and all reading the last one's generation.  The new
-    generation holds the last one's facts at its version, each row
-    flagged :data:`STORED` when the base heap holds it and
-    :data:`STANDARD` when the standard closure does; the last store
-    reads every row.  A row of the old generation carries its flags by
-    position: each store's tombstones clear its flag and each of its
-    overlay facts the generation holds sets it; only the last store's
-    overlay rows are flagged by membership.
+    ``stores`` are the base heap and, once computed, its closure: a
+    subset of it, reading its generation.  The new generation holds the
+    last store's facts at its version, each row flagged :data:`STORED`
+    when the base heap holds it; the last store reads every row.  A row
+    of the old generation carries its flag by position: the base
+    heap's tombstones clear it and each of its overlay facts the
+    generation holds sets it; only the closure's overlay rows are
+    flagged by membership.
     """
-    closure = stores[-1]
-    layers = list(zip(stores, (STORED, STANDARD)))
-
-    def flagged(fact: Fact) -> int:
-        return sum(flag for store, flag in layers if fact in store)
-
+    base, closure = stores[0], stores[-1]
     gen = closure.generation
     flags = bytearray(gen.flags)
-    for store, flag in layers:
-        for position in store._removed_at:  # noqa: SLF001
-            flags[position] &= ~flag
-        for fact in store._overlay:  # noqa: SLF001
-            position = gen.position_of(fact)
-            if position >= 0:
-                flags[position] |= flag
+    for position in base._removed_at:  # noqa: SLF001
+        flags[position] = 0
+    for fact in base._overlay:  # noqa: SLF001
+        position = gen.position_of(fact)
+        if position >= 0:
+            flags[position] = STORED
     # The closure iterates its generation rows, then its overlay.
     rows = zip(closure, itertools.chain(
         itertools.compress(flags, closure._kept()),  # noqa: SLF001
-        map(flagged, closure._overlay)))  # noqa: SLF001
+        (STORED if fact in base else 0
+         for fact in closure._overlay)))  # noqa: SLF001
     generation = ColumnarGeneration.build_flagged(rows, closure.version)
-    return [refound(store, generation, 0 if store is closure else flag)
-            for store, flag in zip(stores, (STORED, STANDARD, 0))]
+    return [refound(store, generation, store is not closure)
+            for store in stores]

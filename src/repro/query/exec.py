@@ -157,20 +157,24 @@ class PlanRun:
 
 
 class _IdExec:
-    """Id-space state over one store and one registry, shared by every
-    plan an evaluator runs while both stand still: the store's codec
-    (scratch ids over its generation's interner), the registry's
+    """Id-space state over one view's store and registry, shared by
+    every plan an evaluator runs while both stand still: the store's
+    codec (scratch ids over its generation's interner), the registry's
     computed relations with their declared triggers encoded through it
     (``trigger_ids``, ``None`` for a relation that declares none;
-    ``triggers``, per position their union), and the store's overlay
-    (``None`` when empty), merged into every probe.
+    ``triggers``, per position their union), the store's overlay
+    (``None`` when empty), merged into every probe, and the view's
+    closure (:attr:`FactView.closure
+    <repro.virtual.computed.FactView.closure>`), which the relations
+    read.
     """
 
     __slots__ = ("store", "version", "gen", "codec", "overlay",
-                 "relations", "trigger_ids", "triggers")
+                 "relations", "trigger_ids", "triggers", "closure")
 
-    def __init__(self, store, virtual):
+    def __init__(self, store, virtual, closure):
         self.store = store
+        self.closure = closure
         self.version = store.version
         self.gen = store.generation
         overlay = store._overlay  # noqa: SLF001
@@ -200,7 +204,7 @@ def _id_exec(view: FactView, prior: Optional[_IdExec] = None) -> _IdExec:
         raise TypeError(
             "the compiled executor runs on a view over an interned store"
             f" (Database.view()), not a {type(store).__name__}")
-    return _IdExec(store, view.virtual)
+    return _IdExec(store, view.virtual, view.closure)
 
 
 class _Context:
@@ -474,9 +478,15 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
             return extensions_per_key
 
     def probe(opened, some_keys):
-        return _stored_id_extensions(
-            ids, [slot for slot in fixed if not opened[slot[0]]],
-            some_keys, new_positions, checks)
+        kept = [slot for slot in fixed if not opened[slot[0]]]
+        found = _stored_id_extensions(ids, kept, some_keys, new_positions,
+                                      checks)
+        if ids.closure is not ids.store:
+            # Composition facts witness the endpoints too.
+            for extensions, extra in zip(found, ids.closure.extensions(
+                    kept, some_keys, new_positions, checks, ids.codec)):
+                extensions += extra
+        return found
 
     for relation, trigger_ids, ground in zip(
             ids.relations, ids.trigger_ids, ann.triggers):
@@ -485,7 +495,7 @@ def _id_extensions(ctx: _Context, node: AtomJoin,
             continue
         found = relation.extend_ids(
             pattern, key_of, [keys[n] for n in numbers], opened, probe,
-            ids.codec, ids.store, new_positions)
+            ids.codec, ids.closure, new_positions)
         for n, extra in zip(numbers, found):
             if extra:
                 # Witnesses of one key may project to one extension, and
@@ -780,7 +790,7 @@ def _exec_forall(node: ForAllProbe, table: BindingTable,
     }
     # Same entity *set* as view.entities(), in id space (order may
     # differ, which only affects chunk boundaries, not results).
-    domain = ctx.ids.store.entity_id_domain(ctx.ids.codec.encode)
+    domain = ctx.ids.closure.entity_id_domain(ctx.ids.codec.encode)
     if _obs.ENABLED:
         _obs.TELEMETRY.count("exec.forall.keys", len(alive))
         _obs.TELEMETRY.gauge("query.forall.domain_size", len(domain))

@@ -1,13 +1,13 @@
-"""Rules: inference, integrity, composition, and closure engines.
+"""Rules: inference, integrity and closure engines.
 
 The §2.5–§3 inference machinery: conjunctive rules ``<L, R>``, the
 standard rule set (generalization, membership, synonymy, inversion),
 the compiled *dispatched* closure engine, incremental maintenance under
-insertion and deletion through the same compiled rule set, composition
-bounded by ``limit(n)``, integrity constraints, and provenance.  The
-two interpreted references the engine is checked against (naive,
-semi-naive) are :mod:`repro.rules.engine`; the package does not import
-it.
+insertion and deletion through the same compiled rule set, integrity
+constraints, and provenance.  The references the engine is checked
+against — the interpreted closures (naive, semi-naive) of
+:mod:`repro.rules.engine` and materialised composition,
+:mod:`repro.rules.composition` — are not imported by the package.
 
 Example::
 
@@ -20,14 +20,6 @@ Example::
 """
 
 from .builtin import STANDARD_RULES, STANDARD_RULES_BY_NAME
-from .composition import (
-    COMPOSITION_OFF,
-    UNLIMITED,
-    CompositionResult,
-    composable,
-    compose_closure,
-    compose_pair,
-)
 from .dispatch import (
     ClosureResult,
     CompiledRuleSet,
@@ -59,9 +51,7 @@ from .rule import (
 )
 
 __all__ = [
-    "STANDARD_RULES", "STANDARD_RULES_BY_NAME", "COMPOSITION_OFF",
-    "UNLIMITED", "CompositionResult", "composable", "compose_closure",
-    "compose_pair", "ClosureResult", "Justification", "extend_closure",
+    "STANDARD_RULES", "STANDARD_RULES_BY_NAME", "ClosureResult", "Justification", "extend_closure",
     "CompiledRuleSet",
     "compile_ruleset", "dispatched_closure",
     "DerivationTree", "ProvenanceError", "explain_fact",

@@ -17,10 +17,11 @@ flags against the computed ``(-5, <, 0)``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.entities import CONTRA, is_math_relationship
+from ..core.entities import CONTRA, MATH_RELATIONSHIPS
 from ..core.facts import Fact, Template, Variable
 from ..core.store import FactStore
 from ..virtual.math_facts import compare
@@ -51,7 +52,9 @@ def find_contradictions(store: FactStore) -> List[Violation]:
     """Every contradiction in a (closed) store.
 
     Args:
-        store: the closure — base facts plus everything derived.
+        store: the closure — base facts plus everything derived: a
+            store, or anything that answers ``match`` and ``in`` as
+            one (a view's :attr:`~repro.virtual.computed.FactView.closure`).
 
     Returns:
         Violations, in deterministic order.  Symmetric duplicates
@@ -78,9 +81,9 @@ def find_contradictions(store: FactStore) -> List[Violation]:
                     reason=f"({left_rel}, ⊥, {right_rel}) is declared"))
 
     # 2. Stored mathematical facts that are computationally false.
-    for fact in sorted(store):
-        if not is_math_relationship(fact.relationship):
-            continue
+    for fact in itertools.chain.from_iterable(
+            store.match(Template(wildcard_s, relationship, wildcard_t))
+            for relationship in MATH_RELATIONSHIPS):
         if not compare(fact.relationship, fact.source, fact.target):
             violations.append(
                 Violation(
@@ -116,16 +119,16 @@ class Diagnosis:
         return "\n".join(lines)
 
 
-def diagnose(violations, base: FactStore, provenance) -> List[Diagnosis]:
+def diagnose(violations, base: FactStore, explain) -> List[Diagnosis]:
     """Trace each violation to its stored support.
 
     Args:
         violations: from :func:`find_contradictions` over the closure.
         base: the stored facts.
-        provenance: the engine's justification map (``trace=True``).
+        explain: a closure fact's
+            :class:`~repro.rules.provenance.DerivationTree` (a traced
+            database's).
     """
-    from .provenance import explain_fact
-
     diagnoses: List[Diagnosis] = []
     for violation in violations:
         culprits = set()
@@ -135,8 +138,7 @@ def diagnose(violations, base: FactStore, provenance) -> List[Diagnosis]:
             if fact in base:
                 culprits.add(fact)
             else:
-                culprits |= explain_fact(
-                    fact, base, provenance).stored_support()
+                culprits |= explain(fact).stored_support()
         diagnoses.append(Diagnosis(violation=violation,
                                    culprits=tuple(sorted(culprits))))
     return diagnoses

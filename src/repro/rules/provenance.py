@@ -15,16 +15,16 @@ two *derived* facts can be traced back to the stored facts responsible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
-from ..core.entities import compose_relationship, is_special_relationship
 from ..core.errors import ReproError
 from ..core.facts import Fact
 from ..core.store import FactStore
-from .dispatch import ClosureResult, Justification
+from .dispatch import Justification
 
-#: Justification rule name for composition-derived facts.
+#: Rule name of a composed fact's derivation: the two facts its name
+#: joins (:meth:`repro.virtual.composition.Composition.split`).
 COMPOSITION_RULE = "composition"
 
 
@@ -105,43 +105,3 @@ def explain_fact(fact: Fact, base: FactStore,
         for premise in justification.premises)
     return DerivationTree(fact=fact, rule=justification.rule,
                           premises=premises)
-
-
-def add_composition_provenance(
-        provenance: Dict[Fact, Justification],
-        chain_lengths: Dict[Fact, int],
-        composed: Set[Fact]) -> None:
-    """Record justifications for composition facts.
-
-    The composed name encodes its own derivation — ``r1.t.r2`` came
-    from ``(s, r1, t)`` and ``(t, r2, target)`` — so premises are
-    reconstructed by splitting the relationship at the intermediate
-    entity with the shorter chain consistent with the recorded lengths.
-    """
-    for fact in composed:
-        if fact in provenance:
-            continue
-        split = _split_composed(fact, chain_lengths)
-        if split is not None:
-            provenance[fact] = Justification(COMPOSITION_RULE, split)
-
-
-def _split_composed(fact: Fact,
-                    chain_lengths: Dict[Fact, int]) -> Optional[Tuple[Fact, Fact]]:
-    """Recover one (left, right) decomposition of a composed fact."""
-    name = fact.relationship
-    segments = name.split(".")
-    # Try every odd split point (relationship names occupy even
-    # indices, intermediates odd ones) and keep the first whose parts
-    # are known facts.
-    for cut in range(1, len(segments), 2):
-        left_rel = ".".join(segments[:cut])
-        intermediate = segments[cut]
-        right_rel = ".".join(segments[cut + 1:])
-        if not right_rel:
-            continue
-        left = Fact(fact.source, left_rel, intermediate)
-        right = Fact(intermediate, right_rel, fact.target)
-        if left in chain_lengths and right in chain_lengths:
-            return left, right
-    return None

@@ -172,7 +172,7 @@ class GenerationBootstrap:
         if snap.overlay_size:
             return None
         return cls(
-            name=snap.closure().store.generation.share(),
+            name=result.store.generation.share(),
             closure_stats=result.statistics(),
             rules=snap.rules.all_rules(),
             enabled=snap.rules.snapshot_state(),
@@ -196,8 +196,7 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     Base heap and standard closure are each an
     :class:`~repro.core.interned.InternedFactStore` over the one
     mapped, parent-owned generation file — the base its ``STORED``
-    rows, the closure every row (its ``STANDARD`` rows while
-    composition adds facts): zero fact copying, and the replica's
+    rows, the closure every row: zero fact copying, and the replica's
     incremental memory is its overlays plus the names its reads decode
     (the attach side's name memo).  Records change the attached
     closure's overlay in place, and it never auto-checks: integrity was
@@ -206,21 +205,18 @@ def build_replica_from_generation(state: GenerationBootstrap) -> Database:
     the resulting version (see :func:`replica_main`).
     """
     from ..core.interned import (
-        STANDARD, STORED, ColumnarGeneration, FlaggedFactStore,
-        InternedFactStore,
+        ColumnarGeneration, FlaggedFactStore, InternedFactStore,
     )
     from ..rules.dispatch import ClosureResult
 
     db = Database(with_axioms=False)
     generation = ColumnarGeneration.attach(state.name)
-    db._base = FlaggedFactStore(generation, STORED)  # noqa: SLF001
+    db._base = FlaggedFactStore(generation)  # noqa: SLF001
     db._base._version = state.store_version  # noqa: SLF001
     db.rules = RuleRegistry(state.rules)
     db.rules.restore_state(state.enabled)
     db._composition_limit = state.composition_limit  # noqa: SLF001
-    closure_store = (FlaggedFactStore(generation, STANDARD)
-                     if db._composition_enabled  # noqa: SLF001
-                     else InternedFactStore(generation))
+    closure_store = InternedFactStore(generation)
     closure_store._version = state.closure_version  # noqa: SLF001
     stats = state.closure_stats
     db._standard_result = ClosureResult(  # noqa: SLF001

@@ -80,7 +80,9 @@ class SnapshotState:
                 for k, v in rule_states.items()):
             raise StorageError("malformed rule_states in snapshot")
         limit = record.get("composition_limit", 1)
-        if limit is not None and not isinstance(limit, int):
+        if limit is not None and (type(limit) is not int or limit < 1):
+            # ``limit(n)`` takes an int of at least 1 (a bool is not
+            # one), or None.
             raise StorageError("malformed composition_limit in snapshot")
         rules = record.get("rules", [])
         if not isinstance(rules, list) or not all(

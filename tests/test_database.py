@@ -96,19 +96,25 @@ class TestClosureLifecycle:
     def test_contains_checks_virtual(self, paper_db):
         assert Fact("25000", "<", "26000") in paper_db
 
-    def test_closure_includes_composition_when_enabled(self, empty_db):
+    def test_view_includes_composition_when_enabled(self, empty_db):
+        """Composition facts are the view's, never the closure store's."""
         empty_db.add("A", "R", "B")
         empty_db.add("B", "S", "C")
+        composed = Fact("A", "R.B.S", "C")
+        assert composed not in empty_db
         empty_db.limit(2)
-        closure = empty_db.closure()
-        assert Fact("A", "R.B.S", "C") in closure.store
+        assert composed in empty_db.view()
+        assert empty_db.match("(A, x, C)") == [composed]
+        assert composed not in empty_db.closure().store
 
-    def test_derived_count_includes_composition(self, empty_db):
+    def test_stats_count_composition(self, empty_db):
         empty_db.add("A", "R", "B")
         empty_db.add("B", "S", "C")
+        before = empty_db.stats()
         empty_db.limit(2)
-        result = empty_db.closure()
-        assert result.derived_count >= 1
+        stats = empty_db.stats()
+        assert stats["closure_facts"] == before["closure_facts"] + 1
+        assert stats["derived_facts"] == before["derived_facts"] + 1
 
 
 class TestClassDeclarations:

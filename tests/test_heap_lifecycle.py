@@ -166,30 +166,24 @@ class TestWhatABuildLeaves:
             assert alive() is None
 
 
-    def test_the_composition_build_runs_inside_a_build(self, monkeypatch):
-        """``limit(2)`` composes over the whole standard closure: an
-        O(heap) build like the closure itself."""
-        import repro.db
+    def test_a_limit_2_write_composes_nothing(self, monkeypatch):
+        """Under ``limit(2)`` a write and the next ``view()`` build no
+        composition: the view walks the standard closure when a read
+        asks, and the materialising oracle is never called."""
+        import repro.rules.composition
 
-        compose = repro.db.compose_closure
-        collector_on = []
-
-        def spy(*args, **kwargs):
-            collector_on.append(gc.isenabled())
-            return compose(*args, **kwargs)
-
-        monkeypatch.setattr(repro.db, "compose_closure", spy)
+        called = []
+        monkeypatch.setattr(repro.rules.composition, "compose_closure",
+                            lambda *args: called.append(args))
         db = Database(world_facts())
+        db.add("DEPT0", "LOCATED-IN", "BOSTON")
         db.limit(2)
-        was = gc.isenabled()
-        gc.enable()
-        try:
-            db.closure()
-            assert gc.isenabled()
-        finally:
-            if not was:
-                gc.disable()
-        assert collector_on == [False]
+        db.view()
+        db.add("EMP0", "LIVES-IN", "BOSTON")
+        db.remove_fact(Fact("EMP0", "LIVES-IN", "BOSTON"))
+        view = db.view()
+        assert Fact("EMP1", "WORKS-FOR.DEPT0.LOCATED-IN", "BOSTON") in view
+        assert called == []
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,8 @@ OFFLINE = ("networkx", "multiprocessing", "repro.benchio",
            "repro.serve.pool", "repro.obs.export", "repro.obs.monitor",
            "repro.storage.interchange", "repro.query.reference",
            "repro.browse.paths", "repro.rules.engine",
-           "repro.query.evaluate", "repro.browse.hierarchy")
+           "repro.query.evaluate", "repro.browse.hierarchy",
+           "repro.rules.composition")
 
 PACKAGES = ("repro.browse", "repro.obs", "repro.query", "repro.serve",
             "repro.storage")

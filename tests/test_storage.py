@@ -135,6 +135,23 @@ class TestSnapshot:
         with pytest.raises(StorageError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("limit", [True, False, 0, -2, 2.0, "2"])
+    def test_a_limit_below_one_or_not_an_int_is_refused(self, tmp_path,
+                                                         limit):
+        """``limit(n)`` takes an int of at least 1, or ``None``:
+        recovery refuses anything else with a typed error, not a
+        database at ``limit=True`` or a ``ValueError``."""
+        directory = tmp_path / "d"
+        directory.mkdir()
+        (directory / "snapshot.json").write_text(json.dumps(
+            {"version": 1, "facts": [], "composition_limit": limit}))
+        with pytest.raises(StorageError,
+                           match="malformed composition_limit"):
+            read_snapshot(directory / "snapshot.json")
+        with pytest.raises(StorageError,
+                           match="malformed composition_limit"):
+            open_database(directory)
+
     def test_write_is_atomic_replace(self, tmp_path):
         path = tmp_path / "s.json"
         write_snapshot(path, SnapshotState(facts=[Fact("A", "R", "B")]))
@@ -202,7 +219,7 @@ class TestSnapshotCodec:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(entities, entities, entities), max_size=30),
-           st.sampled_from([None, 0, 1, 7]))
+           st.sampled_from([None, 1, 2, 7]))
     def test_any_heap_encodes_like_the_indented_layout(self, rows, limit):
         state = SnapshotState(facts=[Fact(*row) for row in rows],
                               rule_states={"r": True, "s": False},
