@@ -73,6 +73,9 @@ CLASS_RELATIONSHIP = "CLASS-RELATIONSHIP"
 #: the paper's ``ENROLLED-IN.CS100.TAUGHT-BY`` (§3.7).
 COMPOSITION_SEPARATOR = "."
 
+#: The ``limit(n)`` that disables composition (§6.1), the default.
+COMPOSITION_OFF = 1
+
 Entity = str
 Number = Union[int, float]
 
