@@ -112,9 +112,10 @@ class EndpointWitness(ComputedRelation):
     combination — retraction can weaken several positions) holds iff
     *some stored fact* witnesses the remaining positions.
 
-    Only stored/derived facts witness the endpoints — the virtual
-    mathematical facts do not, or every pair of numbers would be
-    ``Δ``-related.
+    Only the closure's facts witness the endpoints — stored, derived
+    and, under ``limit(n > 1)``, composed ones (the ``store`` a view
+    hands over is its closure) — the virtual mathematical facts do not,
+    or every pair of numbers would be ``Δ``-related.
 
     :meth:`facts` is the string form, which the reference engine and
     :meth:`~repro.virtual.computed.VirtualRegistry.match` use; the
@@ -127,7 +128,7 @@ class EndpointWitness(ComputedRelation):
     def extend_ids(self, pattern, key_of, keys, opened, probe, codec,
                    store, new_positions) -> List[list]:
         """Witnessing in id space: the keys opened at the same positions
-        are one stored-fact ``probe`` with those positions left open,
+        are one closure ``probe`` with those positions left open,
         so a triggered key never leaves id space (overlay and
         tombstones honoured like any probe's)."""
         groups: Dict[Tuple[bool, ...], List[int]] = {}
