@@ -98,7 +98,7 @@ def association_paths(view: FactView, source: str, target: str,
                 Template(entity, relationship_var, target_var))):
             if is_special_relationship(fact.relationship):
                 continue
-            # Materialized composition facts (when limit(n) is on) are
+            # Composition facts (the view's, when limit(n) is on) are
             # shortcuts over primitive steps; walking them would count
             # the same association twice at inflated length.
             if is_composed(fact.relationship):
