@@ -19,7 +19,7 @@ generalization — exactly the paper's ``(COSTS, ≺, Δ)`` step.
 
 This networkx implementation is the **reference**: the production path
 is :class:`repro.browse.lattice.GeneralizationLattice`, an interned,
-incrementally maintained equivalent with no third-party dependency.
+immutable equivalent with no third-party dependency.
 networkx is a test-only dependency (the ``[test]`` extra), present so
 the equivalence suites can differentially check the lattice against
 this original.  Neither :mod:`repro.browse` nor anything a server

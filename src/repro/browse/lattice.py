@@ -20,23 +20,20 @@ same contract:
   §2.3) are collapsed by an iterative Tarjan SCC pass whose component
   numbering is reverse-topological, so reachability closures build in
   one sweep.
-* **Bitmask reachability** — each component keeps its full up-set and
-  down-set as a Python arbitrary-precision int; *broader-than* is one
+* **Bitmask reachability** — each component keeps its full up-set as
+  a Python arbitrary-precision int; *broader-than* is one
   shift-and-mask, O(1).
 * **Cover edges** — the transitive reduction is derived per component
-  from the successor up-masks; *minimal generalizations of E* is
-  O(covers).
-* **Incremental patching** — new ``≺`` pairs are folded in place: an
-  already-implied edge is a no-op, an acyclic edge updates the masks
-  of the affected up/down cones and recomputes only their cover lists,
-  and only a cycle-creating edge (a new synonym merge) triggers a full
-  structural rebuild.  Deletions are handled by the owner
-  (:class:`~repro.db.Database`) dropping the lattice.
-* **Store-bound views** — the structure is shared; ``knows`` /
-  ``closest_known`` delegate to an attached live store, so pure domain
-  growth (new entities, no new ``≺`` facts) costs nothing and the
-  lattice survives :meth:`~repro.db.Database.compact_store`, which
-  changes the representation of the store but not its facts.
+  from its neighbors' up- and down-masks; *minimal generalizations of
+  E* is O(covers).
+* **Rebuilt, never patched** — the structure is immutable once built.
+  The owner (:class:`~repro.db.Database`) drops it when a ``≺`` fact
+  enters or leaves the closure and builds a new one on the next
+  :meth:`~repro.db.Database.hierarchy`, so a batch of ``≺`` writes
+  costs one build.
+* **Store-bound views** — ``knows`` / ``closest_known`` read a bound
+  store, so views over one structure serve the live store, every
+  snapshot and the store after ``compact_store()``.
 
 The public API is a superset of the reference hierarchy's, and the
 randomized differential suite (``tests/test_lattice.py``) holds the two
@@ -46,10 +43,8 @@ implementations to identical answers on every method.
 from __future__ import annotations
 
 import difflib
-import threading
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
-    Tuple,
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..core.entities import BOTTOM, ISA, TOP
@@ -59,14 +54,6 @@ from ..obs import telemetry as _obs
 
 #: The template the lattice ingests from a closed store.
 ISA_PATTERN = Template(Variable("s"), ISA, Variable("t"))
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bit positions of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _tarjan(n: int, out: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
@@ -122,98 +109,49 @@ def _tarjan(n: int, out: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
     return comp_of, next_comp
 
 
-def _count(name: str, value: int = 1) -> None:
-    if _obs.ENABLED:
-        _obs.TELEMETRY.count(name, value)
+def _reduce(neighbors: Set[int], masks: List[int]) -> FrozenSet[int]:
+    """Transitive reduction of one component's raw neighbor set: a
+    neighbor is redundant when another neighbor already reaches it."""
+    if len(neighbors) <= 1:
+        return frozenset(neighbors)
+    redundant = 0
+    for n in neighbors:
+        redundant |= masks[n] & ~(1 << n)
+    return frozenset(n for n in neighbors if not (redundant >> n) & 1)
 
 
 class _LatticeCore:
-    """The shared mutable structure behind every lattice view.
+    """The immutable structure behind every lattice view.
 
-    All state is per-*component* (synonym class): raw successor /
-    predecessor sets, up/down reachability masks, and cover frozensets.
-    One core can back many :class:`GeneralizationLattice` views bound
-    to different stores; patches mutate it in place so every view sees
-    them (copy-on-patch for snapshot isolation is the owner's job, via
-    :meth:`copy`).
+    Built once, in the constructor, from ``≺`` pairs, and never written
+    afterwards: views bound to different stores, and every snapshot of
+    a database, share one core without a lock.  All state is
+    per-*component* (synonym class): up-set reachability masks and
+    cover frozensets.
     """
 
-    __slots__ = ("id_of", "names", "pairs", "edges", "comp_of",
-                 "members", "comp_out", "comp_in", "up", "down",
-                 "covers_up", "covers_down", "builds", "patches",
-                 "merge_rebuilds", "patched_edges", "lock")
+    __slots__ = ("id_of", "names", "edges", "comp_of", "members", "up",
+                 "covers_up", "covers_down")
 
-    def __init__(self) -> None:
-        self.id_of: Dict[str, int] = {}
-        self.names: List[str] = []
-        #: every (source, target) pair ever ingested, including the
-        #: structurally filtered ones — the dedup set incremental
-        #: feeding diffs against.
-        self.pairs: Set[Tuple[str, str]] = set()
-        #: the structural edges (filtered, as id pairs); the rebuild
-        #: source of truth.
-        self.edges: Set[Tuple[int, int]] = set()
-        self.comp_of: List[int] = []
-        self.members: List[List[int]] = []
-        self.comp_out: List[Set[int]] = []
-        self.comp_in: List[Set[int]] = []
-        self.up: List[int] = []
-        self.down: List[int] = []
-        self.covers_up: List[FrozenSet[int]] = []
-        self.covers_down: List[FrozenSet[int]] = []
-        self.builds = 0
-        self.patches = 0
-        self.merge_rebuilds = 0
-        self.patched_edges = 0
-        # Guards structural mutation (patch/rebuild).  Reads are
-        # lock-free: readers of a *published snapshot* always hold a
-        # core that is no longer patched in place (copy-on-patch).
-        self.lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def ingest(self, isa_pairs: Iterable) -> List[Tuple[int, int]]:
-        """Record raw pairs; returns the structurally *new* id edges.
-
-        Filtering matches the reference hierarchy exactly: reflexive
-        pairs and pairs touching ``Δ``/``∇`` impose no order (§5.1 —
-        ``Δ`` is implicitly above everything already).
-        """
-        new_edges: List[Tuple[int, int]] = []
-        pairs = self.pairs
-        edges = self.edges
-        id_of = self.id_of
-        names = self.names
+    def __init__(self, isa_pairs: Iterable) -> None:
+        # Filtering matches the reference hierarchy exactly: reflexive
+        # pairs and pairs touching ``Δ``/``∇`` impose no order (§5.1 —
+        # ``Δ`` is implicitly above everything already).
+        id_of: Dict[str, int] = {}
+        names: List[str] = []
+        edges: Set[Tuple[int, int]] = set()
         for source, target in isa_pairs:
-            pair = (source, target)
-            if pair in pairs:
+            if source == target or TOP in (source, target) \
+                    or BOTTOM in (source, target):
                 continue
-            pairs.add(pair)
-            if source == target or TOP in pair or BOTTOM in pair:
-                continue
-            u = id_of.get(source)
-            if u is None:
-                u = id_of[source] = len(names)
-                names.append(source)
-            v = id_of.get(target)
-            if v is None:
-                v = id_of[target] = len(names)
-                names.append(target)
-            edge = (u, v)
-            if edge not in edges:
-                edges.add(edge)
-                new_edges.append(edge)
-        return new_edges
-
-    # ------------------------------------------------------------------
-    # Full build
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        """(Re)derive all per-component structure from ``edges``."""
-        n = len(self.names)
+            for name in (source, target):
+                if name not in id_of:
+                    id_of[name] = len(names)
+                    names.append(name)
+            edges.add((id_of[source], id_of[target]))
+        n = len(names)
         out: List[List[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             out[u].append(v)
         comp_of, count = _tarjan(n, out)
         members: List[List[int]] = [[] for _ in range(count)]
@@ -221,7 +159,7 @@ class _LatticeCore:
             members[comp].append(node)
         comp_out: List[Set[int]] = [set() for _ in range(count)]
         comp_in: List[Set[int]] = [set() for _ in range(count)]
-        for u, v in self.edges:
+        for u, v in edges:
             cu, cv = comp_of[u], comp_of[v]
             if cu != cv:
                 comp_out[cu].add(cv)
@@ -241,151 +179,23 @@ class _LatticeCore:
             for pred in comp_in[comp]:
                 mask |= down[pred]
             down[comp] = mask
+        self.id_of = id_of
+        self.names = names
+        self.edges = len(edges)
         self.comp_of = comp_of
         self.members = members
-        self.comp_out = comp_out
-        self.comp_in = comp_in
         self.up = up
-        self.down = down
-        self.covers_up = [self._reduce(comp_out[c], up) for c in range(count)]
-        self.covers_down = [self._reduce(comp_in[c], down)
-                            for c in range(count)]
-        self.builds += 1
-        _count("lattice.builds")
-
-    @staticmethod
-    def _reduce(neighbors: Set[int], masks: List[int]) -> FrozenSet[int]:
-        """Transitive reduction of one component's raw neighbor set: a
-        neighbor is redundant when another neighbor already reaches it."""
-        if len(neighbors) <= 1:
-            return frozenset(neighbors)
-        redundant = 0
-        for n in neighbors:
-            redundant |= masks[n] & ~(1 << n)
-        return frozenset(n for n in neighbors if not (redundant >> n) & 1)
-
-    # ------------------------------------------------------------------
-    # Incremental patching
-    # ------------------------------------------------------------------
-    def apply(self, new_edges: List[Tuple[int, int]]) -> str:
-        """Fold structurally new edges in; returns ``"patched"`` or
-        ``"rebuilt"`` (a cycle-creating edge merged synonym classes).
-
-        Must be called with ``lock`` held.  The three cases:
-
-        1. **implied** — the target component is already in the source
-           component's up-set: record the raw edge; reachability and
-           covers are provably unchanged (the pre-existing witness path
-           runs through some successor whose up-set already contains
-           both the new successor and everything above it).
-        2. **acyclic** — or the masks of the source's down-cone and the
-           target's up-cone, then recompute covers only for components
-           whose successor (resp. predecessor) masks moved.
-        3. **cycle** — the reverse direction is already reachable, so
-           the edge merges components; renumbering is global, rebuild.
-        """
-        for index, (u, v) in enumerate(new_edges):
-            # New nodes appended by ingest() since the last build get
-            # fresh singleton components on demand.
-            self._ensure_components()
-            comp_of = self.comp_of
-            cu, cv = comp_of[u], comp_of[v]
-            if cu == cv:
-                continue                      # inside one synonym class
-            out_cu = self.comp_out[cu]
-            if cv in out_cu:
-                continue                      # raw edge already present
-            up, down = self.up, self.down
-            if (up[cu] >> cv) & 1:            # case 1: implied
-                out_cu.add(cv)
-                self.comp_in[cv].add(cu)
-                continue
-            if (down[cu] >> cv) & 1:          # case 3: synonym merge
-                self.build()
-                self.merge_rebuilds += 1
-                self.patched_edges += len(new_edges) - index
-                _count("lattice.merge_rebuilds")
-                return "rebuilt"
-            # Case 2: genuinely new ancestry.
-            out_cu.add(cv)
-            self.comp_in[cv].add(cu)
-            down_cone = down[cu]              # cu and everything below
-            up_cone = up[cv]                  # cv and everything above
-            for d in _bits(down_cone):
-                up[d] |= up_cone
-            for a in _bits(up_cone):
-                down[a] |= down_cone
-            # covers_up of x depends on (successors of x, up-masks of
-            # those successors): recompute where either input moved.
-            touched_up = {cu}
-            comp_in = self.comp_in
-            for d in _bits(down_cone):
-                touched_up.update(comp_in[d])
-            covers_up = self.covers_up
-            comp_out = self.comp_out
-            for c in touched_up:
-                covers_up[c] = self._reduce(comp_out[c], up)
-            touched_down = {cv}
-            for a in _bits(up_cone):
-                touched_down.update(comp_out[a])
-            covers_down = self.covers_down
-            for c in touched_down:
-                covers_down[c] = self._reduce(comp_in[c], down)
-            self.patched_edges += 1
-        self.patches += 1
-        _count("lattice.patches")
-        _count("lattice.patch_edges", max(len(new_edges), 1))
-        return "patched"
-
-    def _ensure_components(self) -> None:
-        """Singleton components for nodes interned after the last
-        build/patch."""
-        comp_of = self.comp_of
-        while len(comp_of) < len(self.names):
-            comp = len(self.members)
-            comp_of.append(comp)
-            self.members.append([len(comp_of) - 1])
-            self.comp_out.append(set())
-            self.comp_in.append(set())
-            self.up.append(1 << comp)
-            self.down.append(1 << comp)
-            self.covers_up.append(frozenset())
-            self.covers_down.append(frozenset())
-
-    # ------------------------------------------------------------------
-    def copy(self) -> "_LatticeCore":
-        """An independent structural copy (copy-on-patch for shared
-        snapshot lattices)."""
-        clone = _LatticeCore.__new__(_LatticeCore)
-        clone.id_of = dict(self.id_of)
-        clone.names = list(self.names)
-        clone.pairs = set(self.pairs)
-        clone.edges = set(self.edges)
-        clone.comp_of = list(self.comp_of)
-        clone.members = [list(m) for m in self.members]
-        clone.comp_out = [set(s) for s in self.comp_out]
-        clone.comp_in = [set(s) for s in self.comp_in]
-        clone.up = list(self.up)
-        clone.down = list(self.down)
-        clone.covers_up = list(self.covers_up)
-        clone.covers_down = list(self.covers_down)
-        clone.builds = self.builds
-        clone.patches = self.patches
-        clone.merge_rebuilds = self.merge_rebuilds
-        clone.patched_edges = self.patched_edges
-        clone.lock = threading.Lock()
-        return clone
+        self.covers_up = [_reduce(comp_out[c], up) for c in range(count)]
+        self.covers_down = [_reduce(comp_in[c], down) for c in range(count)]
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("lattice.builds")
 
     def stats(self) -> dict:
         return {
             "entities": len(self.names),
             "components": len(self.members),
-            "edges": len(self.edges),
+            "edges": self.edges,
             "cover_edges": sum(len(c) for c in self.covers_up),
-            "builds": self.builds,
-            "patches": self.patches,
-            "merge_rebuilds": self.merge_rebuilds,
-            "patched_edges": self.patched_edges,
         }
 
 
@@ -394,7 +204,7 @@ class GeneralizationLattice:
     :class:`~repro.browse.hierarchy.GeneralizationHierarchy`, built for
     repeated probing.
 
-    A lattice is a *view*: shared immutable-between-patches structure
+    A lattice is a *view*: an immutable structure
     (:class:`_LatticeCore`) plus a knows-source — either a live store
     (:meth:`from_store` / :meth:`with_store`) or a frozen entity set
     (direct construction, mirroring the reference signature).
@@ -404,13 +214,8 @@ class GeneralizationLattice:
 
     def __init__(self, isa_pairs: Iterable = (),
                  known_entities: Optional[Iterable[str]] = None, *,
-                 store: Optional[FactStore] = None,
-                 core: Optional[_LatticeCore] = None):
-        if core is None:
-            core = _LatticeCore()
-            core.ingest(isa_pairs)
-            core.build()
-        self._core = core
+                 store: Optional[FactStore] = None):
+        self._core = _LatticeCore(isa_pairs)
         self._store = store
         self._known: FrozenSet[str] = (
             frozenset(known_entities) if known_entities is not None
@@ -423,12 +228,10 @@ class GeneralizationLattice:
         pairs = ((f.source, f.target) for f in store.match(ISA_PATTERN))
         return cls(pairs, store=store)
 
-    # ------------------------------------------------------------------
-    # View plumbing (the owner database's lifecycle hooks)
-    # ------------------------------------------------------------------
-    def with_store(self, store: FactStore) -> "GeneralizationLattice":
+    def with_store(self, store: Optional[FactStore]) \
+            -> "GeneralizationLattice":
         """A view over the same structure bound to ``store`` — O(1);
-        how the lattice survives closure rebuilds and
+        how the lattice survives closure rebuilds, snapshots and
         ``compact_store()``."""
         if store is self._store:
             return self
@@ -437,37 +240,6 @@ class GeneralizationLattice:
         view._store = store
         view._known = self._known
         return view
-
-    def structural_copy(self) -> "GeneralizationLattice":
-        """An independent copy of the structure (same binding) — the
-        copy-on-patch step when the structure is shared with published
-        snapshots."""
-        view = GeneralizationLattice.__new__(GeneralizationLattice)
-        view._core = self._core.copy()
-        view._store = self._store
-        view._known = self._known
-        return view
-
-    def shares_core(self, other: "GeneralizationLattice") -> bool:
-        return self._core is other._core
-
-    @property
-    def store(self) -> Optional[FactStore]:
-        return self._store
-
-    def add_isa_pairs(self, isa_pairs: Iterable) -> str:
-        """Fold new ``≺`` pairs in incrementally.
-
-        Pairs already ingested are skipped, so the caller may pass the
-        store's full current ``≺`` fact set; returns ``"noop"``,
-        ``"patched"``, or ``"rebuilt"``.
-        """
-        core = self._core
-        with core.lock:
-            new_edges = core.ingest(isa_pairs)
-            if not new_edges:
-                return "noop"
-            return core.apply(new_edges)
 
     def stats(self) -> dict:
         return self._core.stats()

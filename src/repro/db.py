@@ -25,7 +25,7 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .browse.lattice import ISA_PATTERN, GeneralizationLattice
+from .browse.lattice import GeneralizationLattice
 from .browse.navigation import NavigationResult, NavigationSession, navigate
 from .browse.retraction import DEFAULT_MAX_WAVES, ProbeResult, probe
 from .core.entities import (
@@ -118,18 +118,11 @@ class Database:
         # incrementally; composition facts are the view's to compute.
         self._standard_result: Optional[ClosureResult] = None
         self._view: Optional[FactView] = None
-        # The generalization lattice (browse.lattice) is maintained,
-        # not rebuilt: insertions that derive new ≺ facts patch it in
-        # place, mutations that touch no ≺ fact leave it alone, and
-        # only ≺ deletions / full invalidations drop it.
+        # The generalization lattice (browse.lattice), immutable: a
+        # change to the closure's ≺ facts drops it, and the next
+        # hierarchy() builds a new one.
         self._hierarchy: Optional[GeneralizationLattice] = None
-        self._hierarchy_bound: Optional[GeneralizationLattice] = None
-        self._hierarchy_shared = False
-        self._hierarchy_isa = -1
-        # Insertions since the last hierarchy() may have derived ≺ facts.
-        self._hierarchy_stale = False
         self._hierarchy_rebuilds = 0
-        self._hierarchy_patches = 0
         self._on_mutation = None  # set by storage.DurableSession.attach
         # Set to a list by a serving writer for one batch: incremental
         # maintenance appends the closure's net change to it as
@@ -203,11 +196,6 @@ class Database:
             new_fact.relationship == MEMBER and new_fact.target in (
                 CLASS_RELATIONSHIP, INDIVIDUAL_RELATIONSHIP))
 
-    def _isa_count(self) -> int:
-        """How many ``≺`` facts the standard closure holds (an index
-        length, O(1))."""
-        return self._standard_result.store.count_estimate(ISA_PATTERN)
-
     def add_facts(self, new_facts: Iterable[Fact]) -> int:
         """Add many facts; returns the number actually new."""
         return sum(1 for f in new_facts if self.add_fact(f))
@@ -277,18 +265,13 @@ class Database:
         """The one bookkeeping tail after the standard closure gained
         ``added`` and lost ``removed`` in place — by an insertion, a
         Delete/Rederive or a replicated record.  The view rebuilds
-        lazily from it.  New ``≺`` facts are patched into the lattice
-        by the next :meth:`hierarchy`, once
-        for however many mutations came first; a lost one drops it
-        (the lattice cannot un-ingest a pair), and the next call
-        rebuilds.  A serving writer's log gets the change."""
+        lazily from it, and so does the lattice when a ``≺`` fact
+        came or went (a ``≈`` fact derives ``≺`` both ways).  A
+        serving writer's log gets the change."""
         self._view = None
-        if any(f.relationship == ISA for f in removed):
+        if any(f.relationship == ISA
+               for f in itertools.chain(added, removed)):
             self._hierarchy = None
-            self._hierarchy_bound = None
-            self._hierarchy_isa = -1
-        elif any(f.relationship == ISA for f in added):
-            self._hierarchy_stale = True
         log = self._closure_log
         if log is not None:
             log += [("remove", f) for f in removed]
@@ -315,15 +298,12 @@ class Database:
         This is the publication primitive of
         :class:`repro.serve.DatabaseService`: the single writer mutates
         the master database, then publishes ``master.snapshot()`` for
-        readers to use lock-free.  The generalization lattice is not
-        copied: if this database holds one (``hierarchy()`` was called
-        since the last ``≺`` deletion), the clone shares its structure
-        and this database switches to copy-on-patch; if it holds none,
-        the clone builds its own on its first probe.  The service
-        therefore warms ``view()`` *and* ``hierarchy()`` on the master
-        before every snapshot, and binds both on the clone, so a
-        published snapshot never rebuilds
-        (``stats()["hierarchy"]["rebuilds"] == 0``).  Whatever lazy
+        readers to use lock-free.  The generalization lattice is
+        immutable, so the clone shares the one this database holds; if
+        it holds none, the clone builds its own on its first probe.
+        The service therefore warms ``view()`` *and* ``hierarchy()`` on
+        the master before every snapshot, so a published snapshot never
+        rebuilds (``stats()["hierarchy"]["rebuilds"] == 0``).  Whatever lazy
         cache a snapshot still has to fill is benignly racy —
         concurrent readers may compute it twice, but every computed
         value is identical.
@@ -342,18 +322,8 @@ class Database:
         clone._virtual = self._virtual
         clone._standard_result = self._copy_result(self._standard_result)
         clone._view = None
-        # The lattice structure is shared with the clone; the master
-        # switches to copy-on-patch so a published snapshot can never
-        # observe a half-applied patch.
         clone._hierarchy = self._hierarchy
-        clone._hierarchy_bound = None
-        clone._hierarchy_isa = self._hierarchy_isa
-        clone._hierarchy_stale = self._hierarchy_stale
-        clone._hierarchy_shared = self._hierarchy is not None
         clone._hierarchy_rebuilds = 0
-        clone._hierarchy_patches = 0
-        if self._hierarchy is not None:
-            self._hierarchy_shared = True
         clone._on_mutation = None
         clone._closure_log = None
         return clone
@@ -423,12 +393,9 @@ class Database:
             # Lazy caches hold references to the old stores; let them
             # rebuild over the interned ones on next use.  The lattice
             # survives: compaction changes the representation, not the
-            # facts, so only its store binding must refresh — and the
-            # structure lets go of the store it was built from, or a
-            # fold's retired generation would live as long as the
-            # lattice.
+            # facts, so it lets go of the old store, or a fold's retired
+            # generation would live as long as the lattice.
             self._view = None
-            self._hierarchy_bound = None
             if self._hierarchy is not None:
                 self._hierarchy = self._hierarchy.with_store(None)
         return self
@@ -505,8 +472,11 @@ class Database:
         (:class:`~repro.virtual.composition.Composition`); a change of
         limit still drops the cached closure.
         """
-        if n is not None and n < 1:
-            raise ValueError("composition limit must be >= 1 (or None)")
+        if n is not None and (type(n) is not int or n < 1):
+            # A bool is not one: a snapshot would keep a limit that
+            # recovery refuses.
+            raise ValueError(
+                "composition limit must be an int >= 1 (or None)")
         self._composition_limit = n
         self._invalidate()
 
@@ -525,8 +495,6 @@ class Database:
         self._standard_result = None
         self._view = None
         self._hierarchy = None
-        self._hierarchy_bound = None
-        self._hierarchy_isa = -1
         self._closure_log = None
 
     def rule_context(self) -> RuleContext:
@@ -594,51 +562,22 @@ class Database:
         return self._view
 
     def hierarchy(self) -> GeneralizationLattice:
-        """The generalization lattice of the closure.
+        """The generalization lattice of the closure, bound to the
+        current closure store so ``knows`` and ``closest_known`` see
+        the live active domain.
 
-        Built lazily and then *maintained*: new ``≺`` facts derived by
-        insertions since the last call are patched into the structure
-        here, in one pass however many insertions there were; mutations
-        that touch no generalization/synonym fact leave it untouched; a
-        deletion that removes a ``≺`` fact drops it for a rebuild here;
-        and the structure survives ``compact_store()`` and snapshot
-        publication (snapshots share it copy-on-patch).  Returns a view
-        bound to the current closure store, so ``knows`` and
-        ``closest_known`` always see the live active domain.
+        Built here when none is held: a ``≺`` change or an
+        invalidation drops it, so a batch of writes costs one build,
+        and mutations that touch no ``≺`` fact, ``compact_store()`` and
+        ``snapshot()`` keep it.
         """
         store = self.view().closure
         if self._hierarchy is None:
             self._hierarchy = GeneralizationLattice.from_store(
                 self._standard_result.store)
-            self._hierarchy_bound = None
-            self._hierarchy_shared = False
-            self._hierarchy_isa = self._isa_count()
             self._hierarchy_rebuilds += 1
-        elif self._hierarchy_stale \
-                and self._isa_count() != self._hierarchy_isa:
-            # Insertions only ever grow the closure's ≺ set (a deletion
-            # that shrinks it drops the lattice), so a count other than
-            # the one ingested means new pairs: patch them in, once for
-            # however many insertions there were since the last call.
-            lattice = self._hierarchy
-            if self._hierarchy_shared:
-                # Published snapshots hold this structure: patch a copy.
-                lattice = lattice.structural_copy()
-                self._hierarchy = lattice
-                self._hierarchy_bound = None
-                self._hierarchy_shared = False
-            lattice.add_isa_pairs(
-                (f.source, f.target) for f in
-                self._standard_result.store.match(ISA_PATTERN))
-            self._hierarchy_isa = self._isa_count()
-            self._hierarchy_patches += 1
-        self._hierarchy_stale = False
-        bound = self._hierarchy_bound
-        if bound is None or bound.store is not store \
-                or not bound.shares_core(self._hierarchy):
-            bound = self._hierarchy.with_store(store)
-            self._hierarchy_bound = bound
-        return bound
+        self._hierarchy = self._hierarchy.with_store(store)
+        return self._hierarchy
 
     # ------------------------------------------------------------------
     # Integrity (§2.5, §3.5)
@@ -862,12 +801,15 @@ class Database:
         }
 
     def _hierarchy_stats(self) -> dict:
-        """Lattice lifecycle counters: how often this database rebuilt
-        the generalization lattice from scratch vs patched it in place
-        (the over-invalidation regression guard)."""
+        """Lattice lifecycle counters: how often this database built
+        the generalization lattice (the over-invalidation regression
+        guard)."""
         stats = {
             "rebuilds": self._hierarchy_rebuilds,
-            "patches": self._hierarchy_patches,
+            # Nothing patches the lattice.  ``benchmarks/macro/ladder.py``
+            # still indexes this key; a literal zero, like the caches'
+            # in stats(), until ROADMAP item 1 re-bases the contract.
+            "patches": 0,
             "cached": self._hierarchy is not None,
         }
         if self._hierarchy is not None:

@@ -43,10 +43,11 @@ The division of labour:
   applies the ops to the master, journals the effective mutations in
   one append
   (:meth:`repro.storage.session.DurableSession.record_batch`),
-  maintains the closure and the generalization lattice once, and
-  atomically publishes the next snapshot.  Tickets resolve only
-  *after* publication, so a caller that waited for its write is
-  guaranteed to see it in subsequent reads (read-your-writes).
+  maintains the closure, rebuilds the generalization lattice if a
+  ``≺`` fact changed, and atomically publishes the next snapshot.
+  Tickets resolve only *after* publication, so a caller that waited
+  for its write is guaranteed to see it in subsequent reads
+  (read-your-writes).
 
 No plan and no answer is carried from one snapshot to the next (the
 one place a whole answer is remembered is the net layer's per-snapshot
@@ -628,13 +629,11 @@ class DatabaseService:
         starts).  Warming the *master* first means the closure is
         computed once and the snapshot copies the cached result; the
         snapshot's own ``view()`` then just wraps the copied stores.
-        The same goes for the generalization lattice: the master owns
-        it (its ``hierarchy()`` here patches in the batch's new ``≺``
-        facts in one pass, or rebuilds after a ``≺`` deletion dropped
-        it), the snapshot shares the structure
-        copy-on-patch, and its ``hierarchy()`` only binds that
-        structure to the copied store — no reader's probe ever builds
-        one.
+        The same goes for the generalization lattice: the master's
+        ``hierarchy()`` here builds it once when the batch changed a
+        ``≺`` fact, the snapshot shares that immutable structure, and
+        its ``hierarchy()`` only binds it to the copied store — no
+        reader's probe ever builds one.
         """
         self._db.view()
         self._db.hierarchy()

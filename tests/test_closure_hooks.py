@@ -15,16 +15,22 @@ R_c)`` declaration) reports no change at all: it sets the log to
 compacted database a step may also fold (``compact_store()``), after
 which the base heap reads the closure's one generation.  Whatever the
 limit, the view answers the closure and its composition facts as the
-reference engine and the oracle compose them on a hash store.
+reference engine and the oracle compose them on a hash store.  A step
+may also build the generalization lattice and hold a snapshot: at the
+end the database's lattice answers as the networkx reference over the
+closure, and each held snapshot's as the reference over its own
+closure, which it never rebuilt.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.browse.hierarchy import GeneralizationHierarchy
 from repro.core.entities import CLASS_RELATIONSHIP, ISA, MEMBER, SYN
 from repro.core.facts import Fact, Template, Variable
 from repro.db import Database
@@ -82,6 +88,19 @@ def maintained_step(db: Database, op: str, fact: Fact
             [f for kind, f in log if kind == "remove"])
 
 
+def _same_lattice(db: Database, closure) -> None:
+    """``db``'s lattice answers §5.1 as the networkx reference over
+    ``closure``, its hash twin's."""
+    pytest.importorskip("networkx")
+    reference = GeneralizationHierarchy.from_store(closure)
+    lattice = db.hierarchy()
+    for entity in closure.entities():
+        for question in ("minimal_generalizations",
+                         "minimal_specializations", "synonym_class"):
+            assert getattr(lattice, question)(entity) \
+                == getattr(reference, question)(entity), (question, entity)
+
+
 def _world(compacted: bool) -> Database:
     db = Database(WORLD)
     db.view()
@@ -98,7 +117,12 @@ def _run(compacted: bool, steps) -> None:
     db = _world(compacted)
     first = _closure(db)
     sequence_log: Optional[list] = []
+    snapshots: List[Database] = []
     for op, pick in steps:
+        if op == "hierarchy":
+            db.hierarchy()
+            snapshots.append(db.snapshot())
+            continue
         if op == "fold":
             if compacted:
                 db.compact_store()
@@ -143,10 +167,16 @@ def _run(compacted: bool, steps) -> None:
     assert last == set(twin.standard.store)
     assert set(db.view().match(Template(*map(Variable, "srt")))) \
         == set(twin.closure)
+    # A ≺ write dropped the lattice and the next hierarchy() rebuilt
+    # it; every snapshot kept the one it was taken with.
+    _same_lattice(db, twin.closure)
+    for snapshot in snapshots:
+        _same_lattice(snapshot, hash_twin(snapshot).closure)
+        assert snapshot.stats()["hierarchy"]["rebuilds"] == 0
 
 
 STEPS = st.lists(st.tuples(st.sampled_from(["add", "remove", "fold",
-                                            "limit"]),
+                                            "limit", "hierarchy"]),
                            st.integers(0, 10_000)), max_size=14)
 
 
@@ -165,6 +195,12 @@ STEPS = st.lists(st.tuples(st.sampled_from(["add", "remove", "fold",
 # limit(1).
 @example(compacted=True, steps=[("limit", 1), ("add", 34), ("fold", 0),
                                 ("limit", 2), ("remove", 2), ("limit", 0)])
+# Snapshots around a ≺ add, the synonym's removal and its re-add (a
+# synonym class split and merged again), then a fold.
+@example(compacted=True, steps=[("hierarchy", 0), ("add", 22),
+                                ("hierarchy", 0), ("remove", 9),
+                                ("hierarchy", 0), ("add", 24),
+                                ("fold", 0)])
 def test_reported_change_is_the_closure_difference(compacted, steps):
     _run(compacted, steps)
 

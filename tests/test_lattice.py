@@ -2,19 +2,20 @@
 
 Four layers:
 
-* unit tests of lattice-specific behavior (incremental patching,
-  merge rebuilds, store-bound views, structural copies);
+* unit tests of lattice-specific behavior (store-bound views over one
+  immutable structure);
 * a randomized multi-seed differential suite asserting every §5.1
   answer — broader-than, minimal generalizations/specializations,
   synonym collapse, Δ/∇ fallback, chain depth — identical to the
   networkx reference ``GeneralizationHierarchy`` (skipped when
   networkx is not installed);
-* regression tests for the database's lattice lifecycle: non-``≺``
-  mutations must not rebuild, ``compact_store`` must not drop the
-  structure, and snapshots must not see later patches;
+* regression tests for the database's lattice lifecycle: a ``≺`` write
+  drops the structure and the next ``hierarchy()`` rebuilds it once,
+  non-``≺`` mutations and ``compact_store`` keep it, and a snapshot
+  keeps its own;
 * the same lifecycle through :class:`~repro.serve.DatabaseService`:
-  the master owns the structure, every published snapshot shares it
-  and none ever rebuilds.
+  a publish after ``≺`` writes rebuilds once on the master, every
+  published snapshot shares that structure and none ever rebuilds.
 """
 
 from __future__ import annotations
@@ -41,80 +42,14 @@ def lattice_of(*pairs, extra_entities=()):
 # ----------------------------------------------------------------------
 # Lattice-specific behavior
 # ----------------------------------------------------------------------
-class TestIncrementalPatching:
-    def test_acyclic_edge_patches_in_place(self):
-        lattice = lattice_of(("A", "B"))
-        assert lattice.add_isa_pairs([("B", "C")]) == "patched"
-        assert lattice.generalizes("C", "A")
-        assert lattice.minimal_generalizations("B") == {"C"}
-        stats = lattice.stats()
-        assert stats["patches"] == 1
-        assert stats["merge_rebuilds"] == 0
-
-    def test_implied_edge_is_free(self):
-        lattice = lattice_of(("A", "B"), ("B", "C"))
-        before = lattice.stats()["cover_edges"]
-        assert lattice.add_isa_pairs([("A", "C")]) == "patched"
-        assert lattice.stats()["cover_edges"] == before
-        assert lattice.minimal_generalizations("A") == {"B"}
-
-    def test_known_pair_is_noop(self):
-        lattice = lattice_of(("A", "B"))
-        assert lattice.add_isa_pairs([("A", "B")]) == "noop"
-
-    def test_cycle_creating_edge_rebuilds_and_merges(self):
-        lattice = lattice_of(("X", "Y"), ("X", "P"))
-        assert lattice.add_isa_pairs([("Y", "X")]) == "rebuilt"
-        assert lattice.synonym_class("X") == {"X", "Y"}
-        assert lattice.minimal_generalizations("Y") == {"P"}
-        assert lattice.stats()["merge_rebuilds"] == 1
-
-    def test_patch_brings_in_new_entities(self):
-        lattice = lattice_of(("A", "B"))
-        lattice.add_isa_pairs([("NEW1", "NEW2"), ("NEW2", "A")])
-        assert lattice.generalizes("B", "NEW1")
-        assert lattice.minimal_generalizations("NEW1") == {"NEW2"}
-
-    def test_patched_equals_rebuilt_on_random_sequences(self):
-        for seed in range(20):
-            rng = random.Random(seed)
-            names = [f"E{i}" for i in range(10)]
-            pairs = [(rng.choice(names), rng.choice(names))
-                     for _ in range(25)]
-            incremental = GeneralizationLattice(pairs[:5], names)
-            for start in range(5, len(pairs), 4):
-                incremental.add_isa_pairs(pairs[start:start + 4])
-            rebuilt = GeneralizationLattice(pairs, names)
-            for entity in names:
-                assert incremental.minimal_generalizations(entity) \
-                    == rebuilt.minimal_generalizations(entity), seed
-                assert incremental.minimal_specializations(entity) \
-                    == rebuilt.minimal_specializations(entity), seed
-                assert incremental.synonym_class(entity) \
-                    == rebuilt.synonym_class(entity), seed
-                for other in names:
-                    assert incremental.generalizes(entity, other) \
-                        == rebuilt.generalizes(entity, other), seed
-
-
 class TestViews:
     def test_with_store_shares_structure(self):
         lattice = lattice_of(("A", "B"))
         store = FactStore([Fact("A", ISA, "B"), Fact("Z", "R", "Z")])
         view = lattice.with_store(store)
-        assert view.shares_core(lattice)
+        assert view._core is lattice._core
         assert view.knows("Z") and not lattice.knows("Z")
-        lattice.add_isa_pairs([("B", "C")])
-        # In-place patches are visible through every view of the core.
-        assert view.generalizes("C", "A")
-
-    def test_structural_copy_is_isolated(self):
-        lattice = lattice_of(("A", "B"))
-        copy = lattice.structural_copy()
-        assert not copy.shares_core(lattice)
-        copy.add_isa_pairs([("B", "C")])
-        assert copy.generalizes("C", "A")
-        assert not lattice.generalizes("C", "A")
+        assert view.generalizes("B", "A")
 
 
 # ----------------------------------------------------------------------
@@ -197,33 +132,49 @@ class TestDatabaseLifecycle:
         assert hierarchy["patches"] == 0
         assert hierarchy["cached"]
 
-    def test_new_isa_fact_patches_instead_of_rebuilding(self):
+    def test_new_isa_fact_rebuilds_on_the_next_call(self):
         db = Database()
         db.add("A", ISA, "B")
         assert db.hierarchy().minimal_generalizations("A") == {"B"}
         db.add("B", ISA, "C")
+        assert not db.stats()["hierarchy"]["cached"]
         assert db.hierarchy().minimal_generalizations("B") == {"C"}
         hierarchy = db.stats()["hierarchy"]
-        assert hierarchy["rebuilds"] == 1
-        assert hierarchy["patches"] >= 1
+        assert hierarchy["rebuilds"] == 2
+        assert hierarchy["patches"] == 0
 
     def test_many_isa_insertions_are_one_patch(self):
-        """The lattice is patched by the next ``hierarchy()``, in one
-        pass over the ``≺`` facts however many insertions came first —
-        not once per insertion."""
+        """The lattice is rebuilt by the next ``hierarchy()``, once
+        however many insertions came first — not once per
+        insertion."""
         db = Database()
         db.add("A", ISA, "B")
         db.hierarchy()
         for i in range(64):
             db.add(f"LEAF{i}", ISA, "A")
-        assert db.stats()["hierarchy"]["patches"] == 0
+        assert db.stats()["hierarchy"]["rebuilds"] == 1
         h = db.hierarchy()
         assert h.minimal_generalizations("LEAF63") == {"A"}
         assert h.generalizes("B", "LEAF0")
-        hierarchy = db.stats()["hierarchy"]
-        assert (hierarchy["rebuilds"], hierarchy["patches"]) == (1, 1)
+        assert db.stats()["hierarchy"]["rebuilds"] == 2
         db.hierarchy()
-        assert db.stats()["hierarchy"]["patches"] == 1
+        assert db.stats()["hierarchy"]["rebuilds"] == 2
+
+    def test_a_cycle_creating_isa_fact_merges_synonyms(self):
+        """A ``≺`` write that closes a cycle merges two classes into
+        one synonym class, and brings new entities in, on the next
+        ``hierarchy()``."""
+        db = Database()
+        db.add("X", ISA, "Y")
+        db.add("X", ISA, "P")
+        db.hierarchy()
+        db.add("Y", ISA, "X")
+        db.add("NEW", ISA, "Y")
+        h = db.hierarchy()
+        assert h.synonym_class("X") == {"X", "Y"}
+        assert h.minimal_generalizations("Y") == {"P"}
+        assert h.minimal_generalizations("NEW") == {"X", "Y"}
+        assert db.stats()["hierarchy"]["rebuilds"] == 2
 
     def test_insertion_then_deletion_with_equal_isa_count(self):
         """An unpatched insertion followed by a deletion that brings
@@ -336,8 +287,8 @@ class TestServiceOwnsTheLattice:
         assert hierarchy["cached"] is True
         assert hierarchy["rebuilds"] == 0
         # Not a copy either: the very structure the master built once.
-        assert service.read_view()._hierarchy.shares_core(shared)
-        # …and the master never rebuilt or patched for them.
+        assert service.read_view()._hierarchy._core is shared._core
+        # …and the master never rebuilt for them.
         master = service._db.stats()["hierarchy"]
         assert (master["rebuilds"], master["patches"]) == (1, 0)
 
@@ -349,29 +300,29 @@ class TestServiceOwnsTheLattice:
         assert not outcome.succeeded and outcome.waves
         _menu_matches_reference(service, query)
         assert _hierarchy_of(service)["rebuilds"] == 0
-        # The add patched the master's structure in place (a copy of
-        # it: the previous snapshot still holds the old one).
-        assert service._db.stats()["hierarchy"]["patches"] == 1
+        # The add rebuilt the master's structure before the publish
+        # (the previous snapshot still holds the old one).
+        assert service._db.stats()["hierarchy"]["rebuilds"] == 2
 
         assert service.remove("SOPHOMORE", ISA, "STUDENT")
         # The deletion's rebuild ran on the writer, before the publish.
         hierarchy = _hierarchy_of(service)
         assert hierarchy["cached"] is True
         assert hierarchy["rebuilds"] == 0
-        assert service._db.stats()["hierarchy"]["rebuilds"] == 2
+        assert service._db.stats()["hierarchy"]["rebuilds"] == 3
         _menu_matches_reference(service, query)
         _menu_matches_reference(service, "(x, ∈, FRESHMAN)")
         assert _hierarchy_of(service)["rebuilds"] == 0
 
     def test_a_batch_of_isa_adds_patches_once(self, service):
         """Lattice work on the writer is per publish, not per fact: a
-        taxonomy load through ``add_facts`` copies the shared structure
-        once and scans the ``≺`` facts once."""
+        taxonomy load through ``add_facts`` rebuilds the structure
+        once."""
         added = service.add_facts(
             [(f"CLASS{i}", ISA, "STUDENT") for i in range(64)])
         assert added == 64
         master = service._db.stats()["hierarchy"]
-        assert (master["rebuilds"], master["patches"]) == (1, 1)
+        assert (master["rebuilds"], master["patches"]) == (2, 0)
         assert _hierarchy_of(service)["rebuilds"] == 0
         _menu_matches_reference(service, "(x, ∈, CLASS63)")
 
@@ -383,5 +334,5 @@ class TestServiceOwnsTheLattice:
         assert not before.hierarchy().generalizes("MAMMAL", "FRESHMAN")
         assert before.hierarchy().minimal_generalizations("PERSON") \
             == {TOP}
-        assert not after.hierarchy().shares_core(before.hierarchy())
+        assert after.hierarchy()._core is not before.hierarchy()._core
         assert before.stats()["hierarchy"]["rebuilds"] == 0

@@ -14,6 +14,7 @@ from repro.core.errors import StorageError
 from repro.core.facts import Fact
 from repro.datasets import paper
 from repro.db import Database
+from repro.serve import DatabaseService
 from repro.storage.journal import OP_ADD, OP_REMOVE, Journal, JournalEntry
 from repro.storage.session import DurableSession, open_database
 from repro.storage.snapshot import (
@@ -322,6 +323,31 @@ class TestDurableSession:
         recovered, session2 = open_database(tmp_path / "d")
         assert not recovered.rules.is_enabled("gen-transitive")
         assert recovered.composition_limit == 3
+        session2.close()
+
+    @pytest.mark.parametrize("limit", [True, False, 0, 2.5, 2.0, "2"])
+    def test_a_limit_recovery_would_refuse_is_never_set(self, tmp_path,
+                                                        limit):
+        """``limit(n)`` refuses what recovery refuses, so no checkpoint
+        writes a limit that keeps its directory from opening: a library
+        database raises and keeps its limit, and a service rejects the
+        value through its ticket and keeps serving."""
+        db, session = open_database(tmp_path / "d")
+        with pytest.raises(ValueError, match="composition limit"):
+            db.limit(limit)
+        assert db.composition_limit == 1
+        service = DatabaseService(db, session=session)
+        try:
+            with pytest.raises(ValueError, match="composition limit"):
+                service.limit(limit)
+            assert service.add("A", "R", "B")
+            assert service.limit(2) == 2
+            assert service.checkpoint()
+        finally:
+            service.close()
+        recovered, session2 = open_database(tmp_path / "d")
+        assert recovered.composition_limit == 2
+        assert Fact("A", "R", "B") in recovered.facts
         session2.close()
 
     def test_duplicate_adds_not_journaled(self, tmp_path):
