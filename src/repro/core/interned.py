@@ -76,8 +76,9 @@ from .facts import Fact, Template, Variable
 from .store import FactStore
 
 __all__ = [
-    "OVERLAY_BUDGET", "IdCodec", "Interner", "ColumnarGeneration",
-    "InternedFactStore", "FlaggedFactStore", "STORED", "fold",
+    "OVERLAY_BUDGET", "IdCodec", "IdDelta", "IdProbe", "Interner",
+    "ColumnarGeneration", "InternedFactStore", "FlaggedFactStore",
+    "STORED", "fold",
     "refound", "unlink_generation",
 ]
 
@@ -354,25 +355,33 @@ class ColumnarGeneration:
     def build_flagged(cls, rows: Iterable[Tuple[Fact, int]],
                       version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from ``(fact, flags)``
-        rows; a fact may repeat, with the same flags.  O(n log n): one
-        sort per physical order, each fed a key list built in one pass,
-        and the columns, offsets and run starts each one C-level map."""
-        gen = cls()
-        # Ids in first-intern order: an unseen name gets ``len(ids)``,
-        # read before the call that stores it.
+        rows; a fact may repeat, with the same flags.  Ids go in
+        first-intern order, then :meth:`from_ids` builds."""
+        # An unseen name gets ``len(ids)``, read before the call that
+        # stores it.
         ids: Dict[str, int] = {}
         intern = ids.setdefault
         keys = [(intern(s, len(ids)), intern(r, len(ids)),
                  intern(t, len(ids)), flags)
                 for (s, r, t), flags in rows]
+        return cls.from_ids(Interner(ids), keys, version)
+
+    @classmethod
+    def from_ids(cls, interner, keys: List[Tuple[int, int, int, int]],
+                 version: int = 0) -> "ColumnarGeneration":
+        """Build a generation over ``interner`` from ``(s, r, t, flags)``
+        id rows (sorted in place; a row may repeat).  O(n log n): one
+        sort per physical order, each fed a key list built in one pass,
+        and the columns, offsets and run starts each one C-level map."""
+        gen = cls()
         keys.sort()
         # The heap is a set: callers may feed raw fact lists with
         # repeats (the hash store dedupes on insert), so drop adjacent
         # duplicates from the sorted order.
         keys = [key for key, _ in itertools.groupby(keys)]
         n = len(keys)
-        u = len(ids)
-        gen.interner = Interner(ids)
+        u = len(interner)
+        gen.interner = interner
         gen.n = n
         gen.version = version
         scol, rcol, tcol, gen.flags = (
@@ -846,25 +855,59 @@ class InternedFactStore(FactStore):
         return cls(ColumnarGeneration.attach(name))
 
     @classmethod
-    def consume(cls, store: FactStore,
-                derived: Sequence[Fact]) -> "InternedFactStore":
-        """Fold a closure's hash working store into one fresh generation
-        at its version, emptying it.  ``derived`` are the facts the
-        closure's rounds added to its seed: their rows hold 0, every
-        other row (the seed's) :data:`STORED`.  The store's six index dicts and reference counts are
-        dropped before the generation is built from its fact set, so
-        the fold never holds both."""
+    def consume(cls, store: FactStore, derived,
+                codec: Optional[IdCodec] = None) -> "InternedFactStore":
+        """A closure as one fresh generation at its base ``store``'s
+        version: the store's rows flagged :data:`STORED`, and
+        ``derived``, the id triples its rounds grew (``codec``'s ids),
+        flagged 0.  ``derived`` is emptied once its rows are taken.
+
+        Nothing is decoded and the base's ids are kept: its held rows
+        come from its id columns, its overlay through ``codec``, and
+        the names ``codec`` gave ids above the base range that some row
+        holds are appended to a copy of its interner, in id order (a
+        name given an id that no row holds, such as a rule constant the
+        heap never names, is left out and the ids after it close up).
+        Rows sort by id.  When a base name lost its last row (a
+        tombstone, a rule no longer enabled) the rows are interned
+        afresh once, so no generation names an entity without a row.
+        A hash ``store`` has no ids to keep: it is emptied into a
+        generation of its own.
+        """
         version = store.version
-        facts = store._facts  # noqa: SLF001
-        store.clear()
-        facts.difference_update(derived)
-        # The seed's rows go first, in subject-name order: ids are given
-        # in first-intern order, so the generation's rows (and those a
-        # checkpoint sorts) come in that order, as the rows of a heap
-        # built from a snapshot do.
-        return cls(ColumnarGeneration.build_flagged(itertools.chain(
-            zip(sorted(facts, key=itemgetter(0)), itertools.repeat(STORED)),
-            zip(derived, itertools.repeat(0))), version))
+        if not isinstance(store, InternedFactStore):
+            facts = store._facts  # noqa: SLF001
+            store.clear()
+            return cls.from_facts(facts, version)
+        gen = store.generation
+        overlay = [tuple(map(codec.encode, fact)) for fact in store._overlay]
+        grown = list(derived)
+        derived.clear()
+        interner, base, used = gen.interner, codec.base, []
+        if codec._scratch:  # noqa: SLF001
+            used = sorted(i for i in set(itertools.chain.from_iterable(
+                itertools.chain(overlay, grown))) if i >= base)
+            if used != list(range(base, base + len(used))):
+                new = dict(zip(used, itertools.count(base))).get
+                overlay, grown = ([(new(s, s), new(r, r), new(t, t))
+                                   for s, r, t in rows]
+                                  for rows in (overlay, grown))
+        # A mapped name table is read-only and dies with its mapping.
+        if used or not isinstance(interner, Interner):
+            interner = Interner([*interner.names, *map(codec.decode, used)])
+        keep = store._kept()
+        keys = list(zip(*[itertools.compress(column, keep)
+                          for column in (gen.scol, gen.rcol, gen.tcol)],
+                        itertools.repeat(STORED)))
+        keys += [(*triple, STORED) for triple in overlay]
+        keys += [(*triple, 0) for triple in grown]
+        del overlay, grown
+        built = ColumnarGeneration.from_ids(interner, keys, version)
+        if len(set(built.scol).union(built.rcol, built.tcol)) \
+                < len(interner):
+            built = ColumnarGeneration.build_flagged(
+                zip(built, built.flags), version)
+        return cls(built)
 
     @property
     def generation(self) -> ColumnarGeneration:
@@ -1229,6 +1272,193 @@ class FlaggedFactStore(InternedFactStore):
         position = self._gen.position_of(fact)
         return position if position >= 0 and self._masks[0][position] \
             else -1
+
+
+#: Per spec (the bound positions), their indexes in a triple.
+_POSITIONS = {spec: tuple(map("srt".index, spec))
+              for spec in ("", "s", "r", "t", "sr", "st", "rt", "srt")}
+#: Per index spec, a triple's key in it: one id, or a tuple of ids.
+_KEY_OF = {spec: itemgetter(*_POSITIONS[spec])
+           for spec in ("s", "r", "t", "sr", "st", "rt")}
+
+
+class IdDelta:
+    """Facts as id triples: one set, plus a dict index on each spec
+    asked for (``"r"``, ``"sr"``, …: the bound positions), keyed as
+    :meth:`IdProbe.lookup` takes a key.
+
+    The rule engine keeps each round's delta and the facts a closure
+    derives in one each, indexed only on the specs its compiled bodies
+    read (:class:`~repro.rules.dispatch.CompiledRuleSet`).  A triple is
+    added once.
+    """
+
+    __slots__ = ("facts", "_indexes", "_keyed")
+
+    def __init__(self, specs: Iterable[str] = (), triples=()):
+        self.facts: Set[Tuple[int, int, int]] = set()
+        self._indexes: Dict[str, dict] = {spec: {} for spec in specs}
+        self._keyed = [(_KEY_OF[spec], index)
+                       for spec, index in self._indexes.items()]
+        for triple in triples:
+            self.add(triple)
+
+    def add(self, triple: Tuple[int, int, int]) -> None:
+        self.facts.add(triple)
+        for key_of, index in self._keyed:
+            key = key_of(triple)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [triple]
+            else:
+                bucket.append(triple)
+
+    def clear(self) -> None:
+        self.facts.clear()
+        for index in self._indexes.values():
+            index.clear()
+
+    def __len__(self) -> int:
+        return len(self.facts)
+
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        return iter(self.facts)
+
+    def relationships(self) -> Set[int]:
+        return {r for _, r, _ in self.facts}
+
+    def lookup(self, spec: str, key):
+        if spec == "srt":
+            return (key,) if key in self.facts else ()
+        if not spec:
+            return self.facts
+        return self._indexes[spec].get(key, ())
+
+
+class IdProbe:
+    """A store's facts as id triples, beside the facts a closure grows
+    in id space: what the rule engine (:mod:`repro.rules.dispatch`)
+    joins against.
+
+    An interned store's generation rows are probed by id, a key's run
+    (:meth:`ColumnarGeneration._runs`) at a time, its row mask and tombstones
+    applied as :meth:`InternedFactStore.lookup_many_ids` applies them.
+    A hash layer — the overlay, or a whole hash store — answers through
+    ``codec``: names out, ids back.  ``grown``, an :class:`IdDelta`,
+    answers by its indexes.  :meth:`add` grows ``grown``, or, without
+    one, adds the decoded fact to the store itself (maintenance).  A
+    key is one id for a one-letter spec, else a tuple in spec order.
+    """
+
+    __slots__ = ("store", "codec", "grown", "_gen", "_hashed", "_masks",
+                 "_held", "_removed", "_columns")
+
+    def __init__(self, store: FactStore, grown: Optional[IdDelta] = None):
+        self.store, self.grown = store, grown
+        self._gen = self._masks = self._held = None
+        self._hashed, self._removed = store, ()
+        if isinstance(store, InternedFactStore):
+            gen = self._gen = store.generation
+            self._hashed, self._removed = store._overlay, store._removed_at
+            self._masks = store._masks
+            self._held = self._masks and self._masks[0]
+            self._columns = (gen.scol.__getitem__, gen.rcol.__getitem__,
+                             gen.tcol.__getitem__)
+            self.codec = store.id_codec()
+        else:
+            self.codec = IdCodec(Interner())
+
+    def fact(self, triple: Tuple[int, int, int]) -> Fact:
+        return Fact._make(map(self.codec.decode, triple))
+
+    def ids(self, fact: Fact) -> Tuple[int, int, int]:
+        return tuple(map(self.codec.encode, fact))  # type: ignore
+
+    def _hash_part(self, spec: str, ids: Tuple[int, ...]):
+        """The hash layer's matches, as facts."""
+        codec = self.codec
+        known, base = codec.interner.names, codec.base
+        names: List[Optional[str]] = [None, None, None]
+        for position, i in zip(_POSITIONS[spec], ids):
+            names[position] = known[i] if i < base else codec.decode(i)
+        return self._hashed.lookup(*names)
+
+    def lookup(self, spec: str, key) -> list:
+        if _obs.ENABLED:
+            _obs.TELEMETRY.count("store.lookups")
+        ids = (key,) if len(spec) == 1 else key
+        found: list = []
+        gen = self._gen
+        if gen is not None:
+            # A scratch id is in no run.
+            [run], order = gen._runs(spec, [ids])
+            held, removed = self._held, self._removed
+            if run and not (order or held or removed):
+                # Rows of the natural order, all held: column slices.
+                lo, hi = run.start, run.stop
+                found = list(zip(gen.scol[lo:hi], gen.rcol[lo:hi],
+                                 gen.tcol[lo:hi]))
+            elif run:
+                positions = run if not order else (
+                    gen.perm_r if order == 1 else gen.perm_t)[
+                    run.start:run.stop]
+                if held or removed:
+                    positions = [p for p in positions if (
+                        not held or held[p]) and p not in removed]
+                s, r, t = self._columns
+                found = list(zip(map(s, positions), map(r, positions),
+                                 map(t, positions)))
+        if self._hashed._facts:  # noqa: SLF001 - C-level truth test
+            matches = self._hash_part(spec, ids)
+            if matches:
+                found += map(self.ids, matches)
+        grown = self.grown
+        if grown is not None and grown.facts:
+            found += grown.lookup(spec, key)
+        return found
+
+    def count(self, spec: str, key) -> int:
+        """At least :meth:`lookup`'s match count, without building it
+        (tombstones are not subtracted)."""
+        ids = (key,) if len(spec) == 1 else key
+        total = (len(self._hash_part(spec, ids))
+                 if self._hashed._facts else 0)  # noqa: SLF001
+        if self._gen is not None:
+            total += self._gen.count(spec, ids, self._masks)
+        if self.grown:
+            total += len(self.grown.lookup(spec, key))
+        return total
+
+    def __contains__(self, triple: Tuple[int, int, int]) -> bool:
+        if self.grown is not None and triple in self.grown.facts:
+            return True
+        if self._gen is not None:
+            [run], _ = self._gen._runs("srt", [triple])
+            if run and (not self._held or self._held[run.start]):
+                return run.start not in self._removed
+        return bool(self._hashed._facts) \
+            and self.fact(triple) in self._hashed  # noqa: SLF001
+
+    def add(self, triple: Tuple[int, int, int]) -> None:
+        if self.grown is not None:
+            if _obs.ENABLED:
+                _obs.TELEMETRY.count("store.adds")
+            self.grown.add(triple)
+        else:
+            self.store.add(self.fact(triple))
+
+    def relationships(self) -> Set[int]:
+        found = set(map(self.codec.encode, self._hashed.relationships()))
+        gen = self._gen
+        if gen is not None:
+            found.update(gen.rcol if self._masks is None
+                         else itertools.compress(gen.rcol, self._masks[0]))
+        if self.grown is not None:
+            found |= self.grown.relationships()
+        return found
+
+    def __len__(self) -> int:
+        return len(self.store) + len(self.grown or ())
 
 
 def refound(store: FactStore, generation: ColumnarGeneration,

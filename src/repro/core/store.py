@@ -41,14 +41,13 @@ from .facts import Binding, Fact, Template, Variable
 
 
 def seed_store(base: Iterable["Fact"]) -> "FactStore":
-    """The hash working store a closure engine grows from ``base``.
+    """The hash store the reference engines (:mod:`repro.rules.engine`)
+    grow from ``base``; the dispatched engine grows ids on an interned
+    base instead.
 
-    A closure always grows a hash store, whatever the base is stored
-    on.  A store is iterated (an interned one decodes its columns) and
-    each of its rows indexed once, into a store at the base's version
-    (:meth:`FactStore.from_rows`): the closure's only full copy of it
-    (the dispatched engine's first delta copies just the fact set and
-    the buckets its pivots read).  Arbitrary iterables build a store
+    A store is iterated (an interned one decodes its columns) and each
+    of its rows indexed once, into a store at the base's version
+    (:meth:`FactStore.from_rows`).  Arbitrary iterables build a store
     fact by fact.
     """
     if not isinstance(base, FactStore):

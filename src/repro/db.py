@@ -512,24 +512,22 @@ class Database:
 
         Building it from scratch is an O(heap) build
         (:func:`~repro.core.heap.heap_build`); a cached or
-        incrementally maintained closure is not.  The engine grows a
-        hash working store (:func:`~repro.core.store.seed_store`), and
-        the build ends in one fold that consumes it
+        incrementally maintained closure is not.  The engine grows ids
+        on the base heap's own generation
+        (:func:`~repro.rules.dispatch.dispatched_closure`): what the
+        rounds derive is kept as id triples beside it, and the closure
+        is built from ids into one generation that keeps the base's
+        ids, the derived rows unflagged
         (:meth:`InternedFactStore.consume
-        <repro.core.interned.InternedFactStore.consume>`), flagging the
-        facts the rounds derived; the base heap is re-founded on the
-        other, ``STORED`` rows, its overlay folded in: base and closure
-        read one generation with empty overlays.
+        <repro.core.interned.InternedFactStore.consume>`); the base heap
+        is re-founded on its ``STORED`` rows, its overlay folded in:
+        base and closure read one generation with empty overlays.
         """
         if self._standard_result is None:
             with heap_build():
-                derived: List[Fact] = []
                 result = dispatched_closure(
                     self._base, list(self.rules), self.rule_context(),
-                    trace=self.trace, compiled=self.rules.compiled(),
-                    added=derived)
-                result.store = InternedFactStore.consume(
-                    result.store, derived)
+                    trace=self.trace, compiled=self.rules.compiled())
                 self._base = refound(
                     self._base, result.store.generation, stored=True)
                 self._standard_result = result

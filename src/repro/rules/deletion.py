@@ -21,11 +21,14 @@ classic phases:
 
 Every phase joins through the rule set's compiled pivoted bodies
 (:class:`~repro.rules.dispatch.CompiledRuleSet`), the ones the closure
-itself was computed with.  Phase 3 is goal-directed
-(:func:`_one_step_derivation`): it unifies each head that can produce
-the endangered fact with it, counts every pivoted body's pivot atom
-under that unifier, and runs the body whose pivot has the fewest
-matches, fed the store's facts at that atom's ground positions.  The
+itself was computed with, on the closure store's ids
+(:class:`~repro.core.interned.IdProbe`): the overdelete fixpoint runs
+on id triples, and an endangered fact is decoded once, to be removed.
+Phase 3 is goal-directed (:func:`_one_step_derivation`): it unifies
+each head that can produce the endangered fact with it, counts every
+pivoted body's pivot atom under that unifier, and runs the body whose
+pivot has the fewest matches, fed the store's facts at that atom's
+ground positions.  The
 result equals recomputing the closure from scratch on the surviving
 base facts (property-tested in ``tests/test_deletion.py``), at a cost
 proportional to the deleted fact's "cone of influence".
@@ -34,13 +37,14 @@ proportional to the deleted fact's "cone of influence".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from ..core.facts import Fact, Variable
+from ..core.interned import IdDelta, IdProbe
 from ..core.store import FactStore
 from ..obs import telemetry as _obs
 from .dispatch import (
-    ClosureResult, CompiledRuleSet, Justification, RoundDelta, _materialize,
+    ClosureResult, CompiledRuleSet, JoinContext, Justification,
     compile_ruleset, run_rounds)
 from .rule import Rule, RuleContext, specs_overlap
 
@@ -95,34 +99,37 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         return stats
     if compiled is None:
         compiled = compile_ruleset(rules)
+    probe = IdProbe(store)
+    join = JoinContext(context, probe)
     observing = _obs.ENABLED
     delete_span = (_obs.TELEMETRY.span("closure.delete")
                    if observing else _obs.NULL_SPAN)
     with delete_span as span:
         # Phase 1: overdelete — fixpoint over "derivations through
-        # endangered facts".  Join each compiled body with its pivot
-        # atom over the endangered delta and the rest over the (still
-        # intact) closure; every head instance present in the closure
-        # becomes endangered too.
-        endangered: Set[Fact] = {deleted}
-        delta: List[Fact] = [deleted]
+        # endangered facts", in id space.  Join each compiled body with
+        # its pivot atom over the endangered delta and the rest over
+        # the (still intact) closure; every head instance present in
+        # the closure becomes endangered too.
+        endangered_ids = {join.ids(deleted)}
+        delta = list(endangered_ids)
         while delta:
-            delta_store = RoundDelta(compiled.delta_indexes, delta)
-            fresh: List[Fact] = []
-            for cr in compiled.select(delta_store.relationships()):
-                for slots in cr.solutions(delta_store.lookup(*cr.pivot_key),
-                                          store, context):
-                    for spec in cr.heads:
-                        fact = _materialize(spec, slots)
-                        if fact in store and fact not in endangered:
-                            endangered.add(fact)
+            delta = IdDelta(compiled.delta_indexes, delta)
+            fresh = []
+            for cr in compiled.select(
+                    map(join.codec.decode, delta.relationships())):
+                for slots in cr.solutions(cr.candidates(delta, join),
+                                          probe, join):
+                    for head in cr.heads:
+                        fact = head(slots)
+                        if fact not in endangered_ids and fact in probe:
+                            endangered_ids.add(fact)
                             fresh.append(fact)
             delta = fresh
 
         # Base facts other than the deleted one are never endangered:
         # they are self-supporting.
         endangered = {
-            fact for fact in endangered
+            fact for fact in map(join.fact, endangered_ids)
             if fact == deleted or fact not in base
         }
         stats.overdeleted = len(endangered)
@@ -139,15 +146,15 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         # Goal-directed: only derivations *of endangered facts* are
         # attempted, so the cost tracks the deleted fact's cone of
         # influence, not the heap.
-        rederived = RoundDelta(compiled.delta_indexes)
+        rederived = IdDelta(compiled.delta_indexes)
         for fact in sorted(endangered):
             if fact in store:
                 continue
-            justification = _one_step_derivation(fact, store, compiled,
-                                                 context, stats)
+            justification = _one_step_derivation(fact, probe, compiled,
+                                                 join, stats)
             if justification is not None:
                 store.add(fact)
-                rederived.add(fact)
+                rederived.add(join.ids(fact))
                 if result.provenance is not None:
                     result.provenance[fact] = justification
         stats.rederived = len(rederived)
@@ -155,7 +162,7 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
         if rederived:
             before = len(store)
             result.iterations += run_rounds(
-                store, rederived, compiled, context,
+                probe, rederived, compiled, join,
                 result.rule_firings, provenance=result.provenance,
                 rule_times=result.rule_times)
             stats.propagated = len(store) - before
@@ -174,25 +181,26 @@ def delete_with_rederivation(result: ClosureResult, base: FactStore,
     return stats
 
 
-def _one_step_derivation(fact: Fact, store: FactStore,
-                         compiled: CompiledRuleSet, context: RuleContext,
+def _one_step_derivation(fact: Fact, probe: IdProbe,
+                         compiled: CompiledRuleSet, join: JoinContext,
                          stats: DeletionStats) -> Optional[Justification]:
-    """One-step derivation of ``fact`` from ``store``, if any.
+    """One-step derivation of ``fact`` from ``probe``'s store, if any.
 
     For each head of ``compiled.heads`` that can carry the fact's
-    relationship: unify it with the fact, take ``store.count_estimate``
-    of every pivoted body's pivot atom under that unifier (a zero ends
-    the head — that atom has no match), and run the body whose pivot
-    has the fewest matches, fed the store's facts at the atom's ground
-    positions.  Counting, not ground positions alone, picks the pivot:
-    gen-source's ``(?s, KNOWS, AREA)`` holds every member who knows the
-    area, its ``(M0, ≺, ?s)`` nothing.  Later levels join as compiled
-    for the closure, unseeded by the head, so the first solution whose
-    head materialises to the fact is the derivation.
+    relationship: unify it with the fact, take the store's
+    ``count_estimate`` of every pivoted body's pivot atom under that
+    unifier (a zero ends the head — that atom has no match), and run
+    the body whose pivot has the fewest matches, fed the store's facts
+    at the atom's ground positions (as ids).  Counting, not ground
+    positions alone, picks the pivot: gen-source's ``(?s, KNOWS,
+    AREA)`` holds every member who knows the area, its ``(M0, ≺, ?s)``
+    nothing.  Later levels join as compiled for the closure, unseeded
+    by the head, so the first solution whose head is the fact's id
+    triple is the derivation.
     """
-    relationship = fact[1]
+    store, target = probe.store, join.ids(fact)
     for spec, head, index, bodies in compiled.heads:
-        if not specs_overlap(spec, relationship):
+        if not specs_overlap(spec, fact[1]):
             continue
         stats.rederive_heads += 1
         seed = head.match(fact)
@@ -211,11 +219,15 @@ def _one_step_derivation(fact: Fact, store: FactStore,
         if best is None:
             continue
         stats.rederive_candidates += fewest
-        candidates = store.lookup(*(
-            None if isinstance(component, Variable) else component
-            for component in best_atom))
+        ground = [(letter, join.codec.encode(component)) for letter, component
+                  in zip("srt", best_atom)
+                  if not isinstance(component, Variable)]
+        key = tuple(i for _, i in ground)
+        candidates = probe.lookup("".join(letter for letter, _ in ground),
+                                  key[0] if len(key) == 1 else key)
         produced = best.heads[index]
-        for slots in best.solutions(candidates, store, context):
-            if _materialize(produced, slots) == fact:
-                return Justification(best.rule.name, best.premises(slots))
+        for slots in best.solutions(candidates, probe, join):
+            if produced(slots) == target:
+                return Justification(best.rule.name,
+                                     best.premises(slots, join))
     return None

@@ -1,11 +1,12 @@
 """The rule engine: compiled joins and relationship-indexed rule
-dispatch.
+dispatch, in id space.
 
 This is the one rule engine :class:`~repro.db.Database` and ``serve/``
 run: the full closure (:func:`dispatched_closure`), insertion
 maintenance (:func:`extend_closure`) and all three joining
 phases of Delete/Rederive (:mod:`.deletion`) join through one
-:class:`CompiledRuleSet`.
+:class:`CompiledRuleSet`, on one slot machine whose slots hold interned
+ids.
 
 The paper leaves "suitable storage strategies [and] performance" open
 (§6.2).  The interpreted semi-naive reference (:mod:`.engine`) is
@@ -21,16 +22,18 @@ two classic deductive-database techniques apply directly:
    compiled to closures attached to the earliest join level at which
    their variables are bound.  No ``Binding`` dicts, no per-candidate
    frozensets, no re-derived condition schedules.  A call joins with
-   one cursor per level, depth first (no generator per candidate);
-   ``IndividualRelationship`` / ``NotSpecial`` on a variable are
-   decided once per distinct value and call, each guard with its own
-   memo; and a **semi-join on the pivot** drops, before any probe, the
-   candidates whose value at the position the next level's key binds is
-   not among the values the store's matches of that level's constants
-   take there — when the store has fewer such matches than the pivot
-   has candidates (:meth:`CompiledRule._semijoin_shape`; the
-   ``dispatch.pruned`` counter).  A round's delta (:class:`RoundDelta`)
-   is a fact set plus only the bucket indexes the pivots read.
+   one cursor per level, depth first (no generator per candidate).
+   Slots bind ids, not names: a body's constants are encoded once per
+   join (:class:`JoinContext`), ``Distinct`` is an integer comparison,
+   ``IndividualRelationship`` / ``NotSpecial`` on a variable decode
+   each distinct id once per join and keep its verdict, only an
+   unknown :class:`Condition` decodes its binding, and a head is an
+   id triple.  A **semi-join on the pivot** drops, before any probe,
+   the candidates whose value at the position the next level's key
+   binds is not among the values the store's matches of that level's
+   constants take there — when the store has fewer such matches than
+   the pivot has candidates (:meth:`CompiledRule._semijoin_shape`; the
+   ``dispatch.pruned`` counter).
 
 2. **Relationship-indexed dispatch** — a dispatch index maps each
    ground pivot relationship (plus a wildcard bucket) to the compiled
@@ -40,11 +43,15 @@ two classic deductive-database techniques apply directly:
    ``dispatch.skipped_rules`` counter).
 
 The closure, an insertion and a removal's propagation all run the
-same :func:`run_rounds` over the whole rule set.  Both layers preserve
-the semantics of :func:`.engine.semi_naive_closure` bit for bit, for
-any rule set: the same closure contents, round structure, per-rule
-firing totals, and provenance (values and insertion order) — every
-join walks its candidates in the order the reference's matching does.
+same :func:`run_rounds` over the whole rule set, joining against an
+:class:`~repro.core.interned.IdProbe` (a store's rows as id triples)
+with each round's delta an :class:`~repro.core.interned.IdDelta`.  A
+closure grows its derived facts as ids beside the base's generation
+and ends in one generation built from ids; maintenance adds each
+round's facts to the closure store.  Both layers preserve the
+semantics of :func:`.engine.semi_naive_closure` for any rule set: the
+same closure contents, round structure, per-rule firing totals and
+justifications (see :func:`run_rounds` for which one a fact gets).
 """
 
 from __future__ import annotations
@@ -67,8 +74,9 @@ from typing import (
 
 from ..core import deadline as _deadline
 from ..core.entities import is_special_relationship
-from ..core.facts import Binding, Fact, Template, Variable
-from ..core.store import FactStore, seed_store
+from ..core.facts import Fact, Template, Variable
+from ..core.interned import IdDelta, IdProbe, InternedFactStore
+from ..core.store import FactStore
 from ..obs import telemetry as _obs
 from .rule import (
     ANY_RELATIONSHIP,
@@ -137,6 +145,7 @@ class ClosureResult:
         }
 
 
+
 # ----------------------------------------------------------------------
 # Rule compilation
 # ----------------------------------------------------------------------
@@ -144,95 +153,94 @@ class ClosureResult:
 _DROP = object()  # condition always holds — drop it
 _DEAD = object()  # condition never holds — the rule can never fire
 
-_AtomSpec = Tuple[Tuple[bool, Any], Tuple[bool, Any], Tuple[bool, Any]]
+
+class JoinContext:
+    """What one closure or maintenance call joins with: the rule
+    context (``rules``), the codec of the store's ids (an
+    :class:`~repro.core.interned.IdProbe`'s), each compiled body's
+    frame of encoded constants, and per id the verdict of each guard
+    kind, ``IndividualRelationship`` (``individual``) and
+    ``NotSpecial`` (``ordinary``)."""
+
+    __slots__ = ("rules", "codec", "fact", "ids", "individual", "ordinary",
+                 "_frames")
+
+    def __init__(self, rules: RuleContext, probe: IdProbe):
+        self.rules, self.codec = rules, probe.codec
+        self.fact, self.ids = probe.fact, probe.ids
+        self.individual: Dict[int, bool] = {}
+        self.ordinary: Dict[int, bool] = {}
+        self._frames: Dict["CompiledRule", List[Optional[int]]] = {}
+
+    def frame(self, cr: "CompiledRule") -> List[Optional[int]]:
+        """``cr``'s slot frame: a slot per variable, then its constants'
+        ids (shared; a join copies it)."""
+        frame = self._frames.get(cr)
+        if frame is None:
+            frame = self._frames[cr] = [None] * cr.n_slots + list(
+                map(self.codec.encode, cr.constants))
+        return frame
 
 
-def _atom_spec(atom: Template, slot_of: Dict[Variable, int]) -> _AtomSpec:
-    """Per position: ``(True, entity)`` or ``(False, slot)``."""
-    return tuple(
-        (False, slot_of[component]) if isinstance(component, Variable)
-        else (True, component)
-        for component in atom
-    )  # type: ignore[return-value]
+def _key_getter(indexes: Sequence[int]) -> Callable:
+    """A lookup key off a slot list: one id for one index, else a
+    tuple (as :meth:`IdProbe.lookup <repro.core.interned.IdProbe.lookup>`
+    takes it)."""
+    return itemgetter(*indexes) if indexes else (lambda slots: ())
 
 
-def _materialize(spec: _AtomSpec, slots: List[Optional[str]]) -> Fact:
-    """Instantiate an atom spec under a slot assignment."""
-    (c0, v0), (c1, v1), (c2, v2) = spec
-    return Fact(v0 if c0 else slots[v0],
-                v1 if c1 else slots[v1],
-                v2 if c2 else slots[v2])
-
-
-def _guard(slot: int, memo_index: int, individual: bool) -> Callable:
+def _guard(slot: int, individual: bool) -> Callable:
     """``IndividualRelationship`` (``individual``) or ``NotSpecial`` on
-    one slot, decided once per distinct value: the verdict is kept in
-    ``memos[memo_index]``, a dict made on the guard's first use in one
-    :meth:`CompiledRule.solutions` call."""
-    def guard(slots, context, memos):
+    one slot: the id is decoded and decided once per join, its verdict
+    kept in the join's memo for that guard kind."""
+    def guard(slots, join):
         value = slots[slot]
-        memo = memos[memo_index]
-        if memo is None:
-            memo = memos[memo_index] = {}
-        else:
-            held = memo.get(value)
-            if held is not None:
-                return held
-        held = memo[value] = (
-            context.classifier.is_individual(value) if individual
-            else not is_special_relationship(value))
+        memo = join.individual if individual else join.ordinary
+        held = memo.get(value)
+        if held is None:
+            name = join.codec.decode(value)
+            held = memo[value] = (
+                join.rules.classifier.is_individual(name) if individual
+                else not is_special_relationship(name))
         return held
     return guard
 
 
-def _compile_condition(condition: Condition,
-                       slot_of: Dict[Variable, int], memo_index: int):
-    """Compile one condition to ``fn(slots, context, memos) -> bool``.
+def _compile_condition(condition: Condition, slot_of: Dict[Variable, int],
+                       at: Callable[[Any], int]):
+    """Compile one condition to ``fn(slots, join) -> bool``.
 
-    Returns ``(fn, needed_slots, schedule_last, memoised)`` — or the
-    markers :data:`_DROP` / :data:`_DEAD` when the outcome is decidable
-    at compile time.  :class:`IndividualRelationship` and
-    :class:`NotSpecial` on a variable read one slot and are pure, so
-    each becomes a guard with memo number ``memo_index`` of its own
-    (``memoised`` is then True).  :class:`Distinct` stays inline.
-    Unknown :class:`Condition` subclasses fall back to rebuilding a
-    partial binding dict and calling ``holds`` on every candidate
-    (same semantics as the interpreted engine, just slower).
+    Returns ``(fn, needed_slots, schedule_last)`` — or the markers
+    :data:`_DROP` / :data:`_DEAD` when the outcome is decidable at
+    compile time.  :class:`Distinct` compares two frame entries (a
+    constant's is its id, ``at`` places it).  :class:`IndividualRelationship`
+    and :class:`NotSpecial` on a variable read one slot and are pure:
+    each becomes a guard (:func:`_guard`).  Unknown :class:`Condition`
+    subclasses fall back to decoding a partial binding dict and calling
+    ``holds`` on every candidate (same semantics as the interpreted
+    engine, just slower).
     """
     variables = condition.variables()
     missing = [v for v in variables if v not in slot_of]
     if not missing:
         if isinstance(condition, Distinct):
             left, right = condition.left, condition.right
-            left_var = isinstance(left, Variable)
-            right_var = isinstance(right, Variable)
-            if left_var and right_var:
-                i, j = slot_of[left], slot_of[right]
-                fn = lambda slots, context, memos, _i=i, _j=j: \
-                    slots[_i] != slots[_j]
-            elif left_var:
-                i = slot_of[left]
-                fn = lambda slots, context, memos, _i=i, _v=right: \
-                    slots[_i] != _v
-            elif right_var:
-                j = slot_of[right]
-                fn = lambda slots, context, memos, _j=j, _v=left: \
-                    _v != slots[_j]
-            else:
+            if not isinstance(left, Variable) \
+                    and not isinstance(right, Variable):
                 return _DROP if left != right else _DEAD
-            needed = frozenset(slot_of[v] for v in variables)
-            return fn, needed, False, False
+            fn = lambda slots, join, _i=at(left), _j=at(right): \
+                slots[_i] != slots[_j]
+            return fn, frozenset(slot_of[v] for v in variables), False
         if isinstance(condition, (IndividualRelationship, NotSpecial)):
             component = condition.component
             individual = isinstance(condition, IndividualRelationship)
             if isinstance(component, Variable):
                 slot = slot_of[component]
-                return (_guard(slot, memo_index, individual),
-                        frozenset((slot,)), False, True)
+                return _guard(slot, individual), frozenset((slot,)), False
             if individual:
-                fn = lambda slots, context, memos, _v=component: \
-                    context.classifier.is_individual(_v)
-                return fn, frozenset(), False, False
+                fn = lambda slots, join, _v=component: \
+                    join.rules.classifier.is_individual(_v)
+                return fn, frozenset(), False
             return (_DROP if not is_special_relationship(component)
                     else _DEAD)
     # Fallback: unknown condition type, or a condition over variables
@@ -240,14 +248,14 @@ def _compile_condition(condition: Condition,
     # per complete solution, with the variable absent from the binding).
     pairs = tuple((v, slot_of[v]) for v in variables if v in slot_of)
 
-    def fallback(slots, context, memos, _condition=condition, _pairs=pairs):
-        binding: Binding = {v: slots[i] for v, i in _pairs}
-        return _condition.holds(binding, context)
+    def fallback(slots, join, _condition=condition, _pairs=pairs):
+        decode = join.codec.decode
+        return _condition.holds({v: decode(slots[i]) for v, i in _pairs},
+                                join.rules)
 
-    needed = frozenset(slot_of[v] for v in variables if v in slot_of)
     # Unknown-but-fully-bindable conditions still schedule at their
     # earliest ready level; only unbindable ones must wait for the end.
-    return fallback, needed, bool(missing), False
+    return fallback, frozenset(i for _, i in pairs), bool(missing)
 
 
 #: Per position, the index spec letter of a ground position.
@@ -274,27 +282,29 @@ def _fill_slices(fills: Sequence[Tuple[int, int]]) -> Tuple[slice, slice]:
 
 
 class CompiledRule:
-    """One pivoted rule body compiled to a slot program.
+    """One pivoted rule body compiled to a slot program over ids.
 
     ``order`` reproduces the interpreted reference's evaluation order
     (rule-major, pivot-minor), so firing attribution and provenance
     stay identical.
 
-    ``levels`` holds one ``(key_of, fill, take, checks, conditions)``
-    tuple per body atom, pivot first: ``key_of(slots)`` is the level's
-    lookup key, ``slots[fill] = fact[take]`` binds what the level
-    fills, ``checks`` are ``(position, slot)`` pairs a repeated variable
-    must match.  ``slots`` is a copy of ``frame``: one slot per variable,
-    then the key constants.  ``pivot_key`` is level 0's lookup key (the
-    pivot atom's constants, ``None`` elsewhere) and ``pivot_index`` the
-    index spec that key reads (``""`` for none, ``"r"``, ``"sr"``, …).
+    ``levels`` holds one ``(spec, key_of, fill, take, checks,
+    conditions)`` tuple per body atom, pivot first: ``spec`` names the
+    positions the level's lookup binds and ``key_of(slots)`` is its key
+    there, ``slots[fill] = fact[take]`` binds what the level fills,
+    ``checks`` are ``(position, slot)`` pairs a repeated variable must
+    match.  ``slots`` is a copy of the join's frame
+    (:meth:`JoinContext.frame`): one slot per variable, then the ids of
+    ``constants``.  ``pivot_index`` is level 0's spec (``""`` for none,
+    ``"r"``, ``"sr"``, …).  ``heads`` and ``premise_specs`` take an id
+    triple off the slots per head and per body atom (original order).
     ``semijoin`` is ``None`` or the shape described at
     :meth:`_semijoin_shape`.
     """
 
-    __slots__ = ("rule", "pivot", "order", "n_slots", "frame", "levels",
-                 "heads", "premise_specs", "pivot_spec", "pivot_key",
-                 "pivot_index", "semijoin", "n_memos", "dead")
+    __slots__ = ("rule", "pivot", "order", "n_slots", "constants", "levels",
+                 "heads", "premise_specs", "pivot_spec", "pivot_index",
+                 "semijoin", "dead")
 
     def __init__(self, rule: Rule, pivot: int, order: int):
         self.rule = rule
@@ -313,13 +323,19 @@ class CompiledRule:
                         and component not in slot_of:
                     slot_of[component] = len(slot_of)
         self.n_slots = len(slot_of)
-
-        # Build levels, tracking which slots are bound after each.  The
-        # slot frame is the variables' slots, then every constant of a
-        # level's key, then one ``None``: a level's lookup key is an
-        # ``itemgetter`` over it (index -1 for a free position).
-        frame: List[Optional[str]] = [None] * self.n_slots
+        self.constants: List[str] = []
         constant_at: Dict[str, int] = {}
+
+        def at(component) -> int:
+            """The frame index of a variable's slot or a constant."""
+            if isinstance(component, Variable):
+                return slot_of[component]
+            if component not in constant_at:
+                constant_at[component] = self.n_slots + len(self.constants)
+                self.constants.append(component)
+            return constant_at[component]
+
+        # Build levels, tracking which slots are bound after each.
         levels: List[list] = []
         level_parts: List[List[Tuple[str, Any]]] = []
         pivot_fills: List[Tuple[int, int]] = []
@@ -334,10 +350,7 @@ class CompiledRule:
             for position, component in enumerate(atom):
                 if not isinstance(component, Variable):
                     parts.append(("c", component))
-                    if component not in constant_at:
-                        constant_at[component] = len(frame)
-                        frame.append(component)
-                    key.append(constant_at[component])
+                    key.append(at(component))
                     continue
                 slot = slot_of[component]
                 if slot in bound:
@@ -345,7 +358,6 @@ class CompiledRule:
                     key.append(slot)
                     continue
                 parts.append(("f", None))
-                key.append(-1)
                 if slot in filled_here:
                     checks.append((position, slot))
                 else:
@@ -356,24 +368,23 @@ class CompiledRule:
             level_parts.append(parts)
             if not levels:
                 pivot_fills = fills
-            levels.append([itemgetter(*key), *_fill_slices(fills),
+            spec = "".join(letter for letter, (tag, _)
+                           in zip(_LETTERS, parts) if tag != "f")
+            levels.append([spec, _key_getter(key), *_fill_slices(fills),
                            tuple(checks), ()])
-        self.frame: Tuple[Optional[str], ...] = tuple(frame) + (None,)
 
         # Attach each condition to the earliest level at which its
         # variables are bound (the interpreted engine's eager pruning).
         last = len(levels) - 1
         scheduled: Dict[int, List[Callable]] = {}
-        n_memos = 0
         for condition in rule.conditions:
-            compiled = _compile_condition(condition, slot_of, n_memos)
+            compiled = _compile_condition(condition, slot_of, at)
             if compiled is _DROP:
                 continue
             if compiled is _DEAD:
                 self.dead = True
                 continue
-            fn, needed, schedule_last, memoised = compiled
-            n_memos += memoised
+            fn, needed, schedule_last = compiled
             level_index = last
             if not schedule_last:
                 for i, bound_slots in enumerate(bound_after):
@@ -382,29 +393,25 @@ class CompiledRule:
                         break
             scheduled.setdefault(level_index, []).append(fn)
         for level_index, fns in scheduled.items():
-            levels[level_index][4] = tuple(fns)
+            levels[level_index][5] = tuple(fns)
         self.levels = tuple(tuple(level) for level in levels)
-        self.n_memos = n_memos
 
-        self.pivot_key: Tuple[Optional[str], ...] = tuple(
-            value if tag == "c" else None for tag, value in level_parts[0])
-        self.pivot_index = "".join(
-            letter for letter, value in zip(_LETTERS, self.pivot_key)
-            if value is not None)
-        self.semijoin = (self._semijoin_shape(pivot_fills, level_parts[1])
+        self.pivot_index = self.levels[0][0]
+        self.semijoin = (self._semijoin_shape(pivot_fills, level_parts[1],
+                                              at)
                          if len(levels) > 1 else None)
-
-        self.heads: Tuple[_AtomSpec, ...] = tuple(
-            _atom_spec(atom, slot_of) for atom in rule.head)
+        self.heads: Tuple[Callable, ...] = tuple(
+            itemgetter(*map(at, atom)) for atom in rule.head)
         # Premises in the original body order (for provenance).
-        self.premise_specs: Tuple[_AtomSpec, ...] = tuple(
-            _atom_spec(atom, slot_of) for atom in rule.body)
+        self.premise_specs: Tuple[Callable, ...] = tuple(
+            itemgetter(*map(at, atom)) for atom in rule.body)
         self.pivot_spec: RelationshipSpec = _pivot_spec(body[0],
                                                         rule.conditions)
 
     @staticmethod
     def _semijoin_shape(pivot_fills: Sequence[Tuple[int, int]],
-                        parts: Sequence[Tuple[str, Any]]):
+                        parts: Sequence[Tuple[str, Any]],
+                        at: Callable[[Any], int]):
         """The semi-join on the pivot, when level 1's key has exactly
         one bound position plus at least one constant.
 
@@ -412,8 +419,8 @@ class CompiledRule:
         ``pivot_position`` of the pivot fact.  A pivot candidate can
         only join when its value there is among the values the bound
         position takes in the store's matches of level 1's constants
-        alone (``key``, ``pattern``).  Returns ``(pivot_position,
-        values_of, key, pattern)`` — ``values_of`` reads the bound
+        alone (``spec``, ``key_of``).  Returns ``(pivot_position,
+        values_of, spec, key_of)`` — ``values_of`` reads the bound
         position of a match — or ``None``.
         """
         bound = [(position, value) for position, (tag, value)
@@ -422,19 +429,25 @@ class CompiledRule:
             return None
         position, slot = bound[0]
         pivot_position = next(p for p, s in pivot_fills if s == slot)
-        key = tuple(value if tag == "c" else None for tag, value in parts)
-        pattern = Template(*(
-            value if tag == "c" else Variable(f"__semijoin{i}__")
-            for i, (tag, value) in enumerate(parts)))
-        return pivot_position, itemgetter(position), key, pattern
+        constants = [(letter, value) for letter, (tag, value)
+                     in zip(_LETTERS, parts) if tag == "c"]
+        return (pivot_position, itemgetter(position),
+                "".join(letter for letter, _ in constants),
+                _key_getter([at(value) for _, value in constants]))
 
-    def solutions(self, candidates: Iterable[Fact], store: FactStore,
-                  context: RuleContext) -> Iterator[List[Optional[str]]]:
+    def candidates(self, delta, join: JoinContext):
+        """The pivot's candidates in ``delta``: its facts at the pivot
+        atom's constants."""
+        return delta.lookup(self.pivot_index,
+                            self.levels[0][1](join.frame(self)))
+
+    def solutions(self, candidates, store: IdProbe,
+                  join: JoinContext) -> Iterator[List[Optional[int]]]:
         """All slot assignments satisfying the body, pivot atom matched
-        against ``candidates`` and the rest against ``store``.
+        against ``candidates`` (id triples) and the rest against
+        ``store``.
 
-        A round passes ``delta.lookup(*self.pivot_key)`` (a
-        :class:`RoundDelta`'s bucket); the rederive step of
+        A round passes :meth:`candidates`; the rederive step of
         :mod:`.deletion` passes the store's facts at the pivot's ground
         positions under a head unifier.  One cursor per level, walked
         depth first: solutions come in the order a nested loop over the
@@ -445,30 +458,29 @@ class CompiledRule:
         mutable slot list, reused across solutions: callers must
         consume (or copy) each yield before advancing.
         """
+        slots: List[Optional[int]] = list(join.frame(self))
         semijoin = self.semijoin
-        if semijoin is not None:
-            try:
-                count = len(candidates)
-            except TypeError:
-                # A lazy scan: an interned store's lookup (rederive).
-                candidates = list(candidates)
-                count = len(candidates)
-            # One candidate: a filter cannot cost less than its probe.
-            if count > 1 and store.count_estimate(semijoin[3]) < count:
-                pivot_position, values_of, key, _ = semijoin
-                values = set(map(values_of, store.lookup(*key)))
+        # One candidate: a filter cannot cost less than its probe.
+        if semijoin is not None and len(candidates) > 1:
+            count = len(candidates)
+            pivot_position, values_of, spec, key_of = semijoin
+            key = key_of(slots)
+            if store.count(spec, key) < count:
+                values = set(map(values_of, store.lookup(spec, key)))
                 candidates = [fact for fact in candidates
                               if fact[pivot_position] in values]
                 if _obs.ENABLED and count > len(candidates):
                     _obs.TELEMETRY.count("dispatch.pruned",
                                          count - len(candidates))
-        memos: List[Optional[dict]] = [None] * self.n_memos
-        slots: List[Optional[str]] = list(self.frame)
         levels = self.levels
         last = len(levels) - 1
         cursors: List[Any] = []
+        # Per level, its last key and matches: candidates taken from a
+        # sorted run often repeat the next level's key.
+        keys: List[Any] = [None] * len(levels)
+        matches: List[Any] = [None] * len(levels)
         depth = 0
-        _, fill, take, checks, conditions = levels[0]
+        _, _, fill, take, checks, conditions = levels[0]
         cursor = iter(candidates)
         while True:
             for fact in cursor:
@@ -484,7 +496,7 @@ class CompiledRule:
                 if conditions:
                     satisfied = True
                     for condition in conditions:
-                        if not condition(slots, context, memos):
+                        if not condition(slots, join):
                             satisfied = False
                             break
                     if not satisfied:
@@ -495,8 +507,12 @@ class CompiledRule:
                 # Descend: park this level's cursor, open the next.
                 cursors.append(cursor)
                 depth += 1
-                key_of, fill, take, checks, conditions = levels[depth]
-                cursor = iter(store.lookup(*key_of(slots)))
+                spec, key_of, fill, take, checks, conditions = levels[depth]
+                key = key_of(slots)
+                if key != keys[depth] or matches[depth] is None:
+                    keys[depth] = key
+                    matches[depth] = store.lookup(spec, key)
+                cursor = iter(matches[depth])
                 break
             else:
                 # This level is exhausted: resume the one above.
@@ -504,12 +520,13 @@ class CompiledRule:
                     return
                 depth -= 1
                 cursor = cursors.pop()
-                _, fill, take, checks, conditions = levels[depth]
+                _, _, fill, take, checks, conditions = levels[depth]
 
-    def premises(self, slots: List[Optional[str]]) -> Tuple[Fact, ...]:
-        """The body instantiation (original atom order) for a solution."""
-        return tuple(_materialize(spec, slots)
-                     for spec in self.premise_specs)
+    def premises(self, slots: List[Optional[int]],
+                 join: JoinContext) -> Tuple[Fact, ...]:
+        """The body instantiation (original atom order) for a solution,
+        decoded."""
+        return tuple(join.fact(spec(slots)) for spec in self.premise_specs)
 
 
 def _pivot_spec(pivot_atom: Template,
@@ -521,6 +538,11 @@ def _pivot_spec(pivot_atom: Template,
 # ----------------------------------------------------------------------
 # The compiled rule set and its dispatch index
 # ----------------------------------------------------------------------
+#: The index specs an :class:`~repro.core.interned.IdDelta` builds, in
+#: order (``""`` and ``"srt"`` need none: the fact set answers both).
+_BUCKET_SPECS = ("s", "r", "t", "sr", "st", "rt")
+
+
 class CompiledRuleSet:
     """Everything the dispatched engine precomputes for a rule set:
     compiled pivoted bodies, the dispatch index, and the head table
@@ -559,12 +581,17 @@ class CompiledRuleSet:
             for rule in self.rules if rule.name in by_name
             for index, (head, spec) in enumerate(
                 zip(rule.head, rule.produced_relationship_specs())))
-        #: The bucket indexes the pivot keys read — all a
-        #: :class:`RoundDelta` builds (``""`` and ``"srt"`` need none:
-        #: the fact set answers both).
-        pivot_indexes = {cr.pivot_index for cr in compiled}
+        #: The index specs a round's delta builds (the pivots read
+        #: them), and those the facts a closure derives build (the
+        #: later levels and the semi-joins read them).
+        pivot_specs = {cr.pivot_index for cr in compiled}
+        store_specs = {level[0] for cr in compiled
+                       for level in cr.levels[1:]}
+        store_specs.update(cr.semijoin[2] for cr in compiled if cr.semijoin)
         self.delta_indexes: Tuple[str, ...] = tuple(
-            spec for spec in _BUCKET_SPECS if spec in pivot_indexes)
+            spec for spec in _BUCKET_SPECS if spec in pivot_specs)
+        self.store_indexes: Tuple[str, ...] = tuple(
+            spec for spec in _BUCKET_SPECS if spec in store_specs)
         by_relationship: Dict[str, List[CompiledRule]] = {}
         nonspecial: List[CompiledRule] = []
         wildcard: List[CompiledRule] = []
@@ -606,125 +633,37 @@ def compile_ruleset(rules: Sequence[Rule]) -> CompiledRuleSet:
 
 
 # ----------------------------------------------------------------------
-# Round deltas
-# ----------------------------------------------------------------------
-#: The bucket index specs, in the order a :class:`FactStore` builds
-#: its indexes.
-_BUCKET_SPECS = ("s", "r", "t", "sr", "st", "rt")
-#: Per bucket spec, a fact's key in it (as :class:`FactStore` keys it).
-_KEY_OF = {spec: itemgetter(*(_LETTERS.index(letter) for letter in spec))
-           for spec in _BUCKET_SPECS}
-
-
-class RoundDelta:
-    """The facts a round joins through its pivots: a fact set plus only
-    the bucket indexes the pivot keys read (``indexes``, a
-    :attr:`CompiledRuleSet.delta_indexes`; for the standard rules just
-    ``"r"``).
-
-    A derived fact is indexed once here instead of into a six-index
-    :class:`FactStore`.  Buckets are built fact by fact in insertion
-    order, as a store builds them, so a bucket iterates in the order the
-    store's would — the order the interpreted reference joins in.
-    """
-
-    __slots__ = ("_facts", "_indexes", "_keyed")
-
-    def __init__(self, indexes: Sequence[str], facts: Iterable[Fact] = ()):
-        self._facts: Set[Fact] = set()
-        self._indexes: Dict[str, Dict[Any, Set[Fact]]] = {}
-        self._keyed: List[Tuple[Callable, Dict[Any, Set[Fact]]]] = []
-        for spec in indexes:
-            index = self._indexes[spec] = {}
-            self._keyed.append((_KEY_OF[spec], index))
-        for fact in facts:
-            self.add(fact)
-
-    @classmethod
-    def of_store(cls, store: FactStore,
-                 indexes: Sequence[str]) -> "RoundDelta":
-        """The closure's first delta: every fact of a hash ``store``.
-
-        The fact set and the named buckets are copied (``set(...)`` of
-        each), never aliased — a ``set`` copy can iterate in another
-        order than its source, and the reference engine iterates such a
-        copy (``rules.engine._first_delta``).
-        """
-        delta = cls(indexes)
-        delta._facts = set(store._facts)  # noqa: SLF001
-        for spec, index in delta._indexes.items():
-            index.update((key, set(bucket))
-                         for key, bucket in store.index_for(spec).items()
-                         if bucket)
-        return delta
-
-    def add(self, fact: Fact) -> None:
-        self._facts.add(fact)
-        for key_of, index in self._keyed:
-            key = key_of(fact)
-            bucket = index.get(key)
-            if bucket is None:
-                bucket = index[key] = set()
-            bucket.add(fact)
-
-    def __len__(self) -> int:
-        return len(self._facts)
-
-    def relationships(self) -> Iterable[str]:
-        """The distinct relationships of the delta's facts."""
-        by_r = self._indexes.get("r")
-        if by_r is not None:
-            return by_r.keys()
-        return {fact[1] for fact in self._facts}
-
-    def lookup(self, source: Optional[str] = None,
-               relationship: Optional[str] = None,
-               target: Optional[str] = None) -> Iterable[Fact]:
-        """:meth:`FactStore.lookup` over the delta, for the index specs
-        it was built with."""
-        indexes = self._indexes
-        if source is not None:
-            if relationship is not None:
-                if target is not None:
-                    fact = Fact(source, relationship, target)
-                    return (fact,) if fact in self._facts else ()
-                return indexes["sr"].get((source, relationship), ())
-            if target is not None:
-                return indexes["st"].get((source, target), ())
-            return indexes["s"].get(source, ())
-        if relationship is not None:
-            if target is not None:
-                return indexes["rt"].get((relationship, target), ())
-            return indexes["r"].get(relationship, ())
-        if target is not None:
-            return indexes["t"].get(target, ())
-        return self._facts
-
-
-# ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
-               context: RuleContext, firings: Dict[str, int],
+def run_rounds(store: IdProbe, delta, compiled: CompiledRuleSet,
+               join: JoinContext, firings: Dict[str, int],
                max_iterations: Optional[int] = None,
                provenance: Optional[Dict[Fact, Any]] = None,
                rule_times: Optional[Dict[str, float]] = None,
                added: Optional[List[Fact]] = None) -> int:
-    """Dispatched semi-naive rounds until quiescence.
+    """Dispatched semi-naive rounds until quiescence, in id space.
 
     The compiled twin of :func:`.engine._semi_naive_rounds`: ``store``
-    is mutated in place, ``delta`` holds the facts not yet joined
-    against the rest of the store (already *in* the store) — a
-    :class:`RoundDelta` built for ``compiled`` — and the returned value
-    is the number of rounds executed.
-    Like ``firings``, ``provenance`` and ``rule_times``, ``added`` is
-    filled in when given: the facts the rounds added to the store, in
-    insertion order (insertion maintenance reports them; a full closure
-    does not ask).
+    grows in place (:meth:`IdProbe.add
+    <repro.core.interned.IdProbe.add>`), ``delta`` holds the facts not
+    yet joined against the rest of the store (already *in* it) — an
+    :class:`~repro.core.interned.IdDelta` on ``compiled.delta_indexes``,
+    or the store itself for a closure's first round — and ``join`` is
+    the :class:`JoinContext` of the store's ids.  Returns the number of
+    rounds executed.  Like ``firings``, ``provenance`` and
+    ``rule_times``, ``added`` is filled in when given: the facts the
+    rounds added to the store, decoded (insertion maintenance reports
+    them; a full closure does not ask).
+
+    A fact's justification does not depend on any iteration order: of
+    the compiled bodies that derive it in the round that first derives
+    it, the first in evaluation order, with the least of its premise
+    tuples that derive the fact (the reference records the same).
     """
     iterations = 0
     observing = _obs.ENABLED and rule_times is not None
     total = len(compiled.compiled)
+    decode = join.codec.decode
     while delta:
         if max_iterations is not None and iterations >= max_iterations:
             break
@@ -734,13 +673,17 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
                           "delta_in": len(delta)})
                       if observing else _obs.NULL_SPAN)
         with round_span as rspan:
-            active = compiled.select(delta.relationships())
+            active = compiled.select(map(decode, delta.relationships()))
             if observing:
                 skipped = total - len(active)
                 if skipped:
                     _obs.TELEMETRY.count("dispatch.skipped_rules", skipped)
                 _obs.TELEMETRY.count("dispatch.fired_rules", len(active))
-            fresh: Set[Fact] = set()
+            fresh: Set[Tuple[int, int, int]] = set()
+            # Traced: each fresh fact's body and least premises so far.
+            first: Optional[Dict[Tuple[int, int, int], Tuple[
+                CompiledRule, Tuple[Fact, ...]]]] = (
+                {} if provenance is not None else None)
             for cr in active:
                 # Deadline checkpoint: once per (rule, round) — a
                 # cancelled closure leaves no shared state behind
@@ -751,29 +694,37 @@ def run_rounds(store: FactStore, delta, compiled: CompiledRuleSet,
                 heads = cr.heads
                 if observing:
                     rule_started = time.perf_counter()
-                for slots in cr.solutions(delta.lookup(*cr.pivot_key),
-                                          store, context):
-                    for spec in heads:
-                        fact = _materialize(spec, slots)
-                        if fact not in store and fact not in fresh:
-                            fresh.add(fact)
-                            firings[rule_name] += 1
-                            if provenance is not None \
-                                    and fact not in provenance:
-                                provenance[fact] = Justification(
-                                    rule_name, cr.premises(slots))
+                for slots in cr.solutions(cr.candidates(delta, join),
+                                          store, join):
+                    for head in heads:
+                        fact = head(slots)
+                        if fact in fresh:
+                            if first is not None and first[fact][0] is cr:
+                                premises = cr.premises(slots, join)
+                                if premises < first[fact][1]:
+                                    first[fact] = (cr, premises)
+                            continue
+                        if fact in store:
+                            continue
+                        fresh.add(fact)
+                        firings[rule_name] += 1
+                        if first is not None:
+                            first[fact] = (cr, cr.premises(slots, join))
                 if observing:
                     rule_times[rule_name] = (
                         rule_times.get(rule_name, 0.0)
                         + time.perf_counter() - rule_started)
             if observing:
                 apply_started = time.perf_counter()
-            delta = RoundDelta(compiled.delta_indexes)
+            delta = IdDelta(compiled.delta_indexes, fresh)
             for fact in fresh:
-                if store.add(fact):
-                    delta.add(fact)
+                store.add(fact)
             if added is not None:
-                added.extend(fresh)     # each was new to the store
+                added.extend(map(join.fact, fresh))
+            for fact, (cr, premises) in (first or {}).items():
+                fact = join.fact(fact)
+                if fact not in provenance:
+                    provenance[fact] = Justification(cr.rule.name, premises)
             if observing:
                 rule_times[APPLY] = (rule_times.get(APPLY, 0.0)
                                      + time.perf_counter() - apply_started)
@@ -785,47 +736,55 @@ def dispatched_closure(base: Iterable[Fact], rules: Sequence[Rule],
                        context: RuleContext,
                        max_iterations: Optional[int] = None,
                        trace: bool = False,
-                       compiled: Optional[CompiledRuleSet] = None,
-                       added: Optional[List[Fact]] = None):
-    """Fixpoint by dispatched, compiled semi-naive rounds.
+                       compiled: Optional[CompiledRuleSet] = None):
+    """Fixpoint by dispatched, compiled semi-naive rounds, grown in id
+    space on the base's own generation.
 
     Drop-in equivalent of :func:`.engine.semi_naive_closure` (identical
-    closure contents, rounds, firings and provenance) with both
-    fast-path layers applied.  ``compiled`` lets callers reuse a
-    :class:`CompiledRuleSet` across closures — the
+    closure contents, rounds, firings and justifications) with both
+    fast-path layers applied.  ``base`` is an interned store (any other
+    iterable of facts is built into one first), probed through an
+    :class:`~repro.core.interned.IdProbe`: its own runs are the first
+    round's candidates, and what the rounds derive goes into one
+    :class:`~repro.core.interned.IdDelta` indexed on the specs the
+    compiled bodies read.  The result's store is the closure as one
+    generation built from those ids (:meth:`InternedFactStore.consume
+    <repro.core.interned.InternedFactStore.consume>`): the base's rows
+    flagged ``STORED``, at its version.  ``compiled`` lets callers
+    reuse a :class:`CompiledRuleSet` across closures — the
     :class:`~repro.rules.registry.RuleRegistry` caches one per enabled
-    rule set.  ``added`` is :func:`run_rounds`' sink, filled when given
-    with the facts the rounds derived (a closure over an interned base
-    flags its rows with it).
+    rule set.
     """
     rules = list(rules)
     if compiled is None or compiled.rules != rules:
         compiled = compile_ruleset(rules)
+    if not isinstance(base, InternedFactStore):
+        base = InternedFactStore.from_facts(base)
     observing = _obs.ENABLED
     closure_span = (_obs.TELEMETRY.span("closure.dispatched",
                                      rules=len(rules))
                     if observing else _obs.NULL_SPAN)
     with closure_span as span:
-        store = seed_store(base)
-        base_count = len(store)
+        store = IdProbe(base, IdDelta(compiled.store_indexes))
+        join = JoinContext(context, store)
+        base_count = len(base)
         firings: Dict[str, int] = {rule.name: 0 for rule in rules}
         rule_times: Dict[str, float] = {}
         provenance: Optional[Dict[Fact, Any]] = {} if trace else None
         loop_started = time.perf_counter()
-        # No rule has joined against anything yet: every base fact is
-        # the first delta.
-        first = RoundDelta.of_store(store, compiled.delta_indexes)
-        iterations = run_rounds(store, first, compiled, context, firings,
-                                max_iterations, provenance, rule_times,
-                                added)
+        # No rule has joined against anything yet: the base is the
+        # first delta.
+        iterations = run_rounds(store, store, compiled, join, firings,
+                                max_iterations, provenance, rule_times)
+        derived = len(store.grown)
         if observing:
             _obs.TELEMETRY.count("engine.rounds", iterations)
             _obs.TELEMETRY.gauge("engine.closure_seconds",
                               time.perf_counter() - loop_started)
-            span.set(iterations=iterations,
-                     derived=len(store) - base_count)
-        return ClosureResult(store=store, base_count=base_count,
-                             derived_count=len(store) - base_count,
+            span.set(iterations=iterations, derived=derived)
+        closure = InternedFactStore.consume(base, store.grown, store.codec)
+        return ClosureResult(store=closure, base_count=base_count,
+                             derived_count=derived,
                              iterations=iterations, rule_firings=firings,
                              rule_times=rule_times, provenance=provenance)
 
@@ -846,13 +805,12 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     insertion order: the new facts it did not hold yet, then what the
     rounds derived.
 
-    The rounds are the closure's own
-    (:func:`~repro.rules.dispatch.run_rounds` over the whole rule set
-    behind one dispatch index), ideal here, where deltas are tiny and
-    most rules stay quiescent.  ``compiled`` is the
-    :class:`~repro.rules.dispatch.CompiledRuleSet` of ``rules``
-    (:meth:`RuleRegistry.compiled` caches one); compiled here when not
-    given.
+    The rounds are the closure's own (:func:`run_rounds` over the whole
+    rule set behind one dispatch index, joining the store's ids through
+    an :class:`~repro.core.interned.IdProbe`), ideal here, where deltas
+    are tiny and most rules stay quiescent.  ``compiled`` is the
+    :class:`CompiledRuleSet` of ``rules`` (:meth:`RuleRegistry.compiled`
+    caches one); compiled here when not given.
 
     Only insertions can be maintained this way — a deletion may
     invalidate derivations and goes through Delete/Rederive
@@ -864,14 +822,16 @@ def extend_closure(result: ClosureResult, new_facts: Iterable[Fact],
     if added:
         if compiled is None:
             compiled = compile_ruleset(rules)
-        delta = RoundDelta(compiled.delta_indexes, added)
+        store = IdProbe(result.store)
+        join = JoinContext(context, store)
+        delta = IdDelta(compiled.delta_indexes, map(join.ids, added))
         extend_span = (_obs.TELEMETRY.span("closure.extend",
                                         new_facts=len(delta))
                        if _obs.ENABLED else _obs.NULL_SPAN)
         with extend_span:
             result.iterations += run_rounds(
-                result.store, delta, compiled, context,
-                result.rule_firings, provenance=result.provenance,
+                store, delta, compiled, join, result.rule_firings,
+                provenance=result.provenance,
                 rule_times=result.rule_times, added=added)
     result.derived_count = len(result.store) - result.base_count
     return added

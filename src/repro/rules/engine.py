@@ -191,8 +191,10 @@ def semi_naive_closure(base: Iterable[Fact], rules: Sequence[Rule],
         provenance: Optional[Dict[Fact, Justification]] = {} if trace else None
         pivoted = _pivoted_rules(rules)
         loop_started = time.perf_counter()
-        iterations = _semi_naive_rounds(store, _first_delta(store), pivoted,
-                                        context, firings, max_iterations,
+        # No rule has joined against anything yet: every fact is the
+        # first delta (the store is not written before the round ends).
+        iterations = _semi_naive_rounds(store, store, pivoted, context,
+                                        firings, max_iterations,
                                         provenance, rule_times)
         if observing:
             _obs.TELEMETRY.gauge("engine.closure_seconds",
@@ -221,21 +223,6 @@ def _pivoted_rules(rules: Sequence[Rule]) -> List[Tuple[Rule, Rule]]:
                 is_constraint=rule.is_constraint)
             pivoted.append((rule, reordered))
     return pivoted
-
-
-def _first_delta(store: FactStore) -> FactStore:
-    """Every fact of ``store`` as the first round's delta, its fact set
-    and buckets copied with ``set(...)`` as
-    :meth:`RoundDelta.of_store <repro.rules.dispatch.RoundDelta.of_store>`
-    copies them: a set copy can iterate in another order than a store
-    indexed fact by fact, and both engines must derive in one order."""
-    delta = FactStore()
-    delta._facts = set(store._facts)  # noqa: SLF001
-    for spec in ("s", "r", "t", "sr", "st", "rt"):
-        delta.index_for(spec).update(
-            (key, set(bucket)) for key, bucket
-            in store.index_for(spec).items() if bucket)
-    return delta
 
 
 def _semi_naive_rounds(store: FactStore, delta: FactStore,
@@ -268,7 +255,10 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
                       if observing else _obs.NULL_SPAN)
         with round_span as rspan:
             fresh: Set[Fact] = set()
-            for rule, reordered in pivoted:
+            # Traced: each fresh fact's pivoted body and least premises
+            # so far (the dispatched engine's rule, see its run_rounds).
+            first: Dict[Fact, Tuple[int, Tuple[Fact, ...]]] = {}
+            for index, (rule, reordered) in enumerate(pivoted):
                 # Deadline checkpoint (see repro.core.deadline): a
                 # cancelled full closure is simply not cached.
                 if _deadline.ACTIVE:
@@ -278,18 +268,27 @@ def _semi_naive_rounds(store: FactStore, delta: FactStore,
                 if observing:
                     rule_started = time.perf_counter()
                 for fact, binding in _fire(reordered, sources, context):
-                    if fact not in store and fact not in fresh:
+                    if fact in fresh:
+                        if provenance is not None \
+                                and first[fact][0] == index:
+                            premises = _premises(rule, binding)
+                            if premises < first[fact][1]:
+                                first[fact] = (index, premises)
+                    elif fact not in store:
                         fresh.add(fact)
                         firings[rule.name] += 1
-                        if provenance is not None and fact not in provenance:
-                            # Premises in the original body order, not the
-                            # pivot order.
-                            provenance[fact] = Justification(
-                                rule.name, _premises(rule, binding))
+                        if provenance is not None:
+                            # Premises in the original body order, not
+                            # the pivot order.
+                            first[fact] = (index, _premises(rule, binding))
                 if observing:
                     rule_times[rule.name] = (
                         rule_times.get(rule.name, 0.0)
                         + time.perf_counter() - rule_started)
+            for fact, (index, premises) in first.items():
+                if fact not in provenance:
+                    provenance[fact] = Justification(pivoted[index][0].name,
+                                                     premises)
             if observing:
                 apply_started = time.perf_counter()
             delta = FactStore()

