@@ -196,13 +196,12 @@ def _engine_runner(engine: str, facts, context, limit: int, compiled,
         elif engine == "semi-naive":
             result = semi_naive_closure(facts, STANDARD_RULES, context)
         elif engine == "dispatched-interned":
-            # Same fast path, but seeded from an interned columnar
-            # base: seed_store() decodes the generation column by
-            # column into a hash working store, which the closure then
-            # grows as in the hash cell.  So this cell prices that
-            # decode plus the hash closure: what a from-scratch closure
-            # over a recovered or compacted base pays, without the one
-            # fold Database.standard_closure ends it with.
+            # Same fast path over an interned columnar base: the
+            # rounds join on the base generation's ids, and the closure
+            # is built from ids into one generation
+            # (InternedFactStore.consume).  So this cell prices what a
+            # from-scratch closure over a recovered or compacted base
+            # pays.
             result = dispatched_closure(interned_base, STANDARD_RULES,
                                         context, compiled=compiled)
         else:
@@ -285,8 +284,8 @@ def run_matrix(quick: bool = False, repeat: int = 3):
         "semi_naive_seconds": round(before, 6),
         "dispatched_seconds": round(after, 6),
         "speedup": round(before / after, 2),
-        # Dispatched closure seeded from an interned columnar base:
-        # the base's decode into a hash working store plus the closure.
+        # Dispatched closure over an interned columnar base: rounds on
+        # its ids, then the closure generation built from them.
         "dispatched_interned_seconds": round(interned, 6),
         "interned_speedup": round(before / interned, 2),
     }

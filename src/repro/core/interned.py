@@ -58,7 +58,7 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import itemgetter, ne
+from operator import add, itemgetter, ne
 from typing import (
     Dict,
     Iterable,
@@ -142,9 +142,10 @@ class Interner:
     """An append-only bidirectional str↔int dictionary.
 
     Ids are dense and assigned in first-intern order; a generation's
-    columns refer to entities exclusively by these ids.  The table is
-    immutable once a generation is built from it (nothing ever needs a
-    *new* id afterwards: overlay facts keep their strings).
+    columns refer to entities exclusively by these ids.  No table a
+    generation reads is changed: a fold that meets new names appends
+    them to a copy (:meth:`InternedFactStore._rebuilt`), so an id names
+    one entity for the heap's life.
     """
 
     __slots__ = ("names", "_ids")
@@ -211,8 +212,8 @@ class SharedInterner:
     """A read-only str↔int dictionary over the shared name table.
 
     Drop-in for :class:`Interner` on the attach side, minus
-    :meth:`intern` (a generation's table is frozen; overlay facts keep
-    their strings).  ``names`` decodes lazily; ``id_of`` binary-searches
+    :meth:`intern` (a fold appends new names to an :class:`Interner`
+    copy).  ``names`` decodes lazily; ``id_of`` binary-searches
     the ``name_sort`` permutation the sharer wrote — O(log n) over the
     shared bytes, each name found memoized per process — so neither
     direction ever materializes the full table.  A miss is not kept:
@@ -347,32 +348,25 @@ class ColumnarGeneration:
     def build(cls, facts: Iterable[Fact],
               version: int = 0) -> "ColumnarGeneration":
         """Build a generation (and its interner) from an iterable of
-        facts, every row flagged :data:`STORED`."""
-        return cls.build_flagged(zip(facts, itertools.repeat(STORED)),
-                                 version)
-
-    @classmethod
-    def build_flagged(cls, rows: Iterable[Tuple[Fact, int]],
-                      version: int = 0) -> "ColumnarGeneration":
-        """Build a generation (and its interner) from ``(fact, flags)``
-        rows; a fact may repeat, with the same flags.  Ids go in
-        first-intern order, then :meth:`from_ids` builds."""
+        facts, every row flagged :data:`STORED`; a fact may repeat.
+        Ids go in first-intern order, then :meth:`from_ids` builds."""
         # An unseen name gets ``len(ids)``, read before the call that
         # stores it.
         ids: Dict[str, int] = {}
         intern = ids.setdefault
         keys = [(intern(s, len(ids)), intern(r, len(ids)),
-                 intern(t, len(ids)), flags)
-                for (s, r, t), flags in rows]
+                 intern(t, len(ids)), STORED) for s, r, t in facts]
         return cls.from_ids(Interner(ids), keys, version)
 
     @classmethod
     def from_ids(cls, interner, keys: List[Tuple[int, int, int, int]],
                  version: int = 0) -> "ColumnarGeneration":
         """Build a generation over ``interner`` from ``(s, r, t, flags)``
-        id rows (sorted in place; a row may repeat).  O(n log n): one
-        sort per physical order, each fed a key list built in one pass,
-        and the columns, offsets and run starts each one C-level map."""
+        id rows (sorted in place; a row may repeat; an id may name no
+        row).  O(n log n): one sort per physical order, each fed a key
+        list built in one pass, and the columns, offsets and run starts
+        each one C-level map.  A fold's rows are one sorted run plus a
+        short tail, which the sort merges."""
         gen = cls()
         keys.sort()
         # The heap is a set: callers may feed raw fact lists with
@@ -855,59 +849,52 @@ class InternedFactStore(FactStore):
         return cls(ColumnarGeneration.attach(name))
 
     @classmethod
-    def consume(cls, store: FactStore, derived,
-                codec: Optional[IdCodec] = None) -> "InternedFactStore":
-        """A closure as one fresh generation at its base ``store``'s
-        version: the store's rows flagged :data:`STORED`, and
-        ``derived``, the id triples its rounds grew (``codec``'s ids),
-        flagged 0.  ``derived`` is emptied once its rows are taken.
-
-        Nothing is decoded and the base's ids are kept: its held rows
-        come from its id columns, its overlay through ``codec``, and
-        the names ``codec`` gave ids above the base range that some row
-        holds are appended to a copy of its interner, in id order (a
-        name given an id that no row holds, such as a rule constant the
-        heap never names, is left out and the ids after it close up).
-        Rows sort by id.  When a base name lost its last row (a
-        tombstone, a rule no longer enabled) the rows are interned
-        afresh once, so no generation names an entity without a row.
-        A hash ``store`` has no ids to keep: it is emptied into a
-        generation of its own.
-        """
-        version = store.version
-        if not isinstance(store, InternedFactStore):
-            facts = store._facts  # noqa: SLF001
-            store.clear()
-            return cls.from_facts(facts, version)
-        gen = store.generation
-        overlay = [tuple(map(codec.encode, fact)) for fact in store._overlay]
-        grown = list(derived)
+    def consume(cls, store: "InternedFactStore", derived: IdDelta,
+                codec: IdCodec) -> "InternedFactStore":
+        """A closure as one fresh generation over its base ``store``'s
+        ids, at its version (:meth:`_rebuilt`): the store's rows flagged
+        :data:`STORED`, and ``derived``, the id triples its rounds grew
+        (``codec``'s ids), flagged 0.  ``derived`` is emptied once its
+        rows are taken."""
+        grown = [(*triple, 0) for triple in derived]
         derived.clear()
-        interner, base, used = gen.interner, codec.base, []
-        if codec._scratch:  # noqa: SLF001
-            used = sorted(i for i in set(itertools.chain.from_iterable(
-                itertools.chain(overlay, grown))) if i >= base)
-            if used != list(range(base, base + len(used))):
-                new = dict(zip(used, itertools.count(base))).get
-                overlay, grown = ([(new(s, s), new(r, r), new(t, t))
-                                   for s, r, t in rows]
-                                  for rows in (overlay, grown))
+        return cls(store._rebuilt(
+            itertools.repeat(STORED),
+            zip(store._overlay, itertools.repeat(STORED)), codec, grown))
+
+    def _rebuilt(self, flags: Iterable[int],
+                 overlay: Iterable[Tuple[Fact, int]], codec: IdCodec,
+                 extra: Sequence[Tuple[int, int, int, int]] = ()
+                 ) -> ColumnarGeneration:
+        """This store's facts as one new generation at its version,
+        every id kept: the generation rows it holds, each with its byte
+        of ``flags`` (by position); the ``(fact, flags)`` rows of
+        ``overlay``, encoded once through ``codec`` (a codec over this
+        generation's interner); and the ``extra`` ``(s, r, t, flags)``
+        id rows.
+
+        No row is decoded and no name is interned afresh.  The names
+        ``codec`` gave scratch ids are appended, in id order, to a copy
+        of the interner, so a snapshot still reading the old generation
+        keeps its interner and its codecs' base; with none, the new
+        generation shares the old interner.  A name no row holds any
+        more keeps its id (the store's entity surfaces skip it) until
+        the heap is next built from names.  The held rows are one
+        sorted run, which :meth:`ColumnarGeneration.from_ids`'s sort
+        merges the rest into.
+        """
+        gen, keep = self._gen, self._kept()
+        keys = list(zip(*[itertools.compress(column, keep) for column
+                          in (gen.scol, gen.rcol, gen.tcol, flags)]))
+        encode = codec.encode
+        keys += [(encode(s), encode(r), encode(t), flag)
+                 for (s, r, t), flag in overlay]
+        keys += extra
+        interner, scratch = gen.interner, codec._scratch  # noqa: SLF001
         # A mapped name table is read-only and dies with its mapping.
-        if used or not isinstance(interner, Interner):
-            interner = Interner([*interner.names, *map(codec.decode, used)])
-        keep = store._kept()
-        keys = list(zip(*[itertools.compress(column, keep)
-                          for column in (gen.scol, gen.rcol, gen.tcol)],
-                        itertools.repeat(STORED)))
-        keys += [(*triple, STORED) for triple in overlay]
-        keys += [(*triple, 0) for triple in grown]
-        del overlay, grown
-        built = ColumnarGeneration.from_ids(interner, keys, version)
-        if len(set(built.scol).union(built.rcol, built.tcol)) \
-                < len(interner):
-            built = ColumnarGeneration.build_flagged(
-                zip(built, built.flags), version)
-        return cls(built)
+        if scratch or not isinstance(interner, Interner):
+            interner = Interner([*interner.names, *scratch])
+        return ColumnarGeneration.from_ids(interner, keys, self.version)
 
     @property
     def generation(self) -> ColumnarGeneration:
@@ -1032,17 +1019,25 @@ class InternedFactStore(FactStore):
 
     def _entity_ids(self) -> List[int]:
         """The ids, ascending, of the generation entities the store
-        holds: those its rows name (every id, without a mask; the held
-        id columns, with one), less those only its tombstones still
-        name — counted for the entities the tombstones name."""
+        holds: those its rows name (the ids with a run in some position,
+        without a mask — a dead name has none; the held id columns, with
+        one), less those only its tombstones still name — counted for
+        the entities the tombstones name."""
         gen = self._gen
         id_of = gen.interner.id_of
         removed: Dict[int, int] = {
             id_of(name): count for name, count
             in self._removed._entity_refs.items()}  # noqa: SLF001
         masks = self._masks
-        ids = range(len(gen.interner)) if masks is None else sorted(set(
-            itertools.chain.from_iterable(
+        if masks is None:
+            # Offsets summed over the three positions rise exactly at
+            # the ids some row names.
+            ends = list(map(add, map(add, gen.start_s, gen.start_r),
+                            gen.start_t))
+            ids = itertools.compress(itertools.count(),
+                                     map(ne, ends, ends[1:]))
+        else:
+            ids = sorted(set(itertools.chain.from_iterable(
                 itertools.compress(column, masks[0])
                 for column in (gen.scol, gen.rcol, gen.tcol))))
         return [i for i in ids if i not in removed
@@ -1480,12 +1475,13 @@ def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
 
     ``stores`` are the base heap and, once computed, its closure: a
     subset of it, reading its generation.  The new generation holds the
-    last store's facts at its version, each row flagged :data:`STORED`
-    when the base heap holds it; the last store reads every row.  A row
-    of the old generation carries its flag by position: the base
-    heap's tombstones clear it and each of its overlay facts the
-    generation holds sets it; only the closure's overlay rows are
-    flagged by membership.
+    last store's facts at its version, built over its ids
+    (:meth:`InternedFactStore._rebuilt`), each row flagged
+    :data:`STORED` when the base heap holds it; the last store reads
+    every row.  A row of the old generation carries its flag by
+    position: the base heap's tombstones clear it and each of its
+    overlay facts the generation holds sets it; only the closure's
+    overlay rows are flagged by membership.
     """
     base, closure = stores[0], stores[-1]
     gen = closure.generation
@@ -1496,11 +1492,9 @@ def fold(stores: Sequence[FactStore]) -> List[InternedFactStore]:
         position = gen.position_of(fact)
         if position >= 0:
             flags[position] = STORED
-    # The closure iterates its generation rows, then its overlay.
-    rows = zip(closure, itertools.chain(
-        itertools.compress(flags, closure._kept()),  # noqa: SLF001
-        (STORED if fact in base else 0
-         for fact in closure._overlay)))  # noqa: SLF001
-    generation = ColumnarGeneration.build_flagged(rows, closure.version)
+    overlay = ((fact, STORED if fact in base else 0)
+               for fact in closure._overlay)  # noqa: SLF001
+    generation = closure._rebuilt(  # noqa: SLF001
+        flags, overlay, closure.id_codec())
     return [refound(store, generation, store is not closure)
             for store in stores]

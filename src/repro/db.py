@@ -360,9 +360,10 @@ class Database:
         store's overlay (additions and tombstones).  A fold
         (:func:`~repro.core.interned.fold`) builds the closure's facts
         (the base heap's, while no closure is cached) into a new
-        generation, each row carrying its ``STORED`` flag by position,
-        and re-founds both stores on it with an empty overlay: the
-        closure reads every row, the base heap its ``STORED`` rows
+        generation over the old one's ids, each row carrying its
+        ``STORED`` flag by position, and re-founds both stores on it
+        with an empty overlay: the closure reads every row, the base
+        heap its ``STORED`` rows
         (:class:`~repro.core.interned.FlaggedFactStore`; §2.6's fact set
         is a subset of its closure).  Stores that already read one
         generation with empty overlays are left as they are.  Store
@@ -370,8 +371,11 @@ class Database:
         database state does not.
 
         Every probe merges the overlay, so reads slow as it grows; a
-        fold pays one O(n log n) rebuild, decoding the old generation
-        column by column, to make them integer probes again.  A
+        fold pays one O(n log n) rebuild from the old generation's id
+        columns, decoding none, to make them integer probes again.  An
+        id names one entity for the heap's life: new names are appended
+        to a copy of the interner, and a name whose last row went keeps
+        its id until the heap is next built from names.  A
         :class:`~repro.serve.DatabaseService` folds its master on its
         writer whenever :attr:`overlay_size` exceeds
         :data:`~repro.core.interned.OVERLAY_BUDGET` (and once at

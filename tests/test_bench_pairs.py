@@ -143,3 +143,56 @@ def test_summarize_reads_the_committed_pairs_logs(pr, capsys):
     out = capsys.readouterr().out
     for workload in workloads:
         assert f"## {workload}: " in out, workload
+
+
+def _tree(root, files):
+    for name, body in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body, encoding="utf-8")
+    return root
+
+
+def test_a_pair_log_names_the_tree_each_side_ran(monkeypatch, tmp_path):
+    """Every logged run carries the sha256 of its tree's ``src/**/*.py``
+    (paths and bytes; nothing else counts), and ``--summarize`` prints
+    each side's digests, warns when a side ran two trees, and still
+    reads a record that has none."""
+    files = {"src/pkg/a.py": "A = 1\n", "src/pkg/sub/b.py": "B = 2\n"}
+    parent = _tree(tmp_path / "parent", files)
+    change = _tree(tmp_path / "change", {**files, "src/pkg/a.py": "A = 3\n"})
+    digest = bench_pairs.src_digest
+    assert digest(parent) != digest(change)
+    _tree(parent, {"src/notes.txt": "x", "README.md": "y"})
+    assert digest(parent) == digest(_tree(tmp_path / "copy", files))
+    renamed = _tree(tmp_path / "renamed",
+                    {"src/pkg/c.py": "A = 1\n", "src/pkg/sub/b.py": "B = 2\n"})
+    assert digest(renamed) != digest(parent)
+
+    monkeypatch.setattr(
+        bench_pairs, "run_once",
+        lambda tree, workload, seed, seconds:
+        _record(tree.name, seed, 1.0)["result"])
+    records = bench_pairs.run_pairs(parent, change, "browse-cold", [1, 2],
+                                    10.0)
+    assert {(r["side"], r["src_digest"]) for r in records} \
+        == {("parent", digest(parent)), ("change", digest(change))}
+    catalog = [{"name": "setup_s", "unit": "s", "better": "lower",
+                "bound": 0.25}]
+    out = io.StringIO()
+    bench_pairs.report(records, catalog, out=out)
+    text = out.getvalue()
+    assert f"parent `src_digest`: {digest(parent)} (2 runs)" in text
+    assert f"change `src_digest`: {digest(change)} (2 runs)" in text
+    assert "WARNING" not in text
+
+    # A third pair whose change run comes from an older log: no digest.
+    records += [{**_record("parent", 3, 1.0), "src_digest": digest(parent)},
+                _record("change", 3, 1.0)]
+    out = io.StringIO()
+    bench_pairs.report(records, catalog, out=out)
+    text = out.getvalue()
+    assert "browse-cold: 3 alternating pairs" in text
+    assert f"{digest(change)} (2 runs), none logged (1 runs)" in text
+    assert "WARNING: the change side ran 2 trees" in text
+    assert "WARNING: the parent side" not in text

@@ -376,6 +376,99 @@ class TestInternedFactStore:
         assert sorted(rebuilt) == sorted(facts)
 
 
+class TestFoldKeepsIds:
+    """A fold builds over the old generation's ids: a name keeps its id
+    for the heap's life, a dead one too, and a new name is appended to
+    a copy of the interner."""
+
+    FACTS = [Fact("EMPLOYEE", "≺", "PERSON"),
+             Fact("E0", "∈", "EMPLOYEE"), Fact("E0", "WORKS-FOR", "D0"),
+             Fact("E1", "∈", "EMPLOYEE"), Fact("E1", "WORKS-FOR", "D1")]
+    #: The one fact naming ``LIKES`` and ``TEA``.
+    LONE = Fact("E1", "LIKES", "TEA")
+
+    def world(self):
+        db = Database(self.FACTS + [self.LONE])
+        db.view()
+        return db
+
+    @staticmethod
+    def names(db):
+        return list(db.facts.generation.interner.names)
+
+    def test_every_surviving_name_keeps_its_id(self):
+        db = self.world()
+        before = self.names(db)
+        db.add_fact(Fact("E2", "∈", "EMPLOYEE"))
+        db.remove_fact(Fact("E0", "WORKS-FOR", "D0"))
+        db.compact_store()
+        assert db.facts.generation is db.closure().store.generation
+        assert self.names(db) == before + ["E2"]
+
+    def test_a_dead_name_keeps_its_id_and_is_in_no_domain(self):
+        db = self.world()
+        before = self.names(db)
+        db.remove_fact(self.LONE)
+        db.compact_store()
+        assert self.names(db) == before
+        for store in (db.facts, db.closure().store):
+            codec = store.id_codec()
+            domain = set(map(codec.decode, store.entity_id_domain(
+                codec.encode)))
+            assert domain == store.entities() == FactStore(store).entities()
+            for name in ("TEA", "LIKES"):
+                assert name not in domain
+                assert not store.has_entity(name)
+            assert "LIKES" not in store.relationships()
+            assert not store.has_relationship("LIKES")
+        db.limit(2)
+        view = db.view()
+        codec = view.store.id_codec()
+        domain = set(map(codec.decode, view.closure.entity_id_domain(
+            codec.encode)))
+        assert domain == view.entities()
+        assert not {"TEA", "LIKES"} & domain
+        assert db.query("(x, LIKES, y)") == set()
+
+    def test_a_re_added_name_reuses_its_id(self):
+        db = self.world()
+        tea = db.facts.generation.interner.id_of("TEA")
+        db.remove_fact(self.LONE)
+        db.compact_store()
+        db.add_fact(self.LONE)
+        db.compact_store()
+        interner = db.facts.generation.interner
+        assert interner.id_of("TEA") == tea
+        assert len(interner) == len(self.world().facts.generation.interner)
+        assert db.query("(x, LIKES, y)") == {("E1", "TEA")}
+
+    def test_a_snapshot_held_across_a_fold_keeps_its_interner(self):
+        db = self.world()
+        snapshot = db.snapshot()
+        interner = snapshot.facts.generation.interner
+        length = len(interner)
+        answers = sorted(snapshot.view().match(template(*map(var, "srt"))))
+        db.add_fact(Fact("E2", "WORKS-FOR", "D2"))
+        db.compact_store()
+        assert len(db.facts.generation.interner) == length + 2
+        assert snapshot.facts.generation.interner is interner
+        assert len(interner) == length
+        assert snapshot.closure().store.id_codec().base == length
+        assert sorted(snapshot.view().match(template(*map(var, "srt")))) \
+            == answers
+        assert snapshot.query("(x, WORKS-FOR, D2)") == set()
+        assert db.query("(x, WORKS-FOR, D2)") == {("E2",)}
+
+    def test_a_fold_that_adds_no_name_shares_the_interner(self):
+        db = self.world()
+        old = db.facts.generation
+        db.add_fact(Fact("E0", "WORKS-FOR", "D1"))
+        db.remove_fact(Fact("E1", "WORKS-FOR", "D1"))
+        db.compact_store()
+        assert db.facts.generation is not old
+        assert db.facts.generation.interner is old.interner
+
+
 def _mapped(path) -> bool:
     """Whether this process maps ``path`` (always False where
     ``/proc/self/maps`` does not exist)."""

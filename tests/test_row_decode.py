@@ -1,11 +1,14 @@
-"""Whole-heap passes decode an interned store column by column.
+"""Whole-heap passes decode an interned store column by column, or not
+at all.
 
-A closure's seed (``seed_store``), a fold (``compact_store``) and a
-checkpoint read every fact of an interned store once, by iterating it:
-the generation's columns are decoded as they are read and nothing is
-kept, so a pass leaves no ``Fact`` per row behind.  A from-scratch
-closure over an interned base grows a hash working store and ends in
-one fold that consumes it.
+The reference engine's seed (``seed_store``) and a checkpoint read
+every fact of an interned store once, by iterating it: the
+generation's columns are decoded as they are read and nothing is kept,
+so a pass leaves no ``Fact`` per row behind.  A from-scratch closure
+over an interned base joins on the base generation's ids and builds
+the closure's generation from them
+(``InternedFactStore.consume``), and a fold (``compact_store``)
+rebuilds from the old generation's id columns: neither decodes a row.
 """
 
 from __future__ import annotations
@@ -69,16 +72,6 @@ class TestSeed:
 
 
 class TestConsumingFold:
-    def test_consume_empties_the_working_store(self):
-        working = FactStore(world_facts())
-        version = working.version
-        folded = InternedFactStore.consume(working, [])
-        assert len(working) == 0
-        assert working.index_for("s") == {}
-        assert folded.version == version
-        assert folded.overlay_size == 0
-        assert set(folded) == set(world_facts())
-
     def test_a_closure_over_an_interned_base_is_one_generation(self):
         plain = Database(world_facts())
         interned = Database(world_facts()).compact_store()

@@ -345,9 +345,9 @@ def test_directory_written_by_the_previous_release_opens(tmp_path):
 def test_pool_started_after_a_fold_shares_the_master_generation(
         monkeypatch):
     builds = []
-    build = ColumnarGeneration.build_flagged.__func__
+    build = ColumnarGeneration.from_ids.__func__
     monkeypatch.setattr(
-        ColumnarGeneration, "build_flagged",
+        ColumnarGeneration, "from_ids",
         classmethod(lambda cls, *a, **k: builds.append(1)
                     or build(cls, *a, **k)))
     with use_telemetry(Telemetry()) as telemetry:

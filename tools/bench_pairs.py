@@ -13,12 +13,15 @@ tree — each tree's own copy, from that tree — and swaps which side goes
 first every pair, so a host that drifts during the session favours
 neither.  Each run's last stdout line (the
 object the benchmark prints for whoever reads it) is appended to
-``--log`` with its side, seed and position.  ``--summarize`` reads such
-logs back without running anything; it also reads the older pairs logs
+``--log`` with its side, seed and position, and the ``src_digest`` of
+the tree it ran (:func:`src_digest`).  ``--summarize`` reads such logs
+back without running anything; it also reads the older pairs logs
 under ``docs/measurements/`` (``pr{23,25,26,28}/runs.jsonl``), which
-have the same shape.
+have the same shape and no digest.
 
-It prints, per workload, one row per end-to-end metric of
+It prints the digest of this checkout's ``src/``, then, per workload,
+each side's digests (with a warning when a side ran more than one
+tree) and one row per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the shift of the
 medians, the pairs the change won, and whether the change's median is
 worse than the parent's by more than the metric's bound.  For every
@@ -35,11 +38,12 @@ does not hold.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, TextIO, Tuple
@@ -135,6 +139,18 @@ def load_benchmark() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
+def src_digest(tree: Path) -> str:
+    """A sha256 over the sorted relative paths and bytes of ``tree``'s
+    ``src/**/*.py``: which program a run ran."""
+    digest = hashlib.sha256()
+    for path in sorted(tree.glob("src/**/*.py")):
+        body = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (
+            path.relative_to(tree).as_posix().encode(), len(body)))
+        digest.update(body)
+    return digest.hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
@@ -166,6 +182,7 @@ def run_pairs(parent: Path, change: Path, workload: str,
         for position, (side, tree) in enumerate(sides):
             record = {"side": side, "workload": workload, "seed": seed,
                       "ran": "first" if position == 0 else "second",
+                      "src_digest": src_digest(tree),
                       "result": run_once(tree, workload, seed, seconds)}
             records.append(record)
             if log is not None:
@@ -192,17 +209,39 @@ def paired(records: Iterable[dict]) -> Dict[str, List[Tuple[dict, dict]]]:
             for workload, seeds in by_seed.items()}
 
 
+def digests(records: Iterable[dict]) -> Dict[str, Dict[str, Counter]]:
+    """``workload -> side -> Counter`` of the runs' ``src_digest``
+    (``None`` for a record of an older log, which has none)."""
+    found: Dict[str, Dict[str, Counter]] = defaultdict(
+        lambda: defaultdict(Counter))
+    for record in records:
+        found[record["workload"]][record["side"]][
+            record.get("src_digest")] += 1
+    return found
+
+
 def report(records: Iterable[dict], catalog: List[dict],
            claims: Sequence[str] = (),
            out: TextIO = None) -> bool:
     """Print the tables and verdicts (to ``out``, by default the
     current ``sys.stdout``); True when every claim holds."""
     out = sys.stdout if out is None else out
+    records = list(records)
+    trees = digests(records)
     ok = True
     for workload, pairs in paired(records).items():
         parents = [p for p, _ in pairs]
         changes = [c for _, c in pairs]
         out.write(f"\n## {workload}: {len(pairs)} alternating pairs\n\n")
+        for side in ("parent", "change"):
+            counts = trees[workload][side]
+            out.write(f"{side} `src_digest`: " + ", ".join(
+                f"{digest or 'none logged'} ({runs} runs)"
+                for digest, runs in counts.items()) + "\n")
+            if len(counts) > 1:
+                out.write(f"WARNING: the {side} side ran {len(counts)}"
+                          f" trees\n")
+        out.write("\n")
         out.write(
             f"failed {sum(r['failed'] for r in parents)} /"
             f" {sum(r['failed'] for r in changes)} of"
@@ -269,6 +308,7 @@ def main(argv: List[str] = None) -> int:
     options = parser.parse_args(argv)
 
     benchmark = load_benchmark()
+    print(f"this checkout's `src_digest`: {src_digest(ROOT)}")
     if options.summarize:
         records = [json.loads(line) for path in options.summarize
                    for line in path.read_text(encoding="utf-8").splitlines()
