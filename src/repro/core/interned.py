@@ -874,23 +874,29 @@ class InternedFactStore(FactStore):
         id rows.
 
         No row is decoded and no name is interned afresh.  The names
-        ``codec`` gave scratch ids are appended, in id order, to a copy
-        of the interner, so a snapshot still reading the old generation
-        keeps its interner and its codecs' base; with none, the new
-        generation shares the old interner.  A name no row holds any
-        more keeps its id (the store's entity surfaces skip it) until
-        the heap is next built from names.  The held rows are one
-        sorted run, which :meth:`ColumnarGeneration.from_ids`'s sort
-        merges the rest into.
+        ``codec`` gave scratch ids, up to the last one a row holds, are
+        appended in id order to a copy of the interner, so a snapshot
+        still reading the old generation keeps its interner and its
+        codecs' base; with none, the new generation shares the old
+        interner.  A name no row holds (any more) keeps its id (the
+        store's entity surfaces skip it) until the heap is next built
+        from names.  The held rows are one sorted run, which
+        :meth:`ColumnarGeneration.from_ids`'s sort merges the rest into.
         """
+        encode = codec.encode
+        added = [(encode(s), encode(r), encode(t), flag)
+                 for (s, r, t), flag in overlay]
+        added += extra
+        # A rule constant no row names is left out, unless a name
+        # after it is kept.
+        top = max(map(max, map(itemgetter(0, 1, 2), added)), default=-1)
+        scratch = codec._scratch[  # noqa: SLF001
+            :max(top + 1, codec.base) - codec.base]
         gen, keep = self._gen, self._kept()
         keys = list(zip(*[itertools.compress(column, keep) for column
                           in (gen.scol, gen.rcol, gen.tcol, flags)]))
-        encode = codec.encode
-        keys += [(encode(s), encode(r), encode(t), flag)
-                 for (s, r, t), flag in overlay]
-        keys += extra
-        interner, scratch = gen.interner, codec._scratch  # noqa: SLF001
+        keys += added
+        interner = gen.interner
         # A mapped name table is read-only and dies with its mapping.
         if scratch or not isinstance(interner, Interner):
             interner = Interner([*interner.names, *scratch])

@@ -460,7 +460,13 @@ class TestFoldKeepsIds:
         assert db.query("(x, WORKS-FOR, D2)") == {("E2",)}
 
     def test_a_fold_that_adds_no_name_shares_the_interner(self):
-        db = self.world()
+        """So does a first closure whose rows name no new name: a rule
+        constant that names no row (``≈`` here) is not appended."""
+        db = Database(self.FACTS + [self.LONE])
+        interner = db.facts.generation.interner
+        db.view()
+        assert db.closure().store.generation.interner is interner
+        assert "≈" not in interner
         old = db.facts.generation
         db.add_fact(Fact("E0", "WORKS-FOR", "D1"))
         db.remove_fact(Fact("E1", "WORKS-FOR", "D1"))
