@@ -212,11 +212,12 @@ class SharedInterner:
     """A read-only str↔int dictionary over the shared name table.
 
     Drop-in for :class:`Interner` on the attach side, minus
-    :meth:`intern` (a fold appends new names to an :class:`Interner`
-    copy).  ``names`` decodes lazily; ``id_of`` binary-searches
-    the ``name_sort`` permutation the sharer wrote — O(log n) over the
-    shared bytes, each name found memoized per process — so neither
-    direction ever materializes the full table.  A miss is not kept:
+    :meth:`Interner.intern`: no generation's table is changed (a fold
+    appends new names to an :class:`Interner` copy).  ``names``
+    decodes lazily; ``id_of`` binary-searches the ``name_sort``
+    permutation the sharer wrote — O(log n) over the shared bytes, each
+    name found memoized per process — so neither direction ever
+    materializes the full table.  A miss is not kept:
     the names a replica is asked about that its generation never saw
     (unknown query constants) are unbounded."""
 
@@ -229,11 +230,6 @@ class SharedInterner:
         self._order = order
         self._n = n
         self._ids: Dict[str, int] = {}
-
-    def intern(self, name: str) -> int:
-        """Refuses: a mapped table is read-only (kept as the error a
-        stray write meets; nothing reaches it)."""
-        raise RuntimeError("shared name table is frozen")
 
     def id_of(self, name: str) -> Optional[int]:
         i = self._ids.get(name)
@@ -893,8 +889,12 @@ class InternedFactStore(FactStore):
         scratch = codec._scratch[  # noqa: SLF001
             :max(top + 1, codec.base) - codec.base]
         gen, keep = self._gen, self._kept()
-        keys = list(zip(*[itertools.compress(column, keep) for column
-                          in (gen.scol, gen.rcol, gen.tcol, flags)]))
+        # One int object per id, shared by every row, not one boxed
+        # per column value read.
+        ids = list(range(len(gen.start_s) - 1)).__getitem__
+        keys = list(zip(*[map(ids, itertools.compress(column, keep))
+                          for column in (gen.scol, gen.rcol, gen.tcol)],
+                        itertools.compress(flags, keep)))
         keys += added
         interner = gen.interner
         # A mapped name table is read-only and dies with its mapping.
